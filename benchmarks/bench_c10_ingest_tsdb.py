@@ -1,21 +1,22 @@
 """Experiment C10 — high-throughput ingest + rollup-backed queries.
 
 Measures the measurement pipeline at 10–100x the sample volume the
-other experiments drive, comparing two configurations at EQUAL
-durability settings (same WAL-per-record fsync discipline, same acked
-deliveries, same snapshot cadence):
+other experiments drive, comparing the two payload shapes through the
+measurement DB's one ingest path, at EQUAL durability settings (same
+WAL-per-delivery fsync discipline, same acked deliveries, same snapshot
+cadence) and into the same columnar
+:class:`~repro.storage.blocks.BlockStore` with 1m/15m/1h rollups:
 
-* **per-publish baseline** — one pub/sub envelope and one WAL fsync
-  per sample into the dict-backed :class:`~repro.storage.localdb.
-  LocalDatabase` (the PR 6 data plane as-is);
-* **batched TSDB** — line-protocol frames (one envelope + one WAL
-  fsync per frame) into the columnar
-  :class:`~repro.storage.blocks.BlockStore` with 1m/15m/1h rollups.
+* **per-publish arm** — one pub/sub envelope per sample, each a frame
+  of one: one delivery, one ack and one WAL fsync per sample;
+* **batched arm** — line-protocol frames: one envelope, one ack and
+  one WAL fsync per frame of 100 samples.
 
 Three results are asserted, not just reported:
 
 * **≥ 10x sustained ingested samples/sec** (wall-clock) for the
-  batched pipeline over the per-publish baseline;
+  batched arm over the per-publish arm — the price of an fsync and a
+  delivery round per sample instead of per frame;
 * **rollup-served ``query_range`` beats raw-block scans on p99
   latency** at the full (100x) volume;
 * **zero acknowledged-sample loss and zero double-counts** — every
@@ -34,9 +35,7 @@ from repro.common.cdf import Measurement
 from repro.common.lineproto import encode_frame
 from repro.middleware.peer import MiddlewarePeer
 from repro.middleware.topics import join, measurement_topic
-from repro.proxies.device_proxy import BatchConfig
 from repro.simulation.scenario import ScenarioConfig, deploy
-from repro.storage.blocks import BlockStore, TsdbConfig
 from repro.storage.durability import DurabilityConfig
 from repro.storage.query import RollupQuery
 
@@ -71,7 +70,8 @@ def _make_samples():
     return samples
 
 
-def _deploy(tmp_path, tag, tsdb=None):
+def _deploy(tmp_path, tag):
+    """One deployment per arm, identical but for its state files."""
     config = ScenarioConfig(
         seed=SEED, n_buildings=1, devices_per_building=1,
         start_devices=False,          # exact accounting: bench feed only
@@ -84,10 +84,6 @@ def _deploy(tmp_path, tag, tsdb=None):
             ack_deliveries=True,
             dedup_window=4 * BATCH * N_DEVICES,
         ),
-        mdb_tsdb=tsdb,
-        proxy_batching=None if tsdb is None else BatchConfig(
-            max_samples=BATCH, max_age=5.0
-        ),
     )
     return deploy(config)
 
@@ -99,7 +95,7 @@ def _feeder(deployment):
 
 
 def _drive_per_publish(deployment, peer, samples):
-    """Baseline arm: one envelope per sample, paced over sim time."""
+    """Per-publish arm: one envelope per sample, paced over sim time."""
     district = deployment.district_id
     for start in range(0, len(samples), BATCH):
         for sample in samples[start:start + BATCH]:
@@ -142,10 +138,7 @@ def _ingest_phase(tmp_path, samples):
         "duplicates": base_mdb.ingest_duplicates,
     }
 
-    batched = _deploy(tmp_path, "batched", tsdb=TsdbConfig(
-        block_size=512, compaction_period=900.0,
-        compaction_target=4096,
-    ))
+    batched = _deploy(tmp_path, "batched")
     peer = _feeder(batched)
     wall0 = time.perf_counter()
     frames = _drive_batched(batched, peer, samples)
@@ -185,7 +178,6 @@ def _ingest_phase(tmp_path, samples):
 def _query_phase(batched):
     """p99 wall-clock of rollup-served vs raw-scan range queries."""
     mdb = batched.measurement_db
-    assert isinstance(mdb.store, BlockStore)
     span = N_SAMPLES * SAMPLE_DT
     rollup_lat, raw_lat = [], []
     for i in range(N_QUERIES):
@@ -231,7 +223,7 @@ def test_ingest_tsdb(tmp_path, benchmark, report):
     base, batched = ingest["baseline"], ingest["batched"]
     replay = ingest["replay"]
     report.header(EXPERIMENT,
-                  "batched ingest + columnar TSDB vs per-publish path")
+                  "batch-frame vs per-publish ingest into the columnar TSDB")
     report.record(EXPERIMENT,
                   wall_seconds=base["wall_s"] + batched["wall_s"],
                   sim_seconds=ingest["sim_seconds"],

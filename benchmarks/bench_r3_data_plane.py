@@ -4,7 +4,9 @@ Drives one district's ingest path (publisher peers → broker →
 measurement DB) with the durability stack enabled — write-ahead log +
 snapshots on the measurement DB, acked deliveries with redelivery and
 dead-lettering on the broker, bounded ingest queues with watermark
-shedding — through the two failure regimes the stack exists for:
+shedding — through the two failure regimes the stack exists for.
+Samples travel as lone envelopes, i.e. frames of one through the same
+ingest path and columnar store that C10 feeds with batch frames:
 
 * **churn** — the measurement DB crash-restarts mid-ingest (recovered
   from snapshot + WAL tail), then the broker crash-restarts (peers

@@ -50,7 +50,7 @@ EXPERIMENTS = (
      "bench_c8_actuation.py"),
     ("C9", "resolve fast path: cache speedup and churn freshness",
      "bench_c9_resolve_cache.py"),
-    ("C10", "batched ingest + columnar TSDB vs per-publish path",
+    ("C10", "batch-frame vs per-publish ingest into the columnar TSDB",
      "bench_c10_ingest_tsdb.py"),
     ("A1", "ablation: redirect vs relay-through-master",
      "bench_a1_redirect_vs_relay.py"),

@@ -103,8 +103,6 @@ class Subscription:
 class MiddlewarePeer:
     """Publish/subscribe endpoint on a simulated host."""
 
-    _port_ids = itertools.count(1)
-
     def __init__(self, host: Host,
                  broker_host: Union[str, Sequence[str]],
                  publish_buffer: Optional[int] = None,
@@ -148,7 +146,7 @@ class MiddlewarePeer:
         self.resubscribes_sent = 0
         self.dropped_by_topic: Dict[str, int] = {}
         self._paused_until = float("-inf")
-        self._port = f"pubsub-peer-{next(self._port_ids)}"
+        self._port = host.network.allocate_port("pubsub-peer")
         self._token_ids = itertools.count(1)
         self._by_token: Dict[int, Subscription] = {}
         self._by_sub_id: Dict[int, Subscription] = {}

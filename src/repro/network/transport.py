@@ -33,11 +33,13 @@ Hot-path design (the PR 10 fast path):
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -399,6 +401,8 @@ class Network:
         #: endpoints belongs to a partition's isolated side, so hosts
         #: added after the cut land on the majority side.
         self._partitions: list = []
+        self._port_ids: Dict[str, Iterator[int]] = defaultdict(
+            lambda: itertools.count(1))
         self._drop_rng = np.random.RandomState(seed + 1)
         # surface periodic-task callback failures as trace events
         scheduler.on_periodic_error = self._periodic_task_error
@@ -416,6 +420,15 @@ class Network:
                 handler=handler,
                 error=f"{type(exc).__name__}: {exc}",
             )
+
+    def allocate_port(self, prefix: str) -> str:
+        """A fresh ``<prefix>-<n>`` port name, n counting from 1 per prefix.
+
+        Port names travel in messages (reply and ack ports), so they
+        are numbered per network, not per process: a deployment's wire
+        sizes do not depend on what ran in the interpreter before it.
+        """
+        return f"{prefix}-{next(self._port_ids[prefix])}"
 
     def add_host(self, name: str) -> Host:
         """Create and register a host; duplicate names are an error."""

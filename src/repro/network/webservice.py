@@ -311,15 +311,13 @@ class HttpClient:
     simulated clock.
     """
 
-    _ids = itertools.count(1)
-
     def __init__(self, host: Host, timeout: float = 5.0,
                  policy: Optional[ResiliencePolicy] = None):
         self.host = host
         self.timeout = timeout
         self.policy = policy
         self.requests_sent = 0
-        self._reply_port = f"http-reply-{next(self._ids)}"
+        self._reply_port = host.network.allocate_port("http-reply")
         self._pending: Dict[int, Future] = {}
         # request_id -> open client span, finished on reply or expiry
         self._pending_spans: Dict[int, Any] = {}

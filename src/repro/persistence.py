@@ -1,14 +1,12 @@
-"""Persistence: ontology snapshots and measurement archives.
-
-Two durable artifacts keep a production deployment restartable and
-auditable:
+"""Persistence: the snapshot files that make stateful nodes restartable.
 
 * **ontology snapshots** — the master's district forest as a JSON file;
   an alternative recovery path to proxy re-registration after a master
   restart (see :class:`~repro.simulation.faults.FaultInjector`);
-* **measurement archives** — a :class:`~repro.storage.localdb.
-  LocalDatabase` dumped to JSON, so collected data survives a proxy or
-  measurement-DB restart and can be analysed offline.
+* **measurement-DB state snapshots** — the measurement database's
+  block store plus its ingest bookkeeping, the companion of its
+  write-ahead log (see :mod:`repro.storage.durability`);
+* **broker state snapshots** — the middleware broker's durable state.
 
 Formats are versioned; loading a file with an unknown version fails
 loudly rather than guessing.
@@ -23,15 +21,12 @@ from typing import Dict, Optional
 
 from repro.errors import SerializationError
 from repro.ontology.model import DistrictOntology
-from repro.storage.localdb import LocalDatabase
+from repro.storage.blocks import BlockStore
 
 _ONTOLOGY_VERSION = 1
-_ARCHIVE_VERSION = 1
-#: v1: row-per-series LocalDatabase dump; v2: columnar BlockStore dump
-#: ("engine": "blocks") carrying sealed blocks + rollup state verbatim.
-#: Writers pick the version matching the live engine; the loader
-#: accepts both.
-_MDB_STATE_VERSION = 1
+#: columnar BlockStore dump ("engine": "blocks") carrying sealed blocks
+#: + rollup state verbatim; version 1 (a row-per-series dump) is no
+#: longer written or read
 _MDB_STATE_VERSION_BLOCKS = 2
 _BROKER_STATE_VERSION = 1
 
@@ -126,63 +121,6 @@ def load_ontology_snapshot(path: str) -> OntologySnapshot:
 
 
 # --------------------------------------------------------------------------
-# measurement archives
-
-
-def save_measurements(database: LocalDatabase, path: str) -> None:
-    """Archive every series of a measurement store to *path*."""
-    series = []
-    for device_id in database.devices():
-        for quantity in database.quantities(device_id):
-            pairs = database.series(device_id, quantity).to_pairs()
-            series.append({
-                "device_id": device_id,
-                "quantity": quantity,
-                "samples": [[t, v] for t, v in pairs],
-            })
-    _write_json(path, {
-        "format": "repro-measurements",
-        "version": _ARCHIVE_VERSION,
-        "series": series,
-    })
-
-
-def load_measurements(path: str,
-                      entity_for_device: Dict[str, str] = None
-                      ) -> LocalDatabase:
-    """Rebuild a measurement store from an archive.
-
-    *entity_for_device* optionally restores device -> entity ownership;
-    unknown devices get an empty entity id (the archive itself does not
-    store ownership — that lives in the ontology).
-    """
-    from repro.common.cdf import Measurement
-
-    payload = _read_json(path)
-    if payload.get("format") != "repro-measurements":
-        raise SerializationError(f"{path!r} is not a measurement archive")
-    if payload.get("version") != _ARCHIVE_VERSION:
-        raise SerializationError(
-            f"unsupported archive version {payload.get('version')!r}"
-        )
-    entity_for_device = entity_for_device or {}
-    database = LocalDatabase(retention=None)
-    for record in payload.get("series", []):
-        device_id = record["device_id"]
-        entity_id = entity_for_device.get(device_id, "bld-0000")
-        for t, value in record["samples"]:
-            database.insert(Measurement(
-                device_id=device_id,
-                entity_id=entity_id,
-                quantity=record["quantity"],
-                value=float(value),
-                timestamp=float(t),
-                source="archive",
-            ))
-    return database
-
-
-# --------------------------------------------------------------------------
 # measurement-DB state snapshots (durable data plane)
 
 
@@ -195,115 +133,66 @@ class MeasurementState:
     snapshot time, *freshness* the per-device newest-sample timestamps,
     *dedup_keys* the idempotent-ingest window (so redeliveries of
     samples already in the snapshot stay deduplicated after recovery),
-    and *entity_for_device* the device -> entity ownership needed to
-    rebuild :class:`~repro.common.cdf.Measurement` rows.
+    and *entity_for_device* the device -> entity ownership that entity
+    targets of ``query_range`` fan out over.
     """
 
-    database: object  # LocalDatabase or repro.storage.blocks.BlockStore
+    database: BlockStore
     freshness: Dict[str, float] = field(default_factory=dict)
     dedup_keys: list = field(default_factory=list)
     entity_for_device: Dict[str, str] = field(default_factory=dict)
 
 
-def save_measurement_state(database, path: str,
+def save_measurement_state(database: BlockStore, path: str,
                            freshness: Optional[Dict[str, float]] = None,
                            dedup_keys=None,
                            entity_for_device: Optional[Dict[str, str]]
                            = None) -> None:
     """Atomically snapshot a measurement store plus ingest bookkeeping.
 
-    Unlike :func:`save_measurements` (the offline-analysis archive),
-    this snapshot is a *recovery* artifact: it also persists the
-    freshness table and the dedup window, so a restarted measurement DB
-    resumes with exact idempotent-ingest state instead of re-counting
-    redelivered samples.  A :class:`~repro.storage.blocks.BlockStore`
-    snapshots as format version 2, carrying its sealed blocks and
-    rollup state verbatim (recovery must not recompute rollups from
-    raw data it may no longer retain).
+    A *recovery* artifact: beside the store it persists the freshness
+    table and the dedup window, so a restarted measurement DB resumes
+    with exact idempotent-ingest state instead of re-counting
+    redelivered samples.  The store's sealed blocks and rollup state
+    are carried verbatim (recovery must not recompute rollups from raw
+    data it may no longer retain).
     """
-    from repro.storage.blocks import BlockStore
-
-    common = {
+    _write_json(path, {
+        "format": "repro-mdb-state",
+        "version": _MDB_STATE_VERSION_BLOCKS,
+        "engine": "blocks",
+        "tsdb": database.to_dict(),
         "freshness": {device: float(t)
                       for device, t in (freshness or {}).items()},
         "dedup_keys": [list(key) for key in (dedup_keys or [])],
         "entity_for_device": dict(entity_for_device or {}),
-    }
-    if isinstance(database, BlockStore):
-        _write_json(path, {
-            "format": "repro-mdb-state",
-            "version": _MDB_STATE_VERSION_BLOCKS,
-            "engine": "blocks",
-            "tsdb": database.to_dict(),
-            **common,
-        })
-        return
-    series = []
-    for device_id in database.devices():
-        for quantity in database.quantities(device_id):
-            pairs = database.series(device_id, quantity).to_pairs()
-            series.append({
-                "device_id": device_id,
-                "quantity": quantity,
-                "samples": [[t, v] for t, v in pairs],
-            })
-    _write_json(path, {
-        "format": "repro-mdb-state",
-        "version": _MDB_STATE_VERSION,
-        "series": series,
-        **common,
     })
 
 
 def load_measurement_state(path: str) -> MeasurementState:
     """Load a recovery snapshot written by :func:`save_measurement_state`."""
-    from repro.common.cdf import Measurement
-    from repro.storage.blocks import BlockStore
-
     payload = _read_json(path)
     if payload.get("format") != "repro-mdb-state":
         raise SerializationError(f"{path!r} is not a measurement-DB "
                                  f"state snapshot")
     version = payload.get("version")
-    if version not in (_MDB_STATE_VERSION, _MDB_STATE_VERSION_BLOCKS):
+    if version != _MDB_STATE_VERSION_BLOCKS:
         raise SerializationError(
             f"unsupported measurement-DB state version {version!r}"
         )
-    entity_for_device = dict(payload.get("entity_for_device", {}))
-    if version == _MDB_STATE_VERSION_BLOCKS:
-        if payload.get("engine") != "blocks":
-            raise SerializationError(
-                f"unknown storage engine {payload.get('engine')!r} in "
-                f"{path!r}"
-            )
-        return MeasurementState(
-            database=BlockStore.from_dict(payload["tsdb"]),
-            freshness={device: float(t) for device, t
-                       in payload.get("freshness", {}).items()},
-            dedup_keys=[tuple(key)
-                        for key in payload.get("dedup_keys", [])],
-            entity_for_device=entity_for_device,
+    if payload.get("engine") != "blocks":
+        raise SerializationError(
+            f"unknown storage engine {payload.get('engine')!r} in "
+            f"{path!r}"
         )
-    database = LocalDatabase(retention=None)
-    for record in payload.get("series", []):
-        device_id = record["device_id"]
-        entity_id = entity_for_device.get(device_id, "bld-0000")
-        for t, value in record["samples"]:
-            database.insert(Measurement(
-                device_id=device_id,
-                entity_id=entity_id,
-                quantity=record["quantity"],
-                value=float(value),
-                timestamp=float(t),
-                source="snapshot",
-            ))
     return MeasurementState(
-        database=database,
+        database=BlockStore.from_dict(payload["tsdb"]),
         freshness={device: float(t)
                    for device, t in payload.get("freshness", {}).items()},
         dedup_keys=[tuple(key) for key in payload.get("dedup_keys", [])],
-        entity_for_device=entity_for_device,
+        entity_for_device=dict(payload.get("entity_for_device", {})),
     )
+
 
 # --------------------------------------------------------------------------
 # broker state snapshots (broker HA)

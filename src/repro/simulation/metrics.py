@@ -186,14 +186,13 @@ def data_plane_counters(deployment: "DeployedDistrict") -> Dict[str, int]:
     counters from the broker together with the measurement DB's
     idempotent-ingest and WAL/recovery counters, plus the peer-side
     rejection/drop totals — the numbers the R3 benchmark reports and
-    the data-plane runbook reads.  All zero on a deployment without
-    ``mdb_durability`` / ``broker_overload`` configured.
+    the data-plane runbook reads.  Without ``mdb_durability`` /
+    ``broker_overload`` the ack, WAL and shed counters stay zero.
     """
     broker = deployment.broker
     mdb = deployment.measurement_db
     device_proxies = list(deployment.device_proxies.values())
     peers = [mdb.peer] + [proxy.peer for proxy in device_proxies]
-    mdb_metrics = mdb.metrics()
     counters = {
         "deliveries_acked": broker.stats.deliveries_acked,
         "redeliveries": broker.stats.redeliveries,
@@ -204,11 +203,11 @@ def data_plane_counters(deployment: "DeployedDistrict") -> Dict[str, int]:
         "publisher_rejections": broker.stats.publisher_rejections,
         "pending_deliveries": broker.pending_delivery_count(),
         "ingest_duplicates": mdb.ingest_duplicates,
-        "backpressure_signals": mdb_metrics.get("backpressure_signals", 0),
-        "poison_rejected": mdb_metrics.get("poison_rejected", 0),
-        "recoveries": mdb_metrics.get("recoveries", 0),
-        "recovered_samples": mdb_metrics.get("recovered_samples", 0),
-        "wal_fsynced_bytes": mdb_metrics.get("wal_fsynced_bytes", 0),
+        "backpressure_signals": mdb.backpressure_signals,
+        "poison_rejected": mdb.poison_rejected,
+        "recoveries": mdb.recoveries,
+        "recovered_samples": mdb.recovered_samples,
+        "wal_fsynced_bytes": mdb.wal.fsynced_bytes if mdb.wal else 0,
         "publications_rejected": sum(p.publications_rejected
                                      for p in peers),
         "publications_dropped": sum(p.publications_dropped for p in peers),

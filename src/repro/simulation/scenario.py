@@ -116,19 +116,20 @@ class ScenarioConfig:
     #: scrapes every node of this district through the transport layer.
     #: None (the default) deploys nothing: zero scrape traffic.
     fleet_monitor: Optional[FleetMonitorConfig] = None
-    #: durable data plane for the measurement DB (WAL + snapshots +
-    #: consumer acks + idempotent ingest, see
-    #: :class:`~repro.storage.durability.DurabilityConfig`).  None keeps
-    #: the legacy volatile best-effort store.
+    #: durability of the measurement DB (WAL + snapshots + consumer
+    #: acks + ingest-queue bounds, see
+    #: :class:`~repro.storage.durability.DurabilityConfig`).  None means
+    #: volatile: no WAL, no snapshot, no delivery acks on the wire;
+    #: ingest is idempotent either way.
     mdb_durability: Optional[DurabilityConfig] = None
     #: broker backpressure (watermarks + per-publisher fairness, see
     #: :class:`~repro.middleware.broker.BrokerOverloadConfig`).  None
     #: disables shedding entirely.
     broker_overload: Optional[BrokerOverloadConfig] = None
-    #: columnar time-series engine for the measurement DB (sealed
-    #: blocks + rollups + compaction, see
-    #: :class:`~repro.storage.blocks.TsdbConfig`).  None keeps the
-    #: dict-backed :class:`~repro.storage.localdb.LocalDatabase`.
+    #: tuning of the measurement DB's columnar engine (block size,
+    #: rollup resolutions, compaction, retention, see
+    #: :class:`~repro.storage.blocks.TsdbConfig`).  None means the
+    #: ``TsdbConfig()`` defaults.
     mdb_tsdb: Optional[TsdbConfig] = None
     #: batch device-proxy publications into line-protocol frames (see
     #: :class:`~repro.proxies.device_proxy.BatchConfig`).  None keeps

@@ -1,10 +1,9 @@
 """Append-only columnar block store with rollups — the measurement TSDB.
 
-The dict-of-lists store behind the global measurement database caps out
-long before the "10^5–10^6 devices" a district deployment implies.
-This module is the high-volume engine that replaces it when a
-:class:`TsdbConfig` is passed to
-:class:`~repro.storage.measurementdb.MeasurementDatabase`:
+A dict-of-lists store caps out long before the "10^5–10^6 devices" a
+district deployment implies.  This module is the one storage engine of
+:class:`~repro.storage.measurementdb.MeasurementDatabase`, tuned by a
+:class:`TsdbConfig`:
 
 * **columnar blocks** — each ``(device_id, quantity)`` series is a list
   of *sealed*, immutable blocks (two aligned numpy arrays, times and
@@ -302,12 +301,11 @@ def _new_bucket(t: float, value: float) -> List[float]:
 class BlockStore:
     """Columnar measurement store: sealed blocks, rollups, compaction.
 
-    Drop-in replacement for the storage surface of
-    :class:`~repro.storage.localdb.LocalDatabase` that the measurement
-    database and its callers use (``insert`` / ``series`` / ``devices``
-    / ``quantities`` / ``latest`` / ``query`` / ``sample_count``), plus
-    the TSDB surface: :meth:`query_range`, :meth:`compact`,
-    :meth:`stats` and snapshot serialisation.
+    Shares the basic storage surface of the device proxies'
+    :class:`~repro.storage.localdb.LocalDatabase` (``insert`` /
+    ``series`` / ``devices`` / ``quantities`` / ``latest`` / ``query`` /
+    ``sample_count``) and adds the TSDB surface: :meth:`query_range`,
+    :meth:`compact`, :meth:`stats` and snapshot serialisation.
     """
 
     def __init__(self, config: Optional[TsdbConfig] = None):

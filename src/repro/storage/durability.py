@@ -19,10 +19,11 @@ already contained in the snapshot — the persisted dedup window absorbs
 them, so recovery is idempotent too.  A torn final line (the crash
 interrupting an append) is detected and skipped.
 
-:class:`DurabilityConfig` bundles the knobs; passing one to
-:class:`~repro.storage.measurementdb.MeasurementDatabase` opts the
-store into the whole durable-ingest path (WAL, snapshots, consumer-side
-broker acks, idempotent ingest and the bounded ingest queue).
+:class:`DurabilityConfig` bundles the knobs of
+:class:`~repro.storage.measurementdb.MeasurementDatabase`'s ingest path
+(WAL, snapshots, consumer-side broker acks, the dedup window and the
+bounded ingest queue); without one the store runs
+``DurabilityConfig(ack_deliveries=False)`` — volatile and unacked.
 """
 
 from __future__ import annotations

@@ -7,24 +7,30 @@ middleware and ingests every published sample; a Web Service interface
 serves range queries and per-device freshness so clients (and the
 benchmarks) can ask one place for historical data.
 
-Passing a :class:`~repro.storage.durability.DurabilityConfig` opts the
-store into the durable data plane:
+There is one data plane: the engine is always a columnar
+:class:`~repro.storage.blocks.BlockStore`, and every delivery — a lone
+sample envelope is a frame of one — takes the same decode → dedup →
+capacity check → WAL append → store path:
 
-* **crash safety** — every accepted sample is appended (and fsync'd) to
-  a write-ahead log before the delivery is acknowledged; a periodic
-  snapshot (:func:`repro.persistence.save_measurement_state`) bounds
-  replay time and truncates the WAL.  :meth:`recover` restores snapshot
-  + WAL tail after a crash-restart (see
-  :meth:`repro.simulation.faults.FaultInjector.restart_measurement_db`);
 * **idempotent ingest** — samples are deduplicated on
   ``(device_id, timestamp, quantity, seq)`` over a bounded window, so
   broker redeliveries and offline-buffer re-flushes never double-count;
+* **crash safety** — with a ``wal_path`` every accepted delivery is
+  appended (and fsync'd) to a write-ahead log before it is
+  acknowledged; with a ``snapshot_path`` a periodic snapshot
+  (:func:`repro.persistence.save_measurement_state`) bounds replay time
+  and truncates the WAL.  :meth:`recover` restores snapshot + WAL tail
+  after a crash-restart (see
+  :meth:`repro.simulation.faults.FaultInjector.restart_measurement_db`);
 * **bounded ingest queue** — beyond ``queue_capacity`` the consumer
   raises :class:`~repro.errors.BackpressureError`, which the middleware
-  peer turns into a *busy* nack (the broker redelivers later); malformed
-  payloads raise :class:`~repro.errors.PoisonPayloadError` so repeated
-  failures land in the broker's dead-letter queue instead of wedging
-  ingestion.
+  peer turns into a *busy* nack (the broker redelivers later); on an
+  acked subscription a malformed payload raises
+  :class:`~repro.errors.PoisonPayloadError` so repeated failures land in
+  the broker's dead-letter queue instead of wedging ingestion.
+
+Without a :class:`~repro.storage.durability.DurabilityConfig` the store
+is volatile: no WAL, no snapshot, no delivery acks.
 """
 
 from __future__ import annotations
@@ -39,8 +45,10 @@ from repro.common.cdf import Measurement
 from repro.common.lineproto import BATCH_RECORD, decode_frame, is_batch
 from repro.errors import (
     BackpressureError,
+    NetworkError,
     PoisonPayloadError,
     QueryError,
+    ReproError,
     SerializationError,
     SeriesNotFoundError,
 )
@@ -62,7 +70,6 @@ from repro.network.webservice import (
 from repro.persistence import load_measurement_state, save_measurement_state
 from repro.storage.blocks import BlockStore, TsdbConfig
 from repro.storage.durability import DurabilityConfig, WriteAheadLog
-from repro.storage.localdb import LocalDatabase
 from repro.storage.query import RangeQuery, RollupQuery
 
 #: dedup key of one sample: (device_id, timestamp, quantity, seq)
@@ -80,9 +87,10 @@ class MeasurementDatabase:
                  tsdb: Optional[TsdbConfig] = None):
         self.host = host
         self.district_id = district_id
+        # no config = volatile: no WAL, no snapshot, no delivery acks
+        durability = durability or DurabilityConfig(ack_deliveries=False)
         self.durability = durability
-        self.tsdb = tsdb
-        self.store = self._new_store()
+        self.store = BlockStore(tsdb)
         self.ingested = 0
         self.rejected = 0
         self.batches_ingested = 0
@@ -107,18 +115,18 @@ class MeasurementDatabase:
         self._queue: Deque[Measurement] = deque()
         self._drain_scheduled = False
         self.wal: Optional[WriteAheadLog] = None
+        if durability.wal_path is not None:
+            self.wal = WriteAheadLog(durability.wal_path)
         self._snapshot_task = None
-        if durability is not None:
-            if durability.wal_path is not None:
-                self.wal = WriteAheadLog(durability.wal_path)
-            if durability.snapshot_path is not None:
-                self._snapshot_task = host.network.scheduler.every(
-                    durability.snapshot_period, self.write_snapshot
-                )
+        if durability.snapshot_path is not None:
+            self._snapshot_task = host.network.scheduler.every(
+                durability.snapshot_period, self.write_snapshot
+            )
         self._compaction_task = None
-        if tsdb is not None and tsdb.compaction_period is not None:
+        compaction_period = self.store.config.compaction_period
+        if compaction_period is not None:
             self._compaction_task = host.network.scheduler.every(
-                tsdb.compaction_period, self._compact
+                compaction_period, self._compact
             )
         # rolling window of recent publish->delivery latencies; a rolling
         # percentile (unlike a cumulative histogram) recovers once an
@@ -128,11 +136,8 @@ class MeasurementDatabase:
         self._heartbeat_task = None
         self.peer = MiddlewarePeer(host, broker_host,
                                    keepalive=peer_keepalive)
-        self.peer.subscribe(
-            district_filter(district_id), self._on_event,
-            ack=durability.ack_deliveries if durability is not None
-            else False,
-        )
+        self.peer.subscribe(district_filter(district_id), self._on_event,
+                            ack=durability.ack_deliveries)
         self.service = WebService(host)
         self.service.add_route(GET, "/measurements", self._query_route)
         self.service.add_route(GET, "/query_range", self._query_range_route)
@@ -146,12 +151,6 @@ class MeasurementDatabase:
     def uri(self) -> str:
         """Base URI of this store's web-service interface."""
         return self.service.base_uri
-
-    def _new_store(self) -> Union[LocalDatabase, BlockStore]:
-        """A fresh storage engine per the configured profile."""
-        if self.tsdb is not None:
-            return BlockStore(self.tsdb)
-        return LocalDatabase(retention=None)
 
     def _registration_payload(self, lease: Optional[float]) -> Dict:
         payload = {
@@ -211,7 +210,7 @@ class MeasurementDatabase:
                 if fut.result().ok:
                     self.heartbeats_sent += 1
                     return
-            except Exception:
+            except NetworkError:
                 pass
             self.heartbeats_failed += 1
             masters.advance()  # dead or deposed master: try the next
@@ -237,158 +236,109 @@ class MeasurementDatabase:
             evicted = self._dedup_order.popleft()
             self._dedup_keys.discard(evicted)
 
-    def _on_event(self, event: Event) -> None:
-        payload = event.payload
-        if self.durability is None:
-            self._on_event_legacy(payload, event)
-            return
-        if is_batch(payload):
-            self._on_batch(payload, event)
-            return
-        if not isinstance(payload, dict) or \
-                payload.get("record") != "measurement":
-            self.rejected += 1
-            self.poison_rejected += 1
-            raise PoisonPayloadError("not a measurement record")
-        try:
-            measurement = Measurement.from_dict(payload)
-        except Exception as exc:
-            self.rejected += 1
-            self.poison_rejected += 1
-            raise PoisonPayloadError(
-                f"measurement failed translation: {exc}"
-            ) from exc
-        key = self._dedup_key(measurement)
-        if key in self._dedup_keys:
-            # redelivery / duplicate offline-buffer flush: already
-            # durably ingested, so acknowledge without double-counting
-            self.ingest_duplicates += 1
-            registry = self.host.network.metrics
-            if registry is not None:
-                registry.counter("mdb.ingest_duplicates").inc()
-            return
-        capacity = self.durability.queue_capacity
-        if capacity is not None and len(self._queue) >= capacity:
-            self.backpressure_signals += 1
-            registry = self.host.network.metrics
-            if registry is not None:
-                registry.counter("mdb.backpressure_signals").inc()
-            raise BackpressureError("measurement-DB ingest queue is full")
-        # the point of no return: once the WAL append succeeds the
-        # sample is durable, the key joins the dedup window, and the
-        # delivery can be acknowledged (ack-after-fsync)
-        if self.wal is not None:
-            self.wal.append(measurement.to_dict())
-        self._remember(key)
-        self._record_latency(event)
-        if self.durability.ingest_delay <= 0:
-            self._ingest_sample(measurement)
-            return
-        self._queue.append(measurement)
-        self._schedule_drain()
+    def _decode(self, payload) -> Optional[Tuple[List, List[Measurement]]]:
+        """Parse a delivered payload or a replayed WAL record.
 
-    def _on_batch(self, payload: Dict, event: Event) -> None:
-        """Durable whole-frame ingest: one WAL fsync per frame.
-
-        The frame is the unit of delivery and redelivery; dedup stays
-        per-sample, so a redelivered frame whose samples were already
-        ingested acks without double-counting, and a frame that
-        partially overlaps the dedup window ingests only the fresh
-        samples.  The WAL record holds only the fresh lines — replay
-        cannot resurrect a duplicate.
+        Returns ``(parts, measurements)``, aligned: part *i* is what
+        the WAL keeps of sample *i* — its line of a batch frame, or the
+        whole envelope of a lone sample (a frame of one).  A poison
+        payload is counted and yields None.
         """
-        tracer = self.host.network.tracer
         try:
-            measurements = decode_frame(payload, tracer=tracer,
-                                        host=self.host.name)
-        except SerializationError as exc:
+            if is_batch(payload):
+                return payload["lines"], decode_frame(
+                    payload, tracer=self.host.network.tracer,
+                    host=self.host.name)
+            if not isinstance(payload, dict) or \
+                    payload.get("record") != "measurement":
+                raise SerializationError("not a measurement record")
+            return [payload], [Measurement.from_dict(payload)]
+        except (KeyError, TypeError, ValueError, ReproError):
             self.rejected += 1
             self.poison_rejected += 1
-            raise PoisonPayloadError(
-                f"batch frame failed decoding: {exc}"
-            ) from exc
+            return None
+
+    def _on_event(self, event: Event) -> None:
+        decoded = self._decode(event.payload)
+        if decoded is None:
+            if self.durability.ack_deliveries:
+                # the peer turns this into a poison nack; repeated
+                # failures dead-letter instead of wedging ingestion
+                raise PoisonPayloadError(
+                    "payload is neither a measurement record nor a "
+                    "decodable batch frame"
+                )
+            return  # nobody to nack: raising would unwind the scheduler
+        parts, measurements = decoded
+        tracer = self.host.network.tracer
         if tracer is not None and tracer.enabled:
             with tracer.span("mdb.ingest_frame", kind="consumer",
                              host=self.host.name,
                              attributes={"samples": len(measurements)}):
-                self._ingest_frame(payload, measurements, event)
+                self._ingest_frame(parts, measurements, event)
         else:
-            self._ingest_frame(payload, measurements, event)
+            self._ingest_frame(parts, measurements, event)
 
-    def _ingest_frame(self, payload: Dict,
+    def _ingest_frame(self, parts: List,
                       measurements: List[Measurement],
                       event: Event) -> None:
-        """Dedup, WAL-append and ingest one decoded batch frame."""
+        """Dedup, WAL-append and ingest one decoded delivery.
+
+        The delivery is the unit of redelivery; dedup stays per-sample,
+        so a redelivered frame whose samples were already ingested acks
+        without double-counting, and a frame that partially overlaps
+        the dedup window ingests only the fresh samples.  The WAL
+        record (one fsync per delivery) holds only the fresh parts —
+        replay cannot resurrect a duplicate.
+        """
         registry = self.host.network.metrics
-        fresh: List[Tuple[str, Measurement, DedupKey]] = []
-        seen: Set[DedupKey] = set()
-        for line, measurement in zip(payload["lines"], measurements):
+        fresh: Dict[DedupKey, Tuple[object, Measurement]] = {}
+        for part, measurement in zip(parts, measurements):
             key = self._dedup_key(measurement)
-            if key in self._dedup_keys or key in seen:
+            if key in self._dedup_keys or key in fresh:
+                # redelivery / duplicate offline-buffer flush: already
+                # ingested, so acknowledge without double-counting
                 self.ingest_duplicates += 1
                 if registry is not None:
                     registry.counter("mdb.ingest_duplicates").inc()
                 continue
-            seen.add(key)
-            fresh.append((line, measurement, key))
+            fresh[key] = (part, measurement)
         if not fresh:
-            return  # fully redelivered frame: ack, nothing to store
+            return  # fully redelivered: ack, nothing to store
         capacity = self.durability.queue_capacity
         if capacity is not None and len(self._queue) >= capacity:
-            # whole-frame backpressure BEFORE any durable effect: the
-            # broker redelivers the complete frame later and dedup
-            # absorbs any samples a competing path landed meanwhile
+            # whole-delivery backpressure BEFORE any durable effect: the
+            # broker redelivers it complete later and dedup absorbs any
+            # samples a competing path landed meanwhile
             self.backpressure_signals += 1
             if registry is not None:
                 registry.counter("mdb.backpressure_signals").inc()
             raise BackpressureError("measurement-DB ingest queue is full")
+        framed = is_batch(event.payload)
+        # the point of no return: once the WAL append succeeds the
+        # samples are durable, their keys join the dedup window, and
+        # the delivery can be acknowledged (ack-after-fsync)
         if self.wal is not None:
+            fresh_parts = [part for part, _measurement in fresh.values()]
             self.wal.append({"record": BATCH_RECORD,
-                             "count": len(fresh),
-                             "lines": [line for line, _m, _k in fresh]})
-        for _line, _measurement, key in fresh:
+                             "count": len(fresh_parts),
+                             "lines": fresh_parts}
+                            if framed else fresh_parts[0])
+        for key in fresh:
             self._remember(key)
         self._record_latency(event)
-        self.batches_ingested += 1
-        self.batch_samples += len(fresh)
-        if registry is not None:
-            registry.counter("mdb.batches_ingested").inc()
-            registry.counter("mdb.batch_samples").inc(len(fresh))
-        if self.durability.ingest_delay <= 0:
-            for _line, measurement, _key in fresh:
-                self._ingest_sample(measurement)
-            return
-        for _line, measurement, _key in fresh:
-            self._queue.append(measurement)
-        self._schedule_drain()
-
-    def _on_event_legacy(self, payload, event: Event) -> None:
-        """Historical best-effort ingest (no durability configured)."""
-        if is_batch(payload):
-            try:
-                measurements = decode_frame(
-                    payload, tracer=self.host.network.tracer,
-                    host=self.host.name)
-            except SerializationError:
-                self.rejected += 1
-                return
-            self._record_latency(event)
+        if framed:
             self.batches_ingested += 1
-            self.batch_samples += len(measurements)
-            for measurement in measurements:
-                self._ingest_sample(measurement)
+            self.batch_samples += len(fresh)
+            if registry is not None:
+                registry.counter("mdb.batches_ingested").inc()
+                registry.counter("mdb.batch_samples").inc(len(fresh))
+        if self.durability.ingest_delay > 0:
+            self._queue.extend(m for _part, m in fresh.values())
+            self._schedule_drain()
             return
-        if not isinstance(payload, dict) or \
-                payload.get("record") != "measurement":
-            self.rejected += 1
-            return
-        try:
-            measurement = Measurement.from_dict(payload)
-        except Exception:
-            self.rejected += 1
-            return
-        self._record_latency(event)
-        self._ingest_sample(measurement)
+        for _part, measurement in fresh.values():
+            self._ingest_sample(measurement)
 
     def _record_latency(self, event: Event) -> None:
         latency = event.delivered_at - event.published_at
@@ -414,15 +364,19 @@ class MeasurementDatabase:
         self._ingest_sample(measurement)
         self._schedule_drain()
 
-    def _ingest_sample(self, measurement: Measurement) -> None:
+    def _store(self, measurement: Measurement) -> None:
+        """Insert one sample and update the entity map and freshness."""
         self.store.insert(measurement)
-        self.ingested += 1
         self._entity_for_device[measurement.device_id] = \
             measurement.entity_id
-        self._stale_until_sample = False
         previous = self._freshness.get(measurement.device_id, float("-inf"))
         if measurement.timestamp > previous:
             self._freshness[measurement.device_id] = measurement.timestamp
+
+    def _ingest_sample(self, measurement: Measurement) -> None:
+        self._store(measurement)
+        self.ingested += 1
+        self._stale_until_sample = False
 
     # -- crash, recovery and snapshots -------------------------------------
 
@@ -435,7 +389,7 @@ class MeasurementDatabase:
         covering the downtime (which would false-fire the staleness
         SLO for an outage the devices are not guilty of).
         """
-        self.store = self._new_store()
+        self.store = BlockStore(self.store.config)
         self.ingested = 0
         self.rejected = 0
         self.batches_ingested = 0
@@ -462,36 +416,25 @@ class MeasurementDatabase:
         crash between "snapshot written" and "WAL truncated") are
         absorbed by the restored dedup window.
         """
-        if self.durability is None:
-            return 0
         restored = 0
         snapshot_path = self.durability.snapshot_path
-        if snapshot_path is not None:
-            if os.path.exists(snapshot_path):
-                state = load_measurement_state(snapshot_path)
-                self.store = state.database
-                self._freshness.update(state.freshness)
-                self._entity_for_device.update(state.entity_for_device)
-                for key in state.dedup_keys:
-                    self._remember(tuple(key))
-                restored += self.store.sample_count()
+        if snapshot_path is not None and os.path.exists(snapshot_path):
+            state = load_measurement_state(snapshot_path)
+            self.store = state.database
+            self._freshness.update(state.freshness)
+            self._entity_for_device.update(state.entity_for_device)
+            for key in state.dedup_keys:
+                self._remember(tuple(key))
+            restored += self.store.sample_count()
         if self.wal is not None:
             for record in self.wal.replay():
-                if is_batch(record):
-                    try:
-                        measurements = decode_frame(record)
-                    except SerializationError:
-                        continue  # poison frames were never acked
-                    self.wal_records_replayed += 1
-                    for measurement in measurements:
-                        restored += self._restore_sample(measurement)
-                    continue
-                try:
-                    measurement = Measurement.from_dict(record)
-                except Exception:
+                decoded = self._decode(record)
+                if decoded is None:
                     continue  # a poison record can never have been acked
+                _parts, measurements = decoded
                 self.wal_records_replayed += 1
-                restored += self._restore_sample(measurement)
+                for measurement in measurements:
+                    restored += self._restore_sample(measurement)
         self.recoveries += 1
         self.recovered_samples += restored
         registry = self.host.network.metrics
@@ -509,19 +452,12 @@ class MeasurementDatabase:
         if key in self._dedup_keys:
             return 0
         self._remember(key)
-        self.store.insert(measurement)
-        self._entity_for_device[measurement.device_id] = \
-            measurement.entity_id
-        previous = self._freshness.get(measurement.device_id,
-                                       float("-inf"))
-        if measurement.timestamp > previous:
-            self._freshness[measurement.device_id] = measurement.timestamp
+        self._store(measurement)
         return 1
 
     def write_snapshot(self) -> None:
         """Persist the full store + ingest bookkeeping, truncate the WAL."""
-        if self.durability is None or \
-                self.durability.snapshot_path is None:
+        if self.durability.snapshot_path is None:
             return
         # acknowledged samples may still sit in the ingest queue (with
         # ingest_delay > 0); their WAL records are about to be
@@ -559,8 +495,6 @@ class MeasurementDatabase:
 
     def _compact(self) -> None:
         """One block-store compaction pass on the simulated clock."""
-        if not isinstance(self.store, BlockStore):
-            return
         result = self.store.compact(self.host.network.scheduler.now)
         registry = self.host.network.metrics
         if registry is not None:
@@ -580,8 +514,7 @@ class MeasurementDatabase:
         """Bucketed aggregates for a device or an entity target.
 
         A device target queries its series directly (rollup-served when
-        the engine is a :class:`~repro.storage.blocks.BlockStore` and a
-        rollup resolution divides the step).  An entity target fans out
+        a rollup resolution divides the step).  An entity target fans out
         to every device observed under that entity and combines the
         per-device buckets with district roll-up semantics: ``sum`` /
         ``mean`` / ``count`` add across devices (entity power is the
@@ -620,16 +553,10 @@ class MeasurementDatabase:
 
     def _device_range(self, device_id: str, query: RollupQuery
                       ) -> List[Tuple[float, float]]:
-        if isinstance(self.store, BlockStore):
-            return self.store.query_range(
-                device_id, query.quantity, query.start, query.end,
-                query.step, query.agg, prefer=query.prefer,
-            )
-        return self.store.query(RangeQuery(
-            device_id=device_id, quantity=query.quantity,
-            start=query.start, end=query.end,
-            bucket=query.step, agg=query.agg,
-        ))
+        return self.store.query_range(
+            device_id, query.quantity, query.start, query.end,
+            query.step, query.agg, prefer=query.prefer,
+        )
 
     def freshness(self, device_id: str) -> Optional[float]:
         """Timestamp of the newest ingested sample for *device_id*."""
@@ -680,7 +607,7 @@ class MeasurementDatabase:
             return error(404, str(exc))
         return ok({
             "samples": [[t, v] for t, v in samples],
-            "source": getattr(self.store, "last_query_source", None),
+            "source": self.store.last_query_source,
         })
 
     def _devices_route(self, request: Request) -> Response:
@@ -700,7 +627,7 @@ class MeasurementDatabase:
             "district_id": self.district_id,
             "ingested": self.ingested,
             "rejected": self.rejected,
-            "durable": self.durability is not None,
+            "durable": self.wal is not None,
             "stale_until_sample": self._stale_until_sample,
             "ingest_queue_depth": len(self._queue),
             "heartbeats_sent": self.heartbeats_sent,
@@ -709,6 +636,7 @@ class MeasurementDatabase:
 
     def metrics(self) -> Dict:
         """Numeric counters for the ``/metrics`` endpoint."""
+        queue_capacity = self.durability.queue_capacity
         payload = {
             "ingested": self.ingested,
             "rejected": self.rejected,
@@ -721,36 +649,30 @@ class MeasurementDatabase:
             "requests_failed": self.service.requests_failed,
             "heartbeats_sent": self.heartbeats_sent,
             "heartbeats_failed": self.heartbeats_failed,
+            "ingest_duplicates": self.ingest_duplicates,
+            "dedup_window_size": len(self._dedup_order),
+            "ingest_queue_depth": len(self._queue),
+            "backpressure_signals": self.backpressure_signals,
+            "poison_rejected": self.poison_rejected,
+            "snapshots_written": self.snapshots_written,
+            "recoveries": self.recoveries,
+            "recovered_samples": self.recovered_samples,
+            "wal_records_replayed": self.wal_records_replayed,
+            "stale_until_sample": int(self._stale_until_sample),
+            "data_plane_saturation":
+                len(self._queue) / float(queue_capacity)
+                if queue_capacity else 0.0,
+            "tsdb": self.store.stats(),
         }
-        if self.durability is not None:
-            queue_capacity = self.durability.queue_capacity
+        if self.wal is not None:
             payload.update({
-                "ingest_duplicates": self.ingest_duplicates,
-                "dedup_window_size": len(self._dedup_order),
-                "ingest_queue_depth": len(self._queue),
-                "backpressure_signals": self.backpressure_signals,
-                "poison_rejected": self.poison_rejected,
-                "snapshots_written": self.snapshots_written,
-                "recoveries": self.recoveries,
-                "recovered_samples": self.recovered_samples,
-                "wal_records_replayed": self.wal_records_replayed,
-                "stale_until_sample": int(self._stale_until_sample),
-                "data_plane_saturation":
-                    len(self._queue) / float(queue_capacity)
-                    if queue_capacity else 0.0,
+                "wal_appends": self.wal.appends,
+                "wal_fsyncs": self.wal.fsyncs,
+                "wal_fsynced_bytes": self.wal.fsynced_bytes,
+                "wal_size_bytes": self.wal.size_bytes(),
+                "wal_torn_records_skipped":
+                    self.wal.torn_records_skipped,
             })
-        if isinstance(self.store, BlockStore):
-            payload["tsdb"] = self.store.stats()
-        if self.durability is not None:
-            if self.wal is not None:
-                payload.update({
-                    "wal_appends": self.wal.appends,
-                    "wal_fsyncs": self.wal.fsyncs,
-                    "wal_fsynced_bytes": self.wal.fsynced_bytes,
-                    "wal_size_bytes": self.wal.size_bytes(),
-                    "wal_torn_records_skipped":
-                        self.wal.torn_records_skipped,
-                })
         return payload
 
     def _metrics_route(self, request: Request) -> Response:

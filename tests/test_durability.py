@@ -9,6 +9,8 @@ with per-publisher fairness, the HTTP client's 429 Retry-After
 handling, and the measurement-DB fault-injection verbs.
 """
 
+import json
+
 import pytest
 
 from repro.common.cdf import Measurement
@@ -37,8 +39,8 @@ from repro.persistence import (
 )
 from repro.simulation.faults import FaultInjector
 from repro.simulation.scenario import ScenarioConfig, deploy
+from repro.storage.blocks import BlockStore
 from repro.storage.durability import DurabilityConfig, WriteAheadLog
-from repro.storage.localdb import LocalDatabase
 from repro.storage.measurementdb import MeasurementDatabase
 from repro.storage.query import RangeQuery
 
@@ -151,7 +153,7 @@ class TestDurabilityConfig:
 
 class TestMeasurementStateSnapshot:
     def test_round_trip(self, tmp_path):
-        database = LocalDatabase(retention=None)
+        database = BlockStore()
         database.insert(sample(t=1.0, seq=1))
         database.insert(sample(t=2.0, seq=2))
         path = str(tmp_path / "state.json")
@@ -172,6 +174,21 @@ class TestMeasurementStateSnapshot:
         path = tmp_path / "bogus.json"
         path.write_text('{"format": "something-else", "version": 1}')
         with pytest.raises(SerializationError):
+            load_measurement_state(str(path))
+
+    def test_version_1_row_dump_rejected_by_version(self, tmp_path):
+        # the pre-BlockStore row-per-series dump: refused loudly, never
+        # half-loaded into the wrong engine
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({
+            "format": "repro-mdb-state", "version": 1,
+            "series": [{"device_id": "dev-0001",
+                        "quantity": "temperature",
+                        "samples": [[1.0, 20.0]]}],
+            "freshness": {"dev-0001": 1.0}, "dedup_keys": [],
+            "entity_for_device": {"dev-0001": "bld-0001"},
+        }))
+        with pytest.raises(SerializationError, match="version 1"):
             load_measurement_state(str(path))
 
 

@@ -69,3 +69,18 @@ class TestSchedulerTwin:
         first = run_soak(SoakConfig(**_TWIN))
         second = run_soak(SoakConfig(**_TWIN))
         assert _fingerprint(first) == _fingerprint(second)
+
+    def test_repeat_after_a_differently_sized_run_is_identical(self):
+        # port names (``pubsub-peer-<n>``, ``http-reply-<n>``) travel in
+        # messages; numbered per process, a later deployment got longer
+        # names, so other wire sizes and eventually another event order
+        def wire(result):
+            stats = result.deployment.network.stats
+            return (stats.bytes_sent, stats.messages_delivered,
+                    result.events_processed)
+
+        first = run_soak(SoakConfig(**_TWIN))
+        run_soak(SoakConfig(**{**_TWIN, "n_buildings": 12,
+                               "devices_per_building": 6}))
+        again = run_soak(SoakConfig(**_TWIN))
+        assert wire(first) == wire(again)

@@ -1,19 +1,18 @@
-"""Tests for ontology snapshots and measurement archives."""
+"""Tests for ontology snapshots and measurement-DB state snapshots."""
 
 import json
 
 import pytest
 
-from repro.common.cdf import Measurement
 from repro.errors import SerializationError
 from repro.persistence import (
-    load_measurements,
+    load_measurement_state,
     load_ontology,
     load_ontology_snapshot,
-    save_measurements,
+    save_measurement_state,
     save_ontology,
 )
-from repro.storage.localdb import LocalDatabase
+from repro.storage.blocks import BlockStore
 
 from tests.test_ontology import build_ontology
 
@@ -132,50 +131,15 @@ class TestOntologySnapshots:
 
 
 class TestMeasurementArchives:
-    def build_db(self):
-        db = LocalDatabase()
-        for i in range(5):
-            db.insert(Measurement(
-                device_id="dev-0001", entity_id="bld-0001",
-                quantity="power", value=float(100 + i),
-                timestamp=i * 60.0,
-            ))
-        db.insert(Measurement(
-            device_id="dev-0002", entity_id="bld-0002",
-            quantity="temperature", value=21.5, timestamp=0.0,
-        ))
-        return db
-
-    def test_round_trip_preserves_samples(self, tmp_path):
-        db = self.build_db()
-        path = str(tmp_path / "archive.json")
-        save_measurements(db, path)
-        again = load_measurements(
-            path, entity_for_device={"dev-0001": "bld-0001",
-                                     "dev-0002": "bld-0002"},
-        )
-        assert again.sample_count() == db.sample_count()
-        assert again.series("dev-0001", "power").to_pairs() == \
-            db.series("dev-0001", "power").to_pairs()
-        assert again.latest("dev-0002", "temperature") == (0.0, 21.5)
-
-    def test_ownership_defaults_when_unknown(self, tmp_path):
-        db = self.build_db()
-        path = str(tmp_path / "archive.json")
-        save_measurements(db, path)
-        again = load_measurements(path)
-        assert again.has_series("dev-0001", "power")
+    """The measurement DB's one on-disk format: the state snapshot."""
 
     def test_empty_database_round_trips(self, tmp_path):
         path = str(tmp_path / "empty.json")
-        save_measurements(LocalDatabase(), path)
-        assert load_measurements(path).sample_count() == 0
-
-    def test_wrong_format_rejected(self, tmp_path):
-        path = str(tmp_path / "onto.json")
-        save_ontology(build_ontology(), path)
-        with pytest.raises(SerializationError):
-            load_measurements(path)
+        save_measurement_state(BlockStore(), path)
+        state = load_measurement_state(path)
+        assert state.database.sample_count() == 0
+        assert state.freshness == state.entity_for_device == {}
+        assert state.dedup_keys == []
 
     def test_deployment_archive_workflow(self, tmp_path):
         from repro.simulation import ScenarioConfig, deploy
@@ -184,8 +148,12 @@ class TestMeasurementArchives:
                                          devices_per_building=2,
                                          net_jitter=0.0))
         district.run(300.0)
+        store = district.measurement_db.store
         path = str(tmp_path / "measurements.json")
-        save_measurements(district.measurement_db.store, path)
-        restored = load_measurements(path)
-        assert restored.sample_count() == \
-            district.measurement_db.store.sample_count()
+        save_measurement_state(store, path)
+        restored = load_measurement_state(path).database
+        assert restored.sample_count() == store.sample_count() > 0
+        for device in store.devices():
+            for quantity in store.quantities(device):
+                assert restored.series(device, quantity).to_pairs() == \
+                    store.series(device, quantity).to_pairs()

@@ -124,7 +124,9 @@ def district_net():
     Broker(net.add_host("broker"))
     mdb = MeasurementDatabase(net.add_host("mdb"), "broker", "dst-0001")
     publisher = connect(net.add_host("proxy"), "broker")
-    net.scheduler.run_until_idle()  # subscription handshake
+    # run_for, not run_until_idle: the store's periodic compaction tick
+    # keeps the event queue from ever idling
+    net.scheduler.run_for(1.0)  # subscription handshake
     return net, mdb, publisher
 
 
@@ -133,7 +135,7 @@ class TestMeasurementDatabase:
         topic = measurement_topic("dst-0001", m.entity_id, m.device_id,
                                   m.quantity)
         publisher.publish(topic, m.to_dict())
-        net.scheduler.run_until_idle()
+        net.scheduler.run_for(1.0)
 
     def test_ingests_published_measurements(self, district_net):
         net, mdb, publisher = district_net
@@ -146,7 +148,7 @@ class TestMeasurementDatabase:
         topic = measurement_topic("dst-0001", "bld-0001", "dev-0001", "power")
         publisher.publish(topic, {"record": "hologram"})
         publisher.publish(topic, "not even a dict")
-        net.scheduler.run_until_idle()
+        net.scheduler.run_for(1.0)
         assert mdb.ingested == 0
         assert mdb.rejected == 2
 
@@ -163,7 +165,7 @@ class TestMeasurementDatabase:
         topic = measurement_topic("dst-0999", m.entity_id, m.device_id,
                                   m.quantity)
         publisher.publish(topic, m.to_dict())
-        net.scheduler.run_until_idle()
+        net.scheduler.run_for(1.0)
         assert mdb.ingested == 0
 
     def test_web_service_query(self, district_net):

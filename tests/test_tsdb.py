@@ -466,6 +466,22 @@ class TestMeasurementDbQueryRange:
         )
         assert missing.status == 404
 
+    def test_default_deployment_is_rollup_served(self):
+        # no mdb_tsdb, no mdb_durability: the one engine still answers
+        # dashboard steps from its rollups
+        deployment = deploy(ScenarioConfig(n_buildings=1,
+                                           devices_per_building=2))
+        deployment.run(300.0)
+        mdb = deployment.measurement_db
+        device = mdb.store.devices()[0]
+        query = RollupQuery(target=device,
+                            quantity=mdb.store.quantities(device)[0],
+                            start=0.0, end=300.0, step=60.0)
+        response = deployment.client("user", with_broker=False).http.get(
+            mdb.uri + "query_range", params=query.to_params())
+        assert response.body["samples"]
+        assert response.body["source"] == "rollup:60"
+
     def test_query_validation(self):
         with pytest.raises(QueryError):
             RollupQuery(target="d", quantity="q", start=10.0, end=0.0,
@@ -504,7 +520,6 @@ class TestCrashRecovery:
         deployment = self._deployment(tmp_path)
         deployment.run(900.0)      # past snapshots; blocks have sealed
         mdb = deployment.measurement_db
-        assert isinstance(mdb.store, BlockStore)
         count = mdb.store.sample_count()
         assert count > 0
         assert mdb.store.stats()["sealed_blocks"] > 0
@@ -517,7 +532,6 @@ class TestCrashRecovery:
         faults = FaultInjector(deployment)
         restored = faults.restart_measurement_db(recover=True)
         assert restored == count
-        assert isinstance(mdb.store, BlockStore)
         assert mdb.store.sample_count() == count
         assert mdb.store.stats()["sealed_blocks"] > 0
         assert mdb.query_range(query) == answer
