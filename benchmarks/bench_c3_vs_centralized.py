@@ -13,8 +13,9 @@ on both architectures and compares:
 * **staleness** — a BIM correction is visible immediately through the
   Database-proxy, but only after the next bulk sync in the union DB;
 * **query latency** — whole-area with data on both systems (the
-  centralized server answers from one box and can win small cases;
-  the distributed design pays per-proxy round-trips but never funnels).
+  centralized server answers from one box in one large message; the
+  distributed client pays a resolve plus one concurrent round over the
+  proxies — its slowest answer — and never funnels).
 """
 
 import pytest

@@ -3,9 +3,11 @@
 Three claims about the tracing layer, measured on deployed districts:
 
 * **Attribution** — tracing one whole-district integration yields a
-  single trace whose direct client-span children account for >= 95% of
-  the end-to-end simulated time of the F1a workflow, i.e. the waterfall
-  genuinely explains where the latency goes.
+  single trace whose direct client-span children cover >= 95% of the
+  end-to-end simulated time of the F1a workflow, i.e. the waterfall
+  genuinely explains where the latency goes.  The fetch stage is one
+  concurrent round, so the spans overlap: coverage is the union of
+  their intervals, not the sum of their durations.
 * **Churn visibility** — one churn round (proxy crash, broker outage
   and recovery, retried fetches against a dead proxy) surfaces every
   resilience mechanism as structured trace events: ``lease_evicted``,
@@ -60,7 +62,10 @@ def test_o1_trace_attribution(observed, benchmark, report):
     trace = tracer.spans(root.trace_id)
     client_spans = [s for s in tracer.children_of(root)
                     if s.kind == CLIENT]
-    attributed = sum(s.duration for s in client_spans)
+    attributed, covered_until = 0.0, root.start
+    for span in sorted(client_spans, key=lambda s: s.start):
+        attributed += max(0.0, span.end - max(span.start, covered_until))
+        covered_until = max(covered_until, span.end)
     attribution = attributed / root.duration
     # the per-hop spans must explain where the end-to-end time goes
     assert attribution >= 0.95
@@ -83,12 +88,13 @@ def test_o1_trace_attribution(observed, benchmark, report):
                f"end-to-end {root.duration * 1e3:.3f}ms simulated")
     report.add(EXPERIMENT,
                f"per-hop attribution: {attribution * 100.0:.2f}% of "
-               f"end-to-end time inside client spans (floor 95%)")
+               f"end-to-end time covered by client spans (floor 95%)")
     for name in sorted(by_name):
         durations = by_name[name]
         report.add(EXPERIMENT,
                    f"  hop {name:<28s} n={len(durations):<4d} "
-                   f"total={sum(durations) * 1e3:9.3f}ms")
+                   f"slowest={max(durations) * 1e3:8.3f}ms "
+                   f"sum={sum(durations) * 1e3:9.3f}ms (overlapping)")
     waterfall = render_waterfall(tracer, root.trace_id, max_spans=12)
     for line in waterfall.splitlines():
         report.add(EXPERIMENT, "  | " + line)
@@ -106,15 +112,20 @@ def test_o1_churn_round_emits_resilience_events(benchmark, report):
     spec = deployment.dataset.buildings[0].devices[0]
 
     def churn_round():
-        # a client retries against the freshly-dead proxy before the
-        # lease sweeper has evicted it: retry + breaker events
+        # a client polls the freshly-dead proxy before the lease
+        # sweeper has evicted it: retry + breaker events.  The proxy
+        # gets ONE /data request per integration, so the first poll
+        # spends the policy's 4 attempts (3 retries, exhausted) and the
+        # second poll's first attempt is the 5th consecutive failure
+        # that trips the breaker (threshold 5); its retry fast-fails.
         injector.kill_device_proxy(spec.entity_id, spec.protocol)
         client = deployment.client("o1-churn-user", with_broker=False,
                                    policy=default_policy(seed=21))
-        client.build_area_model(
-            AreaQuery(district_id=deployment.district_id),
-            with_data=True, strict=False,
-        )
+        for _poll in range(2):
+            client.build_area_model(
+                AreaQuery(district_id=deployment.district_id),
+                with_data=True, strict=False,
+            )
         deployment.run(150.0)  # lease expires, master evicts the proxy
 
         # broker outage and recovery: suspect + flush events

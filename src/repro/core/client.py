@@ -10,6 +10,10 @@
 4. integrate everything client-side into an
    :class:`~repro.core.integration.IntegratedModel`.
 
+Steps 2 and 3 are one concurrent round: the proxies are independent
+hosts, so every model request and one data request per Device-proxy go
+out together and the client waits for the slowest, not for the sum.
+
 The client also exposes remote control (actuation through the owning
 Device-proxy) and live subscriptions on the middleware.
 """
@@ -34,7 +38,7 @@ from repro.middleware.peer import MiddlewarePeer, Subscription
 from repro.middleware.topics import actuation_topic, measurement_filter
 from repro.network.resilience import FailoverSet, ResiliencePolicy
 from repro.network.transport import Host
-from repro.network.webservice import HttpClient
+from repro.network.webservice import HttpClient, Response
 from repro.observability.tracing import INTERNAL, emit
 from repro.core.integration import IntegratedModel, integrate
 from repro.ontology.queries import (
@@ -208,7 +212,87 @@ class DistrictClient:
             self._resolve_cache.popitem(last=False)
         return area
 
-    # -- step 2: model retrieval --------------------------------------------
+    # -- steps 2 and 3: model and data retrieval, one concurrent round ------
+
+    @staticmethod
+    def _model_calls(entity: ResolvedEntity, gis_uris: Tuple[str, ...],
+                     fmt: str = JSON_FORMAT) -> List[Tuple[str, Dict]]:
+        """One entity's model requests: BIM/SIM, then its GIS feature."""
+        calls = [{"uri": entity.proxy_uris[source_kind].rstrip("/") + "/model",
+                  "params": {"format": fmt}}
+                 for source_kind in sorted(entity.proxy_uris)]
+        if entity.gis_feature_id and gis_uris:
+            calls.append({
+                "uri": gis_uris[0].rstrip("/")
+                + f"/feature/{entity.gis_feature_id}",
+                "params": {"format": fmt, "entity_id": entity.entity_id},
+            })
+        return [(entity.entity_id, call) for call in calls]
+
+    def _fetch(self, model_calls: List[Tuple[str, Dict]],
+               series: Sequence[Tuple[str, str, RangeQuery]], strict: bool
+               ) -> Tuple[Dict[str, List[EntityModel]], Dict[str, Dict]]:
+        """Fetch models and device data in one concurrent round.
+
+        Every ``(entity_id, call)`` of *model_calls* and ONE ``/data``
+        call per Device-proxy — carrying all the ``(entity_id,
+        proxy_uri, query)`` *series* that proxy serves, which share one
+        window — are issued at once: the proxies are independent hosts,
+        so the round costs its slowest request, not the sum.  Returns
+        the decoded models and the ``(device, quantity)`` sample lists,
+        each keyed by entity id.
+
+        With *strict* the first failed call, in call order (models, then
+        data), raises; otherwise it is counted in
+        :attr:`fetch_failures` and its model is missing / its series
+        are empty.
+        """
+        by_proxy: Dict[str, List[Tuple[str, RangeQuery]]] = {}
+        for entity_id, proxy_uri, query in series:
+            by_proxy.setdefault(proxy_uri, []).append((entity_id, query))
+        self.data_requests += len(by_proxy)
+        outcomes = self.http.gather([call for _, call in model_calls] + [
+            {"uri": proxy_uri.rstrip("/") + "/data",
+             "params": RangeQuery.to_series_params(
+                 [query for _, query in members])}
+            for proxy_uri, members in by_proxy.items()
+        ])
+        models: Dict[str, List[EntityModel]] = {}
+        for (entity_id, call), outcome in zip(model_calls, outcomes):
+            if self._answered(outcome, strict):
+                self.models_fetched += 1
+                document = serialization.decode(outcome.body["document"],
+                                                outcome.body["format"])
+                if isinstance(document, list):
+                    raise IntegrationError(
+                        f"{call['uri']} returned a list for a model"
+                    )
+                models.setdefault(entity_id, []).append(document)
+        measurements: Dict[str, Dict] = {}
+        for members, outcome in zip(by_proxy.values(),
+                                    outcomes[len(model_calls):]):
+            # a 404 is "no samples collected yet", not a failed fetch
+            empty = isinstance(outcome, Response) and outcome.status == 404
+            answers = outcome.body["series"] \
+                if not empty and self._answered(outcome, strict) \
+                else [[]] * len(members)
+            for (entity_id, query), answer in zip(members, answers):
+                measurements.setdefault(entity_id, {})[
+                    (query.device_id, query.quantity)
+                ] = [(t, v) for t, v in answer]
+        return models, measurements
+
+    def _answered(self, outcome: Union[Response, Exception], strict: bool
+                  ) -> bool:
+        """Whether a gathered fetch succeeded; raises or counts if not."""
+        if isinstance(outcome, Response):
+            if outcome.ok:
+                return True
+            outcome = ServiceError(outcome.status, outcome.reason)
+        if strict:
+            raise outcome
+        self.fetch_failures += 1
+        return False
 
     def fetch_entity_models(self, entity: ResolvedEntity,
                             gis_uris: Tuple[str, ...] = (),
@@ -221,43 +305,9 @@ class DistrictClient:
         the behaviour a resilient dashboard wants during partial
         outages.  Failures are counted in :attr:`fetch_failures`.
         """
-        models: List[EntityModel] = []
-        for source_kind in sorted(entity.proxy_uris):
-            uri = entity.proxy_uris[source_kind]
-            document = self._fetch_model(
-                uri.rstrip("/") + "/model", {"format": fmt}, strict
-            )
-            if document is None:
-                continue
-            if isinstance(document, list):
-                raise IntegrationError(
-                    f"{source_kind} proxy returned a list for a model"
-                )
-            models.append(document)
-        if entity.gis_feature_id and gis_uris:
-            document = self._fetch_model(
-                gis_uris[0].rstrip("/")
-                + f"/feature/{entity.gis_feature_id}",
-                {"format": fmt, "entity_id": entity.entity_id},
-                strict,
-            )
-            if document is not None:
-                models.append(document)
-        return models
-
-    def _fetch_model(self, uri: str, params: Dict[str, str], strict: bool):
-        try:
-            response = self.http.get(uri, params=params)
-        except (ServiceError, RequestTimeoutError, CircuitOpenError):
-            if strict:
-                raise
-            self.fetch_failures += 1
-            return None
-        self.models_fetched += 1
-        return serialization.decode(response.body["document"],
-                                    response.body["format"])
-
-    # -- step 3: data retrieval ------------------------------------------------
+        models, _ = self._fetch(self._model_calls(entity, gis_uris, fmt),
+                                (), strict)
+        return models.get(entity.entity_id, [])
 
     def fetch_device_data(self, device: ResolvedDevice, quantity: str,
                           start: Optional[float] = None,
@@ -279,25 +329,8 @@ class DistrictClient:
             )
         query = RangeQuery(device.device_id, quantity, start=start, end=end,
                            bucket=bucket, agg=agg)
-        self.data_requests += 1
-        try:
-            response = self.http.get(
-                device.proxy_uri.rstrip("/") + "/data",
-                params=query.to_params(),
-            )
-        except ServiceError as exc:
-            if exc.status == 404:
-                return []  # no samples collected yet
-            if strict:
-                raise
-            self.fetch_failures += 1
-            return []
-        except (RequestTimeoutError, CircuitOpenError):
-            if strict:
-                raise
-            self.fetch_failures += 1
-            return []
-        return [(t, v) for t, v in response.body["samples"]]
+        _, data = self._fetch([], [("", device.proxy_uri, query)], strict)
+        return data[""][(device.device_id, quantity)]
 
     def fetch_latest(self, device: ResolvedDevice, quantity: str,
                      strict: bool = True) -> Optional[Dict]:
@@ -357,25 +390,18 @@ class DistrictClient:
                           data_bucket: Optional[float],
                           strict: bool) -> IntegratedModel:
         resolved = self.resolve(query)
-        models: Dict[str, List[EntityModel]] = {}
-        measurements: Dict[str, Dict] = {}
-        for entity in resolved.entities:
-            models[entity.entity_id] = self.fetch_entity_models(
-                entity, resolved.gis_uris, strict=strict
-            )
-            if with_data:
-                per_device: Dict[Tuple[str, str], List] = {}
-                for device in entity.devices:
-                    for quantity in device.quantities:
-                        per_device[(device.device_id, quantity)] = \
-                            self.fetch_device_data(
-                                device, quantity, start=data_start,
-                                end=data_end, bucket=data_bucket,
-                                strict=strict,
-                            )
-                measurements[entity.entity_id] = per_device
-        return integrate(resolved, models,
-                         measurements if with_data else None)
+        models, measurements = self._fetch(
+            [call for entity in resolved.entities
+             for call in self._model_calls(entity, resolved.gis_uris)],
+            [(entity.entity_id, device.proxy_uri,
+              RangeQuery(device.device_id, quantity, start=data_start,
+                         end=data_end, bucket=data_bucket))
+             for entity in resolved.entities if with_data
+             for device in entity.devices
+             for quantity in device.quantities],
+            strict,
+        )
+        return integrate(resolved, models, measurements)
 
     # -- control and live data --------------------------------------------------
 

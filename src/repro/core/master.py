@@ -87,9 +87,11 @@ class MasterNode:
         self.resolve_cache_misses = 0
         self.resolve_not_modified = 0
         self.resolve_cache_max = RESOLVE_CACHE_MAX
-        #: canonical query params -> serialized ResolvedArea dict, valid
-        #: only while the epoch token matches (lazy invalidation)
-        self._resolve_cache: "OrderedDict[Tuple, Dict]" = OrderedDict()
+        #: canonical query params -> (serialized ResolvedArea dict, its
+        #: estimate_size), valid only while the epoch token matches
+        #: (lazy invalidation)
+        self._resolve_cache: "OrderedDict[Tuple, Tuple[Dict, int]]" = \
+            OrderedDict()
         self._resolve_cache_token: Optional[str] = None
         #: default lease applied to registrations that do not name one;
         #: None keeps legacy permanent registrations
@@ -594,7 +596,7 @@ class MasterNode:
             self.resolves_served += 1
             emit(self.host.network, "resolve_cache_hit",
                  host=self.host.name, epoch=token, master=self.host.name)
-            return ok(cached)
+            return Response(200, cached[0], body_size=cached[1])
         try:
             query = AreaQuery.from_params(params)
             resolved = self.resolve_area(query)
@@ -604,13 +606,17 @@ class MasterNode:
             return error(404, str(exc))
         body = resolved.to_dict()
         body["epoch"] = token
-        self._resolve_cache[key] = body
+        # measured once per cached answer: a whole-district body is
+        # ~175 KB, and re-walking it for every reply dominated the
+        # read path's host time
+        size = estimate_size(body)
+        self._resolve_cache[key] = (body, size)
         while len(self._resolve_cache) > self.resolve_cache_max:
             self._resolve_cache.popitem(last=False)
         self.resolve_cache_misses += 1
         emit(self.host.network, "resolve_cache_miss",
              host=self.host.name, epoch=token, master=self.host.name)
-        return ok(body)
+        return Response(200, body, body_size=size)
 
     def _ontology_route(self, request: Request) -> Response:
         return ok(self.ontology.to_dict())

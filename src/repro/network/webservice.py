@@ -19,7 +19,7 @@ import itertools
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.identifiers import ServiceUri
 from repro.errors import (
@@ -30,6 +30,7 @@ from repro.errors import (
 )
 from repro.network.futures import Future
 from repro.network.resilience import ResiliencePolicy
+from repro.network.scheduler import EventHandle
 from repro.network.transport import Host, Message, presized_estimate
 from repro.observability.tracing import CLIENT, SERVER, TraceContext, emit
 
@@ -295,20 +296,32 @@ class WebService:
         )
 
 
+class _Round:
+    """One :meth:`HttpClient.gather`: calls in, outcomes out."""
+
+    __slots__ = ("calls", "outcomes", "unresolved")
+
+    def __init__(self, calls: Sequence[Dict[str, Any]]):
+        self.calls = calls
+        self.outcomes: List[Any] = [None] * len(calls)
+        self.unresolved = len(calls)
+
+
 class HttpClient:
     """Issues web-service requests from a simulated host.
 
     :meth:`request` is asynchronous and returns a :class:`Future`;
-    :meth:`call` is the synchronous convenience used by client
-    applications — it steps the scheduler until the response (or the
-    timeout) arrives.
+    :meth:`gather` is the synchronous wait used by client applications
+    — it issues a list of requests at once and steps the scheduler
+    until every one has its response (or its timeout) — and
+    :meth:`call` is the gather of one.
 
     An optional :class:`~repro.network.resilience.ResiliencePolicy`
     hardens the client: its circuit breaker fast-fails requests to hosts
     that keep failing (:class:`~repro.errors.CircuitOpenError`, no
-    network traffic), and its retry policy makes :meth:`call` retry
-    timeouts and 5xx answers with exponential backoff spent on the
-    simulated clock.
+    network traffic), and its retry policy makes :meth:`gather` retry
+    each request's timeouts and 5xx answers with exponential backoff
+    spent on the simulated clock.
     """
 
     def __init__(self, host: Host, timeout: float = 5.0,
@@ -318,7 +331,8 @@ class HttpClient:
         self.policy = policy
         self.requests_sent = 0
         self._reply_port = host.network.allocate_port("http-reply")
-        self._pending: Dict[int, Future] = {}
+        # request_id -> (future, expiry timer), dropped on reply or expiry
+        self._pending: Dict[int, Tuple[Future, EventHandle]] = {}
         # request_id -> open client span, finished on reply or expiry
         self._pending_spans: Dict[int, Any] = {}
         self._req_counter = itertools.count(1)
@@ -376,7 +390,6 @@ class HttpClient:
                 lambda fut: self._observe(target.host, fut)
             )
         request_id = next(self._req_counter)
-        self._pending[request_id] = future
         if span is not None:
             self._pending_spans[request_id] = span
         self.requests_sent += 1
@@ -395,10 +408,83 @@ class HttpClient:
             else presized_estimate(payload, "body", body_size)
         self.host.send(target.host, _SERVER_PORT, payload, size=size)
         deadline = timeout if timeout is not None else self.timeout
-        self.host.network.scheduler.schedule(
-            deadline, self._expire, request_id, target
+        self._pending[request_id] = (
+            future,
+            self.host.network.scheduler.schedule(
+                deadline, self._expire, request_id, target
+            ),
         )
         return future
+
+    def gather(self, calls: Sequence[Dict[str, Any]]
+               ) -> List[Union[Response, Exception]]:
+        """Issue every call at once; drive the scheduler until all resolve.
+
+        Each call is a dict of :meth:`request` keyword arguments.  The
+        result lists, in call order, each call's final
+        :class:`Response` — whatever its status — or the exception it
+        ended with (:class:`RequestTimeoutError`,
+        :class:`CircuitOpenError`); nothing is raised for a failed
+        call, so one dark host cannot hide the other answers.
+
+        With a retry policy every call runs its own attempts: timeouts
+        and 5xx answers are retried with backoff, and 429 answers after
+        the server's advised ``retry_after``.  A retry is a timer on the
+        simulated clock that re-issues the request, so the other calls
+        of the round keep progressing while one backs off.
+        """
+        pending = _Round(calls)
+        for index in range(len(calls)):
+            self._attempt(pending, index, 1)
+        step = self.host.network.scheduler.step
+        while pending.unresolved:
+            if not step():
+                raise ConfigurationError(
+                    "scheduler drained with request still pending"
+                )
+        return pending.outcomes
+
+    def _attempt(self, pending: "_Round", index: int, number: int) -> None:
+        """Issue attempt *number* of one call of a round."""
+        self.request(**pending.calls[index]).add_done_callback(
+            lambda future: self._settle(pending, index, number, future))
+
+    def _settle(self, pending: "_Round", index: int, number: int,
+                future: Future) -> None:
+        """One attempt resolved: schedule a retry or record the outcome."""
+        policy = self.policy
+        retry = policy.retry if policy is not None else None
+        status = None
+        try:
+            outcome = future.result()
+        except RequestTimeoutError as exc:
+            outcome, cause = exc, "timeout"
+        except CircuitOpenError as exc:
+            outcome, cause = exc, None  # fast-fail: nothing to retry
+        else:
+            status = outcome.status
+            cause = "http 429 backpressure" if status == 429 \
+                else f"http {status}" if status >= 500 else None
+        if cause is not None and retry is not None:
+            uri = pending.calls[index]["uri"]
+            if number < retry.max_attempts:
+                policy.retries += 1
+                self._retry_event(uri, number, cause)
+                delay = retry.backoff(number)
+                if status == 429 and isinstance(outcome.body, dict):
+                    # server-side backpressure: honour the advised
+                    # Retry-After instead of the client's own backoff
+                    # (which could come back before the server has
+                    # drained)
+                    delay = float(outcome.body.get("retry_after", delay))
+                self.host.network.scheduler.schedule(
+                    delay, self._attempt, pending, index, number + 1)
+                return
+            if status != 429:
+                policy.exhausted += 1
+                self._retry_event(uri, number, cause, exhausted=True)
+        pending.outcomes[index] = outcome
+        pending.unresolved -= 1
 
     def call(
         self,
@@ -410,72 +496,22 @@ class HttpClient:
         check: bool = True,
         body_size: Optional[int] = None,
     ) -> Response:
-        """Synchronous request: drives the scheduler until resolution.
+        """Synchronous request: the :meth:`gather` of one call.
 
         With *check* (default) a non-2xx response raises
         :class:`ServiceError`; otherwise the raw :class:`Response` is
-        returned for the caller to inspect.  With a retry policy,
-        timeouts and 5xx answers are retried with backoff, and 429
-        answers are retried after the server's advised ``retry_after``,
-        before the last error is surfaced.
+        returned for the caller to inspect.  A call that ended in a
+        timeout or an open circuit raises that error.
         """
-        policy = self.policy
-        retry = policy.retry if policy is not None else None
-        attempts = retry.max_attempts if retry is not None else 1
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                response = self._call_once(uri, method, params, body,
-                                           timeout, body_size)
-            except RequestTimeoutError:
-                if attempt < attempts:
-                    policy.retries += 1
-                    self._retry_event(uri, attempt, "timeout")
-                    self._sleep(retry.backoff(attempt))
-                    continue
-                if retry is not None:
-                    policy.exhausted += 1
-                    self._retry_event(uri, attempt, "timeout",
-                                      exhausted=True)
-                raise
-            if response.status == 429 and attempt < attempts:
-                # server-side backpressure: honour the advised
-                # Retry-After instead of the client's own backoff (which
-                # could come back before the server has drained)
-                retry_after = retry.backoff(attempt)
-                if isinstance(response.body, dict):
-                    retry_after = float(
-                        response.body.get("retry_after", retry_after)
-                    )
-                policy.retries += 1
-                self._retry_event(uri, attempt, "http 429 backpressure")
-                self._sleep(retry_after)
-                continue
-            if response.status >= 500 and attempt < attempts:
-                policy.retries += 1
-                self._retry_event(uri, attempt, f"http {response.status}")
-                self._sleep(retry.backoff(attempt))
-                continue
-            if response.status >= 500 and retry is not None:
-                policy.exhausted += 1
-                self._retry_event(uri, attempt, f"http {response.status}",
-                                  exhausted=True)
-            if check and not response.ok:
-                raise ServiceError(response.status, response.reason)
-            return response
-
-    def _call_once(self, uri, method, params, body, timeout,
-                   body_size=None) -> Response:
-        future = self.request(uri, method, params, body, timeout,
-                              body_size=body_size)
-        scheduler = self.host.network.scheduler
-        while not future.done:
-            if not scheduler.step():
-                raise ConfigurationError(
-                    "scheduler drained with request still pending"
-                )
-        return future.result()
+        outcome, = self.gather([{
+            "uri": uri, "method": method, "params": params, "body": body,
+            "timeout": timeout, "body_size": body_size,
+        }])
+        if isinstance(outcome, Exception):
+            raise outcome
+        if check and not outcome.ok:
+            raise ServiceError(outcome.status, outcome.reason)
+        return outcome
 
     def _retry_event(self, uri, attempt: int, cause: str,
                      exhausted: bool = False) -> None:
@@ -485,14 +521,6 @@ class HttpClient:
              host=self.host.name,
              uri=str(uri), attempt=attempt, cause=cause,
              client=self.host.name)
-
-    def _sleep(self, delay: float) -> None:
-        """Spend *delay* simulated seconds (backoff between retries)."""
-        woken = Future()
-        scheduler = self.host.network.scheduler
-        scheduler.schedule(delay, woken.set_result, None)
-        while not woken.done:
-            scheduler.step()
 
     def _observe(self, target_host: str, future: Future) -> None:
         """Feed one resolved request into the breaker's state machine."""
@@ -531,9 +559,11 @@ class HttpClient:
     def _on_reply(self, message: Message) -> None:
         payload = message.payload
         request_id = payload["request_id"]
-        future = self._pending.pop(request_id, None)
-        if future is None or future.done:
+        pending = self._pending.pop(request_id, None)
+        if pending is None:
             return  # response arrived after its timeout fired
+        future, expiry = pending
+        expiry.cancel()
         status = payload["status"]
         if self._pending_spans:
             span = self._pending_spans.pop(request_id, None)
@@ -553,9 +583,7 @@ class HttpClient:
         )
 
     def _expire(self, request_id: int, target: ServiceUri) -> None:
-        future = self._pending.pop(request_id, None)
-        if future is None or future.done:
-            return
+        future, _expiry = self._pending.pop(request_id)
         if self._pending_spans:
             span = self._pending_spans.pop(request_id, None)
             tracer = self.host.network.tracer

@@ -396,14 +396,28 @@ class DeviceProxy(Proxy):
         return ok({"format": fmt, "document": document})
 
     def _data_route(self, request: Request) -> Response:
+        """Answer a list of series sharing one window, in request order.
+
+        ``series=<device>/<quantity>,...`` is answered with
+        ``{"series": [samples, ...]}``, a series nothing was collected
+        for being an empty list.  The single-series form
+        (``device_id``/``quantity``) is the list of one: it is answered
+        with ``{"samples": samples}``, or 404 for an unknown series.
+        """
+        listed = "series" in request.params
+        answers = []
         try:
-            query = RangeQuery.from_params(request.params)
-            samples = self.database.query(query)
+            for query in RangeQuery.list_from_params(request.params):
+                try:
+                    samples = self.database.query(query)
+                except SeriesNotFoundError as exc:
+                    if not listed:
+                        return error(404, str(exc))
+                    samples = []
+                answers.append([[t, v] for t, v in samples])
         except QueryError as exc:
             return error(400, str(exc))
-        except SeriesNotFoundError as exc:
-            return error(404, str(exc))
-        return ok({"samples": [[t, v] for t, v in samples]})
+        return ok({"series": answers} if listed else {"samples": answers[0]})
 
     def _latest_route(self, request: Request) -> Response:
         device_id = request.path_params["device_id"]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import QueryError
 from repro.storage.timeseries import AGGREGATIONS
@@ -98,6 +98,41 @@ class RangeQuery:
             bucket=opt_float("bucket"),
             agg=params.get("agg", "mean"),
         )
+
+    @staticmethod
+    def to_series_params(queries: Sequence["RangeQuery"]) -> Dict[str, str]:
+        """Encode *queries* — one window, many series — as one request.
+
+        The series travel as ``series=<device>/<quantity>,...`` beside
+        the window/bucket/agg they share (taken from the first query).
+        """
+        params = queries[0].to_params()
+        del params["device_id"], params["quantity"]
+        params["series"] = ",".join(f"{query.device_id}/{query.quantity}"
+                                    for query in queries)
+        return params
+
+    @classmethod
+    def list_from_params(cls, params: Mapping[str, Any]
+                         ) -> List["RangeQuery"]:
+        """Decode a ``/data`` request into its queries, in request order.
+
+        A request either names one series (``device_id``/``quantity``,
+        see :meth:`from_params`) or carries a ``series`` list (see
+        :meth:`to_series_params`); one malformed entry fails the whole
+        request.
+        """
+        series = params.get("series")
+        if series is None:
+            return [cls.from_params(params)]
+        queries = []
+        for entry in series.split(","):
+            device_id, _, quantity = entry.partition("/")
+            if not device_id or not quantity:
+                raise QueryError(f"malformed series entry {entry!r}")
+            queries.append(cls.from_params(
+                {**params, "device_id": device_id, "quantity": quantity}))
+        return queries
 
 
 @dataclass(frozen=True)

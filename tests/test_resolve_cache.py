@@ -256,6 +256,31 @@ class TestServerResolveCache:
                                           "entity_ids": "bld-0002"})
         assert len(master._resolve_cache) == 1
 
+    def test_cached_answer_size_matches_full_estimate(self, net, master):
+        """The answer's size is measured once and cached beside the
+        body; the filling miss and every hit must be charged exactly the
+        bytes a hint-free reply would have been (sizes feed latency)."""
+        from repro.network.transport import estimate_size
+
+        master.register(bim_payload())
+        master.register(device_payload())
+        replies = []
+        original_deliver = net._deliver
+
+        def spy(sender, recipient, port, payload, size, sent_at):
+            if isinstance(payload, dict) and "status" in payload:
+                replies.append((payload, size))
+            original_deliver(sender, recipient, port, payload, size, sent_at)
+
+        net._deliver = spy
+        bodies = [self.resolve(net, master).body for _ in range(3)]
+        assert (master.resolve_cache_misses, master.resolve_cache_hits) \
+            == (1, 2)
+        assert bodies[0] == bodies[1] == bodies[2]
+        assert len(replies) == 3
+        for payload, size in replies:
+            assert size == estimate_size(payload)
+
     def test_metrics_expose_cache_counters(self, net, master):
         master.register(bim_payload())
         self.resolve(net, master)

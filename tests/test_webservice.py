@@ -155,6 +155,36 @@ class TestTimeouts:
         # drain the late response; must not crash or resolve anything
         net.scheduler.run_until_idle()
 
+    def test_answered_requests_leave_no_expiry_timer(self, net, service,
+                                                     client):
+        """The expiry timer is cancelled by the reply: N answered
+        requests leave no live event behind (they used to sit in the
+        heap for `timeout` seconds and fire as no-ops)."""
+        live = net.scheduler.pending
+        before = net.scheduler.events_processed
+        for _ in range(25):
+            assert client.get("svc://server/ping").body == "pong"
+        assert net.scheduler.pending == live
+        # 25 x (request delivery, server processing, reply delivery) ...
+        assert net.scheduler.events_processed - before == 75
+        net.scheduler.run_until_idle()
+        # ... and no dead timer fires afterwards
+        assert net.scheduler.events_processed - before == 75
+
+    def test_late_reply_after_expiry_resolves_nothing(self, net, client):
+        host = net.add_host("slow")
+        svc = WebService(host, processing_delay=2.0)
+        svc.add_route(GET, "/x", lambda r: ok("late"))
+        future = client.request("svc://slow/x", timeout=0.5)
+        net.scheduler.run_until(1.0)
+        with pytest.raises(RequestTimeoutError):
+            future.result()
+        net.scheduler.run_until_idle()   # the reply lands at ~2 s
+        assert svc.requests_served == 1
+        with pytest.raises(RequestTimeoutError):
+            future.result()
+        assert net.scheduler.pending == 0
+
 
 class TestAsyncRequests:
     def test_futures_resolve_independently(self, net, service):
