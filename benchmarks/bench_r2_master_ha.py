@@ -119,7 +119,7 @@ def _ha_run(replicated: bool):
     _probe_phase(district, client, query, stats)          # 1. steady
     devices_before = stats["last_devices"]
 
-    primary_host = district.replication.primary.master.host.name \
+    primary_host = district.replication.primary.name \
         if replicated else "master"
     injector.take_offline(primary_host)
     _probe_phase(district, client, query, stats)          # 2. kill

@@ -7,7 +7,7 @@ fault schedule under two configurations:
 
 * **single** — the seed architecture: one broker, no replication;
 * **replicated** — a three-broker group
-  (:mod:`repro.middleware.replication`): the primary's durable-state
+  (:mod:`repro.core.replication`): the primary's durable-state
   log (retained events, subscriptions, pending deliveries, dead
   letters) streams to two standbys, epoch-fenced seniority failover,
   and every peer on a broker rotation over the whole group.
@@ -200,7 +200,7 @@ def _ha_run(replicated: bool):
         "retained_replayed": [e.payload for e in replayed],
         "publisher_failovers": prober.publisher.broker_failovers,
         "dead_lettered": sum(b.stats.dead_lettered
-                             for b in (district.broker_replication.brokers()
+                             for b in (district.broker_replication.nodes()
                                        if replicated
                                        else [district.broker])),
         "counters": broker_replication_counters(district),
@@ -275,9 +275,9 @@ def _restart_run(tmp_path):
     district.run(100.0 if QUICK else 200.0)
 
     broker = district.broker
-    before = json.dumps(broker.state_snapshot(), sort_keys=True)
+    before = json.dumps(broker.snapshot(), sort_keys=True)
     restored = injector.restart_broker(recover=True)
-    after = json.dumps(broker.state_snapshot(), sort_keys=True)
+    after = json.dumps(broker.snapshot(), sort_keys=True)
     district.run(30.0)  # deliveries resume without a resubscribe round
     district.stop_devices()
     district.run(2.0)

@@ -8,8 +8,8 @@
   heterogeneous source models with conflict detection;
 * :class:`ConsumptionProfiler` / :func:`awareness_report` — the energy
   profiling and user-awareness products built on top;
-* :func:`replicate_master` / :class:`MasterReplicationGroup` — master
-  high availability: replicated masters with epoch-fenced failover
+* :func:`replicate` / :class:`ReplicationGroup` — high availability
+  for the stateful hubs: replicated nodes with epoch-fenced failover
   (see :mod:`repro.core.replication`).
 """
 
@@ -35,10 +35,10 @@ from repro.core.monitoring import (
 )
 from repro.core.relay import RelayingMaster
 from repro.core.replication import (
-    MasterReplicationGroup,
-    ReplicatedMaster,
+    ReplicatedNode,
     ReplicationConfig,
-    replicate_master,
+    ReplicationGroup,
+    replicate,
 )
 
 __all__ = [
@@ -52,13 +52,13 @@ __all__ = [
     "IntegratedEntity",
     "IntegratedModel",
     "MasterNode",
-    "MasterReplicationGroup",
     "PropertyConflict",
     "RelayingMaster",
-    "ReplicatedMaster",
+    "ReplicatedNode",
     "ReplicationConfig",
+    "ReplicationGroup",
     "SheddingPlan",
     "awareness_report",
     "integrate",
-    "replicate_master",
+    "replicate",
 ]

@@ -24,11 +24,9 @@ behaviour, still the default).
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from repro import persistence
 from repro.common.cdf import DeviceDescription
 from repro.common.identifiers import entity_kind
 from repro.datasources.geometry import BoundingBox
@@ -52,19 +50,20 @@ from repro.network.webservice import (
 from repro.observability.tracing import INTERNAL, emit
 from repro.ontology.model import DeviceNode, DistrictOntology, EntityNode
 from repro.ontology.queries import AreaQuery, resolve
+from repro.storage.durability import Journal, StateMachine
 
 
 #: bound on the master-side resolve cache (serialized answers)
 RESOLVE_CACHE_MAX = 256
 
 
-class MasterNode:
+class MasterNode(StateMachine):
     """Registration target and query resolver for one or more districts.
 
     ``/resolve`` answers are cached behind an **ontology epoch**: a
     version counter bumped by every mutation of the forest
-    (:meth:`apply_registration`, :meth:`_evict_uri`, :meth:`reset`,
-    :meth:`restore_snapshot`).  A cached serialized answer is served
+    (:meth:`apply`, :meth:`_evict_uri`, :meth:`reset`,
+    :meth:`restore`).  A cached serialized answer is served
     only while the epoch is unchanged, so a cache hit can never
     redirect a client to an evicted proxy.  Clients may revalidate a
     previous answer with an ``if_none_match`` parameter carrying the
@@ -72,6 +71,8 @@ class MasterNode:
     304-style response (see
     :meth:`repro.core.client.DistrictClient.resolve`).
     """
+
+    kind = "master"
 
     def __init__(self, host: Host, processing_delay: float = 2e-4,
                  default_lease: Optional[float] = None):
@@ -111,14 +112,11 @@ class MasterNode:
         #: answer shape was not measured)
         self._last_register_size: Optional[int] = None
         self._sweeper = None
-        #: replication agent (see :mod:`repro.core.replication`); None
-        #: keeps the legacy single-master behaviour
-        self.replication = None
-        #: periodic persisted snapshots (see :meth:`start_snapshots`)
-        self.snapshot_path: Optional[str] = None
-        self.snapshots_written = 0
-        self.last_snapshot_time: Optional[float] = None
-        self._snapshot_task = None
+        #: persisted ontology + lease snapshots; the deployment opens
+        #: it with a path (``journal.open(snapshot_path=...)``) to make
+        #: a restarted master recover instead of waiting for a full
+        #: heartbeat round of re-registrations
+        self.journal = Journal(self, "repro-ontology", 2)
         self.service = WebService(host, processing_delay=processing_delay)
         self.service.add_route(POST, "/register", self._register_route)
         self.service.add_route(GET, "/resolve", self._resolve_route)
@@ -144,6 +142,7 @@ class MasterNode:
         self._leases.clear()
         self._device_reg_cache.clear()
         self.bump_epoch()
+        self.journal.crash()
 
     # -- epoch + resolve cache ------------------------------------------------
 
@@ -210,7 +209,7 @@ class MasterNode:
             self._sweeper.stop()
             self._sweeper = None
 
-    # -- snapshots ------------------------------------------------------------
+    # -- the durable, replicable state (StateMachine contract) ----------------
 
     def snapshot(self) -> Dict:
         """The master's replicable state: ontology forest + lease table."""
@@ -220,80 +219,46 @@ class MasterNode:
             "ontology_epoch": self.ontology_epoch,
         }
 
-    def restore_snapshot(self, snapshot: Dict) -> None:
+    def restore(self, state: Dict) -> None:
         """Replace the master's state with a :meth:`snapshot` payload.
 
         The local ontology epoch jumps past both its own value and the
         snapshot's, so it stays monotone whichever side was ahead, and
         every answer cached against the pre-restore state is invalid.
+        Leases keep their original absolute expiries, so proxies that
+        died while the master was down still get evicted on schedule.
         """
-        self.ontology = DistrictOntology.from_dict(snapshot["ontology"])
+        self.ontology = DistrictOntology.from_dict(state["ontology"])
         self._leases = {uri: float(expiry) for uri, expiry
-                        in snapshot.get("leases", {}).items()}
+                        in state.get("leases", {}).items()}
         self._device_reg_cache.clear()
         self.ontology_epoch = max(
-            self.ontology_epoch, int(snapshot.get("ontology_epoch", 0))
+            self.ontology_epoch, int(state.get("ontology_epoch", 0))
         ) + 1
         self.invalidate_resolve_cache()
 
-    def start_snapshots(self, path: str, period: float) -> None:
-        """Persist the ontology + leases to *path* every *period* seconds.
+    def activate(self) -> None:
+        """Promotion: keep the resolve token monotone across failover.
 
-        The durable complement of proxy re-registration: after a clean
-        restart :meth:`recover_from_snapshot` restores the last persisted
-        state, so ``/resolve`` answers immediately instead of waiting a
-        full heartbeat round.  Idempotent; stop with
-        :meth:`stop_snapshots`.
+        No client revalidation against the new primary may 304-match an
+        answer minted by the deposed one.
         """
-        self.snapshot_path = path
-        if self._snapshot_task is None:
-            self._snapshot_task = self.host.network.scheduler.every(
-                period, self.write_snapshot
-            )
+        self.bump_epoch()
+        self.invalidate_resolve_cache()
 
-    def stop_snapshots(self) -> None:
-        if self._snapshot_task is not None:
-            self._snapshot_task.stop()
-            self._snapshot_task = None
+    def standby(self, host: Host) -> "MasterNode":
+        return MasterNode(host, default_lease=self.default_lease)
 
-    def write_snapshot(self) -> None:
-        """Persist one snapshot now (requires :attr:`snapshot_path`)."""
-        if self.snapshot_path is None:
-            return
-        persistence.save_ontology(self.ontology, self.snapshot_path,
-                                  leases=self._leases,
-                                  epoch=self.ontology_epoch)
-        self.snapshots_written += 1
-        self.last_snapshot_time = self.host.network.scheduler.now
-        emit(self.host.network, "master_snapshot", host=self.host.name,
-             path=self.snapshot_path, master=self.host.name)
-
-    def recover_from_snapshot(self) -> bool:
+    def recover(self) -> Optional[int]:
         """Restore ontology and leases from the persisted snapshot.
 
-        Returns True when a snapshot was loaded, False when no snapshot
-        path is configured or none has been written yet.  Leases are
-        restored with their original absolute expiries, so proxies that
-        died while the master was down still get evicted on schedule.
+        Returns the number of ontology nodes restored — 0 when no
+        snapshot has been written yet — or None when no snapshot path
+        is configured.
         """
-        if self.snapshot_path is None or \
-                not os.path.exists(self.snapshot_path):
-            return False
-        snap = persistence.load_ontology_snapshot(self.snapshot_path)
-        self.ontology = snap.ontology
-        self._leases = dict(snap.leases)
-        self._device_reg_cache.clear()
-        self.ontology_epoch = max(self.ontology_epoch,
-                                  snap.ontology_epoch) + 1
-        self.invalidate_resolve_cache()
-        return True
-
-    @property
-    def last_snapshot_age(self) -> Optional[float]:
-        """Seconds since the last persisted snapshot (None if never)."""
-        if self.last_snapshot_time is None:
+        if not self.journal.recover():
             return None
-        return self.host.network.scheduler.now - self.last_snapshot_time
+        return self.ontology.node_count()
 
     def _track_lease(self, uri: str, lease: Optional[float]) -> None:
         if lease is None:
@@ -356,17 +321,19 @@ class MasterNode:
         """
         if self.replication is not None:
             self.replication.check_writable()
-        result = self.apply_registration(payload)
+        result = self.apply(payload)
         if self.replication is not None:
             self.replication.record_write(payload)
         return result
 
-    def apply_registration(self, payload: Dict) -> Dict:
+    def apply(self, payload: Dict) -> Dict:
         """Apply a registration without replication gating/streaming.
 
         The raw state transition shared by client-facing
         :meth:`register` and by replicated log entries applied on a
-        standby (which must bypass the primary-only write gate).
+        standby (which must bypass the primary-only write gate); a
+        :class:`~repro.errors.RegistrationError` there means the
+        standby's forest diverged, and forces a resync.
         """
         self._last_register_size = None
         kind = payload.get("proxy_kind")
@@ -620,21 +587,6 @@ class MasterNode:
 
     def _ontology_route(self, request: Request) -> Response:
         return ok(self.ontology.to_dict())
-
-    def replication_status(self) -> Dict:
-        """Role/epoch/lag summary, also valid for unreplicated masters.
-
-        An unreplicated master reports itself as a lone primary at epoch
-        0 with zero lag, so operators read one uniform shape from
-        ``/health`` whether or not HA is deployed.
-        """
-        if self.replication is not None:
-            status = self.replication.status()
-        else:
-            status = {"role": "primary", "epoch": 0, "fenced": False,
-                      "replication_lag": 0, "peers": 0}
-        status["last_snapshot_age"] = self.last_snapshot_age
-        return status
 
     def _health_route(self, request: Request) -> Response:
         self.expire_leases()

@@ -3,9 +3,10 @@
 The paper makes the master the *unique entry point* of the district —
 which makes it the unique point of failure too.  This module keeps the
 entry point logically unique while physically replicating it, and
-factors the machinery into a reusable :class:`ReplicatedNode` core so
-other hub nodes (the middleware broker, see
-:mod:`repro.middleware.replication`) get the same guarantees:
+puts the machinery in one concrete :class:`ReplicatedNode` agent that
+is handed any :class:`~repro.storage.durability.StateMachine` — the
+master, the middleware broker — so every hub node gets the same
+guarantees from the same code:
 
 * a **primary** accepts writes, appends each one to a replication log
   and streams the entries (plus periodic full state snapshots) to 1–2
@@ -44,15 +45,13 @@ concurrently — a healed partition cannot split-brain the state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
-
-if TYPE_CHECKING:  # import cycle: master -> persistence -> storage -> broker
-    from repro.core.master import MasterNode
+from typing import Dict, List, Optional
 
 from repro.errors import (
     ConfigurationError,
+    NetworkError,
     NotPrimaryError,
-    RegistrationError,
+    ReproError,
 )
 from repro.network.webservice import (
     GET,
@@ -60,11 +59,10 @@ from repro.network.webservice import (
     HttpClient,
     Request,
     Response,
-    WebService,
     ok,
 )
-from repro.network.transport import Host
 from repro.observability.tracing import emit
+from repro.storage.durability import StateMachine
 
 PRIMARY = "primary"
 STANDBY = "standby"
@@ -107,32 +105,26 @@ class ReplicationConfig:
             raise ConfigurationError("snapshot period must be positive")
 
 
-class ReplicationApplyError(Exception):
-    """A replicated entry could not be applied to local state.
-
-    Raised by :meth:`ReplicatedNode.node_apply` implementations; the
-    receiver answers with ``resync`` so the primary streams a snapshot
-    that replaces the divergent state.
-    """
-
-
 class ReplicatedNode:
-    """One member of a replication group — the reusable core.
+    """One member of a replication group: the agent beside a node.
 
     Owns role/epoch/fencing/sequence bookkeeping, the ``/replicate``
     and ``/repl/status`` routes, the periodic tick (heartbeats and
     fencing on the primary, failure detection on standbys) on the DES
-    scheduler, and the write-path gates.  Subclasses bind the machinery
-    to a concrete node by implementing the small hook surface below
-    (:meth:`node_snapshot`, :meth:`node_apply`, ...).
+    scheduler, and the write-path gates.  Everything it does to the
+    node goes through the :class:`~repro.storage.durability.
+    StateMachine` contract: ``snapshot`` / ``restore`` / ``apply``,
+    the ``activate`` hook at promotion, and the node's journal.
     """
 
-    #: target-kind label used in emitted events and error messages
-    kind = "node"
-    #: prefix of the promotion/stepdown/fencing metric counters
-    metric_prefix = "replication."
-
-    def __init__(self, rank: int, config: ReplicationConfig):
+    def __init__(self, node: StateMachine, rank: int,
+                 config: ReplicationConfig):
+        self.node = node
+        self.host = node.host
+        self.name = node.host.name
+        self.uri = node.service.base_uri
+        #: target-kind label used in emitted events and error messages
+        self.kind = node.kind
         self.rank = rank
         self.config = config
         self.role = PRIMARY if rank == 0 else STANDBY
@@ -159,7 +151,6 @@ class ReplicatedNode:
             "epoch_adoptions": 0,
             "resyncs": 0,
         }
-        self._group: Optional["ReplicationGroup"] = None
         self._peers: Dict[str, str] = {}  # name -> base uri, rank order
         self._acked_seq: Dict[str, int] = {}
         #: set on epoch adoption: local state may diverge from the new
@@ -171,51 +162,6 @@ class ReplicatedNode:
         self._last_any_ack = 0.0
         self._last_snapshot_stream = 0.0
 
-    # -- hook surface (bind the core to a concrete node) -------------------
-
-    @property
-    def host(self) -> Host:
-        """The member's network host."""
-        raise NotImplementedError
-
-    @property
-    def service(self) -> WebService:
-        """The member's Web Service (gains the replication routes)."""
-        raise NotImplementedError
-
-    @property
-    def uri(self) -> str:
-        return self.service.base_uri
-
-    @property
-    def name(self) -> str:
-        return self.host.name
-
-    def bind_node(self) -> None:
-        """Point the wrapped node back at this agent (``.replication``)."""
-
-    def node_snapshot(self) -> Dict:
-        """Full replicable state, as a JSON-able dict."""
-        raise NotImplementedError
-
-    def node_restore(self, snapshot: Dict) -> None:
-        """Replace local state with *snapshot* (resync / catch-up)."""
-        raise NotImplementedError
-
-    def node_apply(self, payload: Dict) -> None:
-        """Apply one streamed log entry; raise
-        :class:`ReplicationApplyError` on divergence to force a resync."""
-        raise NotImplementedError
-
-    def on_promote(self) -> None:
-        """Extra node work on promotion (epoch bumps, timer arming...)."""
-
-    def on_epoch_adopted(self) -> None:
-        """Extra node work when a newer epoch is adopted."""
-
-    def write_local_snapshot(self) -> None:
-        """Persist a local durable snapshot, if the node has one."""
-
     # -- identity ---------------------------------------------------------
 
     @property
@@ -225,13 +171,13 @@ class ReplicatedNode:
     # -- wiring -----------------------------------------------------------
 
     def attach(self, group: "ReplicationGroup") -> None:
-        """Join *group*: learn the peer set and claim the node's hooks."""
-        self._group = group
+        """Join *group*: learn the peer set and claim the node."""
         self._peers = {m.name: m.uri for m in group.members
                        if m is not self}
-        self.bind_node()
-        self.service.add_route(POST, "/replicate", self._replicate_route)
-        self.service.add_route(GET, "/repl/status", self._status_route)
+        self.node.replication = self
+        service = self.node.service
+        service.add_route(POST, "/replicate", self._replicate_route)
+        service.add_route(GET, "/repl/status", self._status_route)
 
     def start(self) -> None:
         """Arm the periodic tick (idempotent)."""
@@ -254,6 +200,11 @@ class ReplicatedNode:
             self._tick_task = None
 
     # -- write path (hooks called by the wrapped node) ---------------------
+
+    @property
+    def writable(self) -> bool:
+        """True on an unfenced primary — the only member taking writes."""
+        return self.role == PRIMARY and not self.fenced
 
     def check_writable(self) -> None:
         """Gate a write: only an unfenced primary accepts writes."""
@@ -302,7 +253,7 @@ class ReplicatedNode:
         )
 
     def _send_snapshot(self, peer: str) -> None:
-        snapshot = dict(self.node_snapshot(), seq=self.log_seq)
+        snapshot = dict(self.node.snapshot(), seq=self.log_seq)
         self.counters["snapshots_sent"] += 1
         emit(self.host.network, "repl_snapshot", host=self.name,
              peer=peer, seq=self.log_seq, **{self.kind: self.name})
@@ -311,7 +262,7 @@ class ReplicatedNode:
     def _on_ack(self, peer: str, future) -> None:
         try:
             response = future.result()
-        except Exception:
+        except NetworkError:
             return  # unreachable peer: fencing/failover timers handle it
         if not response.ok or not isinstance(response.body, dict):
             return
@@ -360,7 +311,9 @@ class ReplicatedNode:
             # after an epoch change the snapshot replaces local state
             # even if our sequence was ahead: entries the old primary
             # never replicated are a divergent tail, discarded here
-            self.node_restore(snapshot)
+            self.node.restore(snapshot)
+            # the previous epoch's on-disk artifacts are stale now
+            self.node.journal.rewrite()
             self.applied_seq = int(snapshot.get("seq", 0))
             self.counters["snapshots_applied"] += 1
             self._needs_resync = False
@@ -374,8 +327,8 @@ class ReplicatedNode:
                     resync = True  # gap: ask the primary for a snapshot
                     break
                 try:
-                    self.node_apply(entry["payload"])
-                except ReplicationApplyError:
+                    self.node.apply(entry["payload"])
+                except ReproError:
                     resync = True  # divergent state: snapshot resolves it
                     break
                 self.applied_seq = seq
@@ -393,7 +346,6 @@ class ReplicatedNode:
     def _adopt_epoch(self, epoch: int, deposed_by: str = "") -> None:
         self.epoch = epoch
         self._needs_resync = True  # cleared by the new primary's snapshot
-        self.on_epoch_adopted()
         self.counters["epoch_adoptions"] += 1
         emit(self.host.network, "repl_epoch_adopted", host=self.name,
              epoch=epoch, **{self.kind: self.name})
@@ -405,7 +357,7 @@ class ReplicatedNode:
             emit(self.host.network, "repl_stepdown", host=self.name,
                  epoch=epoch, deposed_by=deposed_by,
                  **{self.kind: self.name})
-            self._count_metric(self.metric_prefix + "stepdowns")
+            self._count_metric("stepdowns")
 
     def _promote(self) -> None:
         self.epoch += 1
@@ -414,7 +366,9 @@ class ReplicatedNode:
         self._needs_resync = False
         self.log_seq = self.applied_seq
         self.primary_name = self.name
-        self.on_promote()
+        # only the live primary redelivers, mints tokens...: the node's
+        # timers and epochs were held back while it was a standby
+        self.node.activate()
         now = self._now
         self._last_any_ack = now
         self._last_snapshot_stream = now
@@ -422,7 +376,7 @@ class ReplicatedNode:
         self.counters["promotions"] += 1
         emit(self.host.network, "repl_promotion", host=self.name,
              epoch=self.epoch, **{self.kind: self.name})
-        self._count_metric(self.metric_prefix + "promotions")
+        self._count_metric("promotions")
         # announce with a full snapshot: peers adopt the new epoch (any
         # surviving old primary steps down) and catch up in one hop
         for peer in self._peers:
@@ -431,7 +385,7 @@ class ReplicatedNode:
     def _count_metric(self, name: str) -> None:
         registry = self.host.network.metrics
         if registry is not None:
-            registry.counter(name).inc()
+            registry.counter(self.node.metric_prefix + name).inc()
 
     # -- periodic tick -----------------------------------------------------
 
@@ -441,7 +395,7 @@ class ReplicatedNode:
             if now - self._last_snapshot_stream \
                     >= self.config.snapshot_period:
                 self._last_snapshot_stream = now
-                self.write_local_snapshot()
+                self.node.write_snapshot()
                 for peer in self._peers:
                     self._send_snapshot(peer)
             else:
@@ -453,7 +407,7 @@ class ReplicatedNode:
                 self.counters["fencings"] += 1
                 emit(self.host.network, "repl_fenced", host=self.name,
                      epoch=self.epoch, **{self.kind: self.name})
-                self._count_metric(self.metric_prefix + "fencings")
+                self._count_metric("fencings")
         else:
             # distinct per-rank deadlines: no two members can promote
             # into the same epoch, even a deposed rank-0 primary
@@ -489,66 +443,6 @@ class ReplicatedNode:
         }
 
 
-class ReplicatedMaster(ReplicatedNode):
-    """One member of a replicated master group.
-
-    Wraps a :class:`~repro.core.master.MasterNode`, binding the
-    :class:`ReplicatedNode` core to the master's snapshot/registration
-    surface.
-    """
-
-    kind = "master"
-    metric_prefix = "replication."
-
-    def __init__(self, master: MasterNode, rank: int,
-                 config: ReplicationConfig):
-        self.master = master
-        super().__init__(rank, config)
-
-    @property
-    def host(self) -> Host:
-        return self.master.host
-
-    @property
-    def service(self) -> WebService:
-        return self.master.service
-
-    @property
-    def uri(self) -> str:
-        return self.master.uri
-
-    def bind_node(self) -> None:
-        self.master.replication = self
-
-    def node_snapshot(self) -> Dict:
-        return self.master.snapshot()
-
-    def node_restore(self, snapshot: Dict) -> None:
-        self.master.restore_snapshot(snapshot)
-
-    def node_apply(self, payload: Dict) -> None:
-        try:
-            self.master.apply_registration(payload)
-        except RegistrationError as exc:
-            raise ReplicationApplyError(str(exc)) from exc
-
-    def on_promote(self) -> None:
-        # bump the ontology epoch too: token monotonicity across
-        # failover — no client revalidation against the new primary can
-        # 304-match an answer minted by the deposed one
-        self.master.bump_epoch()
-        self.master.invalidate_resolve_cache()
-
-    def on_epoch_adopted(self) -> None:
-        # the replication epoch is part of the resolve-cache validator:
-        # answers cached under the old epoch must stop being served now,
-        # before the new primary's snapshot rewrites local state
-        self.master.invalidate_resolve_cache()
-
-    def write_local_snapshot(self) -> None:
-        self.master.write_snapshot()
-
-
 class ReplicationGroup:
     """A wired set of replicas, in seniority (rank) order."""
 
@@ -577,6 +471,10 @@ class ReplicationGroup:
         peers rotate over host names, not HTTP URIs)."""
         return [m.name for m in self.members]
 
+    def nodes(self) -> List[StateMachine]:
+        """Every member's node, seniority first."""
+        return [m.node for m in self.members]
+
     def member(self, name: str) -> ReplicatedNode:
         for member in self.members:
             if member.name == name:
@@ -599,43 +497,32 @@ class ReplicationGroup:
             member.stop()
 
 
-class MasterReplicationGroup(ReplicationGroup):
-    """A wired set of replicated masters, in seniority (rank) order."""
-
-    @property
-    def primary_master(self) -> MasterNode:
-        return self.primary.master
-
-    def masters(self) -> List[MasterNode]:
-        return [m.master for m in self.members]
-
-
-def replicate_master(master: MasterNode, standbys: int = 1,
-                     config: Optional[ReplicationConfig] = None
-                     ) -> MasterReplicationGroup:
-    """Stand up *standbys* replica masters behind an existing primary.
+def replicate(node: StateMachine, standbys: int = 1,
+              config: Optional[ReplicationConfig] = None
+              ) -> ReplicationGroup:
+    """Stand up *standbys* replicas behind an existing primary *node*.
 
     Each standby gets its own host (``<primary>-r1``, ``<primary>-r2``,
-    ...) on the primary's network, a full :class:`MasterNode` serving
-    read-only queries, and a replication agent wired to every peer.
-    Returns the group with streaming and failure detection running.
+    ...) on the primary's network, a fresh node of the primary's kind
+    and tuning (:meth:`~repro.storage.durability.StateMachine.standby`)
+    serving read-only queries, and a replication agent wired to every
+    peer.  Returns the group with streaming and failure detection
+    running; feed ``group.uris()`` (HTTP clients) or ``group.hosts()``
+    (pub/sub peers) to callers as their failover rotation.
     """
-    from repro.core.master import MasterNode
-
-    if master.replication is not None:
+    if node.replication is not None:
         raise ConfigurationError(
-            f"master {master.host.name!r} is already replicated"
+            f"{node.kind} {node.host.name!r} is already replicated"
         )
     if standbys < 1:
         raise ConfigurationError("replication needs >= 1 standby")
     config = config or ReplicationConfig()
-    network = master.host.network
-    members = [ReplicatedMaster(master, 0, config)]
+    network = node.host.network
+    members = [ReplicatedNode(node, 0, config)]
     for index in range(1, standbys + 1):
-        host = network.add_host(f"{master.host.name}-r{index}")
-        standby = MasterNode(host, default_lease=master.default_lease)
-        members.append(ReplicatedMaster(standby, index, config))
-    group = MasterReplicationGroup(members)
+        host = network.add_host(f"{node.host.name}-r{index}")
+        members.append(ReplicatedNode(node.standby(host), index, config))
+    group = ReplicationGroup(members)
     for member in members:
         member.attach(group)
     for member in members:

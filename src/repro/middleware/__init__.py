@@ -9,11 +9,6 @@ applications (subscribing to areas of interest).
 
 from repro.middleware.broker import Broker, BrokerStats, Event
 from repro.middleware.peer import MiddlewarePeer, Subscription, connect
-from repro.middleware.replication import (
-    BrokerReplica,
-    BrokerReplicationGroup,
-    replicate_broker,
-)
 from repro.middleware.topics import (
     actuation_topic,
     district_filter,
@@ -26,8 +21,6 @@ from repro.middleware.topics import (
 
 __all__ = [
     "Broker",
-    "BrokerReplica",
-    "BrokerReplicationGroup",
     "BrokerStats",
     "Event",
     "MiddlewarePeer",
@@ -39,6 +32,5 @@ __all__ = [
     "measurement_filter",
     "measurement_topic",
     "registry_topic",
-    "replicate_broker",
     "topic_matches",
 ]

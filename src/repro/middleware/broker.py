@@ -55,15 +55,14 @@ Broker high availability (opt-in, composable):
   BrokerDurabilityConfig` and every state mutation (retained event,
   subscription, pending delivery, settle, dead-letter) is appended and
   fsync'd to a write-ahead log *before* the ack or fanout it enables;
-  periodic snapshots (:func:`repro.persistence.save_broker_state`)
-  bound replay.  After a crash (:meth:`Broker.reset`),
+  the broker's :class:`~repro.storage.durability.Journal` snapshots
+  periodically to bound replay.  After a crash (:meth:`Broker.reset`),
   :meth:`Broker.recover` restores retained topics, the subscription
   registry, pending acked deliveries (redelivery timers re-armed) and
   the dead-letter queue exactly.
-* **Replicated failover** — :func:`repro.middleware.replication.
-  replicate_broker` streams the same durable-state log to 1–2 standby
-  brokers with the epoch-fenced seniority election of
-  :mod:`repro.core.replication`.  A standby (or fenced deposed
+* **Replicated failover** — :func:`repro.core.replication.replicate`
+  streams the same durable-state log to 1–2 standby brokers with the
+  epoch-fenced seniority election of :mod:`repro.core.replication`.  A standby (or fenced deposed
   primary) answers every data-plane frame with ``not-primary`` so
   peers rotate to the promoted broker; the promoted standby re-arms
   the replicated pending deliveries, so at-least-once delivery holds
@@ -75,10 +74,9 @@ from __future__ import annotations
 import sys
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Set, \
-    Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, NotPrimaryError
 from repro.middleware.topics import topic_matches, validate_filter, validate_topic
 from repro.network.transport import Host, Message, estimate_size
 from repro.network.webservice import (
@@ -90,9 +88,11 @@ from repro.network.webservice import (
     ok,
 )
 from repro.observability.tracing import TraceContext, emit
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
-    from repro.storage.durability import BrokerDurabilityConfig
+from repro.storage.durability import (
+    BrokerDurabilityConfig,
+    Journal,
+    StateMachine,
+)
 
 BROKER_PORT = "pubsub"
 
@@ -222,15 +222,18 @@ class _PendingPublish:
     failed: bool = False
 
 
-class Broker:
+class Broker(StateMachine):
     """Central topic broker bound to a simulated host."""
+
+    kind = "broker"
+    metric_prefix = "broker_replication."
 
     def __init__(self, host: Host,
                  overload: Optional[BrokerOverloadConfig] = None,
                  delivery_ack_timeout: float = 2.0,
                  max_delivery_attempts: int = 8,
                  dead_letter_capacity: int = 1024,
-                 durability: Optional["BrokerDurabilityConfig"] = None):
+                 durability: Optional[BrokerDurabilityConfig] = None):
         if delivery_ack_timeout <= 0:
             raise ConfigurationError("delivery ack timeout must be positive")
         if max_delivery_attempts < 1:
@@ -261,27 +264,15 @@ class Broker:
         self._shedding = False
         self.dead_letters: Deque[dict] = deque(maxlen=dead_letter_capacity)
         self.shed_by_topic: Dict[str, int] = {}
-        #: set by a BrokerReplica on attach (see middleware.replication)
-        self.replication = None
         # -- durable broker state (broker HA layer 1) ----------------------
-        self.durability = durability
-        self.wal = None
         #: monotone id of the last logged state mutation; persisted in
         #: snapshots so a WAL tail overlapping the snapshot replays
         #: idempotently (records at or below the mark are skipped)
         self._op_seq = 0
-        self.snapshots_written = 0
-        self.last_snapshot_time: Optional[float] = None
-        self._snapshot_task = None
-        if durability is not None:
-            if durability.wal_path:
-                from repro.storage.durability import WriteAheadLog
-
-                self.wal = WriteAheadLog(durability.wal_path)
-            if durability.snapshot_path:
-                self._snapshot_task = host.network.scheduler.every(
-                    durability.snapshot_period, self.write_snapshot
-                )
+        self.journal = Journal(self, "repro-broker-state", 1, durability)
+        #: the journal's WAL (None when not durable), aliased so the
+        #: per-delivery :meth:`_log` pays one attribute read
+        self.wal = self.journal.wal
         host.bind(BROKER_PORT, self._on_message)
         # the broker's data plane stays raw pub/sub frames, but it serves
         # the same /health + /metrics endpoints as every other node so
@@ -321,30 +312,6 @@ class Broker:
         return len(self._deliveries) / float(self.overload.high_watermark)
 
     # -- health + metrics endpoints ---------------------------------------
-
-    def replication_status(self) -> Dict[str, Any]:
-        """Role/epoch/lag summary, also valid for unreplicated brokers.
-
-        The same uniform shape masters expose (see
-        :meth:`repro.core.master.MasterNode.replication_status`): an
-        unreplicated broker reports itself as a lone primary at epoch 0
-        with zero lag, so ``repro fleet`` and the collector render
-        brokers without special-casing.
-        """
-        if self.replication is not None:
-            status = self.replication.status()
-        else:
-            status = {"role": "primary", "epoch": 0, "fenced": False,
-                      "replication_lag": 0, "peers": 0}
-        status["last_snapshot_age"] = self.last_snapshot_age
-        return status
-
-    @property
-    def last_snapshot_age(self) -> Optional[float]:
-        """Seconds since the last persisted snapshot (None if never)."""
-        if self.last_snapshot_time is None:
-            return None
-        return self.host.network.scheduler.now - self.last_snapshot_time
 
     def health(self) -> Dict[str, Any]:
         """Liveness payload of the ``/health`` route."""
@@ -444,8 +411,7 @@ class Broker:
         self._next_sub_id = 1
         self._next_delivery_id = 1
         self._op_seq = 0
-        if self.wal is not None:
-            self.wal.close()  # the dying process loses its file handle
+        self.journal.crash()
 
     # -- durable broker state (WAL + snapshot + recover) -------------------
 
@@ -464,16 +430,14 @@ class Broker:
         if self.replication is not None:
             self.replication.record_write(record)
 
-    def apply_op(self, record: Dict, live: bool = False) -> None:
+    def apply(self, record: Dict) -> None:
         """Apply one logged state mutation (WAL replay / standby apply).
 
-        *live* arms redelivery timers for restored pending deliveries;
-        standbys apply with ``live=False`` (only the primary redelivers)
-        and arm the timers at promotion
-        (:meth:`activate_pending_deliveries`).  Records already covered
-        by the loaded snapshot (``seq`` at or below the snapshot's
-        high-water mark) are skipped, so a crash between "snapshot
-        written" and "WAL truncated" replays idempotently.
+        Arms no redelivery timer: only the live primary redelivers, so
+        a restored pending delivery waits for :meth:`activate`.  Records
+        already covered by the loaded snapshot (``seq`` at or below the
+        snapshot's high-water mark) are skipped, so a crash between
+        "snapshot written" and "WAL truncated" replays idempotently.
         """
         seq = int(record.get("seq", 0))
         if seq and seq <= self._op_seq:
@@ -495,37 +459,10 @@ class Broker:
             self._match_cache.clear()
         elif op == "delivery":
             delivery_id = int(record["delivery_id"])
-            if delivery_id in self._deliveries:
-                return
-            pub_key = tuple(record["pub_key"]) \
-                if record.get("pub_key") else None
-            delivery = _PendingDelivery(
-                delivery_id=delivery_id, sub_id=int(record["sub_id"]),
-                subscriber=record["subscriber"], port=record["port"],
-                event=dict(record["event"]), publisher=record["publisher"],
-                topic=record["topic"],
-                attempts=int(record.get("attempts", 1)),
-                pub_key=pub_key,
-            )
-            self._deliveries[delivery_id] = delivery
-            self._next_delivery_id = max(self._next_delivery_id,
-                                         delivery_id + 1)
-            self._pending_by_publisher[delivery.publisher] = \
-                self._pending_by_publisher.get(delivery.publisher, 0) + 1
-            if pub_key is not None:
-                pending_pub = self._pending_pubs.get(pub_key)
-                if pending_pub is None:
-                    pending_pub = _PendingPublish(
-                        publisher=pub_key[0], ack_port=pub_key[1],
-                        pub_id=pub_key[2],
-                    )
-                    self._pending_pubs[pub_key] = pending_pub
-                pending_pub.remaining.add(delivery_id)
-            if live:
-                self.host.network.scheduler.schedule(
-                    self.delivery_ack_timeout, self._check_delivery,
-                    delivery_id, delivery.generation,
-                )
+            if delivery_id not in self._deliveries:
+                self._hold(record)
+                self._next_delivery_id = max(self._next_delivery_id,
+                                             delivery_id + 1)
         elif op == "settle":
             delivery = self._deliveries.get(int(record["delivery_id"]))
             if delivery is not None:
@@ -542,13 +479,42 @@ class Broker:
         # unknown ops are ignored: a newer writer's records must not
         # wedge recovery on an older reader
 
-    def state_snapshot(self) -> Dict[str, Any]:
+    def _hold(self, record: Dict, failed_pubs=frozenset()) -> None:
+        """Rebuild one pending delivery (and its deferred pub-ack) from
+        its ``delivery`` log record or snapshot entry.
+
+        *failed_pubs* are the snapshot's publications whose pub-ack is
+        already being withheld."""
+        pub_key = tuple(record["pub_key"]) \
+            if record.get("pub_key") else None
+        delivery = _PendingDelivery(
+            delivery_id=int(record["delivery_id"]),
+            sub_id=int(record["sub_id"]),
+            subscriber=record["subscriber"], port=record["port"],
+            event=dict(record["event"]),
+            publisher=record["publisher"], topic=record["topic"],
+            attempts=int(record.get("attempts", 1)),
+            poison_count=int(record.get("poison_count", 0)),
+            pub_key=pub_key,
+        )
+        self._deliveries[delivery.delivery_id] = delivery
+        self._pending_by_publisher[delivery.publisher] = \
+            self._pending_by_publisher.get(delivery.publisher, 0) + 1
+        if pub_key is not None:
+            pending_pub = self._pending_pubs.get(pub_key)
+            if pending_pub is None:
+                pending_pub = _PendingPublish(
+                    publisher=pub_key[0], ack_port=pub_key[1],
+                    pub_id=pub_key[2], failed=pub_key in failed_pubs,
+                )
+                self._pending_pubs[pub_key] = pending_pub
+            pending_pub.remaining.add(delivery.delivery_id)
+
+    def snapshot(self) -> Dict[str, Any]:
         """The broker's full durable state as a JSON-able dict.
 
-        Doubles as the replication snapshot payload
-        (:meth:`~repro.middleware.replication.BrokerReplica.
-        node_snapshot`) and the persisted snapshot body
-        (:func:`repro.persistence.save_broker_state`).
+        Doubles as the replication snapshot payload and the persisted
+        snapshot body.
         """
         return {
             "op_seq": self._op_seq,
@@ -575,13 +541,12 @@ class Broker:
             "dead_letters": [dict(entry) for entry in self.dead_letters],
         }
 
-    def restore_state(self, state: Dict[str, Any],
-                      live: bool = False) -> None:
-        """Replace all broker state with *state* (snapshot restore).
+    def restore(self, state: Dict[str, Any]) -> None:
+        """Replace all broker state with *state* (a :meth:`snapshot`).
 
-        *live* re-arms the redelivery timer of every restored pending
-        delivery; pass ``False`` on standbys (only the primary may
-        redeliver).
+        Like :meth:`apply`, arms nothing: a restoring member is (or is
+        becoming) a standby, and crash recovery calls :meth:`activate`
+        once the WAL tail is replayed too.
         """
         self._subs.clear()
         self._match_cache.clear()
@@ -602,36 +567,11 @@ class Broker:
             )
         failed = {tuple(key) for key in state.get("failed_pubs", [])}
         for record in state.get("deliveries", []):
-            pub_key = tuple(record["pub_key"]) \
-                if record.get("pub_key") else None
-            delivery = _PendingDelivery(
-                delivery_id=int(record["delivery_id"]),
-                sub_id=int(record["sub_id"]),
-                subscriber=record["subscriber"], port=record["port"],
-                event=dict(record["event"]),
-                publisher=record["publisher"], topic=record["topic"],
-                attempts=int(record.get("attempts", 1)),
-                poison_count=int(record.get("poison_count", 0)),
-                pub_key=pub_key,
-            )
-            self._deliveries[delivery.delivery_id] = delivery
-            self._pending_by_publisher[delivery.publisher] = \
-                self._pending_by_publisher.get(delivery.publisher, 0) + 1
-            if pub_key is not None:
-                pending_pub = self._pending_pubs.get(pub_key)
-                if pending_pub is None:
-                    pending_pub = _PendingPublish(
-                        publisher=pub_key[0], ack_port=pub_key[1],
-                        pub_id=pub_key[2], failed=pub_key in failed,
-                    )
-                    self._pending_pubs[pub_key] = pending_pub
-                pending_pub.remaining.add(delivery.delivery_id)
+            self._hold(record, failed)
         for entry in state.get("dead_letters", []):
             self.dead_letters.append(dict(entry))
-        if live:
-            self.activate_pending_deliveries()
 
-    def activate_pending_deliveries(self) -> None:
+    def activate(self) -> None:
         """Arm a redelivery timer for every pending delivery.
 
         Called after crash-restart recovery and at standby promotion:
@@ -648,20 +588,13 @@ class Broker:
                 delivery.delivery_id, delivery.generation,
             )
 
-    def write_snapshot(self) -> None:
-        """Persist the durable state now and truncate the WAL."""
-        if self.durability is None or not self.durability.snapshot_path:
-            return
-        from repro import persistence
-
-        persistence.save_broker_state(self.state_snapshot(),
-                                      self.durability.snapshot_path)
-        if self.wal is not None:
-            self.wal.reset()
-        self.snapshots_written += 1
-        self.last_snapshot_time = self.host.network.scheduler.now
-        emit(self.host.network, "broker_snapshot", host=self.host.name,
-             broker=self.host.name, path=self.durability.snapshot_path)
+    def standby(self, host: Host) -> "Broker":
+        return Broker(
+            host, overload=self.overload,
+            delivery_ack_timeout=self.delivery_ack_timeout,
+            max_delivery_attempts=self.max_delivery_attempts,
+            dead_letter_capacity=self.dead_letter_capacity,
+        )
 
     def recover(self) -> Optional[int]:
         """Crash-restart recovery: load the snapshot, replay the WAL tail.
@@ -673,36 +606,16 @@ class Broker:
         re-armed, so unacknowledged pre-crash deliveries are redelivered
         rather than dropped; consumer-side dedup absorbs duplicates.
         """
-        if self.durability is None:
+        if not self.journal.recover():
             return None
-        import os
-
-        from repro import persistence
-
-        path = self.durability.snapshot_path
-        if path and os.path.exists(path):
-            self.restore_state(persistence.load_broker_state(path))
-        if self.wal is not None:
-            for record in self.wal.replay():
-                self.apply_op(record)
         restored = len(self._retained) + len(self._subs) \
             + len(self._deliveries) + len(self.dead_letters)
         self.stats.recoveries += 1
         self.stats.recovered_items += restored
-        self.activate_pending_deliveries()
+        self.activate()
         emit(self.host.network, "broker_recovered", host=self.host.name,
              broker=self.host.name, restored=restored)
         return restored
-
-    def discard_durable_state(self) -> None:
-        """Wipe the on-disk artifacts (simulating losing the disk too)."""
-        import os
-
-        if self.wal is not None:
-            self.wal.reset()
-        if self.durability is not None and self.durability.snapshot_path \
-                and os.path.exists(self.durability.snapshot_path):
-            os.remove(self.durability.snapshot_path)
 
     # -- control-plane handling ------------------------------------------
 
@@ -714,12 +627,7 @@ class Broker:
         replicated state.  Mirrors the master's
         :meth:`~repro.core.replication.ReplicatedNode.check_writable`.
         """
-        if self.replication is None:
-            return True
-        from repro.core.replication import PRIMARY
-
-        return self.replication.role == PRIMARY \
-            and not self.replication.fenced
+        return self.replication is None or self.replication.writable
 
     def _refuse(self, message: Message) -> None:
         """Answer a data-plane frame with ``not-primary``.
@@ -732,8 +640,6 @@ class Broker:
         self.stats.not_primary_refusals += 1
         payload = message.payload
         if payload.get("verb") in ("publish", "subscribe"):
-            from repro.errors import NotPrimaryError
-
             # route writes through the replication gate so the
             # writes_rejected_* counters mean the same thing they do
             # for masters

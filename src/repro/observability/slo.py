@@ -32,8 +32,8 @@ its own.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.observability.tracing import emit

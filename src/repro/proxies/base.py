@@ -16,6 +16,10 @@ heartbeat re-registers it — no operator-driven
 ``FaultInjector.reregister_all`` needed.  Heartbeats are asynchronous
 (future-based), so a proxy keeps serving requests while one is in
 flight or timing out against a dead master.
+
+Registration and heartbeat live in :class:`Registrant`, which the
+global measurement database shares: to the master it is one more
+registered service (``proxy_kind: measurement``).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from typing import Dict, Optional, Sequence, Union
 
 from repro.errors import (
     CircuitOpenError,
+    NetworkError,
     RegistrationError,
     RequestTimeoutError,
     ServiceError,
@@ -43,16 +48,17 @@ from repro.network.webservice import (
 )
 
 
-class Proxy(abc.ABC):
-    """A data-source proxy: one Web Service plus a master registration."""
+class Registrant:
+    """Master registration plus its lease-renewal heartbeat.
 
-    #: descriptor tag: "device" or "database"; set by subclasses
-    proxy_kind: str = ""
+    The owner supplies the payload (:meth:`_registration_payload`);
+    everything else — rotating over a replicated master set, the
+    periodic renewal, the sent/failed counters — is here once.
+    """
 
-    def __init__(self, host: Host, processing_delay: float = 1e-4,
+    def __init__(self, host: Host,
                  policy: Optional[ResiliencePolicy] = None):
         self.host = host
-        self.service = WebService(host, processing_delay=processing_delay)
         self.registered = False
         self.heartbeats_sent = 0
         self.heartbeats_failed = 0
@@ -63,24 +69,13 @@ class Proxy(abc.ABC):
         #: heartbeat body is structurally constant between descriptor
         #: changes, so its wire size is measured once per revision
         self._heartbeat_size: Optional[tuple] = None
-        self.service.add_route(GET, "/health", self._health_route)
-        self.service.add_route(GET, "/metrics", self._metrics_route)
 
-    @property
-    def uri(self) -> str:
-        """This proxy's Web-Service base URI."""
-        return self.service.base_uri
-
-    @property
-    def name(self) -> str:
-        return self.host.name
-
-    @abc.abstractmethod
-    def descriptor(self) -> Dict:
-        """The registration payload sent to the master node."""
+    def _registration_payload(self, lease: Optional[float]) -> Dict:
+        """The body POSTed to the master's ``/register``."""
+        raise NotImplementedError
 
     def descriptor_revision(self) -> int:
-        """Marker that changes whenever :meth:`descriptor` would.
+        """Marker that changes whenever the registration payload would.
 
         The heartbeat uses it to reuse the measured registration-payload
         size between descriptor changes.  Subclasses whose descriptor
@@ -88,13 +83,16 @@ class Proxy(abc.ABC):
         """
         return 0
 
-    def _registration_payload(self, lease: Optional[float]) -> Dict:
-        payload = self.descriptor()
-        payload["proxy_kind"] = self.proxy_kind
-        payload["uri"] = self.uri
-        if lease is not None:
-            payload["lease"] = lease
-        return payload
+    def _sized_payload(self, lease: Optional[float]):
+        """The registration body and its wire size, measured once per
+        (descriptor revision, lease)."""
+        payload = self._registration_payload(lease)
+        key = (self.descriptor_revision(), lease)
+        cached = self._heartbeat_size
+        if cached is None or cached[0] != key:
+            cached = (key, estimate_size(payload))
+            self._heartbeat_size = cached
+        return payload, cached[1]
 
     def register_with(self, master_uri: Union[str, Sequence[str],
                                               FailoverSet],
@@ -117,23 +115,18 @@ class Proxy(abc.ABC):
         masters = master_uri if isinstance(master_uri, FailoverSet) \
             else FailoverSet(master_uri)
         self._masters = masters
-        payload = self._registration_payload(lease)
-        key = (self.descriptor_revision(), lease)
-        cached = self._heartbeat_size
-        if cached is None or cached[0] != key:
-            cached = (key, estimate_size(payload))
-            self._heartbeat_size = cached
+        payload, size = self._sized_payload(lease)
         last_error: Optional[Exception] = None
         for _ in range(len(masters)):
             try:
                 response = self._client.post(
                     masters.current + "/register", body=payload,
-                    body_size=cached[1],
+                    body_size=size,
                 )
             except ServiceError as exc:
                 if exc.status < 500:
                     raise RegistrationError(
-                        f"master rejected registration of {self.name}: "
+                        f"master rejected registration of {self.host.name}: "
                         f"{exc}"
                     ) from exc
                 last_error = exc
@@ -144,7 +137,8 @@ class Proxy(abc.ABC):
                 return response.body
             masters.advance()
         raise RegistrationError(
-            f"no master accepted registration of {self.name}: {last_error}"
+            f"no master accepted registration of {self.host.name}: "
+            f"{last_error}"
         ) from last_error
 
     # -- registration heartbeat -------------------------------------------
@@ -181,15 +175,10 @@ class Proxy(abc.ABC):
 
     def _heartbeat(self, masters: FailoverSet, lease: float) -> None:
         """One asynchronous heartbeat: POST /register, observe outcome."""
-        body = self._registration_payload(lease)
-        key = (self.descriptor_revision(), lease)
-        cached = self._heartbeat_size
-        if cached is None or cached[0] != key:
-            cached = (key, estimate_size(body))
-            self._heartbeat_size = cached
+        body, size = self._sized_payload(lease)
         future = self._client.request(
             masters.current + "/register", POST,
-            body=body, body_size=cached[1],
+            body=body, body_size=size,
         )
         future.add_done_callback(
             lambda fut: self._on_heartbeat_done(masters, fut)
@@ -198,7 +187,7 @@ class Proxy(abc.ABC):
     def _on_heartbeat_done(self, masters: FailoverSet, future) -> None:
         try:
             response = future.result()
-        except Exception:
+        except NetworkError:
             self.heartbeats_failed += 1
             self.registered = False
             masters.advance()  # dead master: try the next replica
@@ -211,6 +200,41 @@ class Proxy(abc.ABC):
             # primary so the next renewal lands before the lease expires
             self.heartbeats_failed += 1
             masters.advance()
+
+
+class Proxy(Registrant, abc.ABC):
+    """A data-source proxy: one Web Service plus a master registration."""
+
+    #: descriptor tag: "device" or "database"; set by subclasses
+    proxy_kind: str = ""
+
+    def __init__(self, host: Host, processing_delay: float = 1e-4,
+                 policy: Optional[ResiliencePolicy] = None):
+        self.service = WebService(host, processing_delay=processing_delay)
+        Registrant.__init__(self, host, policy)
+        self.service.add_route(GET, "/health", self._health_route)
+        self.service.add_route(GET, "/metrics", self._metrics_route)
+
+    @property
+    def uri(self) -> str:
+        """This proxy's Web-Service base URI."""
+        return self.service.base_uri
+
+    @property
+    def name(self) -> str:
+        return self.host.name
+
+    @abc.abstractmethod
+    def descriptor(self) -> Dict:
+        """The registration payload sent to the master node."""
+
+    def _registration_payload(self, lease: Optional[float]) -> Dict:
+        payload = self.descriptor()
+        payload["proxy_kind"] = self.proxy_kind
+        payload["uri"] = self.uri
+        if lease is not None:
+            payload["lease"] = lease
+        return payload
 
     # -- health -----------------------------------------------------------
 

@@ -86,13 +86,16 @@ class FaultInjector:
         heartbeats and fail over, while the old primary self-fences.
         Returns the isolated master's host name.
         """
-        deployment = self.deployment
-        if deployment.replication is not None:
-            primary = deployment.replication.primary_master
-        else:
-            primary = deployment.master
+        primary = self._acting(self.deployment.replication,
+                               self.deployment.master)
         self.partition([primary.host.name, *with_hosts])
         return primary.host.name
+
+    @staticmethod
+    def _acting(group, lone):
+        """The node currently acting as primary: *group*'s (which may
+        be a promoted standby), or the *lone* node when unreplicated."""
+        return group.primary.node if group is not None else lone
 
     # -- degraded-link faults ----------------------------------------------
 
@@ -144,11 +147,8 @@ class FaultInjector:
         timeout, and peers rotate to it.  Falls back to the one broker
         when unreplicated.
         """
-        deployment = self.deployment
-        if deployment.broker_replication is not None:
-            broker = deployment.broker_replication.primary_broker
-        else:
-            broker = deployment.broker
+        broker = self._acting(self.deployment.broker_replication,
+                              self.deployment.broker)
         self.take_offline(broker.name)
         return broker.name
 
@@ -161,11 +161,8 @@ class FaultInjector:
         *with_hosts* stay on the isolated side of the cut.  Returns the
         isolated broker's host name.
         """
-        deployment = self.deployment
-        if deployment.broker_replication is not None:
-            broker = deployment.broker_replication.primary_broker
-        else:
-            broker = deployment.broker
+        broker = self._acting(self.deployment.broker_replication,
+                              self.deployment.broker)
         self.partition([broker.name, *with_hosts])
         return broker.name
 
@@ -188,15 +185,26 @@ class FaultInjector:
         """
         broker = self.deployment.broker
         self.restore(broker.name)
-        broker.reset()
-        restored = None
-        if recover:
-            restored = broker.recover()
-        else:
-            broker.discard_durable_state()
+        restored = self._restart(broker, recover)
         if restored is None:
             broker.stats.unrecovered_restarts += 1
         return restored
+
+    @staticmethod
+    def _restart(node, recover: bool) -> Optional[int]:
+        """Crash-restart one stateful hub node.
+
+        The crash wipes the node's memory and drops its file handles;
+        then either its journal recovers the state (snapshot + WAL
+        tail) or the disk is lost too.  Returns the number of items
+        recovered — None when nothing was (``recover=False``, or no
+        durable state configured).
+        """
+        node.reset()
+        if recover:
+            return node.recover()
+        node.journal.discard()
+        return None
 
     def kill_measurement_db(self) -> str:
         """Take the global measurement DB offline; returns its host name.
@@ -213,7 +221,7 @@ class FaultInjector:
         """End a measurement-DB network outage (state intact)."""
         self.restore(self.deployment.measurement_db.host.name)
 
-    def restart_measurement_db(self, recover: bool = True) -> int:
+    def restart_measurement_db(self, recover: bool = True) -> Optional[int]:
         """Crash-restart the measurement DB; recover state where possible.
 
         The crash wipes the in-memory store, freshness table, dedup
@@ -221,28 +229,35 @@ class FaultInjector:
         the restarted DB reloads its last snapshot and replays the WAL
         tail (see :meth:`~repro.storage.measurementdb.
         MeasurementDatabase.recover`) — returns the number of samples
-        restored.  Pass ``recover=False`` to simulate losing the disk
-        too.  Either way the DB re-subscribes on the broker and, when a
-        registration heartbeat is configured, re-registers and resumes
-        heartbeating.
+        restored (None when nothing was).  Pass ``recover=False`` to
+        simulate losing the disk too.  Either way the DB re-subscribes
+        on the broker and, when a registration heartbeat is configured,
+        re-registers and resumes heartbeating.
         """
-        deployment = self.deployment
-        mdb = deployment.measurement_db
+        mdb = self.deployment.measurement_db
         self.restore(mdb.host.name)
-        mdb.reset()
-        restored = mdb.recover() if recover else 0
+        restored = self._restart(mdb, recover)
         # the restarted process re-announces itself exactly like a
         # fresh boot: broker subscription, master registration, lease
         # renewal loop
         mdb.peer.resubscribe_all()
+        self._announce_measurement_db()
+        return restored
+
+    def _announce_measurement_db(self) -> None:
+        """(Re-)register the measurement DB and keep its lease renewed."""
+        deployment = self.deployment
+        mdb = deployment.measurement_db
         heartbeat = deployment.config.heartbeat_period
         lease = heartbeat * deployment.config.lease_factor \
             if heartbeat else None
         mdb.register_with(deployment.master_uris, lease=lease)
         if heartbeat:
+            # idempotent: start_heartbeat no-ops while the renewal loop
+            # is already running, and restarts it when an mdb
+            # crash-restart left it stopped
             mdb.start_heartbeat(deployment.master_uris, heartbeat,
                                 lease=lease)
-        return restored
 
     def kill_bim_proxy(self, entity_id: str) -> str:
         """Take one building's BIM proxy offline; returns its host name."""
@@ -268,23 +283,19 @@ class FaultInjector:
 
     # -- master restart and recovery ------------------------------------------
 
-    def restart_master(self, recover: bool = True) -> bool:
+    def restart_master(self, recover: bool = True) -> Optional[int]:
         """Crash-restart the master; recover state where possible.
 
         The in-memory ontology and lease table are wiped by the crash.
         With ``recover=True`` (the default) the restarted master reloads
         both from its last persisted snapshot when snapshotting is
-        configured (see
-        :meth:`~repro.core.master.MasterNode.recover_from_snapshot`), so
-        a clean restart no longer needs an operator-driven
-        :meth:`reregister_all`.  Returns True when state was recovered.
-        Pass ``recover=False`` to simulate losing the snapshot too.
+        configured (see :meth:`~repro.core.master.MasterNode.recover`),
+        so a clean restart no longer needs an operator-driven
+        :meth:`reregister_all`.  Returns the number of ontology nodes
+        recovered (falsy when none were).  Pass ``recover=False`` to
+        simulate losing the snapshot too.
         """
-        master = self.deployment.master
-        master.reset()
-        if recover:
-            return master.recover_from_snapshot()
-        return False
+        return self._restart(self.deployment.master, recover)
 
     def reregister_all(self) -> None:
         """Every proxy re-registers, rebuilding the master's ontology.
@@ -295,16 +306,7 @@ class FaultInjector:
         """
         deployment = self.deployment
         uris = deployment.master_uris
-        heartbeat = deployment.config.heartbeat_period
-        lease = heartbeat * deployment.config.lease_factor \
-            if heartbeat else None
-        mdb = deployment.measurement_db
-        mdb.register_with(uris, lease=lease)
-        if heartbeat:
-            # idempotent: start_heartbeat no-ops while the renewal loop
-            # is already running, and restarts it when an mdb
-            # crash-restart left it stopped
-            mdb.start_heartbeat(uris, heartbeat, lease=lease)
+        self._announce_measurement_db()
         deployment.gis_proxy.register_with(uris)
         for proxy in deployment.bim_proxies.values():
             proxy.register_with(uris)

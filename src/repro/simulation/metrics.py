@@ -148,7 +148,7 @@ def replication_counters(deployment: "DeployedDistrict"
     """Aggregated master-replication counters of a deployment.
 
     Empty for single-master deployments; otherwise the group-wide sums
-    from :meth:`~repro.core.replication.MasterReplicationGroup.counters`
+    from :meth:`~repro.core.replication.ReplicationGroup.counters`
     (writes accepted/rejected, entries applied, promotions, fencings,
     ...) used by the HA benchmark reports.
     """
@@ -169,7 +169,7 @@ def broker_replication_counters(deployment: "DeployedDistrict"
     if deployment.broker_replication is None:
         return {}
     counters = dict(deployment.broker_replication.counters())
-    brokers = deployment.broker_replication.brokers()
+    brokers = deployment.broker_replication.nodes()
     counters["broker_recoveries"] = sum(
         b.stats.recoveries for b in brokers)
     counters["broker_unrecovered_restarts"] = sum(

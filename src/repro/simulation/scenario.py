@@ -17,9 +17,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.client import DistrictClient
 from repro.core.master import MasterNode
 from repro.core.replication import (
-    MasterReplicationGroup,
     ReplicationConfig,
-    replicate_master,
+    ReplicationGroup,
+    replicate,
 )
 from repro.datasources.generators import (
     DeviceSpec,
@@ -32,10 +32,6 @@ from repro.devices.energy import DeviceEnergyModel, budget_for_protocol
 from repro.devices.firmware import DeviceFirmware, RadioLink
 from repro.errors import ConfigurationError
 from repro.middleware.broker import Broker, BrokerOverloadConfig
-from repro.middleware.replication import (
-    BrokerReplicationGroup,
-    replicate_broker,
-)
 from repro.network.resilience import FailoverSet, ResiliencePolicy
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
@@ -107,7 +103,7 @@ class ScenarioConfig:
     replication: Optional[ReplicationConfig] = None
     #: when set, the (primary) master persists periodic ontology+lease
     #: snapshots to this path, and a restarted master recovers from it
-    #: (see :meth:`~repro.core.master.MasterNode.recover_from_snapshot`)
+    #: (see :meth:`~repro.core.master.MasterNode.recover`)
     master_snapshot_path: Optional[str] = None
     #: period of persisted master snapshots, simulated seconds
     master_snapshot_period: float = 300.0
@@ -136,7 +132,7 @@ class ScenarioConfig:
     #: one envelope per sample.
     proxy_batching: Optional[BatchConfig] = None
     #: number of standby broker replicas (see
-    #: :mod:`repro.middleware.replication`).  0 keeps the single broker;
+    #: :mod:`repro.core.replication`).  0 keeps the single broker;
     #: 1–2 deploy a replicated broker group, and every peer (device
     #: proxies, measurement DB, clients) automatically rotates across
     #: the whole broker set on failover.
@@ -172,9 +168,9 @@ class DeployedDistrict:
     energy_models: Dict[str, "DeviceEnergyModel"] = \
         field(default_factory=dict)
     #: the replicated master group, None for a single-master deployment
-    replication: Optional[MasterReplicationGroup] = None
+    replication: Optional[ReplicationGroup] = None
     #: the replicated broker group, None for a single-broker deployment
-    broker_replication: Optional[BrokerReplicationGroup] = None
+    broker_replication: Optional[ReplicationGroup] = None
     #: the deployed fleet monitor, None unless configured
     fleet: Optional[FleetMonitor] = None
 
@@ -303,8 +299,13 @@ def deploy(config: Optional[ScenarioConfig] = None,
                     overload=config.broker_overload,
                     durability=config.broker_durability)
     master = MasterNode(network.add_host("master"))
-    replication = _replicate_if_configured(master, config)
-    broker_replication = _replicate_broker_if_configured(broker, config)
+    if config.master_snapshot_path:
+        master.journal.open(snapshot_path=config.master_snapshot_path,
+                            snapshot_period=config.master_snapshot_period)
+    replication = _replicate_if_configured(
+        master, config.master_standbys, config.replication)
+    broker_replication = _replicate_if_configured(
+        broker, config.broker_standbys, config.broker_replication)
     return deploy_into(master, broker, config, dataset,
                        replication=replication,
                        broker_replication=broker_replication)
@@ -318,33 +319,21 @@ def _profile_if_configured(network: Network, config: ScenarioConfig) -> None:
         install_profiler(network)
 
 
-def _replicate_if_configured(master: MasterNode, config: ScenarioConfig
-                             ) -> Optional[MasterReplicationGroup]:
-    """Stand up the configured master HA: standbys and/or snapshots."""
-    if config.master_snapshot_path:
-        master.start_snapshots(config.master_snapshot_path,
-                               config.master_snapshot_period)
-    if not config.master_standbys:
+def _replicate_if_configured(node, standbys: int,
+                             config: Optional[ReplicationConfig]
+                             ) -> Optional[ReplicationGroup]:
+    """Stand up the configured HA of one hub node (0 standbys = none)."""
+    if not standbys:
         return None
-    return replicate_master(master, config.master_standbys,
-                            config.replication)
-
-
-def _replicate_broker_if_configured(broker: Broker, config: ScenarioConfig
-                                    ) -> Optional[BrokerReplicationGroup]:
-    """Stand up the configured broker HA (see ``broker_standbys``)."""
-    if not config.broker_standbys:
-        return None
-    return replicate_broker(broker, config.broker_standbys,
-                            config.broker_replication)
+    return replicate(node, standbys, config)
 
 
 def deploy_into(master: MasterNode, broker: Broker,
                 config: ScenarioConfig,
                 dataset: Optional[DistrictDataset] = None,
                 district_index: int = 1,
-                replication: Optional[MasterReplicationGroup] = None,
-                broker_replication: Optional[BrokerReplicationGroup] = None
+                replication: Optional[ReplicationGroup] = None,
+                broker_replication: Optional[ReplicationGroup] = None
                 ) -> DeployedDistrict:
     """Deploy one district onto existing master/broker infrastructure.
 
@@ -373,7 +362,7 @@ def deploy_into(master: MasterNode, broker: Broker,
     if heartbeat:
         # every replica sweeps leases: a promoted standby must keep
         # evicting dead proxies without operator intervention
-        targets = replication.masters() if replication is not None \
+        targets = replication.nodes() if replication is not None \
             else [master]
         for member in targets:
             member.start_lease_sweeper(heartbeat)
@@ -455,11 +444,11 @@ def _deploy_fleet_monitor(deployment: DeployedDistrict) -> FleetMonitor:
         deployment.network.add_host(f"{prefix}fleet-monitor"),
         config.fleet_monitor,
     )
-    masters = deployment.replication.masters() \
+    masters = deployment.replication.nodes() \
         if deployment.replication is not None else [deployment.master]
     for member in masters:
         monitor.watch(member.host.name, member.uri, "master")
-    brokers = deployment.broker_replication.brokers() \
+    brokers = deployment.broker_replication.nodes() \
         if deployment.broker_replication is not None \
         else [deployment.broker]
     for member in brokers:
@@ -488,7 +477,7 @@ class Federation:
     broker: Broker
     districts: Dict[str, DeployedDistrict] = field(default_factory=dict)
     #: the shared replicated broker group, None when unreplicated
-    broker_replication: Optional[BrokerReplicationGroup] = None
+    broker_replication: Optional[ReplicationGroup] = None
 
     @property
     def broker_hosts(self) -> List[str]:
@@ -547,7 +536,8 @@ def deploy_federation(configs) -> Federation:
                     overload=base.broker_overload,
                     durability=base.broker_durability)
     master = MasterNode(network.add_host("master"))
-    broker_replication = _replicate_broker_if_configured(broker, base)
+    broker_replication = _replicate_if_configured(
+        broker, base.broker_standbys, base.broker_replication)
     federation = Federation(scheduler=scheduler, network=network,
                             master=master, broker=broker,
                             broker_replication=broker_replication)

@@ -2,7 +2,6 @@
 
 from repro.storage.blocks import BlockStore, SealedBlock, TsdbConfig
 from repro.storage.localdb import LocalDatabase
-from repro.storage.measurementdb import MeasurementDatabase
 from repro.storage.query import RangeQuery, RollupQuery, choose_resolution
 from repro.storage.timeseries import (
     AGGREGATIONS,
@@ -10,6 +9,19 @@ from repro.storage.timeseries import (
     aligned_sum,
     merge,
 )
+
+
+def __getattr__(name: str):
+    # resolved on first use, not at package import: the measurement DB
+    # is a middleware peer, and the middleware's broker journals its
+    # state through repro.storage.durability — an eager import here
+    # would close that loop
+    if name == "MeasurementDatabase":
+        from repro.storage.measurementdb import MeasurementDatabase
+
+        return MeasurementDatabase
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AGGREGATIONS",

@@ -17,10 +17,10 @@ capacity check → WAL append → store path:
   broker redeliveries and offline-buffer re-flushes never double-count;
 * **crash safety** — with a ``wal_path`` every accepted delivery is
   appended (and fsync'd) to a write-ahead log before it is
-  acknowledged; with a ``snapshot_path`` a periodic snapshot
-  (:func:`repro.persistence.save_measurement_state`) bounds replay time
-  and truncates the WAL.  :meth:`recover` restores snapshot + WAL tail
-  after a crash-restart (see
+  acknowledged; with a ``snapshot_path`` the store's
+  :class:`~repro.storage.durability.Journal` snapshots periodically,
+  bounding replay time and truncating the WAL.  :meth:`recover`
+  restores snapshot + WAL tail after a crash-restart (see
   :meth:`repro.simulation.faults.FaultInjector.restart_measurement_db`);
 * **bounded ingest queue** — beyond ``queue_capacity`` the consumer
   raises :class:`~repro.errors.BackpressureError`, which the middleware
@@ -35,7 +35,6 @@ is volatile: no WAL, no snapshot, no delivery acks.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -45,7 +44,6 @@ from repro.common.cdf import Measurement
 from repro.common.lineproto import BATCH_RECORD, decode_frame, is_batch
 from repro.errors import (
     BackpressureError,
-    NetworkError,
     PoisonPayloadError,
     QueryError,
     ReproError,
@@ -55,29 +53,28 @@ from repro.errors import (
 from repro.middleware.broker import Event
 from repro.middleware.peer import MiddlewarePeer
 from repro.middleware.topics import district_filter
-from repro.network.resilience import FailoverSet
 from repro.network.transport import Host
 from repro.network.webservice import (
     GET,
-    POST,
-    HttpClient,
     Request,
     Response,
     WebService,
     error,
     ok,
 )
-from repro.persistence import load_measurement_state, save_measurement_state
+from repro.proxies.base import Registrant
 from repro.storage.blocks import BlockStore, TsdbConfig
-from repro.storage.durability import DurabilityConfig, WriteAheadLog
+from repro.storage.durability import DurabilityConfig, Journal, StateMachine
 from repro.storage.query import RangeQuery, RollupQuery
 
 #: dedup key of one sample: (device_id, timestamp, quantity, seq)
 DedupKey = Tuple[str, float, str, Optional[int]]
 
 
-class MeasurementDatabase:
+class MeasurementDatabase(StateMachine, Registrant):
     """District-wide measurement store fed by the pub/sub middleware."""
+
+    kind = "measurement"
 
     def __init__(self, host: Host,
                  broker_host: Union[str, Sequence[str]],
@@ -98,12 +95,9 @@ class MeasurementDatabase:
         self.ingest_duplicates = 0
         self.backpressure_signals = 0
         self.poison_rejected = 0
-        self.snapshots_written = 0
         self.recoveries = 0
         self.recovered_samples = 0
         self.wal_records_replayed = 0
-        self.heartbeats_sent = 0
-        self.heartbeats_failed = 0
         self._freshness: Dict[str, float] = {}  # device -> last sample time
         # a restarted store must not report the downtime as device
         # staleness: freshness_lag_max() stays 0 until the first live
@@ -114,14 +108,10 @@ class MeasurementDatabase:
         self._dedup_order: Deque[DedupKey] = deque()
         self._queue: Deque[Measurement] = deque()
         self._drain_scheduled = False
-        self.wal: Optional[WriteAheadLog] = None
-        if durability.wal_path is not None:
-            self.wal = WriteAheadLog(durability.wal_path)
-        self._snapshot_task = None
-        if durability.snapshot_path is not None:
-            self._snapshot_task = host.network.scheduler.every(
-                durability.snapshot_period, self.write_snapshot
-            )
+        self.journal = Journal(self, "repro-mdb-state", 3, durability)
+        #: the journal's WAL (None when not durable), aliased so the
+        #: per-delivery ingest path pays one attribute read
+        self.wal = self.journal.wal
         self._compaction_task = None
         compaction_period = self.store.config.compaction_period
         if compaction_period is not None:
@@ -132,8 +122,7 @@ class MeasurementDatabase:
         # percentile (unlike a cumulative histogram) recovers once an
         # outage's flushed backlog ages out of the window
         self._delivery_latencies: Deque[float] = deque(maxlen=256)
-        self._client = HttpClient(host)
-        self._heartbeat_task = None
+        Registrant.__init__(self, host)
         self.peer = MiddlewarePeer(host, broker_host,
                                    keepalive=peer_keepalive)
         self.peer.subscribe(district_filter(district_id), self._on_event,
@@ -161,61 +150,6 @@ class MeasurementDatabase:
         if lease is not None:
             payload["lease"] = lease
         return payload
-
-    def register_with(self, master_uri: Union[str, Sequence[str],
-                                              FailoverSet],
-                      lease: Optional[float] = None) -> None:
-        """Announce this measurement DB on the master's district root.
-
-        Accepts one URI or a replicated master set (see
-        :class:`~repro.network.resilience.FailoverSet`).
-        """
-        masters = master_uri if isinstance(master_uri, FailoverSet) \
-            else FailoverSet(master_uri)
-        self._client.post(masters.current + "/register",
-                          body=self._registration_payload(lease))
-
-    def start_heartbeat(self, master_uri: Union[str, Sequence[str],
-                                                FailoverSet], period: float,
-                        lease: Optional[float] = None) -> None:
-        """Renew the registration every *period* simulated seconds.
-
-        With a master set, a failed renewal rotates to the next replica
-        (the same failover the proxies' heartbeat performs).
-        """
-        if self._heartbeat_task is not None:
-            return
-        if lease is None:
-            lease = 3.0 * period
-        if not isinstance(master_uri, FailoverSet):
-            master_uri = FailoverSet(master_uri)
-        self._heartbeat_task = self.host.network.scheduler.every(
-            period, self._heartbeat, master_uri, lease
-        )
-
-    def stop_heartbeat(self) -> None:
-        """Stop the periodic master re-registration heartbeat."""
-        if self._heartbeat_task is not None:
-            self._heartbeat_task.stop()
-            self._heartbeat_task = None
-
-    def _heartbeat(self, masters: FailoverSet, lease: float) -> None:
-        future = self._client.request(
-            masters.current + "/register", POST,
-            body=self._registration_payload(lease),
-        )
-
-        def record(fut):
-            try:
-                if fut.result().ok:
-                    self.heartbeats_sent += 1
-                    return
-            except NetworkError:
-                pass
-            self.heartbeats_failed += 1
-            masters.advance()  # dead or deposed master: try the next
-
-        future.add_done_callback(record)
 
     # -- middleware ingestion ---------------------------------------------
 
@@ -405,38 +339,22 @@ class MeasurementDatabase:
         self._drain_scheduled = False
         self._delivery_latencies.clear()
         self._stale_until_sample = True
-        if self.wal is not None:
-            self.wal.close()  # the process died; the file remains
+        self.journal.crash()
 
-    def recover(self) -> int:
+    def recover(self) -> Optional[int]:
         """Restore state from the snapshot and the WAL tail.
 
-        Returns the number of samples restored.  Recovery is
-        idempotent: WAL records already contained in the snapshot (a
-        crash between "snapshot written" and "WAL truncated") are
-        absorbed by the restored dedup window.
+        Returns the number of samples restored, or None without a WAL
+        or snapshot to recover from.  Recovery is idempotent: WAL
+        records already contained in the snapshot (a crash between
+        "snapshot written" and "WAL truncated") are absorbed by the
+        restored dedup window.
         """
-        restored = 0
-        snapshot_path = self.durability.snapshot_path
-        if snapshot_path is not None and os.path.exists(snapshot_path):
-            state = load_measurement_state(snapshot_path)
-            self.store = state.database
-            self._freshness.update(state.freshness)
-            self._entity_for_device.update(state.entity_for_device)
-            for key in state.dedup_keys:
-                self._remember(tuple(key))
-            restored += self.store.sample_count()
-        if self.wal is not None:
-            for record in self.wal.replay():
-                decoded = self._decode(record)
-                if decoded is None:
-                    continue  # a poison record can never have been acked
-                _parts, measurements = decoded
-                self.wal_records_replayed += 1
-                for measurement in measurements:
-                    restored += self._restore_sample(measurement)
+        before = self.recovered_samples
+        if not self.journal.recover():
+            return None
+        restored = self.recovered_samples - before
         self.recoveries += 1
-        self.recovered_samples += restored
         registry = self.host.network.metrics
         if registry is not None:
             registry.counter("mdb.recoveries").inc()
@@ -446,49 +364,71 @@ class MeasurementDatabase:
         # pipeline's health, not the outage's length
         return restored
 
-    def _restore_sample(self, measurement: Measurement) -> int:
-        """Replay one WAL sample into the store; 1 if fresh, 0 if dupe."""
-        key = self._dedup_key(measurement)
-        if key in self._dedup_keys:
-            return 0
-        self._remember(key)
-        self._store(measurement)
-        return 1
+    # -- the durable state (StateMachine contract) --------------------------
 
-    def write_snapshot(self) -> None:
-        """Persist the full store + ingest bookkeeping, truncate the WAL."""
-        if self.durability.snapshot_path is None:
-            return
-        # acknowledged samples may still sit in the ingest queue (with
-        # ingest_delay > 0); their WAL records are about to be
-        # truncated and their dedup keys persisted, so fold them into
-        # the store first — otherwise a crash after this snapshot
-        # would lose them while suppressing any redelivered copy
+    def snapshot(self) -> Dict:
+        """The full store plus its ingest bookkeeping, as a JSON-able dict.
+
+        Beside the store it carries the freshness table, the device ->
+        entity ownership that entity targets of ``query_range`` fan out
+        over, and the dedup window — so a restarted store resumes with
+        exact idempotent-ingest state instead of re-counting
+        redelivered samples.  Sealed blocks and rollup state are
+        carried verbatim (recovery must not recompute rollups from raw
+        data it may no longer retain).
+        """
+        return {
+            "tsdb": self.store.to_dict(),
+            "freshness": {device: float(t)
+                          for device, t in self._freshness.items()},
+            "dedup_keys": [list(key) for key in self._dedup_order],
+            "entity_for_device": dict(self._entity_for_device),
+        }
+
+    def restore(self, state: Dict) -> None:
+        """Replace store and bookkeeping with a :meth:`snapshot` payload."""
+        self.store = BlockStore.from_dict(state["tsdb"])
+        self._freshness = {device: float(t) for device, t
+                           in state.get("freshness", {}).items()}
+        self._entity_for_device = dict(state.get("entity_for_device", {}))
+        self._dedup_keys.clear()
+        self._dedup_order.clear()
+        for key in state.get("dedup_keys", []):
+            self._remember(tuple(key))
+        self.recovered_samples += self.store.sample_count()
+
+    def apply(self, record: Dict) -> None:
+        """Replay one WAL record; samples the dedup window already
+        holds (they are in the loaded snapshot) are dropped."""
+        decoded = self._decode(record)
+        if decoded is None:
+            return  # a poison record can never have been acked
+        self.wal_records_replayed += 1
+        for measurement in decoded[1]:
+            key = self._dedup_key(measurement)
+            if key not in self._dedup_keys:
+                self._remember(key)
+                self._store(measurement)
+                self.recovered_samples += 1
+
+    def before_snapshot(self) -> None:
+        """Fold the ingest queue into the store.
+
+        Acknowledged samples may still sit there (``ingest_delay`` >
+        0); their WAL records are about to be truncated and their dedup
+        keys persisted, so a crash after the snapshot would otherwise
+        lose them while suppressing any redelivered copy.
+        """
         while self._queue:
             self._ingest_sample(self._queue.popleft())
-        save_measurement_state(
-            self.store, self.durability.snapshot_path,
-            freshness=self._freshness,
-            dedup_keys=list(self._dedup_order),
-            entity_for_device=self._entity_for_device,
-        )
-        self.snapshots_written += 1
-        if self.wal is not None:
-            # everything in the WAL is now in the snapshot; a crash
-            # right here merely replays nothing
-            self.wal.reset()
 
     def close(self) -> None:
         """Stop periodic tasks and release the WAL handle (teardown)."""
         self.stop_heartbeat()
-        if self._snapshot_task is not None:
-            self._snapshot_task.stop()
-            self._snapshot_task = None
+        self.journal.close()
         if self._compaction_task is not None:
             self._compaction_task.stop()
             self._compaction_task = None
-        if self.wal is not None:
-            self.wal.close()
         self.peer.close()
 
     # -- background compaction ---------------------------------------------

@@ -1,5 +1,10 @@
 """Tests for broker high availability.
 
+What every replicated or journaled node does the same way (envelope
+checks, WAL replay edge cases, group wiring, streaming, fencing,
+resync) is in ``test_recovery_contract.py``; this file keeps what is
+the broker's own.
+
 Layer 1 — durable broker state: retained events, subscriptions, pending
 acked deliveries and the dead-letter queue survive a broker
 crash-restart byte-for-byte through the WAL + snapshot pair, and
@@ -17,11 +22,10 @@ import json
 
 import pytest
 
-from repro.core.replication import ReplicationConfig
+from repro.core.replication import ReplicationConfig, replicate
 from repro.errors import ConfigurationError
 from repro.middleware.broker import BROKER_PORT, Broker
 from repro.middleware.peer import MiddlewarePeer
-from repro.middleware.replication import replicate_broker
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
 from repro.observability.slo import default_slos
@@ -81,14 +85,14 @@ class TestDurableBrokerState:
         run(net, 10.0)  # poison nacks exhaust the attempt budget
         assert len(broker._retained) == 2
         assert len(broker.dead_letters) == 1
-        before = json.dumps(broker.state_snapshot(), sort_keys=True)
+        before = json.dumps(broker.snapshot(), sort_keys=True)
 
         broker.reset()
         assert broker.subscription_count() == 0
         assert len(broker._retained) == 0
         restored = broker.recover()
         assert restored is not None and restored > 0
-        after = json.dumps(broker.state_snapshot(), sort_keys=True)
+        after = json.dumps(broker.snapshot(), sort_keys=True)
         assert after == before
         assert broker.stats.recoveries == 1
         assert broker.stats.recovered_items == restored
@@ -106,10 +110,10 @@ class TestDurableBrokerState:
         broker.write_snapshot()  # crash before the next WAL truncation
         publisher.publish("area/b2/t", {"v": 2}, retain=True)
         run(net, 1.0)
-        before = json.dumps(broker.state_snapshot(), sort_keys=True)
+        before = json.dumps(broker.snapshot(), sort_keys=True)
         broker.reset()
         broker.recover()
-        assert json.dumps(broker.state_snapshot(), sort_keys=True) == before
+        assert json.dumps(broker.snapshot(), sort_keys=True) == before
         assert len(broker._retained) == 2
         # the subscription from before the snapshot exists exactly once
         assert broker.subscription_count() == 1
@@ -144,10 +148,6 @@ class TestDurableBrokerState:
         assert len(seen) == 1  # delivered exactly once after dedup
         assert broker.pending_delivery_count() == 0  # acked and settled
         assert broker.stats.redeliveries >= 1
-
-    def test_recover_without_durability_returns_none(self, net):
-        broker = Broker(net.add_host("broker"))
-        assert broker.recover() is None
 
     def test_broker_health_uniform_role_epoch_fields(self, net, tmp_path):
         broker = durable_broker(net, tmp_path)
@@ -220,26 +220,16 @@ class TestBrokerFaultVerbs:
 
 
 class TestReplicatedBrokerWiring:
-    def test_replicate_broker_builds_seniority_group(self, net):
-        broker = Broker(net.add_host("broker"))
-        group = replicate_broker(broker, standbys=2, config=CONFIG)
-        assert group.hosts() == ["broker", "broker-r1", "broker-r2"]
-        assert group.primary_broker is broker
-        assert broker.replication is not None
-        assert broker.replication.role == "primary"
-        for standby in group.brokers()[1:]:
-            assert standby.replication.role == "standby"
-
     def test_double_replication_rejected(self, net):
         broker = Broker(net.add_host("broker"))
-        replicate_broker(broker, standbys=1, config=CONFIG)
+        replicate(broker, standbys=1, config=CONFIG)
         with pytest.raises(ConfigurationError):
-            replicate_broker(broker, standbys=1, config=CONFIG)
+            replicate(broker, standbys=1, config=CONFIG)
 
     def test_needs_at_least_one_standby(self, net):
         broker = Broker(net.add_host("broker"))
         with pytest.raises(ConfigurationError):
-            replicate_broker(broker, standbys=0, config=CONFIG)
+            replicate(broker, standbys=0, config=CONFIG)
 
     def test_default_slos_watch_broker_replication_lag(self):
         slos = {slo.name: slo for slo in default_slos(15.0)}
@@ -252,7 +242,7 @@ class TestReplicatedBrokerWiring:
 class TestBrokerLogStreaming:
     def make_group(self, net, standbys=1):
         broker = Broker(net.add_host("broker"), delivery_ack_timeout=1.0)
-        group = replicate_broker(broker, standbys=standbys, config=CONFIG)
+        group = replicate(broker, standbys=standbys, config=CONFIG)
         run(net, 2.0)  # first heartbeat round
         return broker, group
 
@@ -265,7 +255,7 @@ class TestBrokerLogStreaming:
         run(net, 1.0)
         publisher.publish("area/b1/t", {"v": 1}, retain=True)
         run(net, 2.0)
-        standby = group.brokers()[1]
+        standby = group.nodes()[1]
         assert standby._retained == broker._retained
         assert standby.subscription_count() == broker.subscription_count()
 
@@ -280,7 +270,7 @@ class TestBrokerLogStreaming:
         assert peer.broker_host == "broker"
         assert peer.broker_failovers == 1
         assert broker.subscription_count() == 1
-        standby = group.brokers()[1]
+        standby = group.nodes()[1]
         assert standby.stats.not_primary_refusals >= 1
 
 
@@ -292,7 +282,7 @@ class TestBrokerFailover:
         if tmp_path is not None:
             kwargs["durability"] = durability(tmp_path)
         broker = Broker(net.add_host("broker"), **kwargs)
-        group = replicate_broker(broker, standbys=2, config=CONFIG)
+        group = replicate(broker, standbys=2, config=CONFIG)
         run(net, 2.0)
         return broker, group
 
@@ -356,7 +346,7 @@ class TestBrokerFailover:
         publisher.publish("area/b1/t", {"seq": 1})
         run(net, 1.5)  # the delivery record streams to the standby
         assert broker.pending_delivery_count() == 1
-        standby = group.brokers()[1]
+        standby = group.nodes()[1]
         assert standby.pending_delivery_count() == 1
 
         net.set_host_online("broker", False)

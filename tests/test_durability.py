@@ -33,14 +33,14 @@ from repro.network.webservice import (
     WebService,
     ok,
 )
-from repro.persistence import (
-    load_measurement_state,
-    save_measurement_state,
-)
 from repro.simulation.faults import FaultInjector
 from repro.simulation.scenario import ScenarioConfig, deploy
-from repro.storage.blocks import BlockStore
-from repro.storage.durability import DurabilityConfig, WriteAheadLog
+from repro.storage.durability import (
+    DurabilityConfig,
+    WriteAheadLog,
+    load_state,
+    save_state,
+)
 from repro.storage.measurementdb import MeasurementDatabase
 from repro.storage.query import RangeQuery
 
@@ -152,35 +152,31 @@ class TestDurabilityConfig:
 
 
 class TestMeasurementStateSnapshot:
-    def test_round_trip(self, tmp_path):
-        database = BlockStore()
-        database.insert(sample(t=1.0, seq=1))
-        database.insert(sample(t=2.0, seq=2))
+    def test_round_trip(self, net, tmp_path):
+        Broker(net.add_host("broker"))
+        mdb = make_mdb(net, tmp_path)
+        for t, seq in ((1.0, 1), (2.0, 2)):
+            measurement = sample(t=t, seq=seq)
+            mdb._remember(mdb._dedup_key(measurement))
+            mdb._store(measurement)
         path = str(tmp_path / "state.json")
-        save_measurement_state(
-            database, path,
-            freshness={"dev-0001": 2.0},
-            dedup_keys=[("dev-0001", 1.0, "temperature", 1),
-                        ("dev-0001", 2.0, "temperature", 2)],
-            entity_for_device={"dev-0001": "bld-0001"},
-        )
-        state = load_measurement_state(path)
-        assert len(state.database.series("dev-0001", "temperature")) == 2
-        assert state.freshness == {"dev-0001": 2.0}
-        assert ("dev-0001", 1.0, "temperature", 1) in state.dedup_keys
-        assert state.entity_for_device == {"dev-0001": "bld-0001"}
+        save_state(path, "repro-mdb-state", 3, mdb.snapshot())
+        state = load_state(path, "repro-mdb-state", 3)
+        assert state["freshness"] == {"dev-0001": 2.0}
+        assert state["entity_for_device"] == {"dev-0001": "bld-0001"}
+        mdb.reset()
+        mdb.restore(state)
+        assert len(mdb.store.series("dev-0001", "temperature")) == 2
+        assert mdb.freshness("dev-0001") == 2.0
+        assert ("dev-0001", 1.0, "temperature", 1) in mdb._dedup_keys
+        assert mdb._entity_for_device == {"dev-0001": "bld-0001"}
 
-    def test_wrong_format_rejected(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text('{"format": "something-else", "version": 1}')
-        with pytest.raises(SerializationError):
-            load_measurement_state(str(path))
-
-    def test_version_1_row_dump_rejected_by_version(self, tmp_path):
+    def test_version_1_row_dump_rejected_by_version(self, net, tmp_path):
         # the pre-BlockStore row-per-series dump: refused loudly, never
         # half-loaded into the wrong engine
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps({
+        Broker(net.add_host("broker"))
+        mdb = make_mdb(net, tmp_path)
+        (tmp_path / "mdb.snap").write_text(json.dumps({
             "format": "repro-mdb-state", "version": 1,
             "series": [{"device_id": "dev-0001",
                         "quantity": "temperature",
@@ -189,7 +185,7 @@ class TestMeasurementStateSnapshot:
             "entity_for_device": {"dev-0001": "bld-0001"},
         }))
         with pytest.raises(SerializationError, match="version 1"):
-            load_measurement_state(str(path))
+            mdb.recover()
 
 
 class TestDurableIngest:
@@ -704,7 +700,7 @@ class TestMeasurementDbFaultVerbs:
         deployment.run(300.0)
         assert stored_count(deployment.measurement_db) > 0
         restored = faults.restart_measurement_db(recover=False)
-        assert restored == 0
+        assert restored is None
         # no staleness spike covering the pre-restart window; a live
         # sample delivered during re-registration's round trip may
         # already have re-armed the lag, so only a fresh one is allowed

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.replication import ReplicationConfig
 from repro.errors import ConfigurationError, RequestTimeoutError
+from repro.network.transport import estimate_size
 from repro.ontology import AreaQuery
 from repro.simulation.faults import FaultInjector
 from repro.simulation.scenario import ScenarioConfig, deploy
@@ -233,10 +235,73 @@ class TestMasterSnapshotRecovery:
         ))
         d.run(300.0)
         injector = FaultInjector(d)
-        assert injector.restart_master(recover=False) is False
+        assert not injector.restart_master(recover=False)
         assert d.master.ontology.node_count() == 0
 
     def test_restart_without_snapshot_config_recovers_nothing(
             self, deployment, injector):
-        assert injector.restart_master() is False
+        assert not injector.restart_master()
         assert deployment.master.ontology.node_count() == 0
+
+
+class TestMeasurementDbRegistrationFailover:
+    """The measurement DB registers through the proxies' code path."""
+
+    REPLICATION = ReplicationConfig(heartbeat_period=1.0,
+                                    fencing_timeout=3.0,
+                                    failover_timeout=5.0,
+                                    promotion_stagger=3.0)
+
+    def deploy_replicated(self):
+        d = deploy(ScenarioConfig(
+            seed=11, n_buildings=1, devices_per_building=2,
+            net_jitter=0.0, master_standbys=2, heartbeat_period=10.0,
+            replication=self.REPLICATION,
+        ))
+        d.run(30.0)
+        return d
+
+    def test_restart_registers_with_the_promoted_master(self):
+        # the seniority-first master is dead and master-r1 promoted: a
+        # restarting measurement DB must rotate over the master set like
+        # any proxy does, not give up on the first (dead) URI
+        d = self.deploy_replicated()
+        injector = FaultInjector(d)
+        injector.take_offline("master")
+        d.run(20.0)
+        assert d.replication.primary.name == "master-r1"
+        mdb = d.measurement_db
+        bim = next(iter(d.bim_proxies.values()))
+        bim.register_with(d.master_uris)  # the proxies always could
+        injector.restart_measurement_db()
+        assert mdb.registered
+        promoted = d.replication.primary.node
+        assert mdb.uri in promoted.ontology.district(d.district_id) \
+            .measurement_uris
+        sent = mdb.heartbeats_sent
+        d.run(30.0)
+        assert mdb.heartbeats_sent > sent  # and the renewal loop follows
+
+    def test_heartbeat_is_charged_its_estimated_size(self):
+        # sharing the proxies' heartbeat must not change a byte on the
+        # wire: the body is the same dict, charged estimate_size(body)
+        d = self.deploy_replicated()
+        mdb = d.measurement_db
+        charged = []
+        real_request = mdb._client.request
+
+        def spy(url, method, body=None, body_size=None, **kwargs):
+            charged.append((body, body_size))
+            return real_request(url, method, body=body,
+                                body_size=body_size, **kwargs)
+
+        mdb._client.request = spy
+        d.run(10.0)
+        assert charged
+        for body, size in charged:
+            assert body == {"proxy_kind": "measurement",
+                            "district_id": d.district_id,
+                            "uri": mdb.uri, "lease": 30.0}
+            assert list(body) == ["proxy_kind", "district_id", "uri",
+                                  "lease"]
+            assert size == estimate_size(body)

@@ -4,9 +4,9 @@ import pytest
 
 from repro.core.master import MasterNode
 from repro.core.replication import (
-    MasterReplicationGroup,
     ReplicationConfig,
-    replicate_master,
+    ReplicationGroup,
+    replicate,
 )
 from repro.errors import (
     ConfigurationError,
@@ -40,7 +40,7 @@ def net():
 @pytest.fixture
 def group(net):
     master = MasterNode(net.add_host("master"))
-    group = replicate_master(master, standbys=2, config=CONFIG)
+    group = replicate(master, standbys=2, config=CONFIG)
     net.scheduler.run_for(2.0)  # first heartbeat round
     return group
 
@@ -96,13 +96,13 @@ class TestReplicationGroupWiring:
     def test_group_needs_two_members(self, net):
         master = MasterNode(net.add_host("m"))
         with pytest.raises(ConfigurationError):
-            replicate_master(master, standbys=0)
+            replicate(master, standbys=0)
         with pytest.raises(ConfigurationError):
-            MasterReplicationGroup([])
+            ReplicationGroup([])
 
     def test_double_replication_rejected(self, group, net):
         with pytest.raises(ConfigurationError):
-            replicate_master(group.primary_master, standbys=1)
+            replicate(group.primary.node, standbys=1)
 
     def test_member_lookup(self, group):
         assert group.member("master-r1").rank == 1
@@ -112,16 +112,16 @@ class TestReplicationGroupWiring:
 
 class TestLogStreaming:
     def test_writes_stream_to_standbys(self, group, net):
-        group.primary_master.register(gis_payload())
-        group.primary_master.register(bim_payload())
+        group.primary.node.register(gis_payload())
+        group.primary.node.register(bim_payload())
         run(net, 1.0)  # async replication delivery
         for member in group.members:
-            district = member.master.ontology.district("dst-0001")
+            district = member.node.ontology.district("dst-0001")
             assert district.gis_uris == ["svc://proxy-gis/"]
             assert "bld-0001" in district.entities
 
     def test_standby_serves_read_only_resolve(self, group, net):
-        group.primary_master.register(bim_payload())
+        group.primary.node.register(bim_payload())
         run(net, 1.0)
         standby = group.member("master-r1")
         client = HttpClient(net.add_host("reader"))
@@ -135,7 +135,7 @@ class TestLogStreaming:
     def test_standby_rejects_writes_with_503(self, group, net):
         standby = group.member("master-r1")
         with pytest.raises(NotPrimaryError):
-            standby.master.register(gis_payload())
+            standby.node.register(gis_payload())
         client = HttpClient(net.add_host("writer"))
         with pytest.raises(ServiceError) as exc:
             client.post(standby.uri + "register", body=gis_payload())
@@ -145,13 +145,13 @@ class TestLogStreaming:
     def test_periodic_snapshot_catches_up_late_divergence(self, group, net):
         # corrupt a standby's state out-of-band; the next full-snapshot
         # stream replaces it wholesale
-        group.primary_master.register(gis_payload())
+        group.primary.node.register(gis_payload())
         run(net, 1.0)
         standby = group.member("master-r2")
-        standby.master.reset()
+        standby.node.reset()
         standby.applied_seq = 0
         run(net, CONFIG.snapshot_period + 2.0)
-        assert standby.master.ontology.district("dst-0001").gis_uris == \
+        assert standby.node.ontology.district("dst-0001").gis_uris == \
             ["svc://proxy-gis/"]
 
     def test_replication_lag_reported(self, group, net):
@@ -173,35 +173,35 @@ class TestFailover:
         assert group.member("master-r2").epoch == 1
 
     def test_promoted_standby_accepts_writes(self, group, net):
-        group.primary_master.register(gis_payload())
+        group.primary.node.register(gis_payload())
         run(net, 1.0)
         net.set_host_online("master", False)
         run(net, FAILOVER_WAIT)
-        body = group.primary_master.register(bim_payload())
+        body = group.primary.node.register(bim_payload())
         assert body["attached"] == "entity"
         run(net, 1.0)
-        assert "bld-0001" in group.member("master-r2").master \
+        assert "bld-0001" in group.member("master-r2").node \
             .ontology.district("dst-0001").entities
 
     def test_rejoined_primary_steps_down_and_resyncs(self, group, net):
-        group.primary_master.register(gis_payload())
+        group.primary.node.register(gis_payload())
         run(net, 1.0)
         old_primary = group.member("master")
         net.set_host_online("master", False)
         run(net, FAILOVER_WAIT)
-        group.primary_master.register(bim_payload())
+        group.primary.node.register(bim_payload())
         net.set_host_online("master", True)
         run(net, 3.0 * CONFIG.heartbeat_period)
         assert old_primary.role == "standby"
         assert old_primary.epoch == 1
         assert old_primary.counters["stepdowns"] == 1
         # resynced: it has the write accepted while it was down
-        assert "bld-0001" in old_primary.master.ontology \
+        assert "bld-0001" in old_primary.node.ontology \
             .district("dst-0001").entities
 
     def test_client_fails_over_to_standby_reads(self, net):
         master = MasterNode(net.add_host("master"))
-        group = replicate_master(master, standbys=1, config=CONFIG)
+        group = replicate(master, standbys=1, config=CONFIG)
         master.register(bim_payload())
         run(net, 2.0)
         from repro.core.client import DistrictClient
@@ -223,7 +223,7 @@ class TestEpochFencing:
         run(net, CONFIG.fencing_timeout + CONFIG.heartbeat_period + 1.0)
         assert old_primary.fenced
         with pytest.raises(NotPrimaryError):
-            old_primary.master.register(gis_payload())
+            old_primary.node.register(gis_payload())
         assert old_primary.counters["writes_rejected_fenced"] == 1
 
     def test_no_split_brain_through_partition_and_heal(self, group, net):
@@ -235,7 +235,7 @@ class TestEpochFencing:
         assert group.primary.name == "master-r1"
         # a write to the deposed side is rejected, not silently accepted
         with pytest.raises(NotPrimaryError):
-            old_primary.master.register(gis_payload())
+            old_primary.node.register(gis_payload())
         net.heal_partition()
         run(net, 3.0 * CONFIG.heartbeat_period)
         assert old_primary.role == "standby"
@@ -246,7 +246,7 @@ class TestEpochFencing:
     def test_stale_epoch_stream_rejected(self, group, net):
         standby = group.member("master-r1")
         standby.epoch = 5
-        group.primary_master.register(gis_payload())
+        group.primary.node.register(gis_payload())
         run(net, 2.0)
         assert standby.counters["stale_epoch_rejections"] >= 1
 
@@ -262,7 +262,7 @@ class TestDeployedReplication:
         assert d.replication is not None
         assert len(d.master_uris) == 3
         for member in d.replication.members[1:]:
-            assert member.master.ontology.node_count() == \
+            assert member.node.ontology.node_count() == \
                 d.master.ontology.node_count()
 
     def test_area_queries_survive_primary_kill(self):

@@ -159,7 +159,7 @@ class TestOntologyEpoch:
         epoch_at_snapshot = master.ontology_epoch
         master.register(sim_payload())
         before_restore = master.ontology_epoch
-        master.restore_snapshot(snapshot)
+        master.restore(snapshot)
         # the restored forest is older, but the epoch never goes back
         assert master.ontology_epoch > before_restore
         assert master.ontology_epoch > epoch_at_snapshot
@@ -351,7 +351,7 @@ class TestClientResolveCache:
         snapshot = master.snapshot()
         client = self.make_client(net, master, ttl=10.0)
         client.resolve(whole_district())
-        master.restore_snapshot(snapshot)
+        master.restore(snapshot)
         net.scheduler.run_for(15.0)
         client.resolve(whole_district())
         # the restore bumped the epoch, so revalidation cannot 304
@@ -403,7 +403,7 @@ class TestCacheUnderChurn:
                           resolve_cache_ttl=5.0)
         client.http.timeout = 1.0
         first = client.resolve(whole_district_of(d))
-        standby = d.replication.member("master-r1").master
+        standby = d.replication.member("master-r1").node
         epoch_before = standby.ontology_epoch
         FaultInjector(d).take_offline("master")
         d.run(20.0)  # failover: the standby promotes itself

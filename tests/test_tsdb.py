@@ -31,12 +31,11 @@ from repro.middleware.topics import join
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
 from repro.network.webservice import HttpClient
-from repro.persistence import load_measurement_state, save_measurement_state
 from repro.proxies.device_proxy import BatchConfig
 from repro.simulation.faults import FaultInjector
 from repro.simulation.scenario import ScenarioConfig, deploy
 from repro.storage.blocks import BlockStore, TsdbConfig
-from repro.storage.durability import DurabilityConfig
+from repro.storage.durability import DurabilityConfig, load_state, save_state
 from repro.storage.measurementdb import MeasurementDatabase
 from repro.storage.query import RollupQuery, choose_resolution
 from repro.storage.timeseries import AGGREGATIONS, TimeSeries
@@ -552,23 +551,27 @@ class TestCrashRecovery:
         assert restored == count
         assert mdb.wal_records_replayed > 0
 
-    def test_v2_snapshot_round_trip(self, tmp_path):
-        store = BlockStore(TsdbConfig(block_size=8,
-                                      compaction_target=32))
+    def test_v2_snapshot_round_trip(self, net, tmp_path):
+        Broker(net.add_host("broker"))
+        mdb = MeasurementDatabase(
+            net.add_host("mdb"), "broker", DISTRICT,
+            tsdb=TsdbConfig(block_size=8, compaction_target=32))
+        store = mdb.store
         fill(store, n=60)
-        path = str(tmp_path / "v2.snap")
-        save_measurement_state(
-            store, path, freshness={"dev-0001": 99.0},
-            dedup_keys=[("dev-0001", 99.0, "temperature", 60)],
-            entity_for_device={"dev-0001": "bld-0001"},
-        )
-        state = load_measurement_state(path)
-        assert isinstance(state.database, BlockStore)
-        assert state.database.sample_count() == 60
-        assert state.freshness == {"dev-0001": 99.0}
-        assert state.dedup_keys == [("dev-0001", 99.0,
-                                     "temperature", 60)]
-        assert state.database.query_range(
+        mdb._freshness["dev-0001"] = 99.0
+        mdb._entity_for_device["dev-0001"] = "bld-0001"
+        mdb._remember(("dev-0001", 99.0, "temperature", 60))
+        path = str(tmp_path / "blocks.snap")
+        save_state(path, "repro-mdb-state", 3, mdb.snapshot())
+        mdb.reset()
+        mdb.restore(load_state(path, "repro-mdb-state", 3))
+        assert isinstance(mdb.store, BlockStore)
+        assert mdb.store is not store
+        assert mdb.store.sample_count() == 60
+        assert mdb._freshness == {"dev-0001": 99.0}
+        assert list(mdb._dedup_order) == [("dev-0001", 99.0,
+                                           "temperature", 60)]
+        assert mdb.store.query_range(
             "dev-0001", "temperature", 0.0, 200.0, 60.0
         ) == store.query_range("dev-0001", "temperature",
                                0.0, 200.0, 60.0)
