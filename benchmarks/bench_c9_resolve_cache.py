@@ -2,26 +2,36 @@
 
 Two phases:
 
-* **Repeat-query sweep** — for each district size, a *cold* client
-  (cache disabled) and a *warm* client (TTL cache, revalidating
-  against the master's ontology epoch) issue the same repeated
-  whole-district resolve workload.  The warm client must be at least
-  5x faster in **both** simulated latency and wall clock, because a
-  fresh hit never touches the network and a revalidation ships a
-  bodyless 304 instead of the full tuple forest.  The cache hit ratio
-  and the master-side cache counters are reported alongside.
+* **Repeat-query sweep** — for each district size the same repeated
+  whole-district resolve workload is issued *cold* (``use_cache=False``:
+  the full redirect table every time), *warm* by the **default** client
+  (every repeat revalidated against the master's ontology epoch and
+  answered by a bodyless 304) and by a *TTL* client (which also skips
+  the round trip inside its TTL).  The default client's repeat must
+  cost at most 1 KiB on the wire at every size and at least 5x less
+  simulated time from 40 buildings up (below that the bare round trip
+  dominates a small body); the TTL client must be at least 5x faster
+  on **both** clocks at every size.  Hit ratio and the master-side
+  cache counters are reported alongside.
 
-* **Churn phase** — under registration heartbeats, a device proxy is
-  killed and the run continues past its lease expiry and the client
-  TTL.  Every post-churn resolve is checked against the evicted
-  proxy's URI: the epoch bump at eviction must invalidate both the
-  master's answer cache and the client's cached entry, so the count of
-  stale answers is asserted to be exactly zero.
+* **Heartbeat + churn phase** — under registration heartbeats the
+  district first idles: nothing a resolve can return changes, so the
+  ontology epoch must not move at all (``idle_epoch_bumps == 0``) and
+  the default client's repeat across those heartbeat rounds is still a
+  304 (``repeat_resolve_bytes <= 1024`` — exact byte counts, so an
+  unconditional epoch bump per heartbeat fails this on any runner).
+  Then a device proxy is killed and the run continues past its lease
+  expiry.  Every post-churn resolve, by the default client and by a
+  TTL client, is checked against the evicted proxy's URI: the epoch
+  bump at eviction must invalidate both the master's answer cache and
+  the clients' held entries, so the count of stale answers is asserted
+  to be exactly zero.
 
 Set ``REPRO_BENCH_QUICK=1`` for a shortened CI smoke run.
 """
 
 import os
+from contextlib import contextmanager
 
 import pytest
 
@@ -51,7 +61,25 @@ def district_of(n_buildings):
     return _deployments[n_buildings]
 
 
-def run_workload(district, client, metrics, label):
+@contextmanager
+def bytes_received_by(network, host_name):
+    """Exact wire bytes delivered to one host inside the block."""
+    received = [0]
+    deliver = network._deliver
+
+    def spy(sender, recipient, port, payload, size, sent_at):
+        if recipient == host_name:
+            received[0] += size
+        deliver(sender, recipient, port, payload, size, sent_at)
+
+    network._deliver = spy
+    try:
+        yield received
+    finally:
+        del network._deliver  # back to the class's method
+
+
+def run_workload(district, client, metrics, label, use_cache=True):
     """ROUNDS x ROUND_RESOLVES whole-district resolves, TTL gaps between."""
     whole = AreaQuery(district_id=district.district_id)
     area = None
@@ -60,114 +88,168 @@ def run_workload(district, client, metrics, label):
             for _ in range(ROUND_RESOLVES):
                 with metrics.simulated(f"{label} resolve",
                                        district.scheduler):
-                    area = client.resolve(whole)
+                    area = client.resolve(whole, use_cache=use_cache)
         district.run(ROUND_GAP)
     return area
+
+
+def total(summary):
+    return summary.mean * summary.count
 
 
 @pytest.mark.parametrize("n_buildings", SIZES)
 def test_repeat_resolve_speedup(n_buildings, benchmark, report):
     district = district_of(n_buildings)
     metrics = MetricsRecorder()
+    whole = AreaQuery(district_id=district.district_id)
 
     cold = district.client(f"c9-cold-{n_buildings}", with_broker=False)
     with report.measure(EXPERIMENT, district.network):
-        cold_area = run_workload(district, cold, metrics, "cold")
+        cold_area = run_workload(district, cold, metrics, "cold",
+                                 use_cache=False)
+    with bytes_received_by(district.network, cold.host.name) as cold_bytes:
+        cold.resolve(whole, use_cache=False)
 
-    warm = district.client(f"c9-warm-{n_buildings}", with_broker=False,
-                           resolve_cache_ttl=CACHE_TTL)
+    warm = district.client(f"c9-warm-{n_buildings}", with_broker=False)
     with report.measure(EXPERIMENT, district.network):
         warm_area = run_workload(district, warm, metrics, "warm")
+    with bytes_received_by(district.network, warm.host.name) as warm_bytes:
+        warm.resolve(whole)
+
+    ttl = district.client(f"c9-ttl-{n_buildings}", with_broker=False,
+                          resolve_cache_ttl=CACHE_TTL)
+    with report.measure(EXPERIMENT, district.network):
+        ttl_area = run_workload(district, ttl, metrics, "ttl")
 
     # the fast path must not change answers
-    assert {e.entity_id for e in warm_area.entities} == \
-        {e.entity_id for e in cold_area.entities}
+    assert warm_area == cold_area and ttl_area == cold_area
 
-    whole = AreaQuery(district_id=district.district_id)
     benchmark.pedantic(lambda: warm.resolve(whole), rounds=3,
                        iterations=10)
 
     cold_sim = metrics.summary("cold resolve")
     warm_sim = metrics.summary("warm resolve")
-    cold_wall = metrics.summary("cold wall")
-    warm_wall = metrics.summary("warm wall")
-    lookups = (warm.resolve_cache_hits + warm.resolve_cache_misses
-               + warm.resolve_revalidations)
-    hit_ratio = warm.resolve_cache_hits / lookups
-    cold_sim_total = cold_sim.mean * cold_sim.count
-    warm_sim_total = warm_sim.mean * warm_sim.count
-    cold_wall_total = cold_wall.mean * cold_wall.count
-    warm_wall_total = warm_wall.mean * warm_wall.count
-    sim_speedup = cold_sim_total / max(warm_sim_total, 1e-12)
-    wall_speedup = cold_wall_total / max(warm_wall_total, 1e-12)
+    ttl_sim = metrics.summary("ttl resolve")
+    lookups = (ttl.resolve_cache_hits + ttl.resolve_cache_misses
+               + ttl.resolve_revalidations)
+    hit_ratio = ttl.resolve_cache_hits / lookups
+    warm_speedup = total(cold_sim) / total(warm_sim)
+    ttl_speedup = total(cold_sim) / max(total(ttl_sim), 1e-12)
+    ttl_wall_speedup = total(metrics.summary("cold wall")) \
+        / max(total(metrics.summary("ttl wall")), 1e-12)
 
     master = district.master
     report.header(EXPERIMENT,
                   "resolve fast path: repeat whole-district queries")
     report.add(EXPERIMENT,
                f"buildings={n_buildings:<4d}"
-               f" cold p50={cold_sim.p50 * 1e3:7.2f}ms"
-               f" warm p50={warm_sim.p50 * 1e3:7.2f}ms"
-               f" sim x{sim_speedup:7.1f} wall x{wall_speedup:6.1f}"
-               f" hit ratio={hit_ratio:.2f}"
+               f" cold p50={cold_sim.p50 * 1e3:6.2f}ms {cold_bytes[0]:6d}B"
+               f" | default p50={warm_sim.p50 * 1e3:5.2f}ms"
+               f" {warm_bytes[0]:4d}B sim x{warm_speedup:5.1f}"
                f" 304s={warm.resolve_not_modified}"
-               f" master hits={master.resolve_cache_hits}")
+               f" | ttl p50={ttl_sim.p50 * 1e3:5.2f}ms"
+               f" sim x{ttl_speedup:6.1f} wall x{ttl_wall_speedup:5.1f}"
+               f" hit ratio={hit_ratio:.2f}"
+               f" | master hits={master.resolve_cache_hits}")
 
-    # acceptance: the cached repeat workload is >= 5x faster on both
-    # clocks (simulated network latency avoided, serialization skipped)
-    assert cold_sim_total >= 5.0 * warm_sim_total, (
-        f"simulated speedup only x{sim_speedup:.1f}"
+    # acceptance, default client: every repeat is a bodyless 304 ...
+    assert warm.resolve_cache_misses == 1
+    assert warm.resolve_not_modified == warm.resolve_revalidations \
+        >= warm_sim.count - 1
+    assert warm_bytes[0] <= 1024 < cold_bytes[0]
+    assert warm_sim.p50 < cold_sim.p50
+    if n_buildings >= 40:
+        # ... and 5x cheaper wherever the body outweighs the round trip
+        assert warm_speedup >= 5.0, (
+            f"default-client simulated speedup only x{warm_speedup:.1f}"
+        )
+    # acceptance, TTL client: >= 5x faster on both clocks (simulated
+    # network latency avoided, serialization skipped)
+    assert ttl_speedup >= 5.0, (
+        f"simulated speedup only x{ttl_speedup:.1f}"
     )
-    assert cold_wall_total >= 5.0 * warm_wall_total, (
-        f"wall-clock speedup only x{wall_speedup:.1f}"
+    assert ttl_wall_speedup >= 5.0, (
+        f"wall-clock speedup only x{ttl_wall_speedup:.1f}"
     )
     assert hit_ratio > 0.5
-    assert warm.resolve_not_modified >= 1  # the 304 path was exercised
+    assert ttl.resolve_not_modified >= 1  # the 304 path was exercised
     assert master.resolve_cache_hits >= 1  # so was the server cache
 
 
-def test_churn_never_serves_evicted_uri(report):
+def proxy_uris_of(area):
+    return {d.proxy_uri for e in area.entities for d in e.devices}
+
+
+def test_heartbeats_keep_tokens_and_churn_never_serves_evicted_uri(report):
     district = deploy(ScenarioConfig(
         seed=901, n_buildings=4, devices_per_building=3,
         n_networks=1, heartbeat_period=10.0,
     ))
     district.run(120.0)
-    client = district.client("c9-churn", with_broker=False,
-                             resolve_cache_ttl=15.0)
+    master = district.master
+    clients = [district.client("c9-churn", with_broker=False),
+               district.client("c9-churn-ttl", with_broker=False,
+                               resolve_cache_ttl=15.0)]
+    default = clients[0]
     whole = AreaQuery(district_id=district.district_id)
 
     entity_id = district.dataset.buildings[0].entity_id
     protocol = next(proto for (e_id, proto) in district.device_proxies
                     if e_id == entity_id)
     dead_uri = district.device_proxies[(entity_id, protocol)].uri
-    warm = client.resolve(whole)
-    assert dead_uri in {d.proxy_uri for e in warm.entities
-                        for d in e.devices}
 
-    epoch_before = district.master.ontology_epoch
+    # heartbeat phase: 12 rounds of re-registrations and not one change
+    with bytes_received_by(district.network, default.host.name) as cold:
+        first = default.resolve(whole)
+    assert dead_uri in proxy_uris_of(clients[1].resolve(whole))
+    epoch_before = master.ontology_epoch
+    registrations_before = master.registrations
+    district.run(120.0)
+    idle_epoch_bumps = master.ontology_epoch - epoch_before
+    heartbeats = master.registrations - registrations_before
+    with bytes_received_by(district.network, default.host.name) as repeat:
+        again = default.resolve(whole)
+    report.record(EXPERIMENT, cold_resolve_bytes=cold[0],
+                  repeat_resolve_bytes=repeat[0],
+                  idle_epoch_bumps=idle_epoch_bumps)
+    report.header(EXPERIMENT,
+                  "resolve fast path: repeat whole-district queries")
+    report.add(EXPERIMENT,
+               f"heartbeat phase: {heartbeats} heartbeats in 120 s idle, "
+               f"epoch bumps={idle_epoch_bumps}, default client's repeat "
+               f"resolve {repeat[0]} B (cold {cold[0]} B)")
+    assert heartbeats > 100
+    assert idle_epoch_bumps == 0, (
+        f"{idle_epoch_bumps} epoch bumps with no forest change: "
+        f"heartbeats are invalidating every client's answers again"
+    )
+    assert repeat[0] <= 1024 < cold[0]
+    assert again is first  # the 304 handed back the held answer
+
+    epoch_before = master.ontology_epoch
     FaultInjector(district).kill_device_proxy(entity_id, protocol)
     # run past the lease (3 heartbeat periods) and the client TTL, so
-    # the eviction has landed and the cached entry must revalidate
+    # the eviction has landed and the held entries must revalidate
     district.run(60.0)
 
     stale_answers = 0
     checks = 3 if QUICK else 10
     for _ in range(checks):
-        area = client.resolve(whole)
-        uris = {d.proxy_uri for e in area.entities for d in e.devices}
-        if dead_uri in uris:
-            stale_answers += 1
+        for client in clients:
+            if dead_uri in proxy_uris_of(client.resolve(whole)):
+                stale_answers += 1
         district.run(20.0)  # expire the TTL again before the next check
 
-    report.header(EXPERIMENT, "resolve fast path: churn phase")
     report.add(EXPERIMENT,
-               f"post-churn resolves={checks} stale answers="
-               f"{stale_answers} lease evictions="
-               f"{district.master.lease_evictions} epoch "
-               f"{epoch_before}->{district.master.ontology_epoch}")
+               f"churn phase: post-churn resolves={checks * len(clients)} "
+               f"stale answers={stale_answers} lease evictions="
+               f"{master.lease_evictions} epoch "
+               f"{epoch_before}->{master.ontology_epoch}")
     assert stale_answers == 0, (
         f"{stale_answers} post-churn resolves still redirected to the "
         f"evicted proxy {dead_uri}"
     )
-    assert district.master.lease_evictions >= 1
-    assert district.master.ontology_epoch > epoch_before
+    assert master.lease_evictions >= 1
+    assert master.ontology_epoch > epoch_before
+    # after the eviction's one full body the default client is back on 304s
+    assert default.resolve_revalidations - default.resolve_not_modified == 1

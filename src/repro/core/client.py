@@ -73,15 +73,18 @@ class DistrictClient:
     and 5xx answers, so a primary kill costs one failed call instead of
     an outage.
 
-    *resolve_cache_ttl* (simulated seconds) opts the client into the
-    resolve fast path: a :meth:`resolve` answer younger than the TTL is
-    served from memory with no network traffic, and an older one is
-    *revalidated* with a conditional GET (``if_none_match`` carrying the
-    answer's epoch token) — the master confirms an unchanged ontology
-    with a bodyless 304-style reply, skipping the full payload.  The
-    TTL bounds staleness: a proxy evicted mid-TTL can keep resolving
-    from this client's cache for at most ``resolve_cache_ttl`` seconds.
-    None (the default) disables caching entirely.
+    Every :meth:`resolve` answer is kept with its epoch token and
+    *revalidated* on the next identical query with a conditional GET
+    (``if_none_match`` carrying the token) — the master confirms an
+    unchanged ontology with a bodyless 304-style reply, and ships the
+    full payload only when something a resolve can return has changed.
+    A 304 is exactly as fresh as a full body (the master sweeps leases
+    before it reads the token), so the default *resolve_cache_ttl* of 0
+    — always revalidate — adds no staleness.  A TTL > 0 (simulated
+    seconds) additionally serves an answer younger than the TTL from
+    memory with no network traffic, which bounds staleness instead: a
+    proxy evicted mid-TTL can keep resolving from this client's cache
+    for at most ``resolve_cache_ttl`` seconds.
     """
 
     def __init__(self, host: Host,
@@ -89,7 +92,7 @@ class DistrictClient:
                  broker_host: Union[str, Sequence[str], None] = None,
                  timeout: float = 5.0,
                  policy: Optional[ResiliencePolicy] = None,
-                 resolve_cache_ttl: Optional[float] = None,
+                 resolve_cache_ttl: float = 0.0,
                  resolve_cache_max: int = 64):
         self.host = host
         self.masters = master_uri if isinstance(master_uri, FailoverSet) \
@@ -120,7 +123,7 @@ class DistrictClient:
         return self.masters.failovers
 
     def _master_get(self, path: str,
-                    params: Optional[Dict[str, str]] = None):
+                    params: Optional[Dict[str, str]] = None) -> Response:
         """GET from the master set, failing over across replicas.
 
         Tries each replica at most once per call, starting from the one
@@ -128,18 +131,23 @@ class DistrictClient:
         is down.  Retryable failures are the same ones the resilience
         layer recognises: timeouts, open circuits and 5xx answers
         (including the 503 a standby/fenced master returns for writes).
+        A 2xx or 3xx answer is returned as is (the caller branches on
+        ``status``: a 304 is an answer, not an error); a 4xx raises.
         """
         last_error: Optional[Exception] = None
         for _ in range(len(self.masters)):
             uri = self.masters.current
             try:
-                return self.http.get(uri + path, params=params)
+                response = self.http.get(uri + path, params=params,
+                                         check=False)
             except (RequestTimeoutError, CircuitOpenError) as exc:
                 last_error = exc
-            except ServiceError as exc:
-                if exc.status < 500:
-                    raise
-                last_error = exc
+            else:
+                if response.status < 400:
+                    return response
+                last_error = ServiceError(response.status, response.reason)
+                if response.status < 500:
+                    raise last_error
             failed, uri = uri, self.masters.advance()
             emit(self.host.network, "master_failover", host=self.host.name,
                  failed=failed, next=uri, client=self.host.name)
@@ -154,59 +162,43 @@ class DistrictClient:
         With a replicated master set the answer may come from a
         read-only standby while the primary is down.
 
-        With :attr:`resolve_cache_ttl` set, repeat queries are served
-        from the client cache (fresh within the TTL) or revalidated
-        against the master's ontology epoch (one tiny conditional GET
-        instead of the full payload); ``use_cache=False`` forces a full
-        fetch for one call.
+        A repeated query is revalidated against the master's ontology
+        epoch — one tiny conditional GET, answered 304 with no body
+        while nothing changed — or, inside :attr:`resolve_cache_ttl`,
+        served from memory; ``use_cache=False`` forces a full fetch for
+        one call.
         """
-        if self.resolve_cache_ttl is None or not use_cache:
-            response = self._master_get("/resolve",
-                                        params=query.to_params())
-            return ResolvedArea.from_dict(response.body)
-        return self._resolve_cached(query)
-
-    def _resolve_cached(self, query: AreaQuery) -> ResolvedArea:
         params = query.to_params()
         key = tuple(sorted(params.items()))
-        now = self.host.network.scheduler.now
-        entry = self._resolve_cache.get(key)
-        if entry is not None and \
-                now - entry.fetched_at < self.resolve_cache_ttl:
+        entry = self._resolve_cache.get(key) if use_cache else None
+        if entry is not None:
             self._resolve_cache.move_to_end(key)
-            self.resolve_cache_hits += 1
-            emit(self.host.network, "resolve_cache_hit",
-                 host=self.host.name, epoch=entry.epoch,
-                 client=self.host.name)
-            return entry.area
-        if entry is not None and entry.epoch:
-            # stale entry with a validator: revalidate via conditional
-            # GET — a 304 refreshes the TTL without any payload
+            now = self.host.network.scheduler.now
+            if now - entry.fetched_at < self.resolve_cache_ttl:
+                self.resolve_cache_hits += 1
+                emit(self.host.network, "resolve_cache_hit",
+                     host=self.host.name, epoch=entry.epoch,
+                     client=self.host.name)
+                return entry.area
             self.resolve_revalidations += 1
             params["if_none_match"] = entry.epoch
-            try:
-                response = self._master_get("/resolve", params=params)
-            except ServiceError as exc:
-                if exc.status == 304:
-                    entry.fetched_at = self.host.network.scheduler.now
-                    self._resolve_cache.move_to_end(key)
-                    self.resolve_not_modified += 1
-                    emit(self.host.network, "resolve_cache_not_modified",
-                         host=self.host.name, epoch=entry.epoch,
-                         client=self.host.name)
-                    return entry.area
-                raise
-        else:
+        elif use_cache:
             self.resolve_cache_misses += 1
             emit(self.host.network, "resolve_cache_miss",
                  host=self.host.name, client=self.host.name)
-            response = self._master_get("/resolve", params=params)
+        response = self._master_get("/resolve", params=params)
+        if response.status == 304:
+            # the held answer is still the master's answer: no payload
+            entry.fetched_at = self.host.network.scheduler.now
+            self.resolve_not_modified += 1
+            emit(self.host.network, "resolve_cache_not_modified",
+                 host=self.host.name, epoch=entry.epoch,
+                 client=self.host.name)
+            return entry.area
         area = ResolvedArea.from_dict(response.body)
-        epoch = response.body.get("epoch", "") \
-            if isinstance(response.body, dict) else ""
         self._resolve_cache[key] = _ResolveCacheEntry(
-            area, epoch, self.host.network.scheduler.now
-        )
+            area, response.body.get("epoch", ""),
+            self.host.network.scheduler.now)
         self._resolve_cache.move_to_end(key)
         while len(self._resolve_cache) > self.resolve_cache_max:
             self._resolve_cache.popitem(last=False)
@@ -228,6 +220,15 @@ class DistrictClient:
                 "params": {"format": fmt, "entity_id": entity.entity_id},
             })
         return [(entity.entity_id, call) for call in calls]
+
+    @staticmethod
+    def _data_calls(by_proxy: Dict[str, List[Tuple[str, RangeQuery]]]
+                    ) -> List[Dict]:
+        """ONE ``/data`` request per Device-proxy, carrying all its series."""
+        return [{"uri": proxy_uri.rstrip("/") + "/data",
+                 "params": RangeQuery.to_series_params(
+                     [query for _, query in members])}
+                for proxy_uri, members in by_proxy.items()]
 
     def _fetch(self, model_calls: List[Tuple[str, Dict]],
                series: Sequence[Tuple[str, str, RangeQuery]], strict: bool
@@ -251,12 +252,8 @@ class DistrictClient:
         for entity_id, proxy_uri, query in series:
             by_proxy.setdefault(proxy_uri, []).append((entity_id, query))
         self.data_requests += len(by_proxy)
-        outcomes = self.http.gather([call for _, call in model_calls] + [
-            {"uri": proxy_uri.rstrip("/") + "/data",
-             "params": RangeQuery.to_series_params(
-                 [query for _, query in members])}
-            for proxy_uri, members in by_proxy.items()
-        ])
+        outcomes = self.http.gather([call for _, call in model_calls]
+                                    + self._data_calls(by_proxy))
         models: Dict[str, List[EntityModel]] = {}
         for (entity_id, call), outcome in zip(model_calls, outcomes):
             if self._answered(outcome, strict):

@@ -61,15 +61,17 @@ class MasterNode(StateMachine):
     """Registration target and query resolver for one or more districts.
 
     ``/resolve`` answers are cached behind an **ontology epoch**: a
-    version counter bumped by every mutation of the forest
-    (:meth:`apply`, :meth:`_evict_uri`, :meth:`reset`,
-    :meth:`restore`).  A cached serialized answer is served
-    only while the epoch is unchanged, so a cache hit can never
-    redirect a client to an evicted proxy.  Clients may revalidate a
-    previous answer with an ``if_none_match`` parameter carrying the
-    answer's :meth:`epoch_token`; an unchanged token earns a bodyless
-    304-style response (see
-    :meth:`repro.core.client.DistrictClient.resolve`).
+    version counter bumped by every *mutation* of the forest — a
+    registration that changed something a resolve can return
+    (:meth:`apply`), :meth:`_evict_uri`, :meth:`reset`,
+    :meth:`restore` — and by nothing else: a heartbeat that only renews
+    a lease leaves it alone.  The invariant is *equal token ⇒ equal
+    answer to every query*, so a cached serialized answer is served
+    only while the epoch is unchanged and can never redirect a client
+    to an evicted proxy.  Clients revalidate a previous answer with an
+    ``if_none_match`` parameter carrying the answer's
+    :meth:`epoch_token`; an unchanged token earns a bodyless 304-style
+    response (see :meth:`repro.core.client.DistrictClient.resolve`).
     """
 
     kind = "master"
@@ -81,8 +83,9 @@ class MasterNode(StateMachine):
         self.registrations = 0
         self.resolves_served = 0
         self.lease_evictions = 0
-        #: forest version: bumped by every registration, eviction,
-        #: reset and snapshot restore — the resolve-cache validator
+        #: forest version: bumped by every registration that changed
+        #: the forest, eviction, reset and snapshot restore — the
+        #: resolve-cache validator
         self.ontology_epoch = 0
         self.resolve_cache_hits = 0
         self.resolve_cache_misses = 0
@@ -98,12 +101,17 @@ class MasterNode(StateMachine):
         #: None keeps legacy permanent registrations
         self.default_lease = default_lease
         self._leases: Dict[str, float] = {}  # proxy uri -> expiry time
+        #: lower bound on the earliest lease expiry: lowered when a
+        #: lease is tracked, recomputed only by a sweep that runs, so
+        #: the per-request :meth:`expire_leases` is one comparison
+        #: while nothing is due
+        self._next_expiry = float("inf")
         #: proxy uri -> (last applied devices payload, attached ids,
         #: response body size).
         #: A heartbeat re-registration with a payload equal to the last
         #: applied one is an ontology no-op, so it skips the parse /
-        #: node-replace / prune work entirely (the epoch still bumps
-        #: and the lease still renews).  Invalidated whenever anything
+        #: node-replace / prune work entirely and leaves the epoch
+        #: alone (the lease still renews).  Invalidated whenever anything
         #: other than that slow path mutates the proxy's leaves:
         #: eviction, reset, snapshot restore.
         self._device_reg_cache: Dict[str, tuple] = {}
@@ -183,10 +191,10 @@ class MasterNode(StateMachine):
         sweep, so a crashed proxy disappears from answers no later than
         one lease after its last heartbeat.
         """
-        if not self._leases:
-            return []
         if now is None:
             now = self.host.network.scheduler.now
+        if now < self._next_expiry:
+            return []
         expired = [uri for uri, expiry in self._leases.items()
                    if expiry <= now]
         for uri in expired:
@@ -195,6 +203,7 @@ class MasterNode(StateMachine):
             self.lease_evictions += 1
             emit(self.host.network, "lease_evicted",
                  host=self.host.name, uri=uri, master=self.host.name)
+        self._next_expiry = min(self._leases.values(), default=float("inf"))
         return expired
 
     def start_lease_sweeper(self, period: float) -> None:
@@ -231,6 +240,7 @@ class MasterNode(StateMachine):
         self.ontology = DistrictOntology.from_dict(state["ontology"])
         self._leases = {uri: float(expiry) for uri, expiry
                         in state.get("leases", {}).items()}
+        self._next_expiry = 0.0  # unknown expiries: the next sweep runs
         self._device_reg_cache.clear()
         self.ontology_epoch = max(
             self.ontology_epoch, int(state.get("ontology_epoch", 0))
@@ -269,7 +279,9 @@ class MasterNode(StateMachine):
             return
         if lease <= 0:
             raise RegistrationError(f"bad lease {lease!r}")
-        self._leases[uri] = self.host.network.scheduler.now + float(lease)
+        expiry = self.host.network.scheduler.now + float(lease)
+        self._leases[uri] = expiry
+        self._next_expiry = min(self._next_expiry, expiry)
 
     def _evict_uri(self, uri: str) -> None:
         """Remove every ontology reference to one proxy URI.
@@ -340,21 +352,28 @@ class MasterNode(StateMachine):
         lease = payload.get("lease")
         if lease is not None and float(lease) <= 0:
             raise RegistrationError(f"bad lease {lease!r}")
-        if kind == "database":
-            result = self._register_database(payload)
-        elif kind == "device":
-            result = self._register_device_proxy(payload)
-        elif kind == "measurement":
-            result = self._register_measurement(payload)
-        else:
-            raise RegistrationError(f"unknown proxy kind {kind!r}")
-        uri = payload.get("uri")
-        if uri:
-            self._track_lease(uri, None if lease is None else float(lease))
-        # conservative invalidation: every accepted registration (even
-        # an unchanged heartbeat refresh) advances the epoch, so cached
-        # answers can only ever under-live the truth, never outlive it
-        self.bump_epoch()
+        # each _register_* reports whether it changed anything a resolve
+        # can return; only that advances the epoch — a heartbeat that
+        # merely renews its lease leaves every cached answer valid.  A
+        # registration rejected half-way may already have attached
+        # nodes, so a failure counts as a change.
+        changed = True
+        try:
+            if kind == "database":
+                result, changed = self._register_database(payload)
+            elif kind == "device":
+                result, changed = self._register_device_proxy(payload)
+            elif kind == "measurement":
+                result, changed = self._register_measurement(payload)
+            else:
+                raise RegistrationError(f"unknown proxy kind {kind!r}")
+            uri = payload.get("uri")
+            if uri:
+                self._track_lease(uri,
+                                  None if lease is None else float(lease))
+        finally:
+            if changed:
+                self.bump_epoch()
         return result
 
     def _district_node(self, district_id: str, name: str = ""):
@@ -381,7 +400,7 @@ class MasterNode(StateMachine):
         self.ontology.add_entity(district.district_id, node)
         return node
 
-    def _register_database(self, payload: Dict) -> Dict:
+    def _register_database(self, payload: Dict) -> Tuple[Dict, bool]:
         source_kind = payload.get("source_kind")
         district_id = payload.get("district_id")
         uri = payload.get("uri")
@@ -390,12 +409,14 @@ class MasterNode(StateMachine):
         if source_kind == "gis":
             district = self._district_node(district_id,
                                            payload.get("name", ""))
+            before = (district.name, len(district.gis_uris))
             if payload.get("name") and not district.name:
                 district.name = payload["name"]
             if uri not in district.gis_uris:
                 district.gis_uris.append(uri)
             self.registrations += 1
-            return {"attached": "district", "district_id": district_id}
+            return {"attached": "district", "district_id": district_id}, \
+                before != (district.name, len(district.gis_uris))
         if source_kind in ("bim", "sim"):
             entity_id = payload.get("entity_id")
             if not entity_id:
@@ -407,6 +428,13 @@ class MasterNode(StateMachine):
                 district, entity_id,
                 payload.get("entity_type"), payload.get("name", ""),
             )
+
+            def written() -> Tuple:  # everything this branch may write
+                return (entity.name, entity.proxy_uris.get(source_kind),
+                        entity.bounds, entity.gis_feature_id,
+                        entity.properties.get("commodity"))
+
+            before = written()
             if payload.get("name") and not entity.name:
                 entity.name = payload["name"]
             entity.proxy_uris[source_kind] = uri
@@ -419,10 +447,11 @@ class MasterNode(StateMachine):
             if payload.get("commodity"):
                 entity.properties["commodity"] = payload["commodity"]
             self.registrations += 1
-            return {"attached": "entity", "entity_id": entity_id}
+            return {"attached": "entity", "entity_id": entity_id}, \
+                before != written()
         raise RegistrationError(f"unknown source kind {source_kind!r}")
 
-    def _register_device_proxy(self, payload: Dict) -> Dict:
+    def _register_device_proxy(self, payload: Dict) -> Tuple[Dict, bool]:
         district_id = payload.get("district_id")
         uri = payload.get("uri")
         if not district_id or not uri:
@@ -439,7 +468,8 @@ class MasterNode(StateMachine):
             # nothing stale to prune), so skip the parse/write work
             self.registrations += 1
             self._last_register_size = cached[2]
-            return {"attached": "devices", "device_ids": list(cached[1])}
+            return {"attached": "devices",
+                    "device_ids": list(cached[1])}, False
         attached = []
         district = self._district_node(district_id)
         for device_data in devices:
@@ -473,7 +503,7 @@ class MasterNode(StateMachine):
         self._device_reg_cache[uri] = (devices, list(attached), size)
         self._last_register_size = size
         self.registrations += 1
-        return body
+        return body, True
 
     def _prune_stale_devices(self, district, uri: str,
                              reported: set) -> None:
@@ -494,16 +524,17 @@ class MasterNode(StateMachine):
             if stale and not entity.proxy_uris and not entity.devices:
                 district.remove_entity(entity.entity_id)
 
-    def _register_measurement(self, payload: Dict) -> Dict:
+    def _register_measurement(self, payload: Dict) -> Tuple[Dict, bool]:
         district_id = payload.get("district_id")
         uri = payload.get("uri")
         if not district_id or not uri:
             raise RegistrationError("registration needs district_id and uri")
         district = self._district_node(district_id)
-        if uri not in district.measurement_uris:
+        joined = uri not in district.measurement_uris
+        if joined:
             district.measurement_uris.append(uri)
         self.registrations += 1
-        return {"attached": "district", "district_id": district_id}
+        return {"attached": "district", "district_id": district_id}, joined
 
     # -- queries (in-process API) ------------------------------------------
 

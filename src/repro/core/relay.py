@@ -14,17 +14,13 @@ production deployment never relays.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.common import serialization
-from repro.errors import (
-    QueryError,
-    RequestTimeoutError,
-    ServiceError,
-    UnknownEntityError,
-)
+from repro.errors import QueryError, UnknownEntityError
 from repro.network.transport import Host
 from repro.network.webservice import GET, HttpClient, Request, Response, error, ok
+from repro.core.client import DistrictClient
 from repro.core.master import MasterNode
 from repro.ontology.queries import AreaQuery
 from repro.storage.query import RangeQuery
@@ -47,55 +43,45 @@ class RelayingMaster(MasterNode):
             return error(400, str(exc))
         except UnknownEntityError as exc:
             return error(404, str(exc))
-        with_data = request.params.get("with_data") == "1"
-        entities: List[Dict] = []
-        for entity in resolved.entities:
-            models = []
-            for source_kind in sorted(entity.proxy_uris):
-                uri = entity.proxy_uris[source_kind]
-                try:
-                    response = self._relay_client.get(
-                        uri.rstrip("/") + "/model",
-                        params={"format": "json"},
-                    )
-                except (ServiceError, RequestTimeoutError):
-                    continue  # a dark proxy degrades the answer, not 500s
-                models.append(response.body["document"])
-            if entity.gis_feature_id and resolved.gis_uris:
-                try:
-                    response = self._relay_client.get(
-                        resolved.gis_uris[0].rstrip("/")
-                        + f"/feature/{entity.gis_feature_id}",
-                        params={"format": "json",
-                                "entity_id": entity.entity_id},
-                    )
-                    models.append(response.body["document"])
-                except (ServiceError, RequestTimeoutError):
-                    pass
-            samples: Dict[str, List] = {}
-            if with_data:
+        entities = {entity.entity_id: {
+            "entity_id": entity.entity_id,
+            "entity_type": entity.entity_type,
+            "models": [],
+            "samples": {},
+        } for entity in resolved.entities}
+        # the client's own call list (see DistrictClient._fetch): every
+        # model request and one multi-series /data per Device-proxy, at once
+        model_calls = [call for entity in resolved.entities for call
+                       in DistrictClient._model_calls(entity,
+                                                      resolved.gis_uris)]
+        by_proxy: Dict[str, List[Tuple[str, RangeQuery]]] = {}
+        if request.params.get("with_data") == "1":
+            for entity in resolved.entities:
                 for device in entity.devices:
-                    for quantity in device.quantities:
-                        data_query = RangeQuery(device.device_id, quantity)
-                        try:
-                            response = self._relay_client.get(
-                                device.proxy_uri.rstrip("/") + "/data",
-                                params=data_query.to_params(),
-                            )
-                        except (ServiceError, RequestTimeoutError):
-                            continue
-                        samples[f"{device.device_id}/{quantity}"] = \
-                            response.body["samples"]
-            entities.append({
-                "entity_id": entity.entity_id,
-                "entity_type": entity.entity_type,
-                "models": models,
-                "samples": samples,
-            })
+                    by_proxy.setdefault(device.proxy_uri, []).extend(
+                        (entity.entity_id,
+                         RangeQuery(device.device_id, quantity))
+                        for quantity in device.quantities)
+        outcomes = self._relay_client.gather(
+            [call for _, call in model_calls]
+            + DistrictClient._data_calls(by_proxy))
+        # a dark proxy degrades the answer (its outcome is an exception
+        # or a non-2xx), it does not 500 the relay
+        for (entity_id, _), outcome in zip(model_calls, outcomes):
+            if isinstance(outcome, Response) and outcome.ok:
+                entities[entity_id]["models"].append(
+                    outcome.body["document"])
+        for members, outcome in zip(by_proxy.values(),
+                                    outcomes[len(model_calls):]):
+            if isinstance(outcome, Response) and outcome.ok:
+                for (entity_id, query), samples in zip(
+                        members, outcome.body["series"]):
+                    entities[entity_id]["samples"][
+                        f"{query.device_id}/{query.quantity}"] = samples
         self.relays_served += 1
         return ok({
             "district_id": resolved.district_id,
-            "entities": entities,
+            "entities": list(entities.values()),
         })
 
 

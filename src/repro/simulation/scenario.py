@@ -222,14 +222,15 @@ class DeployedDistrict:
 
     def client(self, name: str = "user", with_broker: bool = True,
                policy: Optional["ResiliencePolicy"] = None,
-               resolve_cache_ttl: Optional[float] = None
+               resolve_cache_ttl: float = 0.0
                ) -> DistrictClient:
         """Create an end-user application host + client.
 
         *policy* opts the client's HTTP layer into retries and circuit
-        breaking (see :mod:`repro.network.resilience`);
-        *resolve_cache_ttl* opts it into the resolve fast path (cached
-        area answers revalidated against the master's ontology epoch).
+        breaking (see :mod:`repro.network.resilience`).  Repeated area
+        answers are always revalidated against the master's ontology
+        epoch; a *resolve_cache_ttl* > 0 also serves them from memory,
+        without the round trip, for that many simulated seconds.
         """
         host = self.network.add_host(name)
         return DistrictClient(

@@ -4,10 +4,13 @@ Covers the three layers introduced by the fast-path work:
 
 * the district-level secondary indexes (entity type, sensed quantity,
   spatial grid) that prune resolve candidates;
-* the master's ontology epoch and server-side resolve cache (including
-  the conditional-GET 304 path);
-* the client's TTL cache with epoch revalidation, and its interaction
-  with lease evictions, snapshot restores and standby promotion.
+* the master's ontology epoch — moved by a mutation of the forest,
+  never by a heartbeat that only renews a lease — and its server-side
+  resolve cache (including the conditional-GET 304 path), with the
+  safety invariant *equal token => equal answer* as a property;
+* the client's revalidate-by-default cache (and the optional TTL on
+  top of it), and its interaction with lease evictions, snapshot
+  restores and standby promotion.
 
 It also carries the regression tests for the staleness sweep: a device
 proxy re-registering with fewer devices must prune the vanished leaves,
@@ -15,11 +18,13 @@ and an eviction that hollows out an entity must prune the entity node.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.client import DistrictClient
 from repro.core.master import MasterNode
 from repro.core.replication import ReplicationConfig
 from repro.datasources.geometry import BoundingBox
+from repro.errors import RegistrationError, ReproError
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
 from repro.network.webservice import HttpClient
@@ -141,9 +146,72 @@ class TestOntologyEpoch:
         before = master.ontology_epoch
         master.register(bim_payload())
         assert master.ontology_epoch == before + 1
-        # heartbeat refreshes invalidate conservatively too
+        # an identical heartbeat refresh changes nothing a resolve can
+        # return: the epoch stays, every cached answer stays valid
         master.register(bim_payload())
+        assert master.ontology_epoch == before + 1
+        # a changed one (the entity moved) does move it
+        master.register(bim_payload(bounds=(5.0, 5.0, 55.0, 55.0)))
         assert master.ontology_epoch == before + 2
+
+    @pytest.mark.parametrize("payload", [
+        bim_payload(), sim_payload(), device_payload(),
+        {"proxy_kind": "database", "source_kind": "gis",
+         "district_id": "dst-0001", "uri": "svc://gis/", "name": "D"},
+        {"proxy_kind": "measurement", "district_id": "dst-0001",
+         "uri": "svc://mdb/"},
+    ], ids=["bim", "sim", "device", "gis", "measurement"])
+    def test_lease_only_change_renews_without_bump(self, net, master,
+                                                   payload):
+        master.register({**payload, "lease": 30.0})
+        epoch = master.ontology_epoch
+        net.scheduler.run_for(20.0)
+        master.register({**payload, "lease": 90.0})
+        assert master.ontology_epoch == epoch
+        assert master.registrations == 2
+        net.scheduler.run_for(60.0)  # past the first lease, inside the second
+        assert master.expire_leases() == []
+        net.scheduler.run_for(40.0)
+        assert master.expire_leases() == [payload["uri"]]
+        assert master.ontology_epoch == epoch + 1
+
+    def test_contested_slot_moves_epoch_on_identical_payload(self, net,
+                                                             master):
+        """Two proxies contest one (entity, source_kind) slot: A's
+        heartbeat is byte-identical to its last one, yet it flips the
+        slot back — "payload equals this URI's last payload" is not
+        "unchanged"."""
+        a = bim_payload(uri="svc://bim-a/")
+        b = bim_payload(uri="svc://bim-b/")
+        client = DistrictClient(net.add_host("user"), master.uri)
+
+        def bim_uri():
+            return client.resolve(whole_district()) \
+                .entities[0].proxy_uris["bim"]
+
+        master.register(a)
+        assert bim_uri() == "svc://bim-a/"
+        master.register(b)
+        assert bim_uri() == "svc://bim-b/"
+        epoch = master.ontology_epoch
+        master.register(a)
+        assert master.ontology_epoch == epoch + 1
+        assert bim_uri() == "svc://bim-a/"
+        assert client.resolve_not_modified == 0
+
+    def test_rejected_registration_still_moves_epoch(self, master):
+        """A registration rejected half-way has already attached the
+        leaves before the conflicting one: no token minted before it may
+        survive."""
+        master.register(device_payload("svc://dev-1/",
+                                       device_ids=("dev-0101",)))
+        epoch = master.ontology_epoch
+        with pytest.raises(RegistrationError):
+            master.register(device_payload(
+                "svc://dev-2/", device_ids=("dev-0102", "dev-0101")))
+        entity = master.ontology.district("dst-0001").entity("bld-0001")
+        assert "dev-0102" in entity.devices
+        assert master.ontology_epoch > epoch
 
     def test_eviction_bumps_epoch_only_on_change(self, master):
         master.register(bim_payload())
@@ -339,12 +407,38 @@ class TestClientResolveCache:
         assert client.http.requests_sent == sent + 1
 
     def test_no_ttl_keeps_legacy_behaviour(self, net, master):
+        """The default client (no TTL) still asks the master every time
+        — zero added staleness — but asks conditionally: the second
+        resolve is answered 304 and returns the held answer."""
         master.register(bim_payload())
         client = DistrictClient(net.add_host("user"), master.uri)
-        client.resolve(whole_district())
-        client.resolve(whole_district())
+        first = client.resolve(whole_district())
+        second = client.resolve(whole_district())
         assert client.resolve_cache_hits == 0
         assert client.http.requests_sent == 2
+        assert client.resolve_cache_misses == 1
+        assert client.resolve_revalidations == 1
+        assert client.resolve_not_modified == 1
+        assert master.resolve_not_modified == 1
+        assert master.resolves_served == 2  # a 304 is a served resolve
+        assert second is first
+
+    def test_304_is_not_an_exception_nor_a_failure(self, net, master):
+        """The conditional GET's 304 reaches the client as a response to
+        branch on: it feeds the breaker as a success and rotates no
+        replica."""
+        from repro.network.resilience import default_policy
+
+        master.register(bim_payload())
+        client = DistrictClient(net.add_host("user"), master.uri,
+                                policy=default_policy(seed=1))
+        for _ in range(10):
+            client.resolve(whole_district())
+        assert client.resolve_not_modified == 9
+        assert client.master_failovers == 0
+        assert client.http.policy.breaker.state("master") == "closed"
+        assert client.http.policy.retries == 0
+        assert master.service.requests_failed == 0
 
     def test_restore_snapshot_invalidates_client_cache(self, net, master):
         master.register(bim_payload())
@@ -359,7 +453,191 @@ class TestClientResolveCache:
         assert client.resolve_not_modified == 0
 
 
+QUERIES = (
+    AreaQuery("dst-0001"),
+    AreaQuery("dst-0001", entity_ids=("bld-0001",)),
+    AreaQuery("dst-0001", quantity="power"),
+)
+
+_entities = st.sampled_from(["bld-0001", "bld-0002"])
+_leases = st.sampled_from([None, 20.0, 45.0])
+_uris = st.sampled_from(["svc://a/", "svc://b/"])
+_operations = st.one_of(
+    st.tuples(st.just("bim"), _entities, _uris, _leases,
+              st.sampled_from([(0.0, 0.0, 50.0, 50.0),
+                               (10.0, 10.0, 60.0, 60.0)])),
+    st.tuples(st.just("sim"), _uris, _leases),
+    st.tuples(st.just("gis"), _uris, _leases, st.sampled_from(["", "D"])),
+    st.tuples(st.just("measurement"), _uris, _leases),
+    st.tuples(st.just("device"), st.sampled_from(["svc://c/", "svc://d/"]),
+              _entities, _leases,
+              st.sets(st.sampled_from(["dev-0101", "dev-0102", "dev-0103"]),
+                      min_size=1),
+              st.sampled_from(["power", "temperature"])),
+    st.tuples(st.just("advance"), st.sampled_from([5.0, 25.0, 50.0])),
+    st.tuples(st.just("evict"),
+              st.sampled_from(["svc://a/", "svc://b/", "svc://c/"])),
+    st.tuples(st.sampled_from(["reset", "snapshot", "restore", "promote"])),
+)
+
+
+def apply_operation(master, operation, snapshots):
+    kind, *args = operation
+    if kind == "bim":
+        entity, uri, lease, bounds = args
+        payload = bim_payload(entity, uri, bounds)
+    elif kind == "sim":
+        uri, lease = args
+        payload = sim_payload(uri=uri)
+    elif kind == "gis":
+        uri, lease, name = args
+        payload = {"proxy_kind": "database", "source_kind": "gis",
+                   "district_id": "dst-0001", "uri": uri, "name": name}
+    elif kind == "measurement":
+        uri, lease = args
+        payload = {"proxy_kind": "measurement",
+                   "district_id": "dst-0001", "uri": uri}
+    elif kind == "device":
+        uri, entity, lease, device_ids, quantity = args
+        payload = device_payload(uri, entity, sorted(device_ids), quantity)
+    elif kind == "advance":
+        master.host.network.scheduler.run_for(args[0])
+        return
+    elif kind == "evict":
+        master._evict_uri(args[0])
+        return
+    elif kind == "snapshot":
+        snapshots.append(master.snapshot())
+        return
+    elif kind == "restore":
+        if snapshots:
+            master.restore(snapshots[-1])
+        return
+    else:
+        master.reset() if kind == "reset" else master.activate()
+        return
+    try:
+        master.register(payload if lease is None
+                        else {**payload, "lease": lease})
+    except RegistrationError:
+        pass  # a device contested by another proxy: rejected half-way
+
+
+def outcome_of(resolve, query):
+    try:
+        return resolve(query).to_dict()
+    except ReproError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestEpochTokenIsPrecise:
+    """The safety invariant of the one resolve path.
+
+    Token equal => nothing a resolve can return has changed, across
+    every way the forest can move; so a revalidated (possibly 304)
+    client answer always equals a full one.
+    """
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.lists(_operations, min_size=1, max_size=14))
+    def test_equal_token_means_equal_answers(self, operations):
+        net = Network(Scheduler(), latency=LatencyModel(jitter=0.0))
+        master = MasterNode(net.add_host("master"))
+        warm = DistrictClient(net.add_host("warm"), master.uri)
+        cold = DistrictClient(net.add_host("cold"), master.uri)
+        snapshots = []
+        previous = None
+        for operation in operations:
+            apply_operation(master, operation, snapshots)
+            # the sweep (run by the route before it reads the token)
+            # evicts exactly what is due: its expiry bound delays nothing
+            due = {uri for uri, expiry in master._leases.items()
+                   if expiry <= net.scheduler.now}
+            assert set(master.expire_leases()) == due
+            for query in QUERIES:
+                assert outcome_of(warm.resolve, query) == outcome_of(
+                    lambda q: cold.resolve(q, use_cache=False), query)
+            observed = (master.ontology.to_dict(),
+                        [outcome_of(master.resolve_area, query)
+                         for query in QUERIES])
+            token = master.epoch_token()
+            if previous is not None and previous[0] == token:
+                assert observed == previous[1], operation
+            previous = (token, observed)
+
+
+class TestSteadyState:
+    def test_idle_district_answers_every_poll_with_a_304(self):
+        """600 s of nothing but heartbeats: the forest does not move, so
+        neither does the epoch, and a default client polling every 5 s
+        pays one full body, then 119 bodyless revalidations."""
+        d = deploy(ScenarioConfig(
+            seed=7, n_buildings=3, devices_per_building=2,
+            net_jitter=0.0, heartbeat_period=10.0,
+        ))
+        d.run(30.0)
+        client = d.client("dashboard", with_broker=False)
+        received = []
+        deliver = d.network._deliver
+
+        def spy(sender, recipient, port, payload, size, sent_at):
+            if recipient == "dashboard":
+                received[-1] += size
+            deliver(sender, recipient, port, payload, size, sent_at)
+
+        d.network._deliver = spy
+        epoch = d.master.ontology_epoch
+        registrations = d.master.registrations
+        first = None
+        for _ in range(120):
+            received.append(0)
+            area = client.resolve(whole_district_of(d))
+            first = first or area
+            assert area is first
+            d.run(5.0)
+        assert d.master.registrations > registrations + 100  # heartbeats ran
+        assert d.master.ontology_epoch == epoch
+        assert d.master.lease_evictions == 0
+        assert client.resolve_cache_misses == 1
+        assert client.resolve_not_modified == 119
+        assert received[0] > 1024
+        assert max(received[1:]) < 1024
+        metrics = client.http.get(d.master.uri + "metrics").body["component"]
+        assert metrics["resolve_not_modified"] == \
+            client.resolve_not_modified
+
+
 class TestCacheUnderChurn:
+    def test_default_client_never_serves_an_evicted_uri(self):
+        """No TTL to wait out: the first resolve after the lease ran out
+        is a full 200 without the dead proxy."""
+        d = deploy(ScenarioConfig(
+            seed=7, n_buildings=2, devices_per_building=2,
+            net_jitter=0.0, heartbeat_period=10.0,
+        ))
+        d.run(30.0)
+        client = d.client("default-user", with_broker=False)
+        entity_id = d.dataset.buildings[0].entity_id
+        protocol = next(protocol for (e_id, protocol)
+                        in d.device_proxies if e_id == entity_id)
+        dead_uri = d.device_proxies[(entity_id, protocol)].service.base_uri
+        assert dead_uri in proxy_uris_of(client.resolve(whole_district_of(d)))
+        FaultInjector(d).kill_device_proxy(entity_id, protocol)
+        lease = 10.0 * d.config.lease_factor
+        stale = 0
+        for elapsed in range(0, int(lease) + 20, 5):
+            area = client.resolve(whole_district_of(d))
+            if elapsed > lease and dead_uri in proxy_uris_of(area):
+                stale += 1
+            d.run(5.0)
+        assert stale == 0
+        assert d.master.lease_evictions == 1
+        assert dead_uri not in proxy_uris_of(
+            client.resolve(whole_district_of(d)))
+        # one full body for the eviction, 304s on either side of it
+        assert client.resolve_revalidations - client.resolve_not_modified \
+            == 1
+
     def test_lease_eviction_mid_ttl_is_bounded_staleness(self):
         d = deploy(ScenarioConfig(
             seed=7, n_buildings=2, devices_per_building=2,
