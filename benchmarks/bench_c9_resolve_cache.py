@@ -198,15 +198,15 @@ def test_heartbeats_keep_tokens_and_churn_never_serves_evicted_uri(report):
                     if e_id == entity_id)
     dead_uri = district.device_proxies[(entity_id, protocol)].uri
 
-    # heartbeat phase: 12 rounds of re-registrations and not one change
+    # heartbeat phase: 12 rounds of lease renewals and not one change
     with bytes_received_by(district.network, default.host.name) as cold:
         first = default.resolve(whole)
     assert dead_uri in proxy_uris_of(clients[1].resolve(whole))
     epoch_before = master.ontology_epoch
-    registrations_before = master.registrations
+    renewals_before = master.lease_renewals
     district.run(120.0)
     idle_epoch_bumps = master.ontology_epoch - epoch_before
-    heartbeats = master.registrations - registrations_before
+    heartbeats = master.lease_renewals - renewals_before
     with bytes_received_by(district.network, default.host.name) as repeat:
         again = default.resolve(whole)
     report.record(EXPERIMENT, cold_resolve_bytes=cold[0],

@@ -35,6 +35,13 @@ down or cut off (availability ~= the healthy phases' share), while the
 replicated group serves reads from standbys within one probe of the
 kill and keeps availability >= 95%, with zero split-brain writes.
 
+A second, exact-integer gate pins what a registration heartbeat costs
+while nothing changes: one idle round is a lease *renewal* — at most
+320 wire bytes per registrant (request + reply), the same bytes for a
+2-device and a 16-device proxy, and on a three-member group exactly
+one small log record per standby.  A heartbeat that ships the
+descriptor again fails all three on any runner.
+
 Set ``REPRO_BENCH_QUICK=1`` for a shortened CI smoke run.
 """
 
@@ -42,9 +49,18 @@ import os
 
 import pytest
 
-from repro.core.replication import ReplicationConfig
+from repro.core.master import MasterNode
+from repro.core.replication import ReplicationConfig, replicate
+from repro.devices.catalog import power_meter
+from repro.devices.firmware import RadioLink
+from repro.devices.profiles import ConstantProfile
+from repro.middleware.broker import Broker
+from repro.network.scheduler import Scheduler
+from repro.network.transport import LatencyModel, Network, estimate_size
 from repro.network.webservice import HttpClient
 from repro.ontology import AreaQuery
+from repro.protocols import make_adapter
+from repro.proxies.device_proxy import DeviceProxy
 from repro.simulation.faults import FaultInjector
 from repro.simulation.metrics import replication_counters
 from repro.simulation.scenario import ScenarioConfig, deploy
@@ -198,3 +214,67 @@ def test_master_availability_through_failover(replicated, benchmark,
     else:
         # the single master loses the kill and partition phases outright
         assert result["availability"] < 0.95
+
+
+HEARTBEAT_ROUND_BYTES_MAX = 320
+RENEWAL_RECORD_BYTES_MAX = 96
+
+
+def _idle_heartbeat_round(n_devices: int, standbys: int):
+    """One idle heartbeat round of a lone *n_devices* Device-proxy.
+
+    Returns ``(wire bytes of the round, log records the standbys
+    applied, the largest record's size)``.  No firmware runs, so
+    without standbys the ``NetworkStats.bytes_sent`` delta is the
+    heartbeat's request + reply and nothing else.
+    """
+    network = Network(Scheduler(), latency=LatencyModel(jitter=0.0))
+    Broker(network.add_host("broker"))
+    master = MasterNode(network.add_host("master"))
+    uris = [master.uri]
+    applied = []
+    if standbys:
+        group = replicate(master, standbys, REPLICATION)
+        uris = group.uris()
+        for node in group.nodes()[1:]:
+            node.apply = lambda record, real=node.apply: \
+                applied.append(record) or real(record)
+    proxy = DeviceProxy(network.add_host("proxy"),
+                        adapter=make_adapter("zigbee"),
+                        broker_host="broker", district_id="dst-0001")
+    for index in range(n_devices):
+        proxy.attach_device(
+            power_meter(f"dev-{index:04d}", "zigbee",
+                        f"00:12:4b:00:00:00:00:{index:02x}", "bld-0001",
+                        ConstantProfile(100.0)),
+            RadioLink(network.scheduler))
+    proxy.register_with(uris, lease=3 * HEARTBEAT)
+    proxy.start_heartbeat(uris, HEARTBEAT, lease=3 * HEARTBEAT)
+    network.scheduler.run_for(1.5 * HEARTBEAT)  # first renewal is behind
+    del applied[:]
+    sent, renewals = network.stats.bytes_sent, master.lease_renewals
+    network.scheduler.run_for(HEARTBEAT)
+    assert master.lease_renewals == renewals + 1
+    assert master.registrations == 1 and master.renewals_refused == 0
+    return (network.stats.bytes_sent - sent, len(applied),
+            max(map(estimate_size, applied), default=0))
+
+
+def test_idle_heartbeat_is_a_renewal_not_a_descriptor(report):
+    small, _, _ = _idle_heartbeat_round(2, standbys=0)
+    large, _, _ = _idle_heartbeat_round(16, standbys=0)
+    _, records, record_bytes = _idle_heartbeat_round(16, standbys=2)
+    report.record(EXPERIMENT, heartbeat_round_bytes=large,
+                  heartbeat_bytes_16_vs_2_devices=large - small,
+                  replication_records_per_renewal=records)
+    report.header(EXPERIMENT,
+                  "master availability through kill/partition/heal")
+    report.add(EXPERIMENT,
+               f"idle heartbeat round: {large} B per registrant "
+               f"(2 devices: {small} B), {records} log records of "
+               f"<= {record_bytes} B across 2 standbys")
+    assert large <= HEARTBEAT_ROUND_BYTES_MAX, (
+        f"an idle heartbeat costs {large} B: the descriptor is on the "
+        f"wire again")
+    assert large == small  # nothing in it scales with the descriptor
+    assert records <= 2 and record_bytes <= RENEWAL_RECORD_BYTES_MAX

@@ -13,13 +13,16 @@ attach to the district root), growing the ontology incrementally as the
 district deploys.
 
 Registrations may carry a **lease**: a validity horizon in simulated
-seconds that the proxy renews by periodically re-registering (the
-heartbeat, see :meth:`repro.proxies.base.Proxy.start_heartbeat`).  When
-a lease expires un-renewed the master *evicts* every ontology reference
-to that proxy's URI, so ``/resolve`` stops redirecting clients to dead
-services — crash recovery becomes automatic instead of an operator
-action.  Registrations without a lease are permanent (the pre-lease
-behaviour, still the default).
+seconds that the proxy renews with a periodic heartbeat (see
+:meth:`repro.proxies.base.Proxy.start_heartbeat`).  A full registration
+carries the proxy's **registration token**; a heartbeat is a *renewal*
+— ``{uri, lease, token}``, no descriptor — accepted while the token is
+the one held for that URI and refused (412) otherwise, on which the
+proxy re-registers in full.  When a lease expires un-renewed the master
+*evicts* every ontology reference to that proxy's URI, so ``/resolve``
+stops redirecting clients to dead services — crash recovery becomes
+automatic instead of an operator action.  Registrations without a lease
+are permanent (the pre-lease behaviour, still the default).
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from repro.errors import (
     QueryError,
     RegistrationError,
     UnknownEntityError,
+    UnknownRegistrationError,
 )
 from repro.network.transport import Host, estimate_size
 from repro.network.webservice import (
@@ -80,7 +84,10 @@ class MasterNode(StateMachine):
                  default_lease: Optional[float] = None):
         self.host = host
         self.ontology = DistrictOntology()
+        #: full registrations applied; heartbeats count as renewals
         self.registrations = 0
+        self.lease_renewals = 0
+        self.renewals_refused = 0
         self.resolves_served = 0
         self.lease_evictions = 0
         #: forest version: bumped by every registration that changed
@@ -106,19 +113,12 @@ class MasterNode(StateMachine):
         #: the per-request :meth:`expire_leases` is one comparison
         #: while nothing is due
         self._next_expiry = float("inf")
-        #: proxy uri -> (last applied devices payload, attached ids,
-        #: response body size).
-        #: A heartbeat re-registration with a payload equal to the last
-        #: applied one is an ontology no-op, so it skips the parse /
-        #: node-replace / prune work entirely and leaves the epoch
-        #: alone (the lease still renews).  Invalidated whenever anything
-        #: other than that slow path mutates the proxy's leaves:
-        #: eviction, reset, snapshot restore.
-        self._device_reg_cache: Dict[str, tuple] = {}
-        #: measured body size of the registration answer just built, so
-        #: the route can hand the reply send a size hint (None when the
-        #: answer shape was not measured)
-        self._last_register_size: Optional[int] = None
+        #: proxy uri -> token (opaque: the proxy's descriptor digest) of
+        #: the registration held for it.  Equal token <=> the forest
+        #: holds what that proxy last registered in full, so it is
+        #: dropped wherever that ends: eviction, a contested slot
+        #: changing hands, a half-applied rejection, reset.
+        self._tokens: Dict[str, str] = {}
         self._sweeper = None
         #: persisted ontology + lease snapshots; the deployment opens
         #: it with a path (``journal.open(snapshot_path=...)``) to make
@@ -148,7 +148,7 @@ class MasterNode(StateMachine):
         """
         self.ontology = DistrictOntology()
         self._leases.clear()
-        self._device_reg_cache.clear()
+        self._tokens.clear()
         self.bump_epoch()
         self.journal.crash()
 
@@ -221,10 +221,11 @@ class MasterNode(StateMachine):
     # -- the durable, replicable state (StateMachine contract) ----------------
 
     def snapshot(self) -> Dict:
-        """The master's replicable state: ontology forest + lease table."""
+        """The master's replicable state: forest, lease and token tables."""
         return {
             "ontology": self.ontology.to_dict(),
             "leases": dict(self._leases),
+            "tokens": dict(self._tokens),
             "ontology_epoch": self.ontology_epoch,
         }
 
@@ -236,12 +237,15 @@ class MasterNode(StateMachine):
         every answer cached against the pre-restore state is invalid.
         Leases keep their original absolute expiries, so proxies that
         died while the master was down still get evicted on schedule.
+        A snapshot without a token table (written before renewals
+        existed) restores an empty one: every first renewal is refused
+        and re-registers in full.
         """
         self.ontology = DistrictOntology.from_dict(state["ontology"])
         self._leases = {uri: float(expiry) for uri, expiry
                         in state.get("leases", {}).items()}
         self._next_expiry = 0.0  # unknown expiries: the next sweep runs
-        self._device_reg_cache.clear()
+        self._tokens = dict(state.get("tokens", {}))
         self.ontology_epoch = max(
             self.ontology_epoch, int(state.get("ontology_epoch", 0))
         ) + 1
@@ -293,7 +297,7 @@ class MasterNode(StateMachine):
         actual removal bumps the ontology epoch, so no cached resolve
         answer can keep pointing at the dead proxy.
         """
-        self._device_reg_cache.pop(uri, None)
+        self._tokens.pop(uri, None)
         changed = False
         for district in self.ontology.districts():
             if uri in district.gis_uris:
@@ -321,11 +325,11 @@ class MasterNode(StateMachine):
     # -- registration (in-process API; the route wraps this) -----------------
 
     def register(self, payload: Dict) -> Dict:
-        """Apply one proxy registration to the ontology.
+        """Apply one proxy registration, or lease renewal, to the ontology.
 
         Re-registering the same proxy (same URI) is idempotent — it
-        refreshes the registration and renews its lease, which is
-        exactly what the periodic heartbeat does.
+        refreshes the registration and renews its lease; the periodic
+        heartbeat sends a renewal (see :meth:`_renew`) instead.
 
         On a replicated master the write is gated first (standbys and
         fenced primaries raise :class:`NotPrimaryError`) and streamed to
@@ -345,21 +349,33 @@ class MasterNode(StateMachine):
         :meth:`register` and by replicated log entries applied on a
         standby (which must bypass the primary-only write gate); a
         :class:`~repro.errors.RegistrationError` there means the
-        standby's forest diverged, and forces a resync.
+        standby's forest diverged, and forces a resync.  The log thus
+        carries two record kinds: full registrations and renewals.
         """
-        self._last_register_size = None
         kind = payload.get("proxy_kind")
+        uri = payload.get("uri")
+        token = payload.get("token")
         lease = payload.get("lease")
-        if lease is not None and float(lease) <= 0:
-            raise RegistrationError(f"bad lease {lease!r}")
+        if lease is not None:
+            lease = float(lease)
+            if lease <= 0:
+                raise RegistrationError(f"bad lease {lease!r}")
+        if kind is None and token is not None:
+            return self._renew(uri, lease, token)
         # each _register_* reports whether it changed anything a resolve
-        # can return; only that advances the epoch — a heartbeat that
-        # merely renews its lease leaves every cached answer valid.  A
-        # registration rejected half-way may already have attached
-        # nodes, so a failure counts as a change.
+        # can return; only that advances the epoch — a re-registration
+        # that merely renews its lease leaves every cached answer valid.
+        # A registration rejected half-way may already have attached
+        # nodes, so a failure counts as a change — and what is held for
+        # this URI is no longer what its old token named.
+        held = self._tokens.pop(uri, None)
         changed = True
         try:
-            if kind == "database":
+            if token is not None and token == held:
+                # identical full re-registration: equal token, equal
+                # held descriptor — nothing to parse, nothing moves
+                result, changed = {"attached": "unchanged"}, False
+            elif kind == "database":
                 result, changed = self._register_database(payload)
             elif kind == "device":
                 result, changed = self._register_device_proxy(payload)
@@ -367,14 +383,33 @@ class MasterNode(StateMachine):
                 result, changed = self._register_measurement(payload)
             else:
                 raise RegistrationError(f"unknown proxy kind {kind!r}")
-            uri = payload.get("uri")
+            self.registrations += 1
             if uri:
-                self._track_lease(uri,
-                                  None if lease is None else float(lease))
+                self._track_lease(uri, lease)
+                if token is not None:
+                    self._tokens[uri] = token
         finally:
             if changed:
                 self.bump_epoch()
         return result
+
+    def _renew(self, uri: Optional[str], lease: Optional[float],
+               token: str) -> Dict:
+        """Extend the lease of the registration *token* names.
+
+        Accepted only while the master provably still holds the
+        descriptor it does not re-ship: the token is the one recorded
+        for *uri* and the lease has not run out (the sweep runs first —
+        an evicted registration has no token).  Never moves the epoch.
+        """
+        self.expire_leases()
+        if self._tokens.get(uri) != token:
+            self.renewals_refused += 1
+            raise UnknownRegistrationError(
+                f"no registration {token!r} held for {uri!r}")
+        self._track_lease(uri, lease)
+        self.lease_renewals += 1
+        return {"renewed": True}
 
     def _district_node(self, district_id: str, name: str = ""):
         try:
@@ -414,7 +449,6 @@ class MasterNode(StateMachine):
                 district.name = payload["name"]
             if uri not in district.gis_uris:
                 district.gis_uris.append(uri)
-            self.registrations += 1
             return {"attached": "district", "district_id": district_id}, \
                 before != (district.name, len(district.gis_uris))
         if source_kind in ("bim", "sim"):
@@ -437,6 +471,9 @@ class MasterNode(StateMachine):
             before = written()
             if payload.get("name") and not entity.name:
                 entity.name = payload["name"]
+            # a contested slot changing hands ends the loser's
+            # registration: its next renewal must re-register in full
+            self._tokens.pop(entity.proxy_uris.get(source_kind), None)
             entity.proxy_uris[source_kind] = uri
             bounds = payload.get("bounds")
             if bounds:
@@ -446,7 +483,6 @@ class MasterNode(StateMachine):
                 entity.gis_feature_id = payload["gis_feature_id"]
             if payload.get("commodity"):
                 entity.properties["commodity"] = payload["commodity"]
-            self.registrations += 1
             return {"attached": "entity", "entity_id": entity_id}, \
                 before != written()
         raise RegistrationError(f"unknown source kind {source_kind!r}")
@@ -461,16 +497,8 @@ class MasterNode(StateMachine):
             raise RegistrationError(
                 "device proxy registered without devices"
             )
-        cached = self._device_reg_cache.get(uri)
-        if cached is not None and cached[0] == devices:
-            # identical heartbeat refresh: applying it leaves the
-            # ontology exactly as it stands (replace with equal nodes,
-            # nothing stale to prune), so skip the parse/write work
-            self.registrations += 1
-            self._last_register_size = cached[2]
-            return {"attached": "devices",
-                    "device_ids": list(cached[1])}, False
         attached = []
+        changed = False
         district = self._district_node(district_id)
         for device_data in devices:
             description = DeviceDescription.from_dict(device_data)
@@ -484,29 +512,26 @@ class MasterNode(StateMachine):
                 properties={"location": description.location},
             )
             existing = entity.devices.get(description.device_id)
+            changed = changed or existing != node
             if existing is not None:
                 if existing.proxy_uri != uri:
                     raise RegistrationError(
                         f"device {description.device_id} already "
                         f"registered by {existing.proxy_uri}"
                     )
-                district.replace_device(entity.entity_id, node)  # heartbeat
+                district.replace_device(entity.entity_id, node)  # refresh
             else:
                 try:
                     district.add_device(entity.entity_id, node)
                 except OntologyError as exc:
                     raise RegistrationError(str(exc)) from exc
             attached.append(description.device_id)
-        self._prune_stale_devices(district, uri, set(attached))
-        body = {"attached": "devices", "device_ids": attached}
-        size = estimate_size(body)
-        self._device_reg_cache[uri] = (devices, list(attached), size)
-        self._last_register_size = size
-        self.registrations += 1
-        return body, True
+        pruned = self._prune_stale_devices(district, uri, set(attached))
+        return {"attached": "devices", "device_ids": attached}, \
+            changed or pruned
 
     def _prune_stale_devices(self, district, uri: str,
-                             reported: set) -> None:
+                             reported: set) -> bool:
         """Drop this proxy's device leaves that vanished from its payload.
 
         A registration is the proxy's authoritative full device list:
@@ -514,15 +539,19 @@ class MasterNode(StateMachine):
         was unplugged, a fleet shrank), the leaves it no longer reports
         must stop resolving immediately rather than lingering until a
         full lease eviction.  Entities hollowed out by the prune (no
-        proxy URIs, no devices) are removed with it.
+        proxy URIs, no devices — so no registration left on them) are
+        removed with it.  Returns whether anything was pruned.
         """
+        pruned = False
         for entity in list(district.entities.values()):
             stale = [d_id for d_id, node in entity.devices.items()
                      if node.proxy_uri == uri and d_id not in reported]
             for device_id in stale:
                 district.remove_device(entity.entity_id, device_id)
+                pruned = True
             if stale and not entity.proxy_uris and not entity.devices:
                 district.remove_entity(entity.entity_id)
+        return pruned
 
     def _register_measurement(self, payload: Dict) -> Tuple[Dict, bool]:
         district_id = payload.get("district_id")
@@ -533,7 +562,6 @@ class MasterNode(StateMachine):
         joined = uri not in district.measurement_uris
         if joined:
             district.measurement_uris.append(uri)
-        self.registrations += 1
         return {"attached": "district", "district_id": district_id}, joined
 
     # -- queries (in-process API) ------------------------------------------
@@ -563,9 +591,11 @@ class MasterNode(StateMachine):
         except NotPrimaryError as exc:
             # retryable: the caller should fail over to another master
             return error(503, str(exc))
+        except UnknownRegistrationError as exc:
+            return error(exc.status, str(exc))
         except RegistrationError as exc:
             return error(400, str(exc))
-        return Response(200, body, body_size=self._last_register_size)
+        return ok(body)
 
     def _resolve_route(self, request: Request) -> Response:
         self.expire_leases()  # evictions must land before the token read
@@ -637,6 +667,8 @@ class MasterNode(StateMachine):
         """Flat counter snapshot served by ``GET /metrics``."""
         counters = {
             "registrations": self.registrations,
+            "lease_renewals": self.lease_renewals,
+            "renewals_refused": self.renewals_refused,
             "resolves_served": self.resolves_served,
             "active_leases": self.active_leases,
             "lease_evictions": self.lease_evictions,

@@ -55,8 +55,9 @@ class RadioLink:
         self._gateway_handler: Optional[FrameHandler] = None
         self._device_handler: Optional[FrameHandler] = None
 
-    def attach_gateway(self, handler: FrameHandler) -> None:
-        """The proxy's dedicated layer registers its frame receiver."""
+    def attach_gateway(self, handler: Optional[FrameHandler]) -> None:
+        """The proxy's dedicated layer registers its frame receiver
+        (None unbinds it: uplink frames are dropped)."""
         self._gateway_handler = handler
 
     def attach_device(self, handler: FrameHandler) -> None:

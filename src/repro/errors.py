@@ -118,6 +118,14 @@ class RegistrationError(ReproError):
     """A proxy registration was rejected by the master node."""
 
 
+class UnknownRegistrationError(RegistrationError):
+    """A lease renewal named a registration the master does not hold."""
+
+    #: its ``/register`` status (Precondition Failed: the token is the
+    #: precondition); the proxy answers it with a full registration
+    status = 412
+
+
 class QueryError(ReproError):
     """An area or data query was malformed or unsatisfiable."""
 

@@ -64,8 +64,8 @@ class Response:
     body: Any = None
     reason: str = ""
     #: optional pre-measured estimate_size of ``body`` — handlers that
-    #: answer with a structurally constant body (heartbeat renewals)
-    #: set it so the reply send skips re-measuring the payload
+    #: answer with a cached body (resolve answers) set it so the reply
+    #: send skips re-measuring the payload
     body_size: Optional[int] = field(default=None, compare=False)
 
     @property
@@ -345,7 +345,6 @@ class HttpClient:
         params: Optional[Dict[str, str]] = None,
         body: Any = None,
         timeout: Optional[float] = None,
-        body_size: Optional[int] = None,
     ) -> Future:
         """Send a request; the future resolves to a :class:`Response`.
 
@@ -353,12 +352,6 @@ class HttpClient:
         :class:`RequestTimeoutError` after the timeout.  With a breaker
         in the client's policy, a request to an open-circuit host
         resolves immediately with :class:`CircuitOpenError`.
-
-        *body_size* is an optional already-measured
-        :func:`~repro.network.transport.estimate_size` of *body*:
-        callers that re-send a structurally constant body (heartbeat
-        registrations) measure it once and the client only re-measures
-        the small request envelope around it.
         """
         target = uri if isinstance(uri, ServiceUri) else ServiceUri.parse(uri)
         breaker = self.policy.breaker if self.policy is not None else None
@@ -404,9 +397,7 @@ class HttpClient:
         if span is not None:
             payload["trace"] = {"trace_id": span.trace_id,
                                 "span_id": span.span_id}
-        size = None if body_size is None \
-            else presized_estimate(payload, "body", body_size)
-        self.host.send(target.host, _SERVER_PORT, payload, size=size)
+        self.host.send(target.host, _SERVER_PORT, payload)
         deadline = timeout if timeout is not None else self.timeout
         self._pending[request_id] = (
             future,
@@ -494,7 +485,6 @@ class HttpClient:
         body: Any = None,
         timeout: Optional[float] = None,
         check: bool = True,
-        body_size: Optional[int] = None,
     ) -> Response:
         """Synchronous request: the :meth:`gather` of one call.
 
@@ -505,7 +495,7 @@ class HttpClient:
         """
         outcome, = self.gather([{
             "uri": uri, "method": method, "params": params, "body": body,
-            "timeout": timeout, "body_size": body_size,
+            "timeout": timeout,
         }])
         if isinstance(outcome, Exception):
             raise outcome

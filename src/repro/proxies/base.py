@@ -8,11 +8,17 @@ handshake that POSTs its descriptor to the master's ``/register``
 endpoint.  Subclasses define the descriptor contents and their routes.
 
 For production-style resilience a proxy can also maintain a
-**registration heartbeat**: :meth:`Proxy.start_heartbeat` re-registers
-periodically on the DES scheduler, each time renewing a lease on the
-master.  A proxy that crashes stops heartbeating, its lease expires and
-the master evicts it from the ontology; when it comes back the next
-heartbeat re-registers it — no operator-driven
+**registration heartbeat**: :meth:`Proxy.start_heartbeat` renews the
+registration's lease periodically on the DES scheduler.  The descriptor
+travels once, with a **registration token** (its digest); every later
+heartbeat ships only ``{uri, lease, token}``.  A master that does not
+hold that token for that URI — it restarted, evicted the proxy, the
+descriptor changed — refuses it (412, see
+:class:`~repro.errors.UnknownRegistrationError`) and the proxy
+re-registers in full inside the same heartbeat.  A proxy that crashes
+stops heartbeating, its lease expires and the master evicts it from the
+ontology; when it comes back its first heartbeat is refused and
+re-registers it — no operator-driven
 ``FaultInjector.reregister_all`` needed.  Heartbeats are asynchronous
 (future-based), so a proxy keeps serving requests while one is in
 flight or timing out against a dead master.
@@ -25,7 +31,9 @@ registered service (``proxy_kind: measurement``).
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Sequence, Union
+import hashlib
+import json
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
     CircuitOpenError,
@@ -33,10 +41,11 @@ from repro.errors import (
     RegistrationError,
     RequestTimeoutError,
     ServiceError,
+    UnknownRegistrationError,
 )
 from repro.network.resilience import FailoverSet, ResiliencePolicy
 from repro.network.scheduler import PeriodicTask
-from repro.network.transport import Host, estimate_size
+from repro.network.transport import Host
 from repro.network.webservice import (
     GET,
     POST,
@@ -51,9 +60,10 @@ from repro.network.webservice import (
 class Registrant:
     """Master registration plus its lease-renewal heartbeat.
 
-    The owner supplies the payload (:meth:`_registration_payload`);
-    everything else — rotating over a replicated master set, the
-    periodic renewal, the sent/failed counters — is here once.
+    The owner supplies the descriptor (:meth:`_registration_payload`)
+    and a ``uri`` attribute; everything else — the token, rotating over
+    a replicated master set, the periodic renewal, the sent/failed
+    counters — is here once.
     """
 
     def __init__(self, host: Host,
@@ -63,36 +73,46 @@ class Registrant:
         self.heartbeats_sent = 0
         self.heartbeats_failed = 0
         self._client = HttpClient(host, policy=policy)
-        self._masters: Optional[FailoverSet] = None
         self._heartbeat_task: Optional[PeriodicTask] = None
-        #: ((descriptor_revision, lease), measured payload size) — the
-        #: heartbeat body is structurally constant between descriptor
-        #: changes, so its wire size is measured once per revision
-        self._heartbeat_size: Optional[tuple] = None
+        #: (descriptor_revision, token): digested once per revision
+        self._token: Optional[Tuple[int, str]] = None
+        #: token of the last full registration a master accepted; while
+        #: it is still the current one a heartbeat is a renewal
+        self._held_token: Optional[str] = None
 
-    def _registration_payload(self, lease: Optional[float]) -> Dict:
-        """The body POSTed to the master's ``/register``."""
+    def _registration_payload(self) -> Dict:
+        """The descriptor POSTed to the master's ``/register``."""
         raise NotImplementedError
 
     def descriptor_revision(self) -> int:
         """Marker that changes whenever the registration payload would.
 
-        The heartbeat uses it to reuse the measured registration-payload
-        size between descriptor changes.  Subclasses whose descriptor
-        can change after construction must bump the value they return.
+        The registration token is digested once per revision.
+        Subclasses whose descriptor can change after construction must
+        bump the value they return.
         """
         return 0
 
-    def _sized_payload(self, lease: Optional[float]):
-        """The registration body and its wire size, measured once per
-        (descriptor revision, lease)."""
-        payload = self._registration_payload(lease)
-        key = (self.descriptor_revision(), lease)
-        cached = self._heartbeat_size
-        if cached is None or cached[0] != key:
-            cached = (key, estimate_size(payload))
-            self._heartbeat_size = cached
-        return payload, cached[1]
+    def registration_token(self) -> str:
+        """Digest of the current descriptor: the master's opaque
+        validator, equal only for equal descriptors."""
+        revision = self.descriptor_revision()
+        cached = self._token
+        if cached is None or cached[0] != revision:
+            document = json.dumps(self._registration_payload(),
+                                  sort_keys=True, default=str)
+            cached = (revision, hashlib.blake2s(
+                document.encode("utf-8"), digest_size=8).hexdigest())
+            self._token = cached
+        return cached[1]
+
+    def _registration(self, lease: Optional[float], full: bool) -> Dict:
+        """A ``/register`` body: the whole descriptor, or its renewal."""
+        body = self._registration_payload() if full else {"uri": self.uri}
+        if lease is not None:
+            body["lease"] = lease
+        body["token"] = self.registration_token()
+        return body
 
     def register_with(self, master_uri: Union[str, Sequence[str],
                                               FailoverSet],
@@ -103,8 +123,8 @@ class Registrant:
         :class:`~repro.network.resilience.FailoverSet` — a replicated
         master set tried in order until one accepts the write (a
         standby's 503, a timeout or an open circuit rotate to the next
-        replica; a 4xx refusal is final).  The set is remembered, so
-        :meth:`start_heartbeat` keeps renewing against whichever
+        replica; a 4xx refusal is final).  Hand the same set to
+        :meth:`start_heartbeat` and it keeps renewing against whichever
         replica currently answers.
 
         With *lease*, the registration is valid for that many simulated
@@ -114,15 +134,12 @@ class Registrant:
         """
         masters = master_uri if isinstance(master_uri, FailoverSet) \
             else FailoverSet(master_uri)
-        self._masters = masters
-        payload, size = self._sized_payload(lease)
+        payload = self._registration(lease, full=True)
         last_error: Optional[Exception] = None
         for _ in range(len(masters)):
             try:
                 response = self._client.post(
-                    masters.current + "/register", body=payload,
-                    body_size=size,
-                )
+                    masters.current + "/register", body=payload)
             except ServiceError as exc:
                 if exc.status < 500:
                     raise RegistrationError(
@@ -134,6 +151,7 @@ class Registrant:
                 last_error = exc
             else:
                 self.registered = True
+                self._held_token = payload["token"]
                 return response.body
             masters.advance()
         raise RegistrationError(
@@ -150,10 +168,10 @@ class Registrant:
         """Renew the registration every *period* simulated seconds.
 
         *lease* defaults to three periods, so a single lost heartbeat
-        does not evict a healthy proxy.  With a master set, a failed
-        heartbeat rotates to the next replica, so renewals find the new
-        primary within a few periods of a failover.  Idempotent; stop
-        with :meth:`stop_heartbeat`.
+        does not evict a healthy proxy.  With a master set, a heartbeat
+        that times out or is answered 5xx rotates to the next replica,
+        so renewals find the new primary within a few periods of a
+        failover.  Idempotent; stop with :meth:`stop_heartbeat`.
         """
         if self._heartbeat_task is not None:
             return
@@ -161,30 +179,35 @@ class Registrant:
             lease = 3.0 * period
         if not isinstance(master_uri, FailoverSet):
             master_uri = FailoverSet(master_uri)
-        self._masters = master_uri
         self._heartbeat_task = self.host.network.scheduler.every(
             period, self._heartbeat, master_uri, lease,
             initial_delay=initial_delay,
         )
 
     def stop_heartbeat(self) -> None:
-        """Cancel the periodic re-registration."""
+        """Cancel the periodic renewal."""
         if self._heartbeat_task is not None:
             self._heartbeat_task.stop()
             self._heartbeat_task = None
 
-    def _heartbeat(self, masters: FailoverSet, lease: float) -> None:
-        """One asynchronous heartbeat: POST /register, observe outcome."""
-        body, size = self._sized_payload(lease)
+    def _heartbeat(self, masters: FailoverSet, lease: float,
+                   full: bool = False) -> None:
+        """One asynchronous heartbeat: POST /register, observe outcome.
+
+        A renewal while a master holds the current descriptor, the full
+        registration otherwise (*full*: the renewal was just refused).
+        """
+        token = self.registration_token()
+        full = full or token != self._held_token
         future = self._client.request(
             masters.current + "/register", POST,
-            body=body, body_size=size,
-        )
+            body=self._registration(lease, full))
         future.add_done_callback(
-            lambda fut: self._on_heartbeat_done(masters, fut)
-        )
+            lambda fut: self._on_heartbeat_done(masters, lease, full, token,
+                                                fut))
 
-    def _on_heartbeat_done(self, masters: FailoverSet, future) -> None:
+    def _on_heartbeat_done(self, masters: FailoverSet, lease: float,
+                           full: bool, token: str, future) -> None:
         try:
             response = future.result()
         except NetworkError:
@@ -195,11 +218,20 @@ class Registrant:
         if response.ok:
             self.heartbeats_sent += 1
             self.registered = True
+            self._held_token = token
+        elif response.status == UnknownRegistrationError.status \
+                and not full:
+            # refused renewal (reset, eviction, failover): recover one
+            # round trip later, not one period later
+            self.registered = False
+            self._heartbeat(masters, lease, full=True)
         else:
-            # a standby/fenced master answers 503: rotate towards the
-            # primary so the next renewal lands before the lease expires
             self.heartbeats_failed += 1
-            masters.advance()
+            if response.status >= 500:
+                # a standby/fenced master answers 503: rotate towards
+                # the primary so the next renewal lands before the lease
+                # expires; a 4xx is final, as in register_with
+                masters.advance()
 
 
 class Proxy(Registrant, abc.ABC):
@@ -228,12 +260,10 @@ class Proxy(Registrant, abc.ABC):
     def descriptor(self) -> Dict:
         """The registration payload sent to the master node."""
 
-    def _registration_payload(self, lease: Optional[float]) -> Dict:
+    def _registration_payload(self) -> Dict:
         payload = self.descriptor()
         payload["proxy_kind"] = self.proxy_kind
         payload["uri"] = self.uri
-        if lease is not None:
-            payload["lease"] = lease
         return payload
 
     # -- health -----------------------------------------------------------

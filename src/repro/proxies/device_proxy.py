@@ -20,6 +20,7 @@ command, lost frame) causes a timeout result instead.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -32,11 +33,14 @@ from repro.devices.firmware import RadioLink
 from repro.errors import (
     ConfigurationError,
     FrameDecodeError,
+    FrameEncodeError,
     QueryError,
     SeriesNotFoundError,
+    UnsupportedCommandError,
 )
 from repro.middleware.peer import MiddlewarePeer
 from repro.middleware.topics import actuation_topic, join, measurement_topic
+from repro.network.scheduler import EventHandle
 from repro.network.transport import Host
 from repro.network.webservice import (
     GET,
@@ -126,10 +130,8 @@ class DeviceProxy(Proxy):
         self.batch_flushes_age = 0
         self.batch_samples_dropped_offline = 0
         self._batch: List[Measurement] = []
-        #: bumped on every flush so in-flight age timers for an already
-        #: flushed frame become no-ops (schedule() handles can't be
-        #: cancelled)
-        self._batch_gen = 0
+        #: the open frame's age-bound timer, cancelled when it flushes
+        self._batch_timer: Optional[EventHandle] = None
         self._seq: Dict[str, int] = {}  # device -> last published seq
         self._devices: Dict[str, _AttachedDevice] = {}
         self._by_address: Dict[str, str] = {}  # native address -> device id
@@ -170,6 +172,15 @@ class DeviceProxy(Proxy):
         self._by_address[device.address] = device.device_id
         self._devices_rev += 1
         link.attach_gateway(self._on_frame)
+
+    def detach_device(self, device_id: str) -> None:
+        """Unbind a device: the next heartbeat re-registers without it."""
+        attached = self._devices.pop(device_id, None)
+        if attached is None:
+            raise ConfigurationError(f"device {device_id} not attached")
+        del self._by_address[attached.device.address]
+        self._devices_rev += 1
+        attached.link.attach_gateway(None)
 
     def devices(self) -> List[SimulatedDevice]:
         """Attached devices, sorted by id."""
@@ -243,16 +254,14 @@ class DeviceProxy(Proxy):
         self._batch.append(measurement)
         if len(self._batch) == 1:
             # first sample opens the frame: arm the age bound
-            self.host.network.scheduler.schedule(
-                self.batching.max_age, self._age_flush, self._batch_gen
+            self._batch_timer = self.host.network.scheduler.schedule(
+                self.batching.max_age, self._age_flush
             )
         if len(self._batch) >= self.batching.max_samples:
             self.batch_flushes_size += 1
             self.flush_batch()
 
-    def _age_flush(self, generation: int) -> None:
-        if generation != self._batch_gen or not self._batch:
-            return  # frame already flushed by the size bound
+    def _age_flush(self) -> None:
         self.batch_flushes_age += 1
         self.flush_batch()
 
@@ -266,9 +275,9 @@ class DeviceProxy(Proxy):
         acked-data loss.
         """
         batch, self._batch = self._batch, []
-        self._batch_gen += 1
         if not batch:
             return
+        self._batch_timer.cancel()  # no-op when the timer is what fired
         if not self.online:
             self.batch_samples_dropped_offline += len(batch)
             return
@@ -376,8 +385,7 @@ class DeviceProxy(Proxy):
             ])
             self._descriptor_cache = cached
         # fresh outer dict every call (callers add registration keys to
-        # it); the devices list is shared, which also lets the master's
-        # registration cache compare it by identity
+        # it); the devices list is shared
         return {
             "district_id": self.district_id,
             "protocol": self.adapter.name,
@@ -441,7 +449,10 @@ class DeviceProxy(Proxy):
                          None if value is None else float(value))
         except QueryError as exc:
             return error(404, str(exc))
-        except Exception as exc:
+        except (FrameEncodeError, UnsupportedCommandError, TypeError,
+                ValueError, OverflowError, struct.error) as exc:
+            # an unknown command, or a value float() or the frame format
+            # cannot carry; anything else is a handler bug -> 500
             return error(400, f"cannot encode command: {exc}")
         return Response(202, {
             "status": "dispatched",

@@ -300,9 +300,12 @@ class FaultInjector:
     def reregister_all(self) -> None:
         """Every proxy re-registers, rebuilding the master's ontology.
 
-        In production this is the periodic registration heartbeat; here
-        the injector triggers one round explicitly.  On a replicated
-        deployment each proxy targets the whole master set.
+        In production the registration heartbeat does this on its own:
+        a master that lost the ontology refuses the next lease renewal
+        and each proxy re-registers in full inside that heartbeat.  Here
+        the injector triggers the full round explicitly (and at once).
+        On a replicated deployment each proxy targets the whole master
+        set.
         """
         deployment = self.deployment
         uris = deployment.master_uris

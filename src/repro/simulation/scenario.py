@@ -65,9 +65,9 @@ class ScenarioConfig:
     #: prepended to every per-district host name; lets several districts
     #: share one network/master/broker (see :func:`deploy_federation`)
     host_prefix: str = ""
-    #: when set, every proxy re-registers with this period (simulated
-    #: seconds) under a lease of ``lease_factor`` periods, and the master
-    #: evicts proxies whose lease expires — the resilience layer's
+    #: when set, every proxy renews its registration with this period
+    #: (simulated s) under a lease of ``lease_factor`` periods, and the
+    #: master evicts proxies whose lease expires — the resilience layer's
     #: registration heartbeat.  None keeps legacy permanent registrations.
     heartbeat_period: Optional[float] = None
     lease_factor: float = 3.0

@@ -3,7 +3,7 @@
 One deployment driven hard on every hot path at once, for long enough
 that steady-state rates mean something:
 
-* **registrations** — every proxy re-registers under heartbeat leases;
+* **registrations** — every proxy renews its lease by heartbeat;
 * **batched ingest** — all devices sampling, Device-proxies coalescing
   samples into line-protocol frames (the PR 7 batch pipeline);
 * **resolves** — a client issues paced whole-district area queries;

@@ -141,15 +141,12 @@ class MeasurementDatabase(StateMachine, Registrant):
         """Base URI of this store's web-service interface."""
         return self.service.base_uri
 
-    def _registration_payload(self, lease: Optional[float]) -> Dict:
-        payload = {
+    def _registration_payload(self) -> Dict:
+        return {
             "proxy_kind": "measurement",
             "district_id": self.district_id,
             "uri": self.uri,
         }
-        if lease is not None:
-            payload["lease"] = lease
-        return payload
 
     # -- middleware ingestion ---------------------------------------------
 

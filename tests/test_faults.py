@@ -282,26 +282,22 @@ class TestMeasurementDbRegistrationFailover:
         d.run(30.0)
         assert mdb.heartbeats_sent > sent  # and the renewal loop follows
 
-    def test_heartbeat_is_charged_its_estimated_size(self):
-        # sharing the proxies' heartbeat must not change a byte on the
-        # wire: the body is the same dict, charged estimate_size(body)
+    def test_heartbeat_ships_only_the_renewal(self):
+        # sharing the proxies' heartbeat: once registered, the body on
+        # the wire is the renewal record and nothing else
         d = self.deploy_replicated()
         mdb = d.measurement_db
-        charged = []
+        bodies = []
         real_request = mdb._client.request
 
-        def spy(url, method, body=None, body_size=None, **kwargs):
-            charged.append((body, body_size))
-            return real_request(url, method, body=body,
-                                body_size=body_size, **kwargs)
+        def spy(url, method, body=None, **kwargs):
+            bodies.append(body)
+            return real_request(url, method, body=body, **kwargs)
 
         mdb._client.request = spy
-        d.run(10.0)
-        assert charged
-        for body, size in charged:
-            assert body == {"proxy_kind": "measurement",
-                            "district_id": d.district_id,
-                            "uri": mdb.uri, "lease": 30.0}
-            assert list(body) == ["proxy_kind", "district_id", "uri",
-                                  "lease"]
-            assert size == estimate_size(body)
+        d.run(30.0)
+        assert len(bodies) == 3
+        for body in bodies:
+            assert body == {"uri": mdb.uri, "lease": 30.0,
+                            "token": mdb.registration_token()}
+        assert estimate_size(bodies[0]) < 80

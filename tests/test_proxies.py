@@ -262,6 +262,38 @@ class TestActuationFlow:
         assert response.status == 400
 
 
+    @pytest.mark.parametrize("value", ["warm", 1e9, float("inf")])
+    def test_actuate_value_the_frame_cannot_carry_400(self, net, broker,
+                                                      value):
+        proxy = make_device_proxy(net, broker)
+        self.attach_plug(net, proxy)
+        client = HttpClient(net.add_host("user"))
+        response = client.call(
+            proxy.uri.rstrip("/") + "/actuate/dev-0002", method="POST",
+            body={"command": "switch", "value": value}, check=False,
+        )
+        assert response.status == 400
+        assert "cannot encode command" in response.reason
+
+    def test_actuate_handler_bug_surfaces_as_500(self, net, broker):
+        # only encoding errors are the caller's fault; anything else
+        # must not be dressed up as a 400
+        proxy = make_device_proxy(net, broker)
+        self.attach_plug(net, proxy)
+
+        def broken(address, command, value):
+            raise KeyError("adapter bug")
+
+        proxy.adapter.encode_command = broken
+        client = HttpClient(net.add_host("user"))
+        response = client.call(
+            proxy.uri.rstrip("/") + "/actuate/dev-0002", method="POST",
+            body={"command": "switch", "value": 1.0}, check=False,
+        )
+        assert response.status == 500
+        assert "KeyError" in response.reason
+
+
 class TestDatabaseProxies:
     def test_bim_proxy_model_route(self, net):
         rng = np.random.RandomState(0)

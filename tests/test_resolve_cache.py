@@ -588,6 +588,7 @@ class TestSteadyState:
         d.network._deliver = spy
         epoch = d.master.ontology_epoch
         registrations = d.master.registrations
+        renewals = d.master.lease_renewals
         first = None
         for _ in range(120):
             received.append(0)
@@ -595,7 +596,8 @@ class TestSteadyState:
             first = first or area
             assert area is first
             d.run(5.0)
-        assert d.master.registrations > registrations + 100  # heartbeats ran
+        assert d.master.lease_renewals > renewals + 100  # heartbeats ran
+        assert d.master.registrations == registrations  # as renewals only
         assert d.master.ontology_epoch == epoch
         assert d.master.lease_evictions == 0
         assert client.resolve_cache_misses == 1

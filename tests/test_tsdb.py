@@ -153,6 +153,21 @@ class TestBatchFlushBoundaries:
                 proxy.measurements_published
             assert proxy.metrics()["batch_open_samples"] < 3
 
+    def test_size_flush_cancels_the_frames_age_timer(self):
+        deployment = self._proxy_deployment(max_samples=3, max_age=1e6)
+        flushed = []
+        for _ in range(600):       # until a size flush left no open frame
+            deployment.run(1.0)
+            flushed = [p for p in deployment.device_proxies.values()
+                       if p.batch_flushes_size and not p._batch]
+            if flushed:
+                break
+        assert flushed
+        for proxy in flushed:
+            # nothing left armed for a frame that is already out
+            assert proxy._batch_timer.cancelled
+            assert proxy.batch_flushes_age == 0
+
     def test_age_bound_flushes_partial_frames(self):
         # a 10 s age bound with a huge size bound: every flush is an
         # age flush

@@ -296,22 +296,6 @@ class TestBodySizeHint:
                 plain_bytes = network.stats.bytes_sent
         assert hinted_bytes == plain_bytes
 
-    def test_request_body_size_hint_charges_identical_bytes(self, net):
-        from repro.network.transport import estimate_size
-
-        body = {"descriptor": {"uri": "svc://p1/", "devices": ["a", "b"]}}
-        observed = []
-        for hinted in (False, True):
-            network = Network(Scheduler(), latency=LatencyModel(jitter=0.0))
-            host = network.add_host("server")
-            svc = WebService(host)
-            svc.add_route(POST, "/register", lambda r: ok("done"))
-            client = HttpClient(network.add_host("client"))
-            hint = estimate_size(body) if hinted else None
-            client.post("svc://server/register", body=body, body_size=hint)
-            observed.append(network.stats.bytes_sent)
-        assert observed[0] == observed[1]
-
     def test_body_size_ignored_in_equality(self):
         from repro.network.webservice import Response
 
