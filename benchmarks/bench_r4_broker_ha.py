@@ -287,7 +287,7 @@ def _restart_run(tmp_path):
         "recoveries": broker.stats.recoveries,
         "unrecovered": broker.stats.unrecovered_restarts,
         "wal_appends": broker.metrics().get("wal_appends", 0),
-        "retained": len(broker._retained),
+        "retained": len(broker.state.retained),
         "subscriptions": broker.subscription_count(),
     }
 

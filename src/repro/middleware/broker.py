@@ -5,79 +5,48 @@ network by exploiting a publish/subscribe approach, which is a main
 feature of the SEEMPubS middleware".  :class:`Broker` is that feature
 rebuilt: a service on the simulated network that accepts subscriptions
 (with wildcards) and fans published events out to matching subscribers.
+It speaks raw transport frames, not REST, because pub/sub is push-based:
+``subscribe``, ``unsubscribe``, ``publish``, ``ping`` and the pair
+``delivery_ack`` / ``delivery_nack``.  Every frame is validated once,
+at the frame boundary; one that fails is counted, traced and dropped.
 
-The broker speaks raw transport messages (not the REST layer) because
-pub/sub is push-based; the control verbs are ``subscribe``,
-``unsubscribe``, ``publish``, ``ping`` and the durable-data-plane pair
-``delivery_ack`` / ``delivery_nack``.
+**State and protocol are two halves.**  What must survive a crash is a
+:class:`~repro.middleware.broker_state.BrokerState`, which changes only
+by applying a log record.  This module is the half that needs a
+network: it turns frames into records and commits each through
+:meth:`Broker._commit` — assign ``seq``, append to the WAL (fsync),
+``state.apply(record)``, stream to the standbys — *before* the ack or
+fan-out the record enables.  WAL replay and a standby's apply are the
+same ``apply``, so live, recovered and replicated state agree by
+construction.  Two things are deliberately outside the log: a replayed
+``settle`` sends no pub-ack (it was the live primary's to send), and a
+pending delivery's redelivery budget (attempts, poison count) is soft —
+a recovered or promoted broker grants a fresh one.
 
-Three opt-in mechanisms make the measurement path durable end-to-end:
-
-* **Acked subscriptions** (``subscribe`` with ``ack: true``) — every
-  delivery to such a subscriber carries a ``delivery_id`` and is held
-  as *pending* until acknowledged; an unacknowledged delivery is resent
-  after ``delivery_ack_timeout``.  Combined with the publishers'
-  publish acks this yields at-least-once delivery from device proxy to
-  measurement DB (consumers deduplicate, see
-  :class:`~repro.storage.measurementdb.MeasurementDatabase`).
-* **End-to-end publish acks** — when a reliable publication matches
-  acked subscribers, the broker immediately answers ``pub-receipt``
-  ("I have custody, consumers are settling") and defers the final
-  ``pub-ack`` until every acked subscriber has acknowledged (or the
-  event was poison-dead-lettered), so "acked" means "durably
-  handled", not "received".  The receipt lets publishers distinguish
-  slow consumer settling from a dead broker (see
-  :class:`~repro.middleware.peer.MiddlewarePeer`'s settle timeout).
-* **Dead-letter queue** — a delivery negatively acknowledged as
-  *poison* (payload fails translation/validation) more than
-  ``max_delivery_attempts`` times moves to a bounded dead-letter store
-  (inspect via ``GET /deadletter``, drain via ``POST
-  /deadletter/drain``) instead of wedging the consumer.  *Busy* nacks
-  (consumer backpressure) reset the attempt budget: backpressure only
-  delays redelivery and never dead-letters.  A consumer that stops
-  responding entirely exhausts the budget and is dead-lettered with
-  reason ``timeout`` — but, unlike poison, a timeout dead-letter
-  withholds the end-to-end pub-ack so the publisher retransmits and
-  the sample is delayed, not silently diverted.
-
-:class:`BrokerOverloadConfig` adds backpressure: when the pending
-delivery backlog crosses the high watermark (hysteresis down to the low
-watermark), or one publisher exceeds its fairness quota of pending
-deliveries, reliable publications are answered with a ``pub-reject``
-(the pub/sub analogue of HTTP 429) carrying ``retry_after``; peers
-honour it by pausing and buffering (see
-:class:`~repro.middleware.peer.MiddlewarePeer`).  Unreliable
-publications are shed outright while saturated.
-
-Broker high availability (opt-in, composable):
-
-* **Durable broker state** — pass a :class:`~repro.storage.durability.
-  BrokerDurabilityConfig` and every state mutation (retained event,
-  subscription, pending delivery, settle, dead-letter) is appended and
-  fsync'd to a write-ahead log *before* the ack or fanout it enables;
-  the broker's :class:`~repro.storage.durability.Journal` snapshots
-  periodically to bound replay.  After a crash (:meth:`Broker.reset`),
-  :meth:`Broker.recover` restores retained topics, the subscription
-  registry, pending acked deliveries (redelivery timers re-armed) and
-  the dead-letter queue exactly.
-* **Replicated failover** — :func:`repro.core.replication.replicate`
-  streams the same durable-state log to 1–2 standby brokers with the
-  epoch-fenced seniority election of :mod:`repro.core.replication`.  A standby (or fenced deposed
-  primary) answers every data-plane frame with ``not-primary`` so
-  peers rotate to the promoted broker; the promoted standby re-arms
-  the replicated pending deliveries, so at-least-once delivery holds
-  across a broker kill.
+On top of plain fan-out the protocol offers, each opt-in: acked
+subscriptions with timed redelivery and a dead-letter queue
+(:class:`DeliverySettlement`), end-to-end publish acks (``pub-receipt``
+at custody, ``pub-ack`` once every acked subscriber settled),
+backpressure (:class:`BrokerOverloadConfig`), a durable log
+(:class:`~repro.storage.durability.BrokerDurabilityConfig`,
+:meth:`Broker.recover`) and standbys
+(:func:`repro.core.replication.replicate`).  ``docs/architecture.md``
+describes each under "Durable data plane" and "Broker high
+availability".
 """
 
 from __future__ import annotations
 
-import sys
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError, NotPrimaryError
-from repro.middleware.topics import topic_matches, validate_filter, validate_topic
+from repro.middleware.broker_state import BrokerState, _PendingDelivery, _Sub
+from repro.middleware.topics import (
+    topic_matches,
+    validate_filter,
+    validate_topic,
+)
 from repro.network.transport import Host, Message, estimate_size
 from repro.network.webservice import (
     GET,
@@ -98,9 +67,6 @@ BROKER_PORT = "pubsub"
 
 #: topic level prefixed to a dead-lettered event's original topic
 DEAD_LETTER_PREFIX = "deadletter"
-
-#: distinct concrete topics whose match sets the broker caches
-_MATCH_CACHE_CAP = 1024
 
 
 @dataclass(slots=True)
@@ -123,7 +89,7 @@ class Event:
 
 @dataclass
 class BrokerStats:
-    """Counters exposed for the pub/sub benchmarks."""
+    """Counters exposed for the pub/sub benchmarks and ``/metrics``."""
 
     published: int = 0
     fanout_deliveries: int = 0
@@ -132,6 +98,8 @@ class BrokerStats:
     duplicate_subscriptions_ignored: int = 0
     publish_acks_sent: int = 0
     pings_answered: int = 0
+    #: malformed or unknown frames dropped at the frame boundary
+    frames_rejected: int = 0
     # -- durable data plane ------------------------------------------------
     deliveries_acked: int = 0
     redeliveries: int = 0
@@ -176,54 +144,211 @@ class BrokerOverloadConfig:
             raise ConfigurationError("retry_after must be positive")
 
 
-@dataclass
-class _Sub:
-    """One live subscription in the broker's table."""
-
-    pattern: str
-    subscriber: str
-    port: str
-    token: Optional[int] = None
-    #: deliveries to this subscription must be acknowledged
-    ack: bool = False
+def _trace(host: Host, name: str, **attributes: Any) -> None:
+    """Emit one of the broker's structured trace events."""
+    emit(host.network, name, host=host.name, broker=host.name, **attributes)
 
 
-@dataclass
-class _PendingDelivery:
-    """One unacknowledged delivery to an acked subscription."""
-
-    delivery_id: int
-    sub_id: int
-    subscriber: str
-    port: str
-    event: dict
-    publisher: str
-    topic: str
-    attempts: int = 1
-    #: poison nacks received (busy nacks do not count)
-    poison_count: int = 0
-    #: key of the publisher's pending pub-ack, None for unreliable
-    pub_key: Optional[Tuple[str, str, int]] = None
-    #: bumped on every redelivery; a pending ``_check_delivery`` timer
-    #: from an earlier send is stale and must not redeliver again
-    generation: int = 0
+def _count(host: Host, name: str) -> None:
+    """Bump a counter of the network-wide metrics registry, if any."""
+    registry = host.network.metrics
+    if registry is not None:
+        registry.counter(name).inc()
 
 
-@dataclass
-class _PendingPublish:
-    """A reliable publication awaiting its acked subscribers."""
+#: verb -> the frame fields the broker interprets, as (key, type,
+#: required); whatever else a frame carries is opaque to it
+_FRAME_FIELDS = {
+    "subscribe": (("pattern", str, True), ("port", str, True),
+                  ("token", int, False)),
+    "unsubscribe": (("sub_id", int, False),),
+    "publish": (("topic", str, True), ("ack_port", str, False),
+                ("pub_id", int, False)),
+    "ping": (("port", str, True),),
+    "delivery_ack": (("delivery_id", int, False),),
+    "delivery_nack": (("delivery_id", int, False),),
+}
 
-    publisher: str
-    ack_port: str
-    pub_id: int
-    remaining: Set[int] = field(default_factory=set)
-    #: a delivery timed out undeliverable: withhold the pub-ack so the
-    #: publisher retransmits instead of believing the sample durable
-    failed: bool = False
+
+def _validate(verb, payload) -> None:
+    """Check one frame at the boundary, before any handler sees it.
+
+    Raises KeyError (unknown verb, missing field), TypeError (not a
+    frame, mistyped field) or ConfigurationError (topic / filter
+    grammar) — the input comes from outside the program.
+    """
+    for key, kind, required in _FRAME_FIELDS[verb]:
+        value = payload[key] if required else payload.get(key)
+        if not isinstance(value, kind) and (required or value is not None):
+            raise TypeError(f"field {key!r} must be {kind.__name__}")
+    if verb == "publish":
+        validate_topic(payload["topic"])
+    elif verb == "subscribe":
+        validate_filter(payload["pattern"])
+
+
+def _fanout_span(tracer, host: Host, payload: dict, topic: str):
+    """The broker hop of a traced publication: child of the publisher's
+    span, parent of every subscriber's delivery span."""
+    context = TraceContext.from_dict(payload.get("trace"))
+    if context is None:
+        return None
+    return tracer.start_span(f"fanout {topic}", kind="broker",
+                             host=host.name, parent=context)
+
+
+class DeliverySettlement:
+    """What happens to a delivery after fan-out has sent it.
+
+    Consumer acks and nacks, ack-timeout redelivery against an attempt
+    budget, dead-lettering, and the publisher's deferred pub-ack.  Only
+    the live primary runs it, and all it owns is volatile — timers and
+    the budget die with the process, :meth:`arm_all` restarts them after
+    a recovery or promotion; every durable effect is a record handed to
+    *commit* (:meth:`Broker._commit`).
+    """
+
+    def __init__(self, host: Host, state: BrokerState, stats: BrokerStats,
+                 commit: Callable[[Dict], Any], ack_timeout: float,
+                 max_attempts: int):
+        self.host = host
+        self.state = state
+        self.stats = stats
+        self._commit = commit
+        self.ack_timeout = ack_timeout
+        self.max_attempts = max_attempts
+
+    def arm(self, delivery_id: int, generation: int = 0) -> None:
+        """Start the ack-timeout timer of one send of one delivery."""
+        self.host.network.scheduler.schedule(
+            self.ack_timeout, self.check, delivery_id, generation)
+
+    def arm_all(self) -> None:
+        """Arm a timer for every pending delivery (recovery, promotion).
+
+        The previous incarnation sent them: a consumer that handled one
+        acks it before the timer fires, one that never saw it gets a
+        timed redelivery.  Timers mutate nothing until they fire, so a
+        restored state stays byte-identical to the pre-crash snapshot.
+        """
+        for delivery in self.state.deliveries.values():
+            self.arm(delivery.delivery_id, delivery.generation)
+
+    def ack(self, message: Message) -> None:
+        delivery = self.state.deliveries.get(
+            message.payload.get("delivery_id"))
+        if delivery is None:
+            return  # late ack for a redelivered/reset delivery
+        self.stats.deliveries_acked += 1
+        self._release(delivery)
+
+    def nack(self, message: Message) -> None:
+        payload = message.payload
+        delivery = self.state.deliveries.get(payload.get("delivery_id"))
+        if delivery is None:
+            return
+        if payload.get("poison"):
+            self.stats.poison_nacks += 1
+            delivery.poison_count += 1
+            if delivery.poison_count >= self.max_attempts:
+                self._dead_letter(delivery, reason="poison")
+            else:
+                self._redeliver(delivery)
+        else:
+            # busy nack: the consumer is alive but backpressured, so
+            # the attempt budget resets (only consecutive *unanswered*
+            # deliveries may exhaust it) and the ack timeout redelivers
+            self.stats.consumer_busy += 1
+            delivery.attempts = 0
+
+    def check(self, delivery_id: int, generation: int) -> None:
+        """Ack-timeout timer of one send of one delivery."""
+        delivery = self.state.deliveries.get(delivery_id)
+        if delivery is None or delivery.generation != generation:
+            return  # acknowledged in time, or re-sent since (stale timer)
+        if delivery.attempts >= self.max_attempts:
+            self._dead_letter(delivery, reason="timeout")
+        else:
+            self._redeliver(delivery)
+
+    def _release(self, delivery: _PendingDelivery,
+                 handled: bool = True) -> None:
+        """Settle a pending delivery; answer its publisher if it was
+        the publication's last.
+
+        *handled* is False when the consumer never durably took it (a
+        timeout dead-letter): the pub-ack is then withheld, so the
+        publisher's retry re-publishes instead of trusting a false ack.
+        """
+        done = self._commit({"op": "settle",
+                             "delivery_id": delivery.delivery_id,
+                             "handled": handled})
+        if done is None:
+            return
+        if done.failed:
+            self.stats.pub_acks_withheld += 1
+            _trace(self.host, "pub_ack_withheld", publisher=done.publisher,
+                   pub_id=done.pub_id)
+        else:
+            self.stats.publish_acks_sent += 1
+            self.host.send(done.publisher, done.ack_port,
+                           {"kind": "pub-ack", "pub_id": done.pub_id})
+
+    def _redeliver(self, delivery: _PendingDelivery) -> None:
+        if not self.host.network.has_host(delivery.subscriber):
+            # the subscriber host is gone for good: nothing to deliver to
+            if delivery.sub_id in self.state.subs.by_id:
+                self._commit({"op": "unsub", "sub_id": delivery.sub_id})
+            self.stats.dead_subscriptions_dropped += 1
+            self._release(delivery)
+            return
+        delivery.attempts += 1
+        delivery.generation += 1  # invalidates any outstanding timer
+        self.stats.redeliveries += 1
+        _trace(self.host, "delivery_redelivered", topic=delivery.topic,
+               subscriber=delivery.subscriber, attempt=delivery.attempts)
+        self.host.send(delivery.subscriber, delivery.port,
+                       dict(delivery.event))
+        self.arm(delivery.delivery_id, delivery.generation)
+
+    def _dead_letter(self, delivery: _PendingDelivery, reason: str) -> None:
+        """Move a poison/undeliverable event to the dead-letter queue.
+
+        It is recorded in the bounded store and fanned out
+        (fire-and-forget) on ``deadletter/<original topic>`` so
+        operators can subscribe a drain.  A *poison* dead-letter counts
+        as handled for the publisher's pub-ack (retransmitting poison
+        forever would wedge the pipeline the DLQ protects); a *timeout*
+        one withholds it, so the publisher retransmits once the
+        consumer is back.
+        """
+        host = self.host
+        now = host.network.scheduler.now
+        self.stats.dead_lettered += 1
+        store = self.state.dead_letters
+        if store.maxlen is not None and len(store) >= store.maxlen:
+            # the store is full: the append evicts its oldest entry —
+            # publisher-acked data leaving the system, never silently
+            self.stats.dead_letters_evicted += 1
+            _count(host, "pubsub.dead_letters_evicted")
+            _trace(host, "dead_letter_evicted", topic=store[0].get("topic"))
+        entry = delivery.dead_letter_entry(reason, now)
+        self._commit({"op": "dlq", "entry": entry})
+        _count(host, "pubsub.dead_lettered")
+        _trace(host, "dead_letter", topic=delivery.topic, reason=reason,
+               attempts=delivery.attempts)
+        self._release(delivery, handled=reason != "timeout")
+        topic = f"{DEAD_LETTER_PREFIX}/{delivery.topic}"
+        event = {"kind": "event", "topic": topic, "payload": dict(entry),
+                 "published_at": now, "publisher": host.name}
+        for sub_id, _delta, sub in self.state.subs.match(topic):
+            if host.network.has_host(sub.subscriber):
+                self.stats.fanout_deliveries += 1
+                host.send(sub.subscriber, sub.port, dict(event, sub_id=sub_id))
 
 
 class Broker(StateMachine):
-    """Central topic broker bound to a simulated host."""
+    """Central topic broker bound to a simulated host (protocol half)."""
 
     kind = "broker"
     metric_prefix = "broker_replication."
@@ -240,43 +365,27 @@ class Broker(StateMachine):
             raise ConfigurationError("delivery attempts must be >= 1")
         self.host = host
         self.stats = BrokerStats()
+        #: everything durable; changed only through :meth:`_commit`
+        self.state = BrokerState(dead_letter_capacity)
         self.overload = overload
-        self.delivery_ack_timeout = delivery_ack_timeout
-        self.max_delivery_attempts = max_delivery_attempts
-        self.dead_letter_capacity = dead_letter_capacity
-        self._subs: Dict[int, _Sub] = {}
-        #: concrete topic -> sub_ids whose pattern matches, in
-        #: subscription order — publish fan-out stops re-matching
-        #: wildcards per event.  Cleared on ANY ``_subs`` mutation
-        #: (subscribe, unsubscribe, replay, restore, dead-sub reaping);
-        #: bounded so a topic-cardinality explosion cannot leak memory.
-        self._match_cache: Dict[str, List[Tuple[int, int]]] = {}
-        # topic -> last retained event payload (publish with retain=True)
-        self._retained: Dict[str, dict] = {}
-        self._next_sub_id = 1
-        self._next_delivery_id = 1
-        #: delivery_id -> unacknowledged delivery
-        self._deliveries: Dict[int, _PendingDelivery] = {}
-        #: (publisher, ack_port, pub_id) -> deferred end-to-end pub-ack
-        self._pending_pubs: Dict[Tuple[str, str, int], _PendingPublish] = {}
-        #: publisher host -> pending delivery count (fairness accounting)
-        self._pending_by_publisher: Dict[str, int] = {}
         self._shedding = False
-        self.dead_letters: Deque[dict] = deque(maxlen=dead_letter_capacity)
         self.shed_by_topic: Dict[str, int] = {}
-        # -- durable broker state (broker HA layer 1) ----------------------
-        #: monotone id of the last logged state mutation; persisted in
-        #: snapshots so a WAL tail overlapping the snapshot replays
-        #: idempotently (records at or below the mark are skipped)
-        self._op_seq = 0
+        self.settlement = DeliverySettlement(
+            host, self.state, self.stats, self._commit,
+            delivery_ack_timeout, max_delivery_attempts)
         self.journal = Journal(self, "repro-broker-state", 1, durability)
-        #: the journal's WAL (None when not durable), aliased so the
-        #: per-delivery :meth:`_log` pays one attribute read
+        #: the journal's WAL (None when not durable), aliased so
+        #: :meth:`_commit` pays one attribute read
         self.wal = self.journal.wal
+        self._handlers = {
+            "subscribe": self._subscribe, "unsubscribe": self._unsubscribe,
+            "publish": self._publish, "ping": self._ping,
+            "delivery_ack": self.settlement.ack,
+            "delivery_nack": self.settlement.nack,
+        }
         host.bind(BROKER_PORT, self._on_message)
-        # the broker's data plane stays raw pub/sub frames, but it serves
-        # the same /health + /metrics endpoints as every other node so
-        # the fleet collector can scrape it
+        # raw frames on the data plane, but the same /health + /metrics
+        # as every other node so the fleet collector can scrape it
         self.service = WebService(host)
         self.service.add_route(GET, "/health", self._health_route)
         self.service.add_route(GET, "/metrics", self._metrics_route)
@@ -293,74 +402,58 @@ class Broker(StateMachine):
         """The broker's Web-Service base URI (health/metrics only)."""
         return self.service.base_uri
 
+    @property
+    def dead_letters(self):
+        """The bounded dead-letter store (a view of the state)."""
+        return self.state.dead_letters
+
     def subscription_count(self) -> int:
         """Number of live subscriptions."""
-        return len(self._subs)
+        return len(self.state.subs.by_id)
 
     def pending_delivery_count(self) -> int:
         """Deliveries sent to acked subscribers but not yet acknowledged."""
-        return len(self._deliveries)
+        return len(self.state.deliveries)
 
     def data_plane_saturation(self) -> float:
-        """Pending-delivery backlog as a fraction of the high watermark.
-
-        0.0 when no overload config is installed; values >= 1.0 mean the
-        broker is actively shedding load.
-        """
+        """Pending-delivery backlog as a fraction of the high watermark
+        (0.0 without an overload config; >= 1.0 means shedding)."""
         if self.overload is None:
             return 0.0
-        return len(self._deliveries) / float(self.overload.high_watermark)
+        return len(self.state.deliveries) / self.overload.high_watermark
 
     # -- health + metrics endpoints ---------------------------------------
 
     def health(self) -> Dict[str, Any]:
         """Liveness payload of the ``/health`` route."""
+        state = self.state
         payload = {
             "status": "ok",
             "kind": "broker",
-            "subscriptions": len(self._subs),
-            "retained_topics": len(self._retained),
-            "pending_deliveries": len(self._deliveries),
+            "subscriptions": len(state.subs.by_id),
+            "retained_topics": len(state.retained),
+            "pending_deliveries": len(state.deliveries),
             "shedding": self._shedding,
-            "dead_letters": len(self.dead_letters),
+            "dead_letters": len(state.dead_letters),
         }
         payload.update(self.replication_status())
         return payload
 
     def metrics(self) -> Dict[str, Any]:
-        """Numeric counters for the ``/metrics`` endpoint."""
-        counters = {
-            "published": self.stats.published,
-            "fanout_deliveries": self.stats.fanout_deliveries,
-            "subscriptions": self.stats.subscriptions,
-            "live_subscriptions": len(self._subs),
-            "retained_topics": len(self._retained),
-            "dead_subscriptions_dropped":
-                self.stats.dead_subscriptions_dropped,
-            "duplicate_subscriptions_ignored":
-                self.stats.duplicate_subscriptions_ignored,
-            "publish_acks_sent": self.stats.publish_acks_sent,
-            "pings_answered": self.stats.pings_answered,
-            "pending_deliveries": len(self._deliveries),
-            "deliveries_acked": self.stats.deliveries_acked,
-            "redeliveries": self.stats.redeliveries,
-            "consumer_busy": self.stats.consumer_busy,
-            "poison_nacks": self.stats.poison_nacks,
-            "dead_lettered": self.stats.dead_lettered,
-            "dead_letters_queued": len(self.dead_letters),
-            "dead_letters_evicted": self.stats.dead_letters_evicted,
-            "pub_acks_withheld": self.stats.pub_acks_withheld,
-            "publications_shed": self.stats.publications_shed,
-            "publisher_rejections": self.stats.publisher_rejections,
-            "data_plane_saturation": self.data_plane_saturation(),
-            "shed_by_topic": dict(self.shed_by_topic),
-            "recoveries": self.stats.recoveries,
-            "recovered_items": self.stats.recovered_items,
-            "unrecovered_restarts": self.stats.unrecovered_restarts,
-            "not_primary_refusals": self.stats.not_primary_refusals,
-            "snapshots_written": self.snapshots_written,
-            "wal_appends": self.wal.appends if self.wal is not None else 0,
-        }
+        """Numeric counters for the ``/metrics`` endpoint: every
+        :class:`BrokerStats` field plus the gauges read off the state."""
+        state = self.state
+        counters = dict(vars(self.stats))
+        counters.update(
+            live_subscriptions=len(state.subs.by_id),
+            retained_topics=len(state.retained),
+            pending_deliveries=len(state.deliveries),
+            dead_letters_queued=len(state.dead_letters),
+            data_plane_saturation=self.data_plane_saturation(),
+            shed_by_topic=dict(self.shed_by_topic),
+            snapshots_written=self.snapshots_written,
+            wal_appends=self.wal.appends if self.wal is not None else 0,
+        )
         counters.update(self.replication_status())
         return counters
 
@@ -375,271 +468,136 @@ class Broker(StateMachine):
         })
 
     def _dead_letter_route(self, request: Request) -> Response:
-        return ok({
-            "count": len(self.dead_letters),
-            "events": list(self.dead_letters),
-        })
+        events = list(self.state.dead_letters)
+        return ok({"count": len(events), "events": events})
 
     def _dead_letter_drain_route(self, request: Request) -> Response:
-        drained = list(self.dead_letters)
+        drained = list(self.state.dead_letters)
         if drained:
-            self._log({"op": "dlq_drain"})
-        self.dead_letters.clear()
+            self._commit({"op": "dlq_drain"})
         self.stats.dead_letters_drained += len(drained)
         return ok({"drained": len(drained), "events": drained})
 
-    def reset(self) -> None:
-        """Simulate a broker crash-restart: all in-memory state is lost.
+    # -- the StateMachine face: one log, one apply --------------------------
 
-        Without durability, subscribers recover via their keepalive
-        re-subscription (see :meth:`repro.middleware.peer.
-        MiddlewarePeer.resubscribe_all`); publishers re-send
-        publications that never earned a pub-ack from their offline
-        buffers, and consumer-side dedup absorbs the resulting
-        redeliveries.  With a :class:`~repro.storage.durability.
-        BrokerDurabilityConfig`, call :meth:`recover` afterwards to
-        restore the durable state from disk instead.
+    def _commit(self, record: Dict):
+        """Make one state mutation durable, then make it happen.
+
+        The only way the live broker changes its state: the record gets
+        the next ``seq``, lands in the WAL (fsync'd — ack-after-fsync
+        for whatever the caller sends next), is applied, and streams to
+        the standbys.  Returns what :meth:`BrokerState.apply` returns.
         """
-        self._subs.clear()
-        self._match_cache.clear()
-        self._retained.clear()
-        self._deliveries.clear()
-        self._pending_pubs.clear()
-        self._pending_by_publisher.clear()
-        self._shedding = False
-        self.dead_letters.clear()
-        self._next_sub_id = 1
-        self._next_delivery_id = 1
-        self._op_seq = 0
-        self.journal.crash()
-
-    # -- durable broker state (WAL + snapshot + recover) -------------------
-
-    def _log(self, record: Dict) -> None:
-        """Durably record one state mutation, before it takes effect.
-
-        The record lands in the WAL (fsync'd — ack-after-fsync for
-        every retained/DLQ/delivery mutation) and, when this broker is
-        the primary of a replication group, streams to the standbys:
-        the durable-state log *is* the replication log.
-        """
-        self._op_seq += 1
-        record["seq"] = self._op_seq
+        state = self.state
+        record["seq"] = state.op_seq + 1
         if self.wal is not None:
             self.wal.append(record)
+        result = state.apply(record)
         if self.replication is not None:
             self.replication.record_write(record)
+        return result
 
     def apply(self, record: Dict) -> None:
-        """Apply one logged state mutation (WAL replay / standby apply).
-
-        Arms no redelivery timer: only the live primary redelivers, so
-        a restored pending delivery waits for :meth:`activate`.  Records
-        already covered by the loaded snapshot (``seq`` at or below the
-        snapshot's high-water mark) are skipped, so a crash between
-        "snapshot written" and "WAL truncated" replays idempotently.
-        """
-        seq = int(record.get("seq", 0))
-        if seq and seq <= self._op_seq:
-            return
-        self._op_seq = max(self._op_seq, seq)
-        op = record.get("op")
-        if op == "retain":
-            self._retained[record["topic"]] = dict(record["event"])
-        elif op == "sub":
-            sub_id = int(record["sub_id"])
-            self._subs[sub_id] = _Sub(
-                record["pattern"], record["subscriber"], record["port"],
-                record.get("token"), bool(record.get("ack", False)),
-            )
-            self._match_cache.clear()
-            self._next_sub_id = max(self._next_sub_id, sub_id + 1)
-        elif op == "unsub":
-            self._subs.pop(int(record["sub_id"]), None)
-            self._match_cache.clear()
-        elif op == "delivery":
-            delivery_id = int(record["delivery_id"])
-            if delivery_id not in self._deliveries:
-                self._hold(record)
-                self._next_delivery_id = max(self._next_delivery_id,
-                                             delivery_id + 1)
-        elif op == "settle":
-            delivery = self._deliveries.get(int(record["delivery_id"]))
-            if delivery is not None:
-                # replayed settles never re-send pub-acks: the ack (if
-                # due) was sent right after this record was logged
-                self._settle_delivery(delivery,
-                                      handled=bool(record.get("handled",
-                                                              True)),
-                                      notify=False)
-        elif op == "dlq":
-            self.dead_letters.append(dict(record["entry"]))
-        elif op == "dlq_drain":
-            self.dead_letters.clear()
-        # unknown ops are ignored: a newer writer's records must not
-        # wedge recovery on an older reader
-
-    def _hold(self, record: Dict, failed_pubs=frozenset()) -> None:
-        """Rebuild one pending delivery (and its deferred pub-ack) from
-        its ``delivery`` log record or snapshot entry.
-
-        *failed_pubs* are the snapshot's publications whose pub-ack is
-        already being withheld."""
-        pub_key = tuple(record["pub_key"]) \
-            if record.get("pub_key") else None
-        delivery = _PendingDelivery(
-            delivery_id=int(record["delivery_id"]),
-            sub_id=int(record["sub_id"]),
-            subscriber=record["subscriber"], port=record["port"],
-            event=dict(record["event"]),
-            publisher=record["publisher"], topic=record["topic"],
-            attempts=int(record.get("attempts", 1)),
-            poison_count=int(record.get("poison_count", 0)),
-            pub_key=pub_key,
-        )
-        self._deliveries[delivery.delivery_id] = delivery
-        self._pending_by_publisher[delivery.publisher] = \
-            self._pending_by_publisher.get(delivery.publisher, 0) + 1
-        if pub_key is not None:
-            pending_pub = self._pending_pubs.get(pub_key)
-            if pending_pub is None:
-                pending_pub = _PendingPublish(
-                    publisher=pub_key[0], ack_port=pub_key[1],
-                    pub_id=pub_key[2], failed=pub_key in failed_pubs,
-                )
-                self._pending_pubs[pub_key] = pending_pub
-            pending_pub.remaining.add(delivery.delivery_id)
+        """Apply one logged mutation (WAL replay, standby apply): sends
+        nothing and arms no timer — see :meth:`activate`."""
+        self.state.apply(record)
 
     def snapshot(self) -> Dict[str, Any]:
-        """The broker's full durable state as a JSON-able dict.
-
-        Doubles as the replication snapshot payload and the persisted
-        snapshot body.
-        """
-        return {
-            "op_seq": self._op_seq,
-            "next_sub_id": self._next_sub_id,
-            "next_delivery_id": self._next_delivery_id,
-            "retained": {topic: dict(event)
-                         for topic, event in self._retained.items()},
-            "subs": [{
-                "sub_id": sub_id, "pattern": sub.pattern,
-                "subscriber": sub.subscriber, "port": sub.port,
-                "token": sub.token, "ack": sub.ack,
-            } for sub_id, sub in self._subs.items()],
-            "deliveries": [{
-                "delivery_id": d.delivery_id, "sub_id": d.sub_id,
-                "subscriber": d.subscriber, "port": d.port,
-                "event": dict(d.event), "publisher": d.publisher,
-                "topic": d.topic, "attempts": d.attempts,
-                "poison_count": d.poison_count,
-                "pub_key": list(d.pub_key) if d.pub_key else None,
-            } for d in self._deliveries.values()],
-            "failed_pubs": [list(key)
-                            for key, pub in self._pending_pubs.items()
-                            if pub.failed],
-            "dead_letters": [dict(entry) for entry in self.dead_letters],
-        }
+        """The broker's full durable state as a JSON-able dict."""
+        return self.state.snapshot()
 
     def restore(self, state: Dict[str, Any]) -> None:
-        """Replace all broker state with *state* (a :meth:`snapshot`).
-
-        Like :meth:`apply`, arms nothing: a restoring member is (or is
-        becoming) a standby, and crash recovery calls :meth:`activate`
-        once the WAL tail is replayed too.
-        """
-        self._subs.clear()
-        self._match_cache.clear()
-        self._retained.clear()
-        self._deliveries.clear()
-        self._pending_pubs.clear()
-        self._pending_by_publisher.clear()
-        self.dead_letters.clear()
-        self._op_seq = int(state.get("op_seq", 0))
-        self._next_sub_id = int(state.get("next_sub_id", 1))
-        self._next_delivery_id = int(state.get("next_delivery_id", 1))
-        for topic, event in state.get("retained", {}).items():
-            self._retained[topic] = dict(event)
-        for sub in state.get("subs", []):
-            self._subs[int(sub["sub_id"])] = _Sub(
-                sub["pattern"], sub["subscriber"], sub["port"],
-                sub.get("token"), bool(sub.get("ack", False)),
-            )
-        failed = {tuple(key) for key in state.get("failed_pubs", [])}
-        for record in state.get("deliveries", []):
-            self._hold(record, failed)
-        for entry in state.get("dead_letters", []):
-            self.dead_letters.append(dict(entry))
+        """Replace all broker state with *state* (a :meth:`snapshot`);
+        like :meth:`apply`, arms nothing."""
+        self.state.restore(state)
 
     def activate(self) -> None:
-        """Arm a redelivery timer for every pending delivery.
-
-        Called after crash-restart recovery and at standby promotion:
-        the deliveries were sent by the previous incarnation, so a
-        consumer that already handled one simply acks it before the
-        timer fires; one that never saw it gets a timed redelivery.
-        Timers mutate nothing until they fire, which keeps the restored
-        state byte-identical to the pre-crash snapshot.
-        """
-        scheduler = self.host.network.scheduler
-        for delivery in self._deliveries.values():
-            scheduler.schedule(
-                self.delivery_ack_timeout, self._check_delivery,
-                delivery.delivery_id, delivery.generation,
-            )
+        """Become the live owner of the pending deliveries (after crash
+        recovery, at promotion): re-arm their redelivery timers."""
+        self.settlement.arm_all()
 
     def standby(self, host: Host) -> "Broker":
         return Broker(
             host, overload=self.overload,
-            delivery_ack_timeout=self.delivery_ack_timeout,
-            max_delivery_attempts=self.max_delivery_attempts,
-            dead_letter_capacity=self.dead_letter_capacity,
+            delivery_ack_timeout=self.settlement.ack_timeout,
+            max_delivery_attempts=self.settlement.max_attempts,
+            dead_letter_capacity=self.state.dead_letters.maxlen,
         )
+
+    def reset(self) -> None:
+        """Simulate a broker crash-restart: all in-memory state is lost.
+
+        :meth:`recover` restores it when the broker is durable;
+        otherwise peers rebuild it (keepalive re-subscription, re-sent
+        unacked publications, consumer-side dedup).
+        """
+        self.state.clear()
+        self._shedding = False
+        self.journal.crash()
 
     def recover(self) -> Optional[int]:
         """Crash-restart recovery: load the snapshot, replay the WAL tail.
 
-        Returns the number of durable items restored (retained topics +
-        subscriptions + pending deliveries + dead letters), or None when
-        the broker has no durability configured (nothing to recover
-        from).  Restored pending deliveries get their redelivery timers
-        re-armed, so unacknowledged pre-crash deliveries are redelivered
-        rather than dropped; consumer-side dedup absorbs duplicates.
+        Returns the number of durable items restored, or None when
+        nothing durable is configured.  Pending deliveries get their
+        timers re-armed: what was unacknowledged at the crash is
+        redelivered, not dropped (consumer-side dedup absorbs repeats).
         """
         if not self.journal.recover():
             return None
-        restored = len(self._retained) + len(self._subs) \
-            + len(self._deliveries) + len(self.dead_letters)
+        restored = self.state.item_count()
         self.stats.recoveries += 1
         self.stats.recovered_items += restored
         self.activate()
-        emit(self.host.network, "broker_recovered", host=self.host.name,
-             broker=self.host.name, restored=restored)
+        _trace(self.host, "broker_recovered", restored=restored)
         return restored
 
-    # -- control-plane handling ------------------------------------------
+    # -- frame boundary ----------------------------------------------------
 
-    def _writable(self) -> bool:
-        """True when this broker may accept data-plane frames.
+    def _on_message(self, message: Message) -> None:
+        payload = message.payload
+        verb = payload.get("verb") if isinstance(payload, dict) else None
+        profiler = self.host.network.profiler
+        if profiler is None:
+            self._handle_frame(message, verb)
+            return
+        frame = profiler.enter(self.host.name, "pubsub", str(verb or "?"))
+        try:
+            self._handle_frame(message, verb)
+        finally:
+            profiler.exit(frame)
 
-        A standby (or a fenced deposed primary) must not accept
-        publications, subscriptions or acks: doing so would fork the
-        replicated state.  Mirrors the master's
-        :meth:`~repro.core.replication.ReplicatedNode.check_writable`.
+    def _handle_frame(self, message: Message, verb) -> None:
+        """Validate one frame, then refuse or handle it.
+
+        Only the validation is guarded: a malformed frame is counted,
+        traced and dropped, like a real broker ignoring bad frames; an
+        error inside a handler is a bug and propagates.
         """
-        return self.replication is None or self.replication.writable
+        try:
+            _validate(verb, message.payload)
+        except (KeyError, TypeError, ConfigurationError) as exc:
+            self.stats.frames_rejected += 1
+            _trace(self.host, "frame_rejected", sender=message.sender,
+                   verb=str(verb), error=repr(exc))
+            return
+        if self.replication is not None and not self.replication.writable:
+            self._refuse(message)
+        else:
+            self._handlers[verb](message)
 
     def _refuse(self, message: Message) -> None:
         """Answer a data-plane frame with ``not-primary``.
 
-        The reply carries the replication view's primary hint so the
-        peer rotates straight to the promoted broker.  Frames with no
-        reply channel (acks/nacks) are dropped; the primary's
+        A standby (or a fenced deposed primary) accepting it would fork
+        the replicated state.  The reply carries the primary hint so the
+        peer rotates straight to the promoted broker; frames with no
+        reply channel (acks/nacks) are dropped and the primary's
         redelivery timers absorb the loss.
         """
         self.stats.not_primary_refusals += 1
         payload = message.payload
-        if payload.get("verb") in ("publish", "subscribe"):
+        if payload["verb"] in ("publish", "subscribe"):
             # route writes through the replication gate so the
             # writes_rejected_* counters mean the same thing they do
             # for masters
@@ -655,42 +613,12 @@ class Broker(StateMachine):
             "primary": self.replication.primary_name,
             "epoch": self.replication.epoch,
         }
-        if payload.get("pub_id") is not None:
-            reply["pub_id"] = payload["pub_id"]
-        if payload.get("token") is not None:
-            reply["token"] = payload["token"]
+        for key in ("pub_id", "token"):
+            if payload.get(key) is not None:
+                reply[key] = payload[key]
         self.host.send(message.sender, port, reply)
 
-    def _on_message(self, message: Message) -> None:
-        verb = message.payload.get("verb")
-        profiler = self.host.network.profiler
-        if profiler is None:
-            self._handle_frame(message, verb)
-            return
-        frame = profiler.enter(self.host.name, "pubsub", verb or "?")
-        try:
-            self._handle_frame(message, verb)
-        finally:
-            profiler.exit(frame)
-
-    def _handle_frame(self, message: Message, verb) -> None:
-        """Dispatch one broker frame by verb (profiled by the caller)."""
-        if not self._writable():
-            self._refuse(message)
-            return
-        if verb == "subscribe":
-            self._subscribe(message)
-        elif verb == "unsubscribe":
-            self._unsubscribe(message)
-        elif verb == "publish":
-            self._publish(message)
-        elif verb == "ping":
-            self._ping(message)
-        elif verb == "delivery_ack":
-            self._delivery_ack(message)
-        elif verb == "delivery_nack":
-            self._delivery_nack(message)
-        # unknown verbs are dropped, like a real broker ignoring bad frames
+    # -- control plane -----------------------------------------------------
 
     def _ping(self, message: Message) -> None:
         """Liveness probe (the MQTT PINGREQ/PINGRESP handshake)."""
@@ -700,183 +628,129 @@ class Broker(StateMachine):
                         "nonce": message.payload.get("nonce")})
 
     def _subscribe(self, message: Message) -> None:
-        payload = message.payload
-        pattern = payload["pattern"]
-        validate_filter(pattern)
-        token = payload.get("token")
-        ack = bool(payload.get("ack", False))
+        state = self.state
+        sub = _Sub.from_record({**message.payload,
+                                "subscriber": message.sender})
         sub_id = None
-        if token is not None:
+        if sub.token is not None:
             # keepalive re-subscription: same peer, port and token means
             # the same logical subscription — re-ack it, don't duplicate
-            for existing_id, sub in self._subs.items():
-                if sub.subscriber == message.sender and \
-                        sub.port == payload["port"] and sub.token == token:
-                    sub_id = existing_id
-                    sub.ack = ack
-                    self.stats.duplicate_subscriptions_ignored += 1
-                    break
-        replay_retained = sub_id is None
-        if sub_id is None:
-            sub_id = self._next_sub_id
-            self._next_sub_id += 1
-            self._log({"op": "sub", "sub_id": sub_id, "pattern": pattern,
-                       "subscriber": message.sender,
-                       "port": payload["port"], "token": token,
-                       "ack": ack})
-            self._subs[sub_id] = _Sub(sys.intern(pattern), message.sender,
-                                      payload["port"], token, ack)
-            self._match_cache.clear()
+            sub_id = state.subs.find(sub.subscriber, sub.port, sub.token)
+        fresh = sub_id is None
+        if fresh:
+            sub_id = state.next_sub_id
             self.stats.subscriptions += 1
-        self.host.send(message.sender, payload["port"],
-                       {"kind": "sub-ack", "sub_id": sub_id,
-                        "token": token})
-        # late-join state transfer: deliver matching retained events so a
-        # new subscriber immediately knows each topic's last value (not
-        # re-replayed on deduplicated keepalive re-subscriptions).
-        # Replays are fire-and-forget even on acked subscriptions: the
-        # consumer's dedup window absorbs them, and a lost replay only
-        # delays the last-value until the next live publication.
-        if replay_retained:
-            for topic, retained in self._retained.items():
-                if topic_matches(pattern, topic):
-                    self.stats.fanout_deliveries += 1
-                    event = dict(retained)
-                    event["sub_id"] = sub_id
-                    event["retained"] = True
-                    self.host.send(message.sender, payload["port"], event)
+        else:
+            self.stats.duplicate_subscriptions_ignored += 1
+        if fresh or state.subs.by_id[sub_id] != sub:
+            self._commit({"op": "sub", **sub.to_record(sub_id)})
+        send = self.host.send
+        send(sub.subscriber, sub.port,
+             {"kind": "sub-ack", "sub_id": sub_id, "token": sub.token})
+        if not fresh:
+            return
+        # late-join state transfer: a new subscriber learns each matching
+        # topic's last value at once.  Fire-and-forget even on acked
+        # subscriptions: a lost replay only delays the last value until
+        # the next live publication
+        for topic, retained in state.retained.items():
+            if topic_matches(sub.pattern, topic):
+                self.stats.fanout_deliveries += 1
+                send(sub.subscriber, sub.port,
+                     dict(retained, sub_id=sub_id, retained=True))
 
     def _unsubscribe(self, message: Message) -> None:
-        sub_id = message.payload.get("sub_id")
-        if self._subs.pop(sub_id, None) is not None:
-            self._match_cache.clear()
-            self._log({"op": "unsub", "sub_id": sub_id})
+        self._drop_sub(message.payload.get("sub_id"))
 
-    # -- backpressure ------------------------------------------------------
-
-    def _count_shed(self, topic: str) -> None:
-        self.stats.publications_shed += 1
-        self.shed_by_topic[topic] = self.shed_by_topic.get(topic, 0) + 1
-        registry = self.host.network.metrics
-        if registry is not None:
-            registry.counter("pubsub.publications_shed").inc()
-
-    def _over_quota(self, publisher: str) -> bool:
-        """Per-publisher fairness: one flooder cannot starve the rest."""
-        if self.overload is None:
-            return False
-        pending = self._pending_by_publisher.get(publisher, 0)
-        return pending >= self.overload.publisher_quota
-
-    def _saturated(self) -> bool:
-        """Global watermark check with hysteresis (the shedding latch)."""
-        if self.overload is None:
-            return False
-        depth = len(self._deliveries)
-        if self._shedding and depth <= self.overload.low_watermark:
-            self._shedding = False
-            emit(self.host.network, "broker_shedding_stopped",
-                 host=self.host.name, broker=self.host.name, depth=depth)
-        elif not self._shedding and depth >= self.overload.high_watermark:
-            self._shedding = True
-            emit(self.host.network, "broker_shedding_started",
-                 host=self.host.name, broker=self.host.name, depth=depth)
-        return self._shedding
-
-    def _reject_publish(self, message: Message, fairness: bool) -> None:
-        payload = message.payload
-        topic = payload["topic"]
-        self._count_shed(topic)
-        if fairness:
-            self.stats.publisher_rejections += 1
-        emit(self.host.network, "publication_shed", host=self.host.name,
-             broker=self.host.name, publisher=message.sender, topic=topic,
-             cause="quota" if fairness else "watermark")
-        if payload.get("pub_id") is not None and payload.get("ack_port"):
-            # the pub/sub analogue of HTTP 429 + Retry-After: tell the
-            # publisher to back off instead of silently dropping
-            self.host.send(message.sender, payload["ack_port"], {
-                "kind": "pub-reject",
-                "pub_id": payload["pub_id"],
-                "status": 429,
-                "retry_after": self.overload.retry_after,
-            })
-        # unreliable publications are shed outright (no channel to say no)
+    def _drop_sub(self, sub_id) -> None:
+        if sub_id in self.state.subs.by_id:
+            self._commit({"op": "unsub", "sub_id": sub_id})
 
     # -- publication -------------------------------------------------------
 
-    def _publish(self, message: Message) -> None:
-        payload = message.payload
+    def _sheds(self, message: Message) -> bool:
+        """Backpressure: shed or reject one publication when overloaded.
+
+        A global shedding latch with hysteresis between the two
+        watermarks of the :class:`BrokerOverloadConfig`, plus a
+        per-publisher quota so one flooder cannot starve the rest.
+        """
+        config = self.overload
+        if config is None:
+            return False
+        host, payload, publisher = self.host, message.payload, message.sender
+        over_quota = self.state.pending_by_publisher.get(publisher, 0) \
+            >= config.publisher_quota
+        depth = len(self.state.deliveries)
+        if self._shedding and depth <= config.low_watermark:
+            self._shedding = False
+            _trace(host, "broker_shedding_stopped", depth=depth)
+        elif not self._shedding and depth >= config.high_watermark:
+            self._shedding = True
+            _trace(host, "broker_shedding_started", depth=depth)
+        if not (self._shedding or over_quota):
+            return False
         topic = payload["topic"]
-        validate_topic(topic)
-        over_quota = self._over_quota(message.sender)
-        if self._saturated() or over_quota:
-            self._reject_publish(message, fairness=over_quota)
+        self.stats.publications_shed += 1
+        self.shed_by_topic[topic] = self.shed_by_topic.get(topic, 0) + 1
+        _count(host, "pubsub.publications_shed")
+        if over_quota:
+            self.stats.publisher_rejections += 1
+        _trace(host, "publication_shed", publisher=publisher, topic=topic,
+               cause="quota" if over_quota else "watermark")
+        if payload.get("pub_id") is not None and payload.get("ack_port"):
+            # the pub/sub analogue of HTTP 429 + Retry-After: tell the
+            # publisher to back off; an unreliable publication has no
+            # channel to say no on and is shed outright
+            host.send(publisher, payload["ack_port"], {
+                "kind": "pub-reject", "pub_id": payload["pub_id"],
+                "status": 429, "retry_after": config.retry_after})
+        return True
+
+    def _publish(self, message: Message) -> None:
+        if self._sheds(message):
             return
         self.stats.published += 1
-        reliable = payload.get("pub_id") is not None and \
-            payload.get("ack_port")
-        span = None
-        tracer = self.host.network.tracer
-        if tracer is not None and tracer.enabled:
-            context = TraceContext.from_dict(payload.get("trace"))
-            if context is not None:
-                # the broker hop: child of the publisher's span, parent
-                # of every subscriber's delivery span
-                span = tracer.start_span(f"fanout {topic}",
-                                         kind="broker",
-                                         host=self.host.name,
-                                         parent=context)
+        payload = message.payload
+        publisher = message.sender
+        network = self.host.network
+        state = self.state
+        topic = payload["topic"]
         event = {
             "kind": "event",
             "topic": topic,
             "payload": payload.get("payload"),
             "published_at": payload.get("published_at", 0.0),
-            "publisher": message.sender,
+            "publisher": publisher,
         }
-        if span is not None:
-            event["trace"] = span.header()
+        span = None
+        tracer = network.tracer
+        if tracer is not None and tracer.enabled:
+            span = _fanout_span(tracer, self.host, payload, topic)
+            if span is not None:
+                event["trace"] = span.header()
         if payload.get("retain"):
-            # the span header is request-scoped: replaying it with the
-            # retained copy at subscribe time — possibly much later —
-            # would parent the delivery span under a long-finished
-            # trace, so the stored copy drops it (replay deliveries are
-            # root-less, like any untraced event)
+            # the span header is request-scoped: replayed with the
+            # retained copy at subscribe time it would parent a delivery
+            # under a long-finished trace, so the stored copy drops it
             retained = dict(event)
             retained.pop("trace", None)
             # ack-after-fsync: the retained mutation is on disk (and
             # streamed to standbys) before any ack below can be sent
-            self._log({"op": "retain", "topic": topic, "event": retained})
-            self._retained[topic] = retained
-        network = self.host.network
-        pub_key: Optional[Tuple[str, str, int]] = None
-        if reliable:
-            pub_key = (message.sender, payload["ack_port"],
-                       payload["pub_id"])
+            self._commit({"op": "retain", "topic": topic,
+                          "event": retained})
+        pub_key = None
+        if payload.get("pub_id") is not None and payload.get("ack_port"):
+            pub_key = (publisher, payload["ack_port"], payload["pub_id"])
         dead: List[int] = []
         deliveries = 0
-        acked_delivery_ids: List[int] = []
-        subs = self._subs
-        matched = self._match_cache.get(topic)
-        if matched is None:
-            # each entry carries the precomputed wire-size delta its
-            # ``sub_id`` key adds to a fan-out envelope (', "sub_id": N')
-            matched = [(sub_id, len(str(sub_id)) + 12)
-                       for sub_id, sub in subs.items()
-                       if topic_matches(sub.pattern, topic)]
-            if len(self._match_cache) >= _MATCH_CACHE_CAP:
-                self._match_cache.clear()
-            self._match_cache[topic] = matched
         # the fan-out envelopes differ from `event` only by the small
         # ASCII keys added below, so their wire size is the base size
         # plus an exact per-key delta — estimated once per publish, not
         # once per subscriber
         base_size = estimate_size(event)
         send = self.host.send
-        for sub_id, sub_id_delta in matched:
-            sub = subs.get(sub_id)
-            if sub is None:
-                continue
+        for sub_id, sub_id_delta, sub in state.subs.match(topic):
             if not network.has_host(sub.subscriber):
                 dead.append(sub_id)
                 continue
@@ -885,243 +759,33 @@ class Broker(StateMachine):
             fanout["sub_id"] = sub_id
             size = base_size + sub_id_delta
             if sub.ack:
-                delivery_id = self._next_delivery_id
-                self._next_delivery_id += 1
+                delivery_id = state.next_delivery_id
                 fanout["delivery_id"] = delivery_id
                 size += len(str(delivery_id)) + 17  # + ', "delivery_id": N'
-                self._log({
+                self._commit({
                     "op": "delivery", "delivery_id": delivery_id,
                     "sub_id": sub_id, "subscriber": sub.subscriber,
                     "port": sub.port, "event": dict(fanout),
-                    "publisher": message.sender, "topic": topic,
+                    "publisher": publisher, "topic": topic,
                     "pub_key": list(pub_key) if pub_key else None,
                 })
-                self._deliveries[delivery_id] = _PendingDelivery(
-                    delivery_id=delivery_id, sub_id=sub_id,
-                    subscriber=sub.subscriber, port=sub.port,
-                    event=dict(fanout), publisher=message.sender,
-                    topic=topic, pub_key=pub_key,
-                )
-                self._pending_by_publisher[message.sender] = \
-                    self._pending_by_publisher.get(message.sender, 0) + 1
-                acked_delivery_ids.append(delivery_id)
-                network.scheduler.schedule(
-                    self.delivery_ack_timeout, self._check_delivery,
-                    delivery_id, 0,
-                )
+                self.settlement.arm(delivery_id)
             send(sub.subscriber, sub.port, fanout, size=size)
         self.stats.fanout_deliveries += deliveries
         for sub_id in dead:
-            if subs.pop(sub_id, None) is not None:
-                self._match_cache.clear()
+            # the subscriber's host left the network for good
+            self._drop_sub(sub_id)
             self.stats.dead_subscriptions_dropped += 1
-        if reliable:
-            if acked_delivery_ids:
-                # end-to-end ack: defer the pub-ack until every acked
-                # subscriber has durably handled (or dead-lettered) it
-                self._pending_pubs[pub_key] = _PendingPublish(
-                    publisher=message.sender,
-                    ack_port=payload["ack_port"],
-                    pub_id=payload["pub_id"],
-                    remaining=set(acked_delivery_ids),
-                )
-                # immediate receipt: the broker has custody, consumers
-                # are settling — stops the publisher's ack timeout from
-                # reading slow consumer settling as a dead broker
-                self.host.send(message.sender, payload["ack_port"],
-                               {"kind": "pub-receipt",
-                                "pub_id": payload["pub_id"]})
-            else:
+        if pub_key is not None:
+            # end-to-end ack: while acked subscribers hold the event the
+            # pub-ack waits for each to settle; the receipt says "the
+            # broker has custody", so the publisher's ack timeout does
+            # not read slow consumer settling as a dead broker
+            kind = "pub-receipt"
+            if pub_key not in state.pending_pubs:
                 self.stats.publish_acks_sent += 1
-                self.host.send(message.sender, payload["ack_port"],
-                               {"kind": "pub-ack",
-                                "pub_id": payload["pub_id"]})
+                kind = "pub-ack"
+            send(publisher, pub_key[1], {"kind": kind, "pub_id": pub_key[2]})
         if span is not None:
             span.attributes["deliveries"] = deliveries
             tracer.finish(span)
-
-    # -- consumer acks, redelivery and dead-lettering ----------------------
-
-    def _release_delivery(self, delivery: _PendingDelivery,
-                          handled: bool = True) -> None:
-        """Drop a pending delivery and settle its bookkeeping.
-
-        *handled* is False when the delivery was abandoned without the
-        consumer durably taking it (a timeout dead-letter): the
-        publisher's end-to-end pub-ack is then withheld, so its own
-        retry re-publishes the sample instead of trusting a false ack.
-        """
-        self._log({"op": "settle", "delivery_id": delivery.delivery_id,
-                   "handled": handled})
-        self._settle_delivery(delivery, handled, notify=True)
-
-    def _settle_delivery(self, delivery: _PendingDelivery, handled: bool,
-                         notify: bool) -> None:
-        """Settle bookkeeping; *notify* gates pub-ack sends (False on
-        WAL replay / standby apply — the ack was already sent, or is the
-        live primary's to send)."""
-        self._deliveries.pop(delivery.delivery_id, None)
-        count = self._pending_by_publisher.get(delivery.publisher, 0) - 1
-        if count > 0:
-            self._pending_by_publisher[delivery.publisher] = count
-        else:
-            self._pending_by_publisher.pop(delivery.publisher, None)
-        if delivery.pub_key is None:
-            return
-        pending_pub = self._pending_pubs.get(delivery.pub_key)
-        if pending_pub is None:
-            return
-        if not handled:
-            pending_pub.failed = True
-        pending_pub.remaining.discard(delivery.delivery_id)
-        if not pending_pub.remaining:
-            self._pending_pubs.pop(delivery.pub_key, None)
-            if pending_pub.failed:
-                if notify:
-                    self.stats.pub_acks_withheld += 1
-                    emit(self.host.network, "pub_ack_withheld",
-                         host=self.host.name, broker=self.host.name,
-                         publisher=pending_pub.publisher,
-                         pub_id=pending_pub.pub_id)
-                return
-            if not notify:
-                return
-            self.stats.publish_acks_sent += 1
-            self.host.send(pending_pub.publisher, pending_pub.ack_port,
-                           {"kind": "pub-ack",
-                            "pub_id": pending_pub.pub_id})
-
-    def _delivery_ack(self, message: Message) -> None:
-        delivery = self._deliveries.get(
-            message.payload.get("delivery_id")
-        )
-        if delivery is None:
-            return  # late ack for a redelivered/reset delivery
-        self.stats.deliveries_acked += 1
-        self._release_delivery(delivery)
-
-    def _delivery_nack(self, message: Message) -> None:
-        payload = message.payload
-        delivery = self._deliveries.get(payload.get("delivery_id"))
-        if delivery is None:
-            return
-        if payload.get("poison"):
-            self.stats.poison_nacks += 1
-            delivery.poison_count += 1
-            if delivery.poison_count >= self.max_delivery_attempts:
-                self._dead_letter(delivery, reason="poison")
-                return
-            self._redeliver(delivery)
-        else:
-            # busy nack: consumer backpressure, not a poison payload —
-            # redeliver after the ack timeout, never dead-letter.  The
-            # consumer is demonstrably alive, so the attempt budget
-            # resets: only consecutive *unanswered* deliveries may
-            # exhaust it (sustained backpressure must never divert
-            # acknowledged samples to the DLQ)
-            self.stats.consumer_busy += 1
-            delivery.attempts = 0
-
-    def _check_delivery(self, delivery_id: int, generation: int) -> None:
-        delivery = self._deliveries.get(delivery_id)
-        if delivery is None:
-            return  # acknowledged in time (or broker restarted)
-        if delivery.generation != generation:
-            return  # stale timer: the delivery was re-sent since
-        if delivery.attempts >= self.max_delivery_attempts:
-            self._dead_letter(delivery, reason="timeout")
-            return
-        self._redeliver(delivery)
-
-    def _redeliver(self, delivery: _PendingDelivery) -> None:
-        network = self.host.network
-        if not network.has_host(delivery.subscriber):
-            # the subscriber host is gone for good: nothing to deliver to
-            if self._subs.pop(delivery.sub_id, None) is not None:
-                self._match_cache.clear()
-            self.stats.dead_subscriptions_dropped += 1
-            self._release_delivery(delivery)
-            return
-        delivery.attempts += 1
-        delivery.generation += 1  # invalidates any outstanding timer
-        self.stats.redeliveries += 1
-        emit(network, "delivery_redelivered", host=self.host.name,
-             broker=self.host.name, topic=delivery.topic,
-             subscriber=delivery.subscriber, attempt=delivery.attempts)
-        self.host.send(delivery.subscriber, delivery.port,
-                       dict(delivery.event))
-        network.scheduler.schedule(
-            self.delivery_ack_timeout, self._check_delivery,
-            delivery.delivery_id, delivery.generation,
-        )
-
-    def _dead_letter(self, delivery: _PendingDelivery, reason: str) -> None:
-        """Move a poison/undeliverable event to the dead-letter queue.
-
-        The event is recorded in the bounded dead-letter store and also
-        fanned out (fire-and-forget) on ``deadletter/<original topic>``
-        so operators can subscribe a drain.  A *poison* dead-letter
-        counts as handled for the publisher's end-to-end pub-ack (the
-        sample was durably diverted, and retransmitting poison forever
-        would wedge the pipeline the DLQ exists to protect); a
-        *timeout* dead-letter — the consumer simply never answered —
-        withholds the pub-ack so the publisher retransmits once the
-        consumer is back.
-        """
-        self.stats.dead_lettered += 1
-        entry = {
-            "topic": delivery.topic,
-            "payload": delivery.event.get("payload"),
-            "publisher": delivery.publisher,
-            "published_at": delivery.event.get("published_at", 0.0),
-            "attempts": delivery.attempts,
-            "reason": reason,
-            "dead_lettered_at": self.host.network.scheduler.now,
-        }
-        registry = self.host.network.metrics
-        if self.dead_letters.maxlen is not None and \
-                len(self.dead_letters) >= self.dead_letters.maxlen:
-            # the bounded store is full: the append below evicts the
-            # oldest entry, which is real (dead-lettered, hence
-            # publisher-acked for poison) data leaving the system —
-            # never silently
-            self.stats.dead_letters_evicted += 1
-            if registry is not None:
-                registry.counter("pubsub.dead_letters_evicted").inc()
-            emit(self.host.network, "dead_letter_evicted",
-                 host=self.host.name, broker=self.host.name,
-                 topic=self.dead_letters[0].get("topic"))
-        self._log({"op": "dlq", "entry": dict(entry)})
-        self.dead_letters.append(entry)
-        if registry is not None:
-            registry.counter("pubsub.dead_lettered").inc()
-        emit(self.host.network, "dead_letter", host=self.host.name,
-             broker=self.host.name, topic=delivery.topic, reason=reason,
-             attempts=delivery.attempts)
-        self._release_delivery(delivery, handled=reason != "timeout")
-        dlq_topic = f"{DEAD_LETTER_PREFIX}/{delivery.topic}"
-        dlq_event = {
-            "kind": "event",
-            "topic": dlq_topic,
-            "payload": entry,
-            "published_at": self.host.network.scheduler.now,
-            "publisher": self.host.name,
-        }
-        for sub_id, sub in self._subs.items():
-            if not topic_matches(sub.pattern, dlq_topic):
-                continue
-            if not self.host.network.has_host(sub.subscriber):
-                continue
-            self.stats.fanout_deliveries += 1
-            fanout = dict(dlq_event)
-            fanout["sub_id"] = sub_id
-            self.host.send(sub.subscriber, sub.port, fanout)
-
-
-def broker_uri(broker: Broker) -> str:
-    """Address string used by peers to reach the broker (host name)."""
-    return broker.host.name
-
-
-class BrokerClientError(ConfigurationError):
-    """A peer was used before its broker address was configured."""

@@ -25,6 +25,7 @@ from repro.common.identifiers import ServiceUri
 from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
+    NetworkError,
     RequestTimeoutError,
     ServiceError,
 )
@@ -519,7 +520,7 @@ class HttpClient:
         before = breaker.state(target_host)
         try:
             response = future.result()
-        except Exception:
+        except NetworkError:  # timed out, or fast-failed by the breaker
             breaker.record_failure(target_host, now)
         else:
             if response.status >= 500:

@@ -177,39 +177,3 @@ def broker_replication_counters(deployment: "DeployedDistrict"
     counters["broker_not_primary_refusals"] = sum(
         b.stats.not_primary_refusals for b in brokers)
     return counters
-
-
-def data_plane_counters(deployment: "DeployedDistrict") -> Dict[str, int]:
-    """One flat snapshot of the durable-data-plane counters.
-
-    Collects the delivery-ack/redelivery/dead-letter and overload
-    counters from the broker together with the measurement DB's
-    idempotent-ingest and WAL/recovery counters, plus the peer-side
-    rejection/drop totals — the numbers the R3 benchmark reports and
-    the data-plane runbook reads.  Without ``mdb_durability`` /
-    ``broker_overload`` the ack, WAL and shed counters stay zero.
-    """
-    broker = deployment.broker
-    mdb = deployment.measurement_db
-    device_proxies = list(deployment.device_proxies.values())
-    peers = [mdb.peer] + [proxy.peer for proxy in device_proxies]
-    counters = {
-        "deliveries_acked": broker.stats.deliveries_acked,
-        "redeliveries": broker.stats.redeliveries,
-        "consumer_busy": broker.stats.consumer_busy,
-        "poison_nacks": broker.stats.poison_nacks,
-        "dead_lettered": broker.stats.dead_lettered,
-        "publications_shed": broker.stats.publications_shed,
-        "publisher_rejections": broker.stats.publisher_rejections,
-        "pending_deliveries": broker.pending_delivery_count(),
-        "ingest_duplicates": mdb.ingest_duplicates,
-        "backpressure_signals": mdb.backpressure_signals,
-        "poison_rejected": mdb.poison_rejected,
-        "recoveries": mdb.recoveries,
-        "recovered_samples": mdb.recovered_samples,
-        "wal_fsynced_bytes": mdb.wal.fsynced_bytes if mdb.wal else 0,
-        "publications_rejected": sum(p.publications_rejected
-                                     for p in peers),
-        "publications_dropped": sum(p.publications_dropped for p in peers),
-    }
-    return counters

@@ -83,13 +83,13 @@ class TestDurableBrokerState:
         publisher.publish("area/b1/t", {"v": 1}, retain=True)
         publisher.publish("area/b2/t", {"v": 2}, retain=True)
         run(net, 10.0)  # poison nacks exhaust the attempt budget
-        assert len(broker._retained) == 2
+        assert len(broker.state.retained) == 2
         assert len(broker.dead_letters) == 1
         before = json.dumps(broker.snapshot(), sort_keys=True)
 
         broker.reset()
         assert broker.subscription_count() == 0
-        assert len(broker._retained) == 0
+        assert len(broker.state.retained) == 0
         restored = broker.recover()
         assert restored is not None and restored > 0
         after = json.dumps(broker.snapshot(), sort_keys=True)
@@ -114,7 +114,7 @@ class TestDurableBrokerState:
         broker.reset()
         broker.recover()
         assert json.dumps(broker.snapshot(), sort_keys=True) == before
-        assert len(broker._retained) == 2
+        assert len(broker.state.retained) == 2
         # the subscription from before the snapshot exists exactly once
         assert broker.subscription_count() == 1
 
@@ -179,14 +179,14 @@ class TestBrokerFaultVerbs:
         deployment.run(60.0)
         broker = deployment.broker
         subs_before = broker.subscription_count()
-        retained_before = dict(broker._retained)
+        retained_before = dict(broker.state.retained)
         assert subs_before > 0 and retained_before
         restored = faults.restart_broker()
         assert restored is not None and restored > 0
         # the subscription table and retained store are back
         # immediately — no keepalive round needed
         assert broker.subscription_count() == subs_before
-        assert broker._retained == retained_before
+        assert broker.state.retained == retained_before
         assert broker.stats.unrecovered_restarts == 0
         deployment.stop_devices()
         deployment.run(5.0)
@@ -199,7 +199,7 @@ class TestBrokerFaultVerbs:
         broker = deployment.broker
         assert faults.restart_broker(recover=False) is None
         assert broker.subscription_count() == 0
-        assert broker._retained == {}
+        assert broker.state.retained == {}
         assert broker.stats.unrecovered_restarts == 1
         # losing the disk too means a later recover restores nothing
         broker.reset()
@@ -256,7 +256,7 @@ class TestBrokerLogStreaming:
         publisher.publish("area/b1/t", {"v": 1}, retain=True)
         run(net, 2.0)
         standby = group.nodes()[1]
-        assert standby._retained == broker._retained
+        assert standby.state.retained == broker.state.retained
         assert standby.subscription_count() == broker.subscription_count()
 
     def test_standby_answers_not_primary_and_peer_rotates(self, net):
@@ -400,10 +400,10 @@ class TestBrokerFailover:
         # durable snapshot matches the resynced state (a later
         # crash-restart must not resurrect the pre-failover state)
         assert broker.replication.role == "standby"
-        assert set(broker._retained) == {"area/b1/t", "area/b2/t"}
+        assert set(broker.state.retained) == {"area/b1/t", "area/b2/t"}
         broker.reset()
         broker.recover()
-        assert set(broker._retained) == {"area/b1/t", "area/b2/t"}
+        assert set(broker.state.retained) == {"area/b1/t", "area/b2/t"}
 
 
 class TestDeployedBrokerReplication:

@@ -143,6 +143,94 @@ class TestRobustness:
         net.scheduler.run_until_idle()  # must not raise
         assert broker.stats.published == 0
 
+    @pytest.mark.parametrize("frame", [
+        {"verb": "publish", "topic": "a/#"},           # wildcard topic
+        {"verb": "subscribe", "pattern": "a/#/b", "port": "p"},
+        {"verb": "publish"},                           # no topic
+        {"verb": "subscribe", "pattern": "a/b"},       # no port
+        {"verb": "ping"},                              # no port
+        {"verb": "publish", "topic": 7},               # mistyped fields
+        {"verb": "publish", "topic": "a/b", "pub_id": [1], "ack_port": "p"},
+        {"verb": "subscribe", "pattern": "a/b", "port": ["p"]},
+        {"verb": "delivery_ack", "delivery_id": [1]},
+        {"verb": "unsubscribe", "sub_id": {}},
+        {"verb": ["publish"]}, {"topic": "a/b"}, "publish", None, 7,
+    ], ids=repr)
+    def test_malformed_frame_is_dropped_and_counted(self, net, broker,
+                                                    frame):
+        events = []
+        make_peer(net, "sub").subscribe("a/#", events.append)
+        raw = net.add_host("raw")
+        raw.send("broker", "pubsub", frame)
+        net.scheduler.run_until_idle()  # must not unwind the scheduler
+        assert broker.stats.frames_rejected == 1
+        assert broker.metrics()["frames_rejected"] == 1
+        assert broker.stats.published == 0
+        assert broker.subscription_count() == 1
+        # ... and the broker is still in business
+        make_peer(net, "pub").publish("a/b", 1)
+        net.scheduler.run_until_idle()
+        assert [e.payload for e in events] == [1]
+
+    def test_rejected_frame_is_traced(self, net, broker):
+        from repro.observability.tracing import Tracer
+
+        net.tracer = tracer = Tracer(net.scheduler)
+        net.add_host("raw").send("broker", "pubsub", {"verb": "ping"})
+        net.scheduler.run_until_idle()
+        (rejected,) = tracer.events("frame_rejected")
+        assert rejected.attributes["sender"] == "raw"
+        assert rejected.attributes["verb"] == "ping"
+        assert "port" in rejected.attributes["error"]
+
+    def test_handler_errors_are_not_swallowed_as_bad_frames(self, net,
+                                                            broker):
+        # only the parse step is guarded: a bug past it must surface
+        broker._handlers["ping"] = lambda message: 1 / 0
+        net.add_host("raw").send("broker", "pubsub",
+                                 {"verb": "ping", "port": "p"})
+        with pytest.raises(ZeroDivisionError):
+            net.scheduler.run_until_idle()
+        assert broker.stats.frames_rejected == 0
+
+
+class TestMetricsContract:
+    #: every key ``Broker.metrics()`` served before it was built from
+    #: the ``BrokerStats`` dataclass (PR 16's output, sorted): the fleet
+    #: monitor's SLOs and docs/operations.md read them by name
+    SERVED_BEFORE = {
+        "consumer_busy", "data_plane_saturation", "dead_lettered",
+        "dead_letters_evicted", "dead_letters_queued",
+        "dead_subscriptions_dropped", "deliveries_acked",
+        "duplicate_subscriptions_ignored", "epoch", "fanout_deliveries",
+        "fenced", "last_snapshot_age", "live_subscriptions",
+        "not_primary_refusals", "peers", "pending_deliveries",
+        "pings_answered", "poison_nacks", "pub_acks_withheld",
+        "publications_shed", "publish_acks_sent", "published",
+        "publisher_rejections", "recovered_items", "recoveries",
+        "redeliveries", "replication_lag", "retained_topics", "role",
+        "shed_by_topic", "snapshots_written", "subscriptions",
+        "unrecovered_restarts", "wal_appends",
+    }
+
+    def test_every_key_served_before_is_still_served(self, net, broker):
+        served = set(broker.metrics())
+        assert self.SERVED_BEFORE <= served
+        assert served - self.SERVED_BEFORE \
+            == {"frames_rejected", "dead_letters_drained"}
+
+    def test_counters_track_the_stats_object(self, net, broker):
+        peer = make_peer(net, "p")
+        peer.subscribe("t/#", lambda e: None)
+        net.scheduler.run_until_idle()
+        peer.publish("t/1", 1)
+        net.scheduler.run_until_idle()
+        metrics = broker.metrics()
+        for name, value in vars(broker.stats).items():
+            assert metrics[name] == value
+        assert metrics["published"] == 1
+        assert metrics["live_subscriptions"] == 1
+
 
 class TestBrokerScaling:
     def test_many_subscribers_each_get_event(self, net, broker):
@@ -169,8 +257,8 @@ class TestMatchCache:
         net.scheduler.run_until_idle()
         peer.publish("t/1", 1)
         net.scheduler.run_until_idle()
-        assert "t/1" in broker._match_cache
-        assert len(broker._match_cache["t/1"]) == 1
+        assert "t/1" in broker.state.subs.cache
+        assert len(broker.state.subs.cache["t/1"]) == 1
 
     def test_new_subscriber_invalidates_cache(self, net, broker):
         publisher = make_peer(net, "pub")
@@ -223,12 +311,12 @@ class TestMatchCache:
         net.scheduler.run_until_idle()
         peer.publish("t/1", 1)
         net.scheduler.run_until_idle()
-        assert broker._match_cache
+        assert broker.state.subs.cache
         broker.reset()
-        assert broker._match_cache == {}
+        assert broker.state.subs.cache == {}
 
     def test_cache_bounded_against_topic_cardinality(self, net, broker):
-        from repro.middleware.broker import _MATCH_CACHE_CAP
+        from repro.middleware.broker_state import _MATCH_CACHE_CAP
 
         peer = make_peer(net, "p")
         peer.subscribe("t/#", lambda e: None)
@@ -236,7 +324,7 @@ class TestMatchCache:
         for i in range(_MATCH_CACHE_CAP + 10):
             peer.publish(f"t/{i}", None)
         net.scheduler.run_until_idle()
-        assert len(broker._match_cache) <= _MATCH_CACHE_CAP
+        assert len(broker.state.subs.cache) <= _MATCH_CACHE_CAP
 
 
 class TestFanoutWireSize:
