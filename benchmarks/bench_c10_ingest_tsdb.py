@@ -3,20 +3,31 @@
 Measures the measurement pipeline at 10–100x the sample volume the
 other experiments drive, comparing the two payload shapes through the
 measurement DB's one ingest path, at EQUAL durability settings (same
-WAL-per-delivery fsync discipline, same acked deliveries, same snapshot
-cadence) and into the same columnar
-:class:`~repro.storage.blocks.BlockStore` with 1m/15m/1h rollups:
+WAL and group commit, same acked deliveries, same snapshot cadence) and
+into the same columnar :class:`~repro.storage.blocks.BlockStore` with
+1m/15m/1h rollups:
 
 * **per-publish arm** — one pub/sub envelope per sample, each a frame
-  of one: one delivery, one ack and one WAL fsync per sample;
-* **batched arm** — line-protocol frames: one envelope, one ack and
-  one WAL fsync per frame of 100 samples.
+  of one: one publication, one delivery, one decode and one WAL record
+  per sample;
+* **batched arm** — line-protocol frames: one of each per frame of 100
+  samples.
 
-Three results are asserted, not just reported:
+What batching no longer has to buy is fsyncs: the measurement DB commits
+in groups (one fsync and one ack frame per ``COMMIT_WINDOW``), so the
+per-publish arm's 100 same-instant samples share one fsync exactly as a
+frame's do.  What it still buys — envelopes, deliveries, acks, decodes
+and WAL records, each x100 fewer — is asserted on exact integers, and
+the wall-clock ratio those add up to is reported against a measured
+floor.  Asserted, not just reported:
 
-* **≥ 10x sustained ingested samples/sec** (wall-clock) for the
-  batched arm over the per-publish arm — the price of an fsync and a
-  delivery round per sample instead of per frame;
+* **work per sample, in integers** — per arm: fsyncs ≤ N / ``BATCH`` + 1
+  (neither arm pays one per sample), one publication, delivery and ack
+  per sample on the per-publish arm against one per frame on the batched
+  arm, no redelivery on either;
+* **batched ingest sustains ≥ 2x the samples/sec** (wall-clock; x3.1–3.6
+  measured in quick mode, x3.1–3.7 at full volume — it was x13–47 while
+  the per-publish arm also paid an fsync per sample);
 * **rollup-served ``query_range`` beats raw-block scans on p99
   latency** at the full (100x) volume;
 * **zero acknowledged-sample loss and zero double-counts** — every
@@ -120,6 +131,25 @@ def _drive_batched(deployment, peer, samples):
     return frames
 
 
+def _arm(deployment, wall_s):
+    """What one arm cost: the rate, and the exact work counters."""
+    mdb = deployment.measurement_db
+    broker = deployment.broker.stats
+    return {
+        "wall_s": wall_s,
+        "ingested": mdb.ingested,
+        "rate": mdb.ingested / wall_s,
+        "wal_fsyncs": mdb.wal.fsyncs,
+        "wal_records": mdb.wal.appends,
+        "frames": mdb.batches_ingested,
+        "duplicates": mdb.ingest_duplicates,
+        "published": broker.published,
+        "deliveries": broker.fanout_deliveries,
+        "acked": broker.deliveries_acked,
+        "redeliveries": broker.redeliveries,
+    }
+
+
 def _ingest_phase(tmp_path, samples):
     """Run both arms; return sustained samples/sec + invariants."""
     result = {}
@@ -128,30 +158,14 @@ def _ingest_phase(tmp_path, samples):
     peer = _feeder(baseline)
     wall0 = time.perf_counter()
     _drive_per_publish(baseline, peer, samples)
-    base_wall = time.perf_counter() - wall0
-    base_mdb = baseline.measurement_db
-    result["baseline"] = {
-        "wall_s": base_wall,
-        "ingested": base_mdb.ingested,
-        "rate": base_mdb.ingested / base_wall,
-        "wal_fsyncs": base_mdb.wal.fsyncs,
-        "duplicates": base_mdb.ingest_duplicates,
-    }
+    result["baseline"] = _arm(baseline, time.perf_counter() - wall0)
 
     batched = _deploy(tmp_path, "batched")
     peer = _feeder(batched)
     wall0 = time.perf_counter()
     frames = _drive_batched(batched, peer, samples)
-    batch_wall = time.perf_counter() - wall0
+    result["batched"] = _arm(batched, time.perf_counter() - wall0)
     mdb = batched.measurement_db
-    result["batched"] = {
-        "wall_s": batch_wall,
-        "ingested": mdb.ingested,
-        "rate": mdb.ingested / batch_wall,
-        "wal_fsyncs": mdb.wal.fsyncs,
-        "frames": mdb.batches_ingested,
-        "duplicates": mdb.ingest_duplicates,
-    }
     result["speedup"] = result["batched"]["rate"] / \
         result["baseline"]["rate"]
 
@@ -238,6 +252,15 @@ def test_ingest_tsdb(tmp_path, benchmark, report):
         f"({batched['wal_fsyncs']} fsyncs, {batched['frames']} frames) "
         f"speedup=x{ingest['speedup']:.1f}"
     )
+    for name, arm in (("baseline", base), ("batched", batched)):
+        report.add(
+            EXPERIMENT,
+            f"{'work':<8s} {name:<8s} published={arm['published']} "
+            f"deliveries={arm['deliveries']} acked={arm['acked']} "
+            f"wal_records={arm['wal_records']} "
+            f"fsyncs={arm['wal_fsyncs']} "
+            f"redeliveries={arm['redeliveries']}"
+        )
     report.add(
         EXPERIMENT,
         f"{'queries':<8s} n={queries['queries']} "
@@ -259,8 +282,20 @@ def test_ingest_tsdb(tmp_path, benchmark, report):
     assert replay["stored_delta"] == 0, \
         "retransmitted frames were double-counted"
     assert replay["duplicates_absorbed"] >= REPLAY_FRAMES * BATCH
-    # the headline claims
-    assert ingest["speedup"] >= 10.0, \
+    # work per sample, in exact integers: neither arm fsyncs per
+    # sample any more; batching still divides everything else by BATCH
+    n_frames = N_SAMPLES // BATCH
+    for arm in (base, batched):
+        assert arm["wal_fsyncs"] <= n_frames + 1, \
+            f"{arm['wal_fsyncs']} fsyncs: group commit is not grouping"
+        assert arm["redeliveries"] == 0
+    for counter in ("published", "deliveries", "acked", "wal_records"):
+        assert base[counter] == N_SAMPLES, counter
+        assert batched[counter] == n_frames, counter
+    assert base["frames"] == 0 and batched["frames"] == n_frames
+    # the headline claims; the floor sits under what was measured on
+    # the reference box: x3.1-3.6 (quick), x3.1-3.7 (full)
+    assert ingest["speedup"] >= 2.0, \
         f"batched ingest only x{ingest['speedup']:.1f} faster"
     assert queries["rollup_p99_ms"] < queries["raw_p99_ms"], \
         "rollups did not beat raw scans on p99"

@@ -165,7 +165,8 @@ _FRAME_FIELDS = {
     "publish": (("topic", str, True), ("ack_port", str, False),
                 ("pub_id", int, False)),
     "ping": (("port", str, True),),
-    "delivery_ack": (("delivery_id", int, False),),
+    "delivery_ack": (("delivery_id", int, False),
+                     ("delivery_ids", list, False)),
     "delivery_nack": (("delivery_id", int, False),),
 }
 
@@ -185,6 +186,10 @@ def _validate(verb, payload) -> None:
         validate_topic(payload["topic"])
     elif verb == "subscribe":
         validate_filter(payload["pattern"])
+    elif verb == "delivery_ack":
+        for delivery_id in payload.get("delivery_ids") or ():
+            if not isinstance(delivery_id, int):
+                raise TypeError("field 'delivery_ids' must hold ints")
 
 
 def _fanout_span(tracer, host: Host, payload: dict, topic: str):
@@ -235,12 +240,16 @@ class DeliverySettlement:
             self.arm(delivery.delivery_id, delivery.generation)
 
     def ack(self, message: Message) -> None:
-        delivery = self.state.deliveries.get(
-            message.payload.get("delivery_id"))
-        if delivery is None:
-            return  # late ack for a redelivered/reset delivery
-        self.stats.deliveries_acked += 1
-        self._release(delivery)
+        """Release the one delivery named by ``delivery_id``, or every
+        one in ``delivery_ids`` (a consumer's group commit)."""
+        payload = message.payload
+        for delivery_id in payload.get("delivery_ids") \
+                or (payload.get("delivery_id"),):
+            delivery = self.state.deliveries.get(delivery_id)
+            if delivery is None:
+                continue  # late ack for a redelivered/reset delivery
+            self.stats.deliveries_acked += 1
+            self._release(delivery)
 
     def nack(self, message: Message) -> None:
         payload = message.payload

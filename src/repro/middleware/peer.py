@@ -28,7 +28,12 @@ Two more mechanisms complete the durable data plane (PR 6):
   callback returns.  A callback raising
   :class:`~repro.errors.BackpressureError` sends a *busy* nack (the
   broker redelivers later); any other exception sends a *poison* nack
-  (counted toward the broker's dead-letter threshold).
+  (counted toward the broker's dead-letter threshold) and surfaces as a
+  ``delivery_poison_nack`` trace event and registry counter.  A
+  callback whose work is not durable when it returns takes custody of
+  the delivery with :meth:`MiddlewarePeer.defer` and acknowledges it
+  later, many at a time, with :meth:`MiddlewarePeer.settle` — the
+  measurement DB's group commit.
 * **Publish rejection** (``pub-reject``): a saturated broker answers a
   reliable publication with the pub/sub analogue of HTTP 429 +
   Retry-After.  The peer parks the publication in its offline buffer,
@@ -62,8 +67,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, \
-    Set, Union
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, \
+    Sequence, Set, Tuple, Union
 
 from repro.errors import BackpressureError, ConfigurationError
 from repro.middleware.broker import BROKER_PORT, Event
@@ -77,6 +82,8 @@ from repro.observability.tracing import (
 )
 
 EventCallback = Callable[[Event], None]
+#: handle to one broker-tracked delivery: (origin broker, delivery id)
+Delivery = Tuple[str, int]
 
 
 class Subscription:
@@ -160,6 +167,8 @@ class MiddlewarePeer:
         self._probe_task = None
         self._ping_ids = itertools.count(1)
         self._keepalive_task = None
+        #: the acked delivery whose callback is running (see :meth:`defer`)
+        self._dispatching: Optional[Delivery] = None
         if keepalive is not None:
             self._keepalive_task = host.network.scheduler.every(
                 keepalive, self._keepalive
@@ -431,7 +440,8 @@ class MiddlewarePeer:
         delivered, matching real broker semantics.
 
         With *ack*, every delivery is acknowledged back to the broker
-        after the callback returns (at-least-once); a callback raising
+        after the callback returns (at-least-once) unless the callback
+        took custody of it (:meth:`defer`); a callback raising
         :class:`~repro.errors.BackpressureError` nacks *busy*, any
         other exception nacks *poison* (see the broker's dead-letter
         queue).
@@ -622,30 +632,71 @@ class MiddlewarePeer:
         subscriptions keep the historical behaviour (exceptions
         propagate to the scheduler).  Acks answer *origin* — the broker
         that actually delivered — which under failover may not be the
-        rotation cursor yet.
+        rotation cursor yet.  A callback that called :meth:`defer` is
+        not acked here: it settles the delivery itself, later.
         """
         delivery_id = payload.get("delivery_id")
         if delivery_id is None:
             sub.callback(event)
             return
+        self._dispatching = (origin, delivery_id)
         try:
             sub.callback(event)
         except BackpressureError:
-            self.deliveries_nacked += 1
-            self.host.send(origin, BROKER_PORT, {
-                "verb": "delivery_nack", "delivery_id": delivery_id,
-                "poison": False,
-            })
-        except Exception:
-            self.deliveries_nacked += 1
-            self.host.send(origin, BROKER_PORT, {
-                "verb": "delivery_nack", "delivery_id": delivery_id,
-                "poison": True,
-            })
+            self._nack(origin, delivery_id, poison=False)
+        except Exception as exc:
+            # a consumer bug and a poison payload both end here and both
+            # must nack rather than unwind the scheduler; the event and
+            # the counter say which exception it was, so the two can be
+            # told apart without a print statement
+            self._nack(origin, delivery_id, poison=True)
+            registry = self.host.network.metrics
+            if registry is not None:
+                registry.counter("pubsub.delivery_poison_nacks").inc()
+            emit(self.host.network, "delivery_poison_nack",
+                 host=self.host.name, peer=self.host.name,
+                 topic=event.topic, error=type(exc).__name__,
+                 detail=str(exc))
         else:
-            self.deliveries_acked += 1
+            if self._dispatching is not None:
+                self.deliveries_acked += 1
+                self.host.send(origin, BROKER_PORT, {
+                    "verb": "delivery_ack", "delivery_id": delivery_id,
+                })
+        finally:
+            self._dispatching = None
+
+    def _nack(self, origin: str, delivery_id: int, poison: bool) -> None:
+        self.deliveries_nacked += 1
+        self.host.send(origin, BROKER_PORT, {
+            "verb": "delivery_nack", "delivery_id": delivery_id,
+            "poison": poison,
+        })
+
+    def defer(self) -> Optional[Delivery]:
+        """Take custody of the delivery being dispatched.
+
+        For the callback of an acked subscription, as the last thing it
+        does: the peer then sends no ack when the callback returns, and
+        the caller passes the returned handle to :meth:`settle` once the
+        delivery's effects are durable.  A handle that is never settled
+        (the consumer crashed) is simply redelivered by the broker's ack
+        timeout.  Returns None when there is nothing to settle — a
+        retained replay, an unacked subscription.
+        """
+        delivery, self._dispatching = self._dispatching, None
+        return delivery
+
+    def settle(self, deliveries: Iterable[Delivery]) -> None:
+        """Acknowledge *deliveries*: one ``delivery_ack`` frame per
+        origin broker, carrying every delivery id it is owed."""
+        by_origin: Dict[str, List[int]] = {}
+        for origin, delivery_id in deliveries:
+            by_origin.setdefault(origin, []).append(delivery_id)
+        for origin, delivery_ids in by_origin.items():
+            self.deliveries_acked += len(delivery_ids)
             self.host.send(origin, BROKER_PORT, {
-                "verb": "delivery_ack", "delivery_id": delivery_id,
+                "verb": "delivery_ack", "delivery_ids": delivery_ids,
             })
 
 

@@ -10,14 +10,19 @@ benchmarks) can ask one place for historical data.
 There is one data plane: the engine is always a columnar
 :class:`~repro.storage.blocks.BlockStore`, and every delivery — a lone
 sample envelope is a frame of one — takes the same decode → dedup →
-capacity check → WAL append → store path:
+capacity check → stage → commit (fsync) → store → ack path:
 
 * **idempotent ingest** — samples are deduplicated on
   ``(device_id, timestamp, quantity, seq)`` over a bounded window, so
   broker redeliveries and offline-buffer re-flushes never double-count;
-* **crash safety** — with a ``wal_path`` every accepted delivery is
-  appended (and fsync'd) to a write-ahead log before it is
-  acknowledged; with a ``snapshot_path`` the store's
+* **crash safety, by group commit** — with a ``wal_path`` the *commit*,
+  not the delivery, is the unit of durability: an accepted delivery's
+  WAL record is staged in memory and joins the open commit group; one
+  fsync per :data:`~repro.storage.durability.COMMIT_WINDOW` makes the
+  group durable, and only then are its samples stored (visible ⇒
+  durable) and its deliveries acknowledged, in one frame.  A crash
+  drops the open group — it was never acknowledged, so the broker
+  redelivers it.  With a ``snapshot_path`` the store's
   :class:`~repro.storage.durability.Journal` snapshots periodically,
   bounding replay time and truncating the WAL.  :meth:`recover`
   restores snapshot + WAL tail after a crash-restart (see
@@ -30,7 +35,8 @@ capacity check → WAL append → store path:
   the broker's dead-letter queue instead of wedging ingestion.
 
 Without a :class:`~repro.storage.durability.DurabilityConfig` the store
-is volatile: no WAL, no snapshot, no delivery acks.
+is volatile: no WAL, no snapshot, no delivery acks — and with no WAL
+there is nothing to wait for, so a delivery is stored as it arrives.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from repro.errors import (
     SeriesNotFoundError,
 )
 from repro.middleware.broker import Event
-from repro.middleware.peer import MiddlewarePeer
+from repro.middleware.peer import Delivery, MiddlewarePeer
 from repro.middleware.topics import district_filter
 from repro.network.transport import Host
 from repro.network.webservice import (
@@ -69,6 +75,8 @@ from repro.storage.query import RangeQuery, RollupQuery
 
 #: dedup key of one sample: (device_id, timestamp, quantity, seq)
 DedupKey = Tuple[str, float, str, Optional[int]]
+#: the fresh samples of one delivery, by key: (WAL part, sample)
+FreshSamples = Dict[DedupKey, Tuple[object, Measurement]]
 
 
 class MeasurementDatabase(StateMachine, Registrant):
@@ -108,6 +116,12 @@ class MeasurementDatabase(StateMachine, Registrant):
         self._dedup_order: Deque[DedupKey] = deque()
         self._queue: Deque[Measurement] = deque()
         self._drain_scheduled = False
+        # the open commit group: deliveries whose WAL record is staged,
+        # the keys of their samples, and every delivery (theirs, and
+        # duplicates of theirs) owed an ack once the group is on disk
+        self._group: List[Tuple[Event, FreshSamples]] = []
+        self._staged_keys: Set[DedupKey] = set()
+        self._deferred: List[Delivery] = []
         self.journal = Journal(self, "repro-mdb-state", 3, durability)
         #: the journal's WAL (None when not durable), aliased so the
         #: per-delivery ingest path pays one attribute read
@@ -213,31 +227,40 @@ class MeasurementDatabase(StateMachine, Registrant):
     def _ingest_frame(self, parts: List,
                       measurements: List[Measurement],
                       event: Event) -> None:
-        """Dedup, WAL-append and ingest one decoded delivery.
+        """Dedup one decoded delivery, then stage it for the next commit.
 
         The delivery is the unit of redelivery; dedup stays per-sample,
         so a redelivered frame whose samples were already ingested acks
         without double-counting, and a frame that partially overlaps
         the dedup window ingests only the fresh samples.  The WAL
-        record (one fsync per delivery) holds only the fresh parts —
-        replay cannot resurrect a duplicate.
+        record holds only the fresh parts — replay cannot resurrect a
+        duplicate.  Nothing of the delivery is stored, remembered or
+        acknowledged here: that is :meth:`committed`, after the fsync
+        that covers its record.  Without a WAL there is no fsync to
+        wait for and the delivery is accepted at once.
         """
         registry = self.host.network.metrics
-        fresh: Dict[DedupKey, Tuple[object, Measurement]] = {}
+        staged = self._staged_keys
+        fresh: FreshSamples = {}
+        waits = False
         for part, measurement in zip(parts, measurements):
             key = self._dedup_key(measurement)
-            if key in self._dedup_keys or key in fresh:
+            if key in self._dedup_keys or key in fresh or key in staged:
                 # redelivery / duplicate offline-buffer flush: already
                 # ingested, so acknowledge without double-counting
                 self.ingest_duplicates += 1
                 if registry is not None:
                     registry.counter("mdb.ingest_duplicates").inc()
+                # ... but not before the original is durable
+                waits = waits or key in staged
                 continue
             fresh[key] = (part, measurement)
         if not fresh:
+            if waits:
+                self._defer()
             return  # fully redelivered: ack, nothing to store
         capacity = self.durability.queue_capacity
-        if capacity is not None and len(self._queue) >= capacity:
+        if capacity is not None and self._backlog() >= capacity:
             # whole-delivery backpressure BEFORE any durable effect: the
             # broker redelivers it complete later and dedup absorbs any
             # samples a competing path landed meanwhile
@@ -245,20 +268,44 @@ class MeasurementDatabase(StateMachine, Registrant):
             if registry is not None:
                 registry.counter("mdb.backpressure_signals").inc()
             raise BackpressureError("measurement-DB ingest queue is full")
-        framed = is_batch(event.payload)
-        # the point of no return: once the WAL append succeeds the
-        # samples are durable, their keys join the dedup window, and
-        # the delivery can be acknowledged (ack-after-fsync)
-        if self.wal is not None:
-            fresh_parts = [part for part, _measurement in fresh.values()]
-            self.wal.append({"record": BATCH_RECORD,
-                             "count": len(fresh_parts),
-                             "lines": fresh_parts}
-                            if framed else fresh_parts[0])
+        if self.wal is None:
+            self._accept(event, fresh)
+            return
+        fresh_parts = [part for part, _measurement in fresh.values()]
+        self.journal.stage({"record": BATCH_RECORD,
+                            "count": len(fresh_parts),
+                            "lines": fresh_parts}
+                           if is_batch(event.payload) else fresh_parts[0])
+        staged.update(fresh)
+        self._group.append((event, fresh))
+        self._defer()
+
+    def _defer(self) -> None:
+        """Hold this delivery's ack until the open group commits."""
+        delivery = self.peer.defer()
+        if delivery is not None:
+            self._deferred.append(delivery)
+
+    def committed(self) -> None:
+        """The open commit group is on disk: remember it, store it,
+        acknowledge it — in that order, and only now (ack-after-fsync,
+        visible ⇒ durable)."""
+        group, self._group = self._group, []
+        self._staged_keys.clear()
+        for event, fresh in group:
+            self._accept(event, fresh)
+        deferred, self._deferred = self._deferred, []
+        self.peer.settle(deferred)
+
+    def _accept(self, event: Event, fresh: FreshSamples) -> None:
+        """Remember, count and store (or queue) one delivery's fresh
+        samples.  The point of no return: a durable store gets here
+        only once the WAL holds them."""
+        registry = self.host.network.metrics
         for key in fresh:
             self._remember(key)
         self._record_latency(event)
-        if framed:
+        if is_batch(event.payload):
             self.batches_ingested += 1
             self.batch_samples += len(fresh)
             if registry is not None:
@@ -270,6 +317,11 @@ class MeasurementDatabase(StateMachine, Registrant):
             return
         for _part, measurement in fresh.values():
             self._ingest_sample(measurement)
+
+    def _backlog(self) -> int:
+        """Samples accepted but not yet stored: staged for the next
+        commit, or queued behind ``ingest_delay``."""
+        return len(self._staged_keys) + len(self._queue)
 
     def _record_latency(self, event: Event) -> None:
         latency = event.delivered_at - event.published_at
@@ -334,6 +386,11 @@ class MeasurementDatabase(StateMachine, Registrant):
         self._dedup_order.clear()
         self._queue.clear()
         self._drain_scheduled = False
+        # the open commit group dies unacknowledged (journal.crash()
+        # drops its staged records and timer): the broker redelivers it
+        self._group.clear()
+        self._staged_keys.clear()
+        self._deferred.clear()
         self._delivery_latencies.clear()
         self._stale_until_sample = True
         self.journal.crash()
@@ -420,7 +477,8 @@ class MeasurementDatabase(StateMachine, Registrant):
             self._ingest_sample(self._queue.popleft())
 
     def close(self) -> None:
-        """Stop periodic tasks and release the WAL handle (teardown)."""
+        """Commit the open group, stop periodic tasks and release the
+        WAL handle (teardown)."""
         self.stop_heartbeat()
         self.journal.close()
         if self._compaction_task is not None:
@@ -566,7 +624,7 @@ class MeasurementDatabase(StateMachine, Registrant):
             "rejected": self.rejected,
             "durable": self.wal is not None,
             "stale_until_sample": self._stale_until_sample,
-            "ingest_queue_depth": len(self._queue),
+            "ingest_queue_depth": self._backlog(),
             "heartbeats_sent": self.heartbeats_sent,
             "heartbeats_failed": self.heartbeats_failed,
         })
@@ -588,7 +646,8 @@ class MeasurementDatabase(StateMachine, Registrant):
             "heartbeats_failed": self.heartbeats_failed,
             "ingest_duplicates": self.ingest_duplicates,
             "dedup_window_size": len(self._dedup_order),
-            "ingest_queue_depth": len(self._queue),
+            "ingest_queue_depth": self._backlog(),
+            "ingest_staged": len(self._staged_keys),
             "backpressure_signals": self.backpressure_signals,
             "poison_rejected": self.poison_rejected,
             "snapshots_written": self.snapshots_written,
@@ -597,7 +656,7 @@ class MeasurementDatabase(StateMachine, Registrant):
             "wal_records_replayed": self.wal_records_replayed,
             "stale_until_sample": int(self._stale_until_sample),
             "data_plane_saturation":
-                len(self._queue) / float(queue_capacity)
+                self._backlog() / float(queue_capacity)
                 if queue_capacity else 0.0,
             "tsdb": self.store.stats(),
         }
@@ -606,6 +665,10 @@ class MeasurementDatabase(StateMachine, Registrant):
                 "wal_appends": self.wal.appends,
                 "wal_fsyncs": self.wal.fsyncs,
                 "wal_fsynced_bytes": self.wal.fsynced_bytes,
+                "wal_records_per_fsync":
+                    self.wal.appends / self.wal.fsyncs
+                    if self.wal.fsyncs else 0.0,
+                "commit_group_max": self.wal.group_max,
                 "wal_size_bytes": self.wal.size_bytes(),
                 "wal_torn_records_skipped":
                     self.wal.torn_records_skipped,

@@ -107,6 +107,55 @@ class TestWriteAheadLog:
         assert wal.records() == [{"n": 1}, {"n": 2}]
         assert wal.torn_records_skipped == 1
 
+    def test_torn_tail_is_cut_off_before_the_next_append(self, tmp_path):
+        path = tmp_path / "torn.wal"
+        wal = WriteAheadLog(str(path))
+        wal.append({"n": 1})
+        wal.close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"n": 2, "tru')
+        assert wal.records() == [{"n": 1}]     # recovery reads the log
+        wal.append({"n": 3})                   # ... then appends to it
+        assert path.read_text() == '{"n":1}\n{"n":3}\n'
+        assert wal.records() == [{"n": 1}, {"n": 3}]
+        assert wal.torn_records_skipped == 1   # and is not re-counted
+
+    def test_unterminated_final_record_counts_as_torn(self, tmp_path):
+        # the write was cut exactly before its newline: the record
+        # parses, but it was never synced whole, so never acknowledged
+        path = tmp_path / "cut.wal"
+        path.write_text('{"n":1}\n{"n":2}')
+        wal = WriteAheadLog(str(path))
+        assert wal.records() == [{"n": 1}]
+        assert wal.torn_records_skipped == 1
+        assert path.read_text() == '{"n":1}\n'
+
+    def test_staged_records_share_one_fsync(self, tmp_path, monkeypatch):
+        import os
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd)))
+        wal = WriteAheadLog(str(tmp_path / "group.wal"))
+        for n in range(3):
+            wal.stage({"n": n})
+        assert wal.size_bytes() == 0 and wal.appends == 0  # memory only
+        wal.sync()
+        assert len(synced) == 1 == wal.fsyncs
+        assert wal.appends == 3 == wal.group_max
+        assert wal.fsynced_bytes == wal.size_bytes()
+        assert wal.records() == [{"n": 0}, {"n": 1}, {"n": 2}]
+        wal.sync()                     # nothing staged: nothing to do
+        assert len(synced) == 1
+
+    def test_close_drops_what_was_only_staged(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path / "crash.wal"))
+        wal.append({"n": 1})
+        wal.stage({"n": 2})
+        wal.close()                    # the process died
+        wal.sync()
+        assert wal.records() == [{"n": 1}]
+
     def test_torn_middle_line_raises(self, tmp_path):
         path = tmp_path / "corrupt.wal"
         path.write_text('{"n": 1}\nnot json at all\n{"n": 3}\n')

@@ -12,7 +12,10 @@ observes a run without perturbing it.
 
 import pytest
 
+from repro.proxies.device_proxy import BatchConfig
+from repro.simulation.scenario import ScenarioConfig, deploy
 from repro.simulation.soak import SoakConfig, run_soak
+from repro.storage.durability import DurabilityConfig
 
 #: short but non-trivial: covers registrations + heartbeats, batched
 #: ingest, resolves, pub/sub churn and at least one compaction-worthy
@@ -84,3 +87,44 @@ class TestSchedulerTwin:
                                "devices_per_building": 6}))
         again = run_soak(SoakConfig(**_TWIN))
         assert wire(first) == wire(again)
+
+
+class TestDurableIngestTwin:
+    """Group commit arms a timer per commit window: the same seed must
+    still give the same events, messages, ingest and fsyncs — on either
+    scheduler loop, and run after run."""
+
+    @staticmethod
+    def fingerprint(tmp_path, tag, **overrides):
+        deployment = deploy(ScenarioConfig(
+            seed=23, n_buildings=3, devices_per_building=3,
+            proxy_batching=BatchConfig(25, 10.0),
+            mdb_durability=DurabilityConfig(
+                wal_path=str(tmp_path / f"{tag}.wal"),
+                snapshot_path=str(tmp_path / f"{tag}.snap"),
+                snapshot_period=120.0),
+            **overrides))
+        deployment.run(300.0)
+        mdb, stats = deployment.measurement_db, deployment.network.stats
+        mdb.close()
+        return {
+            "events_processed": deployment.scheduler.events_processed,
+            "messages_delivered": stats.messages_delivered,
+            "bytes_sent": stats.bytes_sent,
+            "ingested": mdb.ingested,
+            "stored": mdb.store.sample_count(),
+            "wal_appends": mdb.wal.appends,
+            "wal_fsyncs": mdb.wal.fsyncs,
+            "snapshots": mdb.snapshots_written,
+            "acked": deployment.broker.stats.deliveries_acked,
+            "redeliveries": deployment.broker.stats.redeliveries,
+        }
+
+    def test_same_seed_same_fingerprint_on_both_loops(self, tmp_path):
+        fast = self.fingerprint(tmp_path, "fast")
+        assert fast["ingested"] == fast["stored"] > 0
+        assert fast["wal_fsyncs"] < fast["wal_appends"] == fast["acked"]
+        assert fast["snapshots"] >= 2 and fast["redeliveries"] == 0
+        assert self.fingerprint(tmp_path, "again") == fast
+        assert self.fingerprint(tmp_path, "reference",
+                                reference_scheduler=True) == fast

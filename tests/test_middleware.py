@@ -376,3 +376,115 @@ class TestFanoutWireSize:
         payload, size = deliveries[0]
         assert "delivery_id" in payload
         assert size == estimate_size(payload)
+
+
+class TestAckedDeliveries:
+    """What the peer does with a broker-tracked delivery once the
+    callback returns — or raises, or takes custody of it."""
+
+    def consumer(self, net, callback):
+        peer = make_peer(net, "cons")
+        peer.subscribe("t/#", callback, ack=True)
+        net.scheduler.run_for(0.1)
+        return peer
+
+    def test_returning_acks_at_once(self, net, broker):
+        peer = self.consumer(net, lambda event: None)
+        make_peer(net, "pub").publish("t/1", 1)
+        net.scheduler.run_for(0.1)
+        assert peer.deliveries_acked == 1 == broker.stats.deliveries_acked
+        assert broker.pending_delivery_count() == 0
+
+    def test_deferred_deliveries_settle_in_one_frame(self, net, broker):
+        held = []
+        peer = self.consumer(net, lambda event: held.append(peer.defer()))
+        publisher = make_peer(net, "pub")
+        for n in range(3):
+            publisher.publish(f"t/{n}", n)
+        net.scheduler.run_for(0.1)
+        # custody taken: the callbacks returned and nothing was acked
+        assert len(held) == 3 and None not in held
+        assert peer.deliveries_acked == 0
+        assert broker.pending_delivery_count() == 3
+        sent = net.stats.messages_sent
+        peer.settle(held)
+        assert net.stats.messages_sent == sent + 1
+        net.scheduler.run_for(0.1)
+        assert peer.deliveries_acked == 3 == broker.stats.deliveries_acked
+        assert broker.pending_delivery_count() == 0
+        assert broker.stats.redeliveries == 0
+
+    def test_never_settled_is_redelivered_by_the_ack_timeout(self, net,
+                                                             broker):
+        held = []
+        peer = self.consumer(net, lambda event: held.append(peer.defer()))
+        make_peer(net, "pub").publish("t/1", 1)
+        net.scheduler.run_for(0.1)
+        held.clear()                   # the consumer crashed holding it
+        net.scheduler.run_for(broker.settlement.ack_timeout)
+        assert broker.stats.redeliveries == 1
+        peer.settle(held)              # the second copy's handle
+        net.scheduler.run_for(0.1)
+        assert broker.pending_delivery_count() == 0
+
+    def test_defer_outside_an_acked_delivery_is_none(self, net, broker):
+        held = []
+        peer = make_peer(net, "cons")
+        peer.subscribe("t/#", lambda event: held.append(peer.defer()))
+        net.scheduler.run_for(0.1)
+        make_peer(net, "pub").publish("t/1", 1)
+        net.scheduler.run_for(0.1)
+        assert held == [None] and peer.defer() is None
+
+    def test_late_and_unknown_ids_in_a_list_are_skipped(self, net, broker):
+        held = []
+        peer = self.consumer(net, lambda event: held.append(peer.defer()))
+        make_peer(net, "pub").publish("t/1", 1)
+        net.scheduler.run_for(0.1)
+        peer.settle(held + [("broker", 999)] + held)
+        net.scheduler.run_for(0.1)
+        assert broker.stats.deliveries_acked == 1
+        assert broker.stats.frames_rejected == 0
+
+    def test_mistyped_id_list_is_rejected_at_the_boundary(self, net, broker):
+        net.add_host("raw").send("broker", "pubsub", {
+            "verb": "delivery_ack", "delivery_ids": [1, [2]]})
+        net.scheduler.run_for(0.1)
+        assert broker.stats.frames_rejected == 1
+
+    def test_consumer_exception_nacks_poison_and_surfaces(self, net, broker):
+        from repro.observability.metrics import MetricsRegistry
+        from repro.observability.tracing import Tracer
+
+        net.tracer = tracer = Tracer(net.scheduler)
+        net.metrics = registry = MetricsRegistry()
+
+        def buggy(event):
+            raise ZeroDivisionError("a handler bug, not a bad payload")
+
+        peer = self.consumer(net, buggy)
+        make_peer(net, "pub").publish("t/1", 1)
+        net.scheduler.run_for(0.1)     # must not unwind the scheduler
+        assert peer.deliveries_nacked >= 1 <= broker.stats.poison_nacks
+        nack = tracer.events("delivery_poison_nack")[0]
+        assert nack.attributes["topic"] == "t/1"
+        assert nack.attributes["error"] == "ZeroDivisionError"
+        assert registry.counter("pubsub.delivery_poison_nacks").value \
+            == peer.deliveries_nacked
+
+    def test_backpressure_nacks_busy_without_the_poison_event(self, net,
+                                                              broker):
+        from repro.errors import BackpressureError
+        from repro.observability.tracing import Tracer
+
+        net.tracer = tracer = Tracer(net.scheduler)
+
+        def busy(event):
+            raise BackpressureError("queue full")
+
+        self.consumer(net, busy)
+        make_peer(net, "pub").publish("t/1", 1)
+        net.scheduler.run_for(0.1)
+        assert broker.stats.consumer_busy == 1
+        assert broker.stats.poison_nacks == 0
+        assert tracer.events("delivery_poison_nack") == []

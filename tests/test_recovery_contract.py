@@ -333,6 +333,28 @@ class TestWalReplay:
         assert node.wal.torn_records_skipped == 1
         assert dumped(rig.view(node)) == before
 
+    def test_torn_tail_does_not_poison_the_next_append(self, kind, net,
+                                                       tmp_path):
+        """Two crashes: the fragment the first one left must be cut off
+        before the recovered node appends, or its first acknowledged
+        record is glued onto it and the second recovery cannot read
+        the log at all."""
+        rig = kind(net, tmp_path)
+        node = rig.node
+        rig.drive(1)
+        rig.drive(2)
+        node.reset()
+        with open(node.wal.path, "a", encoding="utf-8") as handle:
+            handle.write('{"op": "retain", "tru')  # crash mid-append
+        node.recover()
+        rig.drive(3)
+        rig.drive(4)
+        before = dumped(rig.view(node))
+        node.reset()
+        node.recover()
+        assert node.wal.torn_records_skipped == 1
+        assert dumped(rig.view(node)) == before
+
     def test_torn_middle_line_raises(self, kind, net, tmp_path):
         rig = kind(net, tmp_path)
         node = rig.node
