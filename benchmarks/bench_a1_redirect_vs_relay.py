@@ -20,9 +20,9 @@ from repro.middleware.broker import Broker
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
 from repro.network.webservice import HttpClient
+from repro.observability import MetricsRegistry
 from repro.ontology.queries import AreaQuery
 from repro.proxies.database_proxy import BimProxy, GisProxy
-from repro.simulation import MetricsRecorder
 
 EXPERIMENT = "A1"
 N_BUILDINGS = 16
@@ -55,7 +55,7 @@ def build_relay_district():
 def test_redirect_vs_relay(clients, benchmark, report):
     dataset, net, master = build_relay_district()
     query = AreaQuery(district_id=dataset.district_id)
-    metrics = MetricsRecorder()
+    metrics = MetricsRegistry()
 
     redirect_clients = [
         DistrictClient(net.add_host(f"rc-{clients}-{i}"), master.uri)

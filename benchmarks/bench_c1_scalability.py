@@ -21,12 +21,9 @@ of the fixed-size workflow, which should stay flat.
 
 import pytest
 
+from repro.observability import MetricsRegistry
 from repro.ontology import AreaQuery
-from repro.simulation import (
-    MetricsRecorder,
-    ScenarioConfig,
-    deploy,
-)
+from repro.simulation import ScenarioConfig, deploy
 
 EXPERIMENT = "C1"
 SIZES = (5, 10, 20, 40, 80)
@@ -51,7 +48,7 @@ def district_of(n_buildings):
 def test_scalability(n_buildings, benchmark, report):
     district = district_of(n_buildings)
     client = district.client(f"c1-user-{n_buildings}")
-    metrics = MetricsRecorder()
+    metrics = MetricsRegistry()
 
     whole = AreaQuery(district_id=district.district_id)
     single = AreaQuery(

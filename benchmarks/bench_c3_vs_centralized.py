@@ -22,8 +22,9 @@ import pytest
 
 from repro.baselines.centralized import deploy_centralized
 from repro.datasources.generators import synthesize_district
+from repro.observability import MetricsRegistry
 from repro.ontology import AreaQuery
-from repro.simulation import MetricsRecorder, ScenarioConfig, deploy
+from repro.simulation import ScenarioConfig, deploy
 
 EXPERIMENT = "C3"
 N_BUILDINGS = 12
@@ -140,7 +141,7 @@ def test_vs_centralized(distributed, centralized, dataset, benchmark,
     assert cent_value != 2015
 
     # -- query latency -------------------------------------------------------
-    metrics = MetricsRecorder()
+    metrics = MetricsRegistry()
     query = AreaQuery(district_id=distributed.district_id)
     for _ in range(5):
         with metrics.simulated("distributed whole-area",
@@ -155,7 +156,7 @@ def test_vs_centralized(distributed, centralized, dataset, benchmark,
                 centralized.server.uri.rstrip("/") + "/area",
                 params={"with_data": "1"},
             )
-    for summary in metrics.summaries():
+    for summary in map(metrics.summary, metrics.names()):
         report.add(EXPERIMENT, "  " + summary.row())
 
     def distributed_query():

@@ -19,7 +19,7 @@ from repro.middleware.peer import connect
 from repro.middleware.topics import measurement_topic, topic_matches
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
-from repro.simulation import MetricsRecorder
+from repro.observability import MetricsRegistry
 
 EXPERIMENT = "C4"
 SUBSCRIBER_COUNTS = (1, 4, 16, 64, 256)
@@ -31,12 +31,13 @@ def test_fanout_latency(subscribers, benchmark, report):
     net = Network(Scheduler(), latency=LatencyModel(jitter=0.0))
     broker = Broker(net.add_host("broker"))
     publisher = connect(net.add_host("pub"), "broker")
-    metrics = MetricsRecorder()
+    metrics = MetricsRegistry()
+    delivery = metrics.histogram("delivery")
     arrivals = {"n": 0}
 
     def on_event(event):
         arrivals["n"] += 1
-        metrics.record("delivery", event.delivered_at - event.published_at)
+        delivery.observe(event.delivered_at - event.published_at)
 
     for i in range(subscribers):
         peer = connect(net.add_host(f"sub-{i}"), "broker")

@@ -14,8 +14,9 @@ Measures, per protocol:
 import pytest
 
 from repro.common.cdf import ActuationResult
+from repro.observability import MetricsRegistry
 from repro.ontology import AreaQuery
-from repro.simulation import MetricsRecorder, ScenarioConfig, deploy
+from repro.simulation import ScenarioConfig, deploy
 
 EXPERIMENT = "C8"
 
@@ -39,7 +40,7 @@ def test_actuation_round_trip(district, benchmark, report):
     client = district.client("c8-user")
     actuators = actuators_of(district, client)
     assert actuators
-    metrics = MetricsRecorder()
+    metrics = MetricsRegistry()
     by_protocol = {}
 
     def actuate_all():
@@ -57,7 +58,7 @@ def test_actuation_round_trip(district, benchmark, report):
             assert results, f"no actuation result for {device.device_id}"
             result = results[-1]
             elapsed = result.completed_at - start
-            metrics.record("round-trip", elapsed)
+            metrics.histogram("round-trip").observe(elapsed)
             by_protocol.setdefault(device.protocol, []).append(elapsed)
             outcomes.append(result.accepted)
         return outcomes

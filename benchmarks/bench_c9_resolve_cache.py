@@ -35,8 +35,9 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.observability import MetricsRegistry
 from repro.ontology import AreaQuery
-from repro.simulation import MetricsRecorder, ScenarioConfig, deploy
+from repro.simulation import ScenarioConfig, deploy
 from repro.simulation.faults import FaultInjector
 
 EXPERIMENT = "C9"
@@ -100,7 +101,7 @@ def total(summary):
 @pytest.mark.parametrize("n_buildings", SIZES)
 def test_repeat_resolve_speedup(n_buildings, benchmark, report):
     district = district_of(n_buildings)
-    metrics = MetricsRecorder()
+    metrics = MetricsRegistry()
     whole = AreaQuery(district_id=district.district_id)
 
     cold = district.client(f"c9-cold-{n_buildings}", with_broker=False)

@@ -18,12 +18,9 @@ fetch + integrate) on a 20-building district.
 
 import pytest
 
+from repro.observability import MetricsRegistry
 from repro.ontology import AreaQuery
-from repro.simulation import (
-    MetricsRecorder,
-    ScenarioConfig,
-    deploy,
-)
+from repro.simulation import ScenarioConfig, deploy
 
 EXPERIMENT = "F1a"
 
@@ -40,7 +37,7 @@ def district():
 def test_fig1a_infrastructure(district, benchmark, report):
     client = district.client("f1a-user")
     query = AreaQuery(district_id=district.district_id)
-    metrics = MetricsRecorder()
+    metrics = MetricsRegistry()
 
     def workflow():
         with metrics.simulated("end-to-end integrate",
@@ -86,7 +83,7 @@ def test_fig1a_infrastructure(district, benchmark, report):
                f"registrations on master: {district.master.registrations}"
                f"   pub/sub events published: {published}"
                f"   global-DB ingested: {district.measurement_db.ingested}")
-    for summary in metrics.summaries():
+    for summary in map(metrics.summary, metrics.names()):
         report.add(EXPERIMENT, "  " + summary.row())
     report.add(EXPERIMENT,
                f"integrated model: {len(model.entities)} entities, "

@@ -20,8 +20,8 @@ from repro.middleware.peer import connect
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
 from repro.network.webservice import HttpClient
+from repro.observability import MetricsRegistry
 from repro.protocols import make_adapter
-from repro.simulation import MetricsRecorder
 from repro.storage.localdb import LocalDatabase
 
 EXPERIMENT = "F1b"
@@ -103,10 +103,10 @@ def test_web_service_layer(benchmark, report):
     net.scheduler.run_until(121.0)
     assert events
 
-    metrics = MetricsRecorder()
+    metrics = MetricsRegistry()
+    delivery = metrics.histogram("pub/sub publish -> subscriber")
     for event in events:
-        metrics.record("pub/sub publish -> subscriber",
-                       event.delivered_at - event.published_at)
+        delivery.observe(event.delivered_at - event.published_at)
     client = HttpClient(net.add_host("user"))
 
     def ws_request():
@@ -116,7 +116,7 @@ def test_web_service_layer(benchmark, report):
     with report.measure(EXPERIMENT, net):
         response = benchmark.pedantic(ws_request, rounds=20, iterations=1)
     assert response.ok
-    for summary in metrics.summaries():
+    for summary in map(metrics.summary, metrics.names()):
         report.add(EXPERIMENT, "  " + summary.row())
     report.add(EXPERIMENT,
                f"frames received={proxy.frames_received} "

@@ -132,23 +132,6 @@ class AnomalyDetector:
                 ))
         return anomalies
 
-    def fit_from_model(self, model: IntegratedModel,
-                       feeder_only: bool = True) -> List[str]:
-        """Fit baselines for every building in an integrated model."""
-        fitted = []
-        for entity in model.buildings:
-            samples: List[Tuple[float, float]] = []
-            for device in entity.devices:
-                if "power" not in device.quantities:
-                    continue
-                if feeder_only and "energy" not in device.quantities:
-                    continue
-                samples.extend(entity.samples(device.device_id, "power"))
-            if samples:
-                self.fit(entity.entity_id, sorted(samples))
-                fitted.append(entity.entity_id)
-        return fitted
-
 
 # --------------------------------------------------------------------------
 # demand-response planning

@@ -329,26 +329,6 @@ class DistrictClient:
         _, data = self._fetch([], [("", device.proxy_uri, query)], strict)
         return data[""][(device.device_id, quantity)]
 
-    def fetch_latest(self, device: ResolvedDevice, quantity: str,
-                     strict: bool = True) -> Optional[Dict]:
-        """Fetch the most recent sample of one device quantity.
-
-        With ``strict=False`` a failed fetch returns None (counted in
-        :attr:`fetch_failures`) instead of raising.
-        """
-        self.data_requests += 1
-        try:
-            response = self.http.get(
-                device.proxy_uri.rstrip("/")
-                + f"/latest/{device.device_id}/{quantity}"
-            )
-        except (ServiceError, RequestTimeoutError, CircuitOpenError):
-            if strict:
-                raise
-            self.fetch_failures += 1
-            return None
-        return response.body
-
     # -- step 4: integration ---------------------------------------------------
 
     def build_area_model(self, query: AreaQuery,

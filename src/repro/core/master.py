@@ -80,8 +80,7 @@ class MasterNode(StateMachine):
 
     kind = "master"
 
-    def __init__(self, host: Host, processing_delay: float = 2e-4,
-                 default_lease: Optional[float] = None):
+    def __init__(self, host: Host, processing_delay: float = 2e-4):
         self.host = host
         self.ontology = DistrictOntology()
         #: full registrations applied; heartbeats count as renewals
@@ -104,9 +103,6 @@ class MasterNode(StateMachine):
         self._resolve_cache: "OrderedDict[Tuple, Tuple[Dict, int]]" = \
             OrderedDict()
         self._resolve_cache_token: Optional[str] = None
-        #: default lease applied to registrations that do not name one;
-        #: None keeps legacy permanent registrations
-        self.default_lease = default_lease
         self._leases: Dict[str, float] = {}  # proxy uri -> expiry time
         #: lower bound on the earliest lease expiry: lowered when a
         #: lease is tracked, recomputed only by a sweep that runs, so
@@ -213,11 +209,6 @@ class MasterNode(StateMachine):
                 period, self.expire_leases
             )
 
-    def stop_lease_sweeper(self) -> None:
-        if self._sweeper is not None:
-            self._sweeper.stop()
-            self._sweeper = None
-
     # -- the durable, replicable state (StateMachine contract) ----------------
 
     def snapshot(self) -> Dict:
@@ -261,7 +252,7 @@ class MasterNode(StateMachine):
         self.invalidate_resolve_cache()
 
     def standby(self, host: Host) -> "MasterNode":
-        return MasterNode(host, default_lease=self.default_lease)
+        return MasterNode(host)
 
     def recover(self) -> Optional[int]:
         """Restore ontology and leases from the persisted snapshot.
@@ -275,8 +266,6 @@ class MasterNode(StateMachine):
         return self.ontology.node_count()
 
     def _track_lease(self, uri: str, lease: Optional[float]) -> None:
-        if lease is None:
-            lease = self.default_lease
         if lease is None:
             # permanent registration; drop any stale lease on this uri
             self._leases.pop(uri, None)

@@ -124,14 +124,13 @@ class ClampedProfile(Profile):
 class DailyShapeProfile(Profile):
     """Base load plus a smooth daily bump centred on *peak_hour*."""
 
-    def __init__(self, base: float, amplitude: float, peak_hour: float = 14.0,
-                 width_hours: float = 5.0):
-        if width_hours <= 0:
-            raise ConfigurationError("daily shape width must be positive")
+    def __init__(self, base: float, amplitude: float,
+                 peak_hour: float = 14.0):
         self.base = base
         self.amplitude = amplitude
         self.peak_hour = peak_hour
-        self.width_hours = width_hours
+        #: standard deviation of the bump, hours
+        self.width_hours = 5.0
 
     def value(self, t: float) -> float:
         hour = hour_of_day(t)
@@ -145,14 +144,13 @@ class DailyShapeProfile(Profile):
 class OfficeOccupancyProfile(Profile):
     """Weekday office occupancy fraction in [0, 1]; near-zero weekends."""
 
-    def __init__(self, open_hour: float = 8.0, close_hour: float = 18.0,
-                 ramp_hours: float = 1.0, weekend_level: float = 0.03):
+    def __init__(self, open_hour: float = 8.0, close_hour: float = 18.0):
         if close_hour <= open_hour:
             raise ConfigurationError("office closes before it opens")
         self.open_hour = open_hour
         self.close_hour = close_hour
-        self.ramp_hours = ramp_hours
-        self.weekend_level = weekend_level
+        self.ramp_hours = 1.0
+        self.weekend_level = 0.03
 
     def value(self, t: float) -> float:
         if is_weekend(t):
@@ -187,10 +185,10 @@ class WeatherProfile(Profile):
     """Outdoor temperature: seasonal sinusoid plus diurnal swing (degC)."""
 
     def __init__(self, annual_mean: float = 12.0, annual_swing: float = 10.0,
-                 diurnal_swing: float = 4.0, seed: int = 0):
+                 seed: int = 0):
         self.annual_mean = annual_mean
         self.annual_swing = annual_swing
-        self.diurnal_swing = diurnal_swing
+        self.diurnal_swing = 4.0
         self.seed = seed
 
     def value(self, t: float) -> float:

@@ -30,10 +30,6 @@ class UnknownHostError(NetworkError):
     """A message was addressed to a host that is not on the network."""
 
 
-class EndpointNotFoundError(NetworkError):
-    """No service endpoint is bound to the requested host/port."""
-
-
 class RequestTimeoutError(NetworkError):
     """A web-service request did not complete within its deadline."""
 
@@ -69,10 +65,6 @@ class FrameEncodeError(ProtocolError):
 
 class UnsupportedCommandError(ProtocolError):
     """A device received a command it cannot execute."""
-
-
-class DeviceError(ReproError):
-    """A simulated device failed or is offline."""
 
 
 # --------------------------------------------------------------------------
@@ -132,18 +124,6 @@ class QueryError(ReproError):
 
 class IntegrationError(ReproError):
     """Retrieved data could not be merged into a coherent model."""
-
-
-class ConflictError(IntegrationError):
-    """Two sources reported irreconcilable values for the same property."""
-
-    def __init__(self, entity: str, prop: str, values):
-        super().__init__(
-            f"conflicting values for {entity}.{prop}: {values!r}"
-        )
-        self.entity = entity
-        self.prop = prop
-        self.values = values
 
 
 # --------------------------------------------------------------------------

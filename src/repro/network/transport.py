@@ -43,11 +43,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    EndpointNotFoundError,
-    UnknownHostError,
-)
+from repro.errors import ConfigurationError, UnknownHostError
 from repro.network.scheduler import Scheduler
 
 Handler = Callable[["Message"], None]
@@ -209,7 +205,7 @@ class LatencyModel:
     """Base-plus-bandwidth latency with deterministic jitter.
 
     ``delay = base + size/bandwidth`` multiplied by a log-normal jitter
-    factor.  Messages a host sends to itself use *loopback* latency.
+    factor.  Messages a host sends to itself take :attr:`loopback`.
 
     Jitter factors are drawn in batches of ``256`` — batch draws from
     ``RandomState.normal`` are stream-identical to scalar draws, and
@@ -223,17 +219,17 @@ class LatencyModel:
         base: float = 0.002,
         bandwidth: float = 1.25e6,  # bytes/second (~10 Mbit/s district WAN)
         jitter: float = 0.1,
-        loopback: float = 2e-5,
         seed: int = 0,
     ):
-        if base < 0 or loopback < 0:
+        if base < 0:
             raise ConfigurationError("latencies must be non-negative")
         if bandwidth <= 0:
             raise ConfigurationError("bandwidth must be positive")
         self.base = base
         self.bandwidth = bandwidth
         self.jitter = jitter
-        self.loopback = loopback
+        #: seconds a message from a host to itself takes
+        self.loopback = 2e-5
         self._rng = np.random.RandomState(seed)
         self._jitter_buf: List[float] = []
         self._jitter_pos = 0
@@ -280,14 +276,6 @@ class Host:
     def unbind(self, port: str) -> None:
         """Detach the handler from *port* (no-op if not bound)."""
         self._ports.pop(port, None)
-
-    def handler_for(self, port: str) -> Handler:
-        try:
-            return self._ports[port]
-        except KeyError:
-            raise EndpointNotFoundError(
-                f"no endpoint {port!r} on host {self.name!r}"
-            ) from None
 
     def send(self, recipient: str, port: str, payload: Any,
              size: Optional[int] = None) -> None:

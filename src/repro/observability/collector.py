@@ -12,7 +12,7 @@ real Prometheus observes a dead exporter: scrapes time out.
 
 Scraped numbers land in bounded ring-buffer time series (one per
 (target, flattened metric name)), with staleness marking — a target
-whose last successful scrape is older than ``staleness_factor``
+whose last successful scrape is older than :data:`STALENESS_FACTOR`
 intervals is reported stale rather than silently showing old data.
 ``rate()`` / ``delta()`` derivations over counters come with the
 series, so SLOs and operators get per-window velocities, not raw
@@ -41,7 +41,7 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, NetworkError
 from repro.observability.slo import (
     AlertManager,
     SLO,
@@ -53,6 +53,10 @@ if TYPE_CHECKING:  # deferred: repro.network imports this package
     from repro.network.resilience import ResiliencePolicy
     from repro.network.scheduler import PeriodicTask
     from repro.network.transport import Host
+
+#: scrape intervals without a successful scrape before a target's data
+#: is reported stale
+STALENESS_FACTOR = 3.0
 
 
 class TimeSeries:
@@ -223,7 +227,7 @@ class MetricsCollector:
 
     def __init__(self, host: "Host", interval: float = 15.0,
                  timeout: Optional[float] = None, retention: int = 256,
-                 staleness_factor: float = 3.0, health_every: int = 1,
+                 health_every: int = 1,
                  policy: Optional["ResiliencePolicy"] = None):
         from repro.network.webservice import HttpClient
 
@@ -240,7 +244,6 @@ class MetricsCollector:
                 "scrape timeout must be shorter than the interval"
             )
         self.retention = retention
-        self.staleness_factor = staleness_factor
         self.health_every = health_every
         self.http = HttpClient(host, timeout=self.timeout, policy=policy)
         self.targets: Dict[str, ScrapeTarget] = {}
@@ -305,7 +308,7 @@ class MetricsCollector:
         ok = False
         try:
             response = future.result()
-        except Exception:       # timeout, circuit open: a failed scrape
+        except NetworkError:    # timeout, circuit open: a failed scrape
             target.record_failure()
         else:
             self.responses_received += 1
@@ -320,7 +323,7 @@ class MetricsCollector:
     def _on_health(self, target: ScrapeTarget, future) -> None:
         try:
             response = future.result()
-        except Exception:
+        except NetworkError:
             return              # the /metrics path owns failure counting
         self.responses_received += 1
         if response.ok and isinstance(response.body, dict):
@@ -342,11 +345,11 @@ class MetricsCollector:
         return now - target.last_success
 
     def is_stale(self, name: str, now: Optional[float] = None) -> bool:
-        """True when data is older than ``staleness_factor`` intervals."""
+        """True when data is older than ``STALENESS_FACTOR`` intervals."""
         age = self.staleness(name, now)
         if age is None:
             return True
-        return age > self.staleness_factor * self.interval
+        return age > STALENESS_FACTOR * self.interval
 
     def counters(self) -> Dict[str, int]:
         """Flat scrape counters for reports and the O2 benchmark."""
@@ -370,12 +373,8 @@ class FleetMonitorConfig:
 
     #: seconds between scrape rounds
     scrape_interval: float = 15.0
-    #: per-request timeout; None -> a third of the interval
-    scrape_timeout: Optional[float] = None
     #: ring-buffer samples kept per (target, metric) series
     retention: int = 256
-    #: scrapes missed before a target's data is marked stale
-    staleness_factor: float = 3.0
     #: scrape /health every Nth round (1 = every round)
     health_every: int = 1
     #: objectives to evaluate; None -> :func:`default_slos`
@@ -393,9 +392,7 @@ class FleetMonitor:
         self.collector = MetricsCollector(
             host,
             interval=config.scrape_interval,
-            timeout=config.scrape_timeout,
             retention=config.retention,
-            staleness_factor=config.staleness_factor,
             health_every=config.health_every,
             policy=config.policy,
         )

@@ -2,21 +2,22 @@
 
 The seed codebase grew ad-hoc counters wherever an experiment needed
 one — attributes on the master, the broker stats dataclass, the
-resilience policy, plus the benchmark-side sample recorder in
-:mod:`repro.simulation.metrics`.  This module is the common substrate
-under all of them: named instruments in a :class:`MetricsRegistry`,
-snapshot-able as one flat dict and renderable as a text exposition
-(the ``/metrics`` endpoints on master, proxies and the measurement DB
-serve exactly that snapshot).
+resilience policy, plus a benchmark-side sample recorder.  This module
+is the common substrate under all of them: named instruments in a
+:class:`MetricsRegistry`, snapshot-able as one flat dict and renderable
+as a text exposition (the ``/metrics`` endpoints on master, proxies and
+the measurement DB serve exactly that snapshot).
 
 Three instrument types cover every existing use:
 
 * :class:`Counter` — monotonically increasing event count;
-* :class:`Gauge` — a settable point-in-time value, optionally backed
-  by a callback so component attributes (``master.registrations``,
-  ``peer.buffered`` ...) can be exported live without rewriting them;
+* :class:`Gauge` — a settable point-in-time value;
 * :class:`Histogram` — sample collection with the percentile summary
-  the benchmark tables already print (mean/p50/p90/p99/min/max).
+  the benchmark tables print (mean/p50/p90/p99/min/max).  A benchmark
+  times an operation straight into one: ``registry.simulated(name,
+  scheduler)`` records simulated seconds (differences of scheduler
+  time), ``registry.wallclock(name)`` host CPU seconds, and
+  ``registry.summary(name)`` is the :class:`Summary` it prints.
 
 The registry is pure bookkeeping on plain Python objects — no I/O, no
 background tasks — so instruments are safe on the simulation hot path.
@@ -25,8 +26,11 @@ background tasks — so instruments are safe on the simulation hot path.
 from __future__ import annotations
 
 import random
+import time
 import zlib
-from typing import Any, Callable, Dict, List, Optional
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -50,30 +54,37 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value, set directly or pulled from a callback."""
+    """A point-in-time value, set directly."""
 
-    __slots__ = ("name", "_value", "_fn")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str,
-                 fn: Optional[Callable[[], float]] = None):
+    def __init__(self, name: str):
         self.name = name
-        self._value = 0.0
-        self._fn = fn
+        self.value = 0.0
 
     def set(self, value: float) -> None:
-        """Set the gauge (only for gauges without a callback)."""
-        if self._fn is not None:
-            raise ConfigurationError(
-                f"gauge {self.name!r} is callback-backed"
-            )
-        self._value = float(value)
+        """Set the gauge."""
+        self.value = float(value)
 
-    @property
-    def value(self) -> float:
-        """Current value (callback gauges evaluate lazily)."""
-        if self._fn is not None:
-            return float(self._fn())
-        return self._value
+
+@dataclass(frozen=True)
+class Summary:
+    """Percentile summary of one histogram."""
+
+    name: str
+    count: int
+    mean: float
+    p50: float
+    p90: float
+    p99: float
+    minimum: float
+    maximum: float
+
+    def row(self) -> str:
+        """One formatted table row (times printed in milliseconds)."""
+        return (f"{self.name:<40s} n={self.count:<6d} "
+                f"mean={self.mean * 1e3:9.3f}ms p50={self.p50 * 1e3:9.3f}ms "
+                f"p90={self.p90 * 1e3:9.3f}ms p99={self.p99 * 1e3:9.3f}ms")
 
 
 #: default per-histogram sample cap — beyond this, reservoir sampling
@@ -174,25 +185,8 @@ class MetricsRegistry:
         return self._get_or_create(name, Counter, lambda: Counter(name))
 
     def gauge(self, name: str) -> Gauge:
-        """Get or create the (directly set) gauge called *name*."""
+        """Get or create the gauge called *name*."""
         return self._get_or_create(name, Gauge, lambda: Gauge(name))
-
-    def gauge_fn(self, name: str, fn: Callable[[], float]) -> Gauge:
-        """Register a callback-backed gauge (re-registering rebinds).
-
-        This is how existing attribute counters are exported without
-        rewriting them: ``registry.gauge_fn("master.registrations",
-        lambda: master.registrations)``.
-        """
-        gauge = Gauge(name, fn=fn)
-        existing = self._instruments.get(name)
-        if existing is not None and not isinstance(existing, Gauge):
-            raise ConfigurationError(
-                f"metric {name!r} is a {type(existing).__name__}, "
-                f"not a Gauge"
-            )
-        self._instruments[name] = gauge
-        return gauge
 
     def histogram(self, name: str,
                   max_samples: Optional[int] = None) -> Histogram:
@@ -206,7 +200,31 @@ class MetricsRegistry:
         return self._get_or_create(name, Histogram,
                                    lambda: Histogram(name, cap))
 
+    @contextmanager
+    def simulated(self, name: str, scheduler):
+        """Observe the simulated seconds an operation takes into *name*."""
+        start = scheduler.now
+        yield
+        self.histogram(name).observe(scheduler.now - start)
+
+    @contextmanager
+    def wallclock(self, name: str):
+        """Observe the wall-clock (CPU) seconds an operation takes."""
+        start = time.perf_counter()
+        yield
+        self.histogram(name).observe(time.perf_counter() - start)
+
     # -- queries -----------------------------------------------------------
+
+    def summary(self, name: str) -> Summary:
+        """Percentile summary of histogram *name*.
+
+        Raises :class:`QueryError` when nothing was observed under it.
+        """
+        instrument = self._instruments.get(name)
+        if not isinstance(instrument, Histogram):
+            raise QueryError(f"no samples recorded for {name!r}")
+        return Summary(name=name, **instrument.stats())
 
     def get(self, name: str):
         """The instrument called *name*, or None."""

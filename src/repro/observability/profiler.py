@@ -29,8 +29,8 @@ Design constraints, in the tracer's tradition (``tracing.py``):
   payloads, so a profiled run is message-for-message identical to an
   unprofiled twin (asserted by the O3 soak benchmark).
 
-Activation: ``ScenarioConfig(profile=True)``, the ``REPRO_PROFILE``
-environment variable, or :func:`install_profiler` directly.  Results
+Activation: ``ScenarioConfig(profile=True)`` or
+:func:`install_profiler` directly.  Results
 render as a top-N self-time table (:func:`render_profile_table`), an
 ASCII flame-style attribution tree (:func:`render_profile_tree`), or
 export as JSON (:func:`export_profile`) — all reachable from the

@@ -263,12 +263,11 @@ class AlertManager:
     never repetitions.
     """
 
-    def __init__(self, network=None, source_host: str = "",
-                 max_history: int = 1024):
+    def __init__(self, network=None, source_host: str = ""):
         self._network = network
         self._source_host = source_host
         self._alerts: Dict[Tuple[str, str], Alert] = {}
-        self._history: Deque[AlertEvent] = deque(maxlen=max_history)
+        self._history: Deque[AlertEvent] = deque(maxlen=1024)
         self.alerts_fired = 0
         self.alerts_resolved = 0
 
@@ -351,8 +350,8 @@ class _SliSeries:
 
     __slots__ = ("points",)
 
-    def __init__(self, maxlen: int):
-        self.points: Deque[Tuple[float, float, float]] = deque(maxlen=maxlen)
+    def __init__(self):
+        self.points: Deque[Tuple[float, float, float]] = deque(maxlen=512)
 
     def add(self, time: float, bad: float, total: float) -> None:
         self.points.append((time, bad, total))
@@ -383,14 +382,12 @@ class SloEngine:
     windows and advances the alert state machine.
     """
 
-    def __init__(self, slos: List[SLO], alerts: AlertManager,
-                 max_points: int = 512):
+    def __init__(self, slos: List[SLO], alerts: AlertManager):
         names = [slo.name for slo in slos]
         if len(set(names)) != len(names):
             raise ConfigurationError("duplicate SLO names")
         self.slos = list(slos)
         self.alerts = alerts
-        self._max_points = max_points
         self._sli: Dict[Tuple[str, str], _SliSeries] = {}
         self.evaluations = 0
 
@@ -398,7 +395,7 @@ class SloEngine:
         key = (slo.name, target_name)
         series = self._sli.get(key)
         if series is None:
-            series = _SliSeries(self._max_points)
+            series = _SliSeries()
             self._sli[key] = series
         return series
 

@@ -387,13 +387,6 @@ class DistrictOntology:
     def districts(self) -> List[DistrictNode]:
         return list(self._districts.values())
 
-    def find_entity(self, entity_id: str) -> Tuple[DistrictNode, EntityNode]:
-        """Locate an entity across all districts."""
-        for district in self._districts.values():
-            if entity_id in district.entities:
-                return district, district.entities[entity_id]
-        raise UnknownEntityError(f"no entity {entity_id!r} in ontology")
-
     def find_device(self, device_id: str
                     ) -> Tuple[DistrictNode, EntityNode, DeviceNode]:
         """Locate a device leaf across all districts."""

@@ -37,7 +37,6 @@ _MSG_WRITE = 0x02
 _VARIANT_DOUBLE = 0x0B  # OPC UA built-in type id for Double
 
 STATUS_GOOD = 0x00000000
-STATUS_UNCERTAIN = 0x40000000
 STATUS_BAD = 0x80000000
 
 #: node-path suffix <-> quantity
@@ -85,10 +84,6 @@ class DataValue:
         self.status = status
         self.source_timestamp = float(source_timestamp)
 
-    @property
-    def is_good(self) -> bool:
-        return self.status < STATUS_UNCERTAIN
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"DataValue({self.value}, status={self.status:#010x}, "
                 f"ts={self.source_timestamp})")
@@ -130,13 +125,6 @@ class AddressSpace:
             return False
         self._nodes[path].value = float(value)
         return True
-
-    def browse(self, prefix: str = "") -> List[str]:
-        """List node paths under *prefix*, sorted."""
-        return sorted(
-            path for path in self._nodes
-            if path.startswith(prefix)
-        )
 
 
 def _pack_string(text: str) -> bytes:

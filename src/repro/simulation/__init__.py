@@ -1,11 +1,7 @@
 """Scenario deployment, workloads and metrics for experiments."""
 
 from repro.simulation.faults import FaultInjector
-from repro.simulation.metrics import (
-    MetricsRecorder,
-    Summary,
-    resilience_counters,
-)
+from repro.simulation.metrics import resilience_counters
 from repro.simulation.scenario import (
     DeployedDistrict,
     Federation,
@@ -30,11 +26,9 @@ __all__ = [
     "DeployedDistrict",
     "FaultInjector",
     "Federation",
-    "MetricsRecorder",
     "ScenarioConfig",
     "SoakConfig",
     "SoakResult",
-    "Summary",
     "WorkloadResult",
     "build_device",
     "deploy",

@@ -13,7 +13,7 @@ from typing import Iterable, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.network.transport import FlakyProfile
-from repro.simulation.scenario import DeployedDistrict
+from repro.simulation.scenario import DeployedDistrict, register
 
 
 class FaultInjector:
@@ -217,10 +217,6 @@ class FaultInjector:
         self.take_offline(host_name)
         return host_name
 
-    def restore_measurement_db(self) -> None:
-        """End a measurement-DB network outage (state intact)."""
-        self.restore(self.deployment.measurement_db.host.name)
-
     def restart_measurement_db(self, recover: bool = True) -> Optional[int]:
         """Crash-restart the measurement DB; recover state where possible.
 
@@ -247,17 +243,11 @@ class FaultInjector:
     def _announce_measurement_db(self) -> None:
         """(Re-)register the measurement DB and keep its lease renewed."""
         deployment = self.deployment
-        mdb = deployment.measurement_db
-        heartbeat = deployment.config.heartbeat_period
-        lease = heartbeat * deployment.config.lease_factor \
-            if heartbeat else None
-        mdb.register_with(deployment.master_uris, lease=lease)
-        if heartbeat:
-            # idempotent: start_heartbeat no-ops while the renewal loop
-            # is already running, and restarts it when an mdb
-            # crash-restart left it stopped
-            mdb.start_heartbeat(deployment.master_uris, heartbeat,
-                                lease=lease)
+        # idempotent: start_heartbeat no-ops while the renewal loop is
+        # already running, and restarts it when an mdb crash-restart
+        # left it stopped
+        register(deployment.measurement_db, deployment.master_uris,
+                 deployment.config.heartbeat_period)
 
     def kill_bim_proxy(self, entity_id: str) -> str:
         """Take one building's BIM proxy offline; returns its host name."""

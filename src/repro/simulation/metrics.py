@@ -1,101 +1,20 @@
-"""Measurement utilities for the experiment harness.
+"""Resilience and replication counters of a deployment, flattened.
 
-Latencies inside the simulation are measured in *simulated* seconds
-(differences of scheduler time around an operation); CPU costs of pure
-translation/encoding code are measured in wall-clock seconds.  The
-recorder keeps both kinds of samples by name and summarises them with
-percentiles for the benchmark reports.
+The churn and HA benchmark reports read every lease, heartbeat,
+pub/sub-buffering, degraded-link and replication counter scattered
+across the master, the peers, the network stats and the replication
+groups as one dict.  (Latency samples are plain
+:class:`~repro.observability.metrics.MetricsRegistry` histograms.)
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.errors import QueryError
 from repro.network.resilience import ResiliencePolicy
-from repro.network.scheduler import Scheduler
-from repro.observability.metrics import Histogram, MetricsRegistry
 
 if TYPE_CHECKING:  # avoid a runtime cycle with the scenario builder
     from repro.simulation.scenario import DeployedDistrict
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Percentile summary of one metric."""
-
-    name: str
-    count: int
-    mean: float
-    p50: float
-    p90: float
-    p99: float
-    minimum: float
-    maximum: float
-
-    def row(self) -> str:
-        """One formatted table row (times printed in milliseconds)."""
-        return (f"{self.name:<40s} n={self.count:<6d} "
-                f"mean={self.mean * 1e3:9.3f}ms p50={self.p50 * 1e3:9.3f}ms "
-                f"p90={self.p90 * 1e3:9.3f}ms p99={self.p99 * 1e3:9.3f}ms")
-
-
-class MetricsRecorder:
-    """Named sample collections with percentile summaries.
-
-    A thin experiment-harness facade over the general-purpose
-    :class:`~repro.observability.metrics.MetricsRegistry`: every metric
-    is one of its histograms, so the same samples are visible through
-    ``/metrics`` endpoints when the recorder is given a network's
-    installed registry.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
-
-    def _histogram(self, name: str) -> Histogram:
-        instrument = self.registry.get(name)
-        if not isinstance(instrument, Histogram):
-            raise QueryError(f"no samples recorded for {name!r}")
-        return instrument
-
-    def record(self, name: str, value: float) -> None:
-        """Add one sample to metric *name*."""
-        self.registry.histogram(name).observe(float(value))
-
-    def samples(self, name: str) -> List[float]:
-        """Raw samples of one metric."""
-        return list(self._histogram(name).values)
-
-    def names(self) -> List[str]:
-        return [name for name in self.registry.names()
-                if isinstance(self.registry.get(name), Histogram)]
-
-    def summary(self, name: str) -> Summary:
-        """Percentile summary of one metric."""
-        stats = self._histogram(name).stats()
-        return Summary(name=name, **stats)
-
-    def summaries(self) -> List[Summary]:
-        return [self.summary(name) for name in self.names()]
-
-    @contextmanager
-    def simulated(self, name: str, scheduler: Scheduler):
-        """Record the simulated time an operation takes."""
-        start = scheduler.now
-        yield
-        self.record(name, scheduler.now - start)
-
-    @contextmanager
-    def wallclock(self, name: str):
-        """Record the wall-clock (CPU) time an operation takes."""
-        start = time.perf_counter()
-        yield
-        self.record(name, time.perf_counter() - start)
 
 
 def resilience_counters(deployment: "DeployedDistrict",

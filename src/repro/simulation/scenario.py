@@ -10,7 +10,6 @@ over radio links, every proxy registered on the master.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -46,6 +45,9 @@ from repro.storage.durability import (
 )
 from repro.storage.measurementdb import MeasurementDatabase
 
+#: a registration lease lasts this many heartbeat periods
+LEASE_FACTOR = 3.0
+
 
 @dataclass
 class ScenarioConfig:
@@ -55,22 +57,17 @@ class ScenarioConfig:
     n_buildings: int = 8
     devices_per_building: int = 5
     n_networks: int = 1
-    net_base_latency: float = 0.002
     net_jitter: float = 0.1
-    radio_latency: float = 0.01
     radio_loss: float = 0.0
     retention: Optional[float] = 7 * 86400.0
     start_devices: bool = True
     office_fraction: float = 0.5
-    #: prepended to every per-district host name; lets several districts
-    #: share one network/master/broker (see :func:`deploy_federation`)
-    host_prefix: str = ""
     #: when set, every proxy renews its registration with this period
-    #: (simulated s) under a lease of ``lease_factor`` periods, and the
-    #: master evicts proxies whose lease expires — the resilience layer's
-    #: registration heartbeat.  None keeps legacy permanent registrations.
+    #: (simulated s) under a lease of :data:`LEASE_FACTOR` periods, and
+    #: the master evicts proxies whose lease expires — the resilience
+    #: layer's registration heartbeat.  None keeps legacy permanent
+    #: registrations.
     heartbeat_period: Optional[float] = None
-    lease_factor: float = 3.0
     #: bounded per-peer publication buffer (events) — device proxies
     #: buffer publications while the broker is unreachable and flush on
     #: reconnect.  None disables acks/buffering (legacy behaviour).
@@ -84,9 +81,8 @@ class ScenarioConfig:
     observability: bool = False
     #: install the DES hot-loop profiler (see
     #: :func:`repro.observability.profiler.install_profiler`) at deploy
-    #: time.  Also switchable fleet-wide via the ``REPRO_PROFILE``
-    #: environment variable.  The default keeps it off: the hot loop
-    #: pays one None check per event.
+    #: time.  The default keeps it off: the hot loop pays one None
+    #: check per event.
     profile: bool = False
     #: run the scheduler in reference mode — the seed-shape dispatch
     #: loop (unfused run_until, no tombstone compaction).  Semantics
@@ -284,18 +280,32 @@ def deploy(config: Optional[ScenarioConfig] = None,
            dataset: Optional[DistrictDataset] = None) -> DeployedDistrict:
     """Deploy a district; generates the dataset from *config* if absent."""
     config = config or ScenarioConfig()
-    scheduler = Scheduler(reference=config.reference_scheduler)
+    hubs = _deploy_hubs(config)
+    return deploy_into(hubs.master, hubs.broker, config, dataset,
+                       replication=hubs.replication,
+                       broker_replication=hubs.broker_replication)
+
+
+def _deploy_hubs(config: ScenarioConfig) -> Federation:
+    """The shared part of a deployment, as a federation of no districts.
+
+    Scheduler, network, instruments, broker and master of *config*,
+    with their durability and standbys; :func:`deploy` puts its one
+    district on them and :func:`deploy_federation` several.
+    """
     network = Network(
-        scheduler,
-        latency=LatencyModel(base=config.net_base_latency,
-                             jitter=config.net_jitter, seed=config.seed),
+        Scheduler(reference=config.reference_scheduler),
+        latency=LatencyModel(jitter=config.net_jitter, seed=config.seed),
         seed=config.seed,
     )
     if config.observability:
         from repro.observability import install
 
         install(network)
-    _profile_if_configured(network, config)
+    if config.profile:
+        from repro.observability.profiler import install_profiler
+
+        install_profiler(network)
     broker = Broker(network.add_host("broker"),
                     overload=config.broker_overload,
                     durability=config.broker_durability)
@@ -303,30 +313,33 @@ def deploy(config: Optional[ScenarioConfig] = None,
     if config.master_snapshot_path:
         master.journal.open(snapshot_path=config.master_snapshot_path,
                             snapshot_period=config.master_snapshot_period)
-    replication = _replicate_if_configured(
-        master, config.master_standbys, config.replication)
-    broker_replication = _replicate_if_configured(
-        broker, config.broker_standbys, config.broker_replication)
-    return deploy_into(master, broker, config, dataset,
-                       replication=replication,
-                       broker_replication=broker_replication)
+    # master standbys first: host creation order is part of a run's
+    # fingerprint
+    replication = replicate(
+        master, config.master_standbys, config.replication) \
+        if config.master_standbys else None
+    broker_replication = replicate(
+        broker, config.broker_standbys, config.broker_replication) \
+        if config.broker_standbys else None
+    return Federation(scheduler=network.scheduler, network=network,
+                      master=master, broker=broker,
+                      replication=replication,
+                      broker_replication=broker_replication)
 
 
-def _profile_if_configured(network: Network, config: ScenarioConfig) -> None:
-    """Install the hot-loop profiler when asked to, by config or env."""
-    if config.profile or os.environ.get("REPRO_PROFILE"):
-        from repro.observability.profiler import install_profiler
+def register(node, master_uris: List[str],
+             heartbeat: Optional[float]) -> None:
+    """Register *node* on the master set; renew its lease if configured.
 
-        install_profiler(network)
-
-
-def _replicate_if_configured(node, standbys: int,
-                             config: Optional[ReplicationConfig]
-                             ) -> Optional[ReplicationGroup]:
-    """Stand up the configured HA of one hub node (0 standbys = none)."""
-    if not standbys:
-        return None
-    return replicate(node, standbys, config)
+    Registration and heartbeat share one
+    :class:`~repro.network.resilience.FailoverSet`, so renewals go to
+    the replica that accepted the registration.
+    """
+    masters = FailoverSet(master_uris)
+    lease = heartbeat * LEASE_FACTOR if heartbeat else None
+    node.register_with(masters, lease=lease)
+    if heartbeat:
+        node.start_heartbeat(masters, heartbeat, lease=lease)
 
 
 def deploy_into(master: MasterNode, broker: Broker,
@@ -334,19 +347,17 @@ def deploy_into(master: MasterNode, broker: Broker,
                 dataset: Optional[DistrictDataset] = None,
                 district_index: int = 1,
                 replication: Optional[ReplicationGroup] = None,
-                broker_replication: Optional[ReplicationGroup] = None
-                ) -> DeployedDistrict:
+                broker_replication: Optional[ReplicationGroup] = None,
+                prefix: str = "") -> DeployedDistrict:
     """Deploy one district onto existing master/broker infrastructure.
 
-    The building block of multi-district federations: host names are
-    prefixed with ``config.host_prefix`` so several districts coexist on
-    one simulated network.  With *replication*, every proxy registers
+    The building block of multi-district federations: every host name
+    starts with *prefix*, so several districts coexist on one
+    simulated network.  With *replication*, every proxy registers
     against the whole master set (failing over to the replica that
     answers) instead of the one primary.
     """
     network = master.host.network
-    scheduler = network.scheduler
-    prefix = config.host_prefix
     if dataset is None:
         dataset = synthesize_district(
             seed=config.seed,
@@ -357,7 +368,6 @@ def deploy_into(master: MasterNode, broker: Broker,
             office_fraction=config.office_fraction,
         )
     heartbeat = config.heartbeat_period
-    lease = heartbeat * config.lease_factor if heartbeat else None
     master_uris = replication.uris() if replication is not None \
         else [master.uri]
     if heartbeat:
@@ -376,22 +386,16 @@ def deploy_into(master: MasterNode, broker: Broker,
         durability=config.mdb_durability,
         tsdb=config.mdb_tsdb,
     )
-    mdb_masters = FailoverSet(master_uris)
-    measurement_db.register_with(mdb_masters, lease=lease)
-    if heartbeat:
-        measurement_db.start_heartbeat(mdb_masters, heartbeat, lease=lease)
+    register(measurement_db, master_uris, heartbeat)
 
     gis_proxy = GisProxy(network.add_host(f"{prefix}proxy-gis"),
                          dataset.gis, dataset.district_id)
-    gis_masters = FailoverSet(master_uris)
-    gis_proxy.register_with(gis_masters, lease=lease)
-    if heartbeat:
-        gis_proxy.start_heartbeat(gis_masters, heartbeat, lease=lease)
+    register(gis_proxy, master_uris, heartbeat)
 
     deployment = DeployedDistrict(
         config=config,
         dataset=dataset,
-        scheduler=scheduler,
+        scheduler=network.scheduler,
         network=network,
         master=master,
         broker=broker,
@@ -412,10 +416,7 @@ def deploy_into(master: MasterNode, broker: Broker,
             gis_feature_id=building.feature_id,
             bounds=feature.geometry.bounds(),
         )
-        proxy_masters = FailoverSet(master_uris)
-        proxy.register_with(proxy_masters, lease=lease)
-        if heartbeat:
-            proxy.start_heartbeat(proxy_masters, heartbeat, lease=lease)
+        register(proxy, master_uris, heartbeat)
         deployment.bim_proxies[building.entity_id] = proxy
 
     for network_spec in dataset.networks:
@@ -425,25 +426,21 @@ def deploy_into(master: MasterNode, broker: Broker,
             entity_id=network_spec.entity_id,
             district_id=dataset.district_id,
         )
-        proxy_masters = FailoverSet(master_uris)
-        proxy.register_with(proxy_masters, lease=lease)
-        if heartbeat:
-            proxy.start_heartbeat(proxy_masters, heartbeat, lease=lease)
+        register(proxy, master_uris, heartbeat)
         deployment.sim_proxies[network_spec.entity_id] = proxy
 
-    _deploy_devices(deployment)
+    _deploy_devices(deployment, prefix)
     if config.fleet_monitor is not None:
-        deployment.fleet = _deploy_fleet_monitor(deployment)
+        deployment.fleet = _deploy_fleet_monitor(deployment, prefix)
     return deployment
 
 
-def _deploy_fleet_monitor(deployment: DeployedDistrict) -> FleetMonitor:
+def _deploy_fleet_monitor(deployment: DeployedDistrict,
+                          prefix: str) -> FleetMonitor:
     """Stand up the fleet monitor node and register every scrape target."""
-    config = deployment.config
-    prefix = config.host_prefix
     monitor = FleetMonitor(
         deployment.network.add_host(f"{prefix}fleet-monitor"),
-        config.fleet_monitor,
+        deployment.config.fleet_monitor,
     )
     masters = deployment.replication.nodes() \
         if deployment.replication is not None else [deployment.master]
@@ -477,8 +474,17 @@ class Federation:
     master: MasterNode
     broker: Broker
     districts: Dict[str, DeployedDistrict] = field(default_factory=dict)
+    #: the shared replicated master group, None when unreplicated
+    replication: Optional[ReplicationGroup] = None
     #: the shared replicated broker group, None when unreplicated
     broker_replication: Optional[ReplicationGroup] = None
+
+    @property
+    def master_uris(self) -> List[str]:
+        """Every shared master URI, seniority first."""
+        if self.replication is not None:
+            return self.replication.uris()
+        return [self.master.uri]
 
     @property
     def broker_hosts(self) -> List[str]:
@@ -505,7 +511,7 @@ class Federation:
         """A client that can query any district through the one master."""
         host = self.network.add_host(name)
         return DistrictClient(
-            host, self.master.uri,
+            host, self.master_uris,
             broker_host=self.broker_hosts if with_broker else None,
             policy=policy,
         )
@@ -515,45 +521,27 @@ def deploy_federation(configs) -> Federation:
     """Deploy several districts onto one shared master and broker.
 
     Each config gets its own generated district (district ids
-    ``dst-0001``, ``dst-0002``, ...); host names are auto-prefixed.
+    ``dst-0001``, ``dst-0002``, ...) and host-name prefix (``d1-``,
+    ``d2-``, ...); the shared hubs — network, instruments, master and
+    broker with their standbys and durability — come from the first
+    config.
     """
     configs = list(configs)
     if not configs:
         raise ConfigurationError("federation needs at least one district")
-    base = configs[0]
-    scheduler = Scheduler(reference=base.reference_scheduler)
-    network = Network(
-        scheduler,
-        latency=LatencyModel(base=base.net_base_latency,
-                             jitter=base.net_jitter, seed=base.seed),
-        seed=base.seed,
-    )
-    if base.observability:
-        from repro.observability import install
-
-        install(network)
-    _profile_if_configured(network, base)
-    broker = Broker(network.add_host("broker"),
-                    overload=base.broker_overload,
-                    durability=base.broker_durability)
-    master = MasterNode(network.add_host("master"))
-    broker_replication = _replicate_if_configured(
-        broker, base.broker_standbys, base.broker_replication)
-    federation = Federation(scheduler=scheduler, network=network,
-                            master=master, broker=broker,
-                            broker_replication=broker_replication)
+    federation = _deploy_hubs(configs[0])
     for index, config in enumerate(configs, start=1):
-        if not config.host_prefix:
-            config = ScenarioConfig(**{**config.__dict__,
-                                       "host_prefix": f"d{index}-"})
-        deployment = deploy_into(master, broker, config,
-                                 district_index=index,
-                                 broker_replication=broker_replication)
+        deployment = deploy_into(
+            federation.master, federation.broker, config,
+            district_index=index,
+            replication=federation.replication,
+            broker_replication=federation.broker_replication,
+            prefix=f"d{index}-")
         federation.districts[deployment.district_id] = deployment
     return federation
 
 
-def _deploy_devices(deployment: DeployedDistrict) -> None:
+def _deploy_devices(deployment: DeployedDistrict, prefix: str) -> None:
     config = deployment.config
     dataset = deployment.dataset
     groups: Dict[Tuple[str, str], List[DeviceSpec]] = {}
@@ -561,7 +549,7 @@ def _deploy_devices(deployment: DeployedDistrict) -> None:
         groups.setdefault((spec.entity_id, spec.protocol), []).append(spec)
     for (entity_id, protocol), specs in sorted(groups.items()):
         host = deployment.network.add_host(
-            f"{config.host_prefix}proxy-dev-{entity_id}-{protocol}"
+            f"{prefix}proxy-dev-{entity_id}-{protocol}"
         )
         proxy = DeviceProxy(
             host,
@@ -577,7 +565,6 @@ def _deploy_devices(deployment: DeployedDistrict) -> None:
             device = build_device(spec, dataset)
             link = RadioLink(
                 deployment.scheduler,
-                latency=config.radio_latency,
                 loss=config.radio_loss,
                 seed=config.seed + len(deployment.firmwares),
             )
@@ -594,10 +581,5 @@ def _deploy_devices(deployment: DeployedDistrict) -> None:
                 firmware.start()
             deployment.firmwares.append(firmware)
             deployment.devices[spec.device_id] = device
-        heartbeat = config.heartbeat_period
-        lease = heartbeat * config.lease_factor if heartbeat else None
-        proxy_masters = FailoverSet(deployment.master_uris)
-        proxy.register_with(master_uri=proxy_masters, lease=lease)
-        if heartbeat:
-            proxy.start_heartbeat(proxy_masters, heartbeat, lease=lease)
+        register(proxy, deployment.master_uris, config.heartbeat_period)
         deployment.device_proxies[(entity_id, protocol)] = proxy

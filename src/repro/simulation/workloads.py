@@ -16,8 +16,8 @@ import numpy as np
 from repro.core.client import DistrictClient
 from repro.datasources.geometry import BoundingBox
 from repro.errors import ConfigurationError
+from repro.observability.metrics import MetricsRegistry
 from repro.ontology.queries import AreaQuery
-from repro.simulation.metrics import MetricsRecorder
 from repro.simulation.scenario import DeployedDistrict
 
 
@@ -28,7 +28,7 @@ class WorkloadResult:
     queries: int
     entities_returned: int
     devices_returned: int
-    metrics: MetricsRecorder
+    metrics: MetricsRegistry
 
 
 def whole_district_query(deployment: DeployedDistrict) -> AreaQuery:
@@ -88,7 +88,7 @@ def run_resolution_workload(client: DistrictClient,
                             deployment: DeployedDistrict,
                             queries: List[AreaQuery]) -> WorkloadResult:
     """Resolve each query, recording master resolution latency."""
-    metrics = MetricsRecorder()
+    metrics = MetricsRegistry()
     entities = devices = 0
     for query in queries:
         with metrics.simulated("resolve", deployment.scheduler):
@@ -105,7 +105,7 @@ def run_integration_workload(client: DistrictClient,
                              data_bucket: Optional[float] = 900.0
                              ) -> WorkloadResult:
     """Run the full resolve-fetch-integrate workflow per query."""
-    metrics = MetricsRecorder()
+    metrics = MetricsRegistry()
     entities = devices = 0
     for query in queries:
         with metrics.simulated("integrate", deployment.scheduler):

@@ -84,21 +84,6 @@ class TestAnomalyDetector:
         with pytest.raises(QueryError):
             AnomalyDetector(z_threshold=0.0)
 
-    def test_fit_from_model_uses_feeders(self):
-        feeder = ResolvedDevice("dev-0100", "svc://p/", "zigbee",
-                                ("power", "energy"), False)
-        entity = ResolvedEntity("bld-0001", "building", "B1", {}, "",
-                                (feeder,))
-        resolved = ResolvedArea("dst-0001", "D", (), (), (entity,))
-        model = integrate(resolved, {}, {
-            "bld-0001": {("dev-0100", "power"):
-                         weekday_profile_samples(days=3)},
-        })
-        detector = AnomalyDetector()
-        fitted = detector.fit_from_model(model)
-        assert fitted == ["bld-0001"]
-        assert detector.baseline("bld-0001")
-
 
 def hvac_device(device_id="dev-0103"):
     return ResolvedDevice(device_id, "svc://p/", "opcua",

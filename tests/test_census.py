@@ -1,0 +1,107 @@
+"""The census of caller-less surface (``scripts/census.py``), in tier-1.
+
+What a census finds is either deleted or listed in its ``ALLOW`` table
+with a reason, so the list can shrink in later PRs and cannot silently
+grow: a new module nothing imports, a new option nothing sets or a new
+function nothing calls fails here until it gets a caller or a reason.
+"""
+
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from repro.observability.collector import FleetMonitorConfig
+from repro.simulation.scenario import ScenarioConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location(
+    "census", ROOT / "scripts" / "census.py")
+census = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(census)
+
+#: what PR 20 deleted: none of it may come back, found or allow-listed
+REMOVED = (
+    "ScenarioConfig.net_base_latency", "ScenarioConfig.radio_latency",
+    "ScenarioConfig.lease_factor", "ScenarioConfig.host_prefix",
+    "FleetMonitorConfig.scrape_timeout",
+    "FleetMonitorConfig.staleness_factor",
+    "MetricsCollector.staleness_factor", "AlertManager.max_history",
+    "SloEngine.max_points", "LatencyModel.loopback",
+    "MasterNode.default_lease", "REPRO_PROFILE",
+    "handler_for", "stop_lease_sweeper", "restore_measurement_db",
+    "DeviceError", "opcua.browse", "opcua.is_good", "MetricsRecorder",
+)
+
+
+@pytest.fixture(scope="module")
+def findings():
+    return census.census()
+
+
+class TestThisRepository:
+    def test_every_finding_is_listed_and_no_entry_is_stale(self, findings):
+        assert [f for f in findings if f not in census.ALLOW] == []
+        assert sorted(set(census.ALLOW) - set(findings)) == []
+        assert census.main() == 0
+
+    def test_every_allow_list_entry_states_its_reason(self):
+        for finding, reason in census.ALLOW.items():
+            assert len(reason.split()) >= 5, finding
+
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_what_was_removed_stays_removed(self, findings, name):
+        assert not [f for f in findings if f.split()[1].endswith(name)]
+        assert not [f for f in census.ALLOW if f.split()[1].endswith(name)]
+
+    def test_option_counts_only_go_down(self):
+        assert len(dataclasses.fields(ScenarioConfig)) <= 27
+        assert len(dataclasses.fields(FleetMonitorConfig)) <= 5
+        assert not [path for path in (ROOT / "src").rglob("*.py")
+                    if "os.environ" in path.read_text()]
+
+
+def test_a_planted_tree_yields_one_finding_of_each_kind(tmp_path):
+    files = {
+        "src/repro/__init__.py": "",
+        "src/repro/scenario.py": (
+            "import os\n"
+            "from dataclasses import dataclass\n"
+            "from repro import used\n"
+            "@dataclass\n"
+            "class ScenarioConfig:\n"
+            "    seed: int = 0\n"
+            "    lease_factor: float = 3.0\n"
+            "class Node:\n"
+            "    def __init__(self, host, delay=0.1, limit=5):\n"
+            "        self.limit = os.environ.get('REPRO_LIMIT', limit)\n"
+            "def deploy():\n"
+            "    return Node('h'), used.helper()\n"
+            "def reset():\n"
+            "    '''deploy, but nobody calls it'''\n"
+        ),
+        "src/repro/used.py": (
+            "from repro import scenario\n"
+            "def helper(): pass\n"
+            "def probe(): pass\n"),
+        "src/repro/orphan.py": "def anything(): pass\n",
+        "benchmarks/bench.py": (
+            "from repro.scenario import Node, ScenarioConfig, deploy\n"
+            "deploy(), ScenarioConfig(seed=1), Node('h', 0.2)\n"),
+        "tests/test_used.py": (
+            "from repro import orphan, used\n"
+            "used.probe(), orphan.anything()\n"),
+    }
+    for name, text in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert census.census(tmp_path) == [
+        "definition: repro.scenario.reset (nothing)",
+        "definition: repro.used.probe (tests only)",
+        "environment: REPRO_LIMIT",
+        "module: repro.orphan",
+        "option: Node.limit",
+        "option: ScenarioConfig.lease_factor",
+    ]

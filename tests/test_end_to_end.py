@@ -74,7 +74,7 @@ class TestResolutionWorkflow:
         resolved = client.resolve(AreaQuery(district.district_id))
         for entity in resolved.entities:
             for device in entity.devices:
-                client.fetch_latest(device, device.quantities[0])
+                client.fetch_device_data(device, device.quantities[0])
         after = district.network.stats.per_host_received
         # the master served exactly one request in this block; all data
         # requests hit the proxies directly

@@ -21,15 +21,13 @@ class TestHierarchy:
 
     def test_catching_base_catches_all(self):
         for cls in all_error_classes():
-            if cls in (errors.ReproError, errors.ServiceError,
-                       errors.ConflictError):
+            if cls in (errors.ReproError, errors.ServiceError):
                 continue  # need constructor args
             with pytest.raises(errors.ReproError):
                 raise cls("boom")
 
     def test_network_family(self):
-        for cls in (errors.UnknownHostError, errors.EndpointNotFoundError,
-                    errors.RequestTimeoutError):
+        for cls in (errors.UnknownHostError, errors.RequestTimeoutError):
             assert issubclass(cls, errors.NetworkError)
 
     def test_protocol_family(self):
@@ -42,13 +40,6 @@ class TestHierarchy:
         assert exc.status == 503
         assert "503" in str(exc) and "maintenance" in str(exc)
         assert isinstance(exc, errors.NetworkError)
-
-    def test_conflict_error_carries_details(self):
-        exc = errors.ConflictError("bld-0001", "area", [1, 2])
-        assert exc.entity == "bld-0001"
-        assert exc.prop == "area"
-        assert exc.values == [1, 2]
-        assert isinstance(exc, errors.IntegrationError)
 
     def test_storage_family(self):
         assert issubclass(errors.SeriesNotFoundError, errors.StorageError)

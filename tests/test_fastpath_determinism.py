@@ -30,6 +30,32 @@ _TWIN = dict(
     churn_period=90.0,
 )
 
+#: what the two deployments below computed on the commit before PR 20,
+#: recorded once and committed: "nothing moved" stays a tier-1 fact
+#: whatever later happens to the scheduler loops they are also compared
+#: across.  A change that is *meant* to move one of these says so and
+#: re-records it; nothing else may.
+_TWIN_GOLDEN = {
+    "events_processed": 673,
+    "messages_total": 344,
+    "bytes_sent": 102718,
+    "samples_ingested": 57,
+    "resolves": 5,
+    "churn_events_received": 69,
+}
+_DURABLE_GOLDEN = {
+    "events_processed": 224,
+    "messages_delivered": 84,
+    "bytes_sent": 30364,
+    "ingested": 36,
+    "stored": 36,
+    "wal_appends": 24,
+    "wal_fsyncs": 4,
+    "snapshots": 2,
+    "acked": 24,
+    "redeliveries": 0,
+}
+
 
 def _scrape_metrics(deployment):
     """Fetch /metrics from the master and the broker, as a client would."""
@@ -51,11 +77,23 @@ def _fingerprint(result):
     }
 
 
+def _golden(result):
+    return {
+        "events_processed": result.events_processed,
+        "messages_total": result.messages_total,
+        "bytes_sent": result.deployment.network.stats.bytes_sent,
+        "samples_ingested": result.samples_ingested,
+        "resolves": result.resolves,
+        "churn_events_received": result.churn_events_received,
+    }
+
+
 class TestSchedulerTwin:
     def test_fast_path_matches_reference_scheduler(self):
         fast = run_soak(SoakConfig(**_TWIN))
         reference = run_soak(SoakConfig(**_TWIN, reference_scheduler=True))
         assert _fingerprint(fast) == _fingerprint(reference)
+        assert _golden(fast) == _golden(reference) == _TWIN_GOLDEN
         assert fast.deployment.scheduler.compactions >= 0
         assert reference.deployment.scheduler.compactions == 0
         fast_master, fast_broker = _scrape_metrics(fast.deployment)
@@ -122,6 +160,7 @@ class TestDurableIngestTwin:
 
     def test_same_seed_same_fingerprint_on_both_loops(self, tmp_path):
         fast = self.fingerprint(tmp_path, "fast")
+        assert fast == _DURABLE_GOLDEN
         assert fast["ingested"] == fast["stored"] > 0
         assert fast["wal_fsyncs"] < fast["wal_appends"] == fast["acked"]
         assert fast["snapshots"] >= 2 and fast["redeliveries"] == 0

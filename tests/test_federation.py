@@ -6,6 +6,7 @@ districts, each one structured as a tree."
 
 import pytest
 
+from repro.core.replication import ReplicationConfig
 from repro.errors import ConfigurationError
 from repro.ontology import AreaQuery
 from repro.simulation import ScenarioConfig, deploy_federation
@@ -73,3 +74,39 @@ class TestFederation:
     def test_empty_federation_rejected(self):
         with pytest.raises(ConfigurationError):
             deploy_federation([])
+
+    def test_shared_hubs_honour_the_first_configs_master_ha(self, tmp_path):
+        # regression: deploy_federation spelt its own hub set-up and
+        # silently dropped master_standbys / replication / snapshots
+        timing = ReplicationConfig(heartbeat_period=1.0, fencing_timeout=3.0,
+                                   failover_timeout=5.0,
+                                   promotion_stagger=3.0)
+        snapshot = tmp_path / "master.snap"
+        fed = deploy_federation([
+            ScenarioConfig(seed=1, n_buildings=2, devices_per_building=2,
+                           net_jitter=0.0, heartbeat_period=10.0,
+                           master_standbys=1, replication=timing,
+                           master_snapshot_path=str(snapshot),
+                           master_snapshot_period=30.0),
+            ScenarioConfig(seed=2, n_buildings=1, devices_per_building=2,
+                           n_networks=0, net_jitter=0.0,
+                           heartbeat_period=10.0),
+        ])
+        fed.run(60.0)
+        assert fed.replication is not None and len(fed.master_uris) == 2
+        assert fed.replication.primary.config is timing
+        assert snapshot.exists()
+        for district in fed.districts.values():
+            assert district.master_uris == fed.master_uris
+        # the proxies of both districts registered against the whole
+        # set: with the primary dead their renewals reach the standby
+        fed.network.set_host_online("master", False)
+        client = fed.client("ha-user", with_broker=False)
+        client.http.timeout = 1.0
+        for district_id, entities in (("dst-0001", 3), ("dst-0002", 1)):
+            area = client.resolve(AreaQuery(district_id=district_id))
+            assert len(area.entities) == entities
+        fed.run(5.0 + 3.0 + 2.0 + 30.0)
+        promoted = fed.replication.primary
+        assert promoted.name == "master-r1"
+        assert promoted.counters["writes_accepted"] > 0

@@ -10,7 +10,8 @@ the zero-overhead-when-disabled contract.
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RequestTimeoutError
+from repro.network.futures import Future
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
 from repro.network.webservice import GET, HttpClient, WebService, ok
@@ -155,6 +156,22 @@ class TestCollector:
         net.scheduler.run_for(65.0)
         # 6 rounds: 6 metrics scrapes but only 2 health scrapes
         assert net.stats.messages_sent - before == (6 + 2) * 2
+
+    @pytest.mark.parametrize("path", ["metrics", "health"])
+    def test_only_network_failures_count_as_failed_scrapes(self, net, path):
+        # a timeout or an open circuit is a failed scrape; any other
+        # exception out of the future is a bug and must not be swallowed
+        collector = MetricsCollector(net.add_host("mon"), interval=10.0,
+                                     timeout=2.0)
+        target = collector.add_target("svc", "svc://svc/", "gis")
+        on_done = getattr(collector, f"_on_{path}")
+        timed_out, broken = Future(), Future()
+        timed_out.set_exception(RequestTimeoutError("no answer"))
+        on_done(target, timed_out)
+        assert target.scrapes_failed == (1 if path == "metrics" else 0)
+        broken.set_exception(KeyError("not a network failure"))
+        with pytest.raises(KeyError):
+            on_done(target, broken)
 
     def test_duplicate_target_rejected(self, net):
         collector = MetricsCollector(net.add_host("mon"), interval=10.0,

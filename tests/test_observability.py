@@ -34,7 +34,6 @@ from repro.observability.tracing import (
 )
 from repro.ontology import AreaQuery
 from repro.simulation.faults import FaultInjector
-from repro.simulation.metrics import MetricsRecorder
 from repro.simulation.scenario import ScenarioConfig, deploy
 
 
@@ -149,14 +148,6 @@ class TestMetricsRegistry:
         assert snap["latency"]["count"] == 3
         assert snap["latency"]["p50"] == pytest.approx(2.0)
 
-    def test_callback_gauge_reads_live_value(self):
-        registry = MetricsRegistry()
-        state = {"n": 1}
-        registry.gauge_fn("live", lambda: state["n"])
-        assert registry.snapshot()["live"] == 1
-        state["n"] = 5
-        assert registry.snapshot()["live"] == 5
-
     def test_type_mismatch_rejected(self):
         registry = MetricsRegistry()
         registry.counter("x")
@@ -180,16 +171,19 @@ class TestMetricsRegistry:
         assert "b_p50" in text
 
     def test_recorder_is_a_registry_facade(self):
+        # the facade is gone: a benchmark's timed samples *are* registry
+        # histograms, so its summary and the /metrics snapshot agree
         registry = MetricsRegistry()
-        recorder = MetricsRecorder(registry)
-        recorder.record("m", 1.0)
-        recorder.record("m", 3.0)
-        assert recorder.samples("m") == [1.0, 3.0]
-        assert recorder.summary("m").mean == pytest.approx(2.0)
-        # the same samples are visible through the registry snapshot
-        assert registry.snapshot()["m"]["count"] == 2
+        registry.histogram("m").observe(1.0)
+        registry.histogram("m").observe(3.0)
+        summary = registry.summary("m")
+        assert summary.mean == pytest.approx(2.0)
+        assert registry.snapshot()["m"] == {
+            "count": summary.count, "mean": summary.mean,
+            "p50": summary.p50, "p90": summary.p90, "p99": summary.p99,
+            "minimum": summary.minimum, "maximum": summary.maximum}
         with pytest.raises(QueryError):
-            recorder.samples("absent")
+            registry.summary("absent")
 
 
 # -- disabled mode ---------------------------------------------------------

@@ -78,14 +78,6 @@ class TestOntologyStructure:
             onto.add_device("dst-0001", "bld-0001",
                             DeviceNode("dev-0101", "svc://x/", "zigbee"))
 
-    def test_find_entity(self):
-        onto = build_ontology()
-        district, entity = onto.find_entity("net-0001")
-        assert district.district_id == "dst-0001"
-        assert entity.entity_type == "network"
-        with pytest.raises(UnknownEntityError):
-            onto.find_entity("bld-9999")
-
     def test_find_device(self):
         onto = build_ontology()
         district, entity, device = onto.find_device("dev-0201")

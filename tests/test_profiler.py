@@ -296,12 +296,6 @@ def test_scenario_profile_flag_installs_profiler():
     assert district.profiler.buckets()
 
 
-def test_scenario_env_var_installs_profiler(monkeypatch):
-    monkeypatch.setenv("REPRO_PROFILE", "1")
-    district = deploy(_tiny_config())
-    assert district.profiler is not None
-
-
 def test_scenario_default_has_no_profiler():
     district = deploy(_tiny_config())
     assert district.profiler is None

@@ -31,6 +31,7 @@ from repro.network.webservice import HttpClient
 from repro.ontology.queries import AreaQuery
 from repro.simulation import ScenarioConfig, deploy
 from repro.simulation.faults import FaultInjector
+from repro.simulation.scenario import LEASE_FACTOR
 
 
 @pytest.fixture
@@ -625,7 +626,7 @@ class TestCacheUnderChurn:
         dead_uri = d.device_proxies[(entity_id, protocol)].service.base_uri
         assert dead_uri in proxy_uris_of(client.resolve(whole_district_of(d)))
         FaultInjector(d).kill_device_proxy(entity_id, protocol)
-        lease = 10.0 * d.config.lease_factor
+        lease = 10.0 * LEASE_FACTOR
         stale = 0
         for elapsed in range(0, int(lease) + 20, 5):
             area = client.resolve(whole_district_of(d))

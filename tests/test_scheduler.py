@@ -148,6 +148,22 @@ class TestPeriodicTask:
         with pytest.raises(ConfigurationError):
             sched.run_until_idle(max_events=100)
 
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_run_until_idle_budget_spent_on_an_idle_queue(self, reference):
+        # regression: exactly max_events one-shot events drained the
+        # queue and still raised, because only the count was tested
+        sched = Scheduler(reference=reference)
+        fired = []
+        for delay in (1.0, 2.0, 3.0):
+            sched.schedule(delay, fired.append, delay)
+        sched.schedule(4.0, fired.append, 4.0).cancel()
+        assert sched.run_until_idle(max_events=3) == 3
+        assert fired == [1.0, 2.0, 3.0] and sched.pending == 0
+        sched.schedule(1.0, fired.append, 5.0)
+        sched.schedule(2.0, fired.append, 6.0)
+        with pytest.raises(ConfigurationError):
+            sched.run_until_idle(max_events=1)
+
 
 class TestTombstoneCompaction:
     """The cancel-heavy churn patterns must not grow the heap unbounded."""
