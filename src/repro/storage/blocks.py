@@ -50,7 +50,7 @@ import numpy as np
 from repro.common.cdf import Measurement
 from repro.errors import ConfigurationError, QueryError, SeriesNotFoundError
 from repro.storage.query import RangeQuery, choose_resolution
-from repro.storage.timeseries import TimeSeries
+from repro.storage.timeseries import TimeSeries, bucket_aggregate
 
 #: rollup bucket slots: [count, sum, min, max, first_t, first_v,
 #: last_t, last_v]
@@ -480,8 +480,7 @@ class BlockStore:
                    end: float, step: float, agg: str
                    ) -> List[Tuple[float, float]]:
         times, values = self._scan(device_id, quantity, start, end)
-        return TimeSeries(list(zip(times.tolist(), values.tolist()))) \
-            .resample(step, agg)
+        return bucket_aggregate(times, values, step, agg)
 
     def _scan(self, device_id: str, quantity: str, start: float,
               end: float) -> Tuple[np.ndarray, np.ndarray]:

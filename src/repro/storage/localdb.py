@@ -8,12 +8,15 @@ database keeps the full history).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.common.cdf import Measurement
 from repro.errors import SeriesNotFoundError
 from repro.storage.query import RangeQuery
-from repro.storage.timeseries import TimeSeries
+from repro.storage.timeseries import TimeSeries, bucket_aggregate
 
 
 class LocalDatabase:
@@ -63,17 +66,15 @@ class LocalDatabase:
     def query(self, query: RangeQuery) -> List[Tuple[float, float]]:
         """Run a range query; aggregated if the query asks for buckets."""
         series = self.series(query.device_id, query.quantity)
-        start = query.start if query.start is not None else float("-inf")
-        end = query.end if query.end is not None else float("inf")
-        if start == float("-inf") and not len(series):
-            return []
-        windowed = series.window(
-            start if start != float("-inf") else series.first()[0],
-            end,
-        ) if len(series) else TimeSeries()
+        times, values = series._times, series._values  # in place, no copy
+        start, end = query.start, query.end
+        lo = 0 if start is None else bisect_left(times, start)
+        hi = len(times) if end is None else bisect_left(times, end)
         if query.bucket is None:
-            return windowed.to_pairs()
-        return windowed.resample(query.bucket, query.agg)
+            return list(zip(times[lo:hi], values[lo:hi]))
+        return bucket_aggregate(np.asarray(times[lo:hi], dtype=float),
+                                np.asarray(values[lo:hi], dtype=float),
+                                query.bucket, query.agg)
 
     def sample_count(self) -> int:
         """Total stored samples across all series."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
@@ -34,6 +35,20 @@ def choose_resolution(step: float,
     return best
 
 
+def _check_window(start: Optional[float], end: Optional[float],
+                  width: Optional[float], what: str) -> None:
+    """Reject what would put NaN on the wire or overflow the rollup
+    planner: a NaN bound (``±inf`` stays legal, an open window), a
+    reversed window, a *width* that is not a finite positive number."""
+    if start != start or end != end:
+        raise QueryError(f"query window [{start}, {end}) has a NaN bound")
+    if start is not None and end is not None and end < start:
+        raise QueryError(f"reversed query window [{start}, {end})")
+    if width is not None and not 0 < width < math.inf:
+        raise QueryError(f"{what} width must be positive and finite, "
+                         f"not {width!r}")
+
+
 @dataclass(frozen=True)
 class RangeQuery:
     """A time-range query for one device quantity.
@@ -50,13 +65,7 @@ class RangeQuery:
     agg: str = "mean"
 
     def __post_init__(self) -> None:
-        if self.start is not None and self.end is not None \
-                and self.end < self.start:
-            raise QueryError(
-                f"reversed query window [{self.start}, {self.end})"
-            )
-        if self.bucket is not None and self.bucket <= 0:
-            raise QueryError("bucket width must be positive")
+        _check_window(self.start, self.end, self.bucket, "bucket")
         if self.agg not in AGGREGATIONS:
             raise QueryError(f"unknown aggregation {self.agg!r}")
 
@@ -130,8 +139,13 @@ class RangeQuery:
             device_id, _, quantity = entry.partition("/")
             if not device_id or not quantity:
                 raise QueryError(f"malformed series entry {entry!r}")
-            queries.append(cls.from_params(
-                {**params, "device_id": device_id, "quantity": quantity}))
+            if not queries:  # the window the list shares: parsed once
+                shared = cls.from_params({**params, "device_id": device_id,
+                                          "quantity": quantity})
+                queries.append(shared)
+            else:
+                queries.append(cls(device_id, quantity, shared.start,
+                                   shared.end, shared.bucket, shared.agg))
         return queries
 
 
@@ -157,12 +171,7 @@ class RollupQuery:
     prefer: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise QueryError(
-                f"reversed query window [{self.start}, {self.end})"
-            )
-        if self.step <= 0:
-            raise QueryError("step width must be positive")
+        _check_window(self.start, self.end, self.step, "step")
         if self.agg not in AGGREGATIONS:
             raise QueryError(f"unknown aggregation {self.agg!r}")
         if self.prefer not in (None, "raw", "rollup"):

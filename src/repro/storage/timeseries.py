@@ -10,24 +10,61 @@ queries, bucketed resampling and trapezoidal integration (power -> energy).
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+import math
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import StorageError
+from repro.errors import QueryError, StorageError
 
-#: aggregation name -> reducer over a non-empty value array
-_AGGREGATORS: Dict[str, Callable[[np.ndarray], float]] = {
-    "mean": lambda v: float(np.mean(v)),
-    "sum": lambda v: float(np.sum(v)),
-    "min": lambda v: float(np.min(v)),
-    "max": lambda v: float(np.max(v)),
-    "last": lambda v: float(v[-1]),
-    "first": lambda v: float(v[0]),
-    "count": lambda v: float(len(v)),
-}
+AGGREGATIONS = ("count", "first", "last", "max", "mean", "min", "sum")
 
-AGGREGATIONS = tuple(sorted(_AGGREGATORS))
+#: the ufunc behind each aggregation that reads a bucket's values
+_UFUNCS: Dict[str, np.ufunc] = {"mean": np.add, "sum": np.add,
+                                "min": np.minimum, "max": np.maximum}
+
+
+def bucket_aggregate(times: np.ndarray, values: np.ndarray, bucket: float,
+                     agg: str = "mean") -> List[Tuple[float, float]]:
+    """Aggregate time-sorted samples into fixed buckets.
+
+    Returns ``(bucket_start, aggregate)`` pairs of Python floats; starts
+    are multiples of *bucket* (floor-aligned), empty buckets are omitted.
+    The one loop under every bucketed read: :meth:`TimeSeries.resample`,
+    the Device-proxy's ``/data``, the measurement DB's raw scan.  Each
+    bucket is a contiguous slice reduced by the bare ufunc — bit-identical
+    to ``np.mean`` / ``np.sum`` / ``np.min`` / ``np.max`` of that slice,
+    which ``np.add.reduceat`` is not (no pairwise summation), and a
+    last-ulp difference changes an answer's size on the wire.
+    """
+    if bucket <= 0:
+        raise StorageError("bucket width must be positive")
+    if agg not in AGGREGATIONS:
+        raise StorageError(f"unknown aggregation {agg!r}")
+    if not len(times):
+        return []
+    starts = np.floor(times / bucket) * bucket
+    heads = ((starts[1:] != starts[:-1]).nonzero()[0] + 1).tolist()
+    lows = [0, *heads]
+    highs = [*heads, len(times)]
+    bucket_starts = starts[lows].tolist()
+    # times are sorted: the two ends bound every start in between
+    if not all(map(math.isfinite, (bucket_starts[0], bucket_starts[-1]))):
+        raise QueryError(f"bucket width {bucket!r} overflows a bucket start")
+    if agg == "count":
+        aggregates = [float(hi - lo) for lo, hi in zip(lows, highs)]
+    elif agg == "first":
+        aggregates = values[lows].tolist()
+    elif agg == "last":
+        aggregates = values[[hi - 1 for hi in highs]].tolist()
+    else:
+        reduce = _UFUNCS[agg].reduce
+        aggregates = [float(reduce(values[lo:hi]))
+                      for lo, hi in zip(lows, highs)]
+        if agg == "mean":
+            aggregates = [total / (hi - lo) for total, lo, hi
+                          in zip(aggregates, lows, highs)]
+    return list(zip(bucket_starts, aggregates))
 
 
 class TimeSeries:
@@ -103,23 +140,7 @@ class TimeSeries:
         Returns (bucket_start, aggregate) pairs, bucket boundaries are
         multiples of *bucket*.
         """
-        if bucket <= 0:
-            raise StorageError("bucket width must be positive")
-        try:
-            reducer = _AGGREGATORS[agg]
-        except KeyError:
-            raise StorageError(f"unknown aggregation {agg!r}") from None
-        if not self._times:
-            return []
-        times = self.times
-        values = self.values
-        starts = np.floor(times / bucket) * bucket
-        out: List[Tuple[float, float]] = []
-        boundaries = np.flatnonzero(np.diff(starts)) + 1
-        chunks = np.split(np.arange(len(times)), boundaries)
-        for chunk in chunks:
-            out.append((float(starts[chunk[0]]), reducer(values[chunk])))
-        return out
+        return bucket_aggregate(self.times, self.values, bucket, agg)
 
     def integrate_hours(self) -> float:
         """Trapezoidal integral of value dt, with dt in hours.

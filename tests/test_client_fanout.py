@@ -438,6 +438,40 @@ class TestMultiSeriesData:
             .status == 400
 
 
+class TestNonFiniteWindowIsA400:
+    """Through the deployed route (handler, catch-all, wire): a bucket
+    that is NaN, infinite or too small to floor-align is the client's
+    error, not ``nan`` bucket starts in a 200 body."""
+
+    @pytest.fixture(scope="class")
+    def http(self):
+        return HttpClient(PROXY.host.network.add_host("nan-user"))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("form", [
+        {"device_id": "dev-0001", "quantity": "power"},
+        {"series": "dev-0001/power,dev-0002/temperature"},
+        {"series": "dev-0404/power,dev-0001/power"},
+    ])
+    @pytest.mark.parametrize("window", [
+        {"bucket": "nan"}, {"bucket": "inf"}, {"bucket": "1e-320"},
+        {"start": "nan"}, {"end": "nan", "bucket": "60.0"},
+    ])
+    def test_data(self, http, form, window):
+        reply = http.get(PROXY.uri.rstrip("/") + "/data",
+                         params={**form, **window}, check=False)
+        assert reply.status == 400
+        assert "bucket" in reply.reason or "NaN" in reply.reason
+
+    def test_infinite_bounds_stay_an_open_window(self, http):
+        form = {"device_id": "dev-0001", "quantity": "power",
+                "bucket": "300.0"}
+        uri = PROXY.uri.rstrip("/") + "/data"
+        assert http.get(uri, params={**form, "start": "-inf",
+                                     "end": "inf"}).body == \
+            http.get(uri, params=form).body
+
+
 # -- (f) the trace tree, (g) determinism ----------------------------------
 
 

@@ -10,12 +10,16 @@ master and broker report.  A second twin asserts the hot-loop profiler
 observes a run without perturbing it.
 """
 
+from hashlib import blake2s
+
 import pytest
 
+from repro.ontology import AreaQuery
 from repro.proxies.device_proxy import BatchConfig
 from repro.simulation.scenario import ScenarioConfig, deploy
 from repro.simulation.soak import SoakConfig, run_soak
 from repro.storage.durability import DurabilityConfig
+from repro.storage.query import RollupQuery
 
 #: short but non-trivial: covers registrations + heartbeats, batched
 #: ingest, resolves, pub/sub churn and at least one compaction-worthy
@@ -54,6 +58,17 @@ _DURABLE_GOLDEN = {
     "snapshots": 2,
     "acked": 24,
     "redeliveries": 0,
+}
+#: what a client *reads* from the seed-23 district, recorded on the
+#: commit before PR 22 (the parent's per-bucket ``np.split`` / ``np.mean``
+#: loop) before any other edit: every ``(t, v)`` the Device-proxies'
+#: bucketed ``/data`` and the measurement DB's raw and rollup
+#: ``/query_range`` answered, and the bytes the whole run put on the wire
+_READ_GOLDEN = {
+    "answers": "d9c596dbfd6bd1ce3ede71b81d366d59"
+               "a78d34a24dea81f2b6f337734f2e0f38",
+    "sources": ["raw", "rollup:900"],
+    "bytes_sent": 192327,
 }
 
 
@@ -167,3 +182,36 @@ class TestDurableIngestTwin:
         assert self.fingerprint(tmp_path, "again") == fast
         assert self.fingerprint(tmp_path, "reference",
                                 reference_scheduler=True) == fast
+
+
+class TestReadPathGolden:
+    """The twins above fingerprint scheduler, transport and ingest; this
+    one fingerprints the answers of the read path, float for float."""
+
+    def test_bucketed_reads_answer_what_the_parent_answered(self):
+        district = deploy(ScenarioConfig(
+            seed=23, n_buildings=3, devices_per_building=3,
+            proxy_batching=BatchConfig(25, 10.0)))
+        district.run(1800.0)
+        client = district.client("reader", with_broker=False)
+        model = client.build_area_model(
+            AreaQuery(district.district_id,
+                      entity_ids=("bld-0001", "bld-0002")),
+            with_data=True, data_bucket=300.0)
+        answers = [sorted(entity.measurements.items())
+                   for _id, entity in sorted(model.entities.items())]
+        assert [len(series) for series in answers] == [6, 6]
+        sources = []
+        for prefer in ("raw", None):
+            query = RollupQuery("dev-0100", "power", 0.0, 1800.0, 900.0,
+                                prefer=prefer)
+            body = client.http.get(
+                district.measurement_db.uri.rstrip("/") + "/query_range",
+                params=query.to_params()).body
+            answers.append([tuple(sample) for sample in body["samples"]])
+            sources.append(body["source"])
+        assert {
+            "answers": blake2s(repr(answers).encode()).hexdigest(),
+            "sources": sources,
+            "bytes_sent": district.network.stats.bytes_sent,
+        } == _READ_GOLDEN

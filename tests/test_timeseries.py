@@ -1,11 +1,20 @@
 """Tests for the time-series primitive."""
 
+import random
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import StorageError
-from repro.storage.timeseries import TimeSeries, aligned_sum, merge
+from repro.errors import QueryError, StorageError
+from repro.storage.timeseries import (
+    AGGREGATIONS,
+    TimeSeries,
+    aligned_sum,
+    bucket_aggregate,
+    merge,
+)
 
 
 def series_from(pairs):
@@ -175,3 +184,146 @@ class TestMergeAndAlignedSum:
 
     def test_aligned_sum_empty(self):
         assert aligned_sum([], 60.0) == []
+
+
+# -- the parent's loop is the oracle ---------------------------------------
+#
+# ``reference_resample`` is the body ``TimeSeries.resample`` had before
+# PR 22, verbatim (one ``np.split`` chunk, one fancy-index copy and one
+# ``np.mean`` / ``np.sum`` / ... wrapper call per bucket).  The kernel
+# that replaced it must answer the same floats bit for bit — an answer's
+# size on the wire is the ``repr`` of its floats — so the comparison is
+# against this reference on the running interpreter's numpy, not
+# against committed numbers.
+
+_REFERENCE_AGGREGATORS = {
+    "mean": lambda v: float(np.mean(v)),
+    "sum": lambda v: float(np.sum(v)),
+    "min": lambda v: float(np.min(v)),
+    "max": lambda v: float(np.max(v)),
+    "last": lambda v: float(v[-1]),
+    "first": lambda v: float(v[0]),
+    "count": lambda v: float(len(v)),
+}
+
+BUCKETS = (7.0, 60.0, 300.0, 900.0, 1e6)
+
+
+def reference_resample(times, values, bucket, agg="mean"):
+    """The pre-PR-22 ``resample`` loop over ``(times, values)`` arrays."""
+    reducer = _REFERENCE_AGGREGATORS[agg]
+    if not len(times):
+        return []
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    starts = np.floor(times / bucket) * bucket
+    out = []
+    boundaries = np.flatnonzero(np.diff(starts)) + 1
+    chunks = np.split(np.arange(len(times)), boundaries)
+    for chunk in chunks:
+        out.append((float(starts[chunk[0]]), reducer(values[chunk])))
+    return out
+
+
+def assert_identical(got, expected):
+    """Equal values *and* plain ``float`` types, pair by pair."""
+    assert got == expected
+    assert all(type(t) is float and type(v) is float for t, v in got)
+    # ``==`` treats 0.0 and -0.0 alike; their reprs differ on the wire
+    assert repr(got) == repr(expected)
+
+
+def assert_matches_reference(series, bucket):
+    times, values = series.times, series.values
+    for agg in AGGREGATIONS:
+        expected = reference_resample(times, values, bucket, agg)
+        assert_identical(series.resample(bucket, agg), expected)
+        assert_identical(bucket_aggregate(times, values, bucket, agg),
+                         expected)
+
+
+def seeded_series(rng, n, spread=3600.0):
+    """*n* samples on both sides of t=0, one in six sharing a timestamp
+    with another, appended out of order; the values span ten orders of
+    magnitude so the order of a float sum shows in its last bits."""
+    times = [rng.uniform(-spread, spread) for _ in range(n)]
+    for index in rng.sample(range(n), n // 6):
+        times[index] = times[rng.randrange(n)]
+    return series_from(
+        (t, rng.uniform(-1, 1) * 10 ** rng.randint(-3, 7)) for t in times)
+
+
+class TestKernelMatchesTheParentLoop:
+    #: 7 / 8 / 9 and 127 – 130 straddle numpy's pairwise-summation block
+    #: edges (unrolled by 8, recursive above 128)
+    LENGTHS = (1, 2, 3, 7, 8, 9, 10, 31, 64, 127, 128, 129, 130, 200, 300)
+
+    @pytest.mark.parametrize("bucket", BUCKETS)
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_seeded_series(self, n, bucket):
+        rng = random.Random(1000 * n + int(bucket) % 997)
+        for spread in (50.0, 3600.0, 5e6):
+            assert_matches_reference(seeded_series(rng, n, spread), bucket)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_one_bucket_holds_everything(self, n):
+        series = seeded_series(random.Random(n), n, spread=400.0)
+        positive = series_from((abs(t), v) for t, v in series)
+        assert positive.resample(1e6, "count") == [(0.0, float(n))]
+        assert_matches_reference(positive, 1e6)
+
+    def test_one_sample_per_bucket(self):
+        rng = random.Random(5)
+        series = series_from((7.0 * i + 3.0, rng.random() * 1e5)
+                             for i in range(-150, 150))
+        assert len(series.resample(7.0)) == 300
+        assert_matches_reference(series, 7.0)
+
+    def test_negative_zero_start_is_kept(self):
+        series = series_from([(-0.0, 1.0), (0.0, 2.0), (1.0, -0.0)])
+        assert_matches_reference(series, 60.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(-5000, 5000).map(float),
+                          st.floats(min_value=-1e7, max_value=1e7,
+                                    allow_nan=False)),
+                st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
+            ),
+            min_size=1, max_size=300,
+        ),
+        st.sampled_from(BUCKETS),
+    )
+    def test_hypothesis_series(self, pairs, bucket):
+        assert_matches_reference(series_from(pairs), bucket)
+
+    def test_empty_arrays(self):
+        empty = np.empty(0, dtype=float)
+        for agg in AGGREGATIONS:
+            assert bucket_aggregate(empty, empty, 60.0, agg) == []
+
+    def test_kernel_validates_like_resample(self):
+        times = values = np.asarray([1.0, 2.0])
+        with pytest.raises(StorageError):
+            bucket_aggregate(times, values, 0.0)
+        with pytest.raises(StorageError):
+            bucket_aggregate(times, values, 60.0, "median")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bucket", [float("nan"), float("inf"), 1e-320])
+    def test_non_finite_bucket_start_is_a_query_error(self, bucket):
+        series = series_from([(1000.0, 1.0), (2000.0, 2.0)])
+        with pytest.raises(QueryError):
+            series.resample(bucket)
+
+    def test_aligned_sum_runs_on_the_kernel(self):
+        rng = random.Random(11)
+        group = [seeded_series(rng, 40) for _ in range(3)]
+        totals = {}
+        for series in group:
+            for start, value in reference_resample(
+                    series.times, series.values, 300.0, "mean"):
+                totals[start] = totals.get(start, 0.0) + value
+        assert_identical(aligned_sum(group, 300.0), sorted(totals.items()))

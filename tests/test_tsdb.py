@@ -9,6 +9,9 @@ HTTP route), and crash-restart recovery of sealed blocks + rollup
 state through the v2 snapshot format and batch WAL records.
 """
 
+import math
+import random
+
 import pytest
 
 from repro.common.cdf import Measurement
@@ -39,6 +42,8 @@ from repro.storage.durability import DurabilityConfig, load_state, save_state
 from repro.storage.measurementdb import MeasurementDatabase
 from repro.storage.query import RollupQuery, choose_resolution
 from repro.storage.timeseries import AGGREGATIONS, TimeSeries
+
+from tests.test_timeseries import assert_identical, reference_resample
 
 DISTRICT = "dst-0001"
 
@@ -306,6 +311,34 @@ class TestBlockStore:
         scanned = store.series("dev-0001", "temperature").to_pairs()
         assert [t for t, _v in scanned] == expected
 
+    def test_raw_scan_answers_what_the_parent_loop_answers(self):
+        # sealed + active blocks, inserts out of order within and across
+        # blocks, duplicate timestamps; the raw arm aggregates the
+        # scanned arrays directly and must match the pre-PR-22 loop
+        rng = random.Random(22)
+        store = BlockStore(TsdbConfig(block_size=16, compaction_target=64))
+        pairs = [(float(rng.randrange(-600, 3000)), rng.uniform(-1e5, 1e5))
+                 for _ in range(203)]
+        for seq, (t, value) in enumerate(pairs, 1):
+            store.insert(sample(t=t, seq=seq, value=value))
+        stats = store.stats()
+        assert stats["sealed_blocks"] >= 2 and stats["active_samples"] > 0
+        for compacted in (False, True):
+            for start, end in ((-1e9, 1e9), (0.0, 900.0), (-600.0, -599.0),
+                               (5000.0, 6000.0), (-math.inf, math.inf)):
+                ordered = sorted((p for p in pairs if start <= p[0] < end),
+                                 key=lambda p: p[0])
+                for step in (7.0, 60.0, 900.0, 1e6):
+                    for agg in AGGREGATIONS:
+                        answer = store.query_range(
+                            "dev-0001", "temperature", start, end, step,
+                            agg, prefer="raw")
+                        assert store.last_query_source == "raw"
+                        assert_identical(answer, reference_resample(
+                            [t for t, _v in ordered],
+                            [v for _t, v in ordered], step, agg))
+            store.compact()
+
     def test_rollup_vs_raw_agreement_all_aggs(self):
         store = BlockStore(TsdbConfig(block_size=16,
                                       compaction_target=64))
@@ -479,6 +512,28 @@ class TestMeasurementDbQueryRange:
             check=False,
         )
         assert missing.status == 404
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("step", ["nan", "inf", "-inf", "1e-320"])
+    @pytest.mark.parametrize("prefer", [None, "raw"])
+    def test_http_route_non_finite_step_is_a_400(self, net, tmp_path,
+                                                 step, prefer):
+        # nan / inf used to escape ``choose_resolution``'s ``round()``
+        # as ValueError / OverflowError into the catch-all: a 500
+        mdb = self._fed_mdb(net, tmp_path)
+        client = HttpClient(net.add_host("user"))
+        params = {"target": "dev-0001", "quantity": "temperature",
+                  "start": "0.0", "end": "300.0", "step": step}
+        if prefer:
+            params["prefer"] = prefer
+        reply = client.get(mdb.uri + "query_range", params=params,
+                           check=False)
+        assert reply.status == 400
+        assert "step" in reply.reason or "bucket" in reply.reason
+        nan_bound = client.get(mdb.uri + "query_range",
+                               params={**params, "step": "60.0",
+                                       "end": "nan"}, check=False)
+        assert nan_bound.status == 400
 
     def test_default_deployment_is_rollup_served(self):
         # no mdb_tsdb, no mdb_durability: the one engine still answers
