@@ -62,8 +62,8 @@ from repro.ontology import AreaQuery
 from repro.protocols import make_adapter
 from repro.proxies.device_proxy import DeviceProxy
 from repro.simulation.faults import FaultInjector
-from repro.simulation.metrics import replication_counters
 from repro.simulation.scenario import ScenarioConfig, deploy
+from repro.storage.durability import HubConfig
 
 EXPERIMENT = "R2"
 SEED = 31
@@ -81,8 +81,8 @@ def _deploy(replicated: bool):
     config = ScenarioConfig(
         seed=SEED, n_buildings=4, devices_per_building=3, n_networks=1,
         net_jitter=0.0, heartbeat_period=HEARTBEAT,
-        master_standbys=2 if replicated else 0,
-        replication=REPLICATION if replicated else None,
+        master=HubConfig(standbys=2, replication=REPLICATION)
+        if replicated else None,
     )
     district = deploy(config)
     client = district.client("ha-user", with_broker=False)
@@ -135,8 +135,7 @@ def _ha_run(replicated: bool):
     _probe_phase(district, client, query, stats)          # 1. steady
     devices_before = stats["last_devices"]
 
-    primary_host = district.replication.primary.name \
-        if replicated else "master"
+    primary_host = district.replication.acting().host.name
     injector.take_offline(primary_host)
     _probe_phase(district, client, query, stats)          # 2. kill
     injector.restore(primary_host)
@@ -166,7 +165,7 @@ def _ha_run(replicated: bool):
         "devices_after": stats["last_devices"],
         "split_brain": split_brain,
         "failovers": client.master_failovers,
-        "counters": replication_counters(district),
+        "counters": district.replication.counters(),
     }
 
 

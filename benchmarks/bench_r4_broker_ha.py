@@ -61,7 +61,7 @@ from repro.middleware.peer import MiddlewarePeer
 from repro.simulation.faults import FaultInjector
 from repro.simulation.metrics import broker_replication_counters
 from repro.simulation.scenario import ScenarioConfig, deploy
-from repro.storage.durability import BrokerDurabilityConfig
+from repro.storage.durability import HubConfig
 
 EXPERIMENT = "R4"
 SEED = 41
@@ -87,8 +87,8 @@ def _deploy(replicated: bool):
     config = ScenarioConfig(
         seed=SEED, n_buildings=2, devices_per_building=2, n_networks=1,
         net_jitter=0.0, publish_buffer=256, peer_keepalive=5.0,
-        broker_standbys=2 if replicated else 0,
-        broker_replication=REPLICATION if replicated else None,
+        broker=HubConfig(standbys=2, replication=REPLICATION)
+        if replicated else None,
     )
     return deploy(config)
 
@@ -160,8 +160,7 @@ def _ha_run(replicated: bool):
     # the stale publisher must exist before the partition so it is cut
     # off together with the deposed primary
     stale_host = district.network.add_host("stale-pub")
-    current_primary = district.broker_replication.primary.name \
-        if replicated else "broker"
+    current_primary = district.broker_replication.acting().name
     stale = MiddlewarePeer(stale_host, current_primary,
                            publish_buffer=8, ack_timeout=1.0)
     deposed = injector.partition_broker(
@@ -200,9 +199,7 @@ def _ha_run(replicated: bool):
         "retained_replayed": [e.payload for e in replayed],
         "publisher_failovers": prober.publisher.broker_failovers,
         "dead_lettered": sum(b.stats.dead_lettered
-                             for b in (district.broker_replication.nodes()
-                                       if replicated
-                                       else [district.broker])),
+                             for b in district.broker_replication.nodes()),
         "counters": broker_replication_counters(district),
     }
 
@@ -262,7 +259,7 @@ def _restart_run(tmp_path):
     district = deploy(ScenarioConfig(
         seed=SEED, n_buildings=1, devices_per_building=2, n_networks=1,
         net_jitter=0.0, publish_buffer=64, peer_keepalive=5.0,
-        broker_durability=BrokerDurabilityConfig(
+        broker=HubConfig(
             wal_path=str(tmp_path / "broker.wal"),
             snapshot_path=str(tmp_path / "broker.snap"),
             snapshot_period=45.0,

@@ -80,14 +80,14 @@ ALLOW: Dict[str, str] = {
              "print",
              "module: repro.simulation.metrics"),
     **_allow("called by examples/anomaly_detection.py and "
-             "examples/demand_response.py (ROADMAP 1(d): moves there "
-             "or goes)",
+             "examples/demand_response.py (ROADMAP standing rider: moves "
+             "there or goes)",
              "module: repro.core.analytics"),
-    **_allow("called by examples/network_efficiency.py (ROADMAP 1(d): "
-             "moves there or goes)",
+    **_allow("called by examples/network_efficiency.py (ROADMAP standing "
+             "rider: moves there or goes)",
              "module: repro.gridsim.flow"),
-    **_allow("caller-less, to be deleted with its tests (ROADMAP 1(d)); "
-             "kept only because " + _FLOOR,
+    **_allow("caller-less, to be deleted with its tests (ROADMAP standing "
+             "rider); kept only because " + _FLOOR,
              "module: repro.devices.mesh",
              "module: repro.storage.export",
              "module: repro.simulation.workloads",
@@ -101,9 +101,6 @@ ALLOW: Dict[str, str] = {
              "(tests only)",
              "definition: repro.network.transport.partitioned (tests only)",
              "definition: repro.observability.tracing.trace_ids "
-             "(tests only)",
-             "definition: repro.network.scheduler.stopped (tests only)",
-             "definition: repro.simulation.scenario.device_proxy_for "
              "(tests only)",
              "definition: repro.datasources.sim.cadastral_ids (tests only)",
              "definition: repro.datasources.gis.by_cadastral_id "

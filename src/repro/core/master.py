@@ -34,6 +34,7 @@ from repro.common.cdf import DeviceDescription
 from repro.common.identifiers import entity_kind
 from repro.datasources.geometry import BoundingBox
 from repro.errors import (
+    ConfigurationError,
     NotPrimaryError,
     OntologyError,
     QueryError,
@@ -54,7 +55,7 @@ from repro.network.webservice import (
 from repro.observability.tracing import INTERNAL, emit
 from repro.ontology.model import DeviceNode, DistrictOntology, EntityNode
 from repro.ontology.queries import AreaQuery, resolve
-from repro.storage.durability import Journal, StateMachine
+from repro.storage.durability import HubConfig, Journal, StateMachine
 
 
 #: bound on the master-side resolve cache (serialized answers)
@@ -80,7 +81,12 @@ class MasterNode(StateMachine):
 
     kind = "master"
 
-    def __init__(self, host: Host, processing_delay: float = 2e-4):
+    def __init__(self, host: Host, processing_delay: float = 2e-4,
+                 durability: Optional[HubConfig] = None):
+        if durability is not None and durability.wal_path is not None:
+            raise ConfigurationError(
+                "the master journals snapshots only: its log is the "
+                "replication stream, so it takes no wal_path")
         self.host = host
         self.ontology = DistrictOntology()
         #: full registrations applied; heartbeats count as renewals
@@ -116,11 +122,10 @@ class MasterNode(StateMachine):
         #: changing hands, a half-applied rejection, reset.
         self._tokens: Dict[str, str] = {}
         self._sweeper = None
-        #: persisted ontology + lease snapshots; the deployment opens
-        #: it with a path (``journal.open(snapshot_path=...)``) to make
-        #: a restarted master recover instead of waiting for a full
+        #: persisted ontology + lease snapshots: with a snapshot path a
+        #: restarted master recovers instead of waiting for a full
         #: heartbeat round of re-registrations
-        self.journal = Journal(self, "repro-ontology", 2)
+        self.journal = Journal(self, "repro-ontology", 2, durability)
         self.service = WebService(host, processing_delay=processing_delay)
         self.service.add_route(POST, "/register", self._register_route)
         self.service.add_route(GET, "/resolve", self._resolve_route)
@@ -251,8 +256,8 @@ class MasterNode(StateMachine):
         self.bump_epoch()
         self.invalidate_resolve_cache()
 
-    def standby(self, host: Host) -> "MasterNode":
-        return MasterNode(host)
+    def standby(self, name: str) -> "MasterNode":
+        return MasterNode(self.host.network.add_host(name))
 
     def recover(self) -> Optional[int]:
         """Restore ontology and leases from the persisted snapshot.

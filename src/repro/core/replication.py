@@ -62,7 +62,7 @@ from repro.network.webservice import (
     ok,
 )
 from repro.observability.tracing import emit
-from repro.storage.durability import StateMachine
+from repro.storage.durability import HubConfig, StateMachine
 
 PRIMARY = "primary"
 STANDBY = "standby"
@@ -452,6 +452,7 @@ class ReplicationGroup:
                 "a replication group needs a primary and >= 1 standby"
             )
         self.members = list(members)
+        self._nodes = [m.node for m in members]
 
     @property
     def primary(self) -> ReplicatedNode:
@@ -461,19 +462,23 @@ class ReplicationGroup:
             return max(primaries, key=lambda m: (m.epoch, -m.rank))
         return self.members[0]  # mid-failover: the original seniority
 
+    def acting(self) -> StateMachine:
+        """The node acting as primary now (maybe a promoted standby)."""
+        return self.primary.node
+
     def uris(self) -> List[str]:
         """Every member's base URI, seniority first — the client's
         :class:`~repro.network.resilience.FailoverSet` order."""
-        return [m.uri for m in self.members]
+        return [node.service.base_uri for node in self._nodes]
 
     def hosts(self) -> List[str]:
         """Every member's host name, seniority first (raw-transport
         peers rotate over host names, not HTTP URIs)."""
-        return [m.name for m in self.members]
+        return [node.host.name for node in self._nodes]
 
     def nodes(self) -> List[StateMachine]:
         """Every member's node, seniority first."""
-        return [m.node for m in self.members]
+        return list(self._nodes)
 
     def member(self, name: str) -> ReplicatedNode:
         for member in self.members:
@@ -497,6 +502,31 @@ class ReplicationGroup:
             member.stop()
 
 
+class LoneNode(ReplicationGroup):
+    """The group of one that serves an unreplicated hub.
+
+    No members: no agent, route, timer or host is attached and the
+    node keeps ``replication = None`` on its hot path, yet readers ask
+    it what they ask a replicated group and need no fork of their own.
+    """
+
+    def __init__(self, node: StateMachine):
+        self.members = []
+        self._nodes = [node]
+
+    def acting(self) -> StateMachine:
+        return self._nodes[0]
+
+
+def hub_group(node: StateMachine,
+              config: Optional[HubConfig] = None) -> ReplicationGroup:
+    """The group serving hub *node*: the standbys *config* asks for
+    behind it (:func:`replicate`), otherwise the :class:`LoneNode`."""
+    if config is not None and config.standbys:
+        return replicate(node, config.standbys, config.replication)
+    return LoneNode(node)
+
+
 def replicate(node: StateMachine, standbys: int = 1,
               config: Optional[ReplicationConfig] = None
               ) -> ReplicationGroup:
@@ -517,11 +547,10 @@ def replicate(node: StateMachine, standbys: int = 1,
     if standbys < 1:
         raise ConfigurationError("replication needs >= 1 standby")
     config = config or ReplicationConfig()
-    network = node.host.network
     members = [ReplicatedNode(node, 0, config)]
     for index in range(1, standbys + 1):
-        host = network.add_host(f"{node.host.name}-r{index}")
-        members.append(ReplicatedNode(node.standby(host), index, config))
+        standby = node.standby(f"{node.host.name}-r{index}")
+        members.append(ReplicatedNode(standby, index, config))
     group = ReplicationGroup(members)
     for member in members:
         member.attach(group)

@@ -28,7 +28,7 @@ subscriptions with timed redelivery and a dead-letter queue
 (:class:`DeliverySettlement`), end-to-end publish acks (``pub-receipt``
 at custody, ``pub-ack`` once every acked subscriber settled),
 backpressure (:class:`BrokerOverloadConfig`), a durable log
-(:class:`~repro.storage.durability.BrokerDurabilityConfig`,
+(:class:`~repro.storage.durability.HubConfig`,
 :meth:`Broker.recover`) and standbys
 (:func:`repro.core.replication.replicate`).  ``docs/architecture.md``
 describes each under "Durable data plane" and "Broker high
@@ -57,11 +57,7 @@ from repro.network.webservice import (
     ok,
 )
 from repro.observability.tracing import TraceContext, emit
-from repro.storage.durability import (
-    BrokerDurabilityConfig,
-    Journal,
-    StateMachine,
-)
+from repro.storage.durability import HubConfig, Journal, StateMachine
 
 BROKER_PORT = "pubsub"
 
@@ -367,7 +363,7 @@ class Broker(StateMachine):
                  delivery_ack_timeout: float = 2.0,
                  max_delivery_attempts: int = 8,
                  dead_letter_capacity: int = 1024,
-                 durability: Optional[BrokerDurabilityConfig] = None):
+                 durability: Optional[HubConfig] = None):
         if delivery_ack_timeout <= 0:
             raise ConfigurationError("delivery ack timeout must be positive")
         if max_delivery_attempts < 1:
@@ -525,9 +521,9 @@ class Broker(StateMachine):
         recovery, at promotion): re-arm their redelivery timers."""
         self.settlement.arm_all()
 
-    def standby(self, host: Host) -> "Broker":
+    def standby(self, name: str) -> "Broker":
         return Broker(
-            host, overload=self.overload,
+            self.host.network.add_host(name), overload=self.overload,
             delivery_ack_timeout=self.settlement.ack_timeout,
             max_delivery_attempts=self.settlement.max_attempts,
             dead_letter_capacity=self.state.dead_letters.maxlen,

@@ -126,10 +126,6 @@ class PeriodicTask:
         if self._handle is not None:
             self._handle.cancel()
 
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
 
 class Scheduler:
     """Priority-queue discrete-event scheduler over a :class:`SimClock`."""

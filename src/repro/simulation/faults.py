@@ -86,16 +86,9 @@ class FaultInjector:
         heartbeats and fail over, while the old primary self-fences.
         Returns the isolated master's host name.
         """
-        primary = self._acting(self.deployment.replication,
-                               self.deployment.master)
+        primary = self.deployment.replication.acting()
         self.partition([primary.host.name, *with_hosts])
         return primary.host.name
-
-    @staticmethod
-    def _acting(group, lone):
-        """The node currently acting as primary: *group*'s (which may
-        be a promoted standby), or the *lone* node when unreplicated."""
-        return group.primary.node if group is not None else lone
 
     # -- degraded-link faults ----------------------------------------------
 
@@ -147,8 +140,7 @@ class FaultInjector:
         timeout, and peers rotate to it.  Falls back to the one broker
         when unreplicated.
         """
-        broker = self._acting(self.deployment.broker_replication,
-                              self.deployment.broker)
+        broker = self.deployment.broker_replication.acting()
         self.take_offline(broker.name)
         return broker.name
 
@@ -161,8 +153,7 @@ class FaultInjector:
         *with_hosts* stay on the isolated side of the cut.  Returns the
         isolated broker's host name.
         """
-        broker = self._acting(self.deployment.broker_replication,
-                              self.deployment.broker)
+        broker = self.deployment.broker_replication.acting()
         self.partition([broker.name, *with_hosts])
         return broker.name
 
@@ -172,9 +163,9 @@ class FaultInjector:
         Unlike :meth:`restore_broker` (a network outage ending), a
         restart wipes the broker's in-memory subscription table,
         retained store, pending deliveries and dead-letter queue.  With
-        ``recover=True`` (the default) a broker configured with a
-        :class:`~repro.storage.durability.BrokerDurabilityConfig`
-        reloads its last snapshot and replays the WAL tail (see
+        ``recover=True`` (the default) a broker configured with
+        durable state (a :class:`~repro.storage.durability.HubConfig`
+        with paths) reloads its last snapshot and replays the WAL tail (see
         :meth:`~repro.middleware.broker.Broker.recover`) — returns the
         number of state items restored, or None when the broker has no
         durable state to recover from.  Pass ``recover=False`` to

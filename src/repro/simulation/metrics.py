@@ -55,25 +55,10 @@ def resilience_counters(deployment: "DeployedDistrict",
         "messages_dropped_partition": net.messages_dropped_partition,
         "latency_spikes": net.latency_spikes,
     }
-    if deployment.replication is not None:
-        counters.update(replication_counters(deployment))
+    counters.update(deployment.replication.counters())
     if policy is not None:
         counters.update(policy.counters())
     return counters
-
-
-def replication_counters(deployment: "DeployedDistrict"
-                         ) -> Dict[str, int]:
-    """Aggregated master-replication counters of a deployment.
-
-    Empty for single-master deployments; otherwise the group-wide sums
-    from :meth:`~repro.core.replication.ReplicationGroup.counters`
-    (writes accepted/rejected, entries applied, promotions, fencings,
-    ...) used by the HA benchmark reports.
-    """
-    if deployment.replication is None:
-        return {}
-    return deployment.replication.counters()
 
 
 def broker_replication_counters(deployment: "DeployedDistrict"
@@ -85,9 +70,9 @@ def broker_replication_counters(deployment: "DeployedDistrict"
     the broker replicas, plus the brokers' own recovery/refusal totals
     — the numbers the R4 benchmark reports.
     """
-    if deployment.broker_replication is None:
+    counters = deployment.broker_replication.counters()
+    if not counters:
         return {}
-    counters = dict(deployment.broker_replication.counters())
     brokers = deployment.broker_replication.nodes()
     counters["broker_recoveries"] = sum(
         b.stats.recoveries for b in brokers)

@@ -15,11 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.client import DistrictClient
 from repro.core.master import MasterNode
-from repro.core.replication import (
-    ReplicationConfig,
-    ReplicationGroup,
-    replicate,
-)
+from repro.core.replication import ReplicationGroup, hub_group
 from repro.datasources.generators import (
     DeviceSpec,
     DistrictDataset,
@@ -39,10 +35,7 @@ from repro.protocols.base import make_adapter
 from repro.proxies.database_proxy import BimProxy, GisProxy, SimProxy
 from repro.proxies.device_proxy import BatchConfig, DeviceProxy
 from repro.storage.blocks import TsdbConfig
-from repro.storage.durability import (
-    BrokerDurabilityConfig,
-    DurabilityConfig,
-)
+from repro.storage.durability import DurabilityConfig, HubConfig
 from repro.storage.measurementdb import MeasurementDatabase
 
 #: a registration lease lasts this many heartbeat periods
@@ -89,20 +82,18 @@ class ScenarioConfig:
     #: are identical to the fast path; the determinism twin test runs
     #: the same scenario both ways and asserts it.
     reference_scheduler: bool = False
-    #: number of standby master replicas (see
-    #: :mod:`repro.core.replication`).  0 keeps the paper's single
-    #: master; 1–2 deploy a replicated master group, and clients and
-    #: proxy registrations automatically use the whole master set.
-    master_standbys: int = 0
-    #: replication timing knobs; None uses :class:`ReplicationConfig`
-    #: defaults (only meaningful with ``master_standbys > 0``)
-    replication: Optional[ReplicationConfig] = None
-    #: when set, the (primary) master persists periodic ontology+lease
-    #: snapshots to this path, and a restarted master recovers from it
-    #: (see :meth:`~repro.core.master.MasterNode.recover`)
-    master_snapshot_path: Optional[str] = None
-    #: period of persisted master snapshots, simulated seconds
-    master_snapshot_period: float = 300.0
+    #: where the master's state lives and who follows it (see
+    #: :class:`~repro.storage.durability.HubConfig`): a
+    #: ``snapshot_path`` makes a restarted master recover its ontology
+    #: and leases, ``standbys`` deploy a replicated master group that
+    #: clients and proxy registrations use as a whole.  None keeps the
+    #: paper's single volatile master.
+    master: Optional[HubConfig] = None
+    #: the same for the middleware broker: ``wal_path`` /
+    #: ``snapshot_path`` make its state crash-safe, ``standbys`` deploy
+    #: a replicated broker group every peer rotates across.  None keeps
+    #: the single volatile broker.
+    broker: Optional[HubConfig] = None
     #: deploy an in-sim fleet monitor (metrics collector + SLO engine +
     #: alert manager, see :mod:`repro.observability.collector`) that
     #: scrapes every node of this district through the transport layer.
@@ -127,20 +118,6 @@ class ScenarioConfig:
     #: :class:`~repro.proxies.device_proxy.BatchConfig`).  None keeps
     #: one envelope per sample.
     proxy_batching: Optional[BatchConfig] = None
-    #: number of standby broker replicas (see
-    #: :mod:`repro.core.replication`).  0 keeps the single broker;
-    #: 1–2 deploy a replicated broker group, and every peer (device
-    #: proxies, measurement DB, clients) automatically rotates across
-    #: the whole broker set on failover.
-    broker_standbys: int = 0
-    #: broker replication timing knobs; None uses
-    #: :class:`ReplicationConfig` defaults (only meaningful with
-    #: ``broker_standbys > 0``)
-    broker_replication: Optional[ReplicationConfig] = None
-    #: durable broker state for the (primary) broker (WAL + snapshots,
-    #: see :class:`~repro.storage.durability.BrokerDurabilityConfig`).
-    #: None keeps the legacy volatile broker.
-    broker_durability: Optional[BrokerDurabilityConfig] = None
 
 
 @dataclass
@@ -155,6 +132,10 @@ class DeployedDistrict:
     broker: Broker
     measurement_db: MeasurementDatabase
     gis_proxy: GisProxy
+    #: the group serving the master: its replicas, or the one node
+    replication: ReplicationGroup
+    #: the group serving the broker: its replicas, or the one node
+    broker_replication: ReplicationGroup
     bim_proxies: Dict[str, BimProxy] = field(default_factory=dict)
     sim_proxies: Dict[str, SimProxy] = field(default_factory=dict)
     device_proxies: Dict[Tuple[str, str], DeviceProxy] = \
@@ -163,10 +144,6 @@ class DeployedDistrict:
     devices: Dict[str, SimulatedDevice] = field(default_factory=dict)
     energy_models: Dict[str, "DeviceEnergyModel"] = \
         field(default_factory=dict)
-    #: the replicated master group, None for a single-master deployment
-    replication: Optional[ReplicationGroup] = None
-    #: the replicated broker group, None for a single-broker deployment
-    broker_replication: Optional[ReplicationGroup] = None
     #: the deployed fleet monitor, None unless configured
     fleet: Optional[FleetMonitor] = None
 
@@ -177,16 +154,12 @@ class DeployedDistrict:
     @property
     def master_uris(self) -> List[str]:
         """Every master URI, seniority first (one entry when unreplicated)."""
-        if self.replication is not None:
-            return self.replication.uris()
-        return [self.master.uri]
+        return self.replication.uris()
 
     @property
     def broker_hosts(self) -> List[str]:
         """Every broker host, seniority first (one when unreplicated)."""
-        if self.broker_replication is not None:
-            return self.broker_replication.hosts()
-        return [self.broker.name]
+        return self.broker_replication.hosts()
 
     @property
     def tracer(self):
@@ -236,13 +209,6 @@ class DeployedDistrict:
             resolve_cache_ttl=resolve_cache_ttl,
         )
 
-    def device_proxy_for(self, device_id: str) -> DeviceProxy:
-        """The Device-proxy owning a device."""
-        for proxy in self.device_proxies.values():
-            if any(d.device_id == device_id for d in proxy.devices()):
-                return proxy
-        raise ConfigurationError(f"no proxy owns device {device_id!r}")
-
     def stop_devices(self) -> None:
         """Halt every device's sampling loop."""
         for firmware in self.firmwares:
@@ -280,10 +246,7 @@ def deploy(config: Optional[ScenarioConfig] = None,
            dataset: Optional[DistrictDataset] = None) -> DeployedDistrict:
     """Deploy a district; generates the dataset from *config* if absent."""
     config = config or ScenarioConfig()
-    hubs = _deploy_hubs(config)
-    return deploy_into(hubs.master, hubs.broker, config, dataset,
-                       replication=hubs.replication,
-                       broker_replication=hubs.broker_replication)
+    return deploy_into(_deploy_hubs(config), config, dataset)
 
 
 def _deploy_hubs(config: ScenarioConfig) -> Federation:
@@ -308,23 +271,15 @@ def _deploy_hubs(config: ScenarioConfig) -> Federation:
         install_profiler(network)
     broker = Broker(network.add_host("broker"),
                     overload=config.broker_overload,
-                    durability=config.broker_durability)
-    master = MasterNode(network.add_host("master"))
-    if config.master_snapshot_path:
-        master.journal.open(snapshot_path=config.master_snapshot_path,
-                            snapshot_period=config.master_snapshot_period)
+                    durability=config.broker)
+    master = MasterNode(network.add_host("master"),
+                        durability=config.master)
     # master standbys first: host creation order is part of a run's
     # fingerprint
-    replication = replicate(
-        master, config.master_standbys, config.replication) \
-        if config.master_standbys else None
-    broker_replication = replicate(
-        broker, config.broker_standbys, config.broker_replication) \
-        if config.broker_standbys else None
     return Federation(scheduler=network.scheduler, network=network,
                       master=master, broker=broker,
-                      replication=replication,
-                      broker_replication=broker_replication)
+                      replication=hub_group(master, config.master),
+                      broker_replication=hub_group(broker, config.broker))
 
 
 def register(node, master_uris: List[str],
@@ -342,22 +297,19 @@ def register(node, master_uris: List[str],
         node.start_heartbeat(masters, heartbeat, lease=lease)
 
 
-def deploy_into(master: MasterNode, broker: Broker,
-                config: ScenarioConfig,
+def deploy_into(hubs: Federation, config: ScenarioConfig,
                 dataset: Optional[DistrictDataset] = None,
                 district_index: int = 1,
-                replication: Optional[ReplicationGroup] = None,
-                broker_replication: Optional[ReplicationGroup] = None,
                 prefix: str = "") -> DeployedDistrict:
-    """Deploy one district onto existing master/broker infrastructure.
+    """Deploy one district onto the shared *hubs*.
 
     The building block of multi-district federations: every host name
     starts with *prefix*, so several districts coexist on one
-    simulated network.  With *replication*, every proxy registers
-    against the whole master set (failing over to the replica that
-    answers) instead of the one primary.
+    simulated network.  Every proxy registers against the whole master
+    set (failing over to the replica that answers) and every peer
+    rotates across the whole broker set.
     """
-    network = master.host.network
+    network = hubs.network
     if dataset is None:
         dataset = synthesize_district(
             seed=config.seed,
@@ -368,24 +320,23 @@ def deploy_into(master: MasterNode, broker: Broker,
             office_fraction=config.office_fraction,
         )
     heartbeat = config.heartbeat_period
-    master_uris = replication.uris() if replication is not None \
-        else [master.uri]
+    master_uris = hubs.master_uris
     if heartbeat:
         # every replica sweeps leases: a promoted standby must keep
         # evicting dead proxies without operator intervention
-        targets = replication.nodes() if replication is not None \
-            else [master]
-        for member in targets:
+        for member in hubs.replication.nodes():
             member.start_lease_sweeper(heartbeat)
 
-    broker_hosts = broker_replication.hosts() \
-        if broker_replication is not None else [broker.name]
     measurement_db = MeasurementDatabase(
-        network.add_host(f"{prefix}mdb"), broker_hosts, dataset.district_id,
+        network.add_host(f"{prefix}mdb"), hubs.broker_hosts,
+        dataset.district_id,
         peer_keepalive=config.peer_keepalive,
         durability=config.mdb_durability,
         tsdb=config.mdb_tsdb,
     )
+    # the third hub goes through the same wiring: today that attaches
+    # nothing and refuses ``standbys`` (it has no ``standby()`` yet)
+    hub_group(measurement_db, config.mdb_durability)
     register(measurement_db, master_uris, heartbeat)
 
     gis_proxy = GisProxy(network.add_host(f"{prefix}proxy-gis"),
@@ -397,12 +348,12 @@ def deploy_into(master: MasterNode, broker: Broker,
         dataset=dataset,
         scheduler=network.scheduler,
         network=network,
-        master=master,
-        broker=broker,
+        master=hubs.master,
+        broker=hubs.broker,
         measurement_db=measurement_db,
         gis_proxy=gis_proxy,
-        replication=replication,
-        broker_replication=broker_replication,
+        replication=hubs.replication,
+        broker_replication=hubs.broker_replication,
     )
 
     for building in dataset.buildings:
@@ -442,14 +393,9 @@ def _deploy_fleet_monitor(deployment: DeployedDistrict,
         deployment.network.add_host(f"{prefix}fleet-monitor"),
         deployment.config.fleet_monitor,
     )
-    masters = deployment.replication.nodes() \
-        if deployment.replication is not None else [deployment.master]
-    for member in masters:
+    for member in deployment.replication.nodes():
         monitor.watch(member.host.name, member.uri, "master")
-    brokers = deployment.broker_replication.nodes() \
-        if deployment.broker_replication is not None \
-        else [deployment.broker]
-    for member in brokers:
+    for member in deployment.broker_replication.nodes():
         monitor.watch(member.name, member.uri, "broker")
     monitor.watch(deployment.measurement_db.host.name,
                   deployment.measurement_db.uri, "measurement")
@@ -473,25 +419,21 @@ class Federation:
     network: Network
     master: MasterNode
     broker: Broker
+    #: the group serving the shared master: its replicas, or the one node
+    replication: ReplicationGroup
+    #: the group serving the shared broker: its replicas, or the one node
+    broker_replication: ReplicationGroup
     districts: Dict[str, DeployedDistrict] = field(default_factory=dict)
-    #: the shared replicated master group, None when unreplicated
-    replication: Optional[ReplicationGroup] = None
-    #: the shared replicated broker group, None when unreplicated
-    broker_replication: Optional[ReplicationGroup] = None
 
     @property
     def master_uris(self) -> List[str]:
         """Every shared master URI, seniority first."""
-        if self.replication is not None:
-            return self.replication.uris()
-        return [self.master.uri]
+        return self.replication.uris()
 
     @property
     def broker_hosts(self) -> List[str]:
         """Every shared broker host, seniority first."""
-        if self.broker_replication is not None:
-            return self.broker_replication.hosts()
-        return [self.broker.name]
+        return self.broker_replication.hosts()
 
     def run(self, duration: float) -> None:
         """Advance the whole federation by *duration* simulated seconds."""
@@ -524,19 +466,22 @@ def deploy_federation(configs) -> Federation:
     ``dst-0001``, ``dst-0002``, ...) and host-name prefix (``d1-``,
     ``d2-``, ...); the shared hubs — network, instruments, master and
     broker with their standbys and durability — come from the first
-    config.
+    config; a later one that asks for different ones is an error.
     """
     configs = list(configs)
     if not configs:
         raise ConfigurationError("federation needs at least one district")
+    for config in configs[1:]:
+        for hub in ("master", "broker", "broker_overload"):
+            asked = getattr(config, hub)
+            if asked is not None and asked != getattr(configs[0], hub):
+                raise ConfigurationError(
+                    f"the shared hubs come from the first config: a later "
+                    f"district cannot ask for a different {hub!r}")
     federation = _deploy_hubs(configs[0])
     for index, config in enumerate(configs, start=1):
-        deployment = deploy_into(
-            federation.master, federation.broker, config,
-            district_index=index,
-            replication=federation.replication,
-            broker_replication=federation.broker_replication,
-            prefix=f"d{index}-")
+        deployment = deploy_into(federation, config, district_index=index,
+                                 prefix=f"d{index}-")
         federation.districts[deployment.district_id] = deployment
     return federation
 

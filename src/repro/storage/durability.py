@@ -32,10 +32,12 @@ state-transition methods plus the hooks the nodes genuinely differ in —
 and is all that :class:`Journal` and
 :class:`repro.core.replication.ReplicatedNode` ever call.
 
-:class:`DurabilityConfig` bundles the knobs of
+:class:`HubConfig` is how a deployment says where a hub's state lives
+and who follows it — the same value for all three.
+:class:`DurabilityConfig` extends it with the knobs of
 :class:`~repro.storage.measurementdb.MeasurementDatabase`'s ingest path
-(WAL, snapshots, consumer-side broker acks, the dedup window and the
-bounded ingest queue); without one the store runs
+(consumer-side broker acks, the dedup window and the bounded ingest
+queue); without one the store runs
 ``DurabilityConfig(ack_deliveries=False)`` — volatile and unacked.
 """
 
@@ -44,19 +46,25 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from repro.errors import ConfigurationError, SerializationError
 from repro.observability.tracing import emit
 
+if TYPE_CHECKING:  # the runtime dependency runs the other way
+    from repro.core.replication import ReplicationConfig
+
 
 @dataclass
-class DurabilityConfig:
-    """Knobs of the measurement DB's durable-ingest path.
+class HubConfig:
+    """Where one hub's state lives and who follows it.
 
-    Every field has a safe default; the two paths are the only required
-    decisions.  ``wal_path``/``snapshot_path`` may be None to disable
-    that artifact (acks, dedup and the bounded queue still apply).
+    Master, broker and measurement DB all take this one value: the
+    journal artifacts the node's constructor opens and the standbys
+    :func:`repro.core.replication.hub_group` puts behind it.  What a
+    hub cannot honour is a :class:`~repro.errors.ConfigurationError`,
+    never ignored: the master journals snapshots only (no
+    ``wal_path``), the measurement DB has no standby yet.
     """
 
     #: append-only log file; None disables write-ahead logging
@@ -65,6 +73,29 @@ class DurabilityConfig:
     snapshot_path: Optional[str] = None
     #: period of persisted snapshots, simulated seconds
     snapshot_period: float = 300.0
+    #: standby replicas behind the node; 0 keeps the single node, 1–2
+    #: deploy a replicated group whose every client and peer rotates
+    #: across the whole member set on failover
+    standbys: int = 0
+    #: replication timing; None uses the ``ReplicationConfig`` defaults
+    #: (only meaningful with ``standbys > 0``)
+    replication: Optional[ReplicationConfig] = None
+
+    def __post_init__(self) -> None:
+        if self.snapshot_period <= 0:
+            raise ConfigurationError("snapshot period must be positive")
+
+
+@dataclass
+class DurabilityConfig(HubConfig):
+    """:class:`HubConfig` plus the knobs of the measurement DB's
+    durable-ingest path.
+
+    Every field has a safe default; the two paths are the only required
+    decisions.  ``wal_path``/``snapshot_path`` may be None to disable
+    that artifact (acks, dedup and the bounded queue still apply).
+    """
+
     #: subscribe with consumer-side delivery acks (at-least-once)
     ack_deliveries: bool = True
     #: size of the idempotent-ingest key window (recent sample keys)
@@ -76,39 +107,13 @@ class DurabilityConfig:
     ingest_delay: float = 0.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.dedup_window < 1:
             raise ConfigurationError("dedup window must hold >= 1 key")
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ConfigurationError("ingest queue must hold >= 1 event")
         if self.ingest_delay < 0:
             raise ConfigurationError("ingest delay must be >= 0")
-        if self.snapshot_period <= 0:
-            raise ConfigurationError("snapshot period must be positive")
-
-
-@dataclass
-class BrokerDurabilityConfig:
-    """Knobs of the middleware broker's durable-state path.
-
-    Passing one to :class:`~repro.middleware.broker.Broker` makes the
-    broker's retained events, subscription registry, pending acked
-    deliveries and dead-letter queue crash-safe: every mutation is
-    appended (and fsync'd) to the WAL *before* the pub-ack or fanout it
-    enables, and a crash-restart :meth:`~repro.middleware.broker.
-    Broker.recover` restores the middleware exactly from the last
-    snapshot plus the WAL tail.
-    """
-
-    #: append-only log of broker-state mutations; None disables it
-    wal_path: Optional[str] = None
-    #: periodic full-state snapshot file; None disables snapshots
-    snapshot_path: Optional[str] = None
-    #: period of persisted snapshots, simulated seconds
-    snapshot_period: float = 60.0
-
-    def __post_init__(self) -> None:
-        if self.snapshot_period <= 0:
-            raise ConfigurationError("snapshot period must be positive")
 
 
 #: width of one commit group on the measurement DB's ingest path, in
@@ -329,9 +334,11 @@ class StateMachine:
         timers, epoch bumps — starts here.
         """
 
-    def standby(self, host) -> "StateMachine":
-        """A fresh, empty node of the same kind and tuning on *host*."""
-        raise NotImplementedError
+    def standby(self, name: str) -> "StateMachine":
+        """A fresh, empty node of the same kind and tuning on a new
+        host *name* of this node's network.  A kind without standbys
+        keeps this default: it refuses before any host exists."""
+        raise ConfigurationError(f"a {self.kind} node cannot run standbys")
 
     def write_snapshot(self) -> None:
         """Persist one snapshot now (no-op without a snapshot path)."""
@@ -375,7 +382,7 @@ class Journal:
     """
 
     def __init__(self, node: StateMachine, format: str, version: int,
-                 config=None):
+                 config: Optional[HubConfig] = None):
         self.node = node
         self.format = format
         self.version = version
@@ -386,26 +393,18 @@ class Journal:
         self._snapshot_task = None
         #: the open commit group's window timer; None = no group open
         self._commit_timer = None
-        if config is not None:
-            self.open(config.wal_path, config.snapshot_path,
-                      config.snapshot_period)
+        if config is None:
+            return
+        if config.wal_path is not None:
+            self.wal = WriteAheadLog(config.wal_path)
+        if config.snapshot_path is not None:
+            self.snapshot_path = config.snapshot_path
+            self._snapshot_task = self._scheduler.every(
+                config.snapshot_period, self.write_snapshot)
 
     @property
     def _scheduler(self):
         return self.node.host.network.scheduler
-
-    def open(self, wal_path: Optional[str] = None,
-             snapshot_path: Optional[str] = None,
-             snapshot_period: Optional[float] = None) -> None:
-        """Attach the on-disk artifacts and arm the periodic snapshot."""
-        if wal_path is not None:
-            self.wal = WriteAheadLog(wal_path)
-        if snapshot_path is not None:
-            self.snapshot_path = snapshot_path
-            if self._snapshot_task is None:
-                self._snapshot_task = self._scheduler.every(
-                    snapshot_period, self.write_snapshot
-                )
 
     @property
     def durable(self) -> bool:

@@ -20,7 +20,7 @@ from repro.middleware.peer import MiddlewarePeer
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
 from repro.network.webservice import HttpClient
-from repro.storage.durability import BrokerDurabilityConfig
+from repro.storage.durability import HubConfig
 
 out = sys.argv[1]
 os.makedirs(out, exist_ok=True)
@@ -30,9 +30,9 @@ for name in ("broker.wal", "broker.snap"):
 
 
 def config():
-    return BrokerDurabilityConfig(wal_path=os.path.join(out, "broker.wal"),
-                                  snapshot_path=os.path.join(out, "broker.snap"),
-                                  snapshot_period=10_000.0)
+    return HubConfig(wal_path=os.path.join(out, "broker.wal"),
+                     snapshot_path=os.path.join(out, "broker.snap"),
+                     snapshot_period=10_000.0)
 
 
 net = Network(Scheduler(), latency=LatencyModel(jitter=0.0))

@@ -31,7 +31,7 @@ from repro.network.transport import LatencyModel, Network
 from repro.observability.slo import default_slos
 from repro.simulation.faults import FaultInjector
 from repro.simulation.scenario import ScenarioConfig, deploy
-from repro.storage.durability import BrokerDurabilityConfig
+from repro.storage.durability import HubConfig
 
 CONFIG = ReplicationConfig(heartbeat_period=1.0, fencing_timeout=3.0,
                            failover_timeout=5.0, promotion_stagger=3.0,
@@ -52,7 +52,7 @@ def run(net, duration):
 
 
 def durability(tmp_path, name="broker"):
-    return BrokerDurabilityConfig(
+    return HubConfig(
         wal_path=str(tmp_path / f"{name}.wal"),
         snapshot_path=str(tmp_path / f"{name}.snap"),
         snapshot_period=60.0,
@@ -168,7 +168,7 @@ class TestBrokerFaultVerbs:
         config = ScenarioConfig(
             n_buildings=1, devices_per_building=2, net_jitter=0.0,
             publish_buffer=64, peer_keepalive=5.0,
-            broker_durability=durability(tmp_path),
+            broker=durability(tmp_path),
             **overrides,
         )
         return deploy(config)
@@ -410,8 +410,8 @@ class TestDeployedBrokerReplication:
     def test_deploy_wires_broker_standbys(self):
         deployment = deploy(ScenarioConfig(
             n_buildings=1, devices_per_building=2, net_jitter=0.0,
-            publish_buffer=64, broker_standbys=1,
-            broker_replication=CONFIG,
+            publish_buffer=64,
+            broker=HubConfig(standbys=1, replication=CONFIG),
         ))
         assert deployment.broker_replication is not None
         assert deployment.broker_hosts == ["broker", "broker-r1"]
@@ -425,8 +425,8 @@ class TestDeployedBrokerReplication:
     def test_measurement_flow_survives_primary_broker_kill(self):
         deployment = deploy(ScenarioConfig(
             n_buildings=1, devices_per_building=2, net_jitter=0.0,
-            publish_buffer=256, peer_keepalive=5.0, broker_standbys=2,
-            broker_replication=CONFIG,
+            publish_buffer=256, peer_keepalive=5.0,
+            broker=HubConfig(standbys=2, replication=CONFIG),
         ))
         faults = FaultInjector(deployment)
         deployment.run(150.0)  # device sample periods are ~60s
@@ -448,7 +448,7 @@ class TestDeployedBrokerReplication:
 
         deployment = deploy(ScenarioConfig(
             n_buildings=1, devices_per_building=1, net_jitter=0.0,
-            broker_standbys=1, broker_replication=CONFIG,
+            broker=HubConfig(standbys=1, replication=CONFIG),
             observability=True,
             fleet_monitor=FleetMonitorConfig(scrape_interval=10.0),
         ))

@@ -36,7 +36,7 @@ from repro.middleware.topics import topic_matches
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
 from repro.network.webservice import HttpClient
-from repro.storage.durability import BrokerDurabilityConfig
+from repro.storage.durability import HubConfig
 
 FIXTURE = Path(__file__).parent / "fixtures" / "broker_pr16"
 
@@ -262,7 +262,7 @@ def durable_broker(state_dir):
     broker = Broker(
         net.add_host("broker"), delivery_ack_timeout=1.0,
         max_delivery_attempts=3, dead_letter_capacity=3,
-        durability=BrokerDurabilityConfig(
+        durability=HubConfig(
             wal_path=str(state_dir / "broker.wal"),
             snapshot_path=str(state_dir / "broker.snap"),
             snapshot_period=1e6))
@@ -394,7 +394,7 @@ class TestPreSplitFormats:
         broker = Broker(
             net.add_host("broker"), delivery_ack_timeout=1.0,
             max_delivery_attempts=3, dead_letter_capacity=4,
-            durability=BrokerDurabilityConfig(
+            durability=HubConfig(
                 wal_path=str(tmp_path / "broker.wal"),
                 snapshot_path=str(tmp_path / "broker.snap"),
                 snapshot_period=1e6))

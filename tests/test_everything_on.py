@@ -16,10 +16,7 @@ from repro.core.replication import ReplicationConfig
 from repro.proxies.device_proxy import BatchConfig
 from repro.simulation.faults import FaultInjector
 from repro.simulation.scenario import ScenarioConfig, deploy
-from repro.storage.durability import (
-    BrokerDurabilityConfig,
-    DurabilityConfig,
-)
+from repro.storage.durability import DurabilityConfig, HubConfig
 from repro.storage.query import RollupQuery
 
 REPLICATION = ReplicationConfig(heartbeat_period=1.0, fencing_timeout=3.0,
@@ -34,13 +31,15 @@ def run_scenario(state_dir):
         seed=13, n_buildings=2, devices_per_building=3,
         heartbeat_period=10.0, publish_buffer=256, peer_keepalive=5.0,
         proxy_batching=BatchConfig(max_samples=8, max_age=5.0),
-        master_standbys=2, replication=REPLICATION,
-        master_snapshot_path=str(state_dir / "master.snap"),
-        master_snapshot_period=60.0,
-        broker_standbys=1, broker_replication=REPLICATION,
-        broker_durability=BrokerDurabilityConfig(
+        master=HubConfig(
+            snapshot_path=str(state_dir / "master.snap"),
+            snapshot_period=60.0,
+            standbys=2, replication=REPLICATION),
+        broker=HubConfig(
             wal_path=str(state_dir / "broker.wal"),
-            snapshot_path=str(state_dir / "broker.snap")),
+            snapshot_path=str(state_dir / "broker.snap"),
+            snapshot_period=60.0,
+            standbys=1, replication=REPLICATION),
         mdb_durability=DurabilityConfig(
             wal_path=str(state_dir / "mdb.wal"),
             snapshot_path=str(state_dir / "mdb.snap"),

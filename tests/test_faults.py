@@ -8,6 +8,7 @@ from repro.network.transport import estimate_size
 from repro.ontology import AreaQuery
 from repro.simulation.faults import FaultInjector
 from repro.simulation.scenario import ScenarioConfig, deploy
+from repro.storage.durability import HubConfig
 
 
 @pytest.fixture
@@ -210,7 +211,7 @@ class TestMasterSnapshotRecovery:
         d = deploy(ScenarioConfig(
             seed=23, n_buildings=2, devices_per_building=2,
             net_jitter=0.0, heartbeat_period=30.0,
-            master_snapshot_path=path, master_snapshot_period=60.0,
+            master=HubConfig(snapshot_path=path, snapshot_period=60.0),
         ))
         d.run(300.0)
         injector = FaultInjector(d)
@@ -230,8 +231,8 @@ class TestMasterSnapshotRecovery:
         path = str(tmp_path / "master.json")
         d = deploy(ScenarioConfig(
             seed=23, n_buildings=2, devices_per_building=2,
-            net_jitter=0.0, master_snapshot_path=path,
-            master_snapshot_period=60.0,
+            net_jitter=0.0,
+            master=HubConfig(snapshot_path=path, snapshot_period=60.0),
         ))
         d.run(300.0)
         injector = FaultInjector(d)
@@ -255,8 +256,8 @@ class TestMeasurementDbRegistrationFailover:
     def deploy_replicated(self):
         d = deploy(ScenarioConfig(
             seed=11, n_buildings=1, devices_per_building=2,
-            net_jitter=0.0, master_standbys=2, heartbeat_period=10.0,
-            replication=self.REPLICATION,
+            net_jitter=0.0, heartbeat_period=10.0,
+            master=HubConfig(standbys=2, replication=self.REPLICATION),
         ))
         d.run(30.0)
         return d

@@ -4,12 +4,16 @@ The paper: "The ontology depicts the structure of one or more
 districts, each one structured as a tree."
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.replication import ReplicationConfig
 from repro.errors import ConfigurationError
+from repro.middleware.broker import BrokerOverloadConfig
 from repro.ontology import AreaQuery
 from repro.simulation import ScenarioConfig, deploy_federation
+from repro.storage.durability import HubConfig
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +81,7 @@ class TestFederation:
 
     def test_shared_hubs_honour_the_first_configs_master_ha(self, tmp_path):
         # regression: deploy_federation spelt its own hub set-up and
-        # silently dropped master_standbys / replication / snapshots
+        # silently dropped the master's standbys / replication / snapshots
         timing = ReplicationConfig(heartbeat_period=1.0, fencing_timeout=3.0,
                                    failover_timeout=5.0,
                                    promotion_stagger=3.0)
@@ -85,9 +89,10 @@ class TestFederation:
         fed = deploy_federation([
             ScenarioConfig(seed=1, n_buildings=2, devices_per_building=2,
                            net_jitter=0.0, heartbeat_period=10.0,
-                           master_standbys=1, replication=timing,
-                           master_snapshot_path=str(snapshot),
-                           master_snapshot_period=30.0),
+                           master=HubConfig(
+                               snapshot_path=str(snapshot),
+                               snapshot_period=30.0,
+                               standbys=1, replication=timing)),
             ScenarioConfig(seed=2, n_buildings=1, devices_per_building=2,
                            n_networks=0, net_jitter=0.0,
                            heartbeat_period=10.0),
@@ -110,3 +115,25 @@ class TestFederation:
         promoted = fed.replication.primary
         assert promoted.name == "master-r1"
         assert promoted.counters["writes_accepted"] > 0
+
+    @pytest.mark.parametrize("field, asked", [
+        pytest.param("master", HubConfig(standbys=1), id="master"),
+        pytest.param("broker", HubConfig(standbys=1), id="broker"),
+        pytest.param("broker_overload",
+                     BrokerOverloadConfig(high_watermark=8, low_watermark=4),
+                     id="broker_overload"),
+    ])
+    def test_member_asking_for_different_hubs_is_rejected(self, field,
+                                                          asked):
+        # regression: the shared hubs come from the first config, and a
+        # later one asking for standbys got an unreplicated hub, silently
+        def config(seed, **hubs):
+            return ScenarioConfig(seed=seed, n_buildings=1,
+                                  devices_per_building=1, **hubs)
+
+        with pytest.raises(ConfigurationError, match=field):
+            deploy_federation([config(1), config(2, **{field: asked})])
+        # asking for the hubs the federation has is not a difference
+        fed = deploy_federation([config(1, **{field: asked}),
+                                 config(2, **{field: replace(asked)})])
+        assert len(fed.districts) == 2

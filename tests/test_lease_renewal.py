@@ -35,7 +35,7 @@ from repro.protocols import make_adapter
 from repro.proxies.device_proxy import DeviceProxy
 from repro.simulation.faults import FaultInjector
 from repro.simulation.scenario import ScenarioConfig, deploy
-from repro.storage.durability import load_state, save_state
+from repro.storage.durability import HubConfig, load_state, save_state
 
 PERIOD = 10.0
 LEASE = 30.0
@@ -328,8 +328,8 @@ class TestFaultPaths:
     def test_failover_needs_no_reregistration_and_evicts_nobody(self):
         d = deploy(ScenarioConfig(
             seed=7, n_buildings=2, devices_per_building=2, net_jitter=0.0,
-            master_standbys=1, heartbeat_period=PERIOD,
-            replication=REPLICATION,
+            heartbeat_period=PERIOD,
+            master=HubConfig(standbys=1, replication=REPLICATION),
         ))
         d.run(35.0)
         standby = d.replication.member("master-r1").node
@@ -357,8 +357,8 @@ class TestFaultPaths:
     def test_standby_extends_leases_without_seeing_the_descriptor(self):
         d = deploy(ScenarioConfig(
             seed=7, n_buildings=1, devices_per_building=2, net_jitter=0.0,
-            master_standbys=2, heartbeat_period=PERIOD,
-            replication=REPLICATION,
+            heartbeat_period=PERIOD,
+            master=HubConfig(standbys=2, replication=REPLICATION),
         ))
         d.run(15.0)
         standby = d.replication.member("master-r2").node
@@ -402,8 +402,8 @@ class TestFaultPaths:
         path = str(tmp_path / "master.json")
         d = deploy(ScenarioConfig(
             seed=5, n_buildings=2, devices_per_building=2, net_jitter=0.0,
-            heartbeat_period=PERIOD, master_snapshot_path=path,
-            master_snapshot_period=PERIOD,
+            heartbeat_period=PERIOD,
+            master=HubConfig(snapshot_path=path, snapshot_period=PERIOD),
         ))
         d.run(25.0)
         journal = d.master.journal
@@ -426,8 +426,8 @@ class TestFaultPaths:
         d = deploy(ScenarioConfig(
             seed=5, n_buildings=2, devices_per_building=2, net_jitter=0.0,
             heartbeat_period=PERIOD,
-            master_snapshot_path=str(tmp_path / "master.json"),
-            master_snapshot_period=PERIOD,
+            master=HubConfig(snapshot_path=str(tmp_path / "master.json"),
+                             snapshot_period=PERIOD),
         ))
         d.run(25.0)
         registrations = d.master.registrations

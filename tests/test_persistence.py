@@ -15,7 +15,12 @@ from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
 from repro.ontology.queries import AreaQuery
 from repro.storage.blocks import BlockStore
-from repro.storage.durability import DurabilityConfig, load_state, save_state
+from repro.storage.durability import (
+    DurabilityConfig,
+    HubConfig,
+    load_state,
+    save_state,
+)
 from repro.storage.measurementdb import MeasurementDatabase
 
 from tests.test_ontology import build_ontology
@@ -27,9 +32,8 @@ MDB_STATE = ("repro-mdb-state", 3)
 def make_master(path, name="master"):
     """A master on its own network, snapshotting to *path*."""
     net = Network(Scheduler(), latency=LatencyModel(jitter=0.0))
-    master = MasterNode(net.add_host(name))
-    master.journal.open(snapshot_path=path, snapshot_period=60.0)
-    return master
+    return MasterNode(net.add_host(name), durability=HubConfig(
+        snapshot_path=path, snapshot_period=60.0))
 
 
 def reloaded(master, path):

@@ -7,7 +7,9 @@ Master, broker and measurement DB implement the same
 replication behaviour is checked once, parameterised over the node
 kind, instead of once per node: each kind below only says how to build
 the node and how to drive a few state mutations through its public
-write path.
+write path.  They are configured with one value too
+(:class:`~repro.storage.durability.HubConfig`), so what that value
+means — and what each kind refuses — is checked here the same way.
 """
 
 import json
@@ -17,18 +19,23 @@ import pytest
 
 from repro.common.cdf import Measurement
 from repro.core.master import MasterNode
-from repro.core.replication import ReplicationConfig, replicate
-from repro.errors import NotPrimaryError, SerializationError
+from repro.core.replication import ReplicationConfig, hub_group
+from repro.errors import (
+    ConfigurationError,
+    NotPrimaryError,
+    SerializationError,
+)
 from repro.middleware.broker import Broker
 from repro.middleware.peer import MiddlewarePeer
 from repro.middleware.topics import measurement_topic
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
+from repro.network.webservice import HttpClient
 from repro.simulation.faults import FaultInjector
 from repro.simulation.scenario import ScenarioConfig, deploy
 from repro.storage.durability import (
-    BrokerDurabilityConfig,
     DurabilityConfig,
+    HubConfig,
     WriteAheadLog,
     save_state,
 )
@@ -50,6 +57,28 @@ def paths(tmp_path, name):
             "snapshot_path": str(tmp_path / f"{name}.snap")}
 
 
+def hub_config(kind, tmp_path=None, **fields):
+    """The one value a *kind* node is built and wired from: its paths
+    under *tmp_path*, plus *fields*; None when there is nothing to say."""
+    if tmp_path is not None:
+        fields.update(paths(tmp_path, kind.name))
+        if not kind.has_wal:
+            del fields["wal_path"]
+    if not fields:
+        return None
+    return kind.config_type(snapshot_period=600.0, replication=CONFIG,
+                            **fields)
+
+
+def serving(node, config):
+    """The group serving *node*, after its first heartbeat round when it
+    has standbys."""
+    group = hub_group(node, config)
+    if group.members:
+        node.host.network.scheduler.run_for(2.0)
+    return group
+
+
 class MasterKind:
     """The master: snapshots only (its log is the replication stream)."""
 
@@ -59,21 +88,20 @@ class MasterKind:
     parent_layout = {"format": "repro-ontology", "version": 1,
                      "ontology": {}, "leases": {}, "ontology_epoch": 0}
     has_wal = False
+    config_type = HubConfig
+    scenario_field = deployed_as = "master"
 
-    def __init__(self, net, tmp_path=None, standbys=0):
+    def __init__(self, net, tmp_path=None, **hub):
         self.net = net
-        self.node = MasterNode(net.add_host("master"))
-        if tmp_path is not None:
-            self.node.journal.open(
-                snapshot_path=paths(tmp_path, "master")["snapshot_path"],
-                snapshot_period=600.0)
-        self.group = replicated(self.node, standbys)
+        config = hub_config(self, tmp_path, **hub)
+        self.node = MasterNode(net.add_host("master"), durability=config)
+        self.group = serving(self.node, config)
 
     def drive(self, round, settle=1.0):
         """Register one more building on whoever is primary now."""
-        primary = self.group.primary.node if self.group else self.node
-        primary.register(bim_payload(entity=f"bld-{round:04d}",
-                                     uri=f"svc://proxy-bim-{round}/"))
+        self.group.acting().register(
+            bim_payload(entity=f"bld-{round:04d}",
+                        uri=f"svc://proxy-bim-{round}/"))
         self.net.scheduler.run_for(settle)
 
     def isolate(self):
@@ -102,18 +130,18 @@ class BrokerKind:
     name = "broker"
     envelope = ("repro-broker-state", 1)
     has_wal = True
+    config_type = HubConfig
+    scenario_field = deployed_as = "broker"
 
-    def __init__(self, net, tmp_path=None, standbys=0):
+    def __init__(self, net, tmp_path=None, **hub):
         self.net = net
-        durability = BrokerDurabilityConfig(
-            snapshot_period=600.0, **paths(tmp_path, "broker")
-        ) if tmp_path is not None else None
+        config = hub_config(self, tmp_path, **hub)
         # a long ack timeout: no redelivery fires inside a test, so the
         # in-memory attempt counters stay what the log says they are
-        self.node = Broker(net.add_host("broker"), durability=durability,
+        self.node = Broker(net.add_host("broker"), durability=config,
                            delivery_ack_timeout=60.0)
-        self.group = replicated(self.node, standbys)
-        hosts = self.group.hosts() if self.group else "broker"
+        self.group = serving(self.node, config)
+        hosts = self.group.hosts()
         self.publisher = MiddlewarePeer(net.add_host("pub"), hosts,
                                         publish_buffer=64, ack_timeout=1.0)
         consumer = MiddlewarePeer(net.add_host("sub"), hosts)
@@ -157,15 +185,17 @@ class MeasurementKind:
                      "engine": "blocks", "tsdb": {}, "freshness": {},
                      "dedup_keys": [], "entity_for_device": {}}
     has_wal = True
+    config_type = DurabilityConfig
+    scenario_field = "mdb_durability"
+    deployed_as = "measurement_db"
 
-    def __init__(self, net, tmp_path=None):
+    def __init__(self, net, tmp_path=None, **hub):
         self.net = net
         Broker(net.add_host("broker"))
-        durability = DurabilityConfig(
-            snapshot_period=600.0, **paths(tmp_path, "mdb")
-        ) if tmp_path is not None else None
+        config = hub_config(self, tmp_path, **hub)
         self.node = MeasurementDatabase(net.add_host("mdb"), "broker",
-                                        "dst-0001", durability=durability)
+                                        "dst-0001", durability=config)
+        self.group = serving(self.node, config)
         self.publisher = MiddlewarePeer(net.add_host("pub"), "broker")
         net.scheduler.run_for(1.0)
 
@@ -184,15 +214,6 @@ class MeasurementKind:
     @staticmethod
     def view(node):
         return node.snapshot()
-
-
-def replicated(node, standbys):
-    """*node*'s replica group after its first heartbeat round, or None."""
-    if not standbys:
-        return None
-    group = replicate(node, standbys=standbys, config=CONFIG)
-    node.host.network.scheduler.run_for(2.0)
-    return group
 
 
 KINDS = [MasterKind, BrokerKind, MeasurementKind]
@@ -414,21 +435,19 @@ def everything_durable(tmp_path, **overrides):
     return deploy(ScenarioConfig(
         n_buildings=1, devices_per_building=2, net_jitter=0.0,
         heartbeat_period=30.0, publish_buffer=64, peer_keepalive=5.0,
-        master_snapshot_path=paths(tmp_path, "master")["snapshot_path"],
-        master_snapshot_period=60.0,
-        broker_durability=BrokerDurabilityConfig(
-            **paths(tmp_path, "broker")),
+        master=HubConfig(
+            snapshot_path=paths(tmp_path, "master")["snapshot_path"],
+            snapshot_period=60.0),
+        broker=HubConfig(snapshot_period=60.0, **paths(tmp_path, "broker")),
         mdb_durability=DurabilityConfig(**paths(tmp_path, "mdb")),
         **overrides,
     ))
 
 
-RESTARTS = {
-    "master": lambda d: (d.master, FaultInjector(d).restart_master),
-    "broker": lambda d: (d.broker, FaultInjector(d).restart_broker),
-    "measurement": lambda d: (d.measurement_db,
-                              FaultInjector(d).restart_measurement_db),
-}
+def deployed(kind, deployment):
+    """*deployment*'s node of *kind* and the injector verb restarting it."""
+    return (getattr(deployment, kind.deployed_as),
+            getattr(FaultInjector(deployment), f"restart_{kind.deployed_as}"))
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=by_name)
@@ -436,7 +455,7 @@ class TestFaultInjectorRestart:
     def test_restart_with_recovery(self, kind, tmp_path):
         deployment = everything_durable(tmp_path)
         deployment.run(130.0)
-        node, restart = RESTARTS[kind.name](deployment)
+        node, restart = deployed(kind, deployment)
         deployment.stop_devices()
         deployment.run(10.0)
         node.write_snapshot()
@@ -448,13 +467,94 @@ class TestFaultInjectorRestart:
                                                      tmp_path):
         deployment = everything_durable(tmp_path)
         deployment.run(130.0)
-        node, restart = RESTARTS[kind.name](deployment)
+        node, restart = deployed(kind, deployment)
         node.write_snapshot()
         assert os.path.exists(node.journal.snapshot_path)
         assert restart(recover=False) is None
         assert not os.path.exists(node.journal.snapshot_path)
         deployment.stop_devices()
         deployment.run(10.0)
+
+
+def journal_facts(node):
+    """Where *node*'s journal writes, and how often it snapshots."""
+    journal = node.journal
+    return (journal.wal.path if journal.wal else None,
+            journal.snapshot_path, journal._snapshot_task._period)
+
+
+#: the unreplicated seed-23 district of ``test_fastpath_determinism``,
+#: recorded on the commit before the hubs shared one configuration (its
+#: ``deploy`` wired no group at all): the hosts it creates, in order,
+#: and the events 300 simulated seconds process
+LONE_HOSTS = [
+    "broker", "master", "mdb", "proxy-gis", "proxy-bim-bld-0001",
+    "proxy-bim-bld-0002", "proxy-bim-bld-0003", "proxy-sim-net-0001",
+    "proxy-dev-bld-0001-coap", "proxy-dev-bld-0001-zigbee",
+    "proxy-dev-bld-0002-enocean", "proxy-dev-bld-0002-ieee802154",
+    "proxy-dev-bld-0002-zigbee", "proxy-dev-bld-0003-coap",
+    "proxy-dev-bld-0003-enocean", "proxy-dev-bld-0003-zigbee",
+    "proxy-dev-net-0001-opcua"]
+LONE_EVENTS = 218
+
+
+class TestHubConfiguration:
+    """One value configures every kind, whichever way it is passed."""
+
+    @pytest.mark.parametrize("kind", KINDS, ids=by_name)
+    def test_same_journal_through_scenario_and_constructor(
+            self, kind, net, tmp_path):
+        config = hub_config(kind, tmp_path)
+        deployment = deploy(ScenarioConfig(
+            n_buildings=1, devices_per_building=1,
+            **{kind.scenario_field: config}))
+        node = getattr(deployment, kind.deployed_as)
+        expected = paths(tmp_path, kind.name)
+        assert journal_facts(kind(net, tmp_path).node) \
+            == journal_facts(node) \
+            == (expected["wal_path"] if kind.has_wal else None,
+                expected["snapshot_path"], 600.0)
+
+    @pytest.mark.parametrize("kind, asked", [
+        pytest.param(MasterKind, {"wal_path": "master.wal"}, id="master"),
+        pytest.param(MeasurementKind, {"standbys": 1}, id="measurement"),
+    ])
+    def test_what_a_kind_cannot_honour_is_refused(self, kind, asked, net):
+        with pytest.raises(ConfigurationError):
+            kind(net, **asked)
+        # refused before anything was stood up for it
+        assert not any(host.name.endswith("-r1") for host in net.hosts())
+        with pytest.raises(ConfigurationError):
+            deploy(ScenarioConfig(
+                n_buildings=1, devices_per_building=1,
+                **{kind.scenario_field: hub_config(kind, **asked)}))
+
+    @pytest.mark.parametrize("kind", KINDS, ids=by_name)
+    def test_group_of_one_attaches_nothing(self, kind, net):
+        rig = kind(net)
+        node, group = rig.node, rig.group
+        assert node.replication is None
+        assert group.uris() == [node.service.base_uri]
+        assert group.hosts() == [node.host.name]
+        assert group.nodes() == [node]
+        assert group.acting() is node
+        assert group.counters() == {}
+        operator = HttpClient(net.add_host("operator"))
+        uri = node.service.base_uri
+        assert operator.post(uri + "replicate", check=False).status == 404
+        assert operator.get(uri + "repl/status", check=False).status == 404
+
+    def test_unreplicated_deploy_is_what_it_was(self):
+        district = deploy(ScenarioConfig(seed=23, n_buildings=3,
+                                         devices_per_building=3))
+        assert [host.name for host in district.network.hosts()] \
+            == LONE_HOSTS
+        district.run(300.0)
+        assert district.scheduler.events_processed == LONE_EVENTS
+        assert district.replication.acting() is district.master
+        assert district.broker_replication.acting() is district.broker
+        assert district.master_uris == [district.master.uri]
+        assert district.broker_hosts == [district.broker.name]
 
 
 @pytest.mark.parametrize("kind", REPLICATED_KINDS, ids=by_name)

@@ -20,6 +20,7 @@ from repro.network.webservice import HttpClient
 from repro.ontology.queries import AreaQuery
 from repro.simulation.faults import FaultInjector
 from repro.simulation.scenario import ScenarioConfig, deploy
+from repro.storage.durability import HubConfig
 
 from tests.test_master import bim_payload, device_payload, gis_payload
 
@@ -255,8 +256,8 @@ class TestDeployedReplication:
     def test_deploy_wires_standbys_and_proxies(self):
         d = deploy(ScenarioConfig(
             seed=11, n_buildings=2, devices_per_building=2,
-            net_jitter=0.0, master_standbys=2, heartbeat_period=10.0,
-            replication=CONFIG,
+            net_jitter=0.0, heartbeat_period=10.0,
+            master=HubConfig(standbys=2, replication=CONFIG),
         ))
         d.run(60.0)
         assert d.replication is not None
@@ -268,8 +269,8 @@ class TestDeployedReplication:
     def test_area_queries_survive_primary_kill(self):
         d = deploy(ScenarioConfig(
             seed=11, n_buildings=2, devices_per_building=2,
-            net_jitter=0.0, master_standbys=1, heartbeat_period=10.0,
-            replication=CONFIG,
+            net_jitter=0.0, heartbeat_period=10.0,
+            master=HubConfig(standbys=1, replication=CONFIG),
         ))
         d.run(60.0)
         client = d.client("ha-user", with_broker=False)
@@ -286,8 +287,8 @@ class TestDeployedReplication:
     def test_partition_master_triggers_failover_and_rejoin(self):
         d = deploy(ScenarioConfig(
             seed=11, n_buildings=2, devices_per_building=2,
-            net_jitter=0.0, master_standbys=1, heartbeat_period=10.0,
-            replication=CONFIG,
+            net_jitter=0.0, heartbeat_period=10.0,
+            master=HubConfig(standbys=1, replication=CONFIG),
         ))
         d.run(30.0)
         injector = FaultInjector(d)
@@ -302,7 +303,8 @@ class TestDeployedReplication:
     def test_health_reports_role_epoch_and_lag(self):
         d = deploy(ScenarioConfig(
             seed=11, n_buildings=1, devices_per_building=1,
-            net_jitter=0.0, master_standbys=1, replication=CONFIG,
+            net_jitter=0.0,
+            master=HubConfig(standbys=1, replication=CONFIG),
         ))
         d.run(10.0)
         client = HttpClient(d.network.add_host("operator"))

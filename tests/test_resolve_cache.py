@@ -32,6 +32,7 @@ from repro.ontology.queries import AreaQuery
 from repro.simulation import ScenarioConfig, deploy
 from repro.simulation.faults import FaultInjector
 from repro.simulation.scenario import LEASE_FACTOR
+from repro.storage.durability import HubConfig
 
 
 @pytest.fixture
@@ -676,8 +677,8 @@ class TestCacheUnderChurn:
                                    promotion_stagger=3.0)
         d = deploy(ScenarioConfig(
             seed=7, n_buildings=2, devices_per_building=1,
-            net_jitter=0.0, master_standbys=1, heartbeat_period=10.0,
-            replication=config,
+            net_jitter=0.0, heartbeat_period=10.0,
+            master=HubConfig(standbys=1, replication=config),
         ))
         d.run(30.0)
         client = d.client("ha-user", with_broker=False,

@@ -122,7 +122,6 @@ class TestPeriodicTask:
         task.stop()
         sched.run_until(10.0)
         assert times == [1.0, 2.0]
-        assert task.stopped
 
     def test_stop_from_within_callback(self):
         sched = Scheduler()

@@ -69,14 +69,6 @@ class TestDeployment:
                 assert device.entity_id == entity_id
                 assert device.protocol == protocol
 
-    def test_device_proxy_for(self, deployment):
-        some_device = deployment.dataset.devices[0]
-        proxy = deployment.device_proxy_for(some_device.device_id)
-        assert any(d.device_id == some_device.device_id
-                   for d in proxy.devices())
-        with pytest.raises(ConfigurationError):
-            deployment.device_proxy_for("dev-9999")
-
     def test_stop_devices_halts_sampling(self):
         d = deploy(ScenarioConfig(seed=6, n_buildings=2,
                                   devices_per_building=2, net_jitter=0.0))
