@@ -148,8 +148,7 @@ def _churn_and_flood(tmp_path):
 
     sent = sum(len(p.sent) for p in publishers)
     stored = sum(p.stored(mdb) for p in publishers)
-    registry = deployment.network.metrics
-    duplicates = registry.snapshot().get("mdb.ingest_duplicates", 0)
+    duplicates = mdb.ingest_duplicates
     churn = {
         "sent": sent,
         "stored": stored,

@@ -126,7 +126,6 @@ ALLOW: Dict[str, str] = {
              "definition: repro.middleware.topics.topic_device (tests only)",
              "definition: repro.middleware.topics.topics_overlap "
              "(tests only)",
-             "definition: repro.observability.metrics.gauge (tests only)",
              "definition: repro.storage.timeseries.value_at (tests only)"),
 }
 

@@ -673,6 +673,7 @@ class MasterNode(StateMachine):
             "resolve_not_modified": self.resolve_not_modified,
             "requests_served": self.service.requests_served,
             "requests_failed": self.service.requests_failed,
+            "handler_errors": self.service.handler_errors,
             "snapshots_written": self.snapshots_written,
         }
         counters.update(self.replication_status())
@@ -680,12 +681,7 @@ class MasterNode(StateMachine):
 
     def _metrics_route(self, request: Request) -> Response:
         self.expire_leases()
-        registry = self.host.network.metrics
-        return ok({
-            "component": self.metrics(),
-            "registry": registry.snapshot() if registry is not None
-            else {},
-        })
+        return ok({"component": self.metrics()})
 
     def _districts_route(self, request: Request) -> Response:
         return ok({

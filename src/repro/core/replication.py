@@ -81,8 +81,8 @@ class ReplicationConfig:
     failover_timeout: float = 8.0
     #: extra wait per seniority rank, so exactly one standby promotes
     promotion_stagger: float = 4.0
-    #: period of full-snapshot streaming (and persisted snapshots when
-    #: the primary has a snapshot path configured)
+    #: period of snapshot streaming to the standbys (persisting a
+    #: snapshot is the journal's schedule, ``HubConfig.snapshot_period``)
     snapshot_period: float = 30.0
 
     def __post_init__(self) -> None:
@@ -357,7 +357,6 @@ class ReplicatedNode:
             emit(self.host.network, "repl_stepdown", host=self.name,
                  epoch=epoch, deposed_by=deposed_by,
                  **{self.kind: self.name})
-            self._count_metric("stepdowns")
 
     def _promote(self) -> None:
         self.epoch += 1
@@ -376,16 +375,10 @@ class ReplicatedNode:
         self.counters["promotions"] += 1
         emit(self.host.network, "repl_promotion", host=self.name,
              epoch=self.epoch, **{self.kind: self.name})
-        self._count_metric("promotions")
         # announce with a full snapshot: peers adopt the new epoch (any
         # surviving old primary steps down) and catch up in one hop
         for peer in self._peers:
             self._send_snapshot(peer)
-
-    def _count_metric(self, name: str) -> None:
-        registry = self.host.network.metrics
-        if registry is not None:
-            registry.counter(self.node.metric_prefix + name).inc()
 
     # -- periodic tick -----------------------------------------------------
 
@@ -395,7 +388,6 @@ class ReplicatedNode:
             if now - self._last_snapshot_stream \
                     >= self.config.snapshot_period:
                 self._last_snapshot_stream = now
-                self.node.write_snapshot()
                 for peer in self._peers:
                     self._send_snapshot(peer)
             else:
@@ -407,7 +399,6 @@ class ReplicatedNode:
                 self.counters["fencings"] += 1
                 emit(self.host.network, "repl_fenced", host=self.name,
                      epoch=self.epoch, **{self.kind: self.name})
-                self._count_metric("fencings")
         else:
             # distinct per-rank deadlines: no two members can promote
             # into the same epoch, even a deposed rank-0 primary

@@ -145,13 +145,6 @@ def _trace(host: Host, name: str, **attributes: Any) -> None:
     emit(host.network, name, host=host.name, broker=host.name, **attributes)
 
 
-def _count(host: Host, name: str) -> None:
-    """Bump a counter of the network-wide metrics registry, if any."""
-    registry = host.network.metrics
-    if registry is not None:
-        registry.counter(name).inc()
-
-
 #: verb -> the frame fields the broker interprets, as (key, type,
 #: required); whatever else a frame carries is opaque to it
 _FRAME_FIELDS = {
@@ -335,11 +328,9 @@ class DeliverySettlement:
             # the store is full: the append evicts its oldest entry —
             # publisher-acked data leaving the system, never silently
             self.stats.dead_letters_evicted += 1
-            _count(host, "pubsub.dead_letters_evicted")
             _trace(host, "dead_letter_evicted", topic=store[0].get("topic"))
         entry = delivery.dead_letter_entry(reason, now)
         self._commit({"op": "dlq", "entry": entry})
-        _count(host, "pubsub.dead_lettered")
         _trace(host, "dead_letter", topic=delivery.topic, reason=reason,
                attempts=delivery.attempts)
         self._release(delivery, handled=reason != "timeout")
@@ -356,7 +347,6 @@ class Broker(StateMachine):
     """Central topic broker bound to a simulated host (protocol half)."""
 
     kind = "broker"
-    metric_prefix = "broker_replication."
 
     def __init__(self, host: Host,
                  overload: Optional[BrokerOverloadConfig] = None,
@@ -466,11 +456,7 @@ class Broker(StateMachine):
         return ok(self.health())
 
     def _metrics_route(self, request: Request) -> Response:
-        registry = self.host.network.metrics
-        return ok({
-            "component": self.metrics(),
-            "registry": registry.snapshot() if registry is not None else {},
-        })
+        return ok({"component": self.metrics()})
 
     def _dead_letter_route(self, request: Request) -> Response:
         events = list(self.state.dead_letters)
@@ -698,7 +684,6 @@ class Broker(StateMachine):
         topic = payload["topic"]
         self.stats.publications_shed += 1
         self.shed_by_topic[topic] = self.shed_by_topic.get(topic, 0) + 1
-        _count(host, "pubsub.publications_shed")
         if over_quota:
             self.stats.publisher_rejections += 1
         _trace(host, "publication_shed", publisher=publisher, topic=topic,

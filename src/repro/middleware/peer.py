@@ -29,7 +29,8 @@ Two more mechanisms complete the durable data plane (PR 6):
   :class:`~repro.errors.BackpressureError` sends a *busy* nack (the
   broker redelivers later); any other exception sends a *poison* nack
   (counted toward the broker's dead-letter threshold) and surfaces as a
-  ``delivery_poison_nack`` trace event and registry counter.  A
+  ``delivery_poison_nack`` trace event and the peer's
+  ``delivery_poison_nacks`` counter.  A
   callback whose work is not durable when it returns takes custody of
   the delivery with :meth:`MiddlewarePeer.defer` and acknowledges it
   later, many at a time, with :meth:`MiddlewarePeer.settle` — the
@@ -150,6 +151,7 @@ class MiddlewarePeer:
         self.publications_rejected = 0
         self.deliveries_acked = 0
         self.deliveries_nacked = 0
+        self.delivery_poison_nacks = 0
         self.resubscribes_sent = 0
         self.dropped_by_topic: Dict[str, int] = {}
         self._paused_until = float("-inf")
@@ -333,15 +335,6 @@ class MiddlewarePeer:
             self.publications_dropped += 1
             self.dropped_by_topic[topic] = \
                 self.dropped_by_topic.get(topic, 0) + 1
-            # counters live in the network-wide registry so the drops
-            # show up in every /metrics scrape — including the broker's,
-            # which the fleet collector and loss SLOs read
-            registry = self.host.network.metrics
-            if registry is not None:
-                registry.counter("pubsub.publications_dropped").inc()
-                registry.counter(
-                    f"pubsub.publications_dropped.{topic}"
-                ).inc()
             emit(self.host.network, "publication_dropped",
                  host=self.host.name, peer=self.host.name,
                  topic=dropped.get("topic"))
@@ -385,16 +378,22 @@ class MiddlewarePeer:
                 self._probe_task = None
         if self.paused:
             return  # honour the broker's Retry-After before flushing
-        flushed = 0
-        while self._buffer and not self._broker_suspect and not self.paused:
-            envelope = self._buffer.popleft()
-            self.publications_flushed += 1
-            flushed += 1
-            self._send_reliable(envelope)
+        flushed = self._flush()
         if recovered:
             emit(self.host.network, "buffer_flush", host=self.host.name,
                  peer=self.host.name, broker=self.broker_host,
                  flushed=flushed)
+
+    def _flush(self) -> int:
+        """Re-send parked publications in order until the buffer is
+        empty, the broker turns suspect or a Retry-After pauses us;
+        returns how many were sent."""
+        flushed = 0
+        while self._buffer and not self._broker_suspect and not self.paused:
+            self.publications_flushed += 1
+            flushed += 1
+            self._send_reliable(self._buffer.popleft())
+        return flushed
 
     def _on_pub_reject(self, payload: dict) -> None:
         """Broker said 429: park the publication and back off."""
@@ -418,12 +417,7 @@ class MiddlewarePeer:
     def _resume_publishing(self) -> None:
         if self.paused or self._broker_suspect:
             return  # a later reject extended the pause, or broker is down
-        flushed = 0
-        while self._buffer and not self.paused and not self._broker_suspect:
-            envelope = self._buffer.popleft()
-            self.publications_flushed += 1
-            flushed += 1
-            self._send_reliable(envelope)
+        flushed = self._flush()
         if flushed:
             emit(self.host.network, "buffer_flush", host=self.host.name,
                  peer=self.host.name, broker=self.broker_host,
@@ -650,9 +644,7 @@ class MiddlewarePeer:
             # the counter say which exception it was, so the two can be
             # told apart without a print statement
             self._nack(origin, delivery_id, poison=True)
-            registry = self.host.network.metrics
-            if registry is not None:
-                registry.counter("pubsub.delivery_poison_nacks").inc()
+            self.delivery_poison_nacks += 1
             emit(self.host.network, "delivery_poison_nack",
                  host=self.host.name, peer=self.host.name,
                  topic=event.topic, error=type(exc).__name__,

@@ -371,13 +371,11 @@ class Network:
         self.latency = latency if latency is not None else LatencyModel(seed=seed)
         self.drop_probability = drop_probability
         self.stats = NetworkStats()
-        #: observability attachment points (None = disabled, the
-        #: default): a repro.observability Tracer and MetricsRegistry,
-        #: set by repro.observability.install().  Instrumented
-        #: components reach both through host.network, so one check
-        #: against None is the entire disabled-mode cost.
+        #: tracing attachment point (None = disabled, the default): a
+        #: repro.observability Tracer, set by repro.observability.install().
+        #: Instrumented components reach it through host.network, so one
+        #: check against None is the entire disabled-mode cost.
         self.tracer = None
-        self.metrics = None
         #: hot-loop profiler attachment point (None = disabled), set by
         #: repro.observability.profiler.install_profiler() alongside
         #: scheduler.profiler; _deliver pays one None check when off

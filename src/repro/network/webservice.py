@@ -193,6 +193,9 @@ class WebService:
         self.router = Router()
         self.requests_served = 0
         self.requests_failed = 0
+        #: requests whose handler raised (each also a 500 in
+        #: requests_failed, a ``handler_error`` event and a span error)
+        self.handler_errors = 0
         self._processing_delay = processing_delay
         host.bind(_SERVER_PORT, self._on_message)
 
@@ -253,21 +256,25 @@ class WebService:
                  ) -> None:
         tracer = self.host.network.tracer if span is not None else None
         profiler = self.host.network.profiler
+        if tracer is not None:
+            # activate so handler-side child spans and events nest under
+            # this hop
+            tracer.push(span)
         try:
-            if tracer is not None:
-                # activate so handler-side child spans and events nest
-                # under this hop
-                tracer.push(span)
-                try:
-                    response = self.router.dispatch(request, profiler,
-                                                    self.host.name)
-                finally:
-                    tracer.pop()
-            else:
-                response = self.router.dispatch(request, profiler,
-                                                self.host.name)
+            response = self.router.dispatch(request, profiler,
+                                            self.host.name)
         except Exception as exc:  # handler bug -> 500, like a real server
-            response = error(500, f"{type(exc).__name__}: {exc}")
+            kind = type(exc).__name__
+            self.handler_errors += 1
+            emit(self.host.network, "handler_error", host=self.host.name,
+                 method=request.method, path=request.path, error=kind,
+                 detail=str(exc))
+            if tracer is not None:
+                span.attributes["error"] = kind
+            response = error(500, f"{kind}: {exc}")
+        finally:
+            if tracer is not None:
+                tracer.pop()
         # 3xx answers (e.g. the resolve fast path's 304 not-modified)
         # are successfully served, not failures: they must not burn the
         # availability SLOs built on requests_served/requests_failed

@@ -1,22 +1,18 @@
-"""End-to-end observability: distributed tracing + metrics registry.
+"""End-to-end observability: tracing, fleet monitoring, profiling.
 
-The cross-cutting measurement substrate of the framework.  Install it
-on a simulated network and every instrumented component — HTTP client
-and Web-Service layers, the master's resolve path, the pub/sub broker
-and peers, the resilience machinery — starts emitting per-hop spans
-and structured events timestamped on the simulated clock, while the
-shared :class:`~repro.observability.metrics.MetricsRegistry` backs the
-``/metrics`` endpoints.
+The cross-cutting measurement substrate of the framework.  Install the
+tracer on a simulated network and every instrumented component — HTTP
+client and Web-Service layers, the master's resolve path, the pub/sub
+broker and peers, the resilience machinery — starts emitting per-hop
+spans and structured events timestamped on the simulated clock.  Each
+node's ``/metrics`` endpoint serves its own component counters whether
+or not anything is installed; the :class:`FleetMonitor` scrapes them.
 
-Nothing is installed by default: ``network.tracer`` and
-``network.metrics`` are ``None`` and every instrumentation site guards
-on that, so the seed behaviour (and its determinism) is untouched
-until :func:`install` is called — either directly or via
-``ScenarioConfig(observability=True)``.
+Nothing is installed by default: ``network.tracer`` is ``None`` and
+every instrumentation site guards on that, so the seed behaviour (and
+its determinism) is untouched until :func:`install` is called — either
+directly or via ``ScenarioConfig(observability=True)``.
 """
-
-from dataclasses import dataclass
-from typing import Optional
 
 from repro.observability.collector import (
     FleetMonitor,
@@ -26,12 +22,7 @@ from repro.observability.collector import (
     TimeSeries,
     render_fleet,
 )
-from repro.observability.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.observability.metrics import Histogram, MetricsRegistry
 from repro.observability.slo import (
     SLO,
     Alert,
@@ -57,45 +48,30 @@ from repro.observability.tracing import (
 )
 
 
-@dataclass
-class Observability:
-    """Handle to one network's installed tracer and metrics registry."""
+def install(network, max_spans: int = 1_000_000) -> Tracer:
+    """Enable tracing on *network* (idempotent) and return its tracer.
 
-    tracer: Optional[Tracer] = None
-    metrics: Optional[MetricsRegistry] = None
-
-
-def install(network, tracing: bool = True, metrics: bool = True,
-            max_spans: int = 1_000_000) -> Observability:
-    """Enable tracing and/or metrics on *network* (idempotent).
-
-    Returns the :class:`Observability` bundle; already-installed parts
-    are reused, so calling twice never discards recorded spans.
+    An installed tracer is reused, so calling twice never discards
+    recorded spans.
     """
-    if tracing and network.tracer is None:
+    if network.tracer is None:
         network.tracer = Tracer(network.scheduler, max_spans=max_spans)
-    if metrics and network.metrics is None:
-        network.metrics = MetricsRegistry()
-    return Observability(tracer=network.tracer, metrics=network.metrics)
+    return network.tracer
 
 
 def uninstall(network) -> None:
-    """Remove the tracer and registry; components stop emitting."""
+    """Remove the tracer; components stop emitting."""
     network.tracer = None
-    network.metrics = None
 
 
 __all__ = [
     "Alert",
     "AlertManager",
-    "Counter",
     "FleetMonitor",
     "FleetMonitorConfig",
-    "Gauge",
     "Histogram",
     "MetricsCollector",
     "MetricsRegistry",
-    "Observability",
     "SLO",
     "ScrapeTarget",
     "SimProfiler",

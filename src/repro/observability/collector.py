@@ -129,7 +129,7 @@ def flatten_metrics(payload: Any, prefix: str = "") -> Dict[str, float]:
     """Flatten a ``/metrics`` JSON body into dotted numeric leaves.
 
     Nested dicts concatenate with dots (``component.requests_served``,
-    ``registry.mdb.delivery_latency.p90``); booleans become 0/1;
+    ``component.tsdb.compactions``); booleans become 0/1;
     strings, nulls and anything non-numeric are skipped — a scrape
     stores what it can plot.
     """

@@ -1,26 +1,16 @@
-"""Metrics registry: counters, gauges and percentile histograms.
+"""The benchmarks' histogram book: named percentile histograms.
 
-The seed codebase grew ad-hoc counters wherever an experiment needed
-one — attributes on the master, the broker stats dataclass, the
-resilience policy, plus a benchmark-side sample recorder.  This module
-is the common substrate under all of them: named instruments in a
-:class:`MetricsRegistry`, snapshot-able as one flat dict and renderable
-as a text exposition (the ``/metrics`` endpoints on master, proxies and
-the measurement DB serve exactly that snapshot).
+A benchmark times an operation straight into a :class:`Histogram` of a
+:class:`MetricsRegistry`: ``registry.simulated(name, scheduler)``
+records simulated seconds (differences of scheduler time),
+``registry.wallclock(name)`` host CPU seconds, and
+``registry.summary(name)`` is the :class:`Summary` (mean / p50 / p90 /
+p99 / min / max) its table prints.
 
-Three instrument types cover every existing use:
-
-* :class:`Counter` — monotonically increasing event count;
-* :class:`Gauge` — a settable point-in-time value;
-* :class:`Histogram` — sample collection with the percentile summary
-  the benchmark tables print (mean/p50/p90/p99/min/max).  A benchmark
-  times an operation straight into one: ``registry.simulated(name,
-  scheduler)`` records simulated seconds (differences of scheduler
-  time), ``registry.wallclock(name)`` host CPU seconds, and
-  ``registry.summary(name)`` is the :class:`Summary` it prints.
-
-The registry is pure bookkeeping on plain Python objects — no I/O, no
-background tasks — so instruments are safe on the simulation hot path.
+Nodes do not write here: each counts its own events and serves them
+on its ``/metrics`` route (``{"component": ...}``), which is what the
+fleet monitor and the SLOs read.  The registry is pure bookkeeping on
+plain Python objects — no I/O, no background tasks.
 """
 
 from __future__ import annotations
@@ -30,41 +20,11 @@ import time
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError, QueryError
-
-
-class Counter:
-    """A monotonically increasing named count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        """Add *amount* (must be non-negative) to the counter."""
-        if amount < 0:
-            raise ConfigurationError("counters only go up")
-        self.value += amount
-
-
-class Gauge:
-    """A point-in-time value, set directly."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Set the gauge."""
-        self.value = float(value)
 
 
 @dataclass(frozen=True)
@@ -156,37 +116,10 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named instruments with get-or-create accessors.
-
-    Instrument names are flat dot-separated strings
-    (``master.registrations``, ``client.http.retries``); asking for an
-    existing name with a different instrument type is an error, so two
-    components cannot silently share one name with different meanings.
-    """
+    """Named histograms with a get-or-create accessor."""
 
     def __init__(self) -> None:
-        self._instruments: Dict[str, Any] = {}
-
-    def _get_or_create(self, name: str, kind: type, factory):
-        instrument = self._instruments.get(name)
-        if instrument is None:
-            instrument = factory()
-            self._instruments[name] = instrument
-            return instrument
-        if not isinstance(instrument, kind):
-            raise ConfigurationError(
-                f"metric {name!r} is a "
-                f"{type(instrument).__name__}, not a {kind.__name__}"
-            )
-        return instrument
-
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter called *name*."""
-        return self._get_or_create(name, Counter, lambda: Counter(name))
-
-    def gauge(self, name: str) -> Gauge:
-        """Get or create the gauge called *name*."""
-        return self._get_or_create(name, Gauge, lambda: Gauge(name))
+        self._instruments: Dict[str, Histogram] = {}
 
     def histogram(self, name: str,
                   max_samples: Optional[int] = None) -> Histogram:
@@ -195,10 +128,12 @@ class MetricsRegistry:
         *max_samples* sets the reservoir cap when the histogram is
         first created; it is ignored on later lookups.
         """
-        cap = max_samples if max_samples is not None \
-            else DEFAULT_MAX_SAMPLES
-        return self._get_or_create(name, Histogram,
-                                   lambda: Histogram(name, cap))
+        instrument = self._instruments.get(name)
+        if instrument is None:
+            instrument = self._instruments[name] = Histogram(
+                name, max_samples if max_samples is not None
+                else DEFAULT_MAX_SAMPLES)
+        return instrument
 
     @contextmanager
     def simulated(self, name: str, scheduler):
@@ -222,45 +157,30 @@ class MetricsRegistry:
         Raises :class:`QueryError` when nothing was observed under it.
         """
         instrument = self._instruments.get(name)
-        if not isinstance(instrument, Histogram):
+        if instrument is None:
             raise QueryError(f"no samples recorded for {name!r}")
         return Summary(name=name, **instrument.stats())
-
-    def get(self, name: str):
-        """The instrument called *name*, or None."""
-        return self._instruments.get(name)
 
     def names(self) -> List[str]:
         """Sorted instrument names."""
         return sorted(self._instruments)
 
-    def snapshot(self) -> Dict[str, Any]:
-        """One flat JSON-able dict: scalars for counters/gauges,
-        percentile dicts for histograms.
+    def snapshot(self) -> Dict[str, Dict[str, float]]:
+        """One JSON-able dict: each histogram's percentile summary.
 
         An empty histogram still appears, as ``{"count": 0}`` — a
-        scraper can then tell "no samples yet" from "metric missing".
+        reader can then tell "no samples yet" from "metric missing".
         """
-        result: Dict[str, Any] = {}
+        result: Dict[str, Dict[str, float]] = {}
         for name in self.names():
-            instrument = self._instruments[name]
-            if isinstance(instrument, Histogram):
-                if instrument.values:
-                    result[name] = instrument.stats()
-                else:
-                    result[name] = {"count": 0}
-            else:
-                result[name] = instrument.value
+            histogram = self._instruments[name]
+            result[name] = histogram.stats() if histogram.values \
+                else {"count": 0}
         return result
 
     def render(self) -> str:
-        """Plain-text exposition, one ``name value`` line per scalar
-        (histograms expand to ``name_count`` / ``name_p50`` / ...)."""
-        lines: List[str] = []
-        for name, value in self.snapshot().items():
-            if isinstance(value, dict):
-                for stat, number in value.items():
-                    lines.append(f"{name}_{stat} {number}")
-            else:
-                lines.append(f"{name} {value}")
-        return "\n".join(lines)
+        """Plain-text exposition: ``name_count`` / ``name_p50`` / ...
+        lines, one per statistic of each histogram."""
+        return "\n".join(f"{name}_{stat} {number}"
+                         for name, stats in self.snapshot().items()
+                         for stat, number in stats.items())

@@ -287,23 +287,15 @@ class Proxy(Registrant, abc.ABC):
     # -- metrics ----------------------------------------------------------
 
     def metrics(self) -> Dict:
-        """Numeric counters for the ``/metrics`` endpoint.
-
-        Subclasses extend this with their own counters; the route pairs
-        it with a snapshot of the network-wide
-        :class:`~repro.observability.metrics.MetricsRegistry` when one
-        is installed.
-        """
+        """Numeric counters for the ``/metrics`` endpoint; subclasses
+        extend this with their own."""
         return {
             "requests_served": self.service.requests_served,
             "requests_failed": self.service.requests_failed,
+            "handler_errors": self.service.handler_errors,
             "heartbeats_sent": self.heartbeats_sent,
             "heartbeats_failed": self.heartbeats_failed,
         }
 
     def _metrics_route(self, request: Request) -> Response:
-        registry = self.host.network.metrics
-        return ok({
-            "component": self.metrics(),
-            "registry": registry.snapshot() if registry is not None else {},
-        })
+        return ok({"component": self.metrics()})

@@ -17,6 +17,7 @@ from repro.datasources.geometry import BoundingBox
 from repro.datasources.gis import LAYER_BUILDINGS, GisStore
 from repro.datasources.sim import SimStore
 from repro.errors import (
+    ConfigurationError,
     QueryError,
     TranslationError,
     UnknownEntityError,
@@ -221,7 +222,7 @@ class GisProxy(DatabaseProxy):
                 features = self.store.features()
         except (ValueError, QueryError) as exc:
             return error(400, f"bad features query: {exc}")
-        except Exception as exc:  # unknown layer
+        except ConfigurationError as exc:  # unknown layer
             return error(400, str(exc))
         return ok({
             "features": [

@@ -21,7 +21,7 @@ from repro.datasources.bim import (
 )
 from repro.datasources.gis import Feature
 from repro.datasources.sim import NODE_CONSUMER, SimStore
-from repro.errors import TranslationError, UnknownEntityError
+from repro.errors import QueryError, TranslationError, UnknownEntityError
 
 
 def translate_bim(bim: BimStore, entity_id: str) -> EntityModel:
@@ -151,7 +151,7 @@ def translate_gis_feature(feature: Feature, entity_id: str,
     """
     try:
         geometry = feature.geometry
-    except Exception as exc:
+    except QueryError as exc:
         raise TranslationError(
             f"feature {feature.feature_id} has bad geometry: {exc}"
         ) from exc

@@ -68,9 +68,9 @@ class ScenarioConfig:
     #: period of the peers' subscription keepalive (re-subscribe after a
     #: broker crash-restart); None disables it.
     peer_keepalive: Optional[float] = None
-    #: install the observability layer (tracer + metrics registry, see
-    #: :func:`repro.observability.install`) on the network at deploy
-    #: time.  The default keeps both disabled: zero tracing overhead.
+    #: install the tracer (see :func:`repro.observability.install`) on
+    #: the network at deploy time.  The default keeps it disabled: zero
+    #: tracing overhead.
     observability: bool = False
     #: install the DES hot-loop profiler (see
     #: :func:`repro.observability.profiler.install_profiler`) at deploy
@@ -165,11 +165,6 @@ class DeployedDistrict:
     def tracer(self):
         """The network's tracer, or None when tracing is not installed."""
         return self.network.tracer
-
-    @property
-    def metrics(self):
-        """The network's metrics registry, or None when not installed."""
-        return self.network.metrics
 
     @property
     def profiler(self):

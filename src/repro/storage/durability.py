@@ -295,8 +295,6 @@ class StateMachine:
 
     #: label used in emitted events and error messages
     kind = "node"
-    #: prefix of the promotion/stepdown/fencing metric counters
-    metric_prefix = "replication."
     #: this node's :class:`~repro.core.replication.ReplicatedNode`
     #: agent; None while the node runs alone
     replication = None

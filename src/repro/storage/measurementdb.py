@@ -239,7 +239,6 @@ class MeasurementDatabase(StateMachine, Registrant):
         that covers its record.  Without a WAL there is no fsync to
         wait for and the delivery is accepted at once.
         """
-        registry = self.host.network.metrics
         staged = self._staged_keys
         fresh: FreshSamples = {}
         waits = False
@@ -249,8 +248,6 @@ class MeasurementDatabase(StateMachine, Registrant):
                 # redelivery / duplicate offline-buffer flush: already
                 # ingested, so acknowledge without double-counting
                 self.ingest_duplicates += 1
-                if registry is not None:
-                    registry.counter("mdb.ingest_duplicates").inc()
                 # ... but not before the original is durable
                 waits = waits or key in staged
                 continue
@@ -265,8 +262,6 @@ class MeasurementDatabase(StateMachine, Registrant):
             # broker redelivers it complete later and dedup absorbs any
             # samples a competing path landed meanwhile
             self.backpressure_signals += 1
-            if registry is not None:
-                registry.counter("mdb.backpressure_signals").inc()
             raise BackpressureError("measurement-DB ingest queue is full")
         if self.wal is None:
             self._accept(event, fresh)
@@ -301,16 +296,12 @@ class MeasurementDatabase(StateMachine, Registrant):
         """Remember, count and store (or queue) one delivery's fresh
         samples.  The point of no return: a durable store gets here
         only once the WAL holds them."""
-        registry = self.host.network.metrics
         for key in fresh:
             self._remember(key)
         self._record_latency(event)
         if is_batch(event.payload):
             self.batches_ingested += 1
             self.batch_samples += len(fresh)
-            if registry is not None:
-                registry.counter("mdb.batches_ingested").inc()
-                registry.counter("mdb.batch_samples").inc(len(fresh))
         if self.durability.ingest_delay > 0:
             self._queue.extend(m for _part, m in fresh.values())
             self._schedule_drain()
@@ -327,9 +318,6 @@ class MeasurementDatabase(StateMachine, Registrant):
         latency = event.delivered_at - event.published_at
         if latency >= 0:
             self._delivery_latencies.append(latency)
-            registry = self.host.network.metrics
-            if registry is not None:
-                registry.histogram("mdb.delivery_latency").observe(latency)
 
     def _schedule_drain(self) -> None:
         if self._drain_scheduled or not self._queue:
@@ -409,10 +397,6 @@ class MeasurementDatabase(StateMachine, Registrant):
             return None
         restored = self.recovered_samples - before
         self.recoveries += 1
-        registry = self.host.network.metrics
-        if registry is not None:
-            registry.counter("mdb.recoveries").inc()
-            registry.counter("mdb.recovered_samples").inc(restored)
         # recovered freshness describes the world before the crash;
         # stay "stale until first sample" so the lag metric reports the
         # pipeline's health, not the outage's length
@@ -490,14 +474,7 @@ class MeasurementDatabase(StateMachine, Registrant):
 
     def _compact(self) -> None:
         """One block-store compaction pass on the simulated clock."""
-        result = self.store.compact(self.host.network.scheduler.now)
-        registry = self.host.network.metrics
-        if registry is not None:
-            registry.counter("mdb.compactions").inc()
-            registry.counter("mdb.blocks_merged").inc(
-                result["blocks_merged"])
-            registry.counter("mdb.blocks_retired").inc(
-                result["blocks_retired"])
+        self.store.compact(self.host.network.scheduler.now)
 
     # -- direct (in-process) query API ------------------------------------
 
@@ -642,6 +619,7 @@ class MeasurementDatabase(StateMachine, Registrant):
             "freshness_lag_max": self.freshness_lag_max(),
             "requests_served": self.service.requests_served,
             "requests_failed": self.service.requests_failed,
+            "handler_errors": self.service.handler_errors,
             "heartbeats_sent": self.heartbeats_sent,
             "heartbeats_failed": self.heartbeats_failed,
             "ingest_duplicates": self.ingest_duplicates,
@@ -676,8 +654,4 @@ class MeasurementDatabase(StateMachine, Registrant):
         return payload
 
     def _metrics_route(self, request: Request) -> Response:
-        registry = self.host.network.metrics
-        return ok({
-            "component": self.metrics(),
-            "registry": registry.snapshot() if registry is not None else {},
-        })
+        return ok({"component": self.metrics()})

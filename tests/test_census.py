@@ -21,10 +21,11 @@ _spec = importlib.util.spec_from_file_location(
 census = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(census)
 
-#: what PRs 20 and 24 deleted: none of it may come back, found or
-#: allow-listed (PR 24's are the last two rows: seven hub fields and
-#: ``BrokerDurabilityConfig`` became ``ScenarioConfig.master`` /
-#: ``.broker``, two ``HubConfig`` values)
+#: what was deleted: none of it may come back, found or allow-listed
+#: (seven hub fields and ``BrokerDurabilityConfig`` became
+#: ``ScenarioConfig.master`` / ``.broker``, two ``HubConfig`` values;
+#: the last two rows are the network-wide metrics registry's counters,
+#: gauges and the wiring that attached it to every node)
 REMOVED = (
     "ScenarioConfig.net_base_latency", "ScenarioConfig.radio_latency",
     "ScenarioConfig.lease_factor", "ScenarioConfig.host_prefix",
@@ -41,6 +42,8 @@ REMOVED = (
     "ScenarioConfig.broker_standbys", "ScenarioConfig.broker_replication",
     "ScenarioConfig.broker_durability", "BrokerDurabilityConfig",
     "scenario.device_proxy_for", "scheduler.stopped",
+    "Observability", "metric_prefix", "_count_metric",
+    "DeployedDistrict.metrics", "Counter", "Gauge", "gauge",
 )
 
 
@@ -73,6 +76,13 @@ class TestThisRepository:
         assert len(dataclasses.fields(FleetMonitorConfig)) <= 5
         assert not [path for path in (ROOT / "src").rglob("*.py")
                     if "os.environ" in path.read_text()]
+
+    def test_no_node_counts_into_a_network_wide_registry(self):
+        # each event is counted once, by the node that sees it, and
+        # served on that node's /metrics
+        assert not [path for path in (ROOT / "src").rglob("*.py")
+                    if "network.metrics" in path.read_text()
+                    or ".counter(" in path.read_text()]
 
 
 def test_a_planted_tree_yields_one_finding_of_each_kind(tmp_path):

@@ -453,11 +453,9 @@ class TestAckedDeliveries:
         assert broker.stats.frames_rejected == 1
 
     def test_consumer_exception_nacks_poison_and_surfaces(self, net, broker):
-        from repro.observability.metrics import MetricsRegistry
         from repro.observability.tracing import Tracer
 
         net.tracer = tracer = Tracer(net.scheduler)
-        net.metrics = registry = MetricsRegistry()
 
         def buggy(event):
             raise ZeroDivisionError("a handler bug, not a bad payload")
@@ -469,8 +467,7 @@ class TestAckedDeliveries:
         nack = tracer.events("delivery_poison_nack")[0]
         assert nack.attributes["topic"] == "t/1"
         assert nack.attributes["error"] == "ZeroDivisionError"
-        assert registry.counter("pubsub.delivery_poison_nacks").value \
-            == peer.deliveries_nacked
+        assert peer.delivery_poison_nacks == peer.deliveries_nacked
 
     def test_backpressure_nacks_busy_without_the_poison_event(self, net,
                                                               broker):

@@ -3,8 +3,8 @@
 Covers the tracer's span algebra in isolation, trace propagation
 through the real request path (client → master → proxy) and the
 pub/sub path (publisher → broker fanout → subscriber delivery), the
-zero-overhead disabled mode, the metrics registry, and the structured
-resilience events.
+zero-overhead disabled mode, the benchmarks' histogram book, and the
+structured resilience events.
 """
 
 import json
@@ -17,7 +17,6 @@ from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
 from repro.network.webservice import GET, HttpClient, WebService, error, ok
 from repro.observability import (
-    Counter,
     Histogram,
     MetricsRegistry,
     Tracer,
@@ -131,32 +130,23 @@ class TestTracer:
         assert "root" in art and "leaf" in art and "#" in art
 
 
-# -- metrics registry ------------------------------------------------------
+# -- the benchmarks' histogram book ------------------------------------------
 
 
 class TestMetricsRegistry:
     def test_counter_gauge_histogram_roundtrip(self):
+        # histograms are the only instrument: events are counted by the
+        # node that sees them and served on its own /metrics route
         registry = MetricsRegistry()
-        registry.counter("requests").inc()
-        registry.counter("requests").inc(2)
-        registry.gauge("depth").set(7.0)
         for v in (1.0, 2.0, 3.0):
             registry.histogram("latency").observe(v)
+        assert registry.histogram("latency") is registry.histogram("latency")
         snap = registry.snapshot()
-        assert snap["requests"] == 3
-        assert snap["depth"] == 7.0
+        assert list(snap) == ["latency"]
         assert snap["latency"]["count"] == 3
         assert snap["latency"]["p50"] == pytest.approx(2.0)
-
-    def test_type_mismatch_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ConfigurationError):
-            registry.histogram("x")
-
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ConfigurationError):
-            Counter("c").inc(-1)
+        assert not hasattr(registry, "counter")
+        assert not hasattr(registry, "gauge")
 
     def test_empty_histogram_has_no_stats(self):
         with pytest.raises(QueryError):
@@ -164,11 +154,11 @@ class TestMetricsRegistry:
 
     def test_render_lists_every_instrument(self):
         registry = MetricsRegistry()
-        registry.counter("a").inc()
+        registry.histogram("a").observe(2.0)
         registry.histogram("b").observe(1.0)
         text = registry.render()
-        assert "a 1" in text
-        assert "b_p50" in text
+        assert "a_count 1" in text
+        assert "b_p50 1.0" in text
 
     def test_recorder_is_a_registry_facade(self):
         # the facade is gone: a benchmark's timed samples *are* registry
@@ -194,7 +184,9 @@ class TestDisabledMode:
         d = deploy(ScenarioConfig(seed=3, n_buildings=1,
                                   devices_per_building=1, net_jitter=0.0))
         assert d.tracer is None
-        assert d.metrics is None
+        # no network-wide registry exists to be installed or left off
+        assert not hasattr(d, "metrics")
+        assert not hasattr(d.network, "metrics")
 
     def test_untraced_requests_carry_no_trace_header(self, net):
         service = WebService(net.add_host("server"))
@@ -220,13 +212,12 @@ class TestDisabledMode:
         assert net.tracer.events() == []
 
     def test_install_uninstall_roundtrip(self, net):
-        layer = install(net)
-        assert layer.tracer is net.tracer
-        assert layer.metrics is net.metrics
-        again = install(net)  # idempotent: keeps the same instances
-        assert again.tracer is layer.tracer
+        tracer = install(net)
+        assert isinstance(tracer, Tracer)
+        assert tracer is net.tracer
+        assert install(net) is tracer  # idempotent: keeps the instance
         uninstall(net)
-        assert net.tracer is None and net.metrics is None
+        assert net.tracer is None
 
 
 # -- propagation through the deployed architecture -------------------------
@@ -337,7 +328,7 @@ class TestMetricsEndpoints:
             observed.master.uri.rstrip("/") + "/metrics").body
         assert body["component"]["registrations"] > 0
         assert body["component"]["ontology_nodes"] > 0
-        assert isinstance(body["registry"], dict)
+        assert set(body) == {"component"}
 
     def test_proxy_metrics_route(self, observed):
         client = observed.client("metrics-user2", with_broker=False)
@@ -359,7 +350,93 @@ class TestMetricsEndpoints:
         client = d.client("plain-user", with_broker=False)
         body = client.http.get(
             d.master.uri.rstrip("/") + "/metrics").body
-        assert body["registry"] == {}
+        assert set(body) == {"component"}
+        assert body["component"]["registrations"] > 0
+
+
+_REQUESTS_AND_HEARTBEATS = ("heartbeats_failed", "heartbeats_sent",
+                            "requests_failed", "requests_served")
+_REPLICATION_STATUS = ("epoch", "fenced", "last_snapshot_age", "peers",
+                       "replication_lag", "role")
+
+
+class TestMetricsBodyContract:
+    """``/metrics`` serves one body per node, ``{"component": ...}``.
+
+    ``SERVED_BEFORE`` is each node kind's component key set as served
+    by a default seed-23, 3 × 3 district before the network-wide
+    registry was removed; every key is still served, and the only new
+    one is ``handler_errors`` on the nodes that count web-service
+    requests.  SLOs and the fleet monitor read these names.
+    """
+
+    SERVED_BEFORE = {
+        "master": {
+            "active_leases", "lease_evictions", "lease_renewals",
+            "ontology_epoch", "ontology_nodes", "registrations",
+            "renewals_refused", "requests_failed", "requests_served",
+            "resolve_cache_hits", "resolve_cache_misses",
+            "resolve_not_modified", "resolves_served", "snapshots_written",
+            *_REPLICATION_STATUS},
+        "broker": {
+            "consumer_busy", "data_plane_saturation", "dead_lettered",
+            "dead_letters_drained", "dead_letters_evicted",
+            "dead_letters_queued", "dead_subscriptions_dropped",
+            "deliveries_acked", "duplicate_subscriptions_ignored",
+            "fanout_deliveries", "frames_rejected", "live_subscriptions",
+            "not_primary_refusals", "pending_deliveries", "pings_answered",
+            "poison_nacks", "pub_acks_withheld", "publications_shed",
+            "publish_acks_sent", "published", "publisher_rejections",
+            "recovered_items", "recoveries", "redeliveries",
+            "retained_topics", "shed_by_topic", "snapshots_written",
+            "subscriptions", "unrecovered_restarts", "wal_appends",
+            *_REPLICATION_STATUS},
+        "measurement_db": {
+            "backpressure_signals", "batch_samples", "batches_ingested",
+            "data_plane_saturation", "dedup_window_size",
+            "delivery_latency_p90", "devices", "freshness_lag_max",
+            "ingest_duplicates", "ingest_queue_depth", "ingest_staged",
+            "ingested", "poison_rejected", "recovered_samples",
+            "recoveries", "rejected", "snapshots_written",
+            "stale_until_sample", "tsdb", "wal_records_replayed",
+            *_REQUESTS_AND_HEARTBEATS},
+        "gis": set(_REQUESTS_AND_HEARTBEATS),
+        "bim": set(_REQUESTS_AND_HEARTBEATS),
+        "sim": set(_REQUESTS_AND_HEARTBEATS),
+        "device": {
+            "batch_flushes_age", "batch_flushes_size",
+            "batch_frames_published", "batch_open_samples",
+            "batch_samples_dropped_offline", "batch_samples_published",
+            "frames_dropped_offline", "frames_received", "frames_rejected",
+            "measurements_published", "publications_buffered",
+            "publications_dropped", "publications_dropped_by_topic",
+            "publications_flushed", "publications_rejected",
+            *_REQUESTS_AND_HEARTBEATS},
+    }
+
+    @pytest.fixture(scope="class")
+    def bodies(self):
+        d = deploy(ScenarioConfig(seed=23, n_buildings=3,
+                                  devices_per_building=3, net_jitter=0.0))
+        d.run(120.0)
+        client = d.client("contract", with_broker=False)
+        uris = {
+            "master": d.master.uri, "broker": d.broker.uri,
+            "measurement_db": d.measurement_db.uri,
+            "gis": d.gis_proxy.uri,
+            "bim": next(iter(d.bim_proxies.values())).uri,
+            "sim": next(iter(d.sim_proxies.values())).uri,
+            "device": next(iter(d.device_proxies.values())).uri,
+        }
+        return {kind: client.http.get(uri.rstrip("/") + "/metrics").body
+                for kind, uri in uris.items()}
+
+    @pytest.mark.parametrize("kind", sorted(SERVED_BEFORE))
+    def test_same_keys_plus_handler_errors(self, bodies, kind):
+        body = bodies[kind]
+        assert set(body) == {"component"}
+        added = set() if kind == "broker" else {"handler_errors"}
+        assert set(body["component"]) == self.SERVED_BEFORE[kind] | added
 
 
 # -- structured resilience events ------------------------------------------
@@ -474,12 +551,9 @@ class TestExpositionFormat:
 
     def test_render_golden_output(self):
         registry = MetricsRegistry()
-        registry.counter("a.requests").inc(3)
         registry.histogram("b.latency").observe(2.0)
-        registry.gauge("c.depth").set(2.5)
         registry.histogram("d.quiet")  # no samples yet
         assert registry.render() == (
-            "a.requests 3\n"
             "b.latency_count 1\n"
             "b.latency_mean 2.0\n"
             "b.latency_p50 2.0\n"
@@ -487,7 +561,6 @@ class TestExpositionFormat:
             "b.latency_p99 2.0\n"
             "b.latency_minimum 2.0\n"
             "b.latency_maximum 2.0\n"
-            "c.depth 2.5\n"
             "d.quiet_count 0"
         )
 
@@ -555,7 +628,7 @@ class TestPeriodicTaskErrorEvent:
         from repro.observability import install
 
         net = Network(Scheduler(), latency=LatencyModel(jitter=0.0))
-        obs = install(net)
+        tracer = install(net)
         calls = []
 
         def sample():
@@ -566,7 +639,7 @@ class TestPeriodicTaskErrorEvent:
         net.scheduler.every(1.0, sample)
         net.scheduler.run_until(3.5)
         assert calls == [1.0, 2.0, 3.0]  # task survived the exception
-        events = obs.tracer.events("periodic_task_error")
+        events = tracer.events("periodic_task_error")
         assert len(events) == 1
         attrs = events[0].attributes
         assert "sensor glitch" in attrs["error"]

@@ -398,6 +398,26 @@ class TestDatabaseProxies:
                           params={"bbox": "a,b"}, check=False)
         assert bad.status == 400
 
+    def test_gis_features_bug_is_a_counted_500(self, net):
+        # an unknown layer is the caller's fault (400); a store that
+        # fails any other way is a bug the service counts as one
+        district = synthesize_district(seed=1, n_buildings=2)
+        proxy = GisProxy(net.add_host("proxy-gis"), district.gis,
+                         district.district_id)
+        client = HttpClient(net.add_host("user"))
+        unknown = client.call(proxy.uri.rstrip("/") + "/features",
+                              params={"layer": "rivers"}, check=False)
+        assert unknown.status == 400
+
+        def broken():
+            raise KeyError("feature index")
+
+        proxy.store.features = broken
+        response = client.call(proxy.uri.rstrip("/") + "/features",
+                               check=False)
+        assert response.status == 500
+        assert proxy.metrics()["handler_errors"] == 1
+
     def test_gis_locate_needs_coordinates(self, net):
         district = synthesize_district(seed=1, n_buildings=2)
         proxy = GisProxy(net.add_host("proxy-gis"), district.gis,

@@ -332,3 +332,18 @@ class TestDeployedReplication:
         assert health["role"] == "primary"
         assert health["epoch"] == 0
         assert health["peers"] == 0
+
+    def test_one_schedule_persists_the_snapshot(self, tmp_path):
+        # the journal persists at HubConfig.snapshot_period; replication
+        # only streams at its own, faster period (30 streams in 600 s)
+        # and never writes to disk — 32 snapshots here meant both did
+        d = deploy(ScenarioConfig(
+            seed=23, n_buildings=3, devices_per_building=3,
+            master=HubConfig(
+                snapshot_path=str(tmp_path / "master.json"),
+                snapshot_period=300.0, standbys=1,
+                replication=ReplicationConfig(snapshot_period=20.0)),
+        ))
+        d.run(600.0)
+        assert d.replication.counters()["snapshots_sent"] == 30
+        assert d.master.snapshots_written == 2

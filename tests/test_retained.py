@@ -35,7 +35,7 @@ class TestRetainedMessages:
         # live span header, so a replay at subscribe time — possibly
         # much later — parented the delivery span under a long-finished
         # trace.  The replayed delivery must be trace-root-less.
-        install(net, metrics=False)
+        install(net)
         publisher = connect(net.add_host("pub"), "broker")
         publisher.publish("state/plant", {"v": 1}, retain=True)
         net.scheduler.run_until_idle()

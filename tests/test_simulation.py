@@ -155,7 +155,7 @@ class TestMetricsRecorder:
         with pytest.raises(QueryError):
             MetricsRegistry().summary("ghost")
         registry = MetricsRegistry()
-        registry.counter("ghost").inc()
+        registry.histogram("ghost")  # created, never observed
         with pytest.raises(QueryError):
             registry.summary("ghost")
 

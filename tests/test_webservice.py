@@ -111,6 +111,31 @@ class TestRequestResponse:
         assert resp.status == 500
         assert "handler bug" in resp.reason
 
+    def test_handler_error_is_counted_and_traced(self, net, service,
+                                                  client):
+        from repro.observability import install
+
+        install(net)
+        tracer = net.tracer
+
+        @service.route(GET, "/lookup")
+        def lookup(request):
+            return ok({}["missing"])
+
+        with tracer.span("caller", host="client"):
+            resp = client.call("svc://server/lookup", check=False)
+        assert resp.status == 500
+        assert service.handler_errors == 1
+        assert service.requests_failed == 1
+        (server,) = [span for span in tracer.spans(name="GET /lookup")
+                     if span.kind == "server"]
+        assert server.attributes["error"] == "KeyError"
+        assert server.status == "error"
+        (event,) = tracer.events("handler_error")
+        assert event in server.events
+        assert event.attributes["error"] == "KeyError"
+        assert event.attributes["path"] == "/lookup"
+
     def test_unknown_path_404(self, client):
         resp = client.call("svc://server/nowhere", check=False)
         assert resp.status == 404
