@@ -120,11 +120,11 @@ def test_vs_centralized(distributed, centralized, dataset, benchmark,
     # -- staleness -----------------------------------------------------------
     building = dataset.buildings[0]
     root_guid = building.bim.root()["GlobalId"]
-    for record in building.bim._records.values():
-        if record["type"] == "IfcPropertySet" and \
-                record["parent"] == root_guid and \
-                "YearOfConstruction" in record.get("props", {}):
-            record["props"]["YearOfConstruction"] = 2015
+    for record in building.bim.by_type("IfcPropertySet"):
+        if record["parent"] == root_guid and \
+                "YearOfConstruction" in record["props"]:
+            building.bim.set_property(record["GlobalId"],
+                                      "YearOfConstruction", 2015)
     fresh = client.build_area_model(AreaQuery(
         district_id=distributed.district_id,
         entity_ids=(building.entity_id,),

@@ -1,6 +1,6 @@
 """Experiment C9 — the resolve fast path (indexes + epoch caching).
 
-Two phases:
+Three phases:
 
 * **Repeat-query sweep** — for each district size the same repeated
   whole-district resolve workload is issued *cold* (``use_cache=False``:
@@ -26,6 +26,12 @@ Two phases:
   bump at eviction must invalidate both the master's answer cache and
   the clients' held entries, so the count of stale answers is asserted
   to be exactly zero.
+
+* **Models, one hop later** — the fetch step revalidates the same way.
+  After a warm-up ``build_area_model`` a repeat over the unchanged area
+  must cause **0** new translations, every model reply a 304; after one
+  ``BimStore.set_property`` exactly that building's BIM model is a 200
+  and carries the edit.
 
 Set ``REPRO_BENCH_QUICK=1`` for a shortened CI smoke run.
 """
@@ -254,3 +260,57 @@ def test_heartbeats_keep_tokens_and_churn_never_serves_evicted_uri(report):
     assert master.ontology_epoch > epoch_before
     # after the eviction's one full body the default client is back on 304s
     assert default.resolve_revalidations - default.resolve_not_modified == 1
+
+
+def test_unchanged_models_are_revalidated_not_retranslated(report):
+    district = deploy(ScenarioConfig(
+        seed=902, n_buildings=10, devices_per_building=4, n_networks=1,
+    ))
+    district.run(120.0)
+    proxies = [district.gis_proxy, *district.bim_proxies.values(),
+               *district.sim_proxies.values()]
+    client = district.client("c9-models", with_broker=False)
+    whole = AreaQuery(district_id=district.district_id)
+
+    def translations():
+        return sum(proxy.translations for proxy in proxies)
+
+    with bytes_received_by(district.network, client.host.name) as cold:
+        client.build_area_model(whole)
+    models = client.models_fetched
+    before = translations()
+    with bytes_received_by(district.network, client.host.name) as repeat:
+        client.build_area_model(whole)
+    repeat_translations = translations() - before
+    repeat_304s = client.models_not_modified
+
+    building = district.dataset.buildings[0]
+    bim = building.bim
+    pset, = [record for record in bim.by_type("IfcPropertySet")
+             if record["parent"] == bim.root()["GlobalId"]]
+    bim.set_property(pset["GlobalId"], "YearOfConstruction", 2015)
+    before = translations()
+    edited_before = district.bim_proxies[building.entity_id].translations
+    model = client.build_area_model(whole)
+    edit_translations = translations() - before
+    edit_304s = client.models_not_modified - repeat_304s
+
+    report.record(EXPERIMENT, cold_area_model_bytes=cold[0],
+                  repeat_area_model_bytes=repeat[0],
+                  repeat_model_translations=repeat_translations)
+    report.header(EXPERIMENT,
+                  "resolve fast path: repeat whole-district queries")
+    report.add(EXPERIMENT,
+               f"model revalidation: {models} models, repeat area model "
+               f"{repeat[0]} B (cold {cold[0]} B), {repeat_304s} model 304s, "
+               f"{repeat_translations} translations; after one "
+               f"set_property {edit_translations} translation")
+    assert repeat_translations == 0
+    assert repeat_304s == models > 0
+    assert repeat[0] < cold[0]
+    assert edit_translations == 1
+    assert district.bim_proxies[building.entity_id].translations \
+        == edited_before + 1
+    assert edit_304s == models - 1
+    assert model.entity(building.entity_id).sources["bim"] \
+        .properties["year_built"] == 2015

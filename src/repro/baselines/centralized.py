@@ -29,7 +29,14 @@ from repro.datasources.generators import DistrictDataset
 from repro.datasources.geometry import BoundingBox
 from repro.devices.base import SimulatedDevice
 from repro.devices.firmware import DeviceFirmware, RadioLink
-from repro.errors import FrameDecodeError, QueryError, SeriesNotFoundError
+from repro.errors import (
+    FrameDecodeError,
+    NetworkError,
+    QueryError,
+    SerializationError,
+    SeriesNotFoundError,
+    UnitError,
+)
 from repro.network.scheduler import Scheduler
 from repro.network.transport import Host, LatencyModel, Network
 from repro.network.webservice import (
@@ -125,7 +132,7 @@ class CentralServer:
     def _ingest_route(self, request: Request) -> Response:
         try:
             measurement = Measurement.from_dict(request.body or {})
-        except Exception as exc:
+        except (SerializationError, UnitError, ValueError, TypeError) as exc:
             return error(400, f"bad measurement: {exc}")
         self.database.measurements.insert(measurement)
         self.ingests += 1
@@ -236,7 +243,7 @@ class CentralGateway:
         def check(f):
             try:
                 response = f.result()
-            except Exception:
+            except NetworkError:
                 self.failed += 1
                 return
             if not response.ok:

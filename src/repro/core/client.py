@@ -13,6 +13,9 @@
 Steps 2 and 3 are one concurrent round: the proxies are independent
 hosts, so every model request and one data request per Device-proxy go
 out together and the client waits for the slowest, not for the sum.
+A model the client already holds is revalidated with its token
+(``if_none_match``): the proxy answers 304 while its store is unchanged
+and the held document is reused.  Device data is never held.
 
 The client also exposes remote control (actuation through the owning
 Device-proxy) and live subscriptions on the middleware.
@@ -100,7 +103,9 @@ class DistrictClient:
         self.http = HttpClient(host, timeout=timeout, policy=policy)
         self.peer = MiddlewarePeer(host, broker_host) if broker_host \
             else None
+        #: models in hand after a fetch, 304-revalidated ones included
         self.models_fetched = 0
+        self.models_not_modified = 0
         self.data_requests = 0
         self.fetch_failures = 0
         self.resolve_cache_ttl = resolve_cache_ttl
@@ -111,6 +116,9 @@ class DistrictClient:
         self.resolve_not_modified = 0
         self._resolve_cache: "OrderedDict[Tuple, _ResolveCacheEntry]" = \
             OrderedDict()
+        #: (uri, sorted params) -> (token, model) of every model fetched;
+        #: one entry per distinct model request, replaced in place
+        self._held_models: Dict[Tuple, Tuple[str, EntityModel]] = {}
 
     @property
     def master_uri(self) -> str:
@@ -241,7 +249,8 @@ class DistrictClient:
         window — are issued at once: the proxies are independent hosts,
         so the round costs its slowest request, not the sum.  Returns
         the decoded models and the ``(device, quantity)`` sample lists,
-        each keyed by entity id.
+        each keyed by entity id.  A model this client already holds is
+        asked for with its token, and a 304 hands back the held one.
 
         With *strict* the first failed call, in call order (models, then
         data), raises; otherwise it is counted in
@@ -252,19 +261,23 @@ class DistrictClient:
         for entity_id, proxy_uri, query in series:
             by_proxy.setdefault(proxy_uri, []).append((entity_id, query))
         self.data_requests += len(by_proxy)
-        outcomes = self.http.gather([call for _, call in model_calls]
-                                    + self._data_calls(by_proxy))
+        keys, calls = [], []
+        for _, call in model_calls:
+            key = (call["uri"], tuple(sorted(call["params"].items())))
+            held = self._held_models.get(key)
+            if held is not None:
+                call = {"uri": call["uri"], "params": {
+                    **call["params"], "if_none_match": held[0]}}
+            keys.append(key)
+            calls.append(call)
+        outcomes = self.http.gather(calls + self._data_calls(by_proxy))
         models: Dict[str, List[EntityModel]] = {}
-        for (entity_id, call), outcome in zip(model_calls, outcomes):
-            if self._answered(outcome, strict):
+        for (entity_id, call), key, outcome in zip(model_calls, keys,
+                                                   outcomes):
+            model = self._model_of(key, call["uri"], outcome, strict)
+            if model is not None:
                 self.models_fetched += 1
-                document = serialization.decode(outcome.body["document"],
-                                                outcome.body["format"])
-                if isinstance(document, list):
-                    raise IntegrationError(
-                        f"{call['uri']} returned a list for a model"
-                    )
-                models.setdefault(entity_id, []).append(document)
+                models.setdefault(entity_id, []).append(model)
         measurements: Dict[str, Dict] = {}
         for members, outcome in zip(by_proxy.values(),
                                     outcomes[len(model_calls):]):
@@ -278,6 +291,27 @@ class DistrictClient:
                     (query.device_id, query.quantity)
                 ] = [(t, v) for t, v in answer]
         return models, measurements
+
+    def _model_of(self, key: Tuple, uri: str,
+                  outcome: Union[Response, Exception], strict: bool
+                  ) -> Optional[EntityModel]:
+        """The model one gathered fetch put in hand; None if it failed."""
+        if isinstance(outcome, Response) and outcome.status == 304:
+            # ahead of _answered, which takes only a 2xx for an answer
+            held = self._held_models.get(key)
+            if held is not None:
+                self.models_not_modified += 1
+                return held[1]
+            outcome = ServiceError(304, f"{uri} revalidated a model "
+                                        f"this client does not hold")
+        if not self._answered(outcome, strict):
+            return None
+        body = outcome.body
+        document = serialization.decode(body["document"], body["format"])
+        if isinstance(document, list):
+            raise IntegrationError(f"{uri} returned a list for a model")
+        self._held_models[key] = (body["token"], document)
+        return document
 
     def _answered(self, outcome: Union[Response, Exception], strict: bool
                   ) -> bool:

@@ -40,10 +40,17 @@ def make_guid(rng: np.random.RandomState) -> str:
 
 
 class BimStore:
-    """One building's BIM export in its native record schema."""
+    """One building's BIM export in its native record schema.
+
+    :attr:`version` moves with every mutating verb (the ``add_*``
+    methods and :meth:`set_property`); the BIM proxy answers an
+    unchanged version with a 304, so an edit that bypasses the verbs
+    stays invisible to clients that already hold the model.
+    """
 
     def __init__(self, project_name: str):
         self.project_name = project_name
+        self.version = 0
         self._records: Dict[str, Dict] = {}
         self._root_guid: Optional[str] = None
 
@@ -73,6 +80,7 @@ class BimStore:
             "Name": name,
             "parent": parent,
         }
+        self.version += 1
         return guid
 
     def add_property_set(self, of_guid: str, pset_guid: str, name: str,
@@ -85,6 +93,16 @@ class BimStore:
         guid = self.add_record(pset_guid, IFC_PROPERTY_SET, name, of_guid)
         self._records[guid]["props"] = dict(properties)
         return guid
+
+    def set_property(self, pset_guid: str, name: str, value: object) -> None:
+        """Set one property of an IfcPropertySet (a re-survey edit)."""
+        record = self._records.get(pset_guid)
+        if record is None or record["type"] != IFC_PROPERTY_SET:
+            raise ConfigurationError(
+                f"{pset_guid!r} is not an IfcPropertySet"
+            )
+        record.setdefault("props", {})[name] = value
+        self.version += 1
 
     # -- native queries -----------------------------------------------------
 

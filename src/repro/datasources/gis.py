@@ -39,10 +39,15 @@ class Feature:
 
 
 class GisStore:
-    """A district's GIS database in its native feature schema."""
+    """A district's GIS database in its native feature schema.
+
+    :attr:`version` moves with every :meth:`add_feature` (see
+    :class:`~repro.datasources.bim.BimStore`).
+    """
 
     def __init__(self, district_name: str):
         self.district_name = district_name
+        self.version = 0
         self._features: Dict[str, Feature] = {}
         self._ids = itertools.count(1)
 
@@ -62,6 +67,7 @@ class GisStore:
         feature = Feature(fid, layer, geometry.to_wkt(),
                           dict(properties or {}))
         self._features[fid] = feature
+        self.version += 1
         return feature
 
     def feature(self, feature_id: str) -> Feature:

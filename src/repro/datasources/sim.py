@@ -27,13 +27,18 @@ _NODE_KINDS = (NODE_PLANT, NODE_JUNCTION, NODE_CONSUMER)
 
 
 class SimStore:
-    """A distribution network's SIM export in its native table schema."""
+    """A distribution network's SIM export in its native table schema.
+
+    :attr:`version` moves with every ``add_*`` call (see
+    :class:`~repro.datasources.bim.BimStore`).
+    """
 
     def __init__(self, network_name: str, commodity: str):
         if commodity not in COMMODITIES:
             raise ConfigurationError(f"unknown commodity {commodity!r}")
         self.network_name = network_name
         self.commodity = commodity
+        self.version = 0
         # node table: node id -> row
         self._nodes: Dict[str, Dict] = {}
         # edge table: edge id -> row
@@ -57,6 +62,7 @@ class SimStore:
             "node_id": node_id, "kind": kind, "x": x, "y": y,
             "capacity_kw": capacity_kw,
         }
+        self.version += 1
 
     def add_edge(self, edge_id: str, source: str, target: str,
                  length_m: float, rating: float, loss_coeff: float = 0.01
@@ -75,6 +81,7 @@ class SimStore:
             "length_m": length_m, "rating": rating,
             "loss_coeff": loss_coeff,
         }
+        self.version += 1
 
     def add_service_point(self, consumer_node: str, cadastral_id: str
                           ) -> None:
@@ -85,6 +92,7 @@ class SimStore:
                 f"service point on non-consumer node {consumer_node!r}"
             )
         self._service_points[consumer_node] = cadastral_id
+        self.version += 1
 
     # -- native queries -----------------------------------------------------
 

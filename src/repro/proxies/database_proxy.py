@@ -4,13 +4,20 @@
 and translation from its database to an open standard, such as JSON or
 XML."  All model routes therefore accept ``?format=json|xml`` and return
 the encoded CDF document; translation counters feed the C5 benchmark.
+
+Model answers are conditional: each carries ``token``, the store's
+:attr:`version`, and a request whose ``if_none_match`` equals the
+current token is answered with a bodyless 304 — no translation, no
+encoding.  A store only changes through its verbs, each of which moves
+the version, so a 304 is exactly as fresh as a full body.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.common import serialization
+from repro.common.cdf import EntityModel
 from repro.common.serialization import JSON_FORMAT
 from repro.datasources.bim import BimStore
 from repro.datasources.geometry import BoundingBox
@@ -32,13 +39,6 @@ from repro.proxies.translators import (
 )
 
 
-def _format_of(request: Request) -> str:
-    fmt = request.params.get("format", JSON_FORMAT)
-    if fmt not in serialization.FORMATS:
-        raise QueryError(f"unknown format {fmt!r}")
-    return fmt
-
-
 class DatabaseProxy(Proxy):
     """Common machinery of the three database-proxy families."""
 
@@ -47,11 +47,28 @@ class DatabaseProxy(Proxy):
 
     def __init__(self, host: Host, processing_delay: float = 2e-4):
         super().__init__(host, processing_delay)
+        #: model answers that carried a body (a 304 translates nothing)
         self.translations = 0
 
-    def _encode_model(self, model, fmt: str) -> str:
+    def _model_route(self, request: Request) -> Response:
+        return self._model_response(request, self.translate)
+
+    def _model_response(self, request: Request,
+                        build: Callable[[], EntityModel]) -> Response:
+        """Answer a model request: 304 if the caller's token is current,
+        else the translated, encoded model and its token."""
+        fmt = request.params.get("format", JSON_FORMAT)
+        if fmt not in serialization.FORMATS:
+            return error(400, f"unknown format {fmt!r}")
+        token = str(self.store.version)
+        if request.params.get("if_none_match") == token:
+            return Response(304, None, "not modified")
+        try:
+            encoded = serialization.encode(build(), fmt)
+        except TranslationError as exc:
+            return error(500, str(exc))
         self.translations += 1
-        return serialization.encode(model, fmt)
+        return ok({"format": fmt, "document": encoded, "token": token})
 
 
 class BimProxy(DatabaseProxy):
@@ -92,14 +109,6 @@ class BimProxy(DatabaseProxy):
         if self.bounds is not None:
             descriptor["bounds"] = self.bounds.to_list()
         return descriptor
-
-    def _model_route(self, request: Request) -> Response:
-        try:
-            fmt = _format_of(request)
-            encoded = self._encode_model(self.translate(), fmt)
-        except (QueryError, TranslationError) as exc:
-            return error(400, str(exc))
-        return ok({"format": fmt, "document": encoded})
 
     def _spaces_route(self, request: Request) -> Response:
         spaces = [
@@ -159,14 +168,6 @@ class SimProxy(DatabaseProxy):
         if self.bounds is not None:
             descriptor["bounds"] = self.bounds.to_list()
         return descriptor
-
-    def _model_route(self, request: Request) -> Response:
-        try:
-            fmt = _format_of(request)
-            encoded = self._encode_model(self.translate(), fmt)
-        except (QueryError, TranslationError) as exc:
-            return error(400, str(exc))
-        return ok({"format": fmt, "document": encoded})
 
     def _service_points_route(self, request: Request) -> Response:
         return ok({"service_points": self.store.service_points()})
@@ -237,21 +238,13 @@ class GisProxy(DatabaseProxy):
         })
 
     def _feature_route(self, request: Request) -> Response:
-        feature_id = request.path_params["feature_id"]
         try:
-            fmt = _format_of(request)
-            feature = self.store.feature(feature_id)
+            feature = self.store.feature(request.path_params["feature_id"])
         except UnknownEntityError as exc:
             return error(404, str(exc))
-        except QueryError as exc:
-            return error(400, str(exc))
         entity_id = request.params.get("entity_id", "bld-0000")
-        try:
-            model = translate_gis_feature(feature, entity_id)
-            encoded = self._encode_model(model, fmt)
-        except TranslationError as exc:
-            return error(500, str(exc))
-        return ok({"format": fmt, "document": encoded})
+        return self._model_response(
+            request, lambda: translate_gis_feature(feature, entity_id))
 
     def _locate_route(self, request: Request) -> Response:
         try:

@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.baselines import centralized
 from repro.baselines.centralized import (
     CentralDatabase,
     deploy_centralized,
 )
 from repro.datasources.generators import synthesize_district
 from repro.datasources.geometry import BoundingBox
+from repro.errors import RequestTimeoutError
+from repro.network.futures import Future
+from repro.network.webservice import POST, Request
+from repro.protocols.base import RawReading
 from repro.storage.query import RangeQuery
 
 
@@ -67,11 +72,12 @@ class TestCentralizedDeployment:
         root_guid = building.bim.root()["GlobalId"]
         before = deployment.server.database.conflicts_overwritten
         # the BIM gets re-surveyed: the floor area is corrected
-        for record in building.bim._records.values():
-            if record["type"] == "IfcPropertySet" and \
-                    record["parent"] == root_guid and \
-                    "GrossFloorArea" in record.get("props", {}):
-                record["props"]["GrossFloorArea"] += 100.0
+        for record in building.bim.by_type("IfcPropertySet"):
+            if record["parent"] == root_guid and \
+                    "GrossFloorArea" in record["props"]:
+                building.bim.set_property(
+                    record["GlobalId"], "GrossFloorArea",
+                    record["props"]["GrossFloorArea"] + 100.0)
         deployment.sync_models()
         assert deployment.server.database.conflicts_overwritten > before
 
@@ -132,11 +138,11 @@ class TestCentralizedDeployment:
                                         sync_period=600.0)
         building = dataset.buildings[0]
         root_guid = building.bim.root()["GlobalId"]
-        for record in building.bim._records.values():
-            if record["type"] == "IfcPropertySet" and \
-                    record["parent"] == root_guid and \
-                    "YearOfConstruction" in record.get("props", {}):
-                record["props"]["YearOfConstruction"] = 2015
+        for record in building.bim.by_type("IfcPropertySet"):
+            if record["parent"] == root_guid and \
+                    "YearOfConstruction" in record["props"]:
+                building.bim.set_property(record["GlobalId"],
+                                          "YearOfConstruction", 2015)
         row = deployment.server.database.entities[building.entity_id]
         assert row["properties"]["year_built"] != 2015  # stale
         deployment.run(601.0)  # periodic sync fires
@@ -150,3 +156,56 @@ class TestCentralizedDeployment:
             method="POST", body={"record": "nonsense"}, check=False,
         )
         assert response.status == 400
+
+
+class TestCentralizedCatchesOnlyWhatItMeans:
+    """A malformed body is a 400 and a lost request a failed relay; any
+    other exception is a bug and propagates (the 500 path counts it)."""
+
+    GOOD = {"device_id": "dev-0001", "entity_id": "bld-0001",
+            "quantity": "power", "value": 1.0, "timestamp": 0.0}
+
+    @pytest.mark.parametrize("body", [
+        {"record": "nonsense"},                       # SerializationError
+        {**GOOD, "quantity": "flux"},                 # UnitError
+        {**GOOD, "value": "high"},                    # ValueError
+        {**GOOD, "timestamp": None},                  # TypeError
+        ["not", "a", "mapping"],                      # TypeError
+    ])
+    def test_every_malformed_body_is_a_400(self, deployment, body):
+        response = deployment.server._ingest_route(
+            Request(POST, "/ingest", body=body))
+        assert response.status == 400
+        assert response.reason.startswith("bad measurement")
+
+    def test_a_decoder_bug_is_not_a_bad_measurement(self, deployment,
+                                                    monkeypatch):
+        def broken(data):
+            raise KeyError("decoder bug")
+
+        monkeypatch.setattr(centralized.Measurement, "from_dict", broken)
+        client = deployment.client_host("bug-ingester")
+        response = client.call(
+            deployment.server.uri.rstrip("/") + "/ingest",
+            method="POST", body=self.GOOD, check=False)
+        assert response.status == 500
+        assert deployment.server.service.handler_errors == 1
+
+    def test_only_network_failures_count_as_failed_relays(self, deployment):
+        gateway = deployment.gateways[0]
+        address = next(iter(gateway._by_address))
+        futures = []
+
+        def request(*_args, **_kwargs):
+            futures.append(Future())
+            return futures[-1]
+
+        gateway.http.request = request
+        reading = RawReading(address, "power", 1.0, 0.0)
+        gateway._relay(reading)
+        futures[-1].set_exception(RequestTimeoutError("no answer"))
+        assert gateway.failed == 1
+        gateway._relay(reading)
+        with pytest.raises(KeyError):
+            futures[-1].set_exception(KeyError("not a network failure"))
+        assert gateway.failed == 1

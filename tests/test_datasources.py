@@ -87,6 +87,20 @@ class TestBimStore:
         with pytest.raises(ConfigurationError):
             store.add_property_set("missing", "P" * 22, "pset", {})
 
+    def test_set_property_is_a_versioned_edit(self):
+        store = BimStore("x")
+        root = store.add_record("A" * 22, IFC_BUILDING, "b")
+        pset = store.add_property_set(root, "P" * 22, "Pset_BuildingCommon",
+                                      {"YearOfConstruction": 1979})
+        assert store.version == 2
+        store.set_property(pset, "YearOfConstruction", 2015)
+        assert store.version == 3
+        assert store.property_sets(root) == {"YearOfConstruction": 2015}
+        for not_a_pset in (root, "missing"):
+            with pytest.raises(ConfigurationError):
+                store.set_property(not_a_pset, "YearOfConstruction", 1)
+        assert store.version == 3
+
 
 class TestSimStore:
     def build_network(self):

@@ -63,12 +63,14 @@ _DURABLE_GOLDEN = {
 #: commit before PR 22 (the parent's per-bucket ``np.split`` / ``np.mean``
 #: loop) before any other edit: every ``(t, v)`` the Device-proxies'
 #: bucketed ``/data`` and the measurement DB's raw and rollup
-#: ``/query_range`` answered, and the bytes the whole run put on the wire
+#: ``/query_range`` answered, and the bytes the whole run put on the wire.
+#: ``bytes_sent`` was re-recorded (192 327 -> 192 385) when model answers
+#: gained their ``"token"`` field: four cold model bodies, 58 bytes
 _READ_GOLDEN = {
     "answers": "d9c596dbfd6bd1ce3ede71b81d366d59"
                "a78d34a24dea81f2b6f337734f2e0f38",
     "sources": ["raw", "rollup:900"],
-    "bytes_sent": 192327,
+    "bytes_sent": 192385,
 }
 
 
@@ -188,18 +190,28 @@ class TestReadPathGolden:
     """The twins above fingerprint scheduler, transport and ingest; this
     one fingerprints the answers of the read path, float for float."""
 
-    def test_bucketed_reads_answer_what_the_parent_answered(self):
-        district = deploy(ScenarioConfig(
-            seed=23, n_buildings=3, devices_per_building=3,
-            proxy_batching=BatchConfig(25, 10.0)))
-        district.run(1800.0)
-        client = district.client("reader", with_broker=False)
+    @staticmethod
+    def read(district, client):
         model = client.build_area_model(
             AreaQuery(district.district_id,
                       entity_ids=("bld-0001", "bld-0002")),
             with_data=True, data_bucket=300.0)
         answers = [sorted(entity.measurements.items())
                    for _id, entity in sorted(model.entities.items())]
+        return model, answers
+
+    @staticmethod
+    def district():
+        district = deploy(ScenarioConfig(
+            seed=23, n_buildings=3, devices_per_building=3,
+            proxy_batching=BatchConfig(25, 10.0)))
+        district.run(1800.0)
+        return district
+
+    def test_bucketed_reads_answer_what_the_parent_answered(self):
+        district = self.district()
+        client = district.client("reader", with_broker=False)
+        _model, answers = self.read(district, client)
         assert [len(series) for series in answers] == [6, 6]
         sources = []
         for prefer in ("raw", None):
@@ -215,3 +227,17 @@ class TestReadPathGolden:
             "sources": sources,
             "bytes_sent": district.network.stats.bytes_sent,
         } == _READ_GOLDEN
+
+    def test_a_repeat_read_revalidates_every_model(self):
+        district = self.district()
+        proxies = [district.gis_proxy, *district.bim_proxies.values()]
+        client = district.client("reader", with_broker=False)
+        first, answers = self.read(district, client)
+        translations = sum(proxy.translations for proxy in proxies)
+        again, repeated = self.read(district, client)
+        assert client.models_fetched == 8
+        assert client.models_not_modified == 4
+        assert sum(proxy.translations for proxy in proxies) == translations
+        assert repeated == answers
+        assert [entity.sources for entity in again.entities.values()] == \
+            [entity.sources for entity in first.entities.values()]

@@ -1,0 +1,268 @@
+"""Conditional model fetch: a Database-proxy model travels once.
+
+Every ``/model`` and ``/feature/{id}`` answer carries ``token``, the
+proxy store's version; a client that holds a model sends that token
+back as ``if_none_match`` and gets a bodyless 304 while the store has
+not changed, reusing the document it already decoded.  The contract:
+
+* equal (URI, params, token) => a byte-equal document, and that document
+  is what a fresh translate + encode gives;
+* every store mutation is visible on the next fetch;
+* ``translations`` counts 200 model answers, never 304s;
+* a repeat fetch with no mutation in between is a 304.
+"""
+
+import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from repro.common import serialization
+from repro.core.client import DistrictClient
+from repro.datasources.bim import IFC_PROPERTY_SET, IFC_SPACE, IFC_STOREY
+from repro.datasources.generators import synthesize_district
+from repro.datasources.geometry import rectangle
+from repro.datasources.gis import LAYER_BUILDINGS
+from repro.datasources.sim import NODE_JUNCTION
+from repro.errors import RequestTimeoutError, ServiceError
+from repro.network.scheduler import Scheduler
+from repro.network.transport import LatencyModel, Network
+from repro.network.webservice import GET, HttpClient, Response, WebService
+from repro.ontology.queries import ResolvedEntity
+from repro.proxies.database_proxy import BimProxy, GisProxy, SimProxy
+
+SOURCES = ("bim", "sim", "gis")
+
+
+class Sources:
+    """One BIM, one SIM and the GIS proxy of a two-building district,
+    and a client that has fetched nothing yet."""
+
+    def __init__(self):
+        dataset = synthesize_district(seed=5, n_buildings=2, n_networks=1)
+        self.net = Network(Scheduler(), latency=LatencyModel(jitter=0.0))
+        building, network = dataset.buildings[0], dataset.networks[0]
+        self.feature_id = building.feature_id
+        self.proxies = {
+            "bim": BimProxy(self.net.add_host("proxy-bim"), building.bim,
+                            building.entity_id, dataset.district_id),
+            "sim": SimProxy(self.net.add_host("proxy-sim"), network.sim,
+                            network.entity_id, dataset.district_id),
+            "gis": GisProxy(self.net.add_host("proxy-gis"), dataset.gis,
+                            dataset.district_id),
+        }
+        self.client = DistrictClient(self.net.add_host("user"),
+                                     "svc://master/")
+
+    def entity(self, source, entity_id="bld-0001"):
+        """The resolve answer that sends a client to one source only."""
+        if source == "gis":
+            return ResolvedEntity(entity_id, "building", "", {},
+                                  self.feature_id, ())
+        proxy = self.proxies[source]
+        kind = "building" if source == "bim" else "network"
+        return ResolvedEntity(proxy.entity_id, kind, "",
+                              {source: proxy.uri}, "", ())
+
+    def fresh(self, source, entity_id="bld-0001"):
+        """What the source translates to right now."""
+        if source == "gis":
+            return self.proxies["gis"].translate_feature(self.feature_id,
+                                                         entity_id)
+        return self.proxies[source].translate()
+
+    def fetch(self, source, entity_id="bld-0001", fmt="json", strict=True):
+        return self.client.fetch_entity_models(
+            self.entity(source, entity_id), (self.proxies["gis"].uri,),
+            fmt, strict=strict)
+
+
+class RevalidationMachine(RuleBasedStateMachine):
+    """Store verbs interleaved with warm (revalidating) and cold fetches
+    of BIM and SIM models and of GIS features under varying entity ids,
+    in JSON and XML."""
+
+    def __init__(self):
+        super().__init__()
+        self.sources = Sources()
+        self.reader = HttpClient(self.sources.net.add_host("reader"))
+        self.names = iter(range(10**6))
+        #: every model request the client sent, with its outcome
+        self.wire = []
+        gather = self.sources.client.http.gather
+
+        def spy(calls):
+            outcomes = gather(calls)
+            self.wire.extend(zip(calls, outcomes))
+            return outcomes
+
+        self.sources.client.http.gather = spy
+        #: key -> source, for keys the client fetched since their
+        #: source's last mutation
+        self.unchanged = {}
+        #: (key, token) -> the document a 200 carried under it
+        self.documents = {}
+        self.bodies = 0
+
+    @property
+    def bim(self):
+        return self.sources.proxies["bim"].store
+
+    @property
+    def sim(self):
+        return self.sources.proxies["sim"].store
+
+    def mutated(self, source):
+        self.unchanged = {key: kind for key, kind in self.unchanged.items()
+                          if kind != source}
+
+    def name(self, prefix, width=0):
+        return f"{prefix}{next(self.names):0{width}d}"
+
+    # -- store verbs -------------------------------------------------------
+
+    @rule(pick=st.integers(0, 10**3))
+    def add_record(self, pick):
+        parents = [r["GlobalId"] for r in self.bim.by_type(IFC_STOREY)]
+        self.bim.add_record(self.name("G", 21), IFC_SPACE,
+                            f"Room {pick}", parents[pick % len(parents)])
+        self.mutated("bim")
+
+    @rule(pick=st.integers(0, 10**3), area=st.integers(1, 500))
+    def add_property_set(self, pick, area):
+        spaces = self.bim.spaces()
+        self.bim.add_property_set(spaces[pick % len(spaces)]["GlobalId"],
+                                  self.name("P", 21), "Pset_Space",
+                                  {"NetArea": float(area)})
+        self.mutated("bim")
+
+    @rule(pick=st.integers(0, 10**3),
+          name=st.sampled_from(["YearOfConstruction", "NetArea",
+                                "Elevation", "LongName"]),
+          value=st.integers(0, 3000))
+    def set_property(self, pick, name, value):
+        psets = self.bim.by_type(IFC_PROPERTY_SET)
+        self.bim.set_property(psets[pick % len(psets)]["GlobalId"], name,
+                              value)
+        self.mutated("bim")
+
+    @rule(x=st.integers(0, 500), y=st.integers(0, 500))
+    def add_feature(self, x, y):
+        self.sources.proxies["gis"].store.add_feature(
+            LAYER_BUILDINGS, rectangle(float(x), float(y), 12.0, 8.0),
+            {"cadastral_id": self.name("TO-09-", 4)})
+        self.mutated("gis")
+
+    @rule(x=st.integers(0, 500), y=st.integers(0, 500))
+    def add_node(self, x, y):
+        self.sim.add_node(self.name("n-x"), NODE_JUNCTION, float(x),
+                          float(y))
+        self.mutated("sim")
+
+    @rule(tail=st.integers(0, 10**3), head=st.integers(0, 10**3),
+          length=st.integers(1, 400))
+    def add_edge(self, tail, head, length):
+        nodes = [node["node_id"] for node in self.sim.nodes()]
+        self.sim.add_edge(self.name("e-x"), nodes[tail % len(nodes)],
+                          nodes[head % len(nodes)], float(length), 250.0)
+        self.mutated("sim")
+
+    # -- fetches -----------------------------------------------------------
+
+    @rule(source=st.sampled_from(SOURCES),
+          entity_id=st.sampled_from(["bld-0001", "bld-0002"]),
+          fmt=st.sampled_from(sorted(serialization.FORMATS)))
+    def fetch(self, source, entity_id, fmt):
+        model, = self.sources.fetch(source, entity_id, fmt)
+        (call, outcome), = self.wire
+        self.wire.clear()
+        params = dict(call["params"])
+        claimed = params.pop("if_none_match", None)
+        key = (call["uri"], tuple(sorted(params.items())))
+        encoded = serialization.encode(self.sources.fresh(source, entity_id),
+                                       fmt)
+        # a 304 hands back a model exactly as fresh as a body would be
+        assert model == serialization.decode(encoded, fmt)
+        if key in self.unchanged:
+            assert claimed is not None and outcome.status == 304
+            assert outcome.body is None
+        else:
+            assert outcome.status == 200
+            self.record(key, outcome.body, encoded)
+        self.unchanged[key] = source
+
+    @rule(source=st.sampled_from(SOURCES),
+          entity_id=st.sampled_from(["bld-0001", "bld-0002"]),
+          fmt=st.sampled_from(sorted(serialization.FORMATS)))
+    def cold_fetch(self, source, entity_id, fmt):
+        """A reader holding nothing: always a 200, and the same bytes as
+        any earlier 200 under the same token."""
+        (_, call), = DistrictClient._model_calls(
+            self.sources.entity(source, entity_id),
+            (self.sources.proxies["gis"].uri,), fmt)
+        response = self.reader.get(call["uri"], params=call["params"])
+        key = (call["uri"], tuple(sorted(call["params"].items())))
+        encoded = serialization.encode(self.sources.fresh(source, entity_id),
+                                       fmt)
+        self.record(key, response.body, encoded)
+
+    def record(self, key, body, encoded):
+        self.bodies += 1
+        assert body["document"] == encoded
+        held = self.documents.setdefault((key, body["token"]),
+                                         body["document"])
+        assert held == body["document"]
+
+    @invariant()
+    def translations_count_bodies(self):
+        assert sum(proxy.translations for proxy
+                   in self.sources.proxies.values()) == self.bodies
+
+
+RevalidationMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None)
+TestRevalidationMachine = RevalidationMachine.TestCase
+
+
+class LyingProxy:
+    """Answers every model request 304, whatever the client holds."""
+
+    def __init__(self, net):
+        service = WebService(net.add_host("liar"))
+        service.add_route(GET, "/model",
+                          lambda request: Response(304, None, "not modified"))
+        self.uri = service.base_uri
+
+
+class TestWhatA304CannotDo:
+    def test_a_304_for_an_unheld_model_is_a_failed_fetch(self):
+        sources = Sources()
+        liar = LyingProxy(sources.net)
+        entity = ResolvedEntity("bld-0001", "building", "",
+                                {"bim": liar.uri}, "", ())
+        client = sources.client
+        with pytest.raises(ServiceError) as raised:
+            client.fetch_entity_models(entity)
+        assert raised.value.status == 304
+        assert "does not hold" in raised.value.reason
+        assert client.fetch_entity_models(entity, strict=False) == []
+        assert client.fetch_failures == 1
+        assert client.models_fetched == client.models_not_modified == 0
+
+    def test_a_dark_proxy_is_missing_not_served_from_the_held_copy(self):
+        sources = Sources()
+        client = sources.client
+        client.http.timeout = 0.5
+        held, = sources.fetch("bim")
+        host = sources.proxies["bim"].host.name
+        sources.net.set_host_online(host, False)
+        assert sources.fetch("bim", strict=False) == []
+        assert client.fetch_failures == 1
+        with pytest.raises(RequestTimeoutError):
+            sources.fetch("bim")
+        sources.net.set_host_online(host, True)
+        # the outage did not drop the held copy: back online, a 304
+        again, = sources.fetch("bim")
+        assert again is held
+        assert client.models_not_modified == 1
+        assert client.models_fetched == 2
+        assert sources.proxies["bim"].translations == 1
