@@ -96,7 +96,7 @@ def test_scalability(n_buildings, benchmark, report):
     # round trip (~4.4 ms) whatever the district size, which is under a
     # fifth of the cold resolve from 40 buildings up (below that the
     # cold body is small enough that the round trip itself dominates)
-    assert client.resolve_not_modified >= 5
+    assert client.not_modified >= 5
     _warm_resolve_p50[n_buildings] = warm.p50
     assert warm.p50 < resolve.p50
     assert warm.p50 < 1.25 * _warm_resolve_p50[min(_warm_resolve_p50)], (

@@ -29,9 +29,9 @@ Three phases:
 
 * **Models, one hop later** — the fetch step revalidates the same way.
   After a warm-up ``build_area_model`` a repeat over the unchanged area
-  must cause **0** new translations, every model reply a 304; after one
-  ``BimStore.set_property`` exactly that building's BIM model is a 200
-  and carries the edit.
+  must ship **0** full bodies, the resolve included, and cause **0**
+  new translations; after one ``BimStore.set_property`` exactly that
+  building's BIM model is a 200 and carries the edit.
 
 Set ``REPRO_BENCH_QUICK=1`` for a shortened CI smoke run.
 """
@@ -137,9 +137,7 @@ def test_repeat_resolve_speedup(n_buildings, benchmark, report):
     cold_sim = metrics.summary("cold resolve")
     warm_sim = metrics.summary("warm resolve")
     ttl_sim = metrics.summary("ttl resolve")
-    lookups = (ttl.resolve_cache_hits + ttl.resolve_cache_misses
-               + ttl.resolve_revalidations)
-    hit_ratio = ttl.resolve_cache_hits / lookups
+    hit_ratio = ttl.held_hits / (ROUNDS * ROUND_RESOLVES)
     warm_speedup = total(cold_sim) / total(warm_sim)
     ttl_speedup = total(cold_sim) / max(total(ttl_sim), 1e-12)
     ttl_wall_speedup = total(metrics.summary("cold wall")) \
@@ -153,15 +151,15 @@ def test_repeat_resolve_speedup(n_buildings, benchmark, report):
                f" cold p50={cold_sim.p50 * 1e3:6.2f}ms {cold_bytes[0]:6d}B"
                f" | default p50={warm_sim.p50 * 1e3:5.2f}ms"
                f" {warm_bytes[0]:4d}B sim x{warm_speedup:5.1f}"
-               f" 304s={warm.resolve_not_modified}"
+               f" 304s={warm.not_modified}"
                f" | ttl p50={ttl_sim.p50 * 1e3:5.2f}ms"
                f" sim x{ttl_speedup:6.1f} wall x{ttl_wall_speedup:5.1f}"
                f" hit ratio={hit_ratio:.2f}"
                f" | master hits={master.resolve_cache_hits}")
 
     # acceptance, default client: every repeat is a bodyless 304 ...
-    assert warm.resolve_cache_misses == 1
-    assert warm.resolve_not_modified == warm.resolve_revalidations \
+    assert warm.http.requests_sent - warm.revalidations == 1
+    assert warm.not_modified == warm.revalidations \
         >= warm_sim.count - 1
     assert warm_bytes[0] <= 1024 < cold_bytes[0]
     assert warm_sim.p50 < cold_sim.p50
@@ -179,7 +177,7 @@ def test_repeat_resolve_speedup(n_buildings, benchmark, report):
         f"wall-clock speedup only x{ttl_wall_speedup:.1f}"
     )
     assert hit_ratio > 0.5
-    assert ttl.resolve_not_modified >= 1  # the 304 path was exercised
+    assert ttl.not_modified >= 1  # the 304 path was exercised
     assert master.resolve_cache_hits >= 1  # so was the server cache
 
 
@@ -259,7 +257,7 @@ def test_heartbeats_keep_tokens_and_churn_never_serves_evicted_uri(report):
     assert master.lease_evictions >= 1
     assert master.ontology_epoch > epoch_before
     # after the eviction's one full body the default client is back on 304s
-    assert default.resolve_revalidations - default.resolve_not_modified == 1
+    assert default.revalidations - default.not_modified == 1
 
 
 def test_unchanged_models_are_revalidated_not_retranslated(report):
@@ -279,10 +277,14 @@ def test_unchanged_models_are_revalidated_not_retranslated(report):
         client.build_area_model(whole)
     models = client.models_fetched
     before = translations()
+    sent = client.http.requests_sent
     with bytes_received_by(district.network, client.host.name) as repeat:
         client.build_area_model(whole)
     repeat_translations = translations() - before
-    repeat_304s = client.models_not_modified
+    repeat_304s = client.not_modified
+    # every request of the repeat was answered 304: the resolve and
+    # every model, so not one full body crossed the wire
+    repeat_bodies = client.http.requests_sent - sent - repeat_304s
 
     building = district.dataset.buildings[0]
     bim = building.bim
@@ -293,24 +295,27 @@ def test_unchanged_models_are_revalidated_not_retranslated(report):
     edited_before = district.bim_proxies[building.entity_id].translations
     model = client.build_area_model(whole)
     edit_translations = translations() - before
-    edit_304s = client.models_not_modified - repeat_304s
+    edit_304s = client.not_modified - repeat_304s
 
     report.record(EXPERIMENT, cold_area_model_bytes=cold[0],
                   repeat_area_model_bytes=repeat[0],
+                  repeat_full_bodies=repeat_bodies,
                   repeat_model_translations=repeat_translations)
     report.header(EXPERIMENT,
                   "resolve fast path: repeat whole-district queries")
     report.add(EXPERIMENT,
                f"model revalidation: {models} models, repeat area model "
-               f"{repeat[0]} B (cold {cold[0]} B), {repeat_304s} model 304s, "
-               f"{repeat_translations} translations; after one "
+               f"{repeat[0]} B (cold {cold[0]} B), {repeat_304s} 304s, "
+               f"{repeat_bodies} full bodies, {repeat_translations} "
+               f"translations; after one "
                f"set_property {edit_translations} translation")
     assert repeat_translations == 0
-    assert repeat_304s == models > 0
+    assert repeat_bodies == 0
+    assert repeat_304s == models + 1 > 1  # every model and the resolve
     assert repeat[0] < cold[0]
     assert edit_translations == 1
     assert district.bim_proxies[building.entity_id].translations \
         == edited_before + 1
-    assert edit_304s == models - 1
+    assert edit_304s == models  # the resolve and every other model
     assert model.entity(building.entity_id).sources["bim"] \
         .properties["year_built"] == 2015

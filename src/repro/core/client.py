@@ -13,9 +13,10 @@
 Steps 2 and 3 are one concurrent round: the proxies are independent
 hosts, so every model request and one data request per Device-proxy go
 out together and the client waits for the slowest, not for the sum.
-A model the client already holds is revalidated with its token
-(``if_none_match``): the proxy answers 304 while its store is unchanged
-and the held document is reused.  Device data is never held.
+Resolves and models are conditional GETs: the client holds every answer
+with its token in one LRU table, sends the token back as
+``if_none_match`` and reuses the held answer on a 304.  Device data is
+never held.
 
 The client also exposes remote control (actuation through the owning
 Device-proxy) and live subscriptions on the middleware.
@@ -24,18 +25,12 @@ Device-proxy) and live subscriptions on the middleware.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common import serialization
 from repro.common.cdf import ActuationResult, EntityModel
 from repro.common.serialization import JSON_FORMAT
-from repro.errors import (
-    CircuitOpenError,
-    IntegrationError,
-    QueryError,
-    RequestTimeoutError,
-    ServiceError,
-)
+from repro.errors import IntegrationError, QueryError, ServiceError
 from repro.middleware.broker import Event
 from repro.middleware.peer import MiddlewarePeer, Subscription
 from repro.middleware.topics import actuation_topic, measurement_filter
@@ -53,15 +48,10 @@ from repro.ontology.queries import (
 from repro.storage.query import RangeQuery
 
 
-class _ResolveCacheEntry:
-    """One cached ``/resolve`` answer with its validator and fetch time."""
-
-    __slots__ = ("area", "epoch", "fetched_at")
-
-    def __init__(self, area: ResolvedArea, epoch: str, fetched_at: float):
-        self.area = area
-        self.epoch = epoch
-        self.fetched_at = fetched_at
+#: bound on the held-answer table: districtbench's area_query holds at
+#: most 427 answers (128 models, 299 distinct areas), so a read-heavy
+#: client keeps every answer it revalidates
+HELD_ANSWERS_MAX = 1024
 
 
 class DistrictClient:
@@ -76,18 +66,15 @@ class DistrictClient:
     and 5xx answers, so a primary kill costs one failed call instead of
     an outage.
 
-    Every :meth:`resolve` answer is kept with its epoch token and
-    *revalidated* on the next identical query with a conditional GET
-    (``if_none_match`` carrying the token) — the master confirms an
-    unchanged ontology with a bodyless 304-style reply, and ships the
-    full payload only when something a resolve can return has changed.
-    A 304 is exactly as fresh as a full body (the master sweeps leases
-    before it reads the token), so the default *resolve_cache_ttl* of 0
-    — always revalidate — adds no staleness.  A TTL > 0 (simulated
-    seconds) additionally serves an answer younger than the TTL from
-    memory with no network traffic, which bounds staleness instead: a
-    proxy evicted mid-TTL can keep resolving from this client's cache
-    for at most ``resolve_cache_ttl`` seconds.
+    Every resolve and model answer is held with its token and
+    revalidated on the next identical request (a bodyless 304 while it
+    is unchanged).  A 304 is exactly as fresh as a full body, so the
+    default *resolve_cache_ttl* of 0 — always revalidate — adds no
+    staleness.  A TTL > 0 (simulated seconds) also serves a resolve
+    answer younger than the TTL from memory with no network traffic,
+    which bounds staleness instead: a proxy evicted mid-TTL can keep
+    resolving from this client for at most ``resolve_cache_ttl``
+    seconds.
     """
 
     def __init__(self, host: Host,
@@ -95,8 +82,7 @@ class DistrictClient:
                  broker_host: Union[str, Sequence[str], None] = None,
                  timeout: float = 5.0,
                  policy: Optional[ResiliencePolicy] = None,
-                 resolve_cache_ttl: float = 0.0,
-                 resolve_cache_max: int = 64):
+                 resolve_cache_ttl: float = 0.0):
         self.host = host
         self.masters = master_uri if isinstance(master_uri, FailoverSet) \
             else FailoverSet(master_uri)
@@ -105,61 +91,22 @@ class DistrictClient:
             else None
         #: models in hand after a fetch, 304-revalidated ones included
         self.models_fetched = 0
-        self.models_not_modified = 0
         self.data_requests = 0
         self.fetch_failures = 0
         self.resolve_cache_ttl = resolve_cache_ttl
-        self.resolve_cache_max = resolve_cache_max
-        self.resolve_cache_hits = 0
-        self.resolve_cache_misses = 0
-        self.resolve_revalidations = 0
-        self.resolve_not_modified = 0
-        self._resolve_cache: "OrderedDict[Tuple, _ResolveCacheEntry]" = \
+        #: resolves answered from memory inside the TTL, no round trip
+        self.held_hits = 0
+        #: conditional GETs sent, and the 304s that reused a held answer
+        self.revalidations = 0
+        self.not_modified = 0
+        #: (path or uri, sorted params) -> (token, answer, fetched_at)
+        self._held: "OrderedDict[Tuple, Tuple[str, Any, float]]" = \
             OrderedDict()
-        #: (uri, sorted params) -> (token, model) of every model fetched;
-        #: one entry per distinct model request, replaced in place
-        self._held_models: Dict[Tuple, Tuple[str, EntityModel]] = {}
-
-    @property
-    def master_uri(self) -> str:
-        """The master URI calls currently target (current set member)."""
-        return self.masters.current
 
     @property
     def master_failovers(self) -> int:
         """How many times master calls rotated to another replica."""
         return self.masters.failovers
-
-    def _master_get(self, path: str,
-                    params: Optional[Dict[str, str]] = None) -> Response:
-        """GET from the master set, failing over across replicas.
-
-        Tries each replica at most once per call, starting from the one
-        that last worked; re-raises the final error when the whole set
-        is down.  Retryable failures are the same ones the resilience
-        layer recognises: timeouts, open circuits and 5xx answers
-        (including the 503 a standby/fenced master returns for writes).
-        A 2xx or 3xx answer is returned as is (the caller branches on
-        ``status``: a 304 is an answer, not an error); a 4xx raises.
-        """
-        last_error: Optional[Exception] = None
-        for _ in range(len(self.masters)):
-            uri = self.masters.current
-            try:
-                response = self.http.get(uri + path, params=params,
-                                         check=False)
-            except (RequestTimeoutError, CircuitOpenError) as exc:
-                last_error = exc
-            else:
-                if response.status < 400:
-                    return response
-                last_error = ServiceError(response.status, response.reason)
-                if response.status < 500:
-                    raise last_error
-            failed, uri = uri, self.masters.advance()
-            emit(self.host.network, "master_failover", host=self.host.name,
-                 failed=failed, next=uri, client=self.host.name)
-        raise last_error
 
     # -- step 1: resolution ----------------------------------------------
 
@@ -177,40 +124,70 @@ class DistrictClient:
         one call.
         """
         params = query.to_params()
-        key = tuple(sorted(params.items()))
-        entry = self._resolve_cache.get(key) if use_cache else None
-        if entry is not None:
-            self._resolve_cache.move_to_end(key)
-            now = self.host.network.scheduler.now
-            if now - entry.fetched_at < self.resolve_cache_ttl:
-                self.resolve_cache_hits += 1
-                emit(self.host.network, "resolve_cache_hit",
-                     host=self.host.name, epoch=entry.epoch,
-                     client=self.host.name)
-                return entry.area
-            self.resolve_revalidations += 1
-            params["if_none_match"] = entry.epoch
-        elif use_cache:
-            self.resolve_cache_misses += 1
-            emit(self.host.network, "resolve_cache_miss",
-                 host=self.host.name, client=self.host.name)
-        response = self._master_get("/resolve", params=params)
-        if response.status == 304:
-            # the held answer is still the master's answer: no payload
-            entry.fetched_at = self.host.network.scheduler.now
-            self.resolve_not_modified += 1
-            emit(self.host.network, "resolve_cache_not_modified",
-                 host=self.host.name, epoch=entry.epoch,
-                 client=self.host.name)
-            return entry.area
-        area = ResolvedArea.from_dict(response.body)
-        self._resolve_cache[key] = _ResolveCacheEntry(
-            area, response.body.get("epoch", ""),
-            self.host.network.scheduler.now)
-        self._resolve_cache.move_to_end(key)
-        while len(self._resolve_cache) > self.resolve_cache_max:
-            self._resolve_cache.popitem(last=False)
-        return area
+        key = ("/resolve", tuple(sorted(params.items())))
+        held = self._held.get(key) if use_cache else None
+        if held is not None and \
+                self.host.network.scheduler.now - held[2] \
+                < self.resolve_cache_ttl:
+            self._held.move_to_end(key)
+            self.held_hits += 1
+            emit(self.host.network, "held_answer_hit", host=self.host.name,
+                 token=held[0], client=self.host.name)
+            return held[1]
+        if use_cache:
+            params = self._conditional(key, params)
+        response = self.http.failover(self.masters, "/resolve",
+                                      params=params)
+        return self._held_answer(key, response, True,
+                                 ResolvedArea.from_dict)
+
+    # -- conditional GET: one held-answer table ------------------------------
+
+    def _conditional(self, key: Tuple, params: Dict[str, str]
+                     ) -> Dict[str, str]:
+        """*params*, with the held token as ``if_none_match`` when this
+        client holds an answer for *key*."""
+        held = self._held.get(key)
+        if held is None:
+            return params
+        self.revalidations += 1
+        return {**params, "if_none_match": held[0]}
+
+    def _held_answer(self, key: Tuple, outcome: Union[Response, Exception],
+                     strict: bool, decode: Callable[[Dict], Any]) -> Any:
+        """The answer one conditional GET put in hand; None if it failed.
+
+        A 304 hands back the held answer and restarts its TTL; a 200 is
+        decoded and held under its token.  A 304 for an answer this
+        client does not hold is a failed fetch, as is any non-2xx.
+        """
+        revalidated = isinstance(outcome, Response) and outcome.status == 304
+        held = self._held.get(key) if revalidated else None
+        if held is not None:
+            self.not_modified += 1
+            emit(self.host.network, "held_answer_reused",
+                 host=self.host.name, token=held[0], client=self.host.name)
+            token, answer, _ = held
+        else:
+            if revalidated:
+                # ahead of _answered, which takes only a 2xx for an answer
+                outcome = ServiceError(304, "this client does not hold it")
+            if not self._answered(outcome, strict):
+                return None
+            token, answer = outcome.body["token"], decode(outcome.body)
+        self._held[key] = (token, answer, self.host.network.scheduler.now)
+        self._held.move_to_end(key)
+        if len(self._held) > HELD_ANSWERS_MAX:
+            self._held.popitem(last=False)
+        return answer
+
+    @staticmethod
+    def _decode_model(body: Dict) -> EntityModel:
+        document = serialization.decode(body["document"], body["format"])
+        if isinstance(document, list):
+            raise IntegrationError(f"a {body['format']} model answer "
+                                   f"decoded to a list")
+        return document
 
     # -- steps 2 and 3: model and data retrieval, one concurrent round ------
 
@@ -261,20 +238,16 @@ class DistrictClient:
         for entity_id, proxy_uri, query in series:
             by_proxy.setdefault(proxy_uri, []).append((entity_id, query))
         self.data_requests += len(by_proxy)
-        keys, calls = [], []
-        for _, call in model_calls:
-            key = (call["uri"], tuple(sorted(call["params"].items())))
-            held = self._held_models.get(key)
-            if held is not None:
-                call = {"uri": call["uri"], "params": {
-                    **call["params"], "if_none_match": held[0]}}
-            keys.append(key)
-            calls.append(call)
+        keys = [(call["uri"], tuple(sorted(call["params"].items())))
+                for _, call in model_calls]
+        calls = [{"uri": call["uri"],
+                  "params": self._conditional(key, call["params"])}
+                 for key, (_, call) in zip(keys, model_calls)]
         outcomes = self.http.gather(calls + self._data_calls(by_proxy))
         models: Dict[str, List[EntityModel]] = {}
-        for (entity_id, call), key, outcome in zip(model_calls, keys,
-                                                   outcomes):
-            model = self._model_of(key, call["uri"], outcome, strict)
+        for (entity_id, _), key, outcome in zip(model_calls, keys, outcomes):
+            model = self._held_answer(key, outcome, strict,
+                                      self._decode_model)
             if model is not None:
                 self.models_fetched += 1
                 models.setdefault(entity_id, []).append(model)
@@ -291,27 +264,6 @@ class DistrictClient:
                     (query.device_id, query.quantity)
                 ] = [(t, v) for t, v in answer]
         return models, measurements
-
-    def _model_of(self, key: Tuple, uri: str,
-                  outcome: Union[Response, Exception], strict: bool
-                  ) -> Optional[EntityModel]:
-        """The model one gathered fetch put in hand; None if it failed."""
-        if isinstance(outcome, Response) and outcome.status == 304:
-            # ahead of _answered, which takes only a 2xx for an answer
-            held = self._held_models.get(key)
-            if held is not None:
-                self.models_not_modified += 1
-                return held[1]
-            outcome = ServiceError(304, f"{uri} revalidated a model "
-                                        f"this client does not hold")
-        if not self._answered(outcome, strict):
-            return None
-        body = outcome.body
-        document = serialization.decode(body["document"], body["format"])
-        if isinstance(document, list):
-            raise IntegrationError(f"{uri} returned a list for a model")
-        self._held_models[key] = (body["token"], document)
-        return document
 
     def _answered(self, outcome: Union[Response, Exception], strict: bool
                   ) -> bool:

@@ -49,6 +49,7 @@ from repro.network.webservice import (
     Request,
     Response,
     WebService,
+    conditional,
     error,
     ok,
 )
@@ -73,10 +74,10 @@ class MasterNode(StateMachine):
     a lease leaves it alone.  The invariant is *equal token ⇒ equal
     answer to every query*, so a cached serialized answer is served
     only while the epoch is unchanged and can never redirect a client
-    to an evicted proxy.  Clients revalidate a previous answer with an
-    ``if_none_match`` parameter carrying the answer's
-    :meth:`epoch_token`; an unchanged token earns a bodyless 304-style
-    response (see :meth:`repro.core.client.DistrictClient.resolve`).
+    to an evicted proxy.  The answer's ``token`` is :meth:`epoch_token`
+    and ``/resolve`` is a conditional GET
+    (:func:`~repro.network.webservice.conditional`): a caller that
+    sends it back unchanged gets a bodyless 304.
     """
 
     kind = "master"
@@ -174,11 +175,6 @@ class MasterNode(StateMachine):
             if self.replication is not None else 0
         return f"{self.host.name}:{repl_epoch}:{self.ontology_epoch}"
 
-    def invalidate_resolve_cache(self) -> None:
-        """Drop every cached resolve answer (epoch transitions)."""
-        self._resolve_cache.clear()
-        self._resolve_cache_token = None
-
     # -- leases ---------------------------------------------------------------
 
     @property
@@ -245,7 +241,6 @@ class MasterNode(StateMachine):
         self.ontology_epoch = max(
             self.ontology_epoch, int(state.get("ontology_epoch", 0))
         ) + 1
-        self.invalidate_resolve_cache()
 
     def activate(self) -> None:
         """Promotion: keep the resolve token monotone across failover.
@@ -254,7 +249,6 @@ class MasterNode(StateMachine):
         answer minted by the deposed one.
         """
         self.bump_epoch()
-        self.invalidate_resolve_cache()
 
     def standby(self, name: str) -> "MasterNode":
         return MasterNode(self.host.network.add_host(name))
@@ -594,17 +588,21 @@ class MasterNode(StateMachine):
     def _resolve_route(self, request: Request) -> Response:
         self.expire_leases()  # evictions must land before the token read
         token = self.epoch_token()
-        params = dict(request.params)
-        claimed = params.pop("if_none_match", None)
-        if claimed is not None and claimed == token:
-            # conditional GET: the client's cached answer is still
-            # valid — confirm with a bodyless 304 instead of rebuilding
-            # and re-serializing the whole tuple forest
+        response = conditional(
+            request, token,
+            lambda params: self._resolve_answer(params, token))
+        if response.status == 304:
+            # the caller's held answer is still valid: no forest walk,
+            # no serialization
             self.resolve_not_modified += 1
             self.resolves_served += 1
             emit(self.host.network, "resolve_cache_not_modified",
                  host=self.host.name, epoch=token, master=self.host.name)
-            return Response(304, {"epoch": token}, "not modified")
+        return response
+
+    def _resolve_answer(self, params: Dict[str, str], token: str
+                        ) -> Response:
+        """The full ``/resolve`` answer under *token*, from the body LRU."""
         if self._resolve_cache_token != token:
             # lazy invalidation: the first resolve after any epoch bump
             # drops every answer cached against the previous forest
@@ -627,7 +625,7 @@ class MasterNode(StateMachine):
         except UnknownEntityError as exc:
             return error(404, str(exc))
         body = resolved.to_dict()
-        body["epoch"] = token
+        body["token"] = token
         # measured once per cached answer: a whole-district body is
         # ~175 KB, and re-walking it for every reply dominated the
         # read path's host time

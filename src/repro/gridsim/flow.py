@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 
 from repro.core.integration import IntegratedModel
 from repro.datasources.sim import NODE_CONSUMER, SimStore
-from repro.errors import IntegrationError, QueryError
+from repro.errors import IntegrationError, QueryError, UnknownEntityError
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def demands_from_model(model: IntegratedModel, network_id: str,
             continue
         try:
             consumer = sim.consumer_for_parcel(str(cadastral))
-        except Exception:
+        except UnknownEntityError:
             continue  # this network does not serve the parcel
         watts: Optional[float] = None
         for device in building.devices:

@@ -30,7 +30,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.network.futures import Future
-from repro.network.resilience import ResiliencePolicy
+from repro.network.resilience import FailoverSet, ResiliencePolicy
 from repro.network.scheduler import EventHandle
 from repro.network.transport import Host, Message, presized_estimate
 from repro.observability.tracing import CLIENT, SERVER, TraceContext, emit
@@ -82,6 +82,22 @@ def ok(body: Any = None) -> Response:
 def error(status: int, reason: str) -> Response:
     """Build an error response with a reason string."""
     return Response(status, None, reason)
+
+
+def conditional(request: Request, token: str,
+                answer: Callable[[Dict[str, str]], Response]) -> Response:
+    """Answer a conditional GET for a resource whose version is *token*.
+
+    A caller whose ``if_none_match`` equals *token* already holds the
+    current answer and gets a bodyless 304; *answer* does not run.  Any
+    other caller gets ``answer(params)``, where *params* are the
+    request's params without the validator.  A 200 from *answer* must
+    carry ``"token": token`` in its body so the caller can revalidate.
+    """
+    params = dict(request.params)
+    if params.pop("if_none_match", None) == token:
+        return Response(304, None, "not modified")
+    return answer(params)
 
 
 RouteHandler = Callable[[Request], Response]
@@ -275,7 +291,7 @@ class WebService:
         finally:
             if tracer is not None:
                 tracer.pop()
-        # 3xx answers (e.g. the resolve fast path's 304 not-modified)
+        # 3xx answers (a conditional GET's 304 not-modified)
         # are successfully served, not failures: they must not burn the
         # availability SLOs built on requests_served/requests_failed
         served = 200 <= response.status < 400
@@ -510,6 +526,34 @@ class HttpClient:
         if check and not outcome.ok:
             raise ServiceError(outcome.status, outcome.reason)
         return outcome
+
+    def failover(self, replicas: FailoverSet, path: str, method: str = GET,
+                 params: Optional[Dict[str, str]] = None, body: Any = None
+                 ) -> Response:
+        """Call *path* on each replica at most once, from the one that
+        last worked, until one answers 2xx or 3xx (a 304 is an answer).
+
+        Timeouts, open circuits and 5xx (a standby's 503) rotate to the
+        next replica; a 4xx raises :class:`ServiceError` at once.  When
+        every replica failed the last error is raised.
+        """
+        last_error: Optional[NetworkError] = None
+        for _ in range(len(replicas)):
+            uri = replicas.current
+            try:
+                response = self.call(uri + path, method, params=params,
+                                     body=body, check=False)
+            except (RequestTimeoutError, CircuitOpenError) as exc:
+                last_error = exc
+            else:
+                if response.status < 400:
+                    return response
+                last_error = ServiceError(response.status, response.reason)
+                if response.status < 500:
+                    raise last_error
+            emit(self.host.network, "failover", host=self.host.name,
+                 failed=uri, next=replicas.advance(), client=self.host.name)
+        raise last_error
 
     def _retry_event(self, uri, attempt: int, cause: str,
                      exhausted: bool = False) -> None:

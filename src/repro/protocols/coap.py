@@ -253,7 +253,8 @@ class CoapAdapter(ProtocolAdapter):
         try:
             records = json.loads(reader.payload.decode("utf-8"))
             value = float(records[0]["v"])
-        except Exception as exc:
+        except (ValueError, TypeError, LookupError, OverflowError) as exc:
+            # bad UTF-8, JSON or number; no record or no "v"; overflow
             raise FrameDecodeError(
                 f"bad CoAP actuation payload: {exc}"
             ) from exc

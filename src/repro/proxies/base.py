@@ -36,11 +36,8 @@ import json
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
-    CircuitOpenError,
     NetworkError,
     RegistrationError,
-    RequestTimeoutError,
-    ServiceError,
     UnknownRegistrationError,
 )
 from repro.network.resilience import FailoverSet, ResiliencePolicy
@@ -121,7 +118,8 @@ class Registrant:
 
         *master_uri* may be one URI, a sequence of URIs, or a shared
         :class:`~repro.network.resilience.FailoverSet` — a replicated
-        master set tried in order until one accepts the write (a
+        master set tried in order until one accepts the write
+        (:meth:`~repro.network.webservice.HttpClient.failover`: a
         standby's 503, a timeout or an open circuit rotate to the next
         replica; a 4xx refusal is final).  Hand the same set to
         :meth:`start_heartbeat` and it keeps renewing against whichever
@@ -135,29 +133,16 @@ class Registrant:
         masters = master_uri if isinstance(master_uri, FailoverSet) \
             else FailoverSet(master_uri)
         payload = self._registration(lease, full=True)
-        last_error: Optional[Exception] = None
-        for _ in range(len(masters)):
-            try:
-                response = self._client.post(
-                    masters.current + "/register", body=payload)
-            except ServiceError as exc:
-                if exc.status < 500:
-                    raise RegistrationError(
-                        f"master rejected registration of {self.host.name}: "
-                        f"{exc}"
-                    ) from exc
-                last_error = exc
-            except (RequestTimeoutError, CircuitOpenError) as exc:
-                last_error = exc
-            else:
-                self.registered = True
-                self._held_token = payload["token"]
-                return response.body
-            masters.advance()
-        raise RegistrationError(
-            f"no master accepted registration of {self.host.name}: "
-            f"{last_error}"
-        ) from last_error
+        try:
+            response = self._client.failover(masters, "/register", POST,
+                                             body=payload)
+        except NetworkError as exc:  # a 4xx refusal or no master left
+            raise RegistrationError(
+                f"no master accepted registration of {self.host.name}: "
+                f"{exc}") from exc
+        self.registered = True
+        self._held_token = payload["token"]
+        return response.body
 
     # -- registration heartbeat -------------------------------------------
 

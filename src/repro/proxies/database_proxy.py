@@ -5,11 +5,12 @@ and translation from its database to an open standard, such as JSON or
 XML."  All model routes therefore accept ``?format=json|xml`` and return
 the encoded CDF document; translation counters feed the C5 benchmark.
 
-Model answers are conditional: each carries ``token``, the store's
-:attr:`version`, and a request whose ``if_none_match`` equals the
-current token is answered with a bodyless 304 — no translation, no
-encoding.  A store only changes through its verbs, each of which moves
-the version, so a 304 is exactly as fresh as a full body.
+Model answers are conditional GETs
+(:func:`~repro.network.webservice.conditional`) under the store's
+:attr:`version`: a caller holding the current token gets a bodyless
+304 — no translation, no encoding.  A store only changes through its
+verbs, each of which moves the version, so a 304 is exactly as fresh
+as a full body.
 """
 
 from __future__ import annotations
@@ -30,7 +31,14 @@ from repro.errors import (
     UnknownEntityError,
 )
 from repro.network.transport import Host
-from repro.network.webservice import GET, Request, Response, error, ok
+from repro.network.webservice import (
+    GET,
+    Request,
+    Response,
+    conditional,
+    error,
+    ok,
+)
 from repro.proxies.base import Proxy
 from repro.proxies.translators import (
     translate_bim,
@@ -55,20 +63,22 @@ class DatabaseProxy(Proxy):
 
     def _model_response(self, request: Request,
                         build: Callable[[], EntityModel]) -> Response:
-        """Answer a model request: 304 if the caller's token is current,
-        else the translated, encoded model and its token."""
+        """Answer a model request as a conditional GET under the store's
+        version: 304, or the translated, encoded model and its token."""
         fmt = request.params.get("format", JSON_FORMAT)
         if fmt not in serialization.FORMATS:
             return error(400, f"unknown format {fmt!r}")
         token = str(self.store.version)
-        if request.params.get("if_none_match") == token:
-            return Response(304, None, "not modified")
-        try:
-            encoded = serialization.encode(build(), fmt)
-        except TranslationError as exc:
-            return error(500, str(exc))
-        self.translations += 1
-        return ok({"format": fmt, "document": encoded, "token": token})
+
+        def answer(_params: Dict[str, str]) -> Response:
+            try:
+                encoded = serialization.encode(build(), fmt)
+            except TranslationError as exc:
+                return error(500, str(exc))
+            self.translations += 1
+            return ok({"format": fmt, "document": encoded, "token": token})
+
+        return conditional(request, token, answer)
 
 
 class BimProxy(DatabaseProxy):

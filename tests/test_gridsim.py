@@ -155,6 +155,19 @@ class TestDemandsFromModel:
         with pytest.raises(IntegrationError):
             demands_from_model(model, "net-0001", sim)
 
+    def test_only_an_unserved_parcel_is_skipped(self, monkeypatch):
+        # UnknownEntityError means "this network does not serve the
+        # parcel"; any other exception is a bug and propagates
+        model = self.build_model(watts=40_000.0)
+        sim = radial_network()
+
+        def broken(cadastral_id):
+            raise KeyError("not an unserved parcel")
+
+        monkeypatch.setattr(sim, "consumer_for_parcel", broken)
+        with pytest.raises(KeyError):
+            demands_from_model(model, "net-0001", sim)
+
     def test_unknown_network_raises(self):
         model = self.build_model()
         with pytest.raises(IntegrationError):

@@ -1,13 +1,15 @@
-"""Conditional model fetch: a Database-proxy model travels once.
+"""Conditional GET: a model, or a resolve answer, travels once.
 
 Every ``/model`` and ``/feature/{id}`` answer carries ``token``, the
-proxy store's version; a client that holds a model sends that token
-back as ``if_none_match`` and gets a bodyless 304 while the store has
-not changed, reusing the document it already decoded.  The contract:
+proxy store's version, and every ``/resolve`` answer the master's
+ontology epoch token; a client that holds an answer sends that token
+back as ``if_none_match`` and gets a bodyless 304 while the source has
+not changed, reusing the answer it already decoded.  The contract:
 
-* equal (URI, params, token) => a byte-equal document, and that document
-  is what a fresh translate + encode gives;
-* every store mutation is visible on the next fetch;
+* equal (URI, params, token) => an equal answer, and that answer is what
+  a fresh translate + encode (or a fresh resolve) gives;
+* every store mutation, registration and eviction is visible on the
+  next fetch;
 * ``translations`` counts 200 model answers, never 304s;
 * a repeat fetch with no mutation in between is a 304.
 """
@@ -18,6 +20,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.common import serialization
 from repro.core.client import DistrictClient
+from repro.core.master import MasterNode
 from repro.datasources.bim import IFC_PROPERTY_SET, IFC_SPACE, IFC_STOREY
 from repro.datasources.generators import synthesize_district
 from repro.datasources.geometry import rectangle
@@ -27,7 +30,7 @@ from repro.errors import RequestTimeoutError, ServiceError
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
 from repro.network.webservice import GET, HttpClient, Response, WebService
-from repro.ontology.queries import ResolvedEntity
+from repro.ontology.queries import AreaQuery, ResolvedEntity, resolve
 from repro.proxies.database_proxy import BimProxy, GisProxy, SimProxy
 
 SOURCES = ("bim", "sim", "gis")
@@ -35,7 +38,7 @@ SOURCES = ("bim", "sim", "gis")
 
 class Sources:
     """One BIM, one SIM and the GIS proxy of a two-building district,
-    and a client that has fetched nothing yet."""
+    registered on a master, and a client that has fetched nothing yet."""
 
     def __init__(self):
         dataset = synthesize_district(seed=5, n_buildings=2, n_networks=1)
@@ -50,8 +53,12 @@ class Sources:
             "gis": GisProxy(self.net.add_host("proxy-gis"), dataset.gis,
                             dataset.district_id),
         }
+        self.district_id = dataset.district_id
+        self.master = MasterNode(self.net.add_host("master"))
+        for proxy in self.proxies.values():
+            self.master.register(proxy._registration(None, full=True))
         self.client = DistrictClient(self.net.add_host("user"),
-                                     "svc://master/")
+                                     self.master.uri)
 
     def entity(self, source, entity_id="bld-0001"):
         """The resolve answer that sends a client to one source only."""
@@ -77,16 +84,17 @@ class Sources:
 
 
 class RevalidationMachine(RuleBasedStateMachine):
-    """Store verbs interleaved with warm (revalidating) and cold fetches
-    of BIM and SIM models and of GIS features under varying entity ids,
-    in JSON and XML."""
+    """Store verbs, registrations and lease evictions interleaved with
+    warm (revalidating) and cold fetches of BIM and SIM models and of
+    GIS features under varying entity ids, in JSON and XML, and with
+    warm resolves of the whole district and of one building."""
 
     def __init__(self):
         super().__init__()
         self.sources = Sources()
         self.reader = HttpClient(self.sources.net.add_host("reader"))
         self.names = iter(range(10**6))
-        #: every model request the client sent, with its outcome
+        #: every request the client sent, with its outcome
         self.wire = []
         gather = self.sources.client.http.gather
 
@@ -99,7 +107,7 @@ class RevalidationMachine(RuleBasedStateMachine):
         #: key -> source, for keys the client fetched since their
         #: source's last mutation
         self.unchanged = {}
-        #: (key, token) -> the document a 200 carried under it
+        #: (key, token) -> the document or area a 200 carried under it
         self.documents = {}
         self.bodies = 0
 
@@ -166,6 +174,23 @@ class RevalidationMachine(RuleBasedStateMachine):
                           nodes[head % len(nodes)], float(length), 250.0)
         self.mutated("sim")
 
+    # -- the master: registrations and lease evictions --------------------
+
+    @rule(source=st.sampled_from(SOURCES),
+          lease=st.sampled_from([None, 20.0]))
+    def register(self, source, lease):
+        proxy = self.sources.proxies[source]
+        self.sources.master.register(proxy._registration(lease, full=True))
+
+    @rule(source=st.sampled_from(SOURCES))
+    def evict(self, source):
+        self.sources.master._evict_uri(self.sources.proxies[source].uri)
+
+    @rule(seconds=st.sampled_from([5.0, 30.0]))
+    def advance(self, seconds):
+        """Let time pass: a leased registration may run out."""
+        self.sources.net.scheduler.run_for(seconds)
+
     # -- fetches -----------------------------------------------------------
 
     @rule(source=st.sampled_from(SOURCES),
@@ -205,6 +230,32 @@ class RevalidationMachine(RuleBasedStateMachine):
                                        fmt)
         self.record(key, response.body, encoded)
 
+    @rule(entity_ids=st.sampled_from([(), ("bld-0001",)]))
+    def resolve(self, entity_ids):
+        """A warm resolve: a 304 exactly when the held token is still
+        the master's, and either way the answer a fresh resolve gives;
+        equal token => equal area, as for models."""
+        master = self.sources.master
+        query = AreaQuery(self.sources.district_id, entity_ids=entity_ids)
+        try:
+            area = self.sources.client.resolve(query)
+        except ServiceError as exc:
+            assert exc.status == 404  # every registration was evicted
+            area = None
+        (call, outcome), = self.wire
+        self.wire.clear()
+        if area is None:
+            return
+        params = dict(call["params"])
+        claimed = params.pop("if_none_match", None)
+        token = claimed if outcome.status == 304 else outcome.body["token"]
+        assert outcome.status == (304 if claimed == token else 200)
+        assert token == master.epoch_token()
+        fresh = resolve(master.ontology, query).to_dict()
+        assert area.to_dict() == fresh
+        key = (call["uri"], tuple(sorted(params.items())))
+        assert self.documents.setdefault((key, token), fresh) == fresh
+
     def record(self, key, body, encoded):
         self.bodies += 1
         assert body["document"] == encoded
@@ -224,11 +275,11 @@ TestRevalidationMachine = RevalidationMachine.TestCase
 
 
 class LyingProxy:
-    """Answers every model request 304, whatever the client holds."""
+    """Answers every request on *path* 304, whatever the client holds."""
 
-    def __init__(self, net):
+    def __init__(self, net, path="/model"):
         service = WebService(net.add_host("liar"))
-        service.add_route(GET, "/model",
+        service.add_route(GET, path,
                           lambda request: Response(304, None, "not modified"))
         self.uri = service.base_uri
 
@@ -246,7 +297,17 @@ class TestWhatA304CannotDo:
         assert "does not hold" in raised.value.reason
         assert client.fetch_entity_models(entity, strict=False) == []
         assert client.fetch_failures == 1
-        assert client.models_fetched == client.models_not_modified == 0
+        assert client.models_fetched == client.not_modified == 0
+
+    def test_a_304_for_an_unheld_resolve_is_a_failed_fetch(self):
+        sources = Sources()
+        liar = LyingProxy(sources.net, "/resolve")
+        client = DistrictClient(sources.net.add_host("lied-to"), liar.uri)
+        with pytest.raises(ServiceError) as raised:
+            client.resolve(AreaQuery(sources.district_id))
+        assert raised.value.status == 304
+        assert "does not hold" in raised.value.reason
+        assert client.not_modified == 0
 
     def test_a_dark_proxy_is_missing_not_served_from_the_held_copy(self):
         sources = Sources()
@@ -263,6 +324,6 @@ class TestWhatA304CannotDo:
         # the outage did not drop the held copy: back online, a 304
         again, = sources.fetch("bim")
         assert again is held
-        assert client.models_not_modified == 1
+        assert client.not_modified == 1
         assert client.models_fetched == 2
         assert sources.proxies["bim"].translations == 1

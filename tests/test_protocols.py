@@ -1,5 +1,7 @@
 """Tests for the four heterogeneous protocol adapters."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -267,6 +269,27 @@ class TestDownlink:
                 address, adapter.eep_for_quantities([quantity])))
         frame = adapter.encode_readings(address, [(quantity, 1.0)], 0.0)
         with pytest.raises(FrameDecodeError):
+            adapter.decode_command(frame)
+
+
+    def test_only_payload_errors_are_coap_decode_errors(self, monkeypatch):
+        # what JSON, indexing and float() raise on a bad payload is a
+        # FrameDecodeError; any other exception is a bug and propagates
+        adapter = CoapAdapter()
+        frame = adapter.encode_command(ADDRESSES["coap"], "setpoint", 21.5)
+        for decoded in ([], {}, 7, [{"w": 1}], [{"v": "x"}], [{"v": None}],
+                        [{"v": 10**400}]):
+            monkeypatch.setattr("repro.protocols.coap.json", SimpleNamespace(
+                loads=lambda text, decoded=decoded: decoded))
+            with pytest.raises(FrameDecodeError):
+                adapter.decode_command(frame)
+
+        def broken(text):
+            raise RuntimeError("not a payload error")
+
+        monkeypatch.setattr("repro.protocols.coap.json",
+                            SimpleNamespace(loads=broken))
+        with pytest.raises(RuntimeError):
             adapter.decode_command(frame)
 
 

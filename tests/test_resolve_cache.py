@@ -199,7 +199,7 @@ class TestOntologyEpoch:
         master.register(a)
         assert master.ontology_epoch == epoch + 1
         assert bim_uri() == "svc://bim-a/"
-        assert client.resolve_not_modified == 0
+        assert client.not_modified == 0
 
     def test_rejected_registration_still_moves_epoch(self, master):
         """A registration rejected half-way has already attached the
@@ -265,7 +265,7 @@ class TestServerResolveCache:
         assert master.resolve_cache_misses == 1
         assert master.resolve_cache_hits == 1
         assert second.body == first.body
-        assert second.body["epoch"] == master.epoch_token()
+        assert second.body["token"] == master.epoch_token()
 
     def test_registration_invalidates_cached_answer(self, net, master):
         master.register(bim_payload())
@@ -290,12 +290,12 @@ class TestServerResolveCache:
     def test_conditional_get_earns_304(self, net, master):
         master.register(bim_payload())
         first = self.resolve(net, master)
-        token = first.body["epoch"]
+        token = first.body["token"]
         reply = self.resolve(net, master, params={
             "district_id": "dst-0001", "if_none_match": token,
         })
         assert reply.status == 304
-        assert reply.body["epoch"] == token
+        assert reply.body is None
         assert master.resolve_not_modified == 1
         # a stale token gets the full answer instead
         master.register(sim_payload())
@@ -303,7 +303,7 @@ class TestServerResolveCache:
             "district_id": "dst-0001", "if_none_match": token,
         })
         assert reply.status == 200
-        assert reply.body["epoch"] != token
+        assert reply.body["token"] != token
 
     def test_304_counts_as_served_not_failed(self, net, master):
         master.register(bim_payload())
@@ -311,7 +311,7 @@ class TestServerResolveCache:
         failed_before = master.service.requests_failed
         self.resolve(net, master, params={
             "district_id": "dst-0001",
-            "if_none_match": first.body["epoch"],
+            "if_none_match": first.body["token"],
         })
         # 304 must not burn the resolve-availability SLO
         assert master.service.requests_failed == failed_before
@@ -374,7 +374,7 @@ class TestClientResolveCache:
         sent = client.http.requests_sent
         second = client.resolve(whole_district())
         assert client.http.requests_sent == sent  # served from memory
-        assert client.resolve_cache_hits == 1
+        assert client.held_hits == 1
         assert second is first
 
     def test_stale_entry_revalidates_with_304(self, net, master):
@@ -384,11 +384,11 @@ class TestClientResolveCache:
         net.scheduler.run_for(15.0)  # past the TTL, ontology unchanged
         second = client.resolve(whole_district())
         assert second is first  # the 304 kept the cached object
-        assert client.resolve_revalidations == 1
-        assert client.resolve_not_modified == 1
+        assert client.revalidations == 1
+        assert client.not_modified == 1
         # the 304 refreshed the TTL: the next resolve is a memory hit
         client.resolve(whole_district())
-        assert client.resolve_cache_hits == 1
+        assert client.held_hits == 1
 
     def test_epoch_change_forces_full_refresh(self, net, master):
         master.register(bim_payload())
@@ -397,7 +397,7 @@ class TestClientResolveCache:
         master.register(sim_payload())
         net.scheduler.run_for(15.0)
         second = client.resolve(whole_district())
-        assert client.resolve_not_modified == 0
+        assert client.not_modified == 0
         assert len(second.entities) == len(first.entities) + 1
 
     def test_use_cache_false_bypasses_cache(self, net, master):
@@ -416,11 +416,10 @@ class TestClientResolveCache:
         client = DistrictClient(net.add_host("user"), master.uri)
         first = client.resolve(whole_district())
         second = client.resolve(whole_district())
-        assert client.resolve_cache_hits == 0
+        assert client.held_hits == 0
         assert client.http.requests_sent == 2
-        assert client.resolve_cache_misses == 1
-        assert client.resolve_revalidations == 1
-        assert client.resolve_not_modified == 1
+        assert client.revalidations == 1
+        assert client.not_modified == 1
         assert master.resolve_not_modified == 1
         assert master.resolves_served == 2  # a 304 is a served resolve
         assert second is first
@@ -436,7 +435,7 @@ class TestClientResolveCache:
                                 policy=default_policy(seed=1))
         for _ in range(10):
             client.resolve(whole_district())
-        assert client.resolve_not_modified == 9
+        assert client.not_modified == 9
         assert client.master_failovers == 0
         assert client.http.policy.breaker.state("master") == "closed"
         assert client.http.policy.retries == 0
@@ -451,8 +450,8 @@ class TestClientResolveCache:
         net.scheduler.run_for(15.0)
         client.resolve(whole_district())
         # the restore bumped the epoch, so revalidation cannot 304
-        assert client.resolve_revalidations == 1
-        assert client.resolve_not_modified == 0
+        assert client.revalidations == 1
+        assert client.not_modified == 0
 
 
 QUERIES = (
@@ -602,13 +601,12 @@ class TestSteadyState:
         assert d.master.registrations == registrations  # as renewals only
         assert d.master.ontology_epoch == epoch
         assert d.master.lease_evictions == 0
-        assert client.resolve_cache_misses == 1
-        assert client.resolve_not_modified == 119
+        assert client.revalidations == client.not_modified == 119
         assert received[0] > 1024
         assert max(received[1:]) < 1024
         metrics = client.http.get(d.master.uri + "metrics").body["component"]
         assert metrics["resolve_not_modified"] == \
-            client.resolve_not_modified
+            client.not_modified
 
 
 class TestCacheUnderChurn:
@@ -639,7 +637,7 @@ class TestCacheUnderChurn:
         assert dead_uri not in proxy_uris_of(
             client.resolve(whole_district_of(d)))
         # one full body for the eviction, 304s on either side of it
-        assert client.resolve_revalidations - client.resolve_not_modified \
+        assert client.revalidations - client.not_modified \
             == 1
 
     def test_lease_eviction_mid_ttl_is_bounded_staleness(self):
@@ -666,7 +664,7 @@ class TestCacheUnderChurn:
         # must notice the epoch bump and drop the evicted URI
         d.run(31.0)
         fresh = client.resolve(whole_district_of(d))
-        assert client.resolve_revalidations >= 1
+        assert client.revalidations >= 1
         assert dead_uri not in proxy_uris_of(fresh)
         assert d.master.lease_evictions >= 1
 
@@ -694,7 +692,7 @@ class TestCacheUnderChurn:
         assert standby.ontology_epoch > epoch_before
         second = client.resolve(whole_district_of(d))
         # the new member's token can never 304-match the old answer
-        assert client.resolve_not_modified == 0
+        assert client.not_modified == 0
         assert proxy_uris_of(second) == proxy_uris_of(first)
 
 
