@@ -25,6 +25,7 @@ Device-proxy) and live subscriptions on the middleware.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common import serialization
@@ -134,6 +135,7 @@ class DistrictClient:
             emit(self.host.network, "held_answer_hit", host=self.host.name,
                  token=held[0], client=self.host.name)
             return held[1]
+        self._trim_held()
         if use_cache:
             params = self._conditional(key, params)
         response = self.http.failover(self.masters, "/resolve",
@@ -177,9 +179,13 @@ class DistrictClient:
             token, answer = outcome.body["token"], decode(outcome.body)
         self._held[key] = (token, answer, self.host.network.scheduler.now)
         self._held.move_to_end(key)
-        if len(self._held) > HELD_ANSWERS_MAX:
-            self._held.popitem(last=False)
         return answer
+
+    def _trim_held(self) -> None:
+        """Evict the least recently used answers beyond the bound; run
+        before a round sends tokens, so each is held when its 304 lands."""
+        while len(self._held) > HELD_ANSWERS_MAX:
+            self._held.popitem(last=False)
 
     @staticmethod
     def _decode_model(body: Dict) -> EntityModel:
@@ -240,6 +246,7 @@ class DistrictClient:
         self.data_requests += len(by_proxy)
         keys = [(call["uri"], tuple(sorted(call["params"].items())))
                 for _, call in model_calls]
+        self._trim_held()
         calls = [{"uri": call["uri"],
                   "params": self._conditional(key, call["params"])}
                  for key, (_, call) in zip(keys, model_calls)]
@@ -335,36 +342,25 @@ class DistrictClient:
         in turn parenting the server span of the proxy that answered.
         """
         tracer = self.host.network.tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span("build_area_model", kind=INTERNAL,
-                             host=self.host.name,
-                             attributes={"strict": strict,
-                                         "with_data": with_data}):
-                return self._build_area_model(
-                    query, with_data, data_start, data_end, data_bucket,
-                    strict,
-                )
-        return self._build_area_model(query, with_data, data_start,
-                                      data_end, data_bucket, strict)
-
-    def _build_area_model(self, query: AreaQuery, with_data: bool,
-                          data_start: Optional[float],
-                          data_end: Optional[float],
-                          data_bucket: Optional[float],
-                          strict: bool) -> IntegratedModel:
-        resolved = self.resolve(query)
-        models, measurements = self._fetch(
-            [call for entity in resolved.entities
-             for call in self._model_calls(entity, resolved.gis_uris)],
-            [(entity.entity_id, device.proxy_uri,
-              RangeQuery(device.device_id, quantity, start=data_start,
-                         end=data_end, bucket=data_bucket))
-             for entity in resolved.entities if with_data
-             for device in entity.devices
-             for quantity in device.quantities],
-            strict,
-        )
-        return integrate(resolved, models, measurements)
+        span = tracer.span("build_area_model", kind=INTERNAL,
+                           host=self.host.name,
+                           attributes={"strict": strict,
+                                       "with_data": with_data}) \
+            if tracer is not None and tracer.enabled else nullcontext()
+        with span:
+            resolved = self.resolve(query)
+            models, measurements = self._fetch(
+                [call for entity in resolved.entities
+                 for call in self._model_calls(entity, resolved.gis_uris)],
+                [(entity.entity_id, device.proxy_uri,
+                  RangeQuery(device.device_id, quantity, start=data_start,
+                             end=data_end, bucket=data_bucket))
+                 for entity in resolved.entities if with_data
+                 for device in entity.devices
+                 for quantity in device.quantities],
+                strict,
+            )
+            return integrate(resolved, models, measurements)
 
     # -- control and live data --------------------------------------------------
 

@@ -105,10 +105,12 @@ class MasterNode(StateMachine):
         self.resolve_not_modified = 0
         self.resolve_cache_max = RESOLVE_CACHE_MAX
         #: canonical query params -> (serialized ResolvedArea dict, its
-        #: estimate_size), valid only while the epoch token matches
-        #: (lazy invalidation)
-        self._resolve_cache: "OrderedDict[Tuple, Tuple[Dict, int]]" = \
-            OrderedDict()
+        #: estimate_size from the first repeat on: re-walking a ~175 KB
+        #: whole-district body per reply dominated the read path's host
+        #: time), valid only while the epoch token matches (lazy
+        #: invalidation)
+        self._resolve_cache: \
+            "OrderedDict[Tuple, Tuple[Dict, Optional[int]]]" = OrderedDict()
         self._resolve_cache_token: Optional[str] = None
         self._leases: Dict[str, float] = {}  # proxy uri -> expiry time
         #: lower bound on the earliest lease expiry: lowered when a
@@ -588,17 +590,18 @@ class MasterNode(StateMachine):
     def _resolve_route(self, request: Request) -> Response:
         self.expire_leases()  # evictions must land before the token read
         token = self.epoch_token()
-        response = conditional(
-            request, token,
-            lambda params: self._resolve_answer(params, token))
-        if response.status == 304:
+
+        def not_modified() -> None:
             # the caller's held answer is still valid: no forest walk,
             # no serialization
             self.resolve_not_modified += 1
             self.resolves_served += 1
             emit(self.host.network, "resolve_cache_not_modified",
                  host=self.host.name, epoch=token, master=self.host.name)
-        return response
+
+        return conditional(request, token,
+                           lambda params: self._resolve_answer(params, token),
+                           not_modified)
 
     def _resolve_answer(self, params: Dict[str, str], token: str
                         ) -> Response:
@@ -611,12 +614,16 @@ class MasterNode(StateMachine):
         key = tuple(sorted(params.items()))
         cached = self._resolve_cache.get(key)
         if cached is not None:
+            body, size = cached
+            if size is None:  # by now the body carries its token
+                size = estimate_size(body)
+                self._resolve_cache[key] = (body, size)
             self._resolve_cache.move_to_end(key)
             self.resolve_cache_hits += 1
             self.resolves_served += 1
             emit(self.host.network, "resolve_cache_hit",
                  host=self.host.name, epoch=token, master=self.host.name)
-            return Response(200, cached[0], body_size=cached[1])
+            return Response(200, body, body_size=size)
         try:
             query = AreaQuery.from_params(params)
             resolved = self.resolve_area(query)
@@ -625,18 +632,13 @@ class MasterNode(StateMachine):
         except UnknownEntityError as exc:
             return error(404, str(exc))
         body = resolved.to_dict()
-        body["token"] = token
-        # measured once per cached answer: a whole-district body is
-        # ~175 KB, and re-walking it for every reply dominated the
-        # read path's host time
-        size = estimate_size(body)
-        self._resolve_cache[key] = (body, size)
+        self._resolve_cache[key] = (body, None)
         while len(self._resolve_cache) > self.resolve_cache_max:
             self._resolve_cache.popitem(last=False)
         self.resolve_cache_misses += 1
         emit(self.host.network, "resolve_cache_miss",
              host=self.host.name, epoch=token, master=self.host.name)
-        return Response(200, body, body_size=size)
+        return ok(body)
 
     def _ontology_route(self, request: Request) -> Response:
         return ok(self.ontology.to_dict())

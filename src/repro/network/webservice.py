@@ -85,19 +85,26 @@ def error(status: int, reason: str) -> Response:
 
 
 def conditional(request: Request, token: str,
-                answer: Callable[[Dict[str, str]], Response]) -> Response:
+                answer: Callable[[Dict[str, str]], Response],
+                on_not_modified: Callable[[], None] = lambda: None
+                ) -> Response:
     """Answer a conditional GET for a resource whose version is *token*.
 
     A caller whose ``if_none_match`` equals *token* already holds the
-    current answer and gets a bodyless 304; *answer* does not run.  Any
-    other caller gets ``answer(params)``, where *params* are the
-    request's params without the validator.  A 200 from *answer* must
-    carry ``"token": token`` in its body so the caller can revalidate.
+    current answer and gets a bodyless 304 (*on_not_modified* runs,
+    *answer* does not).  Any other caller gets ``answer(params)``, where
+    *params* are the request's params without the validator; a 2xx body
+    gets ``"token"`` written into it, in place, so the caller can
+    revalidate.
     """
     params = dict(request.params)
     if params.pop("if_none_match", None) == token:
+        on_not_modified()
         return Response(304, None, "not modified")
-    return answer(params)
+    response = answer(params)
+    if response.ok:
+        response.body["token"] = token
+    return response
 
 
 RouteHandler = Callable[[Request], Response]

@@ -38,6 +38,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 from repro.errors import (
     NetworkError,
     RegistrationError,
+    ServiceError,
     UnknownRegistrationError,
 )
 from repro.network.resilience import FailoverSet, ResiliencePolicy
@@ -136,10 +137,11 @@ class Registrant:
         try:
             response = self._client.failover(masters, "/register", POST,
                                              body=payload)
-        except NetworkError as exc:  # a 4xx refusal or no master left
+        except NetworkError as exc:
+            refused = isinstance(exc, ServiceError) and exc.status < 500
             raise RegistrationError(
-                f"no master accepted registration of {self.host.name}: "
-                f"{exc}") from exc
+                f"{'master rejected' if refused else 'no master accepted'} "
+                f"registration of {self.host.name}: {exc}") from exc
         self.registered = True
         self._held_token = payload["token"]
         return response.body

@@ -68,7 +68,6 @@ class DatabaseProxy(Proxy):
         fmt = request.params.get("format", JSON_FORMAT)
         if fmt not in serialization.FORMATS:
             return error(400, f"unknown format {fmt!r}")
-        token = str(self.store.version)
 
         def answer(_params: Dict[str, str]) -> Response:
             try:
@@ -76,9 +75,9 @@ class DatabaseProxy(Proxy):
             except TranslationError as exc:
                 return error(500, str(exc))
             self.translations += 1
-            return ok({"format": fmt, "document": encoded, "token": token})
+            return ok({"format": fmt, "document": encoded})
 
-        return conditional(request, token, answer)
+        return conditional(request, str(self.store.version), answer)
 
 
 class BimProxy(DatabaseProxy):

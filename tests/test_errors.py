@@ -67,6 +67,13 @@ CONDITIONAL_GET = {
     ("core/client.py", "DistrictClient._conditional"),
 }
 
+#: the one server function that answers 304 and the one client function
+#: that takes a 304 for its held answer; no other site branches on it
+NOT_MODIFIED = {
+    ("network/webservice.py", "conditional"),
+    ("core/client.py", "DistrictClient._held_answer"),
+}
+
 
 def sites(root: Path, matches):
     """(file, enclosing function) of every AST node under *root* that
@@ -112,3 +119,9 @@ class TestConditionalGet:
                       lambda node: isinstance(node, ast.Constant)
                       and node.value == "if_none_match")
         assert sorted(found) == sorted(CONDITIONAL_GET)
+
+    def test_one_function_per_side_handles_a_304(self):
+        found = sites(Path(errors.__file__).parent,
+                      lambda node: isinstance(node, ast.Constant)
+                      and type(node.value) is int and node.value == 304)
+        assert set(found) == NOT_MODIFIED

@@ -309,6 +309,28 @@ class TestWhatA304CannotDo:
         assert "does not hold" in raised.value.reason
         assert client.not_modified == 0
 
+    def test_a_full_table_keeps_every_answer_a_batch_revalidates(
+            self, monkeypatch):
+        # bound = the area's model count: the table overflows on every
+        # repeat build, and the answers whose tokens went out must still
+        # be held when their 304s come back
+        sources = Sources()
+        client = sources.client
+        query = AreaQuery(sources.district_id)
+        first = client.build_area_model(query)
+        models = client.models_fetched
+        assert models >= 2
+        monkeypatch.setattr("repro.core.client.HELD_ANSWERS_MAX", models)
+        client.build_area_model(query)  # shrink the table to the bound
+        for _ in range(2):
+            before = client.not_modified
+            again = client.build_area_model(query)
+            assert client.not_modified - before == models - 1
+            assert again.entities == first.entities
+        assert client.fetch_failures == 0
+        # trimmed before each round: over the bound by one round at most
+        assert len(client._held) == models + 1
+
     def test_a_dark_proxy_is_missing_not_served_from_the_held_copy(self):
         sources = Sources()
         client = sources.client
