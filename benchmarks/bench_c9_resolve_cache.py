@@ -33,6 +33,12 @@ Three phases:
   new translations; after one ``BimStore.set_property`` exactly that
   building's BIM model is a 200 and carries the edit.
 
+* **Device data, the same way** — a repeat ``build_area_model(whole,
+  with_data=True)`` at the same simulated instant ships **0** full
+  bodies, every ``/data`` included; after 60 simulated seconds exactly
+  the Device-proxies that stored a sample answer 200, and the
+  measurements equal a cold client's.
+
 Set ``REPRO_BENCH_QUICK=1`` for a shortened CI smoke run.
 """
 
@@ -319,3 +325,74 @@ def test_unchanged_models_are_revalidated_not_retranslated(report):
     assert edit_304s == models  # the resolve and every other model
     assert model.entity(building.entity_id).sources["bim"] \
         .properties["year_built"] == 2015
+
+
+def test_unchanged_device_data_is_revalidated_not_reaggregated(report):
+    district = deploy(ScenarioConfig(
+        seed=903, n_buildings=10, devices_per_building=4, n_networks=1,
+    ))
+    district.run(120.0)
+    proxies = list(district.device_proxies.values())
+    client = district.client("c9-data", with_broker=False)
+    whole = AreaQuery(district_id=district.district_id)
+    data_200s = []  # Device-proxy URI of every /data answered with a body
+    gather = client.http.gather
+
+    def spy(calls):
+        outcomes = gather(calls)
+        data_200s.extend(call["uri"][:-len("/data")]
+                         for call, outcome in zip(calls, outcomes)
+                         if call["uri"].endswith("/data")
+                         and getattr(outcome, "status", None) == 200)
+        return outcomes
+
+    client.http.gather = spy
+
+    def inserts():
+        return {proxy.uri.rstrip("/"): proxy.database.inserts
+                for proxy in proxies}
+
+    with bytes_received_by(district.network, client.host.name) as cold:
+        client.build_area_model(whole, with_data=True)
+    requests = client.data_requests
+    stored = inserts()
+    sent, not_modified = client.http.requests_sent, client.not_modified
+    with bytes_received_by(district.network, client.host.name) as repeat:
+        client.build_area_model(whole, with_data=True)
+    assert inserts() == stored  # the repeat ran at the same instant
+    repeat_304s = client.not_modified - not_modified
+    repeat_bodies = client.http.requests_sent - sent - repeat_304s
+
+    district.run(60.0)
+    inserted = {uri for uri, count in inserts().items()
+                if count != stored[uri]}
+    stored = inserts()
+    del data_200s[:]
+    warm = client.build_area_model(whole, with_data=True)
+    refreshed = set(data_200s)
+    cold_client = district.client("c9-data-cold", with_broker=False)
+    fresh = cold_client.build_area_model(whole, with_data=True)
+    assert inserts() == stored  # nothing stored during the two builds
+
+    report.record(EXPERIMENT, cold_area_data_bytes=cold[0],
+                  repeat_area_data_bytes=repeat[0],
+                  repeat_data_full_bodies=repeat_bodies,
+                  refreshed_data_proxies=len(refreshed))
+    report.header(EXPERIMENT,
+                  "resolve fast path: repeat whole-district queries")
+    report.add(EXPERIMENT,
+               f"data revalidation: {len(proxies)} Device-proxies, repeat "
+               f"area model with data {repeat[0]} B (cold {cold[0]} B), "
+               f"{repeat_304s} 304s, {repeat_bodies} full bodies; after "
+               f"60 s, {len(inserted)} proxies inserted and "
+               f"{len(refreshed)} /data answered 200")
+    assert requests == len(proxies) == 30
+    assert repeat_bodies == 0
+    assert repeat_304s == 1 + 21 + 30  # the resolve, every model, every /data
+    assert repeat[0] < cold[0]
+    # exactly the proxies that stored a sample aggregated again
+    assert refreshed == inserted and len(refreshed) == 17
+    assert {entity_id: entity.measurements
+            for entity_id, entity in warm.entities.items()} == \
+        {entity_id: entity.measurements
+         for entity_id, entity in fresh.entities.items()}

@@ -123,10 +123,7 @@ ALLOW: Dict[str, str] = {
              "definition: repro.core.monitoring.device_profile (tests only)",
              "definition: repro.devices.base.read_all (tests only)",
              "definition: repro.devices.energy.is_harvesting (tests only)",
-             "definition: repro.middleware.topics.topic_device (tests only)",
-             "definition: repro.middleware.topics.topics_overlap "
-             "(tests only)",
-             "definition: repro.storage.timeseries.value_at (tests only)"),
+             "definition: repro.middleware.topics.topic_device (tests only)"),
 }
 
 

@@ -13,10 +13,11 @@
 Steps 2 and 3 are one concurrent round: the proxies are independent
 hosts, so every model request and one data request per Device-proxy go
 out together and the client waits for the slowest, not for the sum.
-Resolves and models are conditional GETs: the client holds every answer
-with its token in one LRU table, sends the token back as
-``if_none_match`` and reuses the held answer on a 304.  Device data is
-never held.
+Resolves, models and device data are conditional GETs: the client holds
+every answer with its token in one LRU table, sends the token back as
+``if_none_match`` and reuses the held answer on a 304.  A Device-proxy's
+token is its local database's insert count, so a re-asked ``/data``
+answers 304 until the proxy stores a new sample.
 
 The client also exposes remote control (actuation through the owning
 Device-proxy) and live subscriptions on the middleware.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import nullcontext
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common import serialization
@@ -50,8 +52,9 @@ from repro.storage.query import RangeQuery
 
 
 #: bound on the held-answer table: districtbench's area_query holds at
-#: most 427 answers (128 models, 299 distinct areas), so a read-heavy
-#: client keeps every answer it revalidates
+#: most 797 answers (seed 17: 128 models, 299 distinct areas, 370
+#: distinct /data requests), so a read-heavy client keeps every answer
+#: it revalidates
 HELD_ANSWERS_MAX = 1024
 
 
@@ -67,7 +70,7 @@ class DistrictClient:
     and 5xx answers, so a primary kill costs one failed call instead of
     an outage.
 
-    Every resolve and model answer is held with its token and
+    Every resolve, model and data answer is held with its token and
     revalidated on the next identical request (a bodyless 304 while it
     is unchanged).  A 304 is exactly as fresh as a full body, so the
     default *resolve_cache_ttl* of 0 — always revalidate — adds no
@@ -232,8 +235,9 @@ class DistrictClient:
         window — are issued at once: the proxies are independent hosts,
         so the round costs its slowest request, not the sum.  Returns
         the decoded models and the ``(device, quantity)`` sample lists,
-        each keyed by entity id.  A model this client already holds is
-        asked for with its token, and a 304 hands back the held one.
+        each keyed by entity id.  Every call is a conditional GET: an
+        answer this client already holds is asked for with its token,
+        and a 304 hands back the held one.
 
         With *strict* the first failed call, in call order (models, then
         data), raises; otherwise it is counted in
@@ -244,29 +248,34 @@ class DistrictClient:
         for entity_id, proxy_uri, query in series:
             by_proxy.setdefault(proxy_uri, []).append((entity_id, query))
         self.data_requests += len(by_proxy)
+        calls = [call for _, call in model_calls] + self._data_calls(by_proxy)
         keys = [(call["uri"], tuple(sorted(call["params"].items())))
-                for _, call in model_calls]
+                for call in calls]
         self._trim_held()
-        calls = [{"uri": call["uri"],
-                  "params": self._conditional(key, call["params"])}
-                 for key, (_, call) in zip(keys, model_calls)]
-        outcomes = self.http.gather(calls + self._data_calls(by_proxy))
+        outcomes = self.http.gather([
+            {"uri": call["uri"],
+             "params": self._conditional(key, call["params"])}
+            for key, call in zip(keys, calls)])
+        answers = []
+        for index, (key, outcome) in enumerate(zip(keys, outcomes)):
+            is_model = index < len(model_calls)
+            if not is_model and isinstance(outcome, Response) \
+                    and outcome.status == 404:
+                answers.append(None)  # no samples collected yet: not a failure
+            else:
+                answers.append(self._held_answer(
+                    key, outcome, strict,
+                    self._decode_model if is_model else itemgetter("series")))
         models: Dict[str, List[EntityModel]] = {}
-        for (entity_id, _), key, outcome in zip(model_calls, keys, outcomes):
-            model = self._held_answer(key, outcome, strict,
-                                      self._decode_model)
+        for (entity_id, _), model in zip(model_calls, answers):
             if model is not None:
                 self.models_fetched += 1
                 models.setdefault(entity_id, []).append(model)
         measurements: Dict[str, Dict] = {}
-        for members, outcome in zip(by_proxy.values(),
-                                    outcomes[len(model_calls):]):
-            # a 404 is "no samples collected yet", not a failed fetch
-            empty = isinstance(outcome, Response) and outcome.status == 404
-            answers = outcome.body["series"] \
-                if not empty and self._answered(outcome, strict) \
-                else [[]] * len(members)
-            for (entity_id, query), answer in zip(members, answers):
+        for members, samples in zip(by_proxy.values(),
+                                    answers[len(model_calls):]):
+            for (entity_id, query), answer in zip(
+                    members, samples or [[]] * len(members)):
                 measurements.setdefault(entity_id, {})[
                     (query.device_id, query.quantity)
                 ] = [(t, v) for t, v in answer]

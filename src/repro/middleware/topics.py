@@ -9,7 +9,7 @@ SEEMPubS middleware the paper builds on also adopted).
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
 from repro.errors import ConfigurationError
 
@@ -112,8 +112,3 @@ def topic_device(topic: str) -> str:
         if level == "device":
             return levels[i + 1]
     raise ConfigurationError(f"no device level in topic {topic!r}")
-
-
-def topics_overlap(filters: Iterable[str], topic: str) -> bool:
-    """True if any filter in *filters* matches *topic*."""
-    return any(topic_matches(f, topic) for f in filters)

@@ -47,6 +47,7 @@ from repro.network.webservice import (
     POST,
     Request,
     Response,
+    conditional,
     error,
     ok,
 )
@@ -411,11 +412,21 @@ class DeviceProxy(Proxy):
         for being an empty list.  The single-series form
         (``device_id``/``quantity``) is the list of one: it is answered
         with ``{"samples": samples}``, or 404 for an unknown series.
+
+        A conditional GET: the token is the local database's insert
+        count.  ``insert`` is its only mutating verb (retention prunes
+        inside it), so an equal count means equal stored samples and an
+        equal answer for equal params; a caller holding it gets a 304
+        and nothing is read or aggregated.
         """
-        listed = "series" in request.params
+        return conditional(request, str(self.database.inserts),
+                           self._data_answer)
+
+    def _data_answer(self, params: Dict[str, str]) -> Response:
+        listed = "series" in params
         answers = []
         try:
-            for query in RangeQuery.list_from_params(request.params):
+            for query in RangeQuery.list_from_params(params):
                 try:
                     samples = self.database.query(query)
                 except SeriesNotFoundError as exc:

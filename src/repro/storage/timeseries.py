@@ -126,13 +126,6 @@ class TimeSeries:
         out._values = self._values[lo:hi]
         return out
 
-    def value_at(self, t: float) -> float:
-        """Last value at or before *t* (sample-and-hold semantics)."""
-        index = bisect.bisect_right(self._times, t)
-        if index == 0:
-            raise StorageError(f"no sample at or before t={t}")
-        return self._values[index - 1]
-
     def resample(self, bucket: float, agg: str = "mean"
                  ) -> List[Tuple[float, float]]:
         """Aggregate into fixed buckets; empty buckets are omitted.

@@ -418,7 +418,8 @@ class TestMultiSeriesData:
         listed = data({**window, "series": ",".join(
             f"{device_id}/{quantity}" for device_id, quantity in series)})
         assert listed.status == 200
-        assert listed.body == {"series": singles}
+        assert listed.body["series"] == singles
+        assert listed.body["token"] == str(PROXY.database.inserts)
 
     @settings(max_examples=30, deadline=None)
     @given(series=st.lists(st.sampled_from(KNOWN), max_size=3),

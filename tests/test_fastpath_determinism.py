@@ -67,12 +67,13 @@ _DURABLE_GOLDEN = {
 #: bucketed ``/data`` and the measurement DB's raw and rollup
 #: ``/query_range`` answered, and the bytes the whole run put on the wire.
 #: ``bytes_sent`` was re-recorded (192 327 -> 192 385) when model answers
-#: gained their ``"token"`` field: four cold model bodies, 58 bytes
+#: gained their ``"token"`` field: four cold model bodies, 58 bytes; and
+#: again (-> 192 460) when ``/data`` answers did: five cold bodies, 75 bytes
 _READ_GOLDEN = {
     "answers": "d9c596dbfd6bd1ce3ede71b81d366d59"
                "a78d34a24dea81f2b6f337734f2e0f38",
     "sources": ["raw", "rollup:900"],
-    "bytes_sent": 192385,
+    "bytes_sent": 192460,
 }
 
 
@@ -238,7 +239,9 @@ class TestReadPathGolden:
         translations = sum(proxy.translations for proxy in proxies)
         again, repeated = self.read(district, client)
         assert client.models_fetched == 8
-        assert client.not_modified == 4 + 1  # four models and the resolve
+        # four models, the resolve and five Device-proxies' /data: no
+        # sample was stored between the two reads
+        assert client.not_modified == 4 + 1 + 5
         assert sum(proxy.translations for proxy in proxies) == translations
         assert repeated == answers
         assert [entity.sources for entity in again.entities.values()] == \

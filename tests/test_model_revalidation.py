@@ -1,17 +1,21 @@
-"""Conditional GET: a model, or a resolve answer, travels once.
+"""Conditional GET: a model, a resolve or a data answer travels once.
 
 Every ``/model`` and ``/feature/{id}`` answer carries ``token``, the
-proxy store's version, and every ``/resolve`` answer the master's
+proxy store's version, every ``/data`` answer the Device-proxy local
+database's insert count, and every ``/resolve`` answer the master's
 ontology epoch token; a client that holds an answer sends that token
 back as ``if_none_match`` and gets a bodyless 304 while the source has
 not changed, reusing the answer it already decoded.  The contract:
 
 * equal (URI, params, token) => an equal answer, and that answer is what
-  a fresh translate + encode (or a fresh resolve) gives;
-* every store mutation, registration and eviction is visible on the
-  next fetch;
+  a fresh translate + encode (or a fresh resolve, or a fresh aggregate)
+  gives;
+* every store mutation, sample insert, registration and eviction is
+  visible on the next fetch, so a 304 never answers across one;
 * ``translations`` counts 200 model answers, never 304s;
-* a repeat fetch with no mutation in between is a 304.
+* a repeat fetch with no mutation in between is a 304;
+* a dark proxy's answer is missing, never served from the held copy,
+  and the held copy revalidates once the proxy is back.
 """
 
 import pytest
@@ -19,6 +23,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.common import serialization
+from repro.common.cdf import Measurement
 from repro.core.client import DistrictClient
 from repro.core.master import MasterNode
 from repro.datasources.bim import IFC_PROPERTY_SET, IFC_SPACE, IFC_STOREY
@@ -26,19 +31,47 @@ from repro.datasources.generators import synthesize_district
 from repro.datasources.geometry import rectangle
 from repro.datasources.gis import LAYER_BUILDINGS
 from repro.datasources.sim import NODE_JUNCTION
-from repro.errors import RequestTimeoutError, ServiceError
+from repro.devices.catalog import power_meter
+from repro.devices.firmware import RadioLink
+from repro.devices.profiles import ConstantProfile
+from repro.errors import RequestTimeoutError, SeriesNotFoundError, \
+    ServiceError
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
 from repro.network.webservice import GET, HttpClient, Response, WebService
-from repro.ontology.queries import AreaQuery, ResolvedEntity, resolve
+from repro.ontology.queries import (
+    AreaQuery,
+    ResolvedDevice,
+    ResolvedEntity,
+    resolve,
+)
+from repro.protocols import make_adapter
 from repro.proxies.database_proxy import BimProxy, GisProxy, SimProxy
+from repro.proxies.device_proxy import DeviceProxy
+from repro.storage.query import RangeQuery
 
 SOURCES = ("bim", "sim", "gis")
+DEVICES = ("dev-0001", "dev-0002")
+QUANTITIES = ("power", "energy")
+#: the series the data rules read and write: one per device, so a run
+#: often re-reads a series it wrote to
+SERIES = (("dev-0001", "power"), ("dev-0002", "energy"))
+#: short enough that inserts late in a run prune early samples
+RETENTION = 900.0
+#: few enough that a run re-asks the same (series, window) often
+windows = st.sampled_from([
+    {"start": None, "end": None, "bucket": None, "agg": "mean"},
+    {"start": 600.0, "end": 1800.0, "bucket": None, "agg": "mean"},
+    {"start": None, "end": 2400.0, "bucket": 300.0, "agg": "mean"},
+    {"start": 0.0, "end": None, "bucket": 300.0, "agg": "max"},
+])
 
 
 class Sources:
-    """One BIM, one SIM and the GIS proxy of a two-building district,
-    registered on a master, and a client that has fetched nothing yet."""
+    """One BIM, one SIM and the GIS proxy of a two-building district and
+    a Device-proxy with two power meters in the first building, all
+    registered on a master, and a client that has fetched nothing yet.
+    No firmware runs: the Device-proxy stores only what a test inserts."""
 
     def __init__(self):
         dataset = synthesize_district(seed=5, n_buildings=2, n_networks=1)
@@ -54,11 +87,23 @@ class Sources:
                             dataset.district_id),
         }
         self.district_id = dataset.district_id
+        self.device_proxy = DeviceProxy(
+            self.net.add_host("proxy-dev"), make_adapter("zigbee"),
+            "broker", dataset.district_id, retention=RETENTION)
+        for index, device_id in enumerate(DEVICES):
+            self.device_proxy.attach_device(
+                power_meter(device_id, "zigbee",
+                            f"00:12:4b:00:00:00:00:{index:02x}",
+                            building.entity_id, ConstantProfile(0.0)),
+                RadioLink(self.net.scheduler))
+        #: every proxy that registers: the model sources and "dev"
+        self.registrants = {**self.proxies, "dev": self.device_proxy}
         self.master = MasterNode(self.net.add_host("master"))
-        for proxy in self.proxies.values():
+        for proxy in self.registrants.values():
             self.master.register(proxy._registration(None, full=True))
         self.client = DistrictClient(self.net.add_host("user"),
                                      self.master.uri)
+        self.client.http.timeout = 0.5
 
     def entity(self, source, entity_id="bld-0001"):
         """The resolve answer that sends a client to one source only."""
@@ -82,12 +127,29 @@ class Sources:
             self.entity(source, entity_id), (self.proxies["gis"].uri,),
             fmt, strict=strict)
 
+    def fetch_data(self, device_id, quantity, window, strict=True):
+        return self.client.fetch_device_data(
+            ResolvedDevice(device_id, self.device_proxy.uri, "zigbee",
+                           QUANTITIES, False),
+            quantity, strict=strict, **window)
+
+    def fresh_samples(self, device_id, quantity, window):
+        """What a fresh read of the Device-proxy's database gives."""
+        try:
+            return self.device_proxy.database.query(
+                RangeQuery(device_id, quantity, **window))
+        except SeriesNotFoundError:
+            return []
+
 
 class RevalidationMachine(RuleBasedStateMachine):
-    """Store verbs, registrations and lease evictions interleaved with
-    warm (revalidating) and cold fetches of BIM and SIM models and of
-    GIS features under varying entity ids, in JSON and XML, and with
-    warm resolves of the whole district and of one building."""
+    """Store verbs, Device-proxy sample inserts, registrations and lease
+    evictions interleaved with warm (revalidating) and cold fetches of
+    BIM and SIM models and of GIS features under varying entity ids, in
+    JSON and XML; warm ``/data`` reads under varying windows, across
+    Device-proxy outages too; whole-workflow builds of one building with
+    its data; and warm resolves of the whole district and of one
+    building."""
 
     def __init__(self):
         super().__init__()
@@ -174,17 +236,27 @@ class RevalidationMachine(RuleBasedStateMachine):
                           nodes[head % len(nodes)], float(length), 250.0)
         self.mutated("sim")
 
+    @rule(series=st.sampled_from(SERIES), at=st.integers(0, 2400),
+          value=st.integers(0, 10**4))
+    def insert(self, series, at, value):
+        """One Device-proxy sample, at any time: late, early or equal."""
+        device_id, quantity = series
+        self.sources.device_proxy.database.insert(Measurement(
+            device_id=device_id, entity_id="bld-0001", quantity=quantity,
+            value=float(value), timestamp=float(at)))
+        self.mutated("dev")
+
     # -- the master: registrations and lease evictions --------------------
 
-    @rule(source=st.sampled_from(SOURCES),
+    @rule(source=st.sampled_from(SOURCES + ("dev",)),
           lease=st.sampled_from([None, 20.0]))
     def register(self, source, lease):
-        proxy = self.sources.proxies[source]
+        proxy = self.sources.registrants[source]
         self.sources.master.register(proxy._registration(lease, full=True))
 
-    @rule(source=st.sampled_from(SOURCES))
+    @rule(source=st.sampled_from(SOURCES + ("dev",)))
     def evict(self, source):
-        self.sources.master._evict_uri(self.sources.proxies[source].uri)
+        self.sources.master._evict_uri(self.sources.registrants[source].uri)
 
     @rule(seconds=st.sampled_from([5.0, 30.0]))
     def advance(self, seconds):
@@ -200,20 +272,118 @@ class RevalidationMachine(RuleBasedStateMachine):
         model, = self.sources.fetch(source, entity_id, fmt)
         (call, outcome), = self.wire
         self.wire.clear()
-        params = dict(call["params"])
-        claimed = params.pop("if_none_match", None)
-        key = (call["uri"], tuple(sorted(params.items())))
         encoded = serialization.encode(self.sources.fresh(source, entity_id),
                                        fmt)
         # a 304 hands back a model exactly as fresh as a body would be
         assert model == serialization.decode(encoded, fmt)
+        key, _ = self.revalidated(call, outcome, source)
+        if outcome.status == 200:
+            self.record(key, outcome.body, encoded)
+
+    def revalidated(self, call, outcome, source):
+        """Check one conditional GET: a bodyless 304 exactly when the
+        client fetched this key since its source last changed.  Returns
+        the key and the token its answer is held under."""
+        params = dict(call["params"])
+        claimed = params.pop("if_none_match", None)
+        key = (call["uri"], tuple(sorted(params.items())))
         if key in self.unchanged:
             assert claimed is not None and outcome.status == 304
             assert outcome.body is None
+            token = claimed
         else:
             assert outcome.status == 200
-            self.record(key, outcome.body, encoded)
+            token = outcome.body["token"]
         self.unchanged[key] = source
+        return key, token
+
+    def held(self, key, token, answer):
+        """Equal (key, token) => equal answer."""
+        assert self.documents.setdefault((key, token), answer) == answer
+
+    @rule(series=st.sampled_from(SERIES), window=windows)
+    def fetch_data(self, series, window):
+        """A warm ``/data`` read: a 304 exactly while the Device-proxy
+        stored nothing new, and either way a fresh aggregate's answer."""
+        samples = self.sources.fetch_data(*series, window)
+        (call, outcome), = self.wire
+        self.wire.clear()
+        assert samples == self.sources.fresh_samples(*series, window)
+        self.held(*self.revalidated(call, outcome, "dev"), [samples])
+
+    @rule(series=st.sampled_from(SERIES), window=windows,
+          at=st.integers(0, 2400), value=st.integers(0, 10**4))
+    def reread_across_insert(self, series, window, at, value):
+        """Read, store one sample in that series, read again: the first
+        read leaves the answer held, so the second is where a 304 across
+        the insert would show (``fetch_data`` demands a 200 and the
+        fresh aggregate, new sample included)."""
+        self.fetch_data(series, window)
+        self.insert(series, at, value)
+        self.fetch_data(series, window)
+
+    @rule(series=st.sampled_from(SERIES), window=windows)
+    def cold_fetch_data(self, series, window):
+        """A reader holding nothing: always a 200 with the fresh
+        aggregate, and the answer any earlier 200 under that token had."""
+        call, = DistrictClient._data_calls({self.sources.device_proxy.uri: [
+            ("bld-0001", RangeQuery(*series, **window))]})
+        response = self.reader.get(call["uri"], params=call["params"])
+        samples = [tuple(sample) for sample in response.body["series"][0]]
+        assert samples == self.sources.fresh_samples(*series, window)
+        self.held((call["uri"], tuple(sorted(call["params"].items()))),
+                  response.body["token"], [samples])
+
+    @rule(series=st.sampled_from(SERIES), window=windows)
+    def outage(self, series, window):
+        """A dark Device-proxy: its series are empty under strict=False,
+        never the held copy; back online, a held copy revalidates."""
+        proxy, net = self.sources.device_proxy, self.sources.net
+        failures = self.sources.client.fetch_failures
+        net.set_host_online(proxy.host.name, False)
+        proxy.online = False
+        assert self.sources.fetch_data(*series, window, strict=False) == []
+        assert self.sources.client.fetch_failures == failures + 1
+        net.set_host_online(proxy.host.name, True)
+        proxy.online = True
+        self.wire.clear()
+        self.fetch_data(series, window)
+
+    @rule(window=windows)
+    def build_with_data(self, window):
+        """The whole workflow for the first building: every model and
+        the one ``/data`` request revalidate as the single fetches do,
+        and every series is what a fresh aggregate gives."""
+        sources = self.sources
+        try:
+            model = sources.client.build_area_model(
+                AreaQuery(sources.district_id, entity_ids=("bld-0001",)),
+                with_data=True, data_start=window["start"],
+                data_end=window["end"], data_bucket=window["bucket"])
+        except ServiceError as exc:
+            assert exc.status == 404  # every registration was evicted
+            self.wire.clear()
+            return
+        _resolve, *fetches = self.wire
+        self.wire.clear()
+        fresh = {**window, "agg": "mean"}
+        for call, outcome in fetches:
+            source, = [name for name, proxy in sources.registrants.items()
+                       if call["uri"].startswith(proxy.uri.rstrip("/"))]
+            key, token = self.revalidated(call, outcome, source)
+            if source != "dev":
+                if outcome.status == 200:
+                    entity_id = call["params"].get("entity_id", "bld-0001")
+                    self.record(key, outcome.body, serialization.encode(
+                        sources.fresh(source, entity_id), "json"))
+                continue
+            series = [tuple(name.split("/"))
+                      for name in call["params"]["series"].split(",")]
+            answer = [model.entity("bld-0001").measurements[name]
+                      for name in series]
+            assert answer == [sources.fresh_samples(*name, fresh)
+                              for name in series]
+            self.held(key, token, answer)
 
     @rule(source=st.sampled_from(SOURCES),
           entity_id=st.sampled_from(["bld-0001", "bld-0002"]),
@@ -253,15 +423,12 @@ class RevalidationMachine(RuleBasedStateMachine):
         assert token == master.epoch_token()
         fresh = resolve(master.ontology, query).to_dict()
         assert area.to_dict() == fresh
-        key = (call["uri"], tuple(sorted(params.items())))
-        assert self.documents.setdefault((key, token), fresh) == fresh
+        self.held((call["uri"], tuple(sorted(params.items()))), token, fresh)
 
     def record(self, key, body, encoded):
         self.bodies += 1
         assert body["document"] == encoded
-        held = self.documents.setdefault((key, body["token"]),
-                                         body["document"])
-        assert held == body["document"]
+        self.held(key, body["token"], body["document"])
 
     @invariant()
     def translations_count_bodies(self):

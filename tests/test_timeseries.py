@@ -78,18 +78,6 @@ class TestWindow:
         with pytest.raises(StorageError):
             series_from([(0, 1.0)]).window(10, 5)
 
-    def test_value_at_sample_and_hold(self):
-        s = series_from([(0, 1.0), (10, 2.0)])
-        assert s.value_at(0) == 1.0
-        assert s.value_at(5) == 1.0
-        assert s.value_at(10) == 2.0
-        assert s.value_at(100) == 2.0
-
-    def test_value_at_before_first_raises(self):
-        s = series_from([(10, 2.0)])
-        with pytest.raises(StorageError):
-            s.value_at(5)
-
 
 class TestResample:
     def test_mean_buckets(self):

@@ -115,9 +115,3 @@ class TestCanonicalTopics:
     def test_topic_device_missing(self):
         with pytest.raises(ConfigurationError):
             topics.topic_device("a/b/c")
-
-    def test_topics_overlap(self):
-        filters = ["x/#", "y/+"]
-        assert topics.topics_overlap(filters, "x/1/2")
-        assert topics.topics_overlap(filters, "y/1")
-        assert not topics.topics_overlap(filters, "z/1")
