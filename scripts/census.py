@@ -120,9 +120,6 @@ ALLOW: Dict[str, str] = {
              "definition: repro.common.units.known_quantities (tests only)",
              "definition: repro.common.units.register_conversion "
              "(tests only)",
-             "definition: repro.core.monitoring.device_profile (tests only)",
-             "definition: repro.devices.base.read_all (tests only)",
-             "definition: repro.devices.energy.is_harvesting (tests only)",
              "definition: repro.middleware.topics.topic_device (tests only)"),
 }
 

@@ -256,16 +256,10 @@ class DistrictClient:
             {"uri": call["uri"],
              "params": self._conditional(key, call["params"])}
             for key, call in zip(keys, calls)])
-        answers = []
-        for index, (key, outcome) in enumerate(zip(keys, outcomes)):
-            is_model = index < len(model_calls)
-            if not is_model and isinstance(outcome, Response) \
-                    and outcome.status == 404:
-                answers.append(None)  # no samples collected yet: not a failure
-            else:
-                answers.append(self._held_answer(
-                    key, outcome, strict,
-                    self._decode_model if is_model else itemgetter("series")))
+        decoders = [self._decode_model] * len(model_calls) \
+            + [itemgetter("series")] * len(by_proxy)
+        answers = [self._held_answer(key, outcome, strict, decode)
+                   for key, outcome, decode in zip(keys, outcomes, decoders)]
         models: Dict[str, List[EntityModel]] = {}
         for (entity_id, _), model in zip(model_calls, answers):
             if model is not None:

@@ -27,7 +27,7 @@ are permanent (the pre-lease behaviour, still the default).
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.cdf import DeviceDescription
@@ -42,7 +42,7 @@ from repro.errors import (
     UnknownEntityError,
     UnknownRegistrationError,
 )
-from repro.network.transport import Host, estimate_size
+from repro.network.transport import Host
 from repro.network.webservice import (
     GET,
     POST,
@@ -59,28 +59,28 @@ from repro.ontology.queries import AreaQuery, resolve
 from repro.storage.durability import HubConfig, Journal, StateMachine
 
 
-#: bound on the master-side resolve cache (serialized answers)
-RESOLVE_CACHE_MAX = 256
-
-
 class MasterNode(StateMachine):
     """Registration target and query resolver for one or more districts.
 
-    ``/resolve`` answers are cached behind an **ontology epoch**: a
-    version counter bumped by every *mutation* of the forest — a
-    registration that changed something a resolve can return
-    (:meth:`apply`), :meth:`_evict_uri`, :meth:`reset`,
-    :meth:`restore` — and by nothing else: a heartbeat that only renews
-    a lease leaves it alone.  The invariant is *equal token ⇒ equal
-    answer to every query*, so a cached serialized answer is served
-    only while the epoch is unchanged and can never redirect a client
-    to an evicted proxy.  The answer's ``token`` is :meth:`epoch_token`
-    and ``/resolve`` is a conditional GET
-    (:func:`~repro.network.webservice.conditional`): a caller that
-    sends it back unchanged gets a bodyless 304.
+    ``/resolve`` answers are versioned by an **ontology epoch**: a
+    counter bumped by every *mutation* of the forest — a registration
+    that changed something a resolve can return (:meth:`apply`),
+    :meth:`_evict_uri`, :meth:`reset`, :meth:`restore` — and by nothing
+    else: a heartbeat that only renews a lease leaves it alone.  The
+    invariant is *equal token ⇒ equal answer to every query*.  The
+    answer's ``token`` is :meth:`epoch_token` and ``/resolve`` is a
+    conditional GET (:func:`~repro.network.webservice.conditional`): a
+    caller that sends it back unchanged gets a bodyless 304, so the
+    answer is held by the client that asked for it and the master
+    keeps nothing per query.
     """
 
     kind = "master"
+    #: always 0: the master holds no answers.  Read only by the frozen
+    #: districtbench counters (``master.resolve_cache_hit_ratio``);
+    #: ROADMAP item 3 drops the metric and these two with it
+    resolve_cache_hits = 0
+    resolve_cache_misses = 0
 
     def __init__(self, host: Host, processing_delay: float = 2e-4,
                  durability: Optional[HubConfig] = None):
@@ -98,20 +98,9 @@ class MasterNode(StateMachine):
         self.lease_evictions = 0
         #: forest version: bumped by every registration that changed
         #: the forest, eviction, reset and snapshot restore — the
-        #: resolve-cache validator
+        #: resolve validator
         self.ontology_epoch = 0
-        self.resolve_cache_hits = 0
-        self.resolve_cache_misses = 0
         self.resolve_not_modified = 0
-        self.resolve_cache_max = RESOLVE_CACHE_MAX
-        #: canonical query params -> (serialized ResolvedArea dict, its
-        #: estimate_size from the first repeat on: re-walking a ~175 KB
-        #: whole-district body per reply dominated the read path's host
-        #: time), valid only while the epoch token matches (lazy
-        #: invalidation)
-        self._resolve_cache: \
-            "OrderedDict[Tuple, Tuple[Dict, Optional[int]]]" = OrderedDict()
-        self._resolve_cache_token: Optional[str] = None
         self._leases: Dict[str, float] = {}  # proxy uri -> expiry time
         #: lower bound on the earliest lease expiry: lowered when a
         #: lease is tracked, recomputed only by a sweep that runs, so
@@ -156,21 +145,21 @@ class MasterNode(StateMachine):
         self.bump_epoch()
         self.journal.crash()
 
-    # -- epoch + resolve cache ------------------------------------------------
+    # -- epoch -------------------------------------------------------------
 
     def bump_epoch(self) -> None:
         """Advance the ontology epoch (monotone, never reset to zero)."""
         self.ontology_epoch += 1
 
     def epoch_token(self) -> str:
-        """The resolve-cache validator (the ``/resolve`` ETag).
+        """The resolve validator (the ``/resolve`` ETag).
 
         Combines the serving member's name, its replication epoch and
         the ontology epoch: a token can only compare equal when the
         same master answers from provably unchanged state.  Including
         the member name keeps a lagging standby's token from ever
         matching the primary's; including the replication epoch
-        invalidates every client cache across a failover even though
+        invalidates every client-held answer across a failover even though
         the promoted standby keeps its own ontology-epoch counter.
         """
         repl_epoch = self.replication.epoch \
@@ -228,7 +217,7 @@ class MasterNode(StateMachine):
 
         The local ontology epoch jumps past both its own value and the
         snapshot's, so it stays monotone whichever side was ahead, and
-        every answer cached against the pre-restore state is invalid.
+        no answer a client holds from before the restore revalidates.
         Leases keep their original absolute expiries, so proxies that
         died while the master was down still get evicted on schedule.
         A snapshot without a token table (written before renewals
@@ -284,8 +273,8 @@ class MasterNode(StateMachine):
         devices left) are pruned with their subtree: a URI-less entity
         would still match area queries while redirecting the client
         nowhere, and would inflate ``ontology_nodes`` forever.  Any
-        actual removal bumps the ontology epoch, so no cached resolve
-        answer can keep pointing at the dead proxy.
+        actual removal bumps the ontology epoch, so no held resolve
+        answer can revalidate while pointing at the dead proxy.
         """
         self._tokens.pop(uri, None)
         changed = False
@@ -354,7 +343,7 @@ class MasterNode(StateMachine):
             return self._renew(uri, lease, token)
         # each _register_* reports whether it changed anything a resolve
         # can return; only that advances the epoch — a re-registration
-        # that merely renews its lease leaves every cached answer valid.
+        # that merely renews its lease leaves every held answer valid.
         # A registration rejected half-way may already have attached
         # nodes, so a failure counts as a change — and what is held for
         # this URI is no longer what its old token named.
@@ -565,13 +554,13 @@ class MasterNode(StateMachine):
         self.expire_leases()
         self.resolves_served += 1
         tracer = self.host.network.tracer
-        if tracer is not None and tracer.enabled:
-            # nests under the GET /resolve server span when the query
-            # arrived over the Web Service
-            with tracer.span("ontology resolve", kind=INTERNAL,
-                             host=self.host.name):
-                return resolve(self.ontology, query)
-        return resolve(self.ontology, query)
+        # nests under the GET /resolve server span when the query
+        # arrived over the Web Service
+        span = tracer.span("ontology resolve", kind=INTERNAL,
+                           host=self.host.name) \
+            if tracer is not None and tracer.enabled else nullcontext()
+        with span:
+            return resolve(self.ontology, query)
 
     # -- web-service routes ---------------------------------------------------
 
@@ -599,46 +588,18 @@ class MasterNode(StateMachine):
             emit(self.host.network, "resolve_cache_not_modified",
                  host=self.host.name, epoch=token, master=self.host.name)
 
-        return conditional(request, token,
-                           lambda params: self._resolve_answer(params, token),
+        return conditional(request, token, self._resolve_answer,
                            not_modified)
 
-    def _resolve_answer(self, params: Dict[str, str], token: str
-                        ) -> Response:
-        """The full ``/resolve`` answer under *token*, from the body LRU."""
-        if self._resolve_cache_token != token:
-            # lazy invalidation: the first resolve after any epoch bump
-            # drops every answer cached against the previous forest
-            self._resolve_cache.clear()
-            self._resolve_cache_token = token
-        key = tuple(sorted(params.items()))
-        cached = self._resolve_cache.get(key)
-        if cached is not None:
-            body, size = cached
-            if size is None:  # by now the body carries its token
-                size = estimate_size(body)
-                self._resolve_cache[key] = (body, size)
-            self._resolve_cache.move_to_end(key)
-            self.resolve_cache_hits += 1
-            self.resolves_served += 1
-            emit(self.host.network, "resolve_cache_hit",
-                 host=self.host.name, epoch=token, master=self.host.name)
-            return Response(200, body, body_size=size)
+    def _resolve_answer(self, params: Dict[str, str]) -> Response:
+        """The full ``/resolve`` answer: one forest walk."""
         try:
-            query = AreaQuery.from_params(params)
-            resolved = self.resolve_area(query)
+            resolved = self.resolve_area(AreaQuery.from_params(params))
         except QueryError as exc:
             return error(400, str(exc))
         except UnknownEntityError as exc:
             return error(404, str(exc))
-        body = resolved.to_dict()
-        self._resolve_cache[key] = (body, None)
-        while len(self._resolve_cache) > self.resolve_cache_max:
-            self._resolve_cache.popitem(last=False)
-        self.resolve_cache_misses += 1
-        emit(self.host.network, "resolve_cache_miss",
-             host=self.host.name, epoch=token, master=self.host.name)
-        return ok(body)
+        return ok(resolved.to_dict())
 
     def _ontology_route(self, request: Request) -> Response:
         return ok(self.ontology.to_dict())
@@ -668,8 +629,6 @@ class MasterNode(StateMachine):
             "lease_evictions": self.lease_evictions,
             "ontology_nodes": self.ontology.node_count(),
             "ontology_epoch": self.ontology_epoch,
-            "resolve_cache_hits": self.resolve_cache_hits,
-            "resolve_cache_misses": self.resolve_cache_misses,
             "resolve_not_modified": self.resolve_not_modified,
             "requests_served": self.service.requests_served,
             "requests_failed": self.service.requests_failed,

@@ -46,13 +46,6 @@ class ConsumptionProfiler:
 
     # -- single building ---------------------------------------------------
 
-    def device_profile(self, entity_id: str, device_id: str
-                       ) -> List[Tuple[float, float]]:
-        """Bucketed mean power of one device."""
-        entity = self.model.entity(entity_id)
-        samples = entity.samples(device_id, "power")
-        return TimeSeries(samples).resample(self.bucket, "mean")
-
     def building_profile(self, entity_id: str) -> List[Tuple[float, float]]:
         """Bucketed total power of one building (sum over its devices).
 

@@ -114,10 +114,6 @@ class SimulatedDevice:
         """All sensor channels, sorted by quantity."""
         return [self._sensors[q] for q in self.quantities]
 
-    def read_all(self, t: float) -> List[Tuple[str, float]]:
-        """Read every channel at time *t*."""
-        return [(q, self._sensors[q].read(t)) for q in self.quantities]
-
     # -- actuation ------------------------------------------------------------
 
     @property

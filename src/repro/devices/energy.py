@@ -45,10 +45,6 @@ class EnergyBudget:
         if self.battery_joules < 0 or self.harvest_milliwatts < 0:
             raise ConfigurationError("energy budget cannot be negative")
 
-    @property
-    def is_harvesting(self) -> bool:
-        return self.harvest_milliwatts > 0.0
-
 
 PROTOCOL_BUDGETS.update({
     # two AA cells on a metering node

@@ -163,26 +163,6 @@ def estimate_size(payload: Any) -> int:
         return 256  # opaque object: charge a flat envelope size
 
 
-def presized_estimate(payload: Dict, key: str, inner_size: int) -> int:
-    """:func:`estimate_size` of *payload* given ``payload[key]``'s size.
-
-    For envelope dicts wrapping one large field whose size the caller
-    already knows (a registration body measured once and re-sent every
-    heartbeat, say), re-measuring the envelope only needs the cheap
-    outer walk: JSON sizes are additive, so measuring with the field
-    swapped for ``0`` (one character) and adding *inner_size* back is
-    value-identical to measuring the whole payload — for the structural
-    path and the ``json.dumps`` fallback alike.
-    """
-    saved = payload[key]
-    payload[key] = 0
-    try:
-        outer = estimate_size(payload)
-    finally:
-        payload[key] = saved
-    return outer - 1 + inner_size
-
-
 @dataclass(slots=True)
 class Message:
     """A delivered transport message.

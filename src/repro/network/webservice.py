@@ -32,7 +32,7 @@ from repro.errors import (
 from repro.network.futures import Future
 from repro.network.resilience import FailoverSet, ResiliencePolicy
 from repro.network.scheduler import EventHandle
-from repro.network.transport import Host, Message, presized_estimate
+from repro.network.transport import Host, Message
 from repro.observability.tracing import CLIENT, SERVER, TraceContext, emit
 
 _SERVER_PORT = "http"
@@ -64,10 +64,6 @@ class Response:
     status: int
     body: Any = None
     reason: str = ""
-    #: optional pre-measured estimate_size of ``body`` — handlers that
-    #: answer with a cached body (resolve answers) set it so the reply
-    #: send skips re-measuring the payload
-    body_size: Optional[int] = field(default=None, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -316,15 +312,7 @@ class WebService:
             "body": response.body,
             "reason": response.reason,
         }
-        body_size = response.body_size
-        size = None if body_size is None \
-            else presized_estimate(reply, "body", body_size)
-        self.host.send(
-            message.sender,
-            message.payload["reply_port"],
-            reply,
-            size=size,
-        )
+        self.host.send(message.sender, message.payload["reply_port"], reply)
 
 
 class _Round:

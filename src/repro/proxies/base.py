@@ -72,8 +72,9 @@ class Registrant:
         self.heartbeats_failed = 0
         self._client = HttpClient(host, policy=policy)
         self._heartbeat_task: Optional[PeriodicTask] = None
-        #: (descriptor_revision, token): digested once per revision
-        self._token: Optional[Tuple[int, str]] = None
+        #: (descriptor_revision, payload, token): the descriptor built
+        #: and digested once per revision
+        self._descriptor: Optional[Tuple[int, Dict, str]] = None
         #: token of the last full registration a master accepted; while
         #: it is still the current one a heartbeat is a renewal
         self._held_token: Optional[str] = None
@@ -85,31 +86,35 @@ class Registrant:
     def descriptor_revision(self) -> int:
         """Marker that changes whenever the registration payload would.
 
-        The registration token is digested once per revision.
+        The payload is built and its token digested once per revision.
         Subclasses whose descriptor can change after construction must
         bump the value they return.
         """
         return 0
 
+    def _current_descriptor(self) -> Tuple[int, Dict, str]:
+        revision = self.descriptor_revision()
+        memo = self._descriptor
+        if memo is None or memo[0] != revision:
+            payload = self._registration_payload()
+            document = json.dumps(payload, sort_keys=True, default=str)
+            memo = (revision, payload, hashlib.blake2s(
+                document.encode("utf-8"), digest_size=8).hexdigest())
+            self._descriptor = memo
+        return memo
+
     def registration_token(self) -> str:
         """Digest of the current descriptor: the master's opaque
         validator, equal only for equal descriptors."""
-        revision = self.descriptor_revision()
-        cached = self._token
-        if cached is None or cached[0] != revision:
-            document = json.dumps(self._registration_payload(),
-                                  sort_keys=True, default=str)
-            cached = (revision, hashlib.blake2s(
-                document.encode("utf-8"), digest_size=8).hexdigest())
-            self._token = cached
-        return cached[1]
+        return self._current_descriptor()[2]
 
     def _registration(self, lease: Optional[float], full: bool) -> Dict:
         """A ``/register`` body: the whole descriptor, or its renewal."""
-        body = self._registration_payload() if full else {"uri": self.uri}
+        _, payload, token = self._current_descriptor()
+        body = dict(payload) if full else {"uri": self.uri}
         if lease is not None:
             body["lease"] = lease
-        body["token"] = self.registration_token()
+        body["token"] = token
         return body
 
     def register_with(self, master_uri: Union[str, Sequence[str],

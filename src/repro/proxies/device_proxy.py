@@ -136,12 +136,7 @@ class DeviceProxy(Proxy):
         self._seq: Dict[str, int] = {}  # device -> last published seq
         self._devices: Dict[str, _AttachedDevice] = {}
         self._by_address: Dict[str, str] = {}  # native address -> device id
-        #: (revision, serialized device descriptions) — device capability
-        #: descriptions are fixed at attach time, so the descriptor's
-        #: ``devices`` list only changes when the attached fleet does;
-        #: rebuilding it on every heartbeat re-registration was a top
-        #: cost in the soak profile
-        self._descriptor_cache: Optional[tuple] = None
+        #: bumped by attach / detach, the only changes to the descriptor
         self._devices_rev = 0
         self._pending: List[_PendingActuation] = []
         service = self.service
@@ -379,18 +374,11 @@ class DeviceProxy(Proxy):
         return self._devices_rev
 
     def descriptor(self) -> Dict:
-        cached = self._descriptor_cache
-        if cached is None or cached[0] != self._devices_rev:
-            cached = (self._devices_rev, [
-                device.description().to_dict() for device in self.devices()
-            ])
-            self._descriptor_cache = cached
-        # fresh outer dict every call (callers add registration keys to
-        # it); the devices list is shared
         return {
             "district_id": self.district_id,
             "protocol": self.adapter.name,
-            "devices": cached[1],
+            "devices": [device.description().to_dict()
+                        for device in self.devices()],
         }
 
     # -- web-service routes ------------------------------------------------------

@@ -8,6 +8,7 @@ function nothing calls fails here until it gets a caller or a reason.
 
 import dataclasses
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -21,12 +22,18 @@ _spec = importlib.util.spec_from_file_location(
 census = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(census)
 
+#: the second holders of an answer the client already holds: the
+#: master's resolve body cache, the body-size hint that fed it and the
+#: Device-proxy's descriptor memo
+SECOND_HOLDERS = ("RESOLVE_CACHE_MAX", "resolve_cache_max",
+                  "presized_estimate", "body_size", "_descriptor_cache")
+
 #: what was deleted: none of it may come back, found or allow-listed
 #: (seven hub fields and ``BrokerDurabilityConfig`` became
 #: ``ScenarioConfig.master`` / ``.broker``, two ``HubConfig`` values;
-#: the last two rows are the network-wide metrics registry's counters,
+#: the next two rows are the network-wide metrics registry's counters,
 #: gauges and the wiring that attached it to every node)
-REMOVED = (
+REMOVED = SECOND_HOLDERS + (
     "ScenarioConfig.net_base_latency", "ScenarioConfig.radio_latency",
     "ScenarioConfig.lease_factor", "ScenarioConfig.host_prefix",
     "FleetMonitorConfig.scrape_timeout",
@@ -76,6 +83,18 @@ class TestThisRepository:
         assert len(dataclasses.fields(FleetMonitorConfig)) <= 5
         assert not [path for path in (ROOT / "src").rglob("*.py")
                     if "os.environ" in path.read_text()]
+
+    def test_answers_are_held_only_by_whoever_asked(self):
+        # the client holds every resolve, model and /data answer with its
+        # token; nothing in the library keeps a second copy (the leading
+        # \b spares cli.py's "bench_c9_resolve_cache.py")
+        names = re.compile("|".join(SECOND_HOLDERS)
+                           + r"|\b_resolve_cache\b")
+        assert not [f"{path.relative_to(ROOT)}:{number}"
+                    for path in (ROOT / "src").rglob("*.py")
+                    for number, line
+                    in enumerate(path.read_text().splitlines(), 1)
+                    if names.search(line)]
 
     def test_no_node_counts_into_a_network_wide_registry(self):
         # each event is counted once, by the node that sees it, and

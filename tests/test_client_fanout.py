@@ -214,12 +214,16 @@ class TestStrictAndLenient:
         assert "/model" in str(raised.value)
 
     def test_404_means_empty_not_failed(self):
+        """A Device-proxy asked for a series it never collected answers
+        ``[]``, not a 404, so the client counts nothing as failed."""
         net = Network(Scheduler(), latency=LatencyModel(jitter=0.0))
-        WebService(net.add_host("bare"))   # no /data route: 404
+        Broker(net.add_host("broker"))
+        DeviceProxy(net.add_host("gateway"), adapter=make_adapter("zigbee"),
+                    broker_host="broker", district_id="dst-0001")
         client = DistrictClient(net.add_host("user"), "svc://master/")
-        device = ResolvedDevice("dev-0001", "svc://bare/", "zigbee",
+        device = ResolvedDevice("dev-0001", "svc://gateway/", "zigbee",
                                 ("power",), False)
-        assert client.fetch_device_data(device, "power") == []
+        assert client.fetch_device_data(device, "power", strict=False) == []
         assert client.fetch_failures == 0
 
 

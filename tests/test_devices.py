@@ -27,10 +27,6 @@ class TestSimulatedDevice:
         device.add_sensor("power", ConstantProfile(100.0), 60.0)
         return device
 
-    def test_read_all(self):
-        device = self.make_device()
-        assert device.read_all(0.0) == [("power", 100.0)]
-
     def test_duplicate_sensor_rejected(self):
         device = self.make_device()
         with pytest.raises(ConfigurationError):

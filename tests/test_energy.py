@@ -28,10 +28,6 @@ class TestEnergyBudget:
         with pytest.raises(ConfigurationError):
             EnergyBudget(battery_joules=-1.0)
 
-    def test_harvesting_flag(self):
-        assert PROTOCOL_BUDGETS["enocean"].is_harvesting
-        assert not PROTOCOL_BUDGETS["zigbee"].is_harvesting
-
 
 class TestDeviceEnergyModel:
     def budget(self, **overrides):

@@ -81,11 +81,6 @@ class TestProfiler:
         district = profiler.district_profile()
         assert all(v == pytest.approx(5000.0) for _t, v in district)
 
-    def test_device_profile(self):
-        profiler = ConsumptionProfiler(build_model(), bucket=900.0)
-        profile = profiler.device_profile("bld-0001", "dev-0101")
-        assert all(v == pytest.approx(500.0) for _t, v in profile)
-
     def test_building_energy(self):
         profiler = ConsumptionProfiler(build_model(), bucket=900.0)
         # 2000 W over ~1.75 h of trapezoid span

@@ -256,8 +256,8 @@ class TestEstimateSizeExactness:
 
 
 class TestPresizedEstimate:
-    """Envelope sizing from a known inner-field size must equal a full
-    measurement, and must leave the payload untouched."""
+    """A reply envelope is sized by one walk that equals its JSON
+    length, and measuring it leaves the payload untouched."""
 
     @pytest.mark.parametrize(
         "body",
@@ -270,20 +270,18 @@ class TestPresizedEstimate:
         ],
     )
     def test_matches_full_estimate(self, body):
-        from repro.network.transport import presized_estimate
+        import json
 
         envelope = {"kind": "request", "uri": "/register", "body": body,
                     "seq": 7}
-        inner = estimate_size({"body": body}) - estimate_size({"body": 0}) + 1
-        assert presized_estimate(envelope, "body", inner) == \
-            estimate_size(envelope)
+        assert estimate_size(envelope) == \
+            len(json.dumps(envelope, default=str).encode())
 
     def test_payload_restored_even_on_measurement(self):
-        from repro.network.transport import presized_estimate
-
         body = {"x": [1, 2, 3]}
         envelope = {"body": body, "k": "v"}
-        presized_estimate(envelope, "body", estimate_size(body))
+        estimate_size(envelope)
+        assert envelope == {"body": {"x": [1, 2, 3]}, "k": "v"}
         assert envelope["body"] is body
 
 

@@ -296,32 +296,27 @@ class TestExactDispatchTable:
 
 
 class TestBodySizeHint:
-    """A Response.body_size hint must charge exactly the bytes a
-    hint-free reply would have charged — sizes feed latency, and
-    latency feeds event ordering."""
+    """A reply is charged exactly the estimate of its envelope — sizes
+    feed latency, and latency feeds event ordering."""
 
     def test_hinted_reply_charges_identical_bytes(self, net):
         from repro.network.transport import estimate_size
-        from repro.network.webservice import Response
 
         body = {"attached": "devices", "device_ids": ["d1", "d2", "d3"]}
-        for hinted in (False, True):
-            network = Network(Scheduler(), latency=LatencyModel(jitter=0.0))
-            host = network.add_host("server")
-            svc = WebService(host)
-            size = estimate_size(body) if hinted else None
-            svc.add_route(POST, "/register",
-                          lambda r, s=size: Response(200, body, body_size=s))
-            client = HttpClient(network.add_host("client"))
-            resp = client.post("svc://server/register", body={"x": 1})
-            assert resp.body == body
-            if hinted:
-                hinted_bytes = network.stats.bytes_sent
-            else:
-                plain_bytes = network.stats.bytes_sent
-        assert hinted_bytes == plain_bytes
+        WebService(net.add_host("server")).add_route(
+            POST, "/register", lambda r: ok(body))
+        client = HttpClient(net.add_host("client"))
+        sent = []
+        original_deliver = net._deliver
 
-    def test_body_size_ignored_in_equality(self):
-        from repro.network.webservice import Response
+        def spy(sender, recipient, port, payload, size, sent_at):
+            sent.append((payload, size))
+            original_deliver(sender, recipient, port, payload, size, sent_at)
 
-        assert Response(200, "x", body_size=99) == Response(200, "x")
+        net._deliver = spy
+        assert client.post("svc://server/register", body={"x": 1}).body \
+            == body
+        (_, request_size), (reply, reply_size) = sent
+        assert reply["body"] == body
+        assert reply_size == estimate_size(reply)
+        assert net.stats.bytes_sent == request_size + reply_size
