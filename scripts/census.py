@@ -99,7 +99,6 @@ ALLOW: Dict[str, str] = {
              "library needs it, " + _FLOOR,
              "definition: repro.middleware.broker.pending_delivery_count "
              "(tests only)",
-             "definition: repro.network.transport.partitioned (tests only)",
              "definition: repro.observability.tracing.trace_ids "
              "(tests only)",
              "definition: repro.datasources.sim.cadastral_ids (tests only)",
@@ -119,8 +118,7 @@ ALLOW: Dict[str, str] = {
              "(tests only)",
              "definition: repro.common.units.known_quantities (tests only)",
              "definition: repro.common.units.register_conversion "
-             "(tests only)",
-             "definition: repro.middleware.topics.topic_device (tests only)"),
+             "(tests only)"),
 }
 
 

@@ -104,11 +104,3 @@ def actuation_topic(device_id: str) -> str:
     """Topic carrying actuation results for a device."""
     return join("actuation", device_id)
 
-
-def topic_device(topic: str) -> str:
-    """Extract the device id from a canonical measurement topic."""
-    levels = validate_topic(topic)
-    for i, level in enumerate(levels[:-1]):
-        if level == "device":
-            return levels[i + 1]
-    raise ConfigurationError(f"no device level in topic {topic!r}")

@@ -457,11 +457,6 @@ class Network:
         """Remove every active partition (no-op when none exist)."""
         self._partitions.clear()
 
-    @property
-    def partitioned(self) -> bool:
-        """Whether any partition is currently active."""
-        return bool(self._partitions)
-
     def partition_blocks(self, sender: str, recipient: str) -> bool:
         """Whether an active partition severs the sender->recipient link."""
         for isolated in self._partitions:

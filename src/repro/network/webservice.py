@@ -96,7 +96,7 @@ def conditional(request: Request, token: str,
     params = dict(request.params)
     if params.pop("if_none_match", None) == token:
         on_not_modified()
-        return Response(304, None, "not modified")
+        return Response(304)
     response = answer(params)
     if response.ok:
         response.body["token"] = token
@@ -309,9 +309,12 @@ class WebService:
         reply = {
             "request_id": message.payload["request_id"],
             "status": response.status,
-            "body": response.body,
             "reason": response.reason,
         }
+        if response.body is not None:
+            # an error or a 304 sends no "body" key at all; the client
+            # reads a missing one as None
+            reply["body"] = response.body
         self.host.send(message.sender, message.payload["reply_port"], reply)
 
 

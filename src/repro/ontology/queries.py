@@ -15,6 +15,7 @@ quantity.  :func:`resolve` evaluates it and produces the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.datasources.geometry import BoundingBox
@@ -88,29 +89,19 @@ class ResolvedDevice:
     quantities: Tuple[str, ...]
     is_actuator: bool
 
-    def to_dict(self) -> Dict:
-        return {
-            "device_id": self.device_id,
-            "proxy_uri": self.proxy_uri,
-            "protocol": self.protocol,
-            "quantities": list(self.quantities),
-            "is_actuator": self.is_actuator,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ResolvedDevice":
-        return cls(
-            device_id=data["device_id"],
-            proxy_uri=data["proxy_uri"],
-            protocol=data["protocol"],
-            quantities=tuple(data.get("quantities", [])),
-            is_actuator=bool(data.get("is_actuator", False)),
-        )
-
 
 @dataclass(frozen=True)
 class ResolvedEntity:
-    """One matched entity with the URIs a client needs to fetch its data."""
+    """One matched entity with the URIs a client needs to fetch its data.
+
+    On the wire its devices travel as ``device_proxies``: one *run* per
+    maximal sequence of consecutive devices behind the same Device-proxy
+    URI and protocol, ``{"uri", "protocol", "devices": {device_id:
+    [quantity, ...]}, "actuators": [device_id, ...]}``, so each proxy is
+    named once per run rather than once per device.  Runs, not a map
+    keyed by URI: they round-trip any device order, and one proxy may
+    front devices of several protocols.
+    """
 
     entity_id: str
     entity_type: str
@@ -120,13 +111,23 @@ class ResolvedEntity:
     devices: Tuple[ResolvedDevice, ...]
 
     def to_dict(self) -> Dict:
+        runs = []
+        for (uri, protocol), group in groupby(
+                self.devices, lambda d: (d.proxy_uri, d.protocol)):
+            run = list(group)
+            runs.append({
+                "uri": uri,
+                "protocol": protocol,
+                "devices": {d.device_id: list(d.quantities) for d in run},
+                "actuators": [d.device_id for d in run if d.is_actuator],
+            })
         return {
             "entity_id": self.entity_id,
             "entity_type": self.entity_type,
             "name": self.name,
             "proxy_uris": dict(self.proxy_uris),
             "gis_feature_id": self.gis_feature_id,
-            "devices": [d.to_dict() for d in self.devices],
+            "device_proxies": runs,
         }
 
     @classmethod
@@ -138,7 +139,11 @@ class ResolvedEntity:
             proxy_uris=dict(data.get("proxy_uris", {})),
             gis_feature_id=data.get("gis_feature_id", ""),
             devices=tuple(
-                ResolvedDevice.from_dict(d) for d in data.get("devices", [])
+                ResolvedDevice(device_id, run["uri"], run["protocol"],
+                               tuple(quantities),
+                               device_id in run["actuators"])
+                for run in data.get("device_proxies", [])
+                for device_id, quantities in run["devices"].items()
             ),
         )
 

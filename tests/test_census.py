@@ -51,6 +51,7 @@ REMOVED = SECOND_HOLDERS + (
     "scenario.device_proxy_for", "scheduler.stopped",
     "Observability", "metric_prefix", "_count_metric",
     "DeployedDistrict.metrics", "Counter", "Gauge", "gauge",
+    "topics.topic_device", "transport.partitioned",
 )
 
 

@@ -40,11 +40,13 @@ _TWIN = dict(
 #: across.  A change that is *meant* to move one of these says so and
 #: re-records it; nothing else may.  ``bytes_sent`` was re-recorded
 #: (102 718 -> 102 638) when the resolve 304 lost its ``{"epoch": ...}``
-#: body: four revalidated resolves, 20 bytes each
+#: body: four revalidated resolves, 20 bytes each; and again (-> 102 008)
+#: when resolve answers named each Device-proxy once per run of devices
+#: and 304 / error replies lost their ``"body": null`` and 304 reason
 _TWIN_GOLDEN = {
     "events_processed": 673,
     "messages_total": 344,
-    "bytes_sent": 102638,
+    "bytes_sent": 102008,
     "samples_ingested": 57,
     "resolves": 5,
     "churn_events_received": 69,
@@ -68,12 +70,14 @@ _DURABLE_GOLDEN = {
 #: ``/query_range`` answered, and the bytes the whole run put on the wire.
 #: ``bytes_sent`` was re-recorded (192 327 -> 192 385) when model answers
 #: gained their ``"token"`` field: four cold model bodies, 58 bytes; and
-#: again (-> 192 460) when ``/data`` answers did: five cold bodies, 75 bytes
+#: again (-> 192 460) when ``/data`` answers did: five cold bodies, 75 bytes;
+#: and again (-> 192 249) with the run-grouped resolve answer and the
+#: bodyless 304
 _READ_GOLDEN = {
     "answers": "d9c596dbfd6bd1ce3ede71b81d366d59"
                "a78d34a24dea81f2b6f337734f2e0f38",
     "sources": ["raw", "rollup:900"],
-    "bytes_sent": 192460,
+    "bytes_sent": 192249,
 }
 
 

@@ -154,9 +154,10 @@ class TestPartition:
         assert all("bim" in b.sources for b in intact)
         # a partition is a link cut, not a crash: no host is offline
         assert injector.offline_hosts == []
-        assert deployment.network.partitioned
+        master = deployment.master.host.name
+        assert deployment.network.partition_blocks(hosts[0], master)
         injector.heal_partition()
-        assert not deployment.network.partitioned
+        assert not deployment.network.partition_blocks(hosts[0], master)
         healed = client.build_area_model(
             AreaQuery(district_id=deployment.district_id),
             strict=False,

@@ -1,6 +1,7 @@
 """Tests for the district ontology and area-query resolution."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.datasources.geometry import BoundingBox
 from repro.errors import OntologyError, QueryError, UnknownEntityError
@@ -9,7 +10,13 @@ from repro.ontology.model import (
     DistrictOntology,
     EntityNode,
 )
-from repro.ontology.queries import AreaQuery, ResolvedArea, resolve
+from repro.ontology.queries import (
+    AreaQuery,
+    ResolvedArea,
+    ResolvedDevice,
+    ResolvedEntity,
+    resolve,
+)
 
 
 def build_ontology():
@@ -192,3 +199,78 @@ class TestResolution:
         assert entity.proxy_uris == {"bim": "svc://proxy-bim-1/"}
         assert entity.gis_feature_id == "ft-00001"
         assert entity.devices[0].proxy_uri == "svc://proxy-dev-1/"
+
+
+P1, P2 = "svc://proxy-dev-1/", "svc://proxy-dev-2/"
+
+_devices = st.lists(
+    st.builds(
+        ResolvedDevice,
+        device_id=st.from_regex(r"dev-[0-9]{4}", fullmatch=True),
+        proxy_uri=st.sampled_from((P1, P2, "svc://proxy-dev-3/")),
+        protocol=st.sampled_from(("zigbee", "enocean", "opcua")),
+        quantities=st.lists(st.sampled_from(("power", "energy", "humidity")),
+                            unique=True, max_size=3).map(tuple),
+        is_actuator=st.booleans(),
+    ),
+    max_size=6, unique_by=lambda d: d.device_id,
+).map(tuple)
+
+_areas = st.builds(
+    ResolvedArea,
+    district_id=st.just("dst-0001"),
+    district_name=st.text(max_size=4),
+    gis_uris=st.lists(st.just("svc://proxy-gis/"), max_size=1).map(tuple),
+    measurement_uris=st.lists(st.just("svc://mdb/"), max_size=1).map(tuple),
+    entities=st.lists(st.builds(
+        ResolvedEntity,
+        entity_id=st.from_regex(r"bld-[0-9]{4}", fullmatch=True),
+        entity_type=st.sampled_from(("building", "network")),
+        name=st.text(max_size=4),
+        proxy_uris=st.dictionaries(st.sampled_from(("bim", "sim")),
+                                   st.just("svc://proxy-bim-1/")),
+        gis_feature_id=st.just(""),
+        devices=_devices,
+    ), max_size=4).map(tuple),
+)
+
+
+def _device(device_id, uri, protocol, is_actuator=False):
+    return ResolvedDevice(device_id, uri, protocol, ("power",), is_actuator)
+
+
+#: one proxy fronting two protocols, the same proxy again after another
+#: one, an actuator mix inside a run, and an entity with no devices
+MIXED = ResolvedArea("dst-0001", "D", (), (), (
+    ResolvedEntity("bld-0001", "building", "B1", {}, "", (
+        _device("dev-0101", P1, "zigbee"),
+        _device("dev-0102", P1, "zigbee", is_actuator=True),
+        _device("dev-0103", P1, "enocean"),
+        _device("dev-0104", P2, "zigbee", is_actuator=True),
+        _device("dev-0105", P1, "zigbee"),
+    )),
+    ResolvedEntity("net-0001", "network", "N1", {}, "", ()),
+))
+
+
+class TestResolvedAreaWire:
+    @settings(max_examples=150, deadline=None)
+    @given(_areas)
+    @example(MIXED)
+    def test_round_trip_is_exact(self, area):
+        assert ResolvedArea.from_dict(area.to_dict()) == area
+
+    def test_each_run_names_its_proxy_once(self):
+        building, network = MIXED.to_dict()["entities"]
+        assert building["device_proxies"] == [
+            {"uri": P1, "protocol": "zigbee",
+             "devices": {"dev-0101": ["power"], "dev-0102": ["power"]},
+             "actuators": ["dev-0102"]},
+            {"uri": P1, "protocol": "enocean",
+             "devices": {"dev-0103": ["power"]}, "actuators": []},
+            {"uri": P2, "protocol": "zigbee",
+             "devices": {"dev-0104": ["power"]}, "actuators": ["dev-0104"]},
+            {"uri": P1, "protocol": "zigbee",
+             "devices": {"dev-0105": ["power"]}, "actuators": []},
+        ]
+        assert network["device_proxies"] == []

@@ -29,7 +29,7 @@ from repro.errors import RegistrationError, ReproError
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
 from repro.network.webservice import HttpClient
-from repro.ontology.queries import AreaQuery
+from repro.ontology.queries import AreaQuery, ResolvedArea
 from repro.simulation import ScenarioConfig, deploy
 from repro.simulation.faults import FaultInjector
 from repro.simulation.scenario import LEASE_FACTOR
@@ -281,11 +281,12 @@ class TestServerResolveCache:
     def test_eviction_invalidates_cached_answer(self, net, master):
         master.register(bim_payload())
         master.register(device_payload("svc://dev-1/"))
-        self.resolve(net, master)
+        before = self.resolve(net, master)
+        assert "svc://dev-1/" in proxy_uris_of(
+            ResolvedArea.from_dict(before.body))
         master._evict_uri("svc://dev-1/")
         answer = self.resolve(net, master)
-        uris = {d["proxy_uri"] for e in answer.body["entities"]
-                for d in e["devices"]}
+        uris = proxy_uris_of(ResolvedArea.from_dict(answer.body))
         assert "svc://dev-1/" not in uris
 
     def test_conditional_get_earns_304(self, net, master):

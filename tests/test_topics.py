@@ -107,11 +107,3 @@ class TestCanonicalTopics:
         assert topics.topic_matches(pattern, topic)
         other = topics.measurement_topic("dst-2", "bld-2", "dev-3", "energy")
         assert not topics.topic_matches(pattern, other)
-
-    def test_topic_device_extraction(self):
-        topic = topics.measurement_topic("d", "e", "dev-0042", "power")
-        assert topics.topic_device(topic) == "dev-0042"
-
-    def test_topic_device_missing(self):
-        with pytest.raises(ConfigurationError):
-            topics.topic_device("a/b/c")

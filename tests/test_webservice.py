@@ -12,6 +12,7 @@ from repro.network.webservice import (
     Request,
     Router,
     WebService,
+    conditional,
     error,
     ok,
 )
@@ -320,3 +321,33 @@ class TestBodySizeHint:
         assert reply["body"] == body
         assert reply_size == estimate_size(reply)
         assert net.stats.bytes_sent == request_size + reply_size
+
+
+class TestBodylessReplies:
+    """A 304 or an error puts no ``"body"`` key on the wire at all."""
+
+    def test_304_and_error_replies_carry_no_body_key(self, net):
+        svc = WebService(net.add_host("server"))
+        svc.add_route(GET, "/thing", lambda r: conditional(
+            r, "t1", lambda params: ok({"v": 1})))
+        svc.add_route(GET, "/broken", lambda r: error(409, "conflict"))
+        client = HttpClient(net.add_host("client"))
+        replies = []
+        original_deliver = net._deliver
+
+        def spy(sender, recipient, port, payload, size, sent_at):
+            if sender == "server":
+                replies.append(payload)
+            original_deliver(sender, recipient, port, payload, size, sent_at)
+
+        net._deliver = spy
+        full = client.get("svc://server/thing")
+        again = client.get("svc://server/thing", check=False,
+                           params={"if_none_match": full.body["token"]})
+        refused = client.get("svc://server/broken", check=False)
+        assert full.body == {"v": 1, "token": "t1"}
+        assert (again.status, again.body, again.reason) == (304, None, "")
+        assert (refused.status, refused.body) == (409, None)
+        assert refused.reason == "conflict"
+        assert [("body" in reply) for reply in replies] == \
+            [True, False, False]
