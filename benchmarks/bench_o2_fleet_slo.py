@@ -51,9 +51,8 @@ def _deploy(monitored: bool):
         net_jitter=0.0,
         heartbeat_period=HEARTBEAT,
         peer_keepalive=HEARTBEAT,
-        fleet_monitor=FleetMonitorConfig(
-            scrape_interval=INTERVAL, health_every=10,
-        ) if monitored else None,
+        fleet_monitor=FleetMonitorConfig(scrape_interval=INTERVAL)
+        if monitored else None,
     )
     return deploy(config)
 

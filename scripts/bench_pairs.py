@@ -3,12 +3,21 @@
 
     python scripts/bench_pairs.py <parent-checkout> <change-checkout> \
         --workload area_query [--pairs 10] [--seed 17]
+    python scripts/bench_pairs.py <parent-checkout> <change-checkout> \
+        --exact --seed 17 --seed 29 [--workload area_query]
 
 Each run is the checkout's own ``benchmarks/district/run.py --workload W
---trace 0`` in a fresh interpreter; which side goes first alternates.
-Prints every run, each side's quartiles per end-to-end metric, pairs
-won / lost / tied, whether every ``sim_*`` metric is exactly equal, and
-the verdict of the ``choosing-metrics`` guide, section 8.
+--trace T`` in a fresh interpreter.  The pair protocol runs ``--trace 0``
+and alternates which side goes first; it prints every run, each side's
+quartiles per end-to-end metric, pairs won / lost / tied, whether every
+``sim_*`` metric is exactly equal, and the verdict of the
+``choosing-metrics`` guide, section 8.
+
+``--exact`` is the "nothing moved" proof: for every ``BENCHMARK.json``
+workload (or the one given) and every ``--seed``, one ``--trace 0`` and
+one ``--trace 1`` run per side, then every value that differs apart from
+the host-clock ones (:func:`host_clock`).  Exit status 1 on any
+difference.
 """
 
 import argparse
@@ -17,7 +26,11 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
+
+#: values that time this machine rather than count the program's work
+HOST_CLOCK = ("setup_s", "ops_per_s", "peak_rss_mb", "attributed_share",
+              "tracing_overhead_x")
 
 
 def quartiles(runs: Sequence[float]) -> List[float]:
@@ -47,11 +60,28 @@ def compare(parent: Sequence[float], change: Sequence[float],
             "parent": p_q, "change": c_q, "verdict": verdict}
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> Dict[str, float]:
+def host_clock(name: str) -> bool:
+    """Whether metric *name* is a host-clock value ``--exact`` skips."""
+    return name in HOST_CLOCK or name.endswith((".self_s", ".self_share"))
+
+
+def differing(parent: Dict[str, float], change: Dict[str, float]
+              ) -> List[str]:
+    """Names of the values two runs disagree on, host clock excepted
+    (a value missing on one side differs; NaN equals NaN)."""
+    def same(a, b):
+        return a == b or (a != a and b != b)
+    return sorted(name for name in parent.keys() | change.keys()
+                  if not host_clock(name)
+                  and not same(parent.get(name), change.get(name)))
+
+
+def run_once(checkout: Path, workload: str, seed: int, trace: int = 0
+             ) -> Dict[str, float]:
     """One run of *checkout*'s own benchmark; its metrics by name."""
     out = subprocess.run(
         [sys.executable, "benchmarks/district/run.py", "--workload",
-         workload, "--seed", str(seed), "--trace", "0"],
+         workload, "--seed", str(seed), "--trace", str(trace)],
         cwd=checkout, check=True, capture_output=True, text=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
@@ -59,25 +89,40 @@ def run_once(checkout: Path, workload: str, seed: int) -> Dict[str, float]:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=17)
-    args = parser.parse_args(argv)
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    sides = {"parent": args.parent, "change": args.change}
+def exact(sides: Dict[str, Path], workloads: Sequence[str],
+          seeds: Sequence[int],
+          run: Callable[..., Dict[str, float]] = run_once) -> int:
+    """The "nothing moved" proof; 1 when any value differs, else 0."""
+    moved = 0
+    for workload in workloads:
+        for seed in seeds:
+            for trace in (0, 1):
+                parent, change = (run(sides[side], workload, seed, trace)
+                                  for side in ("parent", "change"))
+                names = differing(parent, change)
+                moved += len(names)
+                print(f"{workload} seed {seed} trace {trace}: "
+                      f"{len(parent)} values, {len(names)} differ",
+                      flush=True)
+                for name in names:
+                    print(f"  {name}: {parent.get(name)} -> "
+                          f"{change.get(name)}")
+    print(f"differing values: {moved}" if moved else "nothing moved")
+    return 1 if moved else 0
+
+
+def pairs(sides: Dict[str, Path], workload: str, seed: int, count: int,
+          spec: Dict) -> None:
+    """The alternating pair protocol on one workload and seed."""
     runs: Dict[str, List[Dict[str, float]]] = {side: [] for side in sides}
-    for pair in range(args.pairs):
+    for pair in range(count):
         for side in (("parent", "change"), ("change", "parent"))[pair % 2]:
-            metrics = run_once(sides[side], args.workload, args.seed)
+            metrics = run_once(sides[side], workload, seed)
             runs[side].append(metrics)
             print(f"pair {pair + 1:2d} {side:6s} " + "  ".join(
                 f"{name}={value:.6g}" for name, value in metrics.items()),
                 flush=True)
-    print(f"\n{args.workload}, seed {args.seed}: q1 / median / q3")
+    print(f"\n{workload}, seed {seed}: q1 / median / q3")
     for metric in spec["end_to_end"]:
         name = metric["name"]
         parent, change = ([run[name] for run in runs[side]] for side in sides)
@@ -92,6 +137,32 @@ def main(argv=None) -> int:
                           for side in sides)
               + f"  won {c['won']} lost {c['lost']} tied {c['tied']}"
               f"  -> {c['verdict']}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload",
+                        help="required for pairs; --exact runs every "
+                             "BENCHMARK.json workload without it")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, action="append",
+                        help="repeatable (default 17)")
+    parser.add_argument("--exact", action="store_true",
+                        help="prove every non-host-clock value equal")
+    args = parser.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    sides = {"parent": args.parent, "change": args.change}
+    seeds = args.seed or [17]
+    if args.exact:
+        workloads = [args.workload] if args.workload else \
+            [workload["name"] for workload in spec["workloads"]]
+        return exact(sides, workloads, seeds)
+    if not args.workload:
+        parser.error("--workload is required without --exact")
+    for seed in seeds:
+        pairs(sides, args.workload, seed, args.pairs, spec)
     return 0
 
 

@@ -99,8 +99,6 @@ ALLOW: Dict[str, str] = {
              "library needs it, " + _FLOOR,
              "definition: repro.middleware.broker.pending_delivery_count "
              "(tests only)",
-             "definition: repro.observability.tracing.trace_ids "
-             "(tests only)",
              "definition: repro.datasources.sim.cadastral_ids (tests only)",
              "definition: repro.datasources.gis.by_cadastral_id "
              "(tests only)",

@@ -585,7 +585,7 @@ class MasterNode(StateMachine):
             # no serialization
             self.resolve_not_modified += 1
             self.resolves_served += 1
-            emit(self.host.network, "resolve_cache_not_modified",
+            emit(self.host.network, "resolve_not_modified",
                  host=self.host.name, epoch=token, master=self.host.name)
 
         return conditional(request, token, self._resolve_answer,

@@ -19,7 +19,6 @@ from repro.observability.collector import (
     FleetMonitorConfig,
     MetricsCollector,
     ScrapeTarget,
-    TimeSeries,
     render_fleet,
 )
 from repro.observability.metrics import Histogram, MetricsRegistry
@@ -78,7 +77,6 @@ __all__ = [
     "SloEngine",
     "Span",
     "SpanEvent",
-    "TimeSeries",
     "TraceContext",
     "Tracer",
     "default_slos",

@@ -1,128 +1,49 @@
 """Fleet metrics collector: an in-sim scraper node.
 
-PR 2 gave every node a ``/metrics`` and ``/health`` endpoint; this
-module adds the thing that *reads* them continuously.  The
-:class:`MetricsCollector` is deployed as one more node on the simulated
-network and scrapes every registered target **through the transport
-layer** — each scrape is a real HTTP request that pays latency, can be
-dropped by partitions and flaky links, is fast-failed by an optional
-circuit breaker, and shows up in traces like any other request.  A
-target that stops answering is therefore observed exactly the way a
-real Prometheus observes a dead exporter: scrapes time out.
+Every node serves its own counters on ``/metrics``; this module adds
+the thing that *reads* them continuously.  The :class:`MetricsCollector`
+is deployed as one more node on the simulated network and scrapes every
+registered target **through the transport layer** — each scrape is a
+real HTTP request that pays latency, can be dropped by partitions and
+flaky links, and shows up in traces like any other request.  A target
+that stops answering is therefore observed exactly the way a real
+Prometheus observes a dead exporter: scrapes time out.
 
-Scraped numbers land in bounded ring-buffer time series (one per
-(target, flattened metric name)), with staleness marking — a target
-whose last successful scrape is older than :data:`STALENESS_FACTOR`
-intervals is reported stale rather than silently showing old data.
-``rate()`` / ``delta()`` derivations over counters come with the
-series, so SLOs and operators get per-window velocities, not raw
-monotone counts.
+Scraped numbers land in bounded :class:`~repro.observability.slo.Ring`
+series (one per (target, flattened metric name),
+:data:`~repro.observability.slo.RETENTION` samples each), with staleness marking — a target whose last successful
+scrape is older than :data:`STALENESS_FACTOR` intervals is reported
+stale rather than silently showing old data.
 
 :class:`FleetMonitor` bundles the collector with the SLO engine and
-alert manager of :mod:`repro.observability.slo`; deployments opt in
-with ``ScenarioConfig(fleet_monitor=FleetMonitorConfig(...))`` and the
-``repro fleet`` CLI subcommand renders the resulting fleet table and
-alert log.  Nothing here runs unless explicitly deployed — the
-PR 2 zero-overhead-when-disabled contract holds.
+alert manager of :mod:`repro.observability.slo`, evaluating
+:func:`~repro.observability.slo.default_slos`; deployments opt in with
+``ScenarioConfig(fleet_monitor=FleetMonitorConfig(scrape_interval=...))``
+and the ``repro fleet`` CLI subcommand renders the resulting fleet table
+and alert log.  Nothing here runs unless explicitly deployed — the
+zero-overhead-when-disabled contract holds.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError, NetworkError
 from repro.observability.slo import (
     AlertManager,
-    SLO,
+    Ring,
     SloEngine,
     default_slos,
 )
 
 if TYPE_CHECKING:  # deferred: repro.network imports this package
-    from repro.network.resilience import ResiliencePolicy
     from repro.network.scheduler import PeriodicTask
     from repro.network.transport import Host
 
 #: scrape intervals without a successful scrape before a target's data
 #: is reported stale
 STALENESS_FACTOR = 3.0
-
-
-class TimeSeries:
-    """A bounded ring buffer of ``(time, value)`` samples.
-
-    Old samples fall off the far end once *maxlen* is reached, so a
-    collector that runs forever holds constant memory per metric.
-    """
-
-    __slots__ = ("_samples",)
-
-    def __init__(self, maxlen: int):
-        if maxlen < 2:
-            raise ConfigurationError("a series needs room for >= 2 samples")
-        self._samples: Deque[Tuple[float, float]] = deque(maxlen=maxlen)
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def append(self, time: float, value: float) -> None:
-        """Record one sample (times must be non-decreasing)."""
-        if self._samples and time < self._samples[-1][0]:
-            raise ConfigurationError("samples must arrive in time order")
-        self._samples.append((time, float(value)))
-
-    def latest(self) -> Tuple[float, float]:
-        """The newest ``(time, value)`` sample."""
-        if not self._samples:
-            raise ConfigurationError("empty series has no latest sample")
-        return self._samples[-1]
-
-    def window(self, since: float) -> List[Tuple[float, float]]:
-        """Samples newer than *since*, oldest first."""
-        return [(t, v) for t, v in self._samples if t > since]
-
-    def delta_last(self) -> Optional[float]:
-        """Value change between the two newest samples (None if < 2)."""
-        if len(self._samples) < 2:
-            return None
-        return self._samples[-1][1] - self._samples[-2][1]
-
-    def delta(self, window: float, now: float) -> Optional[float]:
-        """Value change across samples in ``(now - window, now]``.
-
-        For counters this is the number of events in the window.  None
-        when fewer than two samples fall inside the window.
-        """
-        samples = self.window(now - window)
-        if len(samples) < 2:
-            return None
-        return samples[-1][1] - samples[0][1]
-
-    def rate(self, window: float, now: float) -> Optional[float]:
-        """Per-second increase over the window (None if undefined).
-
-        The counter analogue of PromQL ``rate()``: delta over the span
-        actually covered by samples, so a partially-filled window does
-        not dilute the rate.
-        """
-        samples = self.window(now - window)
-        if len(samples) < 2:
-            return None
-        span = samples[-1][0] - samples[0][0]
-        if span <= 0:
-            return None
-        return (samples[-1][1] - samples[0][1]) / span
 
 
 def flatten_metrics(payload: Any, prefix: str = "") -> Dict[str, float]:
@@ -149,20 +70,16 @@ def flatten_metrics(payload: Any, prefix: str = "") -> Dict[str, float]:
 class ScrapeTarget:
     """One monitored node: its address, series and scrape bookkeeping."""
 
-    def __init__(self, name: str, uri: str, kind: str, retention: int):
+    def __init__(self, name: str, uri: str, kind: str):
         self.name = name
         self.uri = uri.rstrip("/")
         self.kind = kind
-        self._retention = retention
-        #: flattened metric name -> bounded series
-        self.series: Dict[str, TimeSeries] = {}
-        #: the last /health body that arrived (empty until one does)
-        self.health: Dict[str, Any] = {}
+        #: flattened metric name -> ring of (time, value)
+        self.series: Dict[str, Ring] = {}
         self.scrapes_ok = 0
         self.scrapes_failed = 0
         self.consecutive_failures = 0
         self.last_success: Optional[float] = None
-        self.last_attempt: Optional[float] = None
 
     @property
     def up(self) -> bool:
@@ -177,64 +94,30 @@ class ScrapeTarget:
         for name, value in flat.items():
             series = self.series.get(name)
             if series is None:
-                series = TimeSeries(self._retention)
-                self.series[name] = series
+                series = self.series[name] = Ring()
             series.append(now, value)
 
     def record_failure(self) -> None:
         self.scrapes_failed += 1
         self.consecutive_failures += 1
 
-    def latest(self, metric: str) -> Optional[float]:
-        """Newest sample of one metric, or None."""
-        series = self.series.get(metric)
-        if series is None or not len(series):
-            return None
-        return series.latest()[1]
-
-    def rate(self, metric: str, window: float, now: float
-             ) -> Optional[float]:
-        """Per-second counter rate of one metric (None if undefined)."""
-        series = self.series.get(metric)
-        if series is None:
-            return None
-        return series.rate(window, now)
-
-    def delta(self, metric: str, window: float, now: float
-              ) -> Optional[float]:
-        """Counter increase of one metric over the window."""
-        series = self.series.get(metric)
-        if series is None:
-            return None
-        return series.delta(window, now)
-
 
 class MetricsCollector:
-    """Periodically scrapes every target's ``/metrics`` and ``/health``.
+    """Periodically scrapes every target's ``/metrics``.
 
     Scrapes are asynchronous (future-based), so one dead target never
-    stalls the round: its request simply times out *scrape_timeout*
-    later and is recorded as a failed scrape.  ``/health`` bodies are
-    informational (role, epoch, status strings); ``/metrics`` bodies
-    are flattened into numeric time series.  *on_scrape* callbacks run
-    once per completed-or-failed ``/metrics`` scrape — the SLO engine
-    hangs off that hook.
-
-    *health_every* throttles the ``/health`` side-channel to every Nth
-    round, keeping scrape overhead proportional to what operators
-    actually watch continuously.
+    stalls the round: its request simply times out *timeout* later and
+    is recorded as a failed scrape.  Each ``/metrics`` body is flattened
+    into numeric series.  *on_scrape* callbacks run once per
+    completed-or-failed scrape — the SLO engine hangs off that hook.
     """
 
     def __init__(self, host: "Host", interval: float = 15.0,
-                 timeout: Optional[float] = None, retention: int = 256,
-                 health_every: int = 1,
-                 policy: Optional["ResiliencePolicy"] = None):
+                 timeout: Optional[float] = None):
         from repro.network.webservice import HttpClient
 
         if interval <= 0:
             raise ConfigurationError("scrape interval must be positive")
-        if health_every < 1:
-            raise ConfigurationError("health_every must be >= 1")
         self.host = host
         self.interval = interval
         self.timeout = timeout if timeout is not None \
@@ -243,15 +126,12 @@ class MetricsCollector:
             raise ConfigurationError(
                 "scrape timeout must be shorter than the interval"
             )
-        self.retention = retention
-        self.health_every = health_every
-        self.http = HttpClient(host, timeout=self.timeout, policy=policy)
+        self.http = HttpClient(host, timeout=self.timeout)
         self.targets: Dict[str, ScrapeTarget] = {}
         self.rounds = 0
         self.scrapes_attempted = 0
         self.responses_received = 0
-        #: callbacks fired per finished /metrics scrape:
-        #: ``fn(target, now, ok)``
+        #: callbacks fired per finished scrape: ``fn(target, now, ok)``
         self.on_scrape: List[Callable[[ScrapeTarget, float, bool], None]] \
             = []
         self._task: Optional[PeriodicTask] = None
@@ -264,7 +144,7 @@ class MetricsCollector:
         """Register one node for scraping; duplicate names are an error."""
         if name in self.targets:
             raise ConfigurationError(f"target {name!r} already watched")
-        target = ScrapeTarget(name, uri, kind, self.retention)
+        target = ScrapeTarget(name, uri, kind)
         self.targets[name] = target
         return target
 
@@ -287,21 +167,12 @@ class MetricsCollector:
     def scrape_round(self) -> None:
         """Issue one round of scrapes against every target."""
         self.rounds += 1
-        with_health = (self.rounds - 1) % self.health_every == 0
-        now = self.host.network.scheduler.now
         for target in self.targets.values():
-            target.last_attempt = now
             self.scrapes_attempted += 1
             future = self.http.request(target.uri + "/metrics")
             future.add_done_callback(
                 lambda fut, t=target: self._on_metrics(t, fut)
             )
-            if with_health:
-                self.scrapes_attempted += 1
-                health = self.http.request(target.uri + "/health")
-                health.add_done_callback(
-                    lambda fut, t=target: self._on_health(t, fut)
-                )
 
     def _on_metrics(self, target: ScrapeTarget, future) -> None:
         now = self.host.network.scheduler.now
@@ -319,15 +190,6 @@ class MetricsCollector:
                 target.record_failure()
         for callback in self.on_scrape:
             callback(target, now, ok)
-
-    def _on_health(self, target: ScrapeTarget, future) -> None:
-        try:
-            response = future.result()
-        except NetworkError:
-            return              # the /metrics path owns failure counting
-        self.responses_received += 1
-        if response.ok and isinstance(response.body, dict):
-            target.health = response.body
 
     # -- staleness ---------------------------------------------------------
 
@@ -373,34 +235,18 @@ class FleetMonitorConfig:
 
     #: seconds between scrape rounds
     scrape_interval: float = 15.0
-    #: ring-buffer samples kept per (target, metric) series
-    retention: int = 256
-    #: scrape /health every Nth round (1 = every round)
-    health_every: int = 1
-    #: objectives to evaluate; None -> :func:`default_slos`
-    slos: Optional[List[SLO]] = None
-    #: optional resilience policy for the scrape client (adds circuit
-    #: breaking so a long-dead target is fast-failed, not re-timed-out)
-    policy: Optional[ResiliencePolicy] = None
 
 
 class FleetMonitor:
     """Collector + SLO engine + alert manager, deployed as one node."""
 
     def __init__(self, host: Host, config: FleetMonitorConfig):
-        self.config = config
-        self.collector = MetricsCollector(
-            host,
-            interval=config.scrape_interval,
-            retention=config.retention,
-            health_every=config.health_every,
-            policy=config.policy,
-        )
-        slos = config.slos if config.slos is not None \
-            else default_slos(config.scrape_interval)
+        self.collector = MetricsCollector(host,
+                                          interval=config.scrape_interval)
         self.alerts = AlertManager(network=host.network,
                                    source_host=host.name)
-        self.engine = SloEngine(slos, self.alerts)
+        self.engine = SloEngine(default_slos(config.scrape_interval),
+                                self.alerts)
         self.collector.on_scrape.append(self.engine.observe_scrape)
 
     @property
@@ -471,7 +317,6 @@ __all__ = [
     "FleetMonitorConfig",
     "MetricsCollector",
     "ScrapeTarget",
-    "TimeSeries",
     "flatten_metrics",
     "render_fleet",
 ]

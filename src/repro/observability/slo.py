@@ -1,8 +1,8 @@
 """Service-level objectives: burn-rate alerting over scraped series.
 
-The collector (:mod:`repro.observability.collector`) turns the passive
-``/metrics`` and ``/health`` endpoints into per-target time series;
-this module turns those series into *alerts*.  An operator declares a
+The collector (:mod:`repro.observability.collector`) scrapes every
+node's ``/metrics`` into per-target :class:`Ring` series; this module
+turns those series into *alerts*.  An operator declares a
 small set of :class:`SLO` objectives — target reachability, resolve
 availability, delivery-latency and staleness bounds, replication lag —
 and the :class:`SloEngine` evaluates them with the multi-window
@@ -24,6 +24,12 @@ a structured ``alert_pending`` / ``alert_firing`` / ``alert_resolved``
 trace event when tracing is installed — so alerts appear in the same
 event stream as the retries and breaker trips they explain.
 
+Both sides keep their samples in the one bounded :class:`Ring`: the
+collector one per (target, metric) of ``(time, value)``, the engine one
+per (SLO, target) of ``(time, bad, total)``; a ratio SLI reads the
+counter increase between a series' two newest samples, a burn rate sums
+the SLI samples newer than the window's start.
+
 Everything here is pure bookkeeping on the simulated clock: the engine
 is driven by the collector's scrape completions and performs no I/O of
 its own.
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.observability.tracing import emit
@@ -49,6 +55,55 @@ OK = "ok"
 PENDING = "pending"
 FIRING = "firing"
 RESOLVED = "resolved"
+
+
+#: samples kept per ring: per (target, metric) series in the collector
+#: and per (SLO, target) SLI in the engine
+RETENTION = 256
+
+
+class Ring:
+    """A bounded ring of time-ordered ``(time, *values)`` samples.
+
+    The oldest sample falls off once *maxlen* are held, so a monitor
+    that runs forever holds constant memory per series.
+    """
+
+    __slots__ = ("_samples",)
+
+    def __init__(self, maxlen: int = RETENTION):
+        if maxlen < 2:
+            raise ConfigurationError("a ring needs room for >= 2 samples")
+        self._samples: Deque[Tuple[float, ...]] = deque(maxlen=maxlen)
+
+    def __len__(self) -> int:
+        return len(self._samples)
+
+    def append(self, time: float, *values: float) -> None:
+        """Record one sample (times must be non-decreasing)."""
+        if self._samples and time < self._samples[-1][0]:
+            raise ConfigurationError("samples must arrive in time order")
+        self._samples.append((time, *values))
+
+    def latest(self) -> Tuple[float, ...]:
+        """The newest sample."""
+        if not self._samples:
+            raise ConfigurationError("empty ring has no latest sample")
+        return self._samples[-1]
+
+    def delta_last(self) -> Optional[float]:
+        """First-value change between the two newest samples (None if
+        fewer than two are held)."""
+        if len(self._samples) < 2:
+            return None
+        return self._samples[-1][1] - self._samples[-2][1]
+
+    def since(self, horizon: float) -> Iterator[Tuple[float, ...]]:
+        """Samples newer than *horizon*, newest first."""
+        for sample in reversed(self._samples):
+            if sample[0] <= horizon:
+                return
+            yield sample
 
 
 @dataclass(frozen=True)
@@ -345,32 +400,19 @@ class AlertManager:
             self._transition(alert, OK, now)
 
 
-class _SliSeries:
-    """Bounded (time, bad, total) samples of one SLI on one target."""
+def _bad_fraction(sli: Ring, window: float, now: float
+                  ) -> Optional[float]:
+    """Bad/total over the SLI samples in ``(now - window, now]``.
 
-    __slots__ = ("points",)
-
-    def __init__(self):
-        self.points: Deque[Tuple[float, float, float]] = deque(maxlen=512)
-
-    def add(self, time: float, bad: float, total: float) -> None:
-        self.points.append((time, bad, total))
-
-    def bad_fraction(self, window: float, now: float) -> Optional[float]:
-        """Bad/total over samples in ``(now - window, now]``.
-
-        None when the window holds no samples (nothing to judge).
-        """
-        horizon = now - window
-        bad = total = 0.0
-        for time, b, t in reversed(self.points):
-            if time <= horizon:
-                break
-            bad += b
-            total += t
-        if total <= 0:
-            return None
-        return bad / total
+    None when the window holds no samples (nothing to judge).
+    """
+    bad = total = 0.0
+    for _time, b, t in sli.since(now - window):
+        bad += b
+        total += t
+    if total <= 0:
+        return None
+    return bad / total
 
 
 class SloEngine:
@@ -388,16 +430,8 @@ class SloEngine:
             raise ConfigurationError("duplicate SLO names")
         self.slos = list(slos)
         self.alerts = alerts
-        self._sli: Dict[Tuple[str, str], _SliSeries] = {}
-        self.evaluations = 0
-
-    def _series(self, slo: SLO, target_name: str) -> _SliSeries:
-        key = (slo.name, target_name)
-        series = self._sli.get(key)
-        if series is None:
-            series = _SliSeries()
-            self._sli[key] = series
-        return series
+        #: (SLO, target) -> ring of (time, bad, total) SLI samples
+        self._sli: Dict[Tuple[str, str], Ring] = {}
 
     # -- SLI extraction ----------------------------------------------------
 
@@ -439,16 +473,17 @@ class SloEngine:
                 continue
             alert = self.alerts.alert(slo, target.name)
             sample = self._sample(slo, target, now, scrape_ok, alert)
-            series = self._series(slo, target.name)
+            sli = self._sli.get((slo.name, target.name))
+            if sli is None:
+                sli = self._sli[(slo.name, target.name)] = Ring()
             if sample is not None:
-                series.add(now, *sample)
-            self.evaluations += 1
-            self._evaluate(slo, series, alert, now)
+                sli.append(now, *sample)
+            self._evaluate(slo, sli, alert, now)
 
-    def _evaluate(self, slo: SLO, series: _SliSeries, alert: Alert,
+    def _evaluate(self, slo: SLO, sli: Ring, alert: Alert,
                   now: float) -> None:
-        fast = series.bad_fraction(slo.fast_window, now)
-        slow = series.bad_fraction(slo.slow_window, now)
+        fast = _bad_fraction(sli, slo.fast_window, now)
+        slow = _bad_fraction(sli, slo.slow_window, now)
         if fast is None or slow is None:
             return      # not enough signal yet; hold the current state
         budget = slo.budget
@@ -485,6 +520,8 @@ __all__ = [
     "Alert",
     "AlertEvent",
     "AlertManager",
+    "RETENTION",
+    "Ring",
     "SLO",
     "SloEngine",
     "default_slos",

@@ -332,13 +332,6 @@ class Tracer:
             result = [s for s in result if s.name == name]
         return list(result)
 
-    def trace_ids(self) -> List[str]:
-        """Distinct trace ids in recording order."""
-        seen: Dict[str, None] = {}
-        for span in self._spans:
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
-
     def children_of(self, span: Span) -> List[Span]:
         """Direct children of *span*, in start order."""
         kids = [s for s in self._spans

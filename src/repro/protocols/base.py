@@ -19,10 +19,15 @@ present in the simulation.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.errors import ConfigurationError, FrameDecodeError
+from repro.errors import (
+    ConfigurationError,
+    FrameDecodeError,
+    FrameEncodeError,
+)
 
 
 @dataclass(frozen=True)
@@ -151,3 +156,22 @@ def require(condition: bool, message: str) -> None:
     """Raise :class:`FrameDecodeError` with *message* unless *condition*."""
     if not condition:
         raise FrameDecodeError(message)
+
+
+def int16_arg(value: Optional[float], scale: float) -> int:
+    """An actuation argument as the int16 field a downlink frame carries.
+
+    ``round(value * scale)``, or 0 when the command takes no value.  A
+    reading saturates at its field's range; a command must not silently
+    do something else, so a value the field cannot carry (NaN, infinite
+    or outside int16) raises :class:`FrameEncodeError`.
+    """
+    if value is None:
+        return 0
+    scaled = value * scale
+    if math.isfinite(scaled):
+        native = round(scaled)
+        if -0x8000 <= native <= 0x7FFF:
+            return native
+    raise FrameEncodeError(
+        f"command value {value!r} does not fit an int16 field")

@@ -27,6 +27,7 @@ from repro.protocols.base import (
     ProtocolAdapter,
     RawCommand,
     RawReading,
+    int16_arg,
     register_protocol,
     require,
 )
@@ -177,8 +178,7 @@ class BleAdapter(ProtocolAdapter):
         out += _parse_address(device_address)
         out.append(_OP_WRITE)
         out += struct.pack("<H", _CONTROL_POINTS[command])
-        scaled = 0 if value is None else int(round(value * 100.0))
-        out += struct.pack("<h", scaled)
+        out += struct.pack("<h", int16_arg(value, 100.0))
         return bytes(out)
 
     def decode_command(self, frame: bytes) -> RawCommand:

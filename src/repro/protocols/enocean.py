@@ -31,6 +31,7 @@ from repro.protocols.base import (
     RawCommand,
     RawReading,
     crc8,
+    int16_arg,
     register_protocol,
     require,
 )
@@ -233,8 +234,8 @@ class EnOceanAdapter(ProtocolAdapter):
     ) -> bytes:
         if command not in _COMMANDS:
             raise FrameEncodeError(f"EnOcean has no command {command!r}")
-        scaled = 0 if value is None else int(round(value * 100.0))
-        data = struct.pack(">Bh", _COMMANDS[command], scaled) + b"\x00"
+        data = struct.pack(">Bh", _COMMANDS[command],
+                           int16_arg(value, 100.0)) + b"\x00"
         return self._build_telegram(RORG_VLD, data, device_address)
 
     def decode_command(self, frame: bytes) -> RawCommand:

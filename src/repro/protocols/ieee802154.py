@@ -24,6 +24,7 @@ from repro.protocols.base import (
     RawCommand,
     RawReading,
     crc16_ccitt,
+    int16_arg,
     register_protocol,
     require,
 )
@@ -190,7 +191,7 @@ class Ieee802154Adapter(ProtocolAdapter):
         payload = struct.pack(
             ">Bh",
             _COMMAND_CODES[command],
-            0 if value is None else int(round(value * 10.0)),
+            int16_arg(value, 10.0),
         )
         header = struct.pack(
             "<HBHHH",

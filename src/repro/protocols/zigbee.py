@@ -23,6 +23,7 @@ from repro.protocols.base import (
     ProtocolAdapter,
     RawCommand,
     RawReading,
+    int16_arg,
     register_protocol,
     require,
 )
@@ -51,14 +52,15 @@ _BY_CLUSTER_ATTR = {
     for quantity, (cluster, attr, dtype, scale) in _UPLINK.items()
 }
 
-#: ZCL data type -> struct format (little-endian) and signedness
-_ZCL_TYPES: Dict[int, Tuple[str, int]] = {
-    0x10: ("<B", 1),   # boolean
-    0x18: ("<B", 1),   # 8-bit bitmap
-    0x21: ("<H", 2),   # uint16
-    0x25: ("<Q", 8),   # uint48 stored as uint64 (simplified width)
-    0x29: ("<h", 2),   # int16
-    0x2A: ("<i", 4),   # int24 stored as int32 (simplified width)
+#: ZCL data type -> struct format (little-endian), width and the
+#: type's value range, which a reading saturates at
+_ZCL_TYPES: Dict[int, Tuple[str, int, int, int]] = {
+    0x10: ("<B", 1, 0, 1),                  # boolean
+    0x18: ("<B", 1, 0, 0xFF),               # 8-bit bitmap
+    0x21: ("<H", 2, 0, 0xFFFF),             # uint16
+    0x25: ("<Q", 8, 0, (1 << 48) - 1),      # uint48 stored as uint64
+    0x29: ("<h", 2, -0x8000, 0x7FFF),       # int16
+    0x2A: ("<i", 4, -(1 << 23), (1 << 23) - 1),  # int24 stored as int32
 }
 
 #: command name -> (cluster, command id, has int16 payload)
@@ -121,8 +123,8 @@ class ZigbeeAdapter(ProtocolAdapter):
                     f"ZigBee cannot carry quantity {quantity!r}"
                 )
             cluster, attr, dtype, scale = _UPLINK[quantity]
-            fmt, _width = _ZCL_TYPES[dtype]
-            native = int(round(value / scale))
+            fmt, _width, lo, hi = _ZCL_TYPES[dtype]
+            native = int(round(min(max(value / scale, lo), hi)))
             out += struct.pack("<HHB", cluster, attr, dtype)
             out += struct.pack(fmt, native)
         out.append(sum(out) & 0xFF)  # trailing additive checksum
@@ -146,7 +148,7 @@ class ZigbeeAdapter(ProtocolAdapter):
             )
             offset += 5
             require(dtype in _ZCL_TYPES, f"unknown ZCL data type {dtype:#x}")
-            fmt, width = _ZCL_TYPES[dtype]
+            fmt, width, _lo, _hi = _ZCL_TYPES[dtype]
             require(offset + width <= len(frame) - 1, "truncated ZCL value")
             raw = struct.unpack(fmt, frame[offset:offset + width])[0]
             offset += width
@@ -176,8 +178,7 @@ class ZigbeeAdapter(ProtocolAdapter):
         out += _pack_address(device_address)
         out += struct.pack("<HB", cluster, cmd_id)
         if has_arg:
-            scaled = 0 if value is None else int(round(value * 100.0))
-            out += struct.pack("<h", scaled)
+            out += struct.pack("<h", int16_arg(value, 100.0))
         out.append(sum(out) & 0xFF)
         return bytes(out)
 

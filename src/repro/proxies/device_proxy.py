@@ -20,7 +20,6 @@ command, lost frame) causes a timeout result instead.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -449,9 +448,10 @@ class DeviceProxy(Proxy):
         except QueryError as exc:
             return error(404, str(exc))
         except (FrameEncodeError, UnsupportedCommandError, TypeError,
-                ValueError, OverflowError, struct.error) as exc:
-            # an unknown command, or a value float() or the frame format
-            # cannot carry; anything else is a handler bug -> 500
+                ValueError, OverflowError) as exc:
+            # an unknown command, a value the frame cannot carry, or one
+            # float() cannot read (an integer beyond a double raises
+            # OverflowError); anything else is a handler bug -> 500
             return error(400, f"cannot encode command: {exc}")
         return Response(202, {
             "status": "dispatched",

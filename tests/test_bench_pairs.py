@@ -4,6 +4,8 @@
 starts a benchmark.  The rule is the ``choosing-metrics`` guide's: a gain
 needs nine tenths of all pairs won (ties count for neither side) *and* a
 median gap wider than the distance between the parent's quartiles.
+``--exact`` is checked the same way: its filter, and its exit status on
+canned runs standing in for the benchmark.
 """
 
 import importlib.util
@@ -92,3 +94,63 @@ def test_lower_is_better_metrics_flip_the_sign():
 def test_identical_runs_are_unresolved():
     result = compare(PARENT, list(PARENT))
     assert result["tied"] == 10 and result["verdict"] == "unresolved"
+
+
+# -- --exact: the "nothing moved" proof ------------------------------------
+
+
+def test_host_clock_values_are_the_only_ones_skipped():
+    for name in ("setup_s", "ops_per_s", "peak_rss_mb", "attributed_share",
+                 "tracing_overhead_x", "broker.self_s",
+                 "scheduler.self_share"):
+        assert bench_pairs.host_clock(name), name
+    for name in ("sim_op_latency_p99_ms", "sim_bytes_per_op",
+                 "broker.calls", "transport.bytes_sent",
+                 "client.resolve.sim_p50_ms", "device_proxy.frames_received"):
+        assert not bench_pairs.host_clock(name), name
+
+
+def test_differing_names_every_moved_value_and_only_those():
+    parent = {"sim_bytes_per_op": 992.44, "ops_per_s": 4759.0,
+              "broker.self_s": 0.41, "broker.calls": 120.0,
+              "device_proxy.samples_per_frame": float("nan")}
+    change = dict(parent, ops_per_s=4705.0, **{"broker.self_s": 0.39})
+    assert bench_pairs.differing(parent, change) == []
+    change["broker.calls"] = 121.0
+    del change["sim_bytes_per_op"]
+    assert bench_pairs.differing(parent, change) == ["broker.calls",
+                                                     "sim_bytes_per_op"]
+
+
+def _canned(moved_at=None):
+    """A stand-in for ``run_once``: the change side's ``broker.calls``
+    moves on the (workload, seed, trace) named by *moved_at*."""
+    def run(checkout, workload, seed, trace):
+        values = {"sim_op_latency_p50_ms": 10.15, "ops_per_s": 400.0}
+        if trace:
+            values = {"broker.calls": 120.0, "broker.self_s": 0.4}
+        if checkout.name == "change":
+            values["ops_per_s" if not trace else "broker.self_s"] *= 1.1
+            if (workload, seed, trace) == moved_at:
+                values["broker.calls"] += 1
+        return values
+    return run
+
+
+def test_exact_exits_0_when_only_the_host_clock_moved(capsys):
+    sides = {"parent": Path("parent"), "change": Path("change")}
+    assert bench_pairs.exact(sides, ["area_query", "ingest_batched"],
+                             [17, 29], run=_canned()) == 0
+    out = capsys.readouterr().out
+    assert out.count("0 differ") == 8 and "nothing moved" in out
+
+
+def test_exact_exits_1_and_names_the_value_that_moved(capsys):
+    sides = {"parent": Path("parent"), "change": Path("change")}
+    assert bench_pairs.exact(sides, ["area_query", "ingest_batched"],
+                             [17, 29],
+                             run=_canned(("ingest_batched", 29, 1))) == 1
+    out = capsys.readouterr().out
+    assert "ingest_batched seed 29 trace 1: 2 values, 1 differ" in out
+    assert "  broker.calls: 120.0 -> 121.0" in out
+    assert "differing values: 1" in out

@@ -1,8 +1,8 @@
 """Tests for the fleet-monitoring subsystem: collector + SLO engine.
 
-Covers the ring-buffer time series in isolation, the collector
-scraping real ``/metrics``/``/health`` endpoints through the transport
-layer (and observing outages as timeouts), the burn-rate alert state
+Covers the bounded ring in isolation, the collector scraping real
+``/metrics`` endpoints through the transport layer (and observing
+outages as timeouts), the burn-rate alert state
 machine, the deployed :class:`FleetMonitor` wiring via
 ``ScenarioConfig(fleet_monitor=...)``, the operator renderings, and
 the zero-overhead-when-disabled contract.
@@ -14,11 +14,10 @@ from repro.errors import ConfigurationError, RequestTimeoutError
 from repro.network.futures import Future
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
-from repro.network.webservice import GET, HttpClient, WebService, ok
+from repro.network.webservice import GET, WebService, ok
 from repro.observability.collector import (
     FleetMonitorConfig,
     MetricsCollector,
-    TimeSeries,
     flatten_metrics,
     render_fleet,
 )
@@ -30,6 +29,7 @@ from repro.observability.slo import (
     SLO,
     THRESHOLD,
     AlertManager,
+    Ring,
     SloEngine,
     default_slos,
     render_alert_log,
@@ -38,39 +38,43 @@ from repro.simulation.faults import FaultInjector
 from repro.simulation.scenario import ScenarioConfig, deploy
 
 
-# -- time series -----------------------------------------------------------
+# -- the bounded ring --------------------------------------------------------
 
 
 class TestTimeSeries:
     def test_ring_buffer_drops_oldest(self):
-        series = TimeSeries(3)
+        series = Ring(3)
         for t in range(5):
             series.append(float(t), float(t * 10))
         assert len(series) == 3
         assert series.latest() == (4.0, 40.0)
-        assert series.window(0.0) == [(2.0, 20.0), (3.0, 30.0),
-                                      (4.0, 40.0)]
+        assert list(series.since(0.0)) == [(4.0, 40.0), (3.0, 30.0),
+                                           (2.0, 20.0)]
 
     def test_rate_and_delta_over_window(self):
-        series = TimeSeries(16)
-        series.append(0.0, 100.0)
-        series.append(10.0, 150.0)
-        series.append(20.0, 250.0)
-        assert series.delta(100.0, 20.0) == pytest.approx(150.0)
-        assert series.rate(100.0, 20.0) == pytest.approx(7.5)
-        # window excludes the first sample -> slope of the tail only
-        assert series.rate(15.0, 20.0) == pytest.approx(10.0)
+        series = Ring(16)
+        series.append(0.0, 100.0, 1.0)
+        series.append(10.0, 150.0, 1.0)
+        series.append(20.0, 250.0, 1.0)
         assert series.delta_last() == pytest.approx(100.0)
+        # the horizon itself is outside the window, newest comes first
+        assert list(series.since(0.0)) == [(20.0, 250.0, 1.0),
+                                           (10.0, 150.0, 1.0)]
+        assert list(series.since(-1.0))[-1] == (0.0, 100.0, 1.0)
+        assert list(series.since(20.0)) == []
 
     def test_underfilled_windows_are_none(self):
-        series = TimeSeries(4)
+        series = Ring(4)
         assert series.delta_last() is None
+        with pytest.raises(ConfigurationError):
+            series.latest()
         series.append(0.0, 1.0)
-        assert series.rate(10.0, 0.0) is None
-        assert series.delta(10.0, 0.0) is None
+        assert series.delta_last() is None
+        with pytest.raises(ConfigurationError):
+            Ring(1)
 
     def test_time_must_not_go_backwards(self):
-        series = TimeSeries(4)
+        series = Ring(4)
         series.append(5.0, 1.0)
         with pytest.raises(ConfigurationError):
             series.append(4.0, 2.0)
@@ -92,7 +96,6 @@ def _tiny_target(network, name, counters):
     service = WebService(network.add_host(name))
     service.add_route(GET, "/metrics",
                       lambda req: ok({"component": dict(counters)}))
-    service.add_route(GET, "/health", lambda req: ok({"status": "ok"}))
     return service
 
 
@@ -115,8 +118,9 @@ class TestCollector:
         assert target.scrapes_ok >= 3
         series = target.series["component.served"]
         assert series.delta_last() == pytest.approx(5.0)
-        assert target.rate("component.served", 30.0,
-                           net.scheduler.now) == pytest.approx(0.5)
+        # one sample a round, newest first
+        assert [value for _t, value in series.since(0.0)] == \
+            [20.0, 15.0, 10.0]
 
     def test_dead_target_times_out_and_goes_stale(self, net):
         _tiny_target(net, "svc", {"served": 1})
@@ -133,7 +137,7 @@ class TestCollector:
         assert target.consecutive_failures >= 3
         assert collector.is_stale("svc")
         # data retained from before the outage, marked stale not erased
-        assert target.latest("component.served") == 1.0
+        assert target.series["component.served"].latest()[1] == 1.0
 
     def test_scrape_traffic_rides_the_transport(self, net):
         _tiny_target(net, "svc", {"served": 1})
@@ -143,21 +147,10 @@ class TestCollector:
         before = net.stats.messages_sent
         collector.start()
         net.scheduler.run_for(35.0)
-        # each round: /metrics + /health requests and their responses
-        assert net.stats.messages_sent - before == 3 * 4
+        # each round: one /metrics request and its response
+        assert net.stats.messages_sent - before == 3 * 2
 
-    def test_health_every_throttles_health_scrapes(self, net):
-        _tiny_target(net, "svc", {"served": 1})
-        collector = MetricsCollector(net.add_host("mon"), interval=10.0,
-                                     timeout=2.0, health_every=3)
-        collector.add_target("svc", "svc://svc/", "gis")
-        before = net.stats.messages_sent
-        collector.start()
-        net.scheduler.run_for(65.0)
-        # 6 rounds: 6 metrics scrapes but only 2 health scrapes
-        assert net.stats.messages_sent - before == (6 + 2) * 2
-
-    @pytest.mark.parametrize("path", ["metrics", "health"])
+    @pytest.mark.parametrize("path", ["metrics"])
     def test_only_network_failures_count_as_failed_scrapes(self, net, path):
         # a timeout or an open circuit is a failed scrape; any other
         # exception out of the future is a bug and must not be swallowed
@@ -168,7 +161,7 @@ class TestCollector:
         timed_out, broken = Future(), Future()
         timed_out.set_exception(RequestTimeoutError("no answer"))
         on_done(target, timed_out)
-        assert target.scrapes_failed == (1 if path == "metrics" else 0)
+        assert target.scrapes_failed == 1
         broken.set_exception(KeyError("not a network failure"))
         with pytest.raises(KeyError):
             on_done(target, broken)
@@ -246,7 +239,7 @@ class TestSloEngine:
         alerts = AlertManager()
         engine = SloEngine([slo], alerts)
         target = _FakeTarget()
-        target.series["component.lag"] = series = TimeSeries(16)
+        target.series["component.lag"] = series = Ring(16)
         for n in range(6):
             series.append(10.0 * n, 10.0)
             engine.observe_scrape(target, 10.0 * n, scrape_ok=True)
@@ -302,7 +295,7 @@ class TestDeployedFleetMonitor:
         assert district.fleet.alerts.counters()["alerts_fired"] == 0
         # broker answers the new endpoints like every other node
         broker_target = district.fleet.collector.targets["broker"]
-        assert broker_target.latest("component.published") > 0
+        assert broker_target.series["component.published"].latest()[1] > 0
 
     def test_broker_outage_fires_and_resolves(self):
         district = _monitored()

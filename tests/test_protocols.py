@@ -40,6 +40,12 @@ def adapters():
     ]
 
 
+def int16_downlinks():
+    """The adapters whose command argument is a scaled int16."""
+    return [a for a in adapters()
+            if a.name in ("ieee802154", "zigbee", "enocean", "ble")]
+
+
 def uplink_round_trip(adapter, readings, timestamp=1000.0):
     address = ADDRESSES[adapter.name]
     if adapter.name == "enocean":
@@ -105,6 +111,14 @@ class TestUplinkRoundTrip:
         assert by_quantity["voltage"] == pytest.approx(231.2, abs=0.1)
         assert by_quantity["current"] == pytest.approx(6.51, abs=0.001)
         assert by_quantity["state"] == 1.0
+
+    def test_zigbee_readings_saturate_at_the_zcl_range(self):
+        decoded = uplink_round_trip(ZigbeeAdapter(), [
+            ("current", 70.0), ("illuminance", 70_000.0),
+            ("humidity", -1.0), ("temperature", 400.0),
+        ])
+        assert [r.value for r in decoded] == pytest.approx(
+            [65.535, 65535.0, 0.0, 327.67])
 
     def test_enocean_temperature_humidity_profile(self):
         adapter = EnOceanAdapter()
@@ -252,6 +266,26 @@ class TestDownlink:
         command = adapter.decode_command(frame)
         assert command.command == "switch"
         assert command.value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("value", [1e6, float("inf"), float("nan")],
+                             ids=["1e6", "inf", "nan"])
+    @pytest.mark.parametrize("adapter", int16_downlinks(),
+                             ids=lambda a: a.name)
+    def test_argument_the_int16_field_cannot_carry_raises(self, adapter,
+                                                          value):
+        with pytest.raises(FrameEncodeError):
+            adapter.encode_command(ADDRESSES[adapter.name], "setpoint",
+                                   value)
+
+    @pytest.mark.parametrize("adapter", int16_downlinks(),
+                             ids=lambda a: a.name)
+    def test_int16_field_edges_still_carry(self, adapter):
+        address = ADDRESSES[adapter.name]
+        k = 10.0 if adapter.name == "ieee802154" else 100.0
+        for edge in (0x7FFF / k, -0x8000 / k):
+            frame = adapter.encode_command(address, "setpoint", edge)
+            assert adapter.decode_command(frame).value == \
+                pytest.approx(edge)
 
     @pytest.mark.parametrize("adapter", adapters(), ids=lambda a: a.name)
     def test_unknown_command_raises(self, adapter):

@@ -262,7 +262,10 @@ class TestActuationFlow:
         assert response.status == 400
 
 
-    @pytest.mark.parametrize("value", ["warm", 1e9, float("inf")])
+    @pytest.mark.parametrize("value", ["warm", 1e9, float("inf"),
+                                       float("nan"),
+                                       pytest.param(10 ** 400,
+                                                    id="10**400")])
     def test_actuate_value_the_frame_cannot_carry_400(self, net, broker,
                                                       value):
         proxy = make_device_proxy(net, broker)

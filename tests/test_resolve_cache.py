@@ -29,6 +29,7 @@ from repro.errors import RegistrationError, ReproError
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
 from repro.network.webservice import HttpClient
+from repro.observability import install
 from repro.ontology.queries import AreaQuery, ResolvedArea
 from repro.simulation import ScenarioConfig, deploy
 from repro.simulation.faults import FaultInjector
@@ -306,6 +307,17 @@ class TestServerResolveCache:
         })
         assert reply.status == 200
         assert reply.body["token"] != token
+
+    def test_304_event_is_named_after_its_counter(self, net, master):
+        tracer = install(net)
+        master.register(bim_payload())
+        first = self.resolve(net, master)
+        self.resolve(net, master, params={
+            "district_id": "dst-0001",
+            "if_none_match": first.body["token"],
+        })
+        assert len(tracer.events("resolve_not_modified")) == \
+            master.resolve_not_modified == 1
 
     def test_304_counts_as_served_not_failed(self, net, master):
         master.register(bim_payload())

@@ -39,7 +39,7 @@ class TestRetainedMessages:
         publisher = connect(net.add_host("pub"), "broker")
         publisher.publish("state/plant", {"v": 1}, retain=True)
         net.scheduler.run_until_idle()
-        publish_traces = set(net.tracer.trace_ids())
+        publish_traces = {s.trace_id for s in net.tracer.spans()}
         assert publish_traces  # the live publication was traced
         events = []
         late = connect(net.add_host("late"), "broker")
