@@ -10,8 +10,8 @@ Beyond the prose tables, every experiment now also produces one
 machine-readable ``benchmarks/results/BENCH_<id>.json`` record (see
 ``repro.observability.benchreport``) carrying wall seconds, simulated
 seconds, total transport messages and the derived ``msgs_per_sec`` —
-the numbers the CI ``perf-smoke`` job diffs against the committed
-baselines in ``benchmarks/baselines/``.  Benchmarks feed the record
+the reports the CI ``perf-smoke`` job uploads (no gate compares them
+with a wall-clock baseline).  Benchmarks feed the record
 either directly via :meth:`ExperimentReport.record` or, for
 network-driving workloads, by wrapping the measured section in
 :meth:`ExperimentReport.measure`, which captures the wall/sim/message

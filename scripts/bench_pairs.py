@@ -3,34 +3,52 @@
 
     python scripts/bench_pairs.py <parent-checkout> <change-checkout> \
         --workload area_query [--pairs 10] [--seed 17]
-    python scripts/bench_pairs.py <parent-checkout> <change-checkout> \
-        --exact --seed 17 --seed 29 [--workload area_query]
+    python scripts/bench_pairs.py <parent-checkout-or-recording> \
+        <change-checkout> --exact [--seed 17 --seed 29] [--workload W]
+    python scripts/bench_pairs.py --record <recording.json> <checkout>
 
 Each run is the checkout's own ``benchmarks/district/run.py --workload W
---trace T`` in a fresh interpreter.  The pair protocol runs ``--trace 0``
-and alternates which side goes first; it prints every run, each side's
-quartiles per end-to-end metric, pairs won / lost / tied, whether every
-``sim_*`` metric is exactly equal, and the verdict of the
-``choosing-metrics`` guide, section 8.
+--seed S --trace T`` in a fresh interpreter.  The pair protocol runs
+``--trace 0``, one run at a time, and alternates which side goes first;
+it prints every run, each side's quartiles per end-to-end metric, pairs
+won / lost / tied, whether every ``sim_*`` metric is exactly equal, and
+the gain / unresolved / worse verdict of :func:`compare`.
 
 ``--exact`` is the "nothing moved" proof: for every ``BENCHMARK.json``
-workload (or the one given) and every ``--seed``, one ``--trace 0`` and
-one ``--trace 1`` run per side, then every value that differs apart from
-the host-clock ones (:func:`host_clock`).  Exit status 1 on any
-difference.
+workload (or the one given) and every ``--seed`` (default 17 and 29),
+one ``--trace 0`` and one ``--trace 1`` run per side, ``os.cpu_count()``
+at a time, then every value that differs apart from the host-clock ones
+(:func:`host_clock`).  Exit status 1 on any difference.  The parent may
+be a recording ``--record`` wrote (those runs of one checkout at
+``--scale smoke``, host clock left out), which sets the scale and seeds.
+CI checks ``benchmarks/baselines/districtbench_counters.json`` this way.
 """
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 #: values that time this machine rather than count the program's work
 HOST_CLOCK = ("setup_s", "ops_per_s", "peak_rss_mb", "attributed_share",
               "tracing_overhead_x")
+#: the seeds of ``--exact`` and ``--record`` when no ``--seed`` is given
+EXACT_SEEDS = [17, 29]
+#: the scale ``--record`` runs at (~20x less work than ``full``)
+RECORD_SCALE = "smoke"
+#: how a recording names a run: ``workload/seed/trace``
+RUN_KEY = re.compile(r"\w+/\d+/[01]")
+
+#: a run's ``(workload, seed, trace)``, and one deferred run per key
+Key = Tuple[str, int, int]
+Runs = Dict[Key, Callable[[], Dict[str, float]]]
 
 
 def quartiles(runs: Sequence[float]) -> List[float]:
@@ -76,12 +94,13 @@ def differing(parent: Dict[str, float], change: Dict[str, float]
                   and not same(parent.get(name), change.get(name)))
 
 
-def run_once(checkout: Path, workload: str, seed: int, trace: int = 0
-             ) -> Dict[str, float]:
+def run_once(checkout: Path, workload: str, seed: int, trace: int = 0,
+             scale: str = "full") -> Dict[str, float]:
     """One run of *checkout*'s own benchmark; its metrics by name."""
     out = subprocess.run(
         [sys.executable, "benchmarks/district/run.py", "--workload",
-         workload, "--seed", str(seed), "--trace", str(trace)],
+         workload, "--seed", str(seed), "--trace", str(trace),
+         "--scale", scale],
         cwd=checkout, check=True, capture_output=True, text=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
@@ -89,26 +108,73 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int = 0
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def exact(sides: Dict[str, Path], workloads: Sequence[str],
-          seeds: Sequence[int],
-          run: Callable[..., Dict[str, float]] = run_once) -> int:
-    """The "nothing moved" proof; 1 when any value differs, else 0."""
+def run_keys(workloads: Sequence[str], seeds: Sequence[int]) -> List[Key]:
+    """Both traces of each workload and seed."""
+    return [(workload, seed, trace) for workload in workloads
+            for seed in seeds for trace in (0, 1)]
+
+
+def checkout_runs(checkout: Path, keys: Sequence[Key], scale: str) -> Runs:
+    """One deferred run of *checkout*'s benchmark per key."""
+    return {key: partial(run_once, checkout, *key, scale) for key in keys}
+
+
+def load_recording(path: Path) -> Tuple[str, Dict[Key, Dict[str, float]]]:
+    """The scale and runs of a recording ``--record`` wrote;
+    ``ValueError`` if *path* is not one."""
+    data = json.loads(path.read_text())
+    if not (isinstance(data, dict) and data.get("scale") in ("full", "smoke")
+            and isinstance(data.get("runs"), dict) and data["runs"]):
+        raise ValueError(f"{path}: a recording has a scale and runs")
+    runs = {}
+    for key, values in data["runs"].items():
+        if not (RUN_KEY.fullmatch(key) and isinstance(values, dict)
+                and values and all(isinstance(value, (int, float))
+                                   and not host_clock(name)
+                                   for name, value in values.items())):
+            raise ValueError(f"{path}: {key!r} is not a run's values "
+                             "without the host clock")
+        workload, seed, trace = key.split("/")
+        runs[workload, int(seed), int(trace)] = values
+    return data["scale"], runs
+
+
+def concurrently(runs: Dict[Key, Callable]) -> Iterator[Tuple[Key, Any]]:
+    """Each run's result by key, in order; ``os.cpu_count()`` at a time."""
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        futures = {key: pool.submit(run) for key, run in runs.items()}
+        for key, future in futures.items():
+            yield key, future.result()
+
+
+def exact(parent: Runs, change: Runs) -> int:
+    """The "nothing moved" proof; 1 when any value differs, else 0.  A
+    run only one side has counts as every value differing."""
+    def both(key):
+        return lambda: (parent.get(key, dict)(), change.get(key, dict)())
     moved = 0
-    for workload in workloads:
-        for seed in seeds:
-            for trace in (0, 1):
-                parent, change = (run(sides[side], workload, seed, trace)
-                                  for side in ("parent", "change"))
-                names = differing(parent, change)
-                moved += len(names)
-                print(f"{workload} seed {seed} trace {trace}: "
-                      f"{len(parent)} values, {len(names)} differ",
-                      flush=True)
-                for name in names:
-                    print(f"  {name}: {parent.get(name)} -> "
-                          f"{change.get(name)}")
+    for key, (before, after) in concurrently(
+            {key: both(key) for key in {**parent, **change}}):
+        names = differing(before, after)
+        moved += len(names)
+        print("{} seed {} trace {}: ".format(*key)
+              + f"{len(before)} values, {len(names)} differ", flush=True)
+        for name in names:
+            print(f"  {name}: {before.get(name)} -> {after.get(name)}")
     print(f"differing values: {moved}" if moved else "nothing moved")
     return 1 if moved else 0
+
+
+def record(path: Path, runs: Runs) -> int:
+    """Write the runs' values, host clock excepted, as a recording."""
+    recorded = {"/".join(map(str, key)): {
+        name: value for name, value in values.items()
+        if not host_clock(name)} for key, values in concurrently(runs)}
+    path.write_text(json.dumps({"scale": RECORD_SCALE, "runs": recorded},
+                               indent=1, sort_keys=True) + "\n")
+    print(f"{path}: {len(recorded)} runs, "
+          f"{sum(map(len, recorded.values()))} values")
+    return 0
 
 
 def pairs(sides: Dict[str, Path], workload: str, seed: int, count: int,
@@ -141,27 +207,48 @@ def pairs(sides: Dict[str, Path], workload: str, seed: int, count: int,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
+    parser.add_argument("parent", type=Path,
+                        help="a checkout, or a recording (--exact) or the "
+                             "recording to write (--record)")
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload",
                         help="required for pairs; --exact runs every "
                              "BENCHMARK.json workload without it")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, action="append",
-                        help="repeatable (default 17)")
+                        help="repeatable (default 17; --exact: 17 and 29)")
     parser.add_argument("--exact", action="store_true",
                         help="prove every non-host-clock value equal")
+    parser.add_argument("--record", action="store_true",
+                        help="write the change side's runs to the parent")
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    sides = {"parent": args.parent, "change": args.change}
-    seeds = args.seed or [17]
+    workloads = [args.workload] if args.workload else \
+        [workload["name"] for workload in spec["workloads"]]
+    seeds = args.seed or EXACT_SEEDS
+    if args.record:
+        return record(args.parent, checkout_runs(
+            args.change, run_keys(workloads, seeds), RECORD_SCALE))
+    if args.exact and args.parent.is_file():
+        if args.workload or args.seed:
+            parser.error("a recording sets the workloads and seeds")
+        try:
+            scale, recorded = load_recording(args.parent)
+        except ValueError as exc:
+            parser.error(str(exc))
+        seeds = sorted({seed for _workload, seed, _trace in recorded})
+        return exact({key: partial(dict, values)
+                      for key, values in recorded.items()},
+                     checkout_runs(args.change, run_keys(workloads, seeds),
+                                   scale))
     if args.exact:
-        workloads = [args.workload] if args.workload else \
-            [workload["name"] for workload in spec["workloads"]]
-        return exact(sides, workloads, seeds)
+        keys = run_keys(workloads, seeds)
+        return exact(checkout_runs(args.parent, keys, "full"),
+                     checkout_runs(args.change, keys, "full"))
     if not args.workload:
         parser.error("--workload is required without --exact")
-    for seed in seeds:
+    sides = {"parent": args.parent, "change": args.change}
+    for seed in args.seed or [17]:
         pairs(sides, args.workload, seed, args.pairs, spec)
     return 0
 

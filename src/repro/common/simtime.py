@@ -50,22 +50,9 @@ def to_datetime(sim_seconds: float) -> _dt.datetime:
     return EPOCH + _dt.timedelta(seconds=sim_seconds)
 
 
-def from_datetime(when: _dt.datetime) -> float:
-    """Convert a datetime (UTC assumed if naive) to simulated seconds."""
-    if when.tzinfo is None:
-        when = when.replace(tzinfo=_dt.timezone.utc)
-    return (when - EPOCH).total_seconds()
-
-
 def isoformat(sim_seconds: float) -> str:
     """Format simulated seconds as an ISO-8601 timestamp string."""
     return to_datetime(sim_seconds).isoformat().replace("+00:00", "Z")
-
-
-def parse_iso(text: str) -> float:
-    """Parse an ISO-8601 timestamp back into simulated seconds."""
-    cleaned = text.replace("Z", "+00:00")
-    return from_datetime(_dt.datetime.fromisoformat(cleaned))
 
 
 def hour_of_day(sim_seconds: float) -> float:

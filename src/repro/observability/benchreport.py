@@ -1,11 +1,12 @@
 """Machine-readable benchmark results: the ``BENCH_<id>.json`` schema.
 
 Every benchmark session historically produced one free-text
-``experiments.txt`` — fine for humans, useless for a CI gate.  This
-module defines the unified result record each experiment now also
-emits (via the shared ``report`` fixture in ``benchmarks/conftest.py``)
-and the comparison logic the ``perf-smoke`` CI job runs against the
-committed baselines in ``benchmarks/baselines/``.
+``experiments.txt``.  This module defines the record each experiment
+also emits (via the shared ``report`` fixture in
+``benchmarks/conftest.py``); the ``perf-smoke`` CI job uploads the
+records of its quick O3, C4 and O4 runs as reports.  No gate reads them:
+CI's "nothing moved" check compares districtbench's exact counters
+instead (``scripts/bench_pairs.py``).
 
 One record per experiment, one file per record::
 
@@ -23,15 +24,8 @@ One record per experiment, one file per record::
     }
 
 ``msgs_per_sec`` — simulated transport messages delivered per wall
-second — is the fleet-wide speed number the ROADMAP's DES-core item
-asks for; message-less experiments (pure translation/ontology
-microbenches) report ``0.0`` and are skipped by the baseline gate.
-
-The regression tolerance is deliberately wide (:data:`DEFAULT_FLOOR`):
-CI runners vary several-fold in single-core speed, so the gate is
-tuned to catch the order-of-magnitude regressions that matter (an
-accidental O(n²), a hot-loop allocation) rather than machine noise.
-Override with ``REPRO_PERF_FLOOR`` or ``--floor``.
+second — is the fleet-wide speed number; message-less experiments (pure
+translation/ontology microbenches) report ``0.0``.
 """
 
 from __future__ import annotations
@@ -39,14 +33,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 #: bump when the BENCH_*.json key set changes incompatibly
 BENCH_SCHEMA_VERSION = 1
-
-#: minimum acceptable result/baseline msgs_per_sec ratio.  0.4 tolerates
-#: a 2.5x slower CI runner; real hot-loop regressions blow through it.
-DEFAULT_FLOOR = 0.4
 
 #: every key a schema-valid record carries, in emission order
 BENCH_KEYS = (
@@ -127,8 +117,7 @@ def validate_bench_report(data: Any) -> List[str]:
     """Schema-check one decoded BENCH_*.json; returns a list of problems.
 
     An empty list means the record is valid.  Checks key presence, key
-    types, and that no unknown keys sneak in — the gate refuses to
-    compare records it does not fully understand.
+    types, and that no unknown keys sneak in.
     """
     if not isinstance(data, dict):
         return [f"record is {type(data).__name__}, expected object"]
@@ -178,9 +167,7 @@ def write_bench_report(record: BenchRecord, directory: str) -> str:
 def load_bench_reports(directory: str) -> Dict[str, Dict[str, Any]]:
     """Load every ``BENCH_*.json`` under *directory*, keyed by experiment.
 
-    Invalid records raise ``ValueError`` naming the file and problems —
-    a gate that silently skips garbage would hide the regression it
-    exists to catch.
+    Invalid records raise ``ValueError`` naming the file and problems.
     """
     reports: Dict[str, Dict[str, Any]] = {}
     if not os.path.isdir(directory):
@@ -197,22 +184,3 @@ def load_bench_reports(directory: str) -> Dict[str, Dict[str, Any]]:
         reports[data["experiment"]] = data
     return reports
 
-
-def compare_to_baseline(result: Dict[str, Any], baseline: Dict[str, Any],
-                        floor: float = DEFAULT_FLOOR
-                        ) -> Tuple[bool, float, str]:
-    """Judge one experiment's throughput against its committed baseline.
-
-    Returns ``(ok, ratio, message)``.  Experiments whose baseline has no
-    meaningful throughput (``msgs_per_sec == 0``) always pass — the gate
-    guards message-path speed, not translation microbenches.
-    """
-    experiment = baseline.get("experiment", "?")
-    base_rate = float(baseline.get("msgs_per_sec", 0.0))
-    if base_rate <= 0.0:
-        return True, 1.0, f"{experiment}: no throughput baseline, skipped"
-    rate = float(result.get("msgs_per_sec", 0.0))
-    ratio = rate / base_rate
-    message = (f"{experiment}: {rate:,.0f} msgs/s vs baseline "
-               f"{base_rate:,.0f} (x{ratio:.2f}, floor x{floor:.2f})")
-    return ratio >= floor, ratio, message

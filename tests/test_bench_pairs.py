@@ -125,7 +125,7 @@ def test_differing_names_every_moved_value_and_only_those():
 def _canned(moved_at=None):
     """A stand-in for ``run_once``: the change side's ``broker.calls``
     moves on the (workload, seed, trace) named by *moved_at*."""
-    def run(checkout, workload, seed, trace):
+    def run(checkout, workload, seed, trace, scale):
         values = {"sim_op_latency_p50_ms": 10.15, "ops_per_s": 400.0}
         if trace:
             values = {"broker.calls": 120.0, "broker.self_s": 0.4}
@@ -137,19 +137,22 @@ def _canned(moved_at=None):
     return run
 
 
-def test_exact_exits_0_when_only_the_host_clock_moved(capsys):
-    sides = {"parent": Path("parent"), "change": Path("change")}
-    assert bench_pairs.exact(sides, ["area_query", "ingest_batched"],
-                             [17, 29], run=_canned()) == 0
+def _exact(monkeypatch, moved_at=None):
+    monkeypatch.setattr(bench_pairs, "run_once", _canned(moved_at))
+    keys = bench_pairs.run_keys(["area_query", "ingest_batched"], [17, 29])
+    return bench_pairs.exact(*(bench_pairs.checkout_runs(Path(side), keys,
+                                                         "full")
+                               for side in ("parent", "change")))
+
+
+def test_exact_exits_0_when_only_the_host_clock_moved(monkeypatch, capsys):
+    assert _exact(monkeypatch) == 0
     out = capsys.readouterr().out
     assert out.count("0 differ") == 8 and "nothing moved" in out
 
 
-def test_exact_exits_1_and_names_the_value_that_moved(capsys):
-    sides = {"parent": Path("parent"), "change": Path("change")}
-    assert bench_pairs.exact(sides, ["area_query", "ingest_batched"],
-                             [17, 29],
-                             run=_canned(("ingest_batched", 29, 1))) == 1
+def test_exact_exits_1_and_names_the_value_that_moved(monkeypatch, capsys):
+    assert _exact(monkeypatch, ("ingest_batched", 29, 1)) == 1
     out = capsys.readouterr().out
     assert "ingest_batched seed 29 trace 1: 2 values, 1 differ" in out
     assert "  broker.calls: 120.0 -> 121.0" in out

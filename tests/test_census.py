@@ -32,9 +32,11 @@ SECOND_HOLDERS = ("RESOLVE_CACHE_MAX", "resolve_cache_max",
 #: (seven hub fields and ``BrokerDurabilityConfig`` became
 #: ``ScenarioConfig.master`` / ``.broker``, two ``HubConfig`` values;
 #: the next two rows are the network-wide metrics registry's counters,
-#: gauges and the wiring that attached it to every node; the last five
-#: are a test-only tracer query and the fleet monitor's unread /health
-#: scrape, its second ring and the options no caller set)
+#: gauges and the wiring that attached it to every node; the next
+#: rows are a test-only tracer query and the fleet monitor's unread
+#: /health scrape, its second ring and the options no caller set; the
+#: last five are the wall-clock perf floor's three names and a
+#: test-only ISO parser with its one helper)
 REMOVED = SECOND_HOLDERS + (
     "ScenarioConfig.net_base_latency", "ScenarioConfig.radio_latency",
     "ScenarioConfig.lease_factor", "ScenarioConfig.host_prefix",
@@ -59,6 +61,8 @@ REMOVED = SECOND_HOLDERS + (
     "FleetMonitorConfig.slos", "FleetMonitorConfig.policy",
     "MetricsCollector.retention", "MetricsCollector.health_every",
     "MetricsCollector.policy",
+    "compare_to_baseline", "DEFAULT_FLOOR", "check_perf_regression",
+    "parse_iso", "from_datetime",
 )
 
 

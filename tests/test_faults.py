@@ -303,3 +303,62 @@ class TestMeasurementDbRegistrationFailover:
             assert body == {"uri": mdb.uri, "lease": 30.0,
                             "token": mdb.registration_token()}
         assert estimate_size(bodies[0]) < 80
+
+
+class TestProxyTokensCarryNoIncarnation:
+    """A Device-proxy's ``/data`` token is the bare
+    ``str(database.inserts)`` and a Database-proxy's the bare
+    ``str(store.version)``: neither names the object that counted it.
+    That is safe only while no fault verb rebuilds a proxy, or its
+    database or store, at an existing URI.  This pins it for every
+    verb that touches a proxy; the first verb that rebuilds one must put
+    an incarnation into both tokens."""
+
+    def test_no_verb_rebuilds_a_proxy_or_lowers_its_token(
+            self, deployment, injector):
+        d = deployment
+        device_key = next(iter(d.device_proxies))
+        building = next(iter(d.bim_proxies))
+
+        def sources():
+            """uri -> (proxy, the object its token counts, the count)"""
+            found = {proxy.uri: (proxy, proxy.database,
+                                 proxy.database.inserts)
+                     for proxy in d.device_proxies.values()}
+            found.update({proxy.uri: (proxy, proxy.store, proxy.store.version)
+                          for proxy in (d.gis_proxy, *d.bim_proxies.values(),
+                                        *d.sim_proxies.values())})
+            return found
+
+        def kill_and_restore(kill, *args):
+            host = kill(*args)
+            d.run(120.0)
+            injector.restore(host)
+
+        def partition_and_heal():
+            injector.partition([d.device_proxies[device_key].host.name,
+                                d.bim_proxies[building].host.name])
+            d.run(120.0)
+            injector.heal_partition()
+
+        verbs = {
+            "kill_device_proxy": lambda: kill_and_restore(
+                injector.kill_device_proxy, *device_key),
+            "kill_bim_proxy": lambda: kill_and_restore(
+                injector.kill_bim_proxy, building),
+            "partition": partition_and_heal,
+            "restart_master": injector.restart_master,
+            "reregister_all": injector.reregister_all,
+        }
+        held = sources()
+        assert held[d.device_proxies[device_key].uri][2] > 0
+        for verb, act in verbs.items():
+            act()
+            d.run(120.0)
+            now = sources()
+            assert now.keys() == held.keys(), verb
+            for uri, (proxy, source, count) in held.items():
+                assert now[uri][0] is proxy and now[uri][1] is source, \
+                    (verb, uri)
+                assert now[uri][2] >= count, (verb, uri)
+            held = now
