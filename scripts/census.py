@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Census of ``src/repro``: the surface nothing calls.
 
-Three lists, all matched by *name* with the stdlib ``ast`` (the code is
+Four lists, all matched by *name* with the stdlib ``ast`` (the code is
 parsed, never imported):
 
 1. **modules** no other module of ``src/`` imports — a package
@@ -19,7 +19,11 @@ parsed, never imported):
    apart from the ``def`` itself — marked ``tests only`` when
    ``tests/`` mentions it, ``nothing`` otherwise.  The contents of a
    module already on list 1 are not listed again, and for the modules
-   in ``TEST_FACING`` a test is a caller.
+   in ``TEST_FACING`` a test is a caller;
+4. **routes** (``add_route`` templates) whose first path segment no
+   file of those four directories requests as a ``"/seg…"`` or
+   ``"svc://host/seg…"`` literal, or as a ``"seg…"`` appended to a URI
+   (``peer + "replicate"``) — marked like list 3.
 
 Matching by name errs towards silence (``timeout=`` anywhere keeps
 every ``timeout`` parameter alive), so a finding is real while the
@@ -38,7 +42,7 @@ import ast
 import re
 import sys
 from pathlib import Path
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 #: directories whose files count as callers of a definition
@@ -46,6 +50,8 @@ CALLER_DIRS = ("src", "benchmarks", "examples", "scripts")
 #: modules that exist to be driven by tests
 TEST_FACING = ("repro.simulation.faults",)
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: the first path segment a literal requests: "/seg…" or "svc://host/seg…"
+_REQUEST = re.compile(r"(?:svc://[\w.\-]+)?/([\w.\-]+)")
 
 
 def _allow(reason: str, *findings: str) -> Dict[str, str]:
@@ -110,19 +116,45 @@ ALLOW: Dict[str, str] = {
              "path with it",
              "definition: repro.proxies.device_proxy.detach_device "
              "(tests only)"),
+    **_allow("operator verbs on the dead-letter queue: a person reads "
+             "what was dead-lettered, and a drain is a logged `dlq_drain` "
+             "record that WAL replay and standbys apply",
+             "route: /deadletter (GET, repro.middleware.broker; tests only)",
+             "route: /deadletter/drain (POST, repro.middleware.broker; "
+             "tests only)"),
+    **_allow("Figure 1(b)'s device discovery: a Device-proxy lists the "
+             "devices it serves and what each one senses",
+             "route: /devices (GET, repro.proxies.device_proxy; tests only)"),
+    **_allow("the master's whole forest on the wire, which the "
+             "persistence, replication and recovery tests read",
+             "route: /ontology (GET, repro.core.master; tests only)"),
+    **_allow("a query only tests request; to be deleted with its tests "
+             "(ROADMAP standing rider)",
+             *(f"route: {path} (GET, repro.{module}; tests only)"
+               for path, module in (
+                   ("/devices", "storage.measurementdb"),
+                   ("/freshness/{device_id}", "storage.measurementdb"),
+                   ("/measurements", "storage.measurementdb"),
+                   ("/entity/{entity_id}", "baselines.centralized"),
+                   ("/measurements", "baselines.centralized"),
+                   ("/spaces", "proxies.database_proxy"),
+                   ("/record/{guid}", "proxies.database_proxy"),
+                   ("/service-points", "proxies.database_proxy"),
+                   ("/path/{node_id}", "proxies.database_proxy"),
+                   ("/features", "proxies.database_proxy"),
+                   ("/locate", "proxies.database_proxy")))),
     **_allow("public helper only its own unit tests call; " + _FLOOR,
              "definition: repro.common.simtime.clamp_window (tests only)",
-             "definition: repro.common.units.from_unit (tests only)",
              "definition: repro.common.units.integrate_power_to_energy "
              "(tests only)",
-             "definition: repro.common.units.known_quantities (tests only)",
              "definition: repro.common.units.register_conversion "
              "(tests only)"),
 }
 
 
 class File:
-    """What one parsed source file imports, mentions and sets."""
+    """What one parsed source file imports, mentions, sets, serves and
+    requests."""
 
     def __init__(self, path: Path, root: Path) -> None:
         self.path = path
@@ -133,6 +165,9 @@ class File:
         self.sets: Set[str] = set()              # option names given a value
         self.arity: Dict[str, int] = {}          # callee -> most positionals
         self.environ: Set[str] = set()           # variables read
+        self.routes: List[Tuple[str, str]] = []  # (method, template) served
+        self.requests: Set[str] = set()          # first path segments asked
+        self._templates: Set[int] = set()        # add_route's own literals
         docstrings = {id(node.body[0].value) for node in ast.walk(self.tree)
                       if isinstance(node, (ast.Module, ast.ClassDef,
                                            ast.FunctionDef))
@@ -160,6 +195,15 @@ class File:
                 _IDENT.findall(node.value))
             if _IDENT.fullmatch(node.value):
                 self.sets.add(node.value)   # {"n_buildings": 12}, setenv()
+            request = _REQUEST.match(node.value)
+            if request and id(node) not in self._templates:
+                self.requests.add(request[1])
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) \
+                and isinstance(node.right, ast.Constant) \
+                and isinstance(node.right.value, str):
+            request = _REQUEST.match("/" + node.right.value)   # uri + "seg"
+            if request:
+                self.requests.add(request[1])
         elif isinstance(node, ast.Call):
             self.sets.update(k.arg for k in node.keywords if k.arg)
             callee = node.func.attr if isinstance(node.func, ast.Attribute) \
@@ -167,6 +211,11 @@ class File:
             if callee:
                 self.arity[callee] = max(self.arity.get(callee, 0),
                                          len(node.args))
+            if callee == "add_route" and len(node.args) > 1 \
+                    and isinstance(node.args[1], ast.Constant):
+                self.routes.append((ast.unparse(node.args[0]),
+                                    node.args[1].value))
+                self._templates.add(id(node.args[1]))
             if ast.unparse(node.func) in ("os.environ.get", "os.getenv") \
                     and node.args and isinstance(node.args[0], ast.Constant):
                 self.environ.add(node.args[0].value)
@@ -268,6 +317,16 @@ def census(root: Path = ROOT) -> List[str]:
                     node.name in g.mentions for g in tests) else "nothing"
                 findings.append(f"definition: {module_name(f)}."
                                 f"{node.name} ({where})")
+
+    # 4. routes whose first path segment no caller requests
+    for f in src:
+        for method, template in f.routes:
+            segment = _REQUEST.match(template)[1]
+            if not any(segment in g.requests for g in callers):
+                where = "tests only" if any(
+                    segment in g.requests for g in tests) else "nothing"
+                findings.append(f"route: {template} ({method}, "
+                                f"{module_name(f)}; {where})")
     return sorted(set(findings))
 
 

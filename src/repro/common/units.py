@@ -74,11 +74,6 @@ def canonical_unit(quantity: str) -> str:
         raise UnitError(f"unknown quantity: {quantity!r}") from None
 
 
-def known_quantities() -> Tuple[str, ...]:
-    """Return the tuple of quantity names the framework understands."""
-    return tuple(CANONICAL_UNITS)
-
-
 def convert(value: float, quantity: str, unit: str) -> float:
     """Convert *value* expressed in *unit* to the canonical unit.
 
@@ -124,11 +119,6 @@ class Quantity:
     def unit(self) -> str:
         """Canonical unit symbol of this quantity."""
         return CANONICAL_UNITS[self.quantity]
-
-    @classmethod
-    def from_unit(cls, quantity: str, value: float, unit: str) -> "Quantity":
-        """Build a canonical :class:`Quantity` from a native-unit value."""
-        return cls(quantity, convert(value, quantity, unit))
 
     def __add__(self, other: "Quantity") -> "Quantity":
         if not isinstance(other, Quantity):

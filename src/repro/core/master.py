@@ -122,8 +122,6 @@ class MasterNode(StateMachine):
         self.service.add_route(POST, "/register", self._register_route)
         self.service.add_route(GET, "/resolve", self._resolve_route)
         self.service.add_route(GET, "/ontology", self._ontology_route)
-        self.service.add_route(GET, "/districts", self._districts_route)
-        self.service.add_route(GET, "/health", self._health_route)
         self.service.add_route(GET, "/metrics", self._metrics_route)
 
     @property
@@ -604,20 +602,6 @@ class MasterNode(StateMachine):
     def _ontology_route(self, request: Request) -> Response:
         return ok(self.ontology.to_dict())
 
-    def _health_route(self, request: Request) -> Response:
-        self.expire_leases()
-        payload = {
-            "status": "ok",
-            "registrations": self.registrations,
-            "resolves_served": self.resolves_served,
-            "active_leases": self.active_leases,
-            "lease_evictions": self.lease_evictions,
-            "ontology_nodes": self.ontology.node_count(),
-            "ontology_epoch": self.ontology_epoch,
-        }
-        payload.update(self.replication_status())
-        return ok(payload)
-
     def metrics(self) -> Dict:
         """Flat counter snapshot served by ``GET /metrics``."""
         counters = {
@@ -641,17 +625,3 @@ class MasterNode(StateMachine):
     def _metrics_route(self, request: Request) -> Response:
         self.expire_leases()
         return ok({"component": self.metrics()})
-
-    def _districts_route(self, request: Request) -> Response:
-        return ok({
-            "districts": [
-                {
-                    "district_id": d.district_id,
-                    "name": d.name,
-                    "entities": len(d.entities),
-                    "devices": sum(len(e.devices)
-                                   for e in d.entities.values()),
-                }
-                for d in self.ontology.districts()
-            ]
-        })

@@ -54,7 +54,6 @@ from repro.errors import (
     ReproError,
 )
 from repro.network.webservice import (
-    GET,
     POST,
     HttpClient,
     Request,
@@ -109,10 +108,11 @@ class ReplicatedNode:
     """One member of a replication group: the agent beside a node.
 
     Owns role/epoch/fencing/sequence bookkeeping, the ``/replicate``
-    and ``/repl/status`` routes, the periodic tick (heartbeats and
-    fencing on the primary, failure detection on standbys) on the DES
-    scheduler, and the write-path gates.  Everything it does to the
-    node goes through the :class:`~repro.storage.durability.
+    route, the periodic tick (heartbeats and fencing on the primary,
+    failure detection on standbys) on the DES scheduler, and the
+    write-path gates.  Its role/epoch/lag fields reach ``/metrics``
+    through the node's ``replication_status()``.  Everything it does to
+    the node goes through the :class:`~repro.storage.durability.
     StateMachine` contract: ``snapshot`` / ``restore`` / ``apply``,
     the ``activate`` hook at promotion, and the node's journal.
     """
@@ -177,7 +177,6 @@ class ReplicatedNode:
         self.node.replication = self
         service = self.node.service
         service.add_route(POST, "/replicate", self._replicate_route)
-        service.add_route(GET, "/repl/status", self._status_route)
 
     def start(self) -> None:
         """Arm the periodic tick (idempotent)."""
@@ -338,9 +337,6 @@ class ReplicatedNode:
         return ok({"accepted": True, "epoch": self.epoch,
                    "applied": self.applied_seq, "resync": resync})
 
-    def _status_route(self, request: Request) -> Response:
-        return ok(self.status())
-
     # -- role transitions --------------------------------------------------
 
     def _adopt_epoch(self, epoch: int, deposed_by: str = "") -> None:
@@ -421,7 +417,7 @@ class ReplicatedNode:
         return max(0, self.primary_seq - self.applied_seq)
 
     def status(self) -> Dict:
-        """Role/epoch/lag summary merged into ``/health`` and ``/metrics``."""
+        """Role/epoch/lag summary merged into ``/metrics``."""
         return {
             "role": self.role,
             "epoch": self.epoch,
@@ -484,9 +480,6 @@ class ReplicationGroup:
             for key, value in member.counters.items():
                 totals[key] = totals.get(key, 0) + value
         return totals
-
-    def status(self) -> List[Dict]:
-        return [dict(m.status(), name=m.name) for m in self.members]
 
     def stop(self) -> None:
         for member in self.members:

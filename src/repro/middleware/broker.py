@@ -379,10 +379,9 @@ class Broker(StateMachine):
             "delivery_nack": self.settlement.nack,
         }
         host.bind(BROKER_PORT, self._on_message)
-        # raw frames on the data plane, but the same /health + /metrics
-        # as every other node so the fleet collector can scrape it
+        # raw frames on the data plane, but the same /metrics as every
+        # other node so the fleet collector can scrape it
         self.service = WebService(host)
-        self.service.add_route(GET, "/health", self._health_route)
         self.service.add_route(GET, "/metrics", self._metrics_route)
         self.service.add_route(GET, "/deadletter", self._dead_letter_route)
         self.service.add_route(POST, "/deadletter/drain",
@@ -394,7 +393,8 @@ class Broker(StateMachine):
 
     @property
     def uri(self) -> str:
-        """The broker's Web-Service base URI (health/metrics only)."""
+        """The broker's Web-Service base URI (``/metrics`` and the
+        dead-letter verbs)."""
         return self.service.base_uri
 
     @property
@@ -417,22 +417,7 @@ class Broker(StateMachine):
             return 0.0
         return len(self.state.deliveries) / self.overload.high_watermark
 
-    # -- health + metrics endpoints ---------------------------------------
-
-    def health(self) -> Dict[str, Any]:
-        """Liveness payload of the ``/health`` route."""
-        state = self.state
-        payload = {
-            "status": "ok",
-            "kind": "broker",
-            "subscriptions": len(state.subs.by_id),
-            "retained_topics": len(state.retained),
-            "pending_deliveries": len(state.deliveries),
-            "shedding": self._shedding,
-            "dead_letters": len(state.dead_letters),
-        }
-        payload.update(self.replication_status())
-        return payload
+    # -- metrics + dead-letter endpoints ----------------------------------
 
     def metrics(self) -> Dict[str, Any]:
         """Numeric counters for the ``/metrics`` endpoint: every
@@ -451,9 +436,6 @@ class Broker(StateMachine):
         )
         counters.update(self.replication_status())
         return counters
-
-    def _health_route(self, request: Request) -> Response:
-        return ok(self.health())
 
     def _metrics_route(self, request: Request) -> Response:
         return ok({"component": self.metrics()})

@@ -37,7 +37,7 @@ _OP_NOTIFY = 0x1B
 _OP_WRITE = 0x12
 
 #: quantity -> (attribute handle, struct format or None for uint24,
-#:              scale to canonical, signed uint24?)
+#:              scale to canonical)
 _CHARACTERISTICS: Dict[str, Tuple[int, Optional[str], float]] = {
     "temperature": (0x0010, "<h", 0.01),    # GATT 0x2A6E
     "humidity": (0x0012, "<H", 0.01),       # GATT 0x2A6F
@@ -82,17 +82,17 @@ def _field_width(fmt: Optional[str]) -> int:
 
 
 def _pack_value(fmt: Optional[str], native: int) -> bytes:
-    if fmt is None:  # uint24 little-endian
-        if not 0 <= native < 1 << 24:
-            raise FrameEncodeError("uint24 characteristic overflow")
-        return struct.pack("<I", native)[:3]
     lo, hi = {
+        None: (0, 0xFFFFFF),
         "<h": (-32768, 32767),
         "<H": (0, 65535),
         "<I": (0, 4294967295),
         "<B": (0, 255),
     }[fmt]
-    return struct.pack(fmt, min(max(native, lo), hi))
+    native = min(max(native, lo), hi)   # a reading saturates
+    if fmt is None:  # uint24 little-endian
+        return struct.pack("<I", native)[:3]
+    return struct.pack(fmt, native)
 
 
 def _unpack_value(fmt: Optional[str], blob: bytes) -> int:

@@ -236,7 +236,6 @@ class Proxy(Registrant, abc.ABC):
                  policy: Optional[ResiliencePolicy] = None):
         self.service = WebService(host, processing_delay=processing_delay)
         Registrant.__init__(self, host, policy)
-        self.service.add_route(GET, "/health", self._health_route)
         self.service.add_route(GET, "/metrics", self._metrics_route)
 
     @property
@@ -257,24 +256,6 @@ class Proxy(Registrant, abc.ABC):
         payload["proxy_kind"] = self.proxy_kind
         payload["uri"] = self.uri
         return payload
-
-    # -- health -----------------------------------------------------------
-
-    def health(self) -> Dict:
-        """Liveness payload; subclasses may extend it."""
-        return {
-            "status": "ok",
-            "proxy_kind": self.proxy_kind,
-            "host": self.name,
-            "registered": self.registered,
-            "requests_served": self.service.requests_served,
-            "requests_failed": self.service.requests_failed,
-            "heartbeats_sent": self.heartbeats_sent,
-            "heartbeats_failed": self.heartbeats_failed,
-        }
-
-    def _health_route(self, request: Request) -> Response:
-        return ok(self.health())
 
     # -- metrics ----------------------------------------------------------
 

@@ -335,17 +335,6 @@ class DeviceProxy(Proxy):
 
     # -- registration ------------------------------------------------------------
 
-    def health(self) -> Dict:
-        info = super().health()
-        info.update({
-            "online": self.online,
-            "devices": len(self._devices),
-            "measurements_published": self.measurements_published,
-            "buffered_publications": self.peer.buffered,
-            "broker_suspect": self.peer.broker_suspect,
-        })
-        return info
-
     def metrics(self) -> Dict:
         info = super().metrics()
         info.update({

@@ -348,7 +348,7 @@ class StateMachine:
         return self.journal.snapshots_written
 
     def replication_status(self) -> Dict:
-        """Role/epoch/lag summary merged into ``/health`` and ``/metrics``.
+        """Role/epoch/lag summary merged into ``/metrics``.
 
         A node without standbys reports itself as a lone primary at
         epoch 0 with zero lag, so operators (and the fleet collector)

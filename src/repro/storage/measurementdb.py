@@ -147,7 +147,6 @@ class MeasurementDatabase(StateMachine, Registrant):
         self.service.add_route(GET, "/devices", self._devices_route)
         self.service.add_route(GET, "/freshness/{device_id}",
                                self._freshness_route)
-        self.service.add_route(GET, "/health", self._health_route)
         self.service.add_route(GET, "/metrics", self._metrics_route)
 
     @property
@@ -591,20 +590,6 @@ class MeasurementDatabase(StateMachine, Registrant):
         if last is None:
             return error(404, f"no samples from {device_id}")
         return ok({"device_id": device_id, "last_timestamp": last})
-
-    def _health_route(self, request: Request) -> Response:
-        return ok({
-            "status": "ok",
-            "host": self.host.name,
-            "district_id": self.district_id,
-            "ingested": self.ingested,
-            "rejected": self.rejected,
-            "durable": self.wal is not None,
-            "stale_until_sample": self._stale_until_sample,
-            "ingest_queue_depth": self._backlog(),
-            "heartbeats_sent": self.heartbeats_sent,
-            "heartbeats_failed": self.heartbeats_failed,
-        })
 
     def metrics(self) -> Dict:
         """Numeric counters for the ``/metrics`` endpoint."""

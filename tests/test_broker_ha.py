@@ -27,6 +27,7 @@ from repro.errors import ConfigurationError
 from repro.middleware.broker import BROKER_PORT, Broker
 from repro.middleware.peer import MiddlewarePeer
 from repro.network.scheduler import Scheduler
+from repro.network.webservice import HttpClient
 from repro.network.transport import LatencyModel, Network
 from repro.observability.slo import default_slos
 from repro.simulation.faults import FaultInjector
@@ -151,16 +152,46 @@ class TestDurableBrokerState:
 
     def test_broker_health_uniform_role_epoch_fields(self, net, tmp_path):
         broker = durable_broker(net, tmp_path)
-        payload = broker.health()
-        assert payload["kind"] == "broker"
+        operator = HttpClient(net.add_host("operator"))
+        payload = operator.get(broker.uri + "metrics").body["component"]
         assert payload["role"] == "primary"
         assert payload["epoch"] == 0
         assert payload["fenced"] is False
         assert payload["replication_lag"] == 0
         assert "last_snapshot_age" in payload
-        metrics = broker.metrics()
-        assert metrics["role"] == "primary"
-        assert metrics["replication_lag"] == 0
+
+    @pytest.mark.parametrize("restarts", [0, 1, 3])
+    def test_poison_budget_is_soft_per_incarnation_and_bounded(
+            self, net, tmp_path, restarts):
+        # poison_count is not logged, so every recovered incarnation
+        # grants a fresh budget.  The worst schedule restarts the broker
+        # just before each nack that would exhaust it; the delivery is
+        # still poison-nacked at most max x incarnations times and
+        # dead-lettered once
+        broker = durable_broker(net, tmp_path, max_delivery_attempts=3)
+        publisher = MiddlewarePeer(net.add_host("pub"), "broker")
+        consumer = MiddlewarePeer(net.add_host("poison"), "broker")
+        attempts, restarted = [], []
+
+        def poison(event):
+            attempts.append(event)
+            pending = list(broker.state.deliveries.values())
+            if len(restarted) < restarts and pending \
+                    and pending[0].poison_count == 2:
+                broker.reset()   # what FaultInjector.restart_broker does
+                restarted.append(broker.recover())
+            raise ValueError("cannot translate")
+
+        consumer.subscribe("area/b1/#", poison, ack=True)
+        run(net, 1.0)
+        publisher.publish("area/b1/t", {"v": 1})
+        run(net, 30.0)
+        assert len(restarted) == restarts and None not in restarted
+        assert len(attempts) <= 3 * (restarts + 1)
+        assert broker.stats.poison_nacks == len(attempts)
+        assert broker.stats.dead_lettered == 1
+        assert len(broker.dead_letters) == 1
+        assert broker.pending_delivery_count() == 0
 
 
 class TestBrokerFaultVerbs:

@@ -35,8 +35,10 @@ SECOND_HOLDERS = ("RESOLVE_CACHE_MAX", "resolve_cache_max",
 #: gauges and the wiring that attached it to every node; the next
 #: rows are a test-only tracer query and the fleet monitor's unread
 #: /health scrape, its second ring and the options no caller set; the
-#: last five are the wall-clock perf floor's three names and a
-#: test-only ISO parser with its one helper)
+#: next five are the wall-clock perf floor's three names and a
+#: test-only ISO parser with its one helper; the last five are the
+#: routes that repeated another route of the same node and two
+#: test-only unit helpers)
 REMOVED = SECOND_HOLDERS + (
     "ScenarioConfig.net_base_latency", "ScenarioConfig.radio_latency",
     "ScenarioConfig.lease_factor", "ScenarioConfig.host_prefix",
@@ -63,6 +65,8 @@ REMOVED = SECOND_HOLDERS + (
     "MetricsCollector.policy",
     "compare_to_baseline", "DEFAULT_FLOOR", "check_perf_regression",
     "parse_iso", "from_datetime",
+    "/health", "/repl/status", "/districts",
+    "units.known_quantities", "units.from_unit",
 )
 
 
@@ -138,14 +142,22 @@ def test_a_planted_tree_yields_one_finding_of_each_kind(tmp_path):
         "src/repro/used.py": (
             "from repro import scenario\n"
             "def helper(): pass\n"
-            "def probe(): pass\n"),
+            "def probe(): pass\n"
+            "def serve(service, peer):\n"
+            "    service.add_route(GET, '/metrics', print)\n"
+            "    service.add_route(GET, '/latest/{device}', print)\n"
+            "    service.add_route(POST, '/replicate', print)\n"
+            "    service.add_route(GET, '/health', print)\n"
+            "    return peer + 'replicate'\n"),
         "src/repro/orphan.py": "def anything(): pass\n",
         "benchmarks/bench.py": (
             "from repro.scenario import Node, ScenarioConfig, deploy\n"
-            "deploy(), ScenarioConfig(seed=1), Node('h', 0.2)\n"),
+            "from repro.used import serve\n"
+            "deploy(), ScenarioConfig(seed=1), Node('h', 0.2)\n"
+            "serve(None, uri + '/metrics'), get('svc://proxy/latest/d1')\n"),
         "tests/test_used.py": (
             "from repro import orphan, used\n"
-            "used.probe(), orphan.anything()\n"),
+            "used.probe(), orphan.anything(), get('/health')\n"),
     }
     for name, text in files.items():
         path = tmp_path / name
@@ -158,4 +170,5 @@ def test_a_planted_tree_yields_one_finding_of_each_kind(tmp_path):
         "module: repro.orphan",
         "option: Node.limit",
         "option: ScenarioConfig.lease_factor",
+        "route: /health (GET, repro.used; tests only)",
     ]

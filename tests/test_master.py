@@ -192,15 +192,6 @@ class TestResolveRoutes:
         assert len(body["districts"]) == 1
         assert len(body["districts"][0]["entities"]) == 2
 
-    def test_districts_route(self, net, master):
-        self.populate(master)
-        client = HttpClient(net.add_host("user"))
-        body = client.get(master.uri.rstrip("/") + "/districts").body
-        assert body["districts"] == [{
-            "district_id": "dst-0001", "name": "Torino Nord",
-            "entities": 2, "devices": 1,
-        }]
-
     def test_resolves_counter(self, master):
         self.populate(master)
         master.resolve_area(AreaQuery("dst-0001"))

@@ -120,6 +120,16 @@ class TestUplinkRoundTrip:
         assert [r.value for r in decoded] == pytest.approx(
             [65.535, 65535.0, 0.0, 327.67])
 
+    def test_ble_readings_saturate_at_the_field_range(self):
+        # illuminance is a uint24 of 0.01 lx: it clamps like power's
+        # uint32 instead of raising and losing the whole frame
+        decoded = uplink_round_trip(BleAdapter(), [
+            ("illuminance", -1.0), ("illuminance", 200_000.0),
+            ("power", -1.0),
+        ])
+        assert [r.value for r in decoded] == pytest.approx(
+            [0.0, 167_772.15, 0.0])
+
     def test_enocean_temperature_humidity_profile(self):
         adapter = EnOceanAdapter()
         decoded = uplink_round_trip(

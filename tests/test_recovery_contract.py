@@ -542,7 +542,6 @@ class TestHubConfiguration:
         operator = HttpClient(net.add_host("operator"))
         uri = node.service.base_uri
         assert operator.post(uri + "replicate", check=False).status == 404
-        assert operator.get(uri + "repl/status", check=False).status == 404
 
     def test_unreplicated_deploy_is_what_it_was(self):
         district = deploy(ScenarioConfig(seed=23, n_buildings=3,
