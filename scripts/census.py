@@ -109,8 +109,7 @@ ALLOW: Dict[str, str] = {
              "(tests only)",
              "definition: repro.datasources.sim.cadastral_ids (tests only)",
              "definition: repro.datasources.gis.by_cadastral_id "
-             "(tests only)",
-             "definition: repro.ontology.model.find_device (tests only)"),
+             "(tests only)"),
     **_allow("the only way to change a running proxy's descriptor; "
              "tests/test_lease_renewal.py drives the full-heartbeat "
              "path with it",
@@ -146,8 +145,6 @@ ALLOW: Dict[str, str] = {
     **_allow("public helper only its own unit tests call; " + _FLOOR,
              "definition: repro.common.simtime.clamp_window (tests only)",
              "definition: repro.common.units.integrate_power_to_energy "
-             "(tests only)",
-             "definition: repro.common.units.register_conversion "
              "(tests only)"),
 }
 

@@ -91,19 +91,6 @@ def convert(value: float, quantity: str, unit: str) -> float:
     return scale * value + offset
 
 
-def register_conversion(
-    quantity: str, unit: str, scale: float, offset: float = 0.0
-) -> None:
-    """Register a linear conversion ``canonical = scale * x + offset``.
-
-    Extension hook: device vendors can add their native units without
-    patching the table.  Re-registering an existing pair overwrites it.
-    """
-    if quantity not in CANONICAL_UNITS:
-        raise UnitError(f"unknown quantity: {quantity!r}")
-    _CONVERSIONS[(quantity, unit)] = (float(scale), float(offset))
-
-
 @dataclass(frozen=True)
 class Quantity:
     """A value tagged with its physical quantity, in canonical units."""

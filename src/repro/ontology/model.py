@@ -387,15 +387,6 @@ class DistrictOntology:
     def districts(self) -> List[DistrictNode]:
         return list(self._districts.values())
 
-    def find_device(self, device_id: str
-                    ) -> Tuple[DistrictNode, EntityNode, DeviceNode]:
-        """Locate a device leaf across all districts."""
-        for district in self._districts.values():
-            for entity in district.entities.values():
-                if device_id in entity.devices:
-                    return district, entity, entity.devices[device_id]
-        raise UnknownEntityError(f"no device {device_id!r} in ontology")
-
     def node_count(self) -> int:
         """Total nodes in the forest (roots + entities + devices)."""
         total = len(self._districts)

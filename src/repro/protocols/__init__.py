@@ -2,10 +2,10 @@
 
 One module per protocol the paper names — IEEE 802.15.4, ZigBee,
 EnOcean and OPC UA from §II, plus the §III "enabling technologies"
-CoAP/6LoWPAN and Bluetooth Low Energy — each with a genuinely different
-frame format, addressing scheme, native units and failure modes.  All
-are hidden behind :class:`~repro.protocols.base.ProtocolAdapter`, the
-contract the Device-proxy's dedicated layer programs against.
+CoAP/6LoWPAN and Bluetooth Low Energy — each with its own frame format,
+addressing, native units and failure modes, behind the Device-proxy's
+dedicated-layer contract :class:`~repro.protocols.base.ProtocolAdapter`.
+Where records and commands are tables, base.py's codecs run them.
 """
 
 from repro.protocols.base import (

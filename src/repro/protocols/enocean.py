@@ -27,11 +27,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FrameDecodeError, FrameEncodeError
 from repro.protocols.base import (
+    CommandCodec,
     ProtocolAdapter,
     RawCommand,
     RawReading,
     crc8,
-    int16_arg,
     register_protocol,
     require,
 )
@@ -73,9 +73,10 @@ _EEP_QUANTITIES = {
     "A5-12-01": ("power", "energy"),
 }
 
-#: downlink command -> encoding
-_COMMANDS = {"switch": 0x01, "setpoint": 0x02, "dim": 0x03}
-_COMMANDS_BY_CODE = {code: name for name, code in _COMMANDS.items()}
+#: downlink command -> VLD command code; the argument is in 0.01 units
+_COMMANDS = CommandCodec("EnOcean", ">B", {
+    "switch": (0x01,), "setpoint": (0x02,), "dim": (0x03,),
+}, scale=100.0)
 
 
 def _parse_sender(address: str) -> int:
@@ -86,10 +87,6 @@ def _parse_sender(address: str) -> int:
     if not 0 <= value <= 0xFFFFFFFF:
         raise FrameEncodeError(f"EnOcean sender id out of range {address!r}")
     return value
-
-
-def _format_sender(value: int) -> str:
-    return f"{value:08x}"
 
 
 def _clamp_byte(value: float) -> int:
@@ -232,19 +229,14 @@ class EnOceanAdapter(ProtocolAdapter):
     def encode_command(
         self, device_address: str, command: str, value: Optional[float]
     ) -> bytes:
-        if command not in _COMMANDS:
-            raise FrameEncodeError(f"EnOcean has no command {command!r}")
-        data = struct.pack(">Bh", _COMMANDS[command],
-                           int16_arg(value, 100.0)) + b"\x00"
+        data = _COMMANDS.encode(command, value) + b"\x00"
         return self._build_telegram(RORG_VLD, data, device_address)
 
     def decode_command(self, frame: bytes) -> RawCommand:
         rorg, data, sender, _status = self._parse_telegram(frame)
         require(rorg == RORG_VLD, "not an EnOcean VLD command telegram")
-        code, scaled = struct.unpack(">Bh", data[:3])
-        require(code in _COMMANDS_BY_CODE,
-                f"unknown EnOcean command code {code:#x}")
-        return RawCommand(sender, _COMMANDS_BY_CODE[code], scaled / 100.0)
+        command, value = _COMMANDS.decode(data)
+        return RawCommand(sender, command, value)
 
     # -- telegram framing ------------------------------------------------------
 
@@ -264,7 +256,7 @@ class EnOceanAdapter(ProtocolAdapter):
         sender = struct.unpack(">I", body[-5:-1])[0]
         status = body[-1]
         require(len(data) >= 3, "EnOcean data field too short")
-        return rorg, data, _format_sender(sender), status
+        return rorg, data, f"{sender:08x}", status
 
 
 def require_encode(condition: bool, message: str) -> None:

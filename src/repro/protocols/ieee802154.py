@@ -20,11 +20,13 @@ from typing import List, Optional, Sequence, Tuple
 from repro.common.units import convert
 from repro.errors import FrameEncodeError
 from repro.protocols.base import (
+    CommandCodec,
+    Field,
     ProtocolAdapter,
     RawCommand,
     RawReading,
+    RecordCodec,
     crc16_ccitt,
-    int16_arg,
     register_protocol,
     require,
 )
@@ -36,54 +38,33 @@ _FCF_COMMAND = 0x8843
 
 _PAN_ID = 0x1A2B
 
-#: TLV type code -> (quantity, native unit, big-endian struct format).
-#: Each type defines its own value width: metering types (power in W,
-#: energy in Wh) use 32-bit fields so building feeders (>65 kW) and
-#: cumulative counters (>65 kWh) never saturate; environment types stay
-#: at the compact 16-bit width a constrained node would choose.
+#: TLV type code -> (quantity, native unit, big-endian struct code, and
+#: the multiplier applied before unit conversion).  Each type defines its
+#: own value width: metering types (power in W, energy in Wh) use 32-bit
+#: fields so building feeders (>65 kW) and cumulative counters (>65 kWh)
+#: never saturate; environment types stay at the compact 16-bit width a
+#: constrained node would choose.
 _SENSOR_TYPES = {
-    0x01: ("power", "W", ">I"),
-    0x02: ("temperature", "ddegC", ">h"),
-    0x03: ("humidity", "%RH", ">H"),        # value is half-percent, see scale
-    0x04: ("illuminance", "lx", ">H"),
-    0x05: ("energy", "Wh", ">I"),
-    0x06: ("occupancy", "count", ">H"),
-    0x07: ("co2", "ppm", ">H"),
+    0x01: ("power", "W", "I", 1.0),
+    0x02: ("temperature", "ddegC", "h", 1.0),
+    0x03: ("humidity", "%RH", "H", 0.5),    # in half-percent steps
+    0x04: ("illuminance", "lx", "H", 1.0),
+    0x05: ("energy", "Wh", "I", 1.0),
+    0x06: ("occupancy", "count", "H", 1.0),
+    0x07: ("co2", "ppm", "H", 1.0),
 }
-#: extra multiplier applied before unit conversion (humidity in 0.5 %RH)
-_PRE_SCALE = {0x03: 0.5}
+# canonical = convert(native * pre, unit), and conversions are linear
+_RECORDS = RecordCodec("802.15.4", ">B", {
+    quantity: ((type_code,), Field(
+        code, (convert(1.0, quantity, unit) - convert(0.0, quantity, unit))
+        * pre, convert(0.0, quantity, unit)))
+    for type_code, (quantity, unit, code, pre) in _SENSOR_TYPES.items()
+})
 
-#: struct format -> (value byte width, min, max)
-_FIELD_RANGES = {
-    ">h": (2, -32768, 32767),
-    ">H": (2, 0, 65535),
-    ">I": (4, 0, 4294967295),
-}
-
-_QUANTITY_TO_TYPE = {q: code for code, (q, _u, _f) in _SENSOR_TYPES.items()}
-
-#: command code -> command name
-_COMMANDS = {0x10: "switch", 0x11: "setpoint", 0x12: "dim"}
-_COMMAND_CODES = {name: code for code, name in _COMMANDS.items()}
-
-
-def _to_native(quantity: str, value: float) -> int:
-    """Convert a canonical value into the protocol's scaled integer."""
-    code = _QUANTITY_TO_TYPE[quantity]
-    _q, unit, fmt = _SENSOR_TYPES[code]
-    pre = _PRE_SCALE.get(code, 1.0)
-    # invert: canonical = convert(native * pre, unit); conversions are linear
-    scale = convert(1.0, quantity, unit) - convert(0.0, quantity, unit)
-    offset = convert(0.0, quantity, unit)
-    native = (value - offset) / scale / pre
-    _width, lo, hi = _FIELD_RANGES[fmt]
-    return int(round(min(max(native, lo), hi)))
-
-
-def _from_native(code: int, raw: int) -> Tuple[str, float]:
-    quantity, unit, _fmt = _SENSOR_TYPES[code]
-    pre = _PRE_SCALE.get(code, 1.0)
-    return quantity, convert(raw * pre, quantity, unit)
+#: command name -> command code; the argument is in 0.1 units
+_COMMANDS = CommandCodec("802.15.4", ">B", {
+    "switch": (0x10,), "setpoint": (0x11,), "dim": (0x12,),
+}, scale=10.0)
 
 
 def _parse_address(address: str) -> int:
@@ -98,6 +79,17 @@ def _parse_address(address: str) -> int:
     return value
 
 
+def _open(frame: bytes, fcf: int, what: str) -> Tuple[int, int]:
+    """The (destination, source) of an *fcf* frame whose checks pass."""
+    require(len(frame) >= 11 + 2, f"802.15.4 {what} too short")
+    fcs = struct.unpack("<H", frame[-2:])[0]
+    require(crc16_ccitt(frame[:-2]) == fcs, "802.15.4 FCS mismatch")
+    got, _seq, pan, dst, src = struct.unpack_from("<HBHHH", frame)
+    require(got == fcf, f"not an 802.15.4 {what} (FCF {got:#x})")
+    require(pan == _PAN_ID, f"foreign PAN id {pan:#x}")
+    return dst, src
+
+
 @register_protocol
 class Ieee802154Adapter(ProtocolAdapter):
     """Codec for raw IEEE 802.15.4 TLV sensor frames."""
@@ -110,12 +102,15 @@ class Ieee802154Adapter(ProtocolAdapter):
     def __init__(self) -> None:
         self._seq = 0
 
-    def _next_seq(self) -> int:
+    def _frame(self, fcf: int, dst: int, src: int, payload: bytes) -> bytes:
+        """MAC header, *payload* and FCS; takes the next sequence number."""
         self._seq = (self._seq + 1) & 0xFF
-        return self._seq
+        body = struct.pack("<HBHHH", fcf, self._seq, _PAN_ID, dst, src)
+        body += payload
+        return body + struct.pack("<H", crc16_ccitt(body))
 
     def uplink_quantities(self) -> Tuple[str, ...]:
-        return tuple(sorted(_QUANTITY_TO_TYPE))
+        return _RECORDS.quantities
 
     # -- uplink -----------------------------------------------------------
 
@@ -125,96 +120,28 @@ class Ieee802154Adapter(ProtocolAdapter):
         readings: Sequence[Tuple[str, float]],
         timestamp: float,
     ) -> bytes:
-        if not readings:
-            raise FrameEncodeError("802.15.4 frame needs at least one TLV")
         src = _parse_address(device_address)
-        payload = bytearray()
-        payload += struct.pack(">I", int(timestamp) & 0xFFFFFFFF)
-        for quantity, value in readings:
-            if quantity not in _QUANTITY_TO_TYPE:
-                raise FrameEncodeError(
-                    f"802.15.4 cannot carry quantity {quantity!r}"
-                )
-            code = _QUANTITY_TO_TYPE[quantity]
-            _q, _unit, fmt = _SENSOR_TYPES[code]
-            payload += struct.pack(">B", code)
-            payload += struct.pack(fmt, _to_native(quantity, value))
-        header = struct.pack(
-            "<HBHHH",
-            _FCF_DATA,
-            self._next_seq(),
-            _PAN_ID,
-            self.COORDINATOR,
-            src,
-        )
-        body = header + bytes(payload)
-        return body + struct.pack("<H", crc16_ccitt(body))
+        payload = struct.pack(">I", int(timestamp) & 0xFFFFFFFF)
+        payload += _RECORDS.encode(readings)
+        return self._frame(_FCF_DATA, self.COORDINATOR, src, payload)
 
     def decode_frame(self, frame: bytes, received_at: float = 0.0
                      ) -> List[RawReading]:
-        require(len(frame) >= 11 + 2, "802.15.4 frame too short")
-        body, fcs = frame[:-2], struct.unpack("<H", frame[-2:])[0]
-        require(crc16_ccitt(body) == fcs, "802.15.4 FCS mismatch")
-        fcf, _seq, pan, _dst, src = struct.unpack("<HBHHH", body[:9])
-        require(fcf == _FCF_DATA, f"not an 802.15.4 data frame (FCF {fcf:#x})")
-        require(pan == _PAN_ID, f"foreign PAN id {pan:#x}")
-        payload = body[9:]
-        require(len(payload) >= 4, "802.15.4 payload missing timestamp")
-        timestamp = float(struct.unpack(">I", payload[:4])[0])
-        readings: List[RawReading] = []
-        offset = 4
-        address = f"0x{src:04x}"
-        while offset < len(payload):
-            require(offset + 1 <= len(payload), "truncated 802.15.4 TLV")
-            code = payload[offset]
-            require(code in _SENSOR_TYPES, f"unknown TLV type {code:#x}")
-            _q, _unit, fmt = _SENSOR_TYPES[code]
-            width = _FIELD_RANGES[fmt][0]
-            require(offset + 1 + width <= len(payload),
-                    "truncated 802.15.4 TLV value")
-            raw = struct.unpack(
-                fmt, payload[offset + 1:offset + 1 + width]
-            )[0]
-            quantity, value = _from_native(code, raw)
-            readings.append(RawReading(address, quantity, value, timestamp))
-            offset += 1 + width
-        return readings
+        _dst, src = _open(frame, _FCF_DATA, "data frame")
+        require(len(frame) >= 15, "802.15.4 payload missing timestamp")
+        return _RECORDS.decode(frame, 13, len(frame) - 2, f"0x{src:04x}",
+                               float(struct.unpack_from(">I", frame, 9)[0]))
 
     # -- downlink ---------------------------------------------------------
 
     def encode_command(
         self, device_address: str, command: str, value: Optional[float]
     ) -> bytes:
-        if command not in _COMMAND_CODES:
-            raise FrameEncodeError(f"802.15.4 has no command {command!r}")
-        dst = _parse_address(device_address)
-        payload = struct.pack(
-            ">Bh",
-            _COMMAND_CODES[command],
-            int16_arg(value, 10.0),
-        )
-        header = struct.pack(
-            "<HBHHH",
-            _FCF_COMMAND,
-            self._next_seq(),
-            _PAN_ID,
-            dst,
-            self.COORDINATOR,
-        )
-        body = header + payload
-        return body + struct.pack("<H", crc16_ccitt(body))
+        payload = _COMMANDS.encode(command, value)
+        return self._frame(_FCF_COMMAND, _parse_address(device_address),
+                           self.COORDINATOR, payload)
 
     def decode_command(self, frame: bytes) -> RawCommand:
-        require(len(frame) >= 11 + 2, "802.15.4 command frame too short")
-        body, fcs = frame[:-2], struct.unpack("<H", frame[-2:])[0]
-        require(crc16_ccitt(body) == fcs, "802.15.4 FCS mismatch")
-        fcf, _seq, pan, dst, _src = struct.unpack("<HBHHH", body[:9])
-        require(fcf == _FCF_COMMAND, "not an 802.15.4 command frame")
-        require(pan == _PAN_ID, f"foreign PAN id {pan:#x}")
-        code, scaled = struct.unpack(">Bh", body[9:12])
-        require(code in _COMMANDS, f"unknown command code {code:#x}")
-        return RawCommand(
-            device_address=f"0x{dst:04x}",
-            command=_COMMANDS[code],
-            value=scaled / 10.0,
-        )
+        dst, _src = _open(frame, _FCF_COMMAND, "command frame")
+        command, value = _COMMANDS.decode(frame, 9, len(frame) - 2)
+        return RawCommand(f"0x{dst:04x}", command, value)

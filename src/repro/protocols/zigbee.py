@@ -18,12 +18,14 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import FrameEncodeError
 from repro.protocols.base import (
+    CommandCodec,
+    Field,
     ProtocolAdapter,
     RawCommand,
     RawReading,
-    int16_arg,
+    RecordCodec,
+    octet_address,
     register_protocol,
     require,
 )
@@ -47,48 +49,49 @@ _UPLINK: Dict[str, Tuple[int, int, int, float]] = {
     "setpoint": (0x0201, 0x0012, 0x29, 0.01),      # occupied heating setpoint
 }
 
-_BY_CLUSTER_ATTR = {
-    (cluster, attr): (quantity, dtype, scale)
+#: ZCL data type -> struct code and the bits of the type's value range,
+#: which a reading saturates at
+_ZCL_TYPES: Dict[int, Tuple[str, int]] = {
+    0x10: ("B", 1),     # boolean
+    0x18: ("B", 8),     # 8-bit bitmap
+    0x21: ("H", 16),    # uint16
+    0x25: ("Q", 48),    # uint48 stored as uint64
+    0x29: ("h", 16),    # int16
+    0x2A: ("i", 24),    # int24 stored as int32
+}
+
+#: a record is keyed by (cluster, attribute, ZCL data type), so a value
+#: of the wrong type is an unknown record
+_RECORDS = RecordCodec("ZCL", "<HHB", {
+    quantity: ((cluster, attr, dtype),
+               Field(_ZCL_TYPES[dtype][0], scale, bits=_ZCL_TYPES[dtype][1]))
     for quantity, (cluster, attr, dtype, scale) in _UPLINK.items()
-}
+})
 
-#: ZCL data type -> struct format (little-endian), width and the
-#: type's value range, which a reading saturates at
-_ZCL_TYPES: Dict[int, Tuple[str, int, int, int]] = {
-    0x10: ("<B", 1, 0, 1),                  # boolean
-    0x18: ("<B", 1, 0, 0xFF),               # 8-bit bitmap
-    0x21: ("<H", 2, 0, 0xFFFF),             # uint16
-    0x25: ("<Q", 8, 0, (1 << 48) - 1),      # uint48 stored as uint64
-    0x29: ("<h", 2, -0x8000, 0x7FFF),       # int16
-    0x2A: ("<i", 4, -(1 << 23), (1 << 23) - 1),  # int24 stored as int32
-}
-
-#: command name -> (cluster, command id, has int16 payload)
-_COMMANDS: Dict[str, Tuple[int, int, bool]] = {
-    "switch": (0x0006, 0x02, True),    # on/off toggle-with-arg (0/1)
-    "setpoint": (0x0201, 0x00, True),  # setpoint raise/lower absolute
-    "dim": (0x0008, 0x04, True),       # move to level
-}
-_COMMANDS_BY_ID = {
-    (cluster, cmd): (name, has_arg)
-    for name, (cluster, cmd, has_arg) in _COMMANDS.items()
-}
+#: command name -> (cluster, command id); the argument is in 0.01 units
+_COMMANDS = CommandCodec("ZigBee", "<HB", {
+    "switch": (0x0006, 0x02),    # on/off toggle-with-arg (0/1)
+    "setpoint": (0x0201, 0x00),  # setpoint raise/lower absolute
+    "dim": (0x0008, 0x04),       # move to level
+}, scale=100.0)
 
 
-def _pack_address(address: str) -> bytes:
-    parts = address.split(":")
-    if len(parts) != 8:
-        raise FrameEncodeError(f"bad ZigBee IEEE address {address!r}")
-    try:
-        return bytes(int(part, 16) for part in parts)
-    except ValueError:
-        raise FrameEncodeError(
-            f"bad ZigBee IEEE address {address!r}"
-        ) from None
+def _frame(kind: int, address: str, payload: bytes) -> bytes:
+    """Delimiter, frame kind, IEEE address, *payload*, checksum."""
+    out = bytearray((_MAGIC, kind))
+    out += octet_address(address, 8, "ZigBee IEEE")
+    out += payload
+    out.append(sum(out) & 0xFF)  # trailing additive checksum
+    return bytes(out)
 
 
-def _unpack_address(blob: bytes) -> str:
-    return ":".join(f"{byte:02x}" for byte in blob)
+def _open(frame: bytes, kind: int, shortest: int, what: str) -> str:
+    """The IEEE address of a *kind* frame whose envelope checks pass."""
+    require(len(frame) >= shortest, f"{what} too short")
+    require(frame[0] == _MAGIC, "not a ZigBee frame (bad delimiter)")
+    require(sum(frame[:-1]) & 0xFF == frame[-1], f"{what} checksum mismatch")
+    require(frame[1] == kind, f"not a {what}")
+    return frame[2:10].hex(":")
 
 
 @register_protocol
@@ -98,7 +101,7 @@ class ZigbeeAdapter(ProtocolAdapter):
     name = "zigbee"
 
     def uplink_quantities(self) -> Tuple[str, ...]:
-        return tuple(sorted(_UPLINK))
+        return _RECORDS.quantities
 
     # -- uplink -----------------------------------------------------------
 
@@ -108,94 +111,26 @@ class ZigbeeAdapter(ProtocolAdapter):
         readings: Sequence[Tuple[str, float]],
         timestamp: float,
     ) -> bytes:
-        if not readings:
-            raise FrameEncodeError("ZCL report needs at least one attribute")
-        addr = _pack_address(device_address)
-        out = bytearray()
-        out.append(_MAGIC)
-        out.append(_REPORT_ATTRIBUTES)
-        out += addr
-        out += struct.pack("<I", int(timestamp) & 0xFFFFFFFF)
-        out.append(len(readings))
-        for quantity, value in readings:
-            if quantity not in _UPLINK:
-                raise FrameEncodeError(
-                    f"ZigBee cannot carry quantity {quantity!r}"
-                )
-            cluster, attr, dtype, scale = _UPLINK[quantity]
-            fmt, _width, lo, hi = _ZCL_TYPES[dtype]
-            native = int(round(min(max(value / scale, lo), hi)))
-            out += struct.pack("<HHB", cluster, attr, dtype)
-            out += struct.pack(fmt, native)
-        out.append(sum(out) & 0xFF)  # trailing additive checksum
-        return bytes(out)
+        header = struct.pack("<I", int(timestamp) & 0xFFFFFFFF)
+        return _frame(_REPORT_ATTRIBUTES, device_address, header
+                      + bytes((len(readings),)) + _RECORDS.encode(readings))
 
     def decode_frame(self, frame: bytes, received_at: float = 0.0
                      ) -> List[RawReading]:
-        require(len(frame) >= 16, "ZCL frame too short")
-        require(frame[0] == _MAGIC, "not a ZigBee frame (bad delimiter)")
-        require(sum(frame[:-1]) & 0xFF == frame[-1], "ZCL checksum mismatch")
-        require(frame[1] == _REPORT_ATTRIBUTES, "not a ZCL attribute report")
-        address = _unpack_address(frame[2:10])
-        timestamp = float(struct.unpack("<I", frame[10:14])[0])
-        count = frame[14]
-        readings: List[RawReading] = []
-        offset = 15
-        for _ in range(count):
-            require(offset + 5 <= len(frame) - 1, "truncated ZCL record")
-            cluster, attr, dtype = struct.unpack(
-                "<HHB", frame[offset:offset + 5]
-            )
-            offset += 5
-            require(dtype in _ZCL_TYPES, f"unknown ZCL data type {dtype:#x}")
-            fmt, width, _lo, _hi = _ZCL_TYPES[dtype]
-            require(offset + width <= len(frame) - 1, "truncated ZCL value")
-            raw = struct.unpack(fmt, frame[offset:offset + width])[0]
-            offset += width
-            key = (cluster, attr)
-            require(key in _BY_CLUSTER_ATTR,
-                    f"unknown cluster/attribute {cluster:#x}/{attr:#x}")
-            quantity, expected_type, scale = _BY_CLUSTER_ATTR[key]
-            require(dtype == expected_type,
-                    f"wrong ZCL type for {quantity}: {dtype:#x}")
-            readings.append(
-                RawReading(address, quantity, raw * scale, timestamp)
-            )
-        require(offset == len(frame) - 1, "trailing bytes in ZCL frame")
-        return readings
+        address = _open(frame, _REPORT_ATTRIBUTES, 16, "ZCL attribute report")
+        return _RECORDS.decode(
+            frame, 15, len(frame) - 1, address,
+            float(struct.unpack_from("<I", frame, 10)[0]), count=frame[14])
 
     # -- downlink ---------------------------------------------------------
 
     def encode_command(
         self, device_address: str, command: str, value: Optional[float]
     ) -> bytes:
-        if command not in _COMMANDS:
-            raise FrameEncodeError(f"ZigBee has no command {command!r}")
-        cluster, cmd_id, has_arg = _COMMANDS[command]
-        out = bytearray()
-        out.append(_MAGIC)
-        out.append(_CLUSTER_COMMAND)
-        out += _pack_address(device_address)
-        out += struct.pack("<HB", cluster, cmd_id)
-        if has_arg:
-            out += struct.pack("<h", int16_arg(value, 100.0))
-        out.append(sum(out) & 0xFF)
-        return bytes(out)
+        return _frame(_CLUSTER_COMMAND, device_address,
+                      _COMMANDS.encode(command, value))
 
     def decode_command(self, frame: bytes) -> RawCommand:
-        require(len(frame) >= 14, "ZigBee command frame too short")
-        require(frame[0] == _MAGIC, "not a ZigBee frame (bad delimiter)")
-        require(sum(frame[:-1]) & 0xFF == frame[-1],
-                "ZigBee command checksum mismatch")
-        require(frame[1] == _CLUSTER_COMMAND, "not a ZigBee cluster command")
-        address = _unpack_address(frame[2:10])
-        cluster, cmd_id = struct.unpack("<HB", frame[10:13])
-        key = (cluster, cmd_id)
-        require(key in _COMMANDS_BY_ID,
-                f"unknown ZigBee command {cluster:#x}/{cmd_id:#x}")
-        name, has_arg = _COMMANDS_BY_ID[key]
-        value: Optional[float] = None
-        if has_arg:
-            require(len(frame) >= 16, "missing ZigBee command argument")
-            value = struct.unpack("<h", frame[13:15])[0] / 100.0
-        return RawCommand(address, name, value)
+        address = _open(frame, _CLUSTER_COMMAND, 14, "ZigBee cluster command")
+        command, value = _COMMANDS.decode(frame, 10, len(frame) - 1)
+        return RawCommand(address, command, value)

@@ -67,6 +67,7 @@ REMOVED = SECOND_HOLDERS + (
     "parse_iso", "from_datetime",
     "/health", "/repl/status", "/districts",
     "units.known_quantities", "units.from_unit",
+    "units.register_conversion", "model.find_device",
 )
 
 

@@ -85,14 +85,6 @@ class TestOntologyStructure:
             onto.add_device("dst-0001", "bld-0001",
                             DeviceNode("dev-0101", "svc://x/", "zigbee"))
 
-    def test_find_device(self):
-        onto = build_ontology()
-        district, entity, device = onto.find_device("dev-0201")
-        assert entity.entity_id == "bld-0002"
-        assert device.is_actuator
-        with pytest.raises(UnknownEntityError):
-            onto.find_device("dev-9999")
-
     def test_unknown_district(self):
         with pytest.raises(UnknownEntityError):
             build_ontology().district("dst-0999")

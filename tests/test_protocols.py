@@ -1,5 +1,19 @@
-"""Tests for the four heterogeneous protocol adapters."""
+"""Tests for the six heterogeneous protocol adapters.
 
+``TestGoldenCorpus`` pins every adapter's frames and decoded values
+byte for byte against ``tests/fixtures/protocol_corpus.json``.  After a
+change that moves a frame on purpose, re-record it from the repository
+root and review the diff:
+
+    PYTHONPATH=src python -m tests.test_protocols --record
+"""
+
+import json
+import math
+import random
+import struct
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -9,6 +23,7 @@ from hypothesis import strategies as st
 from repro.errors import FrameDecodeError, FrameEncodeError, ConfigurationError
 from repro.protocols import (
     BleAdapter,
+    RawCommand,
     CoapAdapter,
     EnOceanAdapter,
     Ieee802154Adapter,
@@ -395,3 +410,212 @@ def test_opcua_lossless_doubles(value):
         adapter.encode_readings("D.X", [("power", float(value))], 0.0)
     )
     assert decoded[0].value == float(value)
+
+
+# golden corpus: what every adapter encodes and decodes, pinned exactly
+
+CORPUS = Path(__file__).parent / "fixtures" / "protocol_corpus.json"
+CORPUS_SEED = 38
+
+#: values every quantity and command argument is encoded at, beside
+#: CORPUS_SEED's draws: zero, unit, and the values no field can carry
+EDGE_VALUES = (0.0, 1.0, -1.0, 1e9, -1e9, math.inf, -math.inf, math.nan)
+#: and, where a value travels as a scaled integer, the rounding and
+#: saturation edges of its fields
+INTEGER_EDGES = (2.5, 0.005, 0.015, 21.5, 327.675, -327.685, 3276.75,
+                 65536.0, 16777216.0, 4294967296.0)
+
+COMMANDS = ("switch", "setpoint", "dim")
+TEXTUAL = ("opcua", "coap")
+BAD_ADDRESSES = {
+    "ieee802154": "0x1ffff",
+    "zigbee": "00:12:4b:00:01:02:03",
+    "enocean": "1ffffffff",
+    "opcua": "",
+    "coap": "fe80::1",
+    "ble": "c4:7c:8d:00:00:zz",
+}
+
+
+def _outcome(call, sent=None):
+    """What *call* returns, as text, or the class of what it raises.
+
+    Readings name their address and time once while those repeat, and
+    not at all while they equal *sent*, the (address, time) encoded.
+    """
+    try:
+        result = call()
+    except Exception as exc:  # the corpus pins the class, not the message
+        return "!" + type(exc).__name__
+    if isinstance(result, bytes):
+        return result.hex()
+    if isinstance(result, RawCommand):
+        return f"{result.device_address}/{result.command}={result.value!r}"
+    text, stamp = [], sent
+    for r in result:
+        if (r.device_address, r.timestamp) != stamp:
+            stamp = r.device_address, r.timestamp
+            text.append(f"{r.device_address}@{r.timestamp!r}:")
+        text.append(f"{r.quantity}={r.value!r}")
+    return " ".join(text)
+
+
+def _receiver(name, quantities):
+    """A fresh gateway-side adapter, taught *quantities*' EEP if EnOcean."""
+    adapter = make_adapter(name)
+    if name == "enocean":
+        address = ADDRESSES[name]
+        eep = adapter.eep_for_quantities(quantities)
+        adapter.decode_frame(adapter.encode_teach_in(address, eep))
+    return adapter
+
+
+def _seal(name, body):
+    """*body* with the checksum trailer its protocol appends."""
+    if name == "zigbee":
+        return body + bytes([sum(body) & 0xFF])
+    if name == "ieee802154":
+        return body + struct.pack("<H", crc16_ccitt(body))
+    if name == "enocean":
+        return body + bytes([crc8(body)])
+    return body
+
+
+def _damaged(name, frame):
+    """Every single-byte flip and truncation of *frame*.
+
+    For a checksummed protocol the flips and truncations are repeated
+    with the checksum recomputed, so they reach the decoder proper.
+    """
+    yield "flips", [frame[:i] + bytes([frame[i] ^ 0xFF]) + frame[i + 1:]
+                    for i in range(len(frame))]
+    yield "cuts", [frame[:n] for n in range(len(frame))]
+    trailer = len(_seal(name, b""))
+    if trailer:
+        body = frame[:-trailer]
+        # the low bit turns a key into its neighbour: another quantity,
+        # field width or type, or an unknown one
+        yield "resealed flips", [
+            _seal(name, body[:i] + bytes([body[i] ^ 0x01]) + body[i + 1:])
+            for i in range(len(body))]
+        yield "resealed cuts", [_seal(name, body[:n])
+                                for n in range(len(body))]
+
+
+def _multi_readings(name, rng):
+    """The multi-reading frames recorded for adapter *name*."""
+    quantities = make_adapter(name).uplink_quantities()
+    if name == "enocean":
+        return [[("temperature", 20.0), ("humidity", 55.0)],
+                [("power", 1500.0), ("energy", 12.0)]]
+    if name in TEXTUAL:  # long frames: two readings suffice
+        quantities = quantities[:2]
+    every = [(q, round(rng.uniform(-50.0, 500.0), 3)) for q in quantities]
+    return [every, [("power", 1.0), ("power", 2.0)]]
+
+
+def corpus():
+    """Every row of the golden corpus, recomputed from the adapters."""
+    rng = random.Random(CORPUS_SEED)
+    drawn = tuple(rng.uniform(-100.0, 100.0) for _ in range(2)) + tuple(
+        rng.uniform(0.0, 70_000.0) for _ in range(2))
+    rows = {}
+    frames = {}  # row prefix -> (adapter name, frame, decode)
+    for name in sorted(ADDRESSES):
+        address = ADDRESSES[name]
+
+        def uplink(readings, timestamp=1000.0, address=address,
+                   name=name):
+            frame = _outcome(lambda: make_adapter(name).encode_readings(
+                address, readings, timestamp))
+            if frame.startswith("!"):
+                return frame, None
+            blob = bytes.fromhex(frame)
+            receiver = _receiver(name, [q for q, _v in readings])
+            return (frame + " -> " + _outcome(
+                lambda: receiver.decode_frame(blob, received_at=timestamp),
+                (address, timestamp)), blob)
+
+        # OPC UA doubles and SenML text carry every value alike
+        sweep = EDGE_VALUES + drawn + (
+            () if name in TEXTUAL else INTEGER_EDGES)
+        for quantity in make_adapter(name).uplink_quantities():
+            for value in sweep:
+                rows[f"{name} {quantity} {value!r}"] = uplink(
+                    [(quantity, value)])[0]
+        for timestamp in (0.0, 1234.5, 2.0 ** 32 + 7.9, -3.0):
+            rows[f"{name} timestamp {timestamp!r}"] = uplink(
+                [(make_adapter(name).uplink_quantities()[0], 1.0)],
+                timestamp)[0]
+        rows[f"{name} bad address"] = _outcome(
+            lambda: make_adapter(name).encode_readings(
+                BAD_ADDRESSES[name], [("power", 1.0)], 0.0))
+        rows[f"{name} no readings"] = _outcome(
+            lambda: make_adapter(name).encode_readings(address, [], 0.0))
+        for index, readings in enumerate(_multi_readings(name, rng)):
+            rows[f"{name} multi{index}"], blob = uplink(readings)
+            if blob is not None:
+                quantities = [q for q, _v in readings]
+                frames[f"{name} multi{index}"] = (
+                    name, blob, lambda frame, name=name, q=quantities:
+                    _receiver(name, q).decode_frame(frame))
+        for command in COMMANDS:
+            for value in (None,) + sweep:
+                frame = _outcome(lambda: make_adapter(name).encode_command(
+                    address, command, value))
+                if not frame.startswith("!"):
+                    frame += " -> " + _outcome(
+                        lambda: make_adapter(name).decode_command(
+                            bytes.fromhex(frame)))
+                rows[f"{name} {command}({value!r})"] = frame
+            frames[f"{name} {command}(21.5)"] = (
+                name, make_adapter(name).encode_command(
+                    address, command, 21.5),
+                lambda frame, name=name:
+                make_adapter(name).decode_command(frame))
+        rows[f"{name} unknown command"] = _outcome(
+            lambda: make_adapter(name).encode_command(
+                address, "self-destruct", None))
+        if name == "enocean":
+            for eep in ("A5-02-05", "A5-04-01", "A5-06-01", "A5-07-01",
+                        "A5-12-01"):
+                frames[f"enocean teach-in {eep}"] = (
+                    name, make_adapter(name).encode_teach_in(address, eep),
+                    lambda frame: make_adapter("enocean").decode_frame(
+                        frame))
+        if name == "ieee802154":  # the sequence number counts up
+            adapter = make_adapter(name)
+            rows["ieee802154 sequence"] = [
+                adapter.encode_readings(address, [("power", 1.0)],
+                                        0.0).hex(),
+                adapter.encode_command(address, "switch", 1.0).hex(),
+                adapter.encode_readings(address, [("power", 1.0)],
+                                        0.0).hex()]
+    for prefix, (name, frame, decode) in frames.items():
+        for kind, damaged in _damaged(name, frame):
+            rows[f"{prefix} {kind}"] = [
+                _outcome(lambda blob=blob: decode(blob)) for blob in damaged]
+        rows[f"{prefix} as uplink"] = [
+            _outcome(lambda other=other: make_adapter(other).decode_frame(
+                frame)) for other in sorted(ADDRESSES)]
+        rows[f"{prefix} as command"] = [
+            _outcome(lambda other=other: make_adapter(other).decode_command(
+                frame)) for other in sorted(ADDRESSES)]
+    return rows
+
+
+class TestGoldenCorpus:
+    def test_every_frame_and_decoded_value_is_as_recorded(self):
+        recorded = json.loads(CORPUS.read_text())
+        fresh = corpus()
+        assert sorted(fresh) == sorted(recorded)
+        assert [row for row in recorded if fresh[row] != recorded[row]] \
+            == []
+        assert CORPUS.stat().st_size <= 250_000
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python -m tests.test_protocols --record")
+    CORPUS.write_text(json.dumps(corpus(), indent=0, sort_keys=True) + "\n")
+    print(f"recorded {CORPUS}")

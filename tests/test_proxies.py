@@ -450,7 +450,8 @@ class TestRegistrationHandshake:
         attach_meter(net, proxy)
         body = proxy.register_with(master.uri)
         assert body["device_ids"] == ["dev-0001"]
-        _d, _e, device = master.ontology.find_device("dev-0001")
+        device = master.ontology.district("dst-0001").entity(
+            "bld-0001").devices["dev-0001"]
         assert device.proxy_uri == proxy.uri
         assert "power" in device.quantities
 

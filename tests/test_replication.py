@@ -244,6 +244,40 @@ class TestEpochFencing:
         total = group.counters()
         assert total["writes_accepted"] == 0  # nothing split-brained in
 
+    @pytest.mark.parametrize("standbys", [1, 2])
+    def test_lone_survivor_fences_and_a_third_member_keeps_writing(
+            self, standbys):
+        # the old primary never comes back.  A promoted standby with no
+        # peer left fences itself and refuses every lease renewal, while
+        # leases keep expiring, so the district empties (ROADMAP 8(b));
+        # with a third member the survivor keeps a peer and stays writable
+        d = deploy(ScenarioConfig(seed=3, n_buildings=2,
+                                  heartbeat_period=10.0,
+                                  master=HubConfig(standbys=standbys)))
+        d.run(60.0)
+        FaultInjector(d).take_offline("master")
+        d.run(60.0)
+        survivor = d.replication.member("master-r1")
+        assert d.replication.primary is survivor
+        assert survivor.fenced is (standbys == 1)
+        before = dict(survivor.counters)
+        d.run(60.0)  # six heartbeat rounds of lease renewals
+        accepted = survivor.counters["writes_accepted"] \
+            - before["writes_accepted"]
+        rejected = survivor.counters["writes_rejected_fenced"] \
+            - before["writes_rejected_fenced"]
+        client = d.client("operator", with_broker=False)
+        entities = client.resolve(AreaQuery(district_id=d.district_id),
+                                  use_cache=False).entities
+        if standbys == 1:
+            assert (accepted, len(entities)) == (0, 0)
+            assert rejected > 0
+            with pytest.raises(NotPrimaryError):
+                survivor.node.register(gis_payload())
+        else:
+            assert (rejected, len(entities)) == (0, 3)
+            assert accepted > 0
+
     def test_stale_epoch_stream_rejected(self, group, net):
         standby = group.member("master-r1")
         standby.epoch = 5

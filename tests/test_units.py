@@ -11,7 +11,6 @@ from repro.common.units import (
     canonical_unit,
     convert,
     integrate_power_to_energy,
-    register_conversion,
 )
 from repro.errors import UnitError
 
@@ -45,14 +44,6 @@ class TestConvert:
     def test_unknown_unit(self):
         with pytest.raises(UnitError):
             convert(1.0, "power", "horsepower")
-
-    def test_register_conversion_extension(self):
-        register_conversion("power", "hW", 100.0)
-        assert convert(2.0, "power", "hW") == pytest.approx(200.0)
-
-    def test_register_conversion_unknown_quantity(self):
-        with pytest.raises(UnitError):
-            register_conversion("vibes", "u", 1.0)
 
     def test_canonical_unit_lookup(self):
         assert canonical_unit("power") == "W"
