@@ -143,7 +143,6 @@ ALLOW: Dict[str, str] = {
                    ("/features", "proxies.database_proxy"),
                    ("/locate", "proxies.database_proxy")))),
     **_allow("public helper only its own unit tests call; " + _FLOOR,
-             "definition: repro.common.simtime.clamp_window (tests only)",
              "definition: repro.common.units.integrate_power_to_energy "
              "(tests only)"),
 }

@@ -10,7 +10,6 @@ load profiles, and ISO-8601 strings used by the common data format.
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Optional
 
 from repro.errors import ConfigurationError
 
@@ -95,17 +94,3 @@ def duration(
         + minutes * SECONDS_PER_MINUTE
         + seconds
     )
-
-
-def clamp_window(
-    start: Optional[float], end: Optional[float], horizon: float
-) -> tuple:
-    """Normalise an optional [start, end) query window against a horizon.
-
-    ``None`` bounds become 0 / *horizon*; a reversed window raises.
-    """
-    lo = 0.0 if start is None else float(start)
-    hi = float(horizon) if end is None else float(end)
-    if hi < lo:
-        raise ConfigurationError(f"reversed time window [{lo}, {hi})")
-    return lo, hi

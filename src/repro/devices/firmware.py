@@ -168,11 +168,18 @@ class DeviceFirmware:
         except FrameEncodeError:
             # the protocol cannot carry this combination in one frame:
             # fragment into per-quantity frames (e.g. EnOcean A5-12-01
-            # alternating power/energy telegrams)
+            # alternating power/energy telegrams); a reading no frame
+            # carries (NaN) is raised after the others are sent
             if len(readings) == 1:
                 raise
+            failed = None
             for reading in readings:
-                self._transmit([reading], now)
+                try:
+                    self._transmit([reading], now)
+                except FrameEncodeError as exc:
+                    failed = failed or exc
+            if failed is not None:
+                raise failed
             return
         self.frames_sent += 1
         if self.energy_model is not None:

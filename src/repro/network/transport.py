@@ -4,7 +4,8 @@ The paper's infrastructure is a set of networked services (master node,
 proxies, clients) exchanging messages over IP.  Here the IP network is a
 :class:`Network` on a discrete-event scheduler: each host binds named
 ports to handlers, and :meth:`Network.send` schedules delivery after a
-latency computed by a :class:`LatencyModel` (base + per-byte + jitter).
+latency computed by a :class:`LatencyModel` (base + per-byte + jitter)
+plus the service time the destination port charges (:meth:`Host.serve`).
 
 Failure injection: hosts can be taken offline (messages to them are
 dropped) and links can be given a drop probability, both deterministic
@@ -242,6 +243,8 @@ class Host:
         self.name = name
         self.network = network
         self._ports: Dict[str, Handler] = {}
+        #: port -> service time charged on each delivery (:meth:`serve`)
+        self._service: Dict[str, float] = {}
         self.online = True
 
     def bind(self, port: str, handler: Handler) -> None:
@@ -253,9 +256,20 @@ class Host:
             )
         self._ports[port] = handler
 
+    def serve(self, port: str, seconds: float) -> None:
+        """Charge *seconds* of service time on every message to *port*.
+
+        The time is added to the message's delivery, so its handler runs
+        when the server has finished with it; the host's online state
+        and the port's binding are checked then, not on arrival.
+        """
+        self._service[sys.intern(port)] = seconds
+
     def unbind(self, port: str) -> None:
-        """Detach the handler from *port* (no-op if not bound)."""
+        """Detach the handler and service time from *port* (no-op if
+        not bound)."""
         self._ports.pop(port, None)
+        self._service.pop(port, None)
 
     def send(self, recipient: str, port: str, payload: Any,
              size: Optional[int] = None) -> None:
@@ -528,10 +542,11 @@ class Network:
                     extra_delay += profile.latency_spike
                     stats.latency_spikes += 1
         delay = self.latency.delay(sender, recipient, size) + extra_delay
-        scheduler = self.scheduler
-        scheduler.schedule(
-            delay, self._deliver, sender, recipient, port, payload, size,
-            scheduler.clock._now,
+        now = self.scheduler.clock._now
+        # arrival, then the destination port's service time (Host.serve)
+        self.scheduler.schedule_at(
+            now + delay + dst._service.get(port, 0.0), self._deliver,
+            sender, recipient, port, payload, size, now,
         )
 
     def _deliver(self, sender: str, recipient: str, port: str, payload: Any,

@@ -160,54 +160,43 @@ class Router:
         low-cardinality.
         """
         route = self._exact.get((request.method, request.path))
-        if route is not None:
-            # exact routes bind no path params — the request is already
-            # fully formed, no rebuild needed
-            if profiler is None:
-                return route.handler(request)
-            frame = profiler.enter(
-                node, "http", f"{route.method} {route.template}"
-            )
-            try:
-                return route.handler(request)
-            finally:
+        if route is None:
+            for route in self._routes:
+                params = route.match(request.method, request.path)
+                if params is not None:
+                    request = Request(
+                        method=request.method,
+                        path=request.path,
+                        params=request.params,
+                        body=request.body,
+                        path_params=params,
+                        sender=request.sender,
+                        trace=request.trace,
+                    )
+                    break
+            else:
+                return error(404,
+                             f"no route for {request.method} {request.path}")
+        frame = None if profiler is None else profiler.enter(
+            node, "http", f"{route.method} {route.template}")
+        try:
+            return route.handler(request)
+        finally:
+            if frame is not None:
                 profiler.exit(frame)
-        for route in self._routes:
-            params = route.match(request.method, request.path)
-            if params is not None:
-                bound = Request(
-                    method=request.method,
-                    path=request.path,
-                    params=request.params,
-                    body=request.body,
-                    path_params=params,
-                    sender=request.sender,
-                    trace=request.trace,
-                )
-                if profiler is None:
-                    return route.handler(bound)
-                frame = profiler.enter(
-                    node, "http", f"{route.method} {route.template}"
-                )
-                try:
-                    return route.handler(bound)
-                finally:
-                    profiler.exit(frame)
-        return error(404, f"no route for {request.method} {request.path}")
 
 
 class WebService:
     """A REST service bound to a simulated host.
 
-    *processing_delay* models server-side compute per request: either a
-    constant (seconds) or a callable ``f(request) -> seconds``.
+    *processing_delay* models server-side compute per request, in
+    seconds.  The host charges it on the request's delivery
+    (:meth:`Host.serve`), so a request is two events, its delivery and
+    its reply's: the handler runs when the processing window ends, and
+    the reply leaves at once.
     """
 
-    def __init__(
-        self,
-        host: Host,
-        processing_delay: Union[float, Callable[[Request], float]] = 1e-4,
-    ):
+    def __init__(self, host: Host, processing_delay: float = 1e-4):
         self.host = host
         self.router = Router()
         self.requests_served = 0
@@ -217,6 +206,7 @@ class WebService:
         self.handler_errors = 0
         self._processing_delay = processing_delay
         host.bind(_SERVER_PORT, self._on_message)
+        host.serve(_SERVER_PORT, processing_delay)
 
     @property
     def base_uri(self) -> str:
@@ -238,12 +228,9 @@ class WebService:
         """Unbind from the host (service goes dark; requests time out)."""
         self.host.unbind(_SERVER_PORT)
 
-    def _delay_for(self, request: Request) -> float:
-        if callable(self._processing_delay):
-            return self._processing_delay(request)
-        return self._processing_delay
-
     def _on_message(self, message: Message) -> None:
+        """Parse, dispatch, count and answer one request, whose
+        processing window ends now."""
         payload = message.payload
         header = payload.get("trace")
         context = TraceContext.from_dict(header) \
@@ -256,58 +243,49 @@ class WebService:
             sender=message.sender,
             trace=context,
         )
+        network = self.host.network
+        tracer = network.tracer
         span = None
-        tracer = self.host.network.tracer
         if tracer is not None and tracer.enabled and context is not None:
-            # server span: opened at request arrival, parented to the
-            # caller's client span, closed when the response is sent —
-            # it covers the modelled processing delay plus dispatch
+            # server span: opened at the request's arrival, parented to
+            # the caller's client span, closed when the response is sent
+            # — it covers the modelled processing delay plus dispatch;
+            # activated so handler-side child spans and events nest
+            # under this hop
             span = tracer.start_span(
                 f"{request.method} {request.path}", kind=SERVER,
                 host=self.host.name, parent=context,
+                start=network.scheduler.now - self._processing_delay,
             )
-        delay = self._delay_for(request)
-        self.host.network.scheduler.schedule(
-            delay, self._respond, message, request, span
-        )
-
-    def _respond(self, message: Message, request: Request, span=None
-                 ) -> None:
-        tracer = self.host.network.tracer if span is not None else None
-        profiler = self.host.network.profiler
-        if tracer is not None:
-            # activate so handler-side child spans and events nest under
-            # this hop
             tracer.push(span)
         try:
-            response = self.router.dispatch(request, profiler,
+            response = self.router.dispatch(request, network.profiler,
                                             self.host.name)
         except Exception as exc:  # handler bug -> 500, like a real server
             kind = type(exc).__name__
             self.handler_errors += 1
-            emit(self.host.network, "handler_error", host=self.host.name,
+            emit(network, "handler_error", host=self.host.name,
                  method=request.method, path=request.path, error=kind,
                  detail=str(exc))
-            if tracer is not None:
+            if span is not None:
                 span.attributes["error"] = kind
             response = error(500, f"{kind}: {exc}")
         finally:
-            if tracer is not None:
+            if span is not None:
                 tracer.pop()
         # 3xx answers (a conditional GET's 304 not-modified)
         # are successfully served, not failures: they must not burn the
         # availability SLOs built on requests_served/requests_failed
         served = 200 <= response.status < 400
-        if tracer is not None:
+        if span is not None:
             span.attributes["status"] = response.status
-            tracer.finish(span,
-                          status="ok" if served else "error")
+            tracer.finish(span, status="ok" if served else "error")
         if served:
             self.requests_served += 1
         else:
             self.requests_failed += 1
         reply = {
-            "request_id": message.payload["request_id"],
+            "request_id": payload["request_id"],
             "status": response.status,
             "reason": response.reason,
         }
@@ -315,7 +293,7 @@ class WebService:
             # an error or a 304 sends no "body" key at all; the client
             # reads a missing one as None
             reply["body"] = response.body
-        self.host.send(message.sender, message.payload["reply_port"], reply)
+        self.host.send(message.sender, payload["reply_port"], reply)
 
 
 class _Round:
@@ -353,10 +331,9 @@ class HttpClient:
         self.policy = policy
         self.requests_sent = 0
         self._reply_port = host.network.allocate_port("http-reply")
-        # request_id -> (future, expiry timer), dropped on reply or expiry
-        self._pending: Dict[int, Tuple[Future, EventHandle]] = {}
-        # request_id -> open client span, finished on reply or expiry
-        self._pending_spans: Dict[int, Any] = {}
+        # request_id -> (future, expiry timer, open client span or
+        # None), dropped on reply or expiry
+        self._pending: Dict[int, Tuple[Future, EventHandle, Any]] = {}
         self._req_counter = itertools.count(1)
         host.bind(self._reply_port, self._on_reply)
 
@@ -405,8 +382,6 @@ class HttpClient:
                 lambda fut: self._observe(target.host, fut)
             )
         request_id = next(self._req_counter)
-        if span is not None:
-            self._pending_spans[request_id] = span
         self.requests_sent += 1
         payload = {
             "method": method,
@@ -426,6 +401,7 @@ class HttpClient:
             self.host.network.scheduler.schedule(
                 deadline, self._expire, request_id, target
             ),
+            span,
         )
         return future
 
@@ -598,22 +574,19 @@ class HttpClient:
 
     def _on_reply(self, message: Message) -> None:
         payload = message.payload
-        request_id = payload["request_id"]
-        pending = self._pending.pop(request_id, None)
+        pending = self._pending.pop(payload["request_id"], None)
         if pending is None:
             return  # response arrived after its timeout fired
-        future, expiry = pending
+        future, expiry, span = pending
         expiry.cancel()
         status = payload["status"]
-        if self._pending_spans:
-            span = self._pending_spans.pop(request_id, None)
-            tracer = self.host.network.tracer
-            if span is not None and tracer is not None:
-                span.attributes["status"] = status
-                tracer.finish(
-                    span,
-                    status="ok" if 200 <= status < 400 else "error",
-                )
+        tracer = self.host.network.tracer
+        if span is not None and tracer is not None:
+            span.attributes["status"] = status
+            tracer.finish(
+                span,
+                status="ok" if 200 <= status < 400 else "error",
+            )
         future.set_result(
             Response(
                 status=status,
@@ -623,13 +596,11 @@ class HttpClient:
         )
 
     def _expire(self, request_id: int, target: ServiceUri) -> None:
-        future, _expiry = self._pending.pop(request_id)
-        if self._pending_spans:
-            span = self._pending_spans.pop(request_id, None)
-            tracer = self.host.network.tracer
-            if span is not None and tracer is not None:
-                span.attributes["error"] = "RequestTimeoutError"
-                tracer.finish(span, status="error")
+        future, _expiry, span = self._pending.pop(request_id)
+        tracer = self.host.network.tracer
+        if span is not None and tracer is not None:
+            span.attributes["error"] = "RequestTimeoutError"
+            tracer.finish(span, status="error")
         future.set_exception(
             RequestTimeoutError(f"request to {target} timed out")
         )

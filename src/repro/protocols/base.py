@@ -235,7 +235,7 @@ class RecordCodec:
 
         A value is clamped to its field's range, then rounded, so a
         reading saturates.  Raises :class:`FrameEncodeError` when there
-        is no reading or the table lacks a quantity.
+        is no reading, the table lacks a quantity or a value is NaN.
         """
         if not readings:
             raise FrameEncodeError(f"{self._protocol} frame needs a reading")
@@ -248,6 +248,9 @@ class RecordCodec:
                 raise FrameEncodeError(
                     f"{self._protocol} cannot carry quantity {quantity!r}"
                 ) from None
+            if math.isnan(value):
+                raise FrameEncodeError(
+                    f"{self._protocol} cannot carry a NaN {quantity}")
             out += prefix
             out += packer.pack(
                 round(min(max((value - offset) / scale, lo), hi)))

@@ -125,10 +125,11 @@ class _MessageReader:
 
     @property
     def uri_path(self) -> str:
-        return "/".join(
-            segment.decode("utf-8")
-            for segment in self.options.get(_OPT_URI_PATH, [])
-        )
+        segments = self.options.get(_OPT_URI_PATH, [])
+        try:
+            return "/".join(segment.decode("utf-8") for segment in segments)
+        except UnicodeDecodeError as exc:
+            raise FrameDecodeError(f"bad CoAP Uri-Path: {exc}") from exc
 
 
 @register_protocol

@@ -22,6 +22,7 @@ the gateway arrival time (``received_at``).
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -90,6 +91,8 @@ def _parse_sender(address: str) -> int:
 
 
 def _clamp_byte(value: float) -> int:
+    require_encode(not math.isnan(value),
+                   "a NaN reading has no EnOcean byte")
     return int(round(min(max(value, 0.0), 255.0)))
 
 
@@ -173,8 +176,12 @@ class EnOceanAdapter(ProtocolAdapter):
                 reading, data_type = values["power"], 1
             else:
                 reading, data_type = values["energy"], 0
-            counter = int(round(max(reading, 0.0)))
-            require_encode(counter < 1 << 24, "meter counter overflow")
+            reading = max(reading, 0.0)
+            # below 2**24 - 0.5 a reading rounds into 24 bits; NaN and
+            # +inf are not below it either
+            require_encode(reading < (1 << 24) - 0.5,
+                           "meter counter overflow")
+            counter = int(round(reading))
             db0 = _TEACH_IN_BIT | (data_type << 2)
             data = bytes([
                 (counter >> 16) & 0xFF,
@@ -188,6 +195,7 @@ class EnOceanAdapter(ProtocolAdapter):
                      ) -> List[RawReading]:
         rorg, data, sender, _status = self._parse_telegram(frame)
         require(rorg == RORG_4BS, f"unexpected RORG {rorg:#x} on uplink")
+        require(len(data) == 4, "EnOcean 4BS data field is not 4 bytes")
         db3, db2, db1, db0 = data
         if not db0 & _TEACH_IN_BIT:  # teach-in telegram
             code = (db3, db2)

@@ -234,8 +234,9 @@ class ScriptedHosts:
     """Hosts that fail by script, so two runs see the same failures.
 
     ``script[host]`` lists the answers of successive attempts (an int
-    status, or None for "stay silent until the client times out"); once
-    the script runs out the host answers 200.
+    status); once the script runs out the host answers 200.  A host
+    whose script holds None is silent: it takes every request and never
+    answers, so each attempt ends in the client's timeout.
     """
 
     def __init__(self, script):
@@ -243,12 +244,13 @@ class ScriptedHosts:
         self.script = script
         #: host -> arrival time of every attempt that reached it
         self.attempts = {host: [] for host in script}
-        for host in script:
-            service = WebService(
-                self.net.add_host(host),
-                processing_delay=lambda request, h=host: self._arrive(h))
-            service.add_route(GET, "/x",
-                              lambda request, h=host: self._answer(h))
+        for host, answers in script.items():
+            node = self.net.add_host(host)
+            if None in answers:
+                node.bind("http", lambda message, h=host: self._arrive(h))
+                continue
+            WebService(node).add_route(
+                GET, "/x", lambda request, h=host: self._answer(h))
         self.policy = ResiliencePolicy(
             retry=RetryPolicy(max_attempts=4, base_delay=0.1, jitter=0.2,
                               seed=5),
@@ -262,20 +264,16 @@ class ScriptedHosts:
             lambda host, before, after: self.transitions.append(
                 (host, before, after))
 
-    def _status(self, host):
-        answers, index = self.script[host], len(self.attempts[host]) - 1
-        return answers[index] if index < len(answers) else 200
-
     def _arrive(self, host):
         self.attempts[host].append(self.net.scheduler.now)
-        # a silent attempt answers long after the client gave up
-        return 60.0 if self._status(host) is None else 1e-4
 
     def _answer(self, host):
-        status = self._status(host)
+        self._arrive(host)
+        answers, index = self.script[host], len(self.attempts[host]) - 1
+        status = answers[index] if index < len(answers) else 200
         if status == 429:
             return Response(429, {"retry_after": 0.3}, "busy")
-        return ok(host) if status in (200, None) else error(status, "scripted")
+        return ok(host) if status == 200 else error(status, "scripted")
 
     def summary(self, outcomes):
         return {

@@ -250,6 +250,34 @@ class TestDeviceFirmware:
         # both meter channels sample at 900s and fragment into telegrams
         assert quantities == {"power", "energy"}
 
+    @pytest.mark.parametrize("protocol, address", [
+        ("zigbee", "00:00:00:00:00:00:00:01"), ("enocean", "0000b002")])
+    def test_nan_reading_does_not_hold_back_the_others(self, protocol,
+                                                      address):
+        """A NaN no frame can carry is a FrameEncodeError, so the
+        sample fragments and its finite reading still goes out; the
+        NaN is counted as the sampling task's error."""
+        def meter_with_a_nan(protocol, address):
+            device = SimulatedDevice("dev-0005", protocol, address,
+                                     "bld-0001")
+            # channels sample in quantity order: the NaN goes first
+            device.add_sensor("energy", ConstantProfile(float("nan")), 60.0)
+            device.add_sensor("power", ConstantProfile(900.0), 60.0)
+            return device
+
+        sched, link, frames, device, adapter, firmware = self.build(
+            protocol=protocol, address=address,
+            device_factory=meter_with_a_nan)
+        firmware.start()
+        sched.run_until(61.0)
+        receiver = make_adapter(protocol)
+        readings = [reading for frame in frames
+                    for reading in receiver.decode_frame(frame, 60.0)]
+        assert [(r.quantity, r.value) for r in readings] \
+            == [("power", 900.0)]
+        assert firmware.frames_sent == 1
+        assert sched.periodic_task_errors == 1
+
     def test_downlink_command_applied_and_reported(self):
         sched, link, frames, device, adapter, firmware = self.build(
             device_factory=lambda p, a: smart_plug(

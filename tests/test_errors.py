@@ -55,7 +55,7 @@ class TestHierarchy:
 #: Each of the three counts and traces what it catches.
 CATCH_ALLS = {
     ("middleware/peer.py", "MiddlewarePeer._dispatch"),
-    ("network/webservice.py", "WebService._respond"),
+    ("network/webservice.py", "WebService._on_message"),
     ("network/scheduler.py", "PeriodicTask._fire"),
 }
 

@@ -42,9 +42,12 @@ _TWIN = dict(
 #: (102 718 -> 102 638) when the resolve 304 lost its ``{"epoch": ...}``
 #: body: four revalidated resolves, 20 bytes each; and again (-> 102 008)
 #: when resolve answers named each Device-proxy once per run of devices
-#: and 304 / error replies lost their ``"body": null`` and 304 reason
+#: and 304 / error replies lost their ``"body": null`` and 304 reason.
+#: ``events_processed`` was re-recorded (673 -> 592, 224 -> 209) when a
+#: web request's processing delay moved onto its delivery: one event
+#: fewer per served request, every other value unchanged
 _TWIN_GOLDEN = {
-    "events_processed": 673,
+    "events_processed": 592,
     "messages_total": 344,
     "bytes_sent": 102008,
     "samples_ingested": 57,
@@ -52,7 +55,7 @@ _TWIN_GOLDEN = {
     "churn_events_received": 69,
 }
 _DURABLE_GOLDEN = {
-    "events_processed": 224,
+    "events_processed": 209,
     "messages_delivered": 84,
     "bytes_sent": 30364,
     "ingested": 36,

@@ -18,6 +18,7 @@ from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
 from repro.network.webservice import HttpClient
 from repro.protocols import make_adapter
+from repro.protocols.base import crc8
 from repro.proxies.database_proxy import BimProxy, GisProxy, SimProxy
 from repro.proxies.device_proxy import DeviceProxy
 from repro.core.master import MasterNode
@@ -117,6 +118,35 @@ class TestDeviceProxyLayers:
         link.uplink(b"\x00\x01garbage")
         net.scheduler.run_until(1.0)
         assert proxy.frames_rejected == 1
+
+    @pytest.mark.parametrize("protocol, address",
+                             [("coap", "fd00::1"), ("enocean", "0000b001")])
+    def test_frame_that_broke_the_decoder_is_rejected(self, net, broker,
+                                                      protocol, address):
+        """Radio input never unwinds the scheduler: a CoAP Uri-Path that
+        is not UTF-8, and an EnOcean telegram resealed with a 3-byte data
+        field, are rejected frames, and the proxy goes on ingesting."""
+        proxy = make_device_proxy(net, broker, protocol=protocol)
+        device = power_meter("dev-0001", protocol, address, "bld-0001",
+                             ConstantProfile(500.0), sample_period=60.0)
+        link = RadioLink(net.scheduler, latency=0.01)
+        proxy.attach_device(device, link)
+        adapter = make_adapter(protocol)
+        DeviceFirmware(device, adapter, link, net.scheduler).start()
+        frame = adapter.encode_readings(address, [("power", 1.0)], 0.0)
+        if protocol == "coap":
+            at = frame.index(b"sensors")
+            bad = frame[:at] + bytes([frame[at] ^ 0xFF]) + frame[at + 1:]
+        else:
+            body = frame[:9]  # RORG, 3 data bytes, sender, status
+            bad = body + bytes([crc8(body)])
+        link.uplink(bad)
+        net.scheduler.run_until(121.0)
+        assert proxy.frames_rejected == 1
+        # the 120 s sample (EnOcean stamps it on arrival)
+        timestamp, value = proxy.database.latest("dev-0001", "power")
+        assert 120.0 <= timestamp < 121.0
+        assert value == 500.0
 
     def test_unknown_address_rejected(self, net, broker):
         proxy = make_device_proxy(net, broker)

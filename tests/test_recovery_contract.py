@@ -486,7 +486,9 @@ def journal_facts(node):
 #: the unreplicated seed-23 district of ``test_fastpath_determinism``,
 #: recorded on the commit before the hubs shared one configuration (its
 #: ``deploy`` wired no group at all): the hosts it creates, in order,
-#: and the events 300 simulated seconds process
+#: and the events 300 simulated seconds process (218 -> 203 when a web
+#: request's processing delay moved onto its delivery, one event fewer
+#: per served request)
 LONE_HOSTS = [
     "broker", "master", "mdb", "proxy-gis", "proxy-bim-bld-0001",
     "proxy-bim-bld-0002", "proxy-bim-bld-0003", "proxy-sim-net-0001",
@@ -495,7 +497,7 @@ LONE_HOSTS = [
     "proxy-dev-bld-0002-zigbee", "proxy-dev-bld-0003-coap",
     "proxy-dev-bld-0003-enocean", "proxy-dev-bld-0003-zigbee",
     "proxy-dev-net-0001-opcua"]
-LONE_EVENTS = 218
+LONE_EVENTS = 203
 
 
 class TestHubConfiguration:

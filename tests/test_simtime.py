@@ -89,16 +89,6 @@ class TestBuckets:
 
 
 class TestWindow:
-    def test_clamp_defaults(self):
-        assert simtime.clamp_window(None, None, 100.0) == (0.0, 100.0)
-
-    def test_clamp_explicit(self):
-        assert simtime.clamp_window(5.0, 50.0, 100.0) == (5.0, 50.0)
-
-    def test_clamp_reversed_raises(self):
-        with pytest.raises(ConfigurationError):
-            simtime.clamp_window(50.0, 5.0, 100.0)
-
     def test_duration_composition(self):
         assert simtime.duration(days=1, hours=1, minutes=1, seconds=1) == (
             86400 + 3600 + 60 + 1

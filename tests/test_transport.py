@@ -82,6 +82,29 @@ class TestDelivery:
         assert net.stats.messages_dropped == 1
         assert net.stats.messages_delivered == 0
 
+    def test_served_port_runs_its_handler_after_the_service_time(self,
+                                                                 net):
+        net.add_host("a")
+        b = net.add_host("b")
+        inbox = []
+        b.bind("served", inbox.append)
+        b.bind("plain", inbox.append)
+        b.serve("served", 0.5)
+        net.send("a", "b", "served", "x")
+        net.send("a", "b", "plain", "x")
+        net.scheduler.run_until_idle()
+        plain, served = sorted(inbox, key=lambda m: m.port)
+        # the same arrival, then the service time
+        assert served.delivered_at == plain.delivered_at + 0.5
+        b.unbind("served")
+        assert "served" not in b._service
+        b.bind("served", inbox.append)
+        net.send("a", "b", "served", "x")
+        net.scheduler.run_until_idle()
+        again = inbox[-1]
+        assert again.delivered_at \
+            == again.sent_at + net.latency.delay("a", "b", again.size)
+
     def test_larger_message_takes_longer(self, net):
         net.add_host("a")
         b = net.add_host("b")

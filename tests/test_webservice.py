@@ -181,6 +181,33 @@ class TestTimeouts:
         # drain the late response; must not crash or resolve anything
         net.scheduler.run_until_idle()
 
+    def test_server_dark_when_its_window_ends_never_runs_the_handler(
+            self, net, client):
+        """The host's state is checked when the processing window ends:
+        a server that goes dark inside it, and stays dark, never runs
+        the handler, so nothing is served and the client times out."""
+        host = net.add_host("slow")
+        svc = WebService(host, processing_delay=2.0)
+        ran = []
+        svc.add_route(GET, "/x", lambda r: (ran.append(r), ok("late"))[1])
+        net.scheduler.schedule(1.0, net.set_host_online, "slow", False)
+        with pytest.raises(RequestTimeoutError):
+            client.get("svc://slow/x", timeout=5.0)
+        assert ran == []
+        assert svc.requests_served == svc.requests_failed == 0
+
+    def test_server_back_when_its_window_ends_serves_the_request(
+            self, net, client):
+        """A request that arrives while the server is dark, in a window
+        that ends after the server is back, is served."""
+        host = net.add_host("slow")
+        svc = WebService(host, processing_delay=2.0)
+        svc.add_route(GET, "/x", lambda r: ok("served"))
+        net.scheduler.schedule(1e-3, net.set_host_online, "slow", False)
+        net.scheduler.schedule(1.0, net.set_host_online, "slow", True)
+        assert client.get("svc://slow/x", timeout=5.0).body == "served"
+        assert svc.requests_served == 1
+
     def test_answered_requests_leave_no_expiry_timer(self, net, service,
                                                      client):
         """The expiry timer is cancelled by the reply: N answered
@@ -191,11 +218,12 @@ class TestTimeouts:
         for _ in range(25):
             assert client.get("svc://server/ping").body == "pong"
         assert net.scheduler.pending == live
-        # 25 x (request delivery, server processing, reply delivery) ...
-        assert net.scheduler.events_processed - before == 75
+        # 25 x (request delivery after the processing delay, reply
+        # delivery) ...
+        assert net.scheduler.events_processed - before == 50
         net.scheduler.run_until_idle()
         # ... and no dead timer fires afterwards
-        assert net.scheduler.events_processed - before == 75
+        assert net.scheduler.events_processed - before == 50
 
     def test_late_reply_after_expiry_resolves_nothing(self, net, client):
         host = net.add_host("slow")
@@ -236,12 +264,20 @@ class TestAsyncRequests:
 
 class TestProcessingDelay:
     def test_callable_delay(self, net):
+        """A constant delay is charged on the request's delivery: the
+        handler runs at arrival + delay."""
         host = net.add_host("srv2")
-        svc = WebService(host, processing_delay=lambda r: 0.25)
+        svc = WebService(host, processing_delay=0.25)
         svc.add_route(GET, "/x", lambda r: ok(None))
-        client = HttpClient(net.add_host("c3"))
-        client.get("svc://srv2/x")
-        assert net.scheduler.now >= 0.25
+        seen = []
+        serve = host._ports["http"]
+        host._ports["http"] = lambda message: (
+            seen.append((message, net.scheduler.now)), serve(message))
+        HttpClient(net.add_host("c3")).get("svc://srv2/x")
+        (message, ran), = seen
+        arrival = message.sent_at + net.latency.delay("c3", "srv2",
+                                                      message.size)
+        assert ran == message.delivered_at == arrival + 0.25
 
 
 class TestExactDispatchTable:
