@@ -14,9 +14,10 @@ Three claims about the tracing layer, measured on deployed districts:
   ``broker_suspect``, ``buffer_flush``, ``retry`` and
   ``breaker_state``.
 * **Overhead** — with tracing installed, the wall-clock cost of the
-  integration workflow stays within 10% of the untraced deployment
-  (simulated behaviour is identical by construction: the tracer only
-  records, it schedules nothing).
+  integration workflow stays within 10% of the untraced deployment.
+  The tracer schedules nothing; what it changes in the simulation is
+  the wire size, 15 bytes plus the ids' digits per traced request
+  (``"trace": [trace_id, span_id]``), which feeds simulated latency.
 """
 
 import gc
@@ -173,9 +174,9 @@ def test_o1_tracing_overhead(benchmark, report):
             deployment.tracer.clear()
         return elapsed
 
-    # The simulated work is identical by construction (same
-    # seed/config, and the tracer only records — it schedules
-    # nothing), so any difference is tracing cost plus machine noise.
+    # The simulated work is the same (same seed/config; the tracer
+    # schedules nothing and adds only 15 bytes plus digits per traced
+    # request), so any difference is tracing cost plus machine noise.
     # On a shared machine that noise (frequency drift, noisy
     # neighbours) is one-sided — it only ever *inflates* a sample — so
     # the measurement interleaves single integrations of the two

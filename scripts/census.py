@@ -106,9 +106,6 @@ ALLOW: Dict[str, str] = {
     **_allow("inspector a test reads state through; nothing in the "
              "library needs it, " + _FLOOR,
              "definition: repro.middleware.broker.pending_delivery_count "
-             "(tests only)",
-             "definition: repro.datasources.sim.cadastral_ids (tests only)",
-             "definition: repro.datasources.gis.by_cadastral_id "
              "(tests only)"),
     **_allow("the only way to change a running proxy's descriptor; "
              "tests/test_lease_renewal.py drives the full-heartbeat "

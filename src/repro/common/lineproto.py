@@ -176,14 +176,14 @@ def encode_frame(measurements: Sequence[Measurement], *,
                  tracer: Any = None, host: str = "") -> Dict[str, Any]:
     """Encode measurements as one batch-frame pub/sub payload.
 
-    When *tracer* is given (and enabled) the per-line encode loop runs
-    inside a ``producer``-kind span tagged with the sample count, so a
-    trace of the batch pipeline shows serialization cost separately
-    from transport time.  The kind string is a literal on purpose:
+    When *tracer* is given the per-line encode loop runs inside a
+    ``producer``-kind span tagged with the sample count, so a trace of
+    the batch pipeline shows serialization cost separately from
+    transport time.  The kind string is a literal on purpose:
     this module sits below :mod:`repro.observability` and must not
     import from it.
     """
-    if tracer is not None and tracer.enabled:
+    if tracer is not None:
         with tracer.span("lineproto.encode_frame", kind="producer",
                          host=host,
                          attributes={"samples": len(measurements)}):
@@ -201,9 +201,9 @@ def decode_frame(payload: Any, *,
     frame or line — the caller turns that into a poison nack so a bad
     frame dead-letters instead of wedging ingestion.
 
-    When *tracer* is given (and enabled) the per-line decode loop runs
-    inside a ``consumer``-kind span; a malformed frame finishes the
-    span with an error status before the exception propagates.
+    When *tracer* is given the per-line decode loop runs inside a
+    ``consumer``-kind span; a malformed frame finishes the span with an
+    error status before the exception propagates.
     """
     if not isinstance(payload, dict) or \
             payload.get("record") != BATCH_RECORD:
@@ -216,7 +216,7 @@ def decode_frame(payload: Any, *,
         raise SerializationError(
             f"batch frame count {declared!r} != {len(lines)} lines"
         )
-    if tracer is not None and tracer.enabled:
+    if tracer is not None:
         with tracer.span("lineproto.decode_frame", kind="consumer",
                          host=host,
                          attributes={"samples": len(lines)}):

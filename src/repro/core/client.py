@@ -170,8 +170,6 @@ class DistrictClient:
         held = self._held.get(key) if revalidated else None
         if held is not None:
             self.not_modified += 1
-            emit(self.host.network, "held_answer_reused",
-                 host=self.host.name, token=held[0], client=self.host.name)
             token, answer, _ = held
         else:
             if revalidated:
@@ -349,7 +347,7 @@ class DistrictClient:
                            host=self.host.name,
                            attributes={"strict": strict,
                                        "with_data": with_data}) \
-            if tracer is not None and tracer.enabled else nullcontext()
+            if tracer is not None else nullcontext()
         with span:
             resolved = self.resolve(query)
             models, measurements = self._fetch(

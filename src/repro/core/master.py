@@ -556,7 +556,7 @@ class MasterNode(StateMachine):
         # arrived over the Web Service
         span = tracer.span("ontology resolve", kind=INTERNAL,
                            host=self.host.name) \
-            if tracer is not None and tracer.enabled else nullcontext()
+            if tracer is not None else nullcontext()
         with span:
             return resolve(self.ontology, query)
 
@@ -583,8 +583,6 @@ class MasterNode(StateMachine):
             # no serialization
             self.resolve_not_modified += 1
             self.resolves_served += 1
-            emit(self.host.network, "resolve_not_modified",
-                 host=self.host.name, epoch=token, master=self.host.name)
 
         return conditional(request, token, self._resolve_answer,
                            not_modified)

@@ -108,15 +108,6 @@ class GisStore:
             if f.geometry.contains_point((x, y))
         ]
 
-    def by_cadastral_id(self, cadastral_id: str) -> Feature:
-        """Join key lookup: the building feature for a cadastral parcel."""
-        for feature in self.layer(LAYER_BUILDINGS):
-            if feature.properties.get("cadastral_id") == cadastral_id:
-                return feature
-        raise UnknownEntityError(
-            f"no building feature with cadastral id {cadastral_id!r}"
-        )
-
     def district_bounds(self) -> BoundingBox:
         """Bounds of the whole district (union of all feature bounds)."""
         features = self.features()

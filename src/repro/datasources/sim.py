@@ -125,10 +125,6 @@ class SimStore:
         """Mapping consumer node id -> cadastral parcel id."""
         return dict(self._service_points)
 
-    def cadastral_ids(self) -> List[str]:
-        """All parcels this network serves."""
-        return sorted(set(self._service_points.values()))
-
     def consumer_for_parcel(self, cadastral_id: str) -> str:
         """The consumer node feeding a parcel; raises if none."""
         for node_id, parcel in self._service_points.items():

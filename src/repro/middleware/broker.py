@@ -56,7 +56,7 @@ from repro.network.webservice import (
     WebService,
     ok,
 )
-from repro.observability.tracing import TraceContext, emit
+from repro.observability.tracing import decode_header, emit
 from repro.storage.durability import HubConfig, Journal, StateMachine
 
 BROKER_PORT = "pubsub"
@@ -184,11 +184,11 @@ def _validate(verb, payload) -> None:
 def _fanout_span(tracer, host: Host, payload: dict, topic: str):
     """The broker hop of a traced publication: child of the publisher's
     span, parent of every subscriber's delivery span."""
-    context = TraceContext.from_dict(payload.get("trace"))
-    if context is None:
+    parent = decode_header(payload.get("trace"))
+    if parent is None:
         return None
     return tracer.start_span(f"fanout {topic}", kind="broker",
-                             host=host.name, parent=context)
+                             host=host.name, parent=parent)
 
 
 class DeliverySettlement:
@@ -697,10 +697,10 @@ class Broker(StateMachine):
         }
         span = None
         tracer = network.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             span = _fanout_span(tracer, self.host, payload, topic)
             if span is not None:
-                event["trace"] = span.header()
+                event["trace"] = [span.trace_id, span.span_id]
         if payload.get("retain"):
             # the span header is request-scoped: replayed with the
             # retained copy at subscribe time it would parent a delivery

@@ -78,7 +78,7 @@ from repro.network.transport import Host, Message
 from repro.observability.tracing import (
     CONSUMER,
     PRODUCER,
-    TraceContext,
+    decode_header,
     emit,
 )
 
@@ -283,13 +283,13 @@ class MiddlewarePeer:
             "retain": retain,
         }
         tracer = self.host.network.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             # producer span: the local hand-off to the broker.  Its
             # context rides in the envelope (and survives buffering),
             # so the broker fanout and every delivery nest under it.
             span = tracer.start_span(f"publish {topic}", kind=PRODUCER,
                                      host=self.host.name)
-            envelope["trace"] = span.header()
+            envelope["trace"] = [span.trace_id, span.span_id]
             tracer.finish(span)
         if self.publish_buffer is None:
             self.host.send(self.broker_host, BROKER_PORT, envelope)
@@ -552,26 +552,27 @@ class MiddlewarePeer:
             )
             span = None
             tracer = network.tracer
-            if tracer is not None and tracer.enabled:
-                ctx = TraceContext.from_dict(payload.get("trace"))
-                if ctx is not None:
+            if tracer is not None:
+                parent = decode_header(payload.get("trace"))
+                if parent is not None:
                     # consumer span: child of the broker fanout span, so
                     # a delivery nests publish -> fanout -> deliver and
                     # its duration is the subscriber callback time
                     span = tracer.start_span(
                         f"deliver {event.topic}", kind=CONSUMER,
-                        host=self.host.name, parent=ctx,
+                        host=self.host.name, parent=parent,
                         attributes={
                             "latency": now - event.published_at,
                             "retained": event.retained,
                         },
                     )
             if span is not None:
-                tracer.push(span)
+                previous = tracer.active
+                tracer.active = span
                 try:
                     self._dispatch(sub, event, payload, sender)
                 finally:
-                    tracer.pop()
+                    tracer.active = previous
                     tracer.finish(span)
             elif payload.get("delivery_id") is None:
                 # fire-and-forget delivery (no broker-tracked ack):

@@ -33,7 +33,7 @@ from repro.network.futures import Future
 from repro.network.resilience import FailoverSet, ResiliencePolicy
 from repro.network.scheduler import EventHandle
 from repro.network.transport import Host, Message
-from repro.observability.tracing import CLIENT, SERVER, TraceContext, emit
+from repro.observability.tracing import CLIENT, SERVER, decode_header, emit
 
 _SERVER_PORT = "http"
 _PARAM_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -53,8 +53,6 @@ class Request:
     body: Any = None
     path_params: Dict[str, str] = field(default_factory=dict)
     sender: str = ""
-    #: the caller's propagated trace context (None when untraced)
-    trace: Optional[TraceContext] = None
 
 
 @dataclass(frozen=True)
@@ -171,7 +169,6 @@ class Router:
                         body=request.body,
                         path_params=params,
                         sender=request.sender,
-                        trace=request.trace,
                     )
                     break
             else:
@@ -232,32 +229,31 @@ class WebService:
         """Parse, dispatch, count and answer one request, whose
         processing window ends now."""
         payload = message.payload
-        header = payload.get("trace")
-        context = TraceContext.from_dict(header) \
-            if header is not None else None
         request = Request(
             method=payload["method"],
             path=payload["path"],
             params=dict(payload.get("params", {})),
             body=payload.get("body"),
             sender=message.sender,
-            trace=context,
         )
         network = self.host.network
         tracer = network.tracer
         span = None
-        if tracer is not None and tracer.enabled and context is not None:
-            # server span: opened at the request's arrival, parented to
-            # the caller's client span, closed when the response is sent
-            # — it covers the modelled processing delay plus dispatch;
-            # activated so handler-side child spans and events nest
-            # under this hop
-            span = tracer.start_span(
-                f"{request.method} {request.path}", kind=SERVER,
-                host=self.host.name, parent=context,
-                start=network.scheduler.now - self._processing_delay,
-            )
-            tracer.push(span)
+        if tracer is not None:
+            parent = decode_header(payload.get("trace"))
+            if parent is not None:
+                # server span: opened at the request's arrival, parented
+                # to the caller's client span, closed when the response
+                # is sent — it covers the modelled processing delay plus
+                # dispatch; active so handler-side child spans and
+                # events nest under this hop
+                span = tracer.start_span(
+                    f"{request.method} {request.path}", kind=SERVER,
+                    host=self.host.name, parent=parent,
+                    start=message.delivered_at - self._processing_delay,
+                )
+                previous = tracer.active
+                tracer.active = span
         try:
             response = self.router.dispatch(request, network.profiler,
                                             self.host.name)
@@ -272,7 +268,7 @@ class WebService:
             response = error(500, f"{kind}: {exc}")
         finally:
             if span is not None:
-                tracer.pop()
+                tracer.active = previous
         # 3xx answers (a conditional GET's 304 not-modified)
         # are successfully served, not failures: they must not burn the
         # availability SLOs built on requests_served/requests_failed
@@ -357,7 +353,7 @@ class HttpClient:
         future = Future()
         tracer = self.host.network.tracer
         span = None
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             span = tracer.start_span(
                 f"{method} {target.path}", kind=CLIENT,
                 host=self.host.name,
@@ -392,8 +388,7 @@ class HttpClient:
             "request_id": request_id,
         }
         if span is not None:
-            payload["trace"] = {"trace_id": span.trace_id,
-                                "span_id": span.span_id}
+            payload["trace"] = [span.trace_id, span.span_id]
         self.host.send(target.host, _SERVER_PORT, payload)
         deadline = timeout if timeout is not None else self.timeout
         self._pending[request_id] = (

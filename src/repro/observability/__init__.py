@@ -41,20 +41,19 @@ from repro.observability.profiler import (
 from repro.observability.tracing import (
     Span,
     SpanEvent,
-    TraceContext,
     Tracer,
     render_waterfall,
 )
 
 
-def install(network, max_spans: int = 1_000_000) -> Tracer:
+def install(network) -> Tracer:
     """Enable tracing on *network* (idempotent) and return its tracer.
 
     An installed tracer is reused, so calling twice never discards
     recorded spans.
     """
     if network.tracer is None:
-        network.tracer = Tracer(network.scheduler, max_spans=max_spans)
+        network.tracer = Tracer(network.scheduler)
     return network.tracer
 
 
@@ -77,7 +76,6 @@ __all__ = [
     "SloEngine",
     "Span",
     "SpanEvent",
-    "TraceContext",
     "Tracer",
     "default_slos",
     "export_profile",

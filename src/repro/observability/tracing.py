@@ -4,17 +4,18 @@ A request that integrates a whole district crosses many hops — client →
 master (resolve), client → each proxy (fetch), device-proxy → broker →
 measurement DB (pub/sub) — and the end-to-end latency the benchmarks
 report says nothing about *where* that time goes.  This module provides
-the trace substrate: a :class:`TraceContext` (trace-id + span-id) that
-components propagate in request headers and pub/sub envelopes, and a
-:class:`Tracer` that records per-hop :class:`Span` objects timestamped
-on the **simulated** clock.
+the trace substrate: a :class:`Tracer` that records per-hop
+:class:`Span` objects timestamped on the **simulated** clock, and the
+wire context that links them across hosts — the JSON list
+``[trace_id, span_id]`` of the sending span.
 
 Design constraints, in order:
 
-* **Zero overhead when disabled.**  No tracer is installed by default
+* **Zero overhead when off.**  No tracer is installed by default
   (``network.tracer is None``); every instrumentation site is a single
   attribute load + ``None`` check, so seed behaviour and determinism
-  are preserved bit-for-bit.
+  are preserved bit-for-bit.  :func:`repro.observability.uninstall` is
+  the off switch.
 * **Deterministic ids.**  Trace and span ids come from counters, not
   randomness, so traces are reproducible for a fixed seed like
   everything else in the simulation.
@@ -22,9 +23,10 @@ Design constraints, in order:
   host in one thread, so an ambient thread-local context would leak
   across hosts.  Context crosses process boundaries only inside
   message payloads (``payload["trace"]``), exactly like W3C
-  ``traceparent`` headers; within one synchronous activation the
-  tracer keeps an activation stack (:meth:`Tracer.span` /
-  :meth:`Tracer.activate`).
+  ``traceparent`` headers, and is read back by :func:`decode_header`;
+  within one synchronous activation the tracer holds one active span
+  (:attr:`Tracer.active`), which :meth:`Tracer.span` and the
+  receiving sites save and restore.
 
 Traces export as JSON-able trees (:meth:`Tracer.export`) and render as
 an ASCII waterfall for terminals (:func:`render_waterfall`).
@@ -35,9 +37,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
-
-from repro.errors import ConfigurationError
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 #: span kinds, following the OpenTelemetry vocabulary where it fits
 CLIENT = "client"
@@ -47,47 +47,23 @@ CONSUMER = "consumer"
 INTERNAL = "internal"
 
 
-class TraceContext:
-    """The propagated identity of a span: what crosses the wire.
+#: spans a tracer stores; past it, spans are counted in
+#: ``spans_dropped`` instead (a memory guard for long traced runs)
+MAX_SPANS = 1_000_000
 
-    A plain ``__slots__`` class rather than a dataclass: one is decoded
-    per traced hop, so construction cost is part of the tracing
-    overhead budget.  Ids are small integers (deterministic counters),
-    kept as integers end to end — formatting them would cost more than
-    the rest of the propagation.
+
+def decode_header(header: Any) -> Optional[Sequence[int]]:
+    """The ``[trace_id, span_id]`` a traced message carries, or None.
+
+    An absent or garbled header means the hop is untraced.  The header
+    is a list, not a tuple, so that one that went through a JSON WAL
+    and back is equal to the live one.  One is decoded per traced hop,
+    so the type test is a class read, not an ``isinstance`` call.
     """
-
-    __slots__ = ("trace_id", "span_id")
-
-    def __init__(self, trace_id: int, span_id: int):
-        self.trace_id = trace_id
-        self.span_id = span_id
-
-    def __eq__(self, other: Any) -> bool:
-        return (isinstance(other, TraceContext)
-                and self.trace_id == other.trace_id
-                and self.span_id == other.span_id)
-
-    def __hash__(self) -> int:
-        return hash((self.trace_id, self.span_id))
-
-    def __repr__(self) -> str:
-        return f"TraceContext({self.trace_id!r}, {self.span_id!r})"
-
-    def to_dict(self) -> Dict[str, int]:
-        """Wire encoding, embedded in request/publish payloads."""
-        return {"trace_id": self.trace_id, "span_id": self.span_id}
-
-    @staticmethod
-    def from_dict(data: Any) -> Optional["TraceContext"]:
-        """Decode a wire header; returns None for absent/garbled input."""
-        if not isinstance(data, dict):
-            return None
-        trace_id = data.get("trace_id")
-        span_id = data.get("span_id")
-        if not trace_id or not span_id:
-            return None
-        return TraceContext(trace_id, span_id)
+    if header.__class__ is list and len(header) == 2 \
+            and header[0] and header[1]:
+        return header
+    return None
 
 
 @dataclass(frozen=True)
@@ -128,16 +104,6 @@ class Span:
             attributes if attributes is not None else {}
         #: None until the first event lands (most spans never get one)
         self.events: Optional[List[SpanEvent]] = None
-
-    @property
-    def context(self) -> TraceContext:
-        """This span's identity, for propagation to child hops."""
-        return TraceContext(self.trace_id, self.span_id)
-
-    def header(self) -> Dict[str, int]:
-        """Wire encoding of this span's context (``context.to_dict()``
-        without the intermediate object — hot-path helper)."""
-        return {"trace_id": self.trace_id, "span_id": self.span_id}
 
     @property
     def finished(self) -> bool:
@@ -184,53 +150,45 @@ class Span:
 class Tracer:
     """Collects spans timestamped on one scheduler's simulated clock.
 
-    The tracer holds an *activation stack*: the innermost active span of
-    the code currently executing.  Synchronous client code pushes with
-    the :meth:`span` context manager; server-side dispatch re-activates
-    a span created earlier with :meth:`activate`.  New spans default
-    their parent to the top of the stack, so nesting falls out of
-    ordinary control flow; asynchronous hops pass an explicit
-    :class:`TraceContext` instead.
+    The tracer holds one *active* span: the innermost span of the code
+    currently executing.  Synchronous client code sets it with the
+    :meth:`span` context manager; server-side dispatch and pub/sub
+    delivery set it around their handler and restore the previous one.
+    New spans default their parent to the active span, so nesting falls
+    out of ordinary control flow; asynchronous hops pass the decoded
+    wire context instead.
     """
 
-    def __init__(self, scheduler, max_spans: int = 1_000_000):
-        if max_spans < 1:
-            raise ConfigurationError("tracer needs room for >= 1 span")
+    def __init__(self, scheduler):
         self.scheduler = scheduler
         # timestamping is 2 reads per span; going through the
         # scheduler.now -> clock.now property chain would double the
         # cost of the cheapest spans, so read the clock attribute
         self._clock = scheduler.clock
-        self.enabled = True
-        self.max_spans = max_spans
-        #: spans recorded beyond max_spans are counted here, not stored
+        #: the innermost span of the code running now, or None
+        self.active: Optional[Span] = None
+        #: spans recorded beyond MAX_SPANS are counted here, not stored
         self.spans_dropped = 0
         #: events emitted with no active span (e.g. a lease eviction
         #: from the master's periodic sweeper)
         self.loose_events: List[SpanEvent] = []
         self._spans: List[Span] = []
-        self._stack: List[Span] = []
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
 
     # -- span lifecycle ----------------------------------------------------
 
-    @property
-    def current(self) -> Optional[Span]:
-        """The innermost active span, or None."""
-        return self._stack[-1] if self._stack else None
-
     def start_span(self, name: str, kind: str = INTERNAL, host: str = "",
-                   parent: Union[Span, TraceContext, None] = None,
+                   parent: Union[Span, Sequence[int], None] = None,
                    start: Optional[float] = None,
                    attributes: Optional[Dict[str, Any]] = None) -> Span:
-        """Open a span; *parent* defaults to the current activation.
+        """Open a span; *parent* defaults to the active span.
 
         Passing an explicit parent (a :class:`Span` or a decoded
-        :class:`TraceContext`) links across asynchronous boundaries;
-        with no parent and no activation, the span roots a new trace.
+        ``[trace_id, span_id]``) links across asynchronous boundaries;
+        with no parent and no active span, the span roots a new trace.
 
-        Inheritance from the activation stack is gated on *host*: the
+        Inheritance from the active span is gated on *host*: the
         DES runs every host's callbacks in one thread, so while a
         client's root span is active the scheduler may execute
         unrelated work on other hosts (device sampling, heartbeats).
@@ -238,22 +196,23 @@ class Tracer:
         client's — cross-host linking is explicit-context only.
         """
         if parent is None:
-            stack = self._stack
-            active = stack[-1] if stack else None
+            active = self.active
             if active is not None and (not host or not active.host
                                        or active.host == host):
                 parent = active
-        if parent is not None:  # a Span or a decoded TraceContext
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
-        else:
+        if parent is None:
             trace_id = next(self._trace_ids)
             parent_id = None
+        elif parent.__class__ is Span:
+            trace_id = parent.trace_id
+            parent_id = parent.span_id
+        else:  # a decoded wire context
+            trace_id, parent_id = parent
         span = Span(
             trace_id, next(self._span_ids), parent_id, name, kind, host,
             self._clock._now if start is None else start, attributes,
         )
-        if len(self._spans) >= self.max_spans:
+        if len(self._spans) >= MAX_SPANS:
             self.spans_dropped += 1
         else:
             self._spans.append(span)
@@ -270,48 +229,31 @@ class Tracer:
 
     @contextmanager
     def span(self, name: str, kind: str = INTERNAL, host: str = "",
-             parent: Union[Span, TraceContext, None] = None,
+             parent: Union[Span, Sequence[int], None] = None,
              attributes: Optional[Dict[str, Any]] = None):
-        """Start a span, activate it for the block, finish on exit."""
+        """Start a span, make it active for the block, finish on exit."""
         opened = self.start_span(name, kind=kind, host=host, parent=parent,
                                  attributes=attributes)
-        self._stack.append(opened)
+        previous = self.active
+        self.active = opened
         try:
             yield opened
         except BaseException:
             opened.status = "error"
             raise
         finally:
-            self._stack.pop()
+            self.active = previous
             self.finish(opened)
 
-    @contextmanager
-    def activate(self, span: Span):
-        """Make an already-open span current for the block (no finish)."""
-        self._stack.append(span)
-        try:
-            yield span
-        finally:
-            self._stack.pop()
-
-    def push(self, span: Span) -> None:
-        """Non-contextmanager activation for hot paths (pair with
-        :meth:`pop` in a ``try``/``finally``)."""
-        self._stack.append(span)
-
-    def pop(self) -> None:
-        """Undo the innermost :meth:`push`."""
-        self._stack.pop()
-
     def event(self, name: str, host: str = "", **attributes: Any) -> None:
-        """Record a structured event on the current span (or loose).
+        """Record a structured event on the active span (or loose).
 
         *host* gates attachment like :meth:`start_span`'s parent
         inheritance: an event from one host never lands on another
         host's active span — it becomes a loose event instead.
         """
-        now = self.scheduler.now
-        span = self.current
+        now = self._clock._now
+        span = self.active
         if span is not None and (not host or not span.host
                                  or span.host == host):
             span.event(name, now, **attributes)
@@ -358,7 +300,7 @@ class Tracer:
         return collected
 
     def clear(self) -> None:
-        """Drop every recorded span and event (activations survive)."""
+        """Drop every recorded span and event (open spans survive)."""
         self._spans = [s for s in self._spans if not s.finished]
         self.loose_events.clear()
         self.spans_dropped = 0
@@ -430,7 +372,7 @@ def render_waterfall(tracer: Tracer, trace_id: int, width: int = 48,
 
 
 def emit(network, name: str, host: str = "", **attributes: Any) -> None:
-    """Emit a structured trace event if *network* has tracing enabled.
+    """Emit a structured trace event if *network* has a tracer.
 
     The one-line guard used by instrumentation sites that only report
     events (resilience state changes) and never open spans themselves.
@@ -438,5 +380,5 @@ def emit(network, name: str, host: str = "", **attributes: Any) -> None:
     an active span of the same host.
     """
     tracer = getattr(network, "tracer", None)
-    if tracer is not None and tracer.enabled:
+    if tracer is not None:
         tracer.event(name, host=host, **attributes)

@@ -215,7 +215,7 @@ class MeasurementDatabase(StateMachine, Registrant):
             return  # nobody to nack: raising would unwind the scheduler
         parts, measurements = decoded
         tracer = self.host.network.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             with tracer.span("mdb.ingest_frame", kind="consumer",
                              host=self.host.name,
                              attributes={"samples": len(measurements)}):

@@ -68,7 +68,7 @@ REMOVED = SECOND_HOLDERS + (
     "/health", "/repl/status", "/districts",
     "units.known_quantities", "units.from_unit",
     "units.register_conversion", "model.find_device",
-    "simtime.clamp_window",
+    "simtime.clamp_window", "sim.cadastral_ids", "gis.by_cadastral_id",
 )
 
 

@@ -141,7 +141,8 @@ class TestSimStore:
 
     def test_service_points_and_parcels(self):
         sim = self.build_network()
-        assert sim.cadastral_ids() == ["TO-01-1000", "TO-01-1001"]
+        assert sorted(set(sim.service_points().values())) == \
+            ["TO-01-1000", "TO-01-1001"]
         assert sim.consumer_for_parcel("TO-01-1001") == "c2"
         with pytest.raises(UnknownEntityError):
             sim.consumer_for_parcel("TO-99-9999")
@@ -202,13 +203,6 @@ class TestGisStore:
         assert hits[0].properties["cadastral_id"] == "TO-01-1001"
         assert gis.query_point(999, 999) == []
 
-    def test_cadastral_join(self):
-        gis = self.build_gis()
-        feature = gis.by_cadastral_id("TO-01-1001")
-        assert feature.geometry.centroid() == pytest.approx((150.0, 50.0))
-        with pytest.raises(UnknownEntityError):
-            gis.by_cadastral_id("TO-99-0000")
-
     def test_district_bounds(self):
         bounds = self.build_gis().district_bounds()
         assert bounds.min_x == 0.0
@@ -268,9 +262,11 @@ class TestDistrictGenerator:
 
     def test_gis_covers_every_building(self):
         district = synthesize_district(seed=5, n_buildings=9)
+        by_parcel = {feature.properties["cadastral_id"]: feature
+                     for feature in district.gis.layer(LAYER_BUILDINGS)}
         for building in district.buildings:
-            feature = district.gis.by_cadastral_id(building.cadastral_id)
-            assert feature.feature_id == building.feature_id
+            assert by_parcel[building.cadastral_id].feature_id == \
+                building.feature_id
 
     def test_bim_cadastral_reference_matches(self):
         district = synthesize_district(seed=5, n_buildings=4)
@@ -284,7 +280,7 @@ class TestDistrictGenerator:
         district = synthesize_district(seed=5, n_buildings=6, n_networks=2)
         parcels = {b.cadastral_id for b in district.buildings}
         for network in district.networks:
-            assert set(network.sim.cadastral_ids()) <= parcels
+            assert set(network.sim.service_points().values()) <= parcels
 
     def test_network_substations_have_meters(self):
         district = synthesize_district(seed=5, n_buildings=6, n_networks=1)

@@ -114,7 +114,7 @@ class TestIntegrationWorkflow:
         expected = {
             b.entity_id for b in district.dataset.buildings
             if b.cadastral_id in
-            district.dataset.networks[0].sim.cadastral_ids()
+            district.dataset.networks[0].sim.service_points().values()
         }
         assert set(served) == expected
         assert served  # the join yields at least one building

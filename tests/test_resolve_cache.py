@@ -30,6 +30,7 @@ from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
 from repro.network.webservice import HttpClient
 from repro.observability import install
+from repro.observability.tracing import SERVER
 from repro.ontology.queries import AreaQuery, ResolvedArea
 from repro.simulation import ScenarioConfig, deploy
 from repro.simulation.faults import FaultInjector
@@ -316,8 +317,9 @@ class TestServerResolveCache:
             "district_id": "dst-0001",
             "if_none_match": first.body["token"],
         })
-        assert len(tracer.events("resolve_not_modified")) == \
-            master.resolve_not_modified == 1
+        served = [s for s in tracer.spans(name="GET /resolve")
+                  if s.kind == SERVER and s.attributes["status"] == 304]
+        assert len(served) == master.resolve_not_modified == 1
 
     def test_304_counts_as_served_not_failed(self, net, master):
         master.register(bim_payload())
