@@ -103,10 +103,6 @@ ALLOW: Dict[str, str] = {
     **_allow("not an option: the initial value of per-node state that "
              "`AddressSpace.update` overwrites on every sample",
              "option: DataValue.source_timestamp"),
-    **_allow("inspector a test reads state through; nothing in the "
-             "library needs it, " + _FLOOR,
-             "definition: repro.middleware.broker.pending_delivery_count "
-             "(tests only)"),
     **_allow("the only way to change a running proxy's descriptor; "
              "tests/test_lease_renewal.py drives the full-heartbeat "
              "path with it",

@@ -36,7 +36,6 @@ from repro.datasources.geometry import BoundingBox
 from repro.errors import (
     ConfigurationError,
     NotPrimaryError,
-    OntologyError,
     QueryError,
     RegistrationError,
     UnknownEntityError,
@@ -291,10 +290,10 @@ class MasterNode(StateMachine):
                 for device_id in [d_id for d_id, node
                                   in entity.devices.items()
                                   if node.proxy_uri == uri]:
-                    district.remove_device(entity.entity_id, device_id)
+                    del entity.devices[device_id]
                     changed = True
                 if not entity.proxy_uris and not entity.devices:
-                    district.remove_entity(entity.entity_id)
+                    del district.entities[entity.entity_id]
                     changed = True
         if changed:
             self.bump_epoch()
@@ -454,8 +453,7 @@ class MasterNode(StateMachine):
             entity.proxy_uris[source_kind] = uri
             bounds = payload.get("bounds")
             if bounds:
-                district.set_bounds(entity_id,
-                                    BoundingBox.from_list(bounds))
+                entity.bounds = BoundingBox.from_list(bounds)
             if payload.get("gis_feature_id"):
                 entity.gis_feature_id = payload["gis_feature_id"]
             if payload.get("commodity"):
@@ -490,18 +488,12 @@ class MasterNode(StateMachine):
             )
             existing = entity.devices.get(description.device_id)
             changed = changed or existing != node
-            if existing is not None:
-                if existing.proxy_uri != uri:
-                    raise RegistrationError(
-                        f"device {description.device_id} already "
-                        f"registered by {existing.proxy_uri}"
-                    )
-                district.replace_device(entity.entity_id, node)  # refresh
-            else:
-                try:
-                    district.add_device(entity.entity_id, node)
-                except OntologyError as exc:
-                    raise RegistrationError(str(exc)) from exc
+            if existing is not None and existing.proxy_uri != uri:
+                raise RegistrationError(
+                    f"device {description.device_id} already "
+                    f"registered by {existing.proxy_uri}"
+                )
+            entity.devices[description.device_id] = node
             attached.append(description.device_id)
         pruned = self._prune_stale_devices(district, uri, set(attached))
         return {"attached": "devices", "device_ids": attached}, \
@@ -524,10 +516,10 @@ class MasterNode(StateMachine):
             stale = [d_id for d_id, node in entity.devices.items()
                      if node.proxy_uri == uri and d_id not in reported]
             for device_id in stale:
-                district.remove_device(entity.entity_id, device_id)
+                del entity.devices[device_id]
                 pruned = True
             if stale and not entity.proxy_uris and not entity.devices:
-                district.remove_entity(entity.entity_id)
+                del district.entities[entity.entity_id]
         return pruned
 
     def _register_measurement(self, payload: Dict) -> Tuple[Dict, bool]:

@@ -406,10 +406,6 @@ class Broker(StateMachine):
         """Number of live subscriptions."""
         return len(self.state.subs.by_id)
 
-    def pending_delivery_count(self) -> int:
-        """Deliveries sent to acked subscribers but not yet acknowledged."""
-        return len(self.state.deliveries)
-
     def data_plane_saturation(self) -> float:
         """Pending-delivery backlog as a fraction of the high watermark
         (0.0 without an overload config; >= 1.0 means shedding)."""

@@ -233,7 +233,7 @@ class Scheduler:
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if queue empty."""
         profiler = self.profiler
-        if profiler is not None and profiler.enabled:
+        if profiler is not None:
             return self._step_profiled(profiler)
         queue = self._queue
         pop = heapq.heappop
@@ -289,7 +289,7 @@ class Scheduler:
         """Run all events due at or before *time*, then advance to it."""
         queue = self._queue
         profiler = self.profiler
-        if self.reference or (profiler is not None and profiler.enabled):
+        if self.reference or profiler is not None:
             # unfused peek-then-step loop (seed shape; also keeps the
             # profiled path's per-step loop_wall accounting intact)
             while queue:
@@ -334,7 +334,7 @@ class Scheduler:
         """
         executed = 0
         profiler = self.profiler
-        if self.reference or (profiler is not None and profiler.enabled):
+        if self.reference or profiler is not None:
             while executed < max_events and self.step():
                 executed += 1
         else:

@@ -134,13 +134,13 @@ class SimProfiler:
     """Attributes DES hot-loop wall time to (node, kind, handler) buckets.
 
     The profiler keeps an activation stack mirroring the call nesting of
-    the instrumented layers.  :meth:`enter` opens a frame (returns
-    ``None`` while disabled — callers pass whatever they got straight to
-    :meth:`exit`), :meth:`exit` charges the bucket and the aggregated
-    call tree.  ``Scheduler._step_profiled`` additionally accounts the
-    *whole* loop iteration (heap pops included) into :attr:`loop_wall`,
-    so ``attributed / loop_wall`` — :attr:`attribution` — measures how
-    much of the hot loop the named buckets explain.
+    the instrumented layers.  :meth:`enter` opens a frame, :meth:`exit`
+    charges the bucket and the aggregated call tree.
+    ``Scheduler._step_profiled`` additionally accounts the *whole* loop
+    iteration (heap pops included) into :attr:`loop_wall`, so
+    ``attributed / loop_wall`` — :attr:`attribution` — measures how much
+    of the hot loop the named buckets explain.  :func:`uninstall_profiler`
+    is the off switch.
 
     *time_fn* defaults to :func:`time.perf_counter`; tests inject a fake
     clock for deterministic renderer goldens.
@@ -149,7 +149,6 @@ class SimProfiler:
     def __init__(self, scheduler, time_fn: Callable[[], float] = time.perf_counter):
         self.scheduler = scheduler
         self._time = time_fn
-        self.enabled = True
         #: wall seconds spent inside top-level ``Scheduler.step`` calls
         #: (dispatch + heap maintenance); the attribution denominator
         self.loop_wall = 0.0
@@ -167,15 +166,13 @@ class SimProfiler:
     # -- hot path ----------------------------------------------------------
 
     def enter(self, node: str, kind: str, handler: str,
-              start: Optional[float] = None) -> Optional[_Frame]:
-        """Open a profiled frame; returns None while disabled.
+              start: Optional[float] = None) -> _Frame:
+        """Open a profiled frame.
 
         *start* backdates the frame (the scheduler passes the step's own
         start stamp so heap maintenance and key derivation count as part
         of the event they served, keeping attribution honest and high).
         """
-        if not self.enabled:
-            return None
         key = (node, kind, handler)
         parent = self._tree_stack[-1]
         tree_node = parent.children.get(key)
@@ -187,10 +184,8 @@ class SimProfiler:
         self._stack.append(frame)
         return frame
 
-    def exit(self, frame: Optional[_Frame]) -> None:
-        """Close a frame from :meth:`enter` (no-op for ``None``)."""
-        if frame is None:
-            return
+    def exit(self, frame: _Frame) -> None:
+        """Close a frame from :meth:`enter`."""
         elapsed = self._time() - frame.start
         self_time = elapsed - frame.child
         key = frame.key
@@ -213,7 +208,7 @@ class SimProfiler:
             self.attributed_wall += elapsed
 
     def enter_event(self, callback: Callable, sim_delta: float,
-                    start: Optional[float] = None) -> Optional[_Frame]:
+                    start: Optional[float] = None) -> _Frame:
         """Open the frame for one scheduler event dispatch.
 
         The bucket is derived from the callback: its owner's host (or
@@ -222,8 +217,6 @@ class SimProfiler:
         nest their own frames underneath, so a generic event frame's
         *self* time is pure dispatch overhead.
         """
-        if not self.enabled:
-            return None
         self.events += 1
         self.sim_seconds += sim_delta
         handler = getattr(callback, "__qualname__", None) or repr(callback)
@@ -250,14 +243,12 @@ class SimProfiler:
             node = getattr(callback, "__module__", "") or "scheduler"
         return self.enter(node, "event", handler, start=start)
 
-    def enter_delivery(self, recipient: str, port: str) -> Optional[_Frame]:
+    def enter_delivery(self, recipient: str, port: str) -> _Frame:
         """Open the frame for one transport delivery.
 
         Owns the :func:`port_family` collapse so the transport layer
         needs no import of this module (it would be circular).
         """
-        if not self.enabled:
-            return None
         return self.enter(recipient, "deliver", port_family(port))
 
     @property

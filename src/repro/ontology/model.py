@@ -13,62 +13,18 @@ represent the devices."
 This module implements exactly that forest: districts -> entities
 (buildings / networks) -> devices, where each node carries the proxy
 Web-Service URIs and GIS mapping needed to *redirect* clients to data.
-
-Each district root additionally maintains three **secondary indexes**
-over its entities, kept incrementally consistent by the mutation API
-(:meth:`DistrictNode.add_entity`, :meth:`DistrictNode.add_device`,
-:meth:`DistrictNode.remove_device`, :meth:`DistrictNode.remove_entity`,
-:meth:`DistrictNode.set_bounds`, :meth:`DistrictNode.replace_device`):
-
-* an entity-type index (``building`` / ``network`` -> entity ids);
-* a quantity -> entity inverted index (refcounted per device, so a
-  device removal only unindexes a quantity when no sibling still
-  senses it);
-* a coarse spatial grid over the entities' cached GIS bounds, for
-  bounding-box candidate pruning.
-
-The indexes return candidate *supersets*: query evaluation
-(:func:`repro.ontology.queries.resolve`) still applies the exact
-predicates, so a coarse grid cell can never change an answer.  Code
-that mutates an attached entity's devices or bounds directly (rather
-than through the district methods) bypasses the indexes and may make
-area queries miss entities.
+The tree is the only copy: :func:`repro.ontology.queries.resolve` walks
+it, so a write to any node is seen by the next resolve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.identifiers import entity_kind
 from repro.datasources.geometry import BoundingBox
 from repro.errors import OntologyError, UnknownEntityError
-
-#: side length (metres) of the coarse spatial-grid cells
-GRID_CELL_SIZE = 100.0
-
-#: a bbox spanning more grid cells than this skips the grid index
-#: (scanning that many cells would cost more than the full entity walk)
-_GRID_SCAN_CAP = 4096
-
-
-def _grid_cells(bounds: BoundingBox) -> Iterable[Tuple[int, int]]:
-    """The grid cells an axis-aligned box overlaps."""
-    x0 = int(bounds.min_x // GRID_CELL_SIZE)
-    x1 = int(bounds.max_x // GRID_CELL_SIZE)
-    y0 = int(bounds.min_y // GRID_CELL_SIZE)
-    y1 = int(bounds.max_y // GRID_CELL_SIZE)
-    for cx in range(x0, x1 + 1):
-        for cy in range(y0, y1 + 1):
-            yield (cx, cy)
-
-
-def _grid_cell_count(bounds: BoundingBox) -> int:
-    x0 = int(bounds.min_x // GRID_CELL_SIZE)
-    x1 = int(bounds.max_x // GRID_CELL_SIZE)
-    y0 = int(bounds.min_y // GRID_CELL_SIZE)
-    y1 = int(bounds.max_y // GRID_CELL_SIZE)
-    return (x1 - x0 + 1) * (y1 - y0 + 1)
 
 
 @dataclass
@@ -169,62 +125,12 @@ class DistrictNode:
     properties: Dict[str, object] = field(default_factory=dict)
     entities: Dict[str, EntityNode] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        # secondary indexes, maintained incrementally by the mutation
-        # API below; never serialized (rebuilt entity-by-entity on load)
-        self._by_type: Dict[str, Set[str]] = {}
-        self._by_quantity: Dict[str, Dict[str, int]] = {}
-        self._grid: Dict[Tuple[int, int], Set[str]] = {}
-        for entity in self.entities.values():
-            self._index_entity(entity)
-
     def add_entity(self, node: EntityNode) -> None:
         if node.entity_id in self.entities:
             raise OntologyError(
                 f"entity {node.entity_id} already in {self.district_id}"
             )
         self.entities[node.entity_id] = node
-        self._index_entity(node)
-
-    def remove_entity(self, entity_id: str) -> EntityNode:
-        """Detach one entity subtree, unindexing it."""
-        node = self.entity(entity_id)
-        del self.entities[entity_id]
-        self._unindex_entity(node)
-        return node
-
-    def add_device(self, entity_id: str, device: DeviceNode) -> None:
-        """Attach a device leaf under an entity, indexing its quantities."""
-        self.entity(entity_id).add_device(device)
-        self._index_quantities(entity_id, device)
-
-    def replace_device(self, entity_id: str, device: DeviceNode) -> None:
-        """Swap a device leaf in place (heartbeat refresh), re-indexing."""
-        entity = self.entity(entity_id)
-        old = entity.devices.get(device.device_id)
-        if old is not None:
-            self._unindex_quantities(entity_id, old)
-        entity.devices[device.device_id] = device
-        self._index_quantities(entity_id, device)
-
-    def remove_device(self, entity_id: str,
-                      device_id: str) -> Optional[DeviceNode]:
-        """Detach a device leaf, unindexing its quantities."""
-        entity = self.entity(entity_id)
-        node = entity.devices.pop(device_id, None)
-        if node is not None:
-            self._unindex_quantities(entity_id, node)
-        return node
-
-    def set_bounds(self, entity_id: str,
-                   bounds: Optional[BoundingBox]) -> None:
-        """Update an entity's cached footprint, re-gridding it."""
-        entity = self.entity(entity_id)
-        if entity.bounds is not None:
-            self._grid_remove(entity.entity_id, entity.bounds)
-        entity.bounds = bounds
-        if bounds is not None:
-            self._grid_add(entity.entity_id, bounds)
 
     def entity(self, entity_id: str) -> EntityNode:
         try:
@@ -233,82 +139,6 @@ class DistrictNode:
             raise UnknownEntityError(
                 f"no entity {entity_id!r} in district {self.district_id}"
             ) from None
-
-    # -- secondary indexes ------------------------------------------------
-
-    def _index_entity(self, node: EntityNode) -> None:
-        self._by_type.setdefault(node.entity_type, set()).add(node.entity_id)
-        for device in node.devices.values():
-            self._index_quantities(node.entity_id, device)
-        if node.bounds is not None:
-            self._grid_add(node.entity_id, node.bounds)
-
-    def _unindex_entity(self, node: EntityNode) -> None:
-        ids = self._by_type.get(node.entity_type)
-        if ids is not None:
-            ids.discard(node.entity_id)
-            if not ids:
-                del self._by_type[node.entity_type]
-        for device in node.devices.values():
-            self._unindex_quantities(node.entity_id, device)
-        if node.bounds is not None:
-            self._grid_remove(node.entity_id, node.bounds)
-
-    def _index_quantities(self, entity_id: str, device: DeviceNode) -> None:
-        for quantity in device.quantities:
-            owners = self._by_quantity.setdefault(quantity, {})
-            owners[entity_id] = owners.get(entity_id, 0) + 1
-
-    def _unindex_quantities(self, entity_id: str,
-                            device: DeviceNode) -> None:
-        for quantity in device.quantities:
-            owners = self._by_quantity.get(quantity)
-            if owners is None:
-                continue
-            count = owners.get(entity_id, 0) - 1
-            if count > 0:
-                owners[entity_id] = count
-            else:
-                owners.pop(entity_id, None)
-                if not owners:
-                    del self._by_quantity[quantity]
-
-    def _grid_add(self, entity_id: str, bounds: BoundingBox) -> None:
-        for cell in _grid_cells(bounds):
-            self._grid.setdefault(cell, set()).add(entity_id)
-
-    def _grid_remove(self, entity_id: str, bounds: BoundingBox) -> None:
-        for cell in _grid_cells(bounds):
-            ids = self._grid.get(cell)
-            if ids is not None:
-                ids.discard(entity_id)
-                if not ids:
-                    del self._grid[cell]
-
-    def entity_ids_of_type(self, entity_type: str) -> Set[str]:
-        """Entity ids of one type (index lookup; do not mutate)."""
-        return self._by_type.get(entity_type, set())
-
-    def entity_ids_with_quantity(self, quantity: str) -> Set[str]:
-        """Entity ids owning >= 1 device sensing *quantity*."""
-        return set(self._by_quantity.get(quantity, ()))
-
-    def entity_ids_in_bbox(self, bbox: BoundingBox) -> Optional[Set[str]]:
-        """Candidate entity ids whose bounds may intersect *bbox*.
-
-        A superset: grid cells are coarse, so callers must still apply
-        the exact ``intersects`` predicate.  Returns None when the box
-        spans so many cells that scanning them would cost more than the
-        full entity walk (the planner then skips this index).
-        """
-        if _grid_cell_count(bbox) > _GRID_SCAN_CAP:
-            return None
-        candidates: Set[str] = set()
-        for cell in _grid_cells(bbox):
-            ids = self._grid.get(cell)
-            if ids:
-                candidates |= ids
-        return candidates
 
     def to_dict(self) -> Dict:
         return {
@@ -371,7 +201,7 @@ class DistrictOntology:
         """Attach a device leaf under an entity node."""
         if entity_kind(device.device_id) != "device":
             raise OntologyError(f"{device.device_id!r} is not a device id")
-        self.district(district_id).add_device(entity_id, device)
+        self.district(district_id).entity(entity_id).add_device(device)
         return device
 
     # -- lookups --------------------------------------------------------------

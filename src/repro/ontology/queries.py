@@ -8,8 +8,9 @@ area, accompanied with additional information."
 An :class:`AreaQuery` selects entities of one district by any mix of:
 explicit entity ids, a geographic bounding box (matched against the
 cached GIS bounds on each entity node), entity type, and sensed
-quantity.  :func:`resolve` evaluates it and produces the
-:class:`ResolvedArea` the master returns — URIs only, never data.
+quantity.  :func:`resolve` tests each entity of the district (only the
+named ones, when ids are given) against those predicates and produces
+the :class:`ResolvedArea` the master returns — URIs only, never data.
 """
 
 from __future__ import annotations
@@ -189,8 +190,6 @@ class ResolvedArea:
 
 
 def _matches(entity: EntityNode, query: AreaQuery) -> bool:
-    if query.entity_ids and entity.entity_id not in query.entity_ids:
-        return False
     if query.entity_type is not None and \
             entity.entity_type != query.entity_type:
         return False
@@ -214,34 +213,15 @@ def _device_matches(device_quantities: Sequence[str],
 
 
 def _candidate_entities(district, query: AreaQuery):
-    """Plan the entity scan: prune candidates via the secondary indexes.
+    """The entities :func:`_matches` tests: the named ones, or all.
 
-    Intersects every applicable index (explicit ids, entity type,
-    quantity inverted index, spatial grid) and walks only the surviving
-    ids; each index yields a superset of the exact answer, so
-    :func:`_matches` still applies the full predicates.  With no
-    applicable index (a whole-district query) every entity is scanned,
-    as before.
+    Either way the walk is in insertion order, which is answer order.
     """
-    sets = []
-    if query.entity_ids:
-        sets.append({i for i in query.entity_ids if i in district.entities})
-    if query.entity_type is not None:
-        sets.append(district.entity_ids_of_type(query.entity_type))
-    if query.quantity is not None:
-        sets.append(district.entity_ids_with_quantity(query.quantity))
-    if query.bbox is not None:
-        grid_ids = district.entity_ids_in_bbox(query.bbox)
-        if grid_ids is not None:
-            sets.append(grid_ids)
-    if not sets:
+    if not query.entity_ids:
         return district.entities.values()
-    candidates = set.intersection(*sorted(sets, key=len))
-    if len(candidates) == len(district.entities):
-        return district.entities.values()
-    # filter over the insertion-ordered dict keeps answer order stable
+    named = set(query.entity_ids)
     return [entity for entity_id, entity in district.entities.items()
-            if entity_id in candidates]
+            if entity_id in named]
 
 
 def resolve(ontology: DistrictOntology, query: AreaQuery) -> ResolvedArea:

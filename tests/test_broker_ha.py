@@ -139,15 +139,15 @@ class TestDurableBrokerState:
         net.set_host_online("sub", False)  # consumer dies before delivery
         publisher.publish("area/b1/t", {"seq": 1})
         run(net, 0.5)
-        assert broker.pending_delivery_count() == 1
+        assert len(broker.state.deliveries) == 1
 
         broker.reset()
         broker.recover()
-        assert broker.pending_delivery_count() == 1  # restored, not lost
+        assert len(broker.state.deliveries) == 1  # restored, not lost
         net.set_host_online("sub", True)
         run(net, 10.0)  # redelivery timers fire
         assert len(seen) == 1  # delivered exactly once after dedup
-        assert broker.pending_delivery_count() == 0  # acked and settled
+        assert len(broker.state.deliveries) == 0  # acked and settled
         assert broker.stats.redeliveries >= 1
 
     def test_broker_health_uniform_role_epoch_fields(self, net, tmp_path):
@@ -191,7 +191,7 @@ class TestDurableBrokerState:
         assert broker.stats.poison_nacks == len(attempts)
         assert broker.stats.dead_lettered == 1
         assert len(broker.dead_letters) == 1
-        assert broker.pending_delivery_count() == 0
+        assert len(broker.state.deliveries) == 0
 
 
 class TestBrokerFaultVerbs:
@@ -376,9 +376,9 @@ class TestBrokerFailover:
         net.set_host_online("sub", False)  # consumer down at publish time
         publisher.publish("area/b1/t", {"seq": 1})
         run(net, 1.5)  # the delivery record streams to the standby
-        assert broker.pending_delivery_count() == 1
+        assert len(broker.state.deliveries) == 1
         standby = group.nodes()[1]
-        assert standby.pending_delivery_count() == 1
+        assert len(standby.state.deliveries) == 1
 
         net.set_host_online("broker", False)
         net.set_host_online("sub", True)
@@ -386,7 +386,7 @@ class TestBrokerFailover:
         # the promoted standby re-armed the replicated delivery and
         # redelivered it; the consumer rotated to it to ack
         assert len(seen) == 1
-        assert standby.pending_delivery_count() == 0
+        assert len(standby.state.deliveries) == 0
         assert consumer.broker_host == "broker-r1"
 
     def test_fenced_deposed_primary_refuses_publishes(self, net):

@@ -69,6 +69,9 @@ REMOVED = SECOND_HOLDERS + (
     "units.known_quantities", "units.from_unit",
     "units.register_conversion", "model.find_device",
     "simtime.clamp_window", "sim.cadastral_ids", "gis.by_cadastral_id",
+    "entity_ids_of_type", "entity_ids_with_quantity", "entity_ids_in_bbox",
+    "GRID_CELL_SIZE", "replace_device", "set_bounds",
+    "pending_delivery_count",
 )
 
 

@@ -366,7 +366,7 @@ class TestDurableIngest:
         assert broker.stats.dead_lettered == 1
         assert len(broker.dead_letters) == 1
         assert broker.dead_letters[0]["reason"] == "poison"
-        assert broker.pending_delivery_count() == 0
+        assert len(broker.state.deliveries) == 0
         # the pipeline is not wedged: good samples still flow
         self.publish(net, peer, t=2.0, seq=2)
         assert mdb.ingested == 1

@@ -89,7 +89,7 @@ class TestEverythingOn:
         assert published > 0
         assert all(p.peer.publications_dropped == 0 for p in proxies)
         assert all(p.peer.buffered == 0 for p in proxies)
-        assert deployment.broker.pending_delivery_count() == 0
+        assert len(deployment.broker.state.deliveries) == 0
         stored = mdb.store.sample_count()
         assert stored == published
         # ingested restarts from zero at the crash: what the journal

@@ -313,10 +313,10 @@ class TestGroupCommit:
         assert rig.contents() == {}
         rig.net.scheduler.run_for(COMMIT_WINDOW)  # its timer died too
         assert spy.ack_frames == 0 == rig.broker.stats.deliveries_acked
-        assert rig.broker.pending_delivery_count() == deliveries
+        assert len(rig.broker.state.deliveries) == deliveries
         rig.net.scheduler.run_for(2.0)   # the broker's ack timeout
         assert rig.broker.stats.redeliveries == deliveries
-        assert rig.broker.pending_delivery_count() == 0
+        assert len(rig.broker.state.deliveries) == 0
         assert rig.contents() == EXPECTED
         assert mdb.ingested == 12 and mdb.ingest_duplicates == 0
         assert spy.early == []
@@ -337,7 +337,7 @@ class TestGroupCommit:
         rig.net.scheduler.run_for(2.0)
         assert spy.early == []
         assert points(spy.acked) <= stored_points(rig)
-        assert rig.broker.pending_delivery_count() == 0
+        assert len(rig.broker.state.deliveries) == 0
         assert rig.broker.stats.deliveries_acked == deliveries
         assert rig.contents() == EXPECTED
 
@@ -371,7 +371,7 @@ class TestGroupCommit:
         assert spy.ack_frames == 0
         rig.net.scheduler.run_for(2.0)
         assert spy.early == []
-        assert rig.broker.pending_delivery_count() == 0
+        assert len(rig.broker.state.deliveries) == 0
         assert rig.broker.stats.dead_lettered == 0
         assert rig.mdb.ingested == 12
         assert rig.contents() == EXPECTED
@@ -390,7 +390,7 @@ class TestGroupCommit:
         # store had committed it, so it was absorbed and acked there
         assert promoted.stats.redeliveries == deliveries
         assert promoted.stats.deliveries_acked == deliveries
-        assert promoted.pending_delivery_count() == 0
+        assert len(promoted.state.deliveries) == 0
         assert spy.early == []
         assert rig.mdb.ingested == 12
         assert rig.mdb.ingest_duplicates == 12
@@ -445,7 +445,7 @@ class TestAckedNeverLost:
             run_for(5.0)  # heal + drain: every redelivery round
             assert spy.early == []
             assert points(spy.acked) == published
-            assert rig.broker.pending_delivery_count() == 0
+            assert len(rig.broker.state.deliveries) == 0
             assert rig.broker.stats.dead_lettered == 0
             # published == ingested == stored, nothing counted twice
             assert restored + mdb.ingested == len(published) \

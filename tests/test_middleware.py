@@ -393,7 +393,7 @@ class TestAckedDeliveries:
         make_peer(net, "pub").publish("t/1", 1)
         net.scheduler.run_for(0.1)
         assert peer.deliveries_acked == 1 == broker.stats.deliveries_acked
-        assert broker.pending_delivery_count() == 0
+        assert len(broker.state.deliveries) == 0
 
     def test_deferred_deliveries_settle_in_one_frame(self, net, broker):
         held = []
@@ -405,13 +405,13 @@ class TestAckedDeliveries:
         # custody taken: the callbacks returned and nothing was acked
         assert len(held) == 3 and None not in held
         assert peer.deliveries_acked == 0
-        assert broker.pending_delivery_count() == 3
+        assert len(broker.state.deliveries) == 3
         sent = net.stats.messages_sent
         peer.settle(held)
         assert net.stats.messages_sent == sent + 1
         net.scheduler.run_for(0.1)
         assert peer.deliveries_acked == 3 == broker.stats.deliveries_acked
-        assert broker.pending_delivery_count() == 0
+        assert len(broker.state.deliveries) == 0
         assert broker.stats.redeliveries == 0
 
     def test_never_settled_is_redelivered_by_the_ack_timeout(self, net,
@@ -425,7 +425,7 @@ class TestAckedDeliveries:
         assert broker.stats.redeliveries == 1
         peer.settle(held)              # the second copy's handle
         net.scheduler.run_for(0.1)
-        assert broker.pending_delivery_count() == 0
+        assert len(broker.state.deliveries) == 0
 
     def test_defer_outside_an_acked_delivery_is_none(self, net, broker):
         held = []

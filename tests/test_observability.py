@@ -358,7 +358,7 @@ class TestPubSubPropagation:
         net.set_host_online("sub", True)
         net.scheduler.run_for(10.0)  # the ack timeout redelivers
         assert broker.stats.redeliveries >= 1
-        assert broker.pending_delivery_count() == 0
+        assert len(broker.state.deliveries) == 0
         (delivery,) = tracer.spans(name="deliver area/b1/t")
         assert delivery.kind == CONSUMER
         assert delivery.trace_id == fanout.trace_id

@@ -179,6 +179,23 @@ class TestResolution:
         ))
         assert resolved.entity_ids == ["bld-0002"]
 
+    def test_direct_mutation_is_visible_to_resolve(self):
+        # the tree is the only copy of what it says: a write straight
+        # into an attached entity is seen by the next resolve
+        onto = DistrictOntology()
+        onto.add_district("dst-0001")
+        entity = onto.add_entity("dst-0001", EntityNode(
+            entity_id="bld-0001", entity_type="building"))
+        entity.bounds = BoundingBox(0, 0, 50, 50)
+        entity.devices["dev-000001"] = DeviceNode(
+            device_id="dev-000001", proxy_uri="svc://proxy-dev-1/",
+            protocol="zigbee", quantities=("co2",))
+        by_bbox = resolve(onto, AreaQuery(
+            "dst-0001", bbox=BoundingBox(0, 0, 60, 60)))
+        by_quantity = resolve(onto, AreaQuery("dst-0001", quantity="co2"))
+        assert by_bbox.entity_ids == ["bld-0001"]
+        assert by_quantity.entity_ids == ["bld-0001"]
+
     def test_resolved_area_round_trip(self):
         resolved = resolve(build_ontology(), AreaQuery("dst-0001"))
         again = ResolvedArea.from_dict(resolved.to_dict())

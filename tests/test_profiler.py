@@ -108,12 +108,12 @@ def test_attribution_ratio_and_backdated_start():
 
 
 def test_disabled_profiler_returns_none_frames():
-    profiler = _profiler()
-    profiler.enabled = False
-    assert profiler.enter("n", "event", "h") is None
-    assert profiler.enter_event(test_port_family, 1.0) is None
-    assert profiler.enter_delivery("n", "http-reply-3") is None
-    profiler.exit(None)  # the hooks pass whatever they got straight back
+    # uninstall_profiler is the off switch: the detached profiler sees
+    # nothing of a later run
+    district = deploy(_tiny_config())
+    profiler = install_profiler(district.network)
+    uninstall_profiler(district.network)
+    district.run(30.0)
     assert profiler.buckets() == []
     assert profiler.events == 0
 
@@ -334,7 +334,8 @@ def _run_arm(prepare):
 
 
 def _disabled_profiler(district):
-    install_profiler(district.network).enabled = False
+    install_profiler(district.network)
+    uninstall_profiler(district.network)
 
 
 @pytest.mark.slow
@@ -342,8 +343,8 @@ def test_observability_off_guards_cost_nothing():
     """The None-guards on the hot path must be ~free when nothing is on.
 
     Three arms over the identical deployment: bare, observability
-    installed (tracer + metrics active), and a profiler installed but
-    disabled.  Arms interleave over several rounds and each takes its
+    installed (tracer + metrics active), and a profiler installed then
+    uninstalled.  Arms interleave over several rounds and each takes its
     best (minimum) wall clock, which filters scheduler noise; the
     bound is deliberately generous — this catches accidental real work
     on the guarded path (string formatting, dict lookups), not

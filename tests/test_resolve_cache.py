@@ -1,9 +1,9 @@
-"""Tests for the resolve fast path: indexes, epochs and caches.
+"""Tests for the resolve fast path: filters, epochs and caches.
 
-Covers the three layers introduced by the fast-path work:
+Covers:
 
-* the district-level secondary indexes (entity type, sensed quantity,
-  spatial grid) that prune resolve candidates;
+* resolve's filters (entity type, sensed quantity, bounding box),
+  which follow registrations, re-registrations and evictions;
 * the master's ontology epoch — moved by a mutation of the forest,
   never by a heartbeat that only renews a lease — and the
   conditional-GET 304 path it validates (the master itself holds no
@@ -93,33 +93,43 @@ class TestSecondaryIndexes:
         master.register(device_payload("svc://dev-2/", "bld-0002",
                                        ("dev-0201",), "temperature"))
 
+    def ids(self, master, **filters):
+        return master.resolve_area(
+            AreaQuery("dst-0001", **filters)).entity_ids
+
     def test_type_index_tracks_registrations(self, master):
         self.populate(master)
-        district = master.ontology.district("dst-0001")
-        assert district.entity_ids_of_type("building") == \
-            {"bld-0001", "bld-0002"}
-        assert district.entity_ids_of_type("network") == {"net-0001"}
+        assert self.ids(master, entity_type="building") == \
+            ["bld-0001", "bld-0002"]
+        assert self.ids(master, entity_type="network") == ["net-0001"]
 
     def test_quantity_index_is_refcounted(self, master):
         self.populate(master)
-        district = master.ontology.district("dst-0001")
-        assert district.entity_ids_with_quantity("power") == {"bld-0001"}
-        # second power device on the same entity, then remove one: the
-        # entity must stay indexed while any power device remains
+        assert self.ids(master, quantity="power") == ["bld-0001"]
+        # a second power device on the same entity, then a re-registration
+        # that drops the first: the entity still matches while any power
+        # device remains
         master.register(device_payload("svc://dev-1/", "bld-0001",
                                        ("dev-0101", "dev-0102"), "power"))
-        district.remove_device("bld-0001", "dev-0101")
-        assert district.entity_ids_with_quantity("power") == {"bld-0001"}
-        district.remove_device("bld-0001", "dev-0102")
-        assert district.entity_ids_with_quantity("power") == set()
+        master.register(device_payload("svc://dev-1/", "bld-0001",
+                                       ("dev-0102",), "power"))
+        assert self.ids(master, quantity="power") == ["bld-0001"]
+        # a re-registration listing neither power device prunes both
+        master.register(device_payload("svc://dev-1/", "bld-0001",
+                                       ("dev-0103",), "temperature"))
+        assert self.ids(master, quantity="power") == []
+        assert self.ids(master, quantity="temperature") == \
+            ["bld-0001", "bld-0002"]
 
     def test_grid_index_prunes_bbox_candidates(self, master):
         self.populate(master)
-        district = master.ontology.district("dst-0001")
-        near = district.entity_ids_in_bbox(
-            BoundingBox(0.0, 0.0, 60.0, 60.0))
-        assert "bld-0001" in near
-        assert "bld-0002" not in near
+        assert self.ids(master, bbox=BoundingBox(0.0, 0.0, 60.0, 60.0)) \
+            == ["bld-0001"]
+        assert self.ids(
+            master, bbox=BoundingBox(400.0, 400.0, 600.0, 600.0)) == \
+            ["bld-0002"]
+        assert self.ids(
+            master, bbox=BoundingBox(200.0, 200.0, 300.0, 300.0)) == []
 
     def test_indexed_resolve_matches_predicates(self, master):
         self.populate(master)
@@ -139,11 +149,10 @@ class TestSecondaryIndexes:
         self.populate(master)
         master._evict_uri("svc://dev-2/")
         master._evict_uri("svc://bim-2/")
-        district = master.ontology.district("dst-0001")
-        assert district.entity_ids_of_type("building") == {"bld-0001"}
-        assert district.entity_ids_with_quantity("temperature") == set()
-        assert district.entity_ids_in_bbox(
-            BoundingBox(400.0, 400.0, 600.0, 600.0)) == set()
+        assert self.ids(master, entity_type="building") == ["bld-0001"]
+        assert self.ids(master, quantity="temperature") == []
+        assert self.ids(
+            master, bbox=BoundingBox(400.0, 400.0, 600.0, 600.0)) == []
 
 
 class TestOntologyEpoch:
