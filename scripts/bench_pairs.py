@@ -8,11 +8,14 @@
     python scripts/bench_pairs.py --record <recording.json> <checkout>
 
 Each run is the checkout's own ``benchmarks/district/run.py --workload W
---seed S --trace T`` in a fresh interpreter.  The pair protocol runs
-``--trace 0``, one run at a time, and alternates which side goes first;
-it prints every run, each side's quartiles per end-to-end metric, pairs
-won / lost / tied, whether every ``sim_*`` metric is exactly equal, and
-the gain / unresolved / worse verdict of :func:`compare`.
+--seed S --trace T`` in a fresh interpreter, run from a copy of the
+checkout taken once at start (:func:`snapshot`), so an edit made to the
+checkout while the runs go on cannot mix two versions under one verdict.
+The pair protocol runs ``--trace 0``, one run at a time, and alternates
+which side goes first; it prints every run, each side's quartiles per
+end-to-end metric, pairs won / lost / tied, whether every ``sim_*``
+metric is exactly equal, and the gain / unresolved / worse verdict of
+:func:`compare`.
 
 ``--exact`` is the "nothing moved" proof: for every ``BENCHMARK.json``
 workload (or the one given) and every ``--seed`` (default 17 and 29),
@@ -28,9 +31,11 @@ import argparse
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -92,6 +97,26 @@ def differing(parent: Dict[str, float], change: Dict[str, float]
     return sorted(name for name in parent.keys() | change.keys()
                   if not host_clock(name)
                   and not same(parent.get(name), change.get(name)))
+
+
+def snapshot(checkout: Path, into: Path) -> Path:
+    """Copy what a run of *checkout* executes — ``src/``,
+    ``benchmarks/district/`` without its ``out/``, ``BENCHMARK.json`` —
+    into the new directory *into*, and return it.  A directory the
+    checkout lacks is not copied; a run that needs it fails as it
+    would in the checkout."""
+    district = checkout / "benchmarks" / "district"
+
+    def skip(directory: str, names: List[str]) -> List[str]:
+        return [name for name in names if name == "__pycache__"
+                or (name == "out" and Path(directory) == district)]
+    into.mkdir(parents=True)
+    for part in (checkout / "src", district):
+        if part.is_dir():
+            shutil.copytree(part, into / part.relative_to(checkout),
+                            ignore=skip)
+    shutil.copy2(checkout / "BENCHMARK.json", into / "BENCHMARK.json")
+    return into
 
 
 def run_once(checkout: Path, workload: str, seed: int, trace: int = 0,
@@ -222,6 +247,16 @@ def main(argv=None) -> int:
     parser.add_argument("--record", action="store_true",
                         help="write the change side's runs to the parent")
     args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
+        args.change = snapshot(args.change, Path(scratch) / "change")
+        if not (args.record or args.parent.is_file()):
+            args.parent = snapshot(args.parent, Path(scratch) / "parent")
+        return measure(parser, args)
+
+
+def measure(parser: argparse.ArgumentParser, args: argparse.Namespace
+            ) -> int:
+    """The mode *args* asks for, on the copies :func:`main` took."""
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = [args.workload] if args.workload else \
         [workload["name"] for workload in spec["workloads"]]

@@ -131,8 +131,6 @@ ALLOW: Dict[str, str] = {
                    ("/measurements", "baselines.centralized"),
                    ("/spaces", "proxies.database_proxy"),
                    ("/record/{guid}", "proxies.database_proxy"),
-                   ("/service-points", "proxies.database_proxy"),
-                   ("/path/{node_id}", "proxies.database_proxy"),
                    ("/features", "proxies.database_proxy"),
                    ("/locate", "proxies.database_proxy")))),
     **_allow("public helper only its own unit tests call; " + _FLOOR,

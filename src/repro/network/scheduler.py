@@ -5,7 +5,7 @@ device sampling, periodic publication, query workloads — is an event on
 one shared :class:`Scheduler`.  Events execute in (time, insertion)
 order, so runs are fully deterministic for a fixed seed.
 
-Hot-loop design (the PR 10 fast path):
+Hot-loop design:
 
 * Heap entries are plain ``(time, seq, event)`` tuples, so ``heapq``
   orders them with C tuple comparison — the dataclass-generated Python
@@ -20,19 +20,23 @@ Hot-loop design (the PR 10 fast path):
   re-arm/cancel patterns upstack (broker delivery-ack timers,
   device-proxy batch age timers) can no longer grow the heap without
   bound, and :attr:`Scheduler.pending` reports **live** events only.
-* :meth:`run_until` pops due events inline instead of peeking and then
-  re-popping through :meth:`step` — one heap operation per event.
+* One loop, :meth:`Scheduler._dispatch`, fires every event: it peeks
+  the head, pops tombstones, stops past a deadline and fires at most a
+  budget of events — one heap pop per event.  :meth:`~Scheduler.step`,
+  :meth:`~Scheduler.run_until` and :meth:`~Scheduler.run_until_idle`
+  are that loop with a deadline and a budget, and an attached profiler
+  is one ``None`` test inside it.
 
-``Scheduler(reference=True)`` keeps the seed's unfused peek-then-step
-loop and disables compaction (semantics are identical either way); the
-determinism twin test runs the same workload on both paths and asserts
-byte-identical behaviour.
+The seed's peek-then-step loop lives on as ``ReferenceScheduler`` in
+``tests/reference_loop.py``; the determinism twin tests run the same
+workload on both loops and assert byte-identical behaviour.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.common.simtime import SimClock
@@ -130,8 +134,7 @@ class PeriodicTask:
 class Scheduler:
     """Priority-queue discrete-event scheduler over a :class:`SimClock`."""
 
-    def __init__(self, clock: Optional[SimClock] = None,
-                 reference: bool = False):
+    def __init__(self, clock: Optional[SimClock] = None):
         self.clock = clock if clock is not None else SimClock()
         #: heap of (time, seq, _Event) — tuple comparison never reaches
         #: the event because seq is unique
@@ -150,13 +153,10 @@ class Scheduler:
         #: error; the Network wires it to a ``periodic_task_error``
         #: trace event
         self.on_periodic_error: Optional[Callable] = None
-        #: run the seed's unfused dispatch loop without compaction (the
-        #: determinism-twin comparison path; semantics are identical)
-        self.reference = reference
         #: hot-loop profiler attachment point (None = disabled, the
         #: default): a repro.observability.profiler.SimProfiler set by
-        #: install_profiler().  step() pays one attribute load + None
-        #: check when off — the entire disabled-mode cost.
+        #: install_profiler().  The dispatch loop pays one None check
+        #: per event when off — the entire disabled-mode cost.
         self.profiler = None
 
     @property
@@ -211,15 +211,14 @@ class Scheduler:
     def _note_tombstone(self) -> None:
         """Account one cancelled-in-queue event; compact past threshold."""
         self._tombstones += 1
-        if (not self.reference
-                and self._tombstones > self.compact_threshold
+        if (self._tombstones > self.compact_threshold
                 and self._tombstones * 2 > len(self._queue)):
             self._compact()
 
     def _compact(self) -> None:
         """Rebuild the heap without tombstones (O(live) heapify).
 
-        In place — the dispatch loops hold a local alias to the queue
+        In place — the dispatch loop holds a local alias to the queue
         list across callbacks, so the list object must stay the same.
         """
         queue = self._queue
@@ -230,81 +229,29 @@ class Scheduler:
 
     # -- dispatch ----------------------------------------------------------
 
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns False if queue empty."""
+    def _dispatch(self, until: float, budget: float) -> int:
+        """The one dispatch loop: fire at most *budget* events due at or
+        before *until*, in order; returns how many fired.
+
+        Peeks the head, pops tombstones, stops at the first live event
+        past *until*.  With a profiler attached each event runs in a
+        profiler frame that opens where the previous one closed (the
+        loop's start, for the first), so heap pops and skips are charged
+        to the event they precede; a top-level loop adds its whole wall
+        time to ``loop_wall``, the attribution denominator.  A nested
+        loop (a synchronous client driving the scheduler from inside a
+        handler) runs inside an open frame and adds nothing to it.
+        """
+        queue = self._queue
+        clock = self.clock
+        pop = heapq.heappop
         profiler = self.profiler
         if profiler is not None:
-            return self._step_profiled(profiler)
-        queue = self._queue
-        pop = heapq.heappop
-        while queue:
-            time, _seq, event = pop(queue)
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            event.queued = False
-            self.clock.advance_to(time)
-            self._events_processed += 1
-            event.callback(*event.args)
-            return True
-        return False
-
-    def _step_profiled(self, profiler) -> bool:
-        """The profiled twin of :meth:`step`.
-
-        Identical event semantics; additionally opens one profiler frame
-        per dispatched event and accounts the whole iteration — heap
-        pops and cancelled-event skips included — into the profiler's
-        ``loop_wall``, so unattributed loop overhead is visible.  Nested
-        ``step`` calls (a synchronous client driving the scheduler from
-        inside a handler) are inside an open frame and charge the outer
-        event, not ``loop_wall``, to keep attribution double-count free.
-        """
-        top_level = not profiler.in_frame
-        t0 = profiler._time()
-        queue = self._queue
-        while queue:
-            time, _seq, event = heapq.heappop(queue)
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            event.queued = False
-            previous = self.clock._now
-            self.clock.advance_to(time)
-            self._events_processed += 1
-            frame = profiler.enter_event(event.callback,
-                                         time - previous, start=t0)
-            try:
-                event.callback(*event.args)
-            finally:
-                profiler.exit(frame)
-                if top_level:
-                    profiler.loop_wall += profiler._time() - t0
-            return True
-        if top_level:
-            profiler.loop_wall += profiler._time() - t0
-        return False
-
-    def run_until(self, time: float) -> None:
-        """Run all events due at or before *time*, then advance to it."""
-        queue = self._queue
-        profiler = self.profiler
-        if self.reference or profiler is not None:
-            # unfused peek-then-step loop (seed shape; also keeps the
-            # profiled path's per-step loop_wall accounting intact)
-            while queue:
-                head = queue[0]
-                if head[2].cancelled:
-                    heapq.heappop(queue)
-                    self._tombstones -= 1
-                    continue
-                if head[0] > time:
-                    break
-                self.step()
-        else:
-            clock = self.clock
-            pop = heapq.heappop
-            while queue:
+            top_level = not profiler.in_frame
+            start = loop_start = profiler._time()
+        fired = 0
+        try:
+            while queue and fired < budget:
                 head = queue[0]
                 event = head[2]
                 if event.cancelled:
@@ -312,13 +259,37 @@ class Scheduler:
                     self._tombstones -= 1
                     continue
                 due = head[0]
-                if due > time:
+                if due > until:
                     break
                 pop(queue)
                 event.queued = False
-                clock.advance_to(due)
+                fired += 1
                 self._events_processed += 1
-                event.callback(*event.args)
+                if profiler is None:
+                    clock.advance_to(due)
+                    event.callback(*event.args)
+                    continue
+                previous = clock._now
+                clock.advance_to(due)
+                frame = profiler.enter_event(event.callback, due - previous,
+                                             start=start)
+                try:
+                    event.callback(*event.args)
+                finally:
+                    profiler.exit(frame)
+                start = profiler._time()
+        finally:
+            if profiler is not None and top_level:
+                profiler.loop_wall += profiler._time() - loop_start
+        return fired
+
+    def step(self) -> bool:
+        """Execute the next pending event.  Returns False if queue empty."""
+        return self._dispatch(math.inf, 1) == 1
+
+    def run_until(self, time: float) -> None:
+        """Run all events due at or before *time*, then advance to it."""
+        self._dispatch(time, math.inf)
         if time > self.clock._now:
             self.clock.advance_to(time)
 
@@ -332,25 +303,7 @@ class Scheduler:
         Guards against runaway periodic tasks via *max_events*: raises
         only when that many events ran and live ones are still queued.
         """
-        executed = 0
-        profiler = self.profiler
-        if self.reference or profiler is not None:
-            while executed < max_events and self.step():
-                executed += 1
-        else:
-            queue = self._queue
-            clock = self.clock
-            pop = heapq.heappop
-            while queue and executed < max_events:
-                _time, _seq, event = pop(queue)
-                if event.cancelled:
-                    self._tombstones -= 1
-                    continue
-                event.queued = False
-                clock.advance_to(_time)
-                self._events_processed += 1
-                event.callback(*event.args)
-                executed += 1
+        executed = self._dispatch(math.inf, max_events)
         if executed >= max_events and self.pending:
             raise ConfigurationError(
                 "run_until_idle exceeded max_events; "

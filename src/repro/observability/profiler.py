@@ -5,7 +5,7 @@ message, and the benchmarks only ever said how *much* wall a run cost —
 never *where* it went.  :class:`SimProfiler` answers that: it hooks the
 four layers every simulated message crosses —
 
-* ``Scheduler.step`` event dispatch (the outermost loop),
+* ``Scheduler._dispatch`` event dispatch (the outermost loop),
 * ``Network._deliver`` message delivery,
 * ``Router.dispatch`` web-service handler invocation,
 * ``Broker._on_message`` / ``MiddlewarePeer._on_message`` frame handling
@@ -136,8 +136,8 @@ class SimProfiler:
     The profiler keeps an activation stack mirroring the call nesting of
     the instrumented layers.  :meth:`enter` opens a frame, :meth:`exit`
     charges the bucket and the aggregated call tree.
-    ``Scheduler._step_profiled`` additionally accounts the *whole* loop
-    iteration (heap pops included) into :attr:`loop_wall`, so
+    ``Scheduler._dispatch`` additionally accounts the *whole* top-level
+    loop (heap pops included) into :attr:`loop_wall`, so
     ``attributed / loop_wall`` — :attr:`attribution` — measures how much
     of the hot loop the named buckets explain.  :func:`uninstall_profiler`
     is the off switch.
@@ -149,8 +149,8 @@ class SimProfiler:
     def __init__(self, scheduler, time_fn: Callable[[], float] = time.perf_counter):
         self.scheduler = scheduler
         self._time = time_fn
-        #: wall seconds spent inside top-level ``Scheduler.step`` calls
-        #: (dispatch + heap maintenance); the attribution denominator
+        #: wall seconds spent inside top-level dispatch loops (dispatch +
+        #: heap maintenance); the attribution denominator
         self.loop_wall = 0.0
         #: wall seconds inside top-level profiled frames; the numerator
         self.attributed_wall = 0.0
@@ -169,9 +169,10 @@ class SimProfiler:
               start: Optional[float] = None) -> _Frame:
         """Open a profiled frame.
 
-        *start* backdates the frame (the scheduler passes the step's own
-        start stamp so heap maintenance and key derivation count as part
-        of the event they served, keeping attribution honest and high).
+        *start* backdates the frame (the scheduler passes the stamp where
+        the previous event's frame closed, so heap maintenance and key
+        derivation count as part of the event they served, keeping
+        attribution honest and high).
         """
         key = (node, kind, handler)
         parent = self._tree_stack[-1]
@@ -253,7 +254,7 @@ class SimProfiler:
 
     @property
     def in_frame(self) -> bool:
-        """Whether a profiled frame is open (a nested ``step`` call)."""
+        """Whether a profiled frame is open (a nested dispatch loop)."""
         return bool(self._stack)
 
     # -- results -----------------------------------------------------------

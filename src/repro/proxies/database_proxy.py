@@ -156,9 +156,6 @@ class SimProxy(DatabaseProxy):
         self.gis_feature_id = gis_feature_id
         self.bounds = bounds
         self.service.add_route(GET, "/model", self._model_route)
-        self.service.add_route(GET, "/service-points",
-                               self._service_points_route)
-        self.service.add_route(GET, "/path/{node_id}", self._path_route)
 
     def translate(self):
         return translate_sim(self.store, self.entity_id)
@@ -177,17 +174,6 @@ class SimProxy(DatabaseProxy):
         if self.bounds is not None:
             descriptor["bounds"] = self.bounds.to_list()
         return descriptor
-
-    def _service_points_route(self, request: Request) -> Response:
-        return ok({"service_points": self.store.service_points()})
-
-    def _path_route(self, request: Request) -> Response:
-        node_id = request.path_params["node_id"]
-        try:
-            path = self.store.path_to_plant(node_id)
-        except UnknownEntityError as exc:
-            return error(404, str(exc))
-        return ok({"path": path})
 
 
 class GisProxy(DatabaseProxy):

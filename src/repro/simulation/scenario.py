@@ -51,7 +51,6 @@ class ScenarioConfig:
     devices_per_building: int = 5
     n_networks: int = 1
     net_jitter: float = 0.1
-    radio_loss: float = 0.0
     retention: Optional[float] = 7 * 86400.0
     start_devices: bool = True
     office_fraction: float = 0.5
@@ -77,11 +76,6 @@ class ScenarioConfig:
     #: time.  The default keeps it off: the hot loop pays one None
     #: check per event.
     profile: bool = False
-    #: run the scheduler in reference mode — the seed-shape dispatch
-    #: loop (unfused run_until, no tombstone compaction).  Semantics
-    #: are identical to the fast path; the determinism twin test runs
-    #: the same scenario both ways and asserts it.
-    reference_scheduler: bool = False
     #: where the master's state lives and who follows it (see
     #: :class:`~repro.storage.durability.HubConfig`): a
     #: ``snapshot_path`` makes a restarted master recover its ontology
@@ -252,7 +246,7 @@ def _deploy_hubs(config: ScenarioConfig) -> Federation:
     district on them and :func:`deploy_federation` several.
     """
     network = Network(
-        Scheduler(reference=config.reference_scheduler),
+        Scheduler(),
         latency=LatencyModel(jitter=config.net_jitter, seed=config.seed),
         seed=config.seed,
     )
@@ -505,7 +499,6 @@ def _deploy_devices(deployment: DeployedDistrict, prefix: str) -> None:
             device = build_device(spec, dataset)
             link = RadioLink(
                 deployment.scheduler,
-                loss=config.radio_loss,
                 seed=config.seed + len(deployment.firmwares),
             )
             proxy.attach_device(device, link)

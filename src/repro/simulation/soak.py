@@ -57,9 +57,6 @@ class SoakConfig:
     churn_period: float = 120.0
     #: install the hot-loop profiler on the deployment
     profile: bool = False
-    #: run on the reference (seed-shape) scheduler path instead of the
-    #: fast path — the determinism twin's comparison knob
-    reference_scheduler: bool = False
 
 
 @dataclass
@@ -100,7 +97,6 @@ def _scenario(config: SoakConfig) -> ScenarioConfig:
         peer_keepalive=120.0,
         proxy_batching=BatchConfig(max_samples=25, max_age=10.0),
         profile=config.profile,
-        reference_scheduler=config.reference_scheduler,
     )
 
 

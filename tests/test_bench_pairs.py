@@ -157,3 +157,24 @@ def test_exact_exits_1_and_names_the_value_that_moved(monkeypatch, capsys):
     assert "ingest_batched seed 29 trace 1: 2 values, 1 differ" in out
     assert "  broker.calls: 120.0 -> 121.0" in out
     assert "differing values: 1" in out
+
+
+def test_runs_use_a_copy_taken_at_start(tmp_path):
+    # an edit to the checkout during a long --exact run must not reach
+    # the runs still to come
+    checkout = tmp_path / "checkout"
+    files = {"src/repro/loop.py": "FAST = True\n",
+             "benchmarks/district/run.py": "print('run')\n",
+             "benchmarks/district/out/trace_area_query.json": "{}\n",
+             "benchmarks/bench_other.py": "\n",
+             "BENCHMARK.json": "{}\n"}
+    for name, text in files.items():
+        (checkout / name).parent.mkdir(parents=True, exist_ok=True)
+        (checkout / name).write_text(text)
+    copy = bench_pairs.snapshot(checkout, tmp_path / "copy")
+    (checkout / "src/repro/loop.py").write_text("FAST = False\n")
+    assert (copy / "src/repro/loop.py").read_text() == "FAST = True\n"
+    assert (copy / "benchmarks/district/run.py").is_file()
+    assert (copy / "BENCHMARK.json").is_file()
+    assert not (copy / "benchmarks/district/out").exists()
+    assert not (copy / "benchmarks/bench_other.py").exists()

@@ -3,10 +3,10 @@
 PR 10 rebuilt the DES hot loops (fused dispatch, tombstone compaction,
 structural size estimation, route tables, match caches).  None of that
 may change *what* a run computes — only how fast.  These tests run the
-same short soak workload on the reference (seed-shape) scheduler path
-and on the fast path, and assert the observable outcomes are identical:
-event counts, message counts, ingest totals, and the /metrics the
-master and broker report.  A second twin asserts the hot-loop profiler
+same short soak workload on the reference (seed-shape) scheduler loop
+of ``tests/reference_loop.py`` and on the fast loop, and assert the
+observable outcomes are identical: event counts, message counts,
+ingest totals, and the /metrics the master and broker report.  A second twin asserts the hot-loop profiler
 observes a run without perturbing it.
 """
 
@@ -20,6 +20,7 @@ from repro.simulation.scenario import ScenarioConfig, deploy
 from repro.simulation.soak import SoakConfig, run_soak
 from repro.storage.durability import DurabilityConfig
 from repro.storage.query import RollupQuery
+from tests.reference_loop import ReferenceScheduler, reference_loop
 
 #: short but non-trivial: covers registrations + heartbeats, batched
 #: ingest, resolves, pub/sub churn and at least one compaction-worthy
@@ -118,7 +119,9 @@ def _golden(result):
 class TestSchedulerTwin:
     def test_fast_path_matches_reference_scheduler(self):
         fast = run_soak(SoakConfig(**_TWIN))
-        reference = run_soak(SoakConfig(**_TWIN, reference_scheduler=True))
+        with reference_loop():
+            reference = run_soak(SoakConfig(**_TWIN))
+        assert type(reference.deployment.scheduler) is ReferenceScheduler
         assert _fingerprint(fast) == _fingerprint(reference)
         assert _golden(fast) == _golden(reference) == _TWIN_GOLDEN
         assert fast.deployment.scheduler.compactions >= 0
@@ -192,8 +195,8 @@ class TestDurableIngestTwin:
         assert fast["wal_fsyncs"] < fast["wal_appends"] == fast["acked"]
         assert fast["snapshots"] >= 2 and fast["redeliveries"] == 0
         assert self.fingerprint(tmp_path, "again") == fast
-        assert self.fingerprint(tmp_path, "reference",
-                                reference_scheduler=True) == fast
+        with reference_loop():
+            assert self.fingerprint(tmp_path, "reference") == fast
 
 
 class TestReadPathGolden:

@@ -5,17 +5,25 @@ stored sample is still a valid measurement) and never wedge (queries
 keep answering).
 """
 
+from functools import partial
+
 import pytest
 
+from repro.devices.firmware import RadioLink
 from repro.ontology import AreaQuery
-from repro.simulation import ScenarioConfig, deploy
+from repro.simulation import ScenarioConfig, deploy, scenario
 
 
 @pytest.fixture(scope="module")
 def lossy_radio_district():
-    d = deploy(ScenarioConfig(seed=61, n_buildings=3,
-                              devices_per_building=3, n_networks=0,
-                              radio_loss=0.3, net_jitter=0.0))
+    # every radio link loses 30 % of its frames from the first one on:
+    # deploy() already sends a frame, so setting link.loss afterwards
+    # would skip that frame's draw and shift the links' loss streams
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario, "RadioLink", partial(RadioLink, loss=0.3))
+        d = deploy(ScenarioConfig(seed=61, n_buildings=3,
+                                  devices_per_building=3, n_networks=0,
+                                  net_jitter=0.0))
     d.run(1800.0)
     return d
 

@@ -378,18 +378,10 @@ class TestDatabaseProxies:
         response = client.get(proxy.uri.rstrip("/") + "/model")
         model = serialization.decode(response.body["document"], "json")
         assert model.entity_type == "network"
-        points = client.get(
-            proxy.uri.rstrip("/") + "/service-points"
-        ).body["service_points"]
-        assert points
-        consumer = next(iter(points))
-        path = client.get(
-            proxy.uri.rstrip("/") + f"/path/{consumer}"
-        ).body["path"]
-        assert path[0] == consumer and path[-1] == "n-plant"
-        missing = client.call(proxy.uri.rstrip("/") + "/path/ghost",
-                              check=False)
-        assert missing.status == 404
+        # the service points travel in the model as "serves" relations
+        serves = {r.subject: r.object for r in model.relations
+                  if r.relation == "serves"}
+        assert serves and serves == spec.sim.service_points()
 
     def test_gis_proxy_routes(self, net):
         district = synthesize_district(seed=1, n_buildings=4)

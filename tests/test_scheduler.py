@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.network.scheduler import Scheduler
+from repro.observability.profiler import SimProfiler
+from tests.reference_loop import ReferenceScheduler
 
 
 class TestScheduling:
@@ -151,7 +153,7 @@ class TestPeriodicTask:
     def test_run_until_idle_budget_spent_on_an_idle_queue(self, reference):
         # regression: exactly max_events one-shot events drained the
         # queue and still raised, because only the count was tested
-        sched = Scheduler(reference=reference)
+        sched = ReferenceScheduler() if reference else Scheduler()
         fired = []
         for delay in (1.0, 2.0, 3.0):
             sched.schedule(delay, fired.append, delay)
@@ -222,8 +224,9 @@ class TestTombstoneCompaction:
         assert sched.pending == 0
 
     def test_reference_and_fast_path_fire_identically(self):
-        def run(reference):
-            sched = Scheduler(reference=reference)
+        def run(sched, profiled=False, stepped=False):
+            if profiled:
+                sched.profiler = SimProfiler(sched)
             sched.compact_threshold = 4
             fired = []
             for i in range(60):
@@ -233,10 +236,17 @@ class TestTombstoneCompaction:
             task = sched.every(2.0, lambda: fired.append("tick"))
             sched.run_until(9.0)
             task.stop()
-            sched.run_until_idle()
+            if stepped:
+                while sched.step():
+                    pass
+            else:
+                sched.run_until_idle()
             return fired, sched.events_processed, sched.now
 
-        assert run(False) == run(True)
+        reference = run(ReferenceScheduler())
+        assert run(Scheduler()) == reference
+        assert run(Scheduler(), profiled=True) == reference
+        assert run(Scheduler(), stepped=True) == reference
 
 
 class TestPeriodicTaskErrors:
