@@ -85,7 +85,6 @@ def _deploy(tmp_path, tag):
     """One deployment per arm, identical but for its state files."""
     config = ScenarioConfig(
         seed=SEED, n_buildings=1, devices_per_building=1,
-        start_devices=False,          # exact accounting: bench feed only
         net_jitter=0.0,
         publish_buffer=4096, peer_keepalive=30.0,
         mdb_durability=DurabilityConfig(
@@ -96,7 +95,9 @@ def _deploy(tmp_path, tag):
             dedup_window=4 * BATCH * N_DEVICES,
         ),
     )
-    return deploy(config)
+    deployment = deploy(config)
+    deployment.stop_devices()         # exact accounting: bench feed only
+    return deployment
 
 
 def _feeder(deployment):

@@ -100,7 +100,6 @@ class BenchPublisher:
 def _deploy(tmp_path):
     config = ScenarioConfig(
         seed=SEED, n_buildings=1, devices_per_building=1,
-        start_devices=False,          # exact accounting: bench pubs only
         net_jitter=0.0, observability=True,
         publish_buffer=256, peer_keepalive=2.0, heartbeat_period=30.0,
         mdb_durability=DurabilityConfig(
@@ -115,7 +114,9 @@ def _deploy(tmp_path):
             publisher_quota=16, retry_after=2.0,
         ),
     )
-    return deploy(config)
+    deployment = deploy(config)
+    deployment.stop_devices()         # exact accounting: bench pubs only
+    return deployment
 
 
 def _churn_and_flood(tmp_path):

@@ -124,8 +124,6 @@ ALLOW: Dict[str, str] = {
              "(ROADMAP standing rider)",
              *(f"route: {path} (GET, repro.{module}; tests only)"
                for path, module in (
-                   ("/devices", "storage.measurementdb"),
-                   ("/freshness/{device_id}", "storage.measurementdb"),
                    ("/measurements", "storage.measurementdb"),
                    ("/entity/{entity_id}", "baselines.centralized"),
                    ("/measurements", "baselines.centralized"),

@@ -304,8 +304,8 @@ def deploy_centralized(dataset: DistrictDataset,
                        seed: int = 0,
                        radio_latency: float = 0.01,
                        net_jitter: float = 0.1,
-                       sync_period: Optional[float] = 3600.0,
-                       start_devices: bool = True) -> CentralizedDeployment:
+                       sync_period: Optional[float] = 3600.0
+                       ) -> CentralizedDeployment:
     """Deploy the same district on the centralized architecture."""
     from repro.simulation.scenario import build_device
 
@@ -339,8 +339,7 @@ def deploy_centralized(dataset: DistrictDataset,
             gateway.attach_device(device, link)
             firmware = DeviceFirmware(device, make_adapter(protocol), link,
                                       scheduler)
-            if start_devices:
-                firmware.start()
+            firmware.start()
             deployment.firmwares.append(firmware)
         deployment.gateways.append(gateway)
     deployment.sync_models()

@@ -16,7 +16,6 @@ from repro.devices.catalog import (
     smart_plug,
 )
 from repro.devices.energy import (
-    DeviceEnergyModel,
     EnergyBudget,
     budget_for_protocol,
     fleet_energy_report,
@@ -47,7 +46,6 @@ __all__ = [
     "ClampedProfile",
     "ConstantProfile",
     "DailyShapeProfile",
-    "DeviceEnergyModel",
     "DeviceFirmware",
     "EnergyBudget",
     "EnergyCounter",

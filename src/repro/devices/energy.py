@@ -7,13 +7,14 @@ installation costs", with "energy storage and/or harvesting devices"
 among the building blocks.  This module models exactly that concern:
 
 * :class:`EnergyBudget` — a device's battery capacity, harvesting
-  income and per-operation costs (radio TX per byte, sensor sampling);
-* :class:`DeviceEnergyModel` — attached to a
-  :class:`~repro.devices.firmware.DeviceFirmware`, it meters every
-  transmission and sample, accrues harvest, exposes state of charge and
-  projects battery lifetime;
-* :func:`fleet_energy_report` — ranks a deployment's devices by
-  projected lifetime, the maintenance-planning view.
+  income and per-operation costs (radio TX per byte, sensor sampling),
+  and the arithmetic that prices a device's work: net battery draw,
+  state of charge and projected lifetime;
+* :func:`fleet_energy_report` — prices the counters every
+  :class:`~repro.devices.firmware.DeviceFirmware` already keeps
+  (samples taken, bytes sent, seconds powered) and ranks a deployment's
+  devices by projected lifetime, the maintenance-planning view.  Spend
+  is linear in the counts, so nothing meters a running device.
 
 Typical budgets (orders of magnitude from coin-cell WSN practice):
 a CR2032 holds ~2.3 kJ; an 802.15.4 TX costs on the order of a µJ per
@@ -23,8 +24,9 @@ byte; EnOcean devices harvest more than they spend (infinite autonomy).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List
 
+from repro.devices.firmware import DeviceFirmware
 from repro.errors import ConfigurationError
 
 #: default budgets per protocol (battery J, harvest mW, uJ/byte, uJ/sample)
@@ -45,6 +47,40 @@ class EnergyBudget:
         if self.battery_joules < 0 or self.harvest_milliwatts < 0:
             raise ConfigurationError("energy budget cannot be negative")
 
+    def net_spent_joules(self, samples: int, bytes_sent: int,
+                         seconds: float) -> float:
+        """Battery energy drawn by *samples* acquisitions and
+        *bytes_sent* radio bytes over *seconds* powered (harvest
+        offsets spend)."""
+        spent = (self.idle_microwatts * 1e-6 * seconds
+                 + self.sample_microjoules * 1e-6 * samples
+                 + self.tx_microjoules_per_byte * 1e-6 * bytes_sent)
+        harvested = self.harvest_milliwatts * 1e-3 * seconds
+        return max(spent - harvested, 0.0)
+
+    def state_of_charge(self, net: float) -> float:
+        """Remaining battery fraction in [0, 1] after drawing *net* J."""
+        if self.battery_joules == float("inf"):
+            return 1.0
+        if self.battery_joules <= 0:
+            return 0.0
+        remaining = self.battery_joules - net
+        return min(max(remaining / self.battery_joules, 0.0), 1.0)
+
+    def projected_lifetime_days(self, net: float, seconds: float) -> float:
+        """Days until the battery empties at the drain of *net* J per
+        *seconds*.
+
+        Infinite for mains or harvest-positive devices.
+        """
+        drain = net / max(seconds, 1e-9)
+        if drain <= 0.0 or self.battery_joules == float("inf"):
+            return float("inf")
+        remaining = self.battery_joules - net
+        if remaining <= 0:
+            return 0.0
+        return remaining / drain / 86400.0
+
 
 PROTOCOL_BUDGETS.update({
     # two AA cells on a metering node
@@ -64,78 +100,6 @@ PROTOCOL_BUDGETS.update({
                         tx_microjoules_per_byte=0.8,
                         sample_microjoules=30.0, idle_microwatts=3.0),
 })
-
-
-class DeviceEnergyModel:
-    """Meters one device's energy use over simulated time."""
-
-    def __init__(self, budget: EnergyBudget, start_time: float = 0.0):
-        self.budget = budget
-        self.spent_joules = 0.0
-        self.harvested_joules = 0.0
-        self.bytes_sent = 0
-        self.frames_sent = 0
-        self.samples_taken = 0
-        self._start_time = start_time
-        self._last_time = start_time
-
-    # -- metering hooks (called by the firmware) ---------------------------
-
-    def _accrue(self, now: float) -> None:
-        elapsed = max(now - self._last_time, 0.0)
-        self.harvested_joules += \
-            self.budget.harvest_milliwatts * 1e-3 * elapsed
-        self.spent_joules += self.budget.idle_microwatts * 1e-6 * elapsed
-        self._last_time = now
-
-    def on_transmit(self, frame_bytes: int, now: float) -> None:
-        """Account for one radio transmission."""
-        self._accrue(now)
-        self.frames_sent += 1
-        self.bytes_sent += frame_bytes
-        self.spent_joules += \
-            self.budget.tx_microjoules_per_byte * 1e-6 * frame_bytes
-
-    def on_sample(self, count: int, now: float) -> None:
-        """Account for *count* sensor acquisitions."""
-        self._accrue(now)
-        self.samples_taken += count
-        self.spent_joules += self.budget.sample_microjoules * 1e-6 * count
-
-    # -- analysis ------------------------------------------------------------
-
-    def net_spent_joules(self, now: Optional[float] = None) -> float:
-        """Battery energy drawn so far (harvest offsets spend)."""
-        if now is not None:
-            self._accrue(now)
-        return max(self.spent_joules - self.harvested_joules, 0.0)
-
-    def state_of_charge(self, now: Optional[float] = None) -> float:
-        """Remaining battery fraction in [0, 1]."""
-        if self.budget.battery_joules == float("inf"):
-            return 1.0
-        if self.budget.battery_joules <= 0:
-            return 0.0
-        remaining = self.budget.battery_joules - self.net_spent_joules(now)
-        return min(max(remaining / self.budget.battery_joules, 0.0), 1.0)
-
-    def average_power_watts(self, now: float) -> float:
-        """Mean net drain since attachment (0 for harvest-positive)."""
-        elapsed = max(now - self._start_time, 1e-9)
-        return self.net_spent_joules(now) / elapsed
-
-    def projected_lifetime_days(self, now: float) -> float:
-        """Days until the battery empties at the observed drain rate.
-
-        Infinite for mains or harvest-positive devices.
-        """
-        drain = self.average_power_watts(now)
-        if drain <= 0.0 or self.budget.battery_joules == float("inf"):
-            return float("inf")
-        remaining = self.budget.battery_joules - self.net_spent_joules(now)
-        if remaining <= 0:
-            return 0.0
-        return remaining / drain / 86400.0
 
 
 def budget_for_protocol(protocol: str) -> EnergyBudget:
@@ -159,19 +123,23 @@ class FleetEnergyRow:
     frames_sent: int
 
 
-def fleet_energy_report(models: Dict[str, DeviceEnergyModel],
-                        protocols: Dict[str, str],
+def fleet_energy_report(firmwares: Iterable[DeviceFirmware],
                         now: float) -> List[FleetEnergyRow]:
-    """Rank devices by projected lifetime, shortest first."""
-    rows = [
-        FleetEnergyRow(
-            device_id=device_id,
-            protocol=protocols.get(device_id, "?"),
-            state_of_charge=model.state_of_charge(now),
-            projected_lifetime_days=model.projected_lifetime_days(now),
-            frames_sent=model.frames_sent,
-        )
-        for device_id, model in models.items()
-    ]
+    """Price each firmware's counters at *now*; shortest lifetime first."""
+    rows = []
+    for firmware in firmwares:
+        device = firmware.device
+        budget = budget_for_protocol(device.protocol)
+        seconds = now - firmware.powered_at
+        net = budget.net_spent_joules(firmware.samples_taken,
+                                      firmware.bytes_sent, seconds)
+        rows.append(FleetEnergyRow(
+            device_id=device.device_id,
+            protocol=device.protocol,
+            state_of_charge=budget.state_of_charge(net),
+            projected_lifetime_days=budget.projected_lifetime_days(
+                net, seconds),
+            frames_sent=firmware.frames_sent,
+        ))
     rows.sort(key=lambda r: r.projected_lifetime_days)
     return rows

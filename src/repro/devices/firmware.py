@@ -9,7 +9,10 @@ channels by sampling period, periodically reads the profiles, encodes
 protocol frames and transmits them uplink; downlink it decodes actuation
 commands addressed to its device, applies them, and immediately reports
 the affected channels (the post-command attribute report real devices
-send, which the proxy uses to confirm actuation).
+send, which the proxy uses to confirm actuation).  It counts its own
+work — ``samples_taken``, ``frames_sent``, ``bytes_sent`` since
+``powered_at`` — which :func:`~repro.devices.energy.fleet_energy_report`
+prices against the protocol's energy budget.
 """
 
 from __future__ import annotations
@@ -103,17 +106,14 @@ class DeviceFirmware:
         self.adapter = adapter
         self.link = link
         self.scheduler = scheduler
+        self.powered_at = scheduler.now
+        self.samples_taken = 0
         self.frames_sent = 0
+        self.bytes_sent = 0
         self.commands_applied = 0
         self.commands_rejected = 0
-        #: optional DeviceEnergyModel metering this node's budget
-        self.energy_model = None
         self._tasks: List[PeriodicTask] = []
         link.attach_device(self._on_downlink)
-
-    def attach_energy_model(self, model) -> None:
-        """Meter this device's sampling and transmissions on *model*."""
-        self.energy_model = model
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -155,8 +155,7 @@ class DeviceFirmware:
         readings = [
             (q, self.device.channel(q).read(now)) for q in quantities
         ]
-        if self.energy_model is not None:
-            self.energy_model.on_sample(len(readings), now)
+        self.samples_taken += len(readings)
         self._transmit(readings, now)
 
     def _transmit(self, readings: List[Tuple[str, float]], now: float
@@ -182,8 +181,7 @@ class DeviceFirmware:
                 raise failed
             return
         self.frames_sent += 1
-        if self.energy_model is not None:
-            self.energy_model.on_transmit(len(frame), now)
+        self.bytes_sent += len(frame)
         self.link.uplink(frame)
 
     # -- downlink ----------------------------------------------------------------

@@ -322,12 +322,11 @@ class EnergyCounter:
     lazily between query times so firmware can read "the counter now".
     """
 
-    def __init__(self, power: Profile, start_time: float = 0.0,
-                 step: float = 300.0):
+    def __init__(self, power: Profile, step: float = 300.0):
         if step <= 0:
             raise ConfigurationError("integration step must be positive")
         self.power = power
-        self._last_time = start_time
+        self._last_time = 0.0
         self._total_wh = 0.0
         self._step = step
 

@@ -65,14 +65,18 @@ BROKER_PORT = "pubsub"
 DEAD_LETTER_PREFIX = "deadletter"
 
 
-@dataclass(slots=True)
+@dataclass
 class Event:
     """A pub/sub event as seen by a subscriber.
 
     Treated as immutable by convention; one is built per fan-out
     delivery, so construction stays on the plain dataclass path
-    (``frozen=True`` pays ``object.__setattr__`` per field).
+    (``frozen=True`` pays ``object.__setattr__`` per field).  The slots
+    are spelled out because ``dataclass(slots=True)`` needs Python 3.10.
     """
+
+    __slots__ = ("topic", "payload", "published_at", "delivered_at",
+                 "publisher", "retained")
 
     topic: str
     payload: Any
@@ -80,7 +84,7 @@ class Event:
     delivered_at: float
     publisher: str
     #: True when this is a stored last-value replayed at subscribe time
-    retained: bool = False
+    retained: bool
 
 
 @dataclass

@@ -164,14 +164,19 @@ def estimate_size(payload: Any) -> int:
         return 256  # opaque object: charge a flat envelope size
 
 
-@dataclass(slots=True)
+@dataclass
 class Message:
     """A delivered transport message.
 
     Treated as immutable by convention; built once per delivery, so the
     constructor stays on the plain (non-``frozen``) dataclass path —
     ``frozen=True`` pays ``object.__setattr__`` per field per message.
+    The slots are spelled out because ``dataclass(slots=True)`` needs
+    Python 3.10.
     """
+
+    __slots__ = ("sender", "recipient", "port", "payload", "size",
+                 "sent_at", "delivered_at")
 
     sender: str
     recipient: str

@@ -23,7 +23,7 @@ from repro.datasources.generators import (
 )
 from repro.devices import catalog
 from repro.devices.base import SimulatedDevice
-from repro.devices.energy import DeviceEnergyModel, budget_for_protocol
+from repro.devices.energy import FleetEnergyRow, fleet_energy_report
 from repro.devices.firmware import DeviceFirmware, RadioLink
 from repro.errors import ConfigurationError
 from repro.middleware.broker import Broker, BrokerOverloadConfig
@@ -52,7 +52,6 @@ class ScenarioConfig:
     n_networks: int = 1
     net_jitter: float = 0.1
     retention: Optional[float] = 7 * 86400.0
-    start_devices: bool = True
     office_fraction: float = 0.5
     #: when set, every proxy renews its registration with this period
     #: (simulated s) under a lease of :data:`LEASE_FACTOR` periods, and
@@ -136,8 +135,6 @@ class DeployedDistrict:
         field(default_factory=dict)
     firmwares: List[DeviceFirmware] = field(default_factory=list)
     devices: Dict[str, SimulatedDevice] = field(default_factory=dict)
-    energy_models: Dict[str, "DeviceEnergyModel"] = \
-        field(default_factory=dict)
     #: the deployed fleet monitor, None unless configured
     fleet: Optional[FleetMonitor] = None
 
@@ -165,14 +162,9 @@ class DeployedDistrict:
         """The network's hot-loop profiler, or None when not installed."""
         return self.network.profiler
 
-    def energy_report(self):
+    def energy_report(self) -> List[FleetEnergyRow]:
         """Fleet energy standing, shortest projected lifetime first."""
-        from repro.devices.energy import fleet_energy_report
-
-        protocols = {d.device_id: d.protocol
-                     for d in self.dataset.devices}
-        return fleet_energy_report(self.energy_models, protocols,
-                                   self.scheduler.now)
+        return fleet_energy_report(self.firmwares, self.scheduler.now)
 
     def run(self, duration: float) -> None:
         """Advance the whole deployment by *duration* simulated seconds."""
@@ -504,14 +496,7 @@ def _deploy_devices(deployment: DeployedDistrict, prefix: str) -> None:
             proxy.attach_device(device, link)
             firmware = DeviceFirmware(device, make_adapter(protocol), link,
                                       deployment.scheduler)
-            energy_model = DeviceEnergyModel(
-                budget_for_protocol(protocol),
-                start_time=deployment.scheduler.now,
-            )
-            firmware.attach_energy_model(energy_model)
-            deployment.energy_models[spec.device_id] = energy_model
-            if config.start_devices:
-                firmware.start()
+            firmware.start()
             deployment.firmwares.append(firmware)
             deployment.devices[spec.device_id] = device
         register(proxy, deployment.master_uris, config.heartbeat_period)

