@@ -128,12 +128,15 @@ ALLOW: Dict[str, str] = {
                    ("/entity/{entity_id}", "baselines.centralized"),
                    ("/measurements", "baselines.centralized"),
                    ("/spaces", "proxies.database_proxy"),
-                   ("/record/{guid}", "proxies.database_proxy"),
-                   ("/features", "proxies.database_proxy"),
-                   ("/locate", "proxies.database_proxy")))),
+                   ("/record/{guid}", "proxies.database_proxy")))),
     **_allow("public helper only its own unit tests call; " + _FLOOR,
              "definition: repro.common.units.integrate_power_to_energy "
              "(tests only)"),
+    **_allow("the GIS store's spatial queries, whose only callers were "
+             "the proxy's /features and /locate routes; to be deleted "
+             "with their tests (ROADMAP standing rider)",
+             "definition: repro.datasources.gis.query_bbox (tests only)",
+             "definition: repro.datasources.gis.query_point (tests only)"),
 }
 
 

@@ -5,7 +5,7 @@ envelope carrying many samples — instead of publishing one envelope per
 sample.  Each sample inside a frame is encoded as a single text line in
 an InfluxDB-line-protocol-inspired grammar::
 
-    <quantity>,device=<id>,entity=<id>[,source=<s>][,protocol=<p>] \
+    <quantity>,device=<id>[,entity=<id>][,source=<s>][,protocol=<p>] \
 value=<float>[,seq=<int>] <timestamp>
 
 i.e. a *measurement name* (the CDF quantity), a comma-separated tag
@@ -13,9 +13,16 @@ set, a field set, and the sample timestamp in simulated seconds.  Tag
 values escape ``\\``, `` ``, ``,`` and ``=`` with a backslash so device
 ids containing delimiters round-trip.
 
-The frame itself is a plain dict (the pub/sub payload)::
+The frame itself is a plain dict (the pub/sub payload) that carries
+once, in ``tags``, each of ``entity``, ``source`` and ``protocol`` whose
+value all its lines share — on a Device-proxy's frame, all three::
 
-    {"record": "measurement_batch", "count": N, "lines": [<line>, ...]}
+    {"record": "measurement_batch", "count": N,
+     "tags": {"entity": <id>, "source": <s>, "protocol": <p>},
+     "lines": [<line without those tags>, ...]}
+
+A decoded line's tags start from ``tags``, and a tag the line carries
+itself wins.  Header values are JSON strings, so they need no escapes.
 
 The full wire contract — flush thresholds, topic layout, idempotency
 keys, how frames interact with the WAL — is documented in
@@ -24,7 +31,7 @@ keys, how frames interact with the WAL — is documented in
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.cdf import Measurement
 from repro.errors import SerializationError
@@ -95,34 +102,49 @@ def _unescape(text: str) -> str:
     return "".join(out)
 
 
-def encode_line(measurement: Measurement) -> str:
+#: the tags a frame header may carry, as :func:`_tag_values` orders them
+_HOISTED = ("entity", "source", "protocol")
+_NO_TAGS: Mapping[str, str] = {}
+
+
+def _tag_values(measurements: Sequence[Measurement]
+                ) -> List[Tuple[str, str, Any]]:
+    return [(m.entity_id, m.source, m.metadata.get("protocol"))
+            for m in measurements]
+
+
+def _tag_text(values: Sequence[Any], kept: Sequence[int]) -> str:
+    """The line text of the tags at *kept*; empty values are left out."""
+    return "".join(f",{_HOISTED[i]}={_escape(values[i])}"
+                   for i in kept if values[i])
+
+
+def encode_line(measurement: Measurement,
+                tags: Optional[str] = None) -> str:
     """Encode one measurement as a line-protocol line.
 
-    Only the metadata keys the ingest contract depends on travel in the
-    line: ``seq`` (the idempotency key component, as a field) and
-    ``protocol`` (as a tag).  Other metadata stays proxy-local.
+    *tags* is the line text of its tags besides ``device`` (what
+    :func:`encode_frame` leaves on a frame's lines); None writes all.
+    Of the metadata only ``seq`` (a field, part of the idempotency key)
+    and ``protocol`` (a tag) travel; the rest stays proxy-local.
     """
-    tags = [
-        f"device={_escape(measurement.device_id)}",
-        f"entity={_escape(measurement.entity_id)}",
-    ]
-    if measurement.source:
-        tags.append(f"source={_escape(measurement.source)}")
-    protocol = measurement.metadata.get("protocol") \
-        if isinstance(measurement.metadata, dict) else None
-    if protocol:
-        tags.append(f"protocol={_escape(protocol)}")
-    fields = [f"value={float(measurement.value)!r}"]
-    seq = measurement.metadata.get("seq") \
-        if isinstance(measurement.metadata, dict) else None
-    if seq is not None:
-        fields.append(f"seq={int(seq)}")
-    return (f"{_escape(measurement.quantity)},{','.join(tags)} "
-            f"{','.join(fields)} {float(measurement.timestamp)!r}")
+    if tags is None:
+        tags = _tag_text(_tag_values([measurement])[0], (0, 1, 2))
+    seq = measurement.metadata.get("seq")
+    fields = f"value={float(measurement.value)!r}" if seq is None else \
+        f"value={float(measurement.value)!r},seq={int(seq)}"
+    return (f"{_escape(measurement.quantity)},"
+            f"device={_escape(measurement.device_id)}{tags} "
+            f"{fields} {float(measurement.timestamp)!r}")
 
 
-def decode_line(line: str) -> Measurement:
-    """Decode one line-protocol line back into a :class:`Measurement`."""
+def decode_line(line: str, header: Mapping[str, str] = _NO_TAGS
+                ) -> Measurement:
+    """Decode one line-protocol line back into a :class:`Measurement`.
+
+    Its tags start from *header*, the ``tags`` of the frame it came in;
+    a tag the line carries itself wins.
+    """
     if not isinstance(line, str) or not line.strip():
         raise SerializationError(f"empty line-protocol line {line!r}")
     sections = _split_escaped(line.strip(), " ")
@@ -134,7 +156,7 @@ def decode_line(line: str) -> Measurement:
     head, field_text, stamp_text = sections
     head_parts = _split_escaped(head, ",")
     quantity = _unescape(head_parts[0])
-    tags: Dict[str, str] = {}
+    tags = dict(header)
     for part in head_parts[1:]:
         pieces = _split_escaped(part, "=")
         if len(pieces) != 2:
@@ -172,6 +194,21 @@ def decode_line(line: str) -> Measurement:
     )
 
 
+def _encode_frame(measurements: Sequence[Measurement]) -> Dict[str, Any]:
+    rows = _tag_values(measurements)
+    first = rows[0] if rows else (None, None, None)
+    # the usual frame — one Device-proxy, one entity — hoists every tag
+    # and needs no per-column look
+    kept: Sequence[int] = () if rows.count(first) == len(rows) else \
+        [i for i in range(len(_HOISTED)) if len({row[i] for row in rows}) > 1]
+    lines = [encode_line(m, _tag_text(row, kept) if kept else "")
+             for m, row in zip(measurements, rows)]
+    header = {name: value for i, (name, value)
+              in enumerate(zip(_HOISTED, first)) if value and i not in kept}
+    return {"record": BATCH_RECORD, "count": len(lines), "tags": header,
+            "lines": lines}
+
+
 def encode_frame(measurements: Sequence[Measurement], *,
                  tracer: Any = None, host: str = "") -> Dict[str, Any]:
     """Encode measurements as one batch-frame pub/sub payload.
@@ -183,14 +220,11 @@ def encode_frame(measurements: Sequence[Measurement], *,
     this module sits below :mod:`repro.observability` and must not
     import from it.
     """
-    if tracer is not None:
-        with tracer.span("lineproto.encode_frame", kind="producer",
-                         host=host,
-                         attributes={"samples": len(measurements)}):
-            lines = [encode_line(m) for m in measurements]
-    else:
-        lines = [encode_line(m) for m in measurements]
-    return {"record": BATCH_RECORD, "count": len(lines), "lines": lines}
+    if tracer is None:
+        return _encode_frame(measurements)
+    with tracer.span("lineproto.encode_frame", kind="producer", host=host,
+                     attributes={"samples": len(measurements)}):
+        return _encode_frame(measurements)
 
 
 def decode_frame(payload: Any, *,
@@ -216,12 +250,15 @@ def decode_frame(payload: Any, *,
         raise SerializationError(
             f"batch frame count {declared!r} != {len(lines)} lines"
         )
-    if tracer is not None:
-        with tracer.span("lineproto.decode_frame", kind="consumer",
-                         host=host,
-                         attributes={"samples": len(lines)}):
-            return [decode_line(line) for line in lines]
-    return [decode_line(line) for line in lines]
+    header = payload.get("tags", _NO_TAGS)
+    if not isinstance(header, dict) or \
+            not set(map(type, header.values())) <= {str}:
+        raise SerializationError(f"bad batch frame header {header!r}")
+    if tracer is None:
+        return [decode_line(line, header) for line in lines]
+    with tracer.span("lineproto.decode_frame", kind="consumer", host=host,
+                     attributes={"samples": len(lines)}):
+        return [decode_line(line, header) for line in lines]
 
 
 def is_batch(payload: Any) -> bool:

@@ -73,16 +73,20 @@ class Event:
     delivery, so construction stays on the plain dataclass path
     (``frozen=True`` pays ``object.__setattr__`` per field).  The slots
     are spelled out because ``dataclass(slots=True)`` needs Python 3.10.
+
+    There is no publisher: no subscriber reads one, so a delivery does
+    not carry it (nor does an MQTT PUBLISH to a subscriber); a payload
+    that must name its origin does so itself, as a measurement's
+    ``source`` does.
     """
 
     __slots__ = ("topic", "payload", "published_at", "delivered_at",
-                 "publisher", "retained")
+                 "retained")
 
     topic: str
     payload: Any
     published_at: float
     delivered_at: float
-    publisher: str
     #: True when this is a stored last-value replayed at subscribe time
     retained: bool
 
@@ -340,7 +344,7 @@ class DeliverySettlement:
         self._release(delivery, handled=reason != "timeout")
         topic = f"{DEAD_LETTER_PREFIX}/{delivery.topic}"
         event = {"kind": "event", "topic": topic, "payload": dict(entry),
-                 "published_at": now, "publisher": host.name}
+                 "published_at": now}
         for sub_id, _delta, sub in self.state.subs.match(topic):
             if host.network.has_host(sub.subscriber):
                 self.stats.fanout_deliveries += 1
@@ -693,7 +697,6 @@ class Broker(StateMachine):
             "topic": topic,
             "payload": payload.get("payload"),
             "published_at": payload.get("published_at", 0.0),
-            "publisher": publisher,
         }
         span = None
         tracer = network.tracer

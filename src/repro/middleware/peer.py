@@ -495,12 +495,15 @@ class MiddlewarePeer:
         self.resubscribe_all()
 
     def _unsubscribe(self, subscription: Subscription) -> None:
-        if subscription.sub_id is not None:
-            self.host.send(
-                self.broker_host,
-                BROKER_PORT,
-                {"verb": "unsubscribe", "sub_id": subscription.sub_id},
-            )
+        """Cancel at the broker and forget *subscription* — once its
+        sub-ack has named its id; until then the sub-ack does both."""
+        sub_id = subscription.sub_id
+        if sub_id is not None:
+            self._by_token.pop(subscription.token, None)
+            if self._by_sub_id.get(sub_id) is subscription:
+                del self._by_sub_id[sub_id]
+            self.host.send(self.broker_host, BROKER_PORT,
+                           {"verb": "unsubscribe", "sub_id": sub_id})
 
     # -- inbound ----------------------------------------------------------
 
@@ -547,7 +550,6 @@ class MiddlewarePeer:
                 payload["payload"],
                 payload["published_at"],
                 now,
-                payload["publisher"],
                 True if payload.get("retained") else False,
             )
             span = None
@@ -584,14 +586,18 @@ class MiddlewarePeer:
             return
         if kind == "sub-ack":
             sub = self._by_token.get(payload.get("token"))
-            if sub is not None:
+            if sub is not None and sub.active:
                 if sub.sub_id is not None and sub.sub_id != payload["sub_id"]:
                     # broker restarted and assigned a fresh id
                     self._by_sub_id.pop(sub.sub_id, None)
                 sub.sub_id = payload["sub_id"]
                 self._by_sub_id[sub.sub_id] = sub
-                if not sub.active:  # unsubscribed before the ack landed
-                    self._unsubscribe(sub)
+            elif payload.get("sub_id") is not None:
+                # cancelled before this ack landed, or cancelled and
+                # forgotten while a resubscribe was in flight
+                self._by_token.pop(payload.get("token"), None)
+                self.host.send(self.broker_host, BROKER_PORT, {
+                    "verb": "unsubscribe", "sub_id": payload["sub_id"]})
             return
         if kind == "pub-ack":
             if self._pending_pubs.pop(payload.get("pub_id"), None) \

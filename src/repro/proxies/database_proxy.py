@@ -22,14 +22,9 @@ from repro.common.cdf import EntityModel
 from repro.common.serialization import JSON_FORMAT
 from repro.datasources.bim import BimStore
 from repro.datasources.geometry import BoundingBox
-from repro.datasources.gis import LAYER_BUILDINGS, GisStore
+from repro.datasources.gis import GisStore
 from repro.datasources.sim import SimStore
-from repro.errors import (
-    ConfigurationError,
-    QueryError,
-    TranslationError,
-    UnknownEntityError,
-)
+from repro.errors import TranslationError, UnknownEntityError
 from repro.network.transport import Host
 from repro.network.webservice import (
     GET,
@@ -185,10 +180,8 @@ class GisProxy(DatabaseProxy):
         super().__init__(host)
         self.store = store
         self.district_id = district_id
-        self.service.add_route(GET, "/features", self._features_route)
         self.service.add_route(GET, "/feature/{feature_id}",
                                self._feature_route)
-        self.service.add_route(GET, "/locate", self._locate_route)
 
     def translate_feature(self, feature_id: str, entity_id: str,
                           entity_type: Optional[str] = None):
@@ -203,35 +196,6 @@ class GisProxy(DatabaseProxy):
             "name": self.store.district_name,
         }
 
-    def _features_route(self, request: Request) -> Response:
-        layer = request.params.get("layer") or None
-        bbox_raw = request.params.get("bbox")
-        try:
-            if bbox_raw:
-                bbox = BoundingBox.from_list(
-                    [float(v) for v in bbox_raw.split(",")]
-                )
-                features = self.store.query_bbox(bbox, layer)
-            elif layer:
-                features = self.store.layer(layer)
-            else:
-                features = self.store.features()
-        except (ValueError, QueryError) as exc:
-            return error(400, f"bad features query: {exc}")
-        except ConfigurationError as exc:  # unknown layer
-            return error(400, str(exc))
-        return ok({
-            "features": [
-                {
-                    "feature_id": f.feature_id,
-                    "layer": f.layer,
-                    "wkt": f.wkt,
-                    "properties": f.properties,
-                }
-                for f in features
-            ]
-        })
-
     def _feature_route(self, request: Request) -> Response:
         try:
             feature = self.store.feature(request.path_params["feature_id"])
@@ -240,18 +204,3 @@ class GisProxy(DatabaseProxy):
         entity_id = request.params.get("entity_id", "bld-0000")
         return self._model_response(
             request, lambda: translate_gis_feature(feature, entity_id))
-
-    def _locate_route(self, request: Request) -> Response:
-        try:
-            x = float(request.params["x"])
-            y = float(request.params["y"])
-        except (KeyError, ValueError):
-            return error(400, "locate needs numeric x and y")
-        hits = self.store.query_point(x, y, LAYER_BUILDINGS)
-        return ok({
-            "features": [
-                {"feature_id": f.feature_id,
-                 "cadastral_id": f.properties.get("cadastral_id")}
-                for f in hits
-            ]
-        })

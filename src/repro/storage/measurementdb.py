@@ -181,9 +181,10 @@ class MeasurementDatabase(StateMachine, Registrant):
         """Parse a delivered payload or a replayed WAL record.
 
         Returns ``(parts, measurements)``, aligned: part *i* is what
-        the WAL keeps of sample *i* — its line of a batch frame, or the
-        whole envelope of a lone sample (a frame of one).  A poison
-        payload is counted and yields None.
+        the WAL keeps of sample *i* — its line of a batch frame (the
+        record keeps the frame's ``tags`` too), or the whole envelope
+        of a lone sample (a frame of one).  A poison payload is counted
+        and yields None.
         """
         try:
             if is_batch(payload):
@@ -265,6 +266,7 @@ class MeasurementDatabase(StateMachine, Registrant):
         fresh_parts = [part for part, _measurement in fresh.values()]
         self.journal.stage({"record": BATCH_RECORD,
                             "count": len(fresh_parts),
+                            "tags": event.payload.get("tags", {}),
                             "lines": fresh_parts}
                            if is_batch(event.payload) else fresh_parts[0])
         staged.update(fresh)

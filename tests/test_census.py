@@ -80,6 +80,7 @@ REMOVED = SECOND_HOLDERS + (
     "_step_profiled",
     "ScenarioConfig.start_devices", "DeviceEnergyModel",
     "attach_energy_model", "/freshness/{device_id}",
+    "/features", "/locate",
 )
 
 

@@ -165,6 +165,25 @@ class TestActuationEndToEnd:
         assert device.channel("setpoint").read(0.0) == 24.0
 
 
+    def test_answered_actuations_leave_no_subscription_behind(
+            self, district):
+        # each actuate(on_result=...) subscribes once for its result; a
+        # result that arrived must take its subscription with it
+        client = district.client("oneshot-user")
+        resolved = client.resolve(AreaQuery(district.district_id))
+        target = next(d for e in resolved.entities for d in e.devices
+                      if d.is_actuator and "setpoint" in d.quantities)
+        peer = client.peer
+        before = (len(peer._by_token), len(peer._by_sub_id))
+        results = []
+        for setpoint in (21.0, 22.0, 23.0, 24.0):
+            client.actuate(target, "setpoint", setpoint,
+                           on_result=results.append)
+            district.run(10.0)
+        assert [r.accepted for r in results] == [True] * 4
+        assert (len(peer._by_token), len(peer._by_sub_id)) == before
+
+
 class TestLiveSubscription:
     def test_client_receives_live_measurements(self, district):
         client = district.client("live-user")

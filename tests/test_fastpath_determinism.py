@@ -43,22 +43,26 @@ _TWIN = dict(
 #: (102 718 -> 102 638) when the resolve 304 lost its ``{"epoch": ...}``
 #: body: four revalidated resolves, 20 bytes each; and again (-> 102 008)
 #: when resolve answers named each Device-proxy once per run of devices
-#: and 304 / error replies lost their ``"body": null`` and 304 reason.
+#: and 304 / error replies lost their ``"body": null`` and 304 reason;
+#: and again (-> 94 865) when batch frames carried their shared tags
+#: once, in a header, and fan-out deliveries stopped naming the publisher.
 #: ``events_processed`` was re-recorded (673 -> 592, 224 -> 209) when a
 #: web request's processing delay moved onto its delivery: one event
 #: fewer per served request, every other value unchanged
 _TWIN_GOLDEN = {
     "events_processed": 592,
     "messages_total": 344,
-    "bytes_sent": 102008,
+    "bytes_sent": 94865,
     "samples_ingested": 57,
     "resolves": 5,
     "churn_events_received": 69,
 }
+#: ``bytes_sent`` was re-recorded (30 364 -> 29 204) with the batch frame
+#: header and the publisher-free fan-out envelope
 _DURABLE_GOLDEN = {
     "events_processed": 209,
     "messages_delivered": 84,
-    "bytes_sent": 30364,
+    "bytes_sent": 29204,
     "ingested": 36,
     "stored": 36,
     "wal_appends": 24,
@@ -76,12 +80,13 @@ _DURABLE_GOLDEN = {
 #: gained their ``"token"`` field: four cold model bodies, 58 bytes; and
 #: again (-> 192 460) when ``/data`` answers did: five cold bodies, 75 bytes;
 #: and again (-> 192 249) with the run-grouped resolve answer and the
-#: bodyless 304
+#: bodyless 304; and again (-> 177 848) with the batch frame header and
+#: the publisher-free fan-out envelope
 _READ_GOLDEN = {
     "answers": "d9c596dbfd6bd1ce3ede71b81d366d59"
                "a78d34a24dea81f2b6f337734f2e0f38",
     "sources": ["raw", "rollup:900"],
-    "bytes_sent": 192249,
+    "bytes_sent": 177848,
 }
 
 

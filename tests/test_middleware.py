@@ -35,7 +35,10 @@ class TestPublishSubscribe:
         assert len(events) == 1
         assert events[0].topic == "metrics/power"
         assert events[0].payload == {"w": 120}
-        assert events[0].publisher == "pub"
+        # a delivery names no publisher (no subscriber reads one): what
+        # the subscriber gets is the topic, the payload and the times
+        assert not events[0].retained
+        assert not hasattr(events[0], "publisher")
         assert events[0].delivered_at > events[0].published_at
 
     def test_non_matching_topic_not_delivered(self, net, broker):
@@ -96,6 +99,53 @@ class TestPublishSubscribe:
         publisher.publish("t/2", 2)
         net.scheduler.run_until_idle()
         assert [e.payload for e in events] == [1]
+        assert broker.subscription_count() == 0
+
+    def test_unsubscribe_forgets_the_subscription(self, net, broker):
+        # one-shot subscriptions (an actuation's result) must not pile
+        # up in the peer: each is dropped from both maps once cancelled
+        publisher = make_peer(net, "pub")
+        subscriber = make_peer(net, "sub")
+        before = (len(subscriber._by_token), len(subscriber._by_sub_id))
+        for i in range(5):
+            sub = subscriber.subscribe(f"t/{i}", lambda event: None)
+            net.scheduler.run_until_idle()
+            publisher.publish(f"t/{i}", i)
+            net.scheduler.run_until_idle()
+            assert sub.events_received == 1
+            sub.unsubscribe()
+            net.scheduler.run_until_idle()
+        assert (len(subscriber._by_token),
+                len(subscriber._by_sub_id)) == before
+        assert broker.subscription_count() == 0
+        assert subscriber.resubscribe_all() == 0
+
+    def test_unsubscribe_before_the_sub_ack_reaches_the_broker(
+            self, net, broker):
+        publisher = make_peer(net, "pub")
+        subscriber = make_peer(net, "sub")
+        events = []
+        subscriber.subscribe("t/#", events.append).unsubscribe()
+        assert subscriber._by_token  # kept until the sub-ack names its id
+        net.scheduler.run_until_idle()
+        assert broker.subscription_count() == 0
+        assert not subscriber._by_token and not subscriber._by_sub_id
+        publisher.publish("t/1", 1)
+        net.scheduler.run_until_idle()
+        assert events == []
+
+    def test_unsubscribe_racing_a_resubscribe_leaves_no_zombie(
+            self, net, broker):
+        # a keepalive resubscribe reaches a restarted broker, which
+        # subscribes afresh, while the cancel names the old id: the
+        # late sub-ack of a forgotten subscription is cancelled too
+        subscriber = make_peer(net, "sub")
+        sub = subscriber.subscribe("t/#", lambda event: None)
+        net.scheduler.run_until_idle()
+        broker.reset()
+        subscriber.resubscribe_all()
+        sub.unsubscribe()
+        net.scheduler.run_until_idle()
         assert broker.subscription_count() == 0
 
     def test_wildcard_and_literal_counters(self, net, broker):
@@ -376,6 +426,29 @@ class TestFanoutWireSize:
         payload, size = deliveries[0]
         assert "delivery_id" in payload
         assert size == estimate_size(payload)
+
+
+    def test_fanout_envelope_keys_are_pinned(self, net, broker):
+        # each fact a subscriber reads, once: no publisher rides along
+        # (nothing reads it); an acked delivery adds only its id
+        publisher = make_peer(net, "pub")
+        make_peer(net, "plain").subscribe("t/#", lambda e: None)
+        make_peer(net, "acked").subscribe("t/#", lambda e: None, ack=True)
+        net.scheduler.run_until_idle()
+        envelopes = {}
+        original_deliver = net._deliver
+
+        def spy(sender, recipient, port, payload, size, sent_at):
+            if isinstance(payload, dict) and payload.get("kind") == "event":
+                envelopes[recipient] = sorted(payload)
+            original_deliver(sender, recipient, port, payload, size, sent_at)
+
+        net._deliver = spy
+        publisher.publish("t/1", {"v": 1})
+        net.scheduler.run_until_idle()
+        plain = ["kind", "payload", "published_at", "sub_id", "topic"]
+        assert envelopes == {"plain": plain,
+                             "acked": sorted(plain + ["delivery_id"])}
 
 
 class TestAckedDeliveries:

@@ -384,16 +384,16 @@ class TestDatabaseProxies:
         assert serves and serves == spec.sim.service_points()
 
     def test_gis_proxy_routes(self, net):
+        # the proxy serves one route, a feature's model; listing the
+        # features is the store's own verb (the /features route went,
+        # nothing but tests asked for it)
         district = synthesize_district(seed=1, n_buildings=4)
         proxy = GisProxy(net.add_host("proxy-gis"), district.gis,
                          district.district_id)
         client = HttpClient(net.add_host("user"))
-        features = client.get(
-            proxy.uri.rstrip("/") + "/features",
-            params={"layer": "buildings"},
-        ).body["features"]
+        features = district.gis.layer("buildings")
         assert len(features) == 4
-        fid = features[0]["feature_id"]
+        fid = features[0].feature_id
         response = client.get(
             proxy.uri.rstrip("/") + f"/feature/{fid}",
             params={"entity_id": "bld-0001"},
@@ -401,56 +401,52 @@ class TestDatabaseProxies:
         model = serialization.decode(response.body["document"], "json")
         assert model.source_kind == "gis"
         assert model.geometry is not None
-        centroid = model.geometry["centroid"]
-        located = client.get(
-            proxy.uri.rstrip("/") + "/locate",
-            params={"x": repr(centroid[0]), "y": repr(centroid[1])},
-        ).body["features"]
-        assert located[0]["feature_id"] == fid
+        for path in ("/features", "/locate"):
+            gone = client.call(proxy.uri.rstrip("/") + path, check=False)
+            assert gone.status == 404
 
     def test_gis_proxy_bbox_query(self, net):
+        # the bounding-box query the /features route wrapped, asked of
+        # the store: the district's bounds hold every feature, and a
+        # layer narrows them
         district = synthesize_district(seed=1, n_buildings=4)
-        proxy = GisProxy(net.add_host("proxy-gis"), district.gis,
-                         district.district_id)
-        client = HttpClient(net.add_host("user"))
         bounds = district.gis.district_bounds()
-        features = client.get(
-            proxy.uri.rstrip("/") + "/features",
-            params={"bbox": ",".join(repr(v) for v in bounds.to_list())},
-        ).body["features"]
-        assert len(features) == len(district.gis.features())
-        bad = client.call(proxy.uri.rstrip("/") + "/features",
-                          params={"bbox": "a,b"}, check=False)
-        assert bad.status == 400
+        assert district.gis.query_bbox(bounds) == district.gis.features()
+        assert district.gis.query_bbox(bounds, "buildings") \
+            == district.gis.layer("buildings")
 
     def test_gis_features_bug_is_a_counted_500(self, net):
-        # an unknown layer is the caller's fault (400); a store that
-        # fails any other way is a bug the service counts as one
+        # an unknown layer is the caller's fault (the store refuses it);
+        # a store that fails any other way while the proxy serves
+        # /feature/{id} is a bug the service counts as one
         district = synthesize_district(seed=1, n_buildings=2)
         proxy = GisProxy(net.add_host("proxy-gis"), district.gis,
                          district.district_id)
         client = HttpClient(net.add_host("user"))
-        unknown = client.call(proxy.uri.rstrip("/") + "/features",
-                              params={"layer": "rivers"}, check=False)
-        assert unknown.status == 400
+        with pytest.raises(ConfigurationError):
+            district.gis.layer("rivers")
 
-        def broken():
+        def broken(_feature_id):
             raise KeyError("feature index")
 
-        proxy.store.features = broken
-        response = client.call(proxy.uri.rstrip("/") + "/features",
+        proxy.store.feature = broken
+        response = client.call(proxy.uri.rstrip("/") + "/feature/ft-00001",
                                check=False)
         assert response.status == 500
         assert proxy.metrics()["handler_errors"] == 1
 
     def test_gis_locate_needs_coordinates(self, net):
+        # locating a point is the store's query_point (the /locate route
+        # went): a building's centroid finds that building, and a point
+        # outside the district finds nothing
         district = synthesize_district(seed=1, n_buildings=2)
-        proxy = GisProxy(net.add_host("proxy-gis"), district.gis,
-                         district.district_id)
-        client = HttpClient(net.add_host("user"))
-        response = client.call(proxy.uri.rstrip("/") + "/locate",
-                               check=False)
-        assert response.status == 400
+        building = district.gis.layer("buildings")[0]
+        centroid = building.geometry.centroid()
+        hits = district.gis.query_point(centroid[0], centroid[1])
+        assert [f.feature_id for f in hits] == [building.feature_id]
+        bounds = district.gis.district_bounds()
+        assert district.gis.query_point(bounds.max_x + 1.0,
+                                        bounds.max_y + 1.0) == []
 
 
 class TestRegistrationHandshake:

@@ -62,6 +62,15 @@ def sample(t=1.0, seq=1, device="dev-0001", value=20.0,
     )
 
 
+def tagged(t=0.0, seq=1, entity="bld-0001", source="proxy-a"):
+    """A sample carrying every tag a frame header may hoist."""
+    return Measurement(
+        device_id="dev-0001", entity_id=entity, quantity="temperature",
+        value=20.0, timestamp=t, source=source,
+        metadata={"seq": seq, "protocol": "zigbee"},
+    )
+
+
 def fill(store, n=100, device="dev-0001", dt=1.7, value_of=None):
     for i in range(n):
         value = value_of(i) if value_of else 20.0 + (i % 13) * 0.5
@@ -114,6 +123,66 @@ class TestLineProtocol:
         back = decode_frame(frame)
         assert [m.timestamp for m in back] == [m.timestamp
                                                for m in samples]
+
+    def test_frame_header_carries_the_shared_tags_once(self):
+        samples = [tagged(t=float(i), seq=i + 1) for i in range(3)]
+        frame = encode_frame(samples)
+        assert frame["tags"] == {"entity": "bld-0001", "source": "proxy-a",
+                                 "protocol": "zigbee"}
+        assert frame["lines"][0] == \
+            "temperature,device=dev-0001 value=20.0,seq=1 0.0"
+        assert decode_frame(frame) == samples
+
+    def test_frame_of_one_line_round_trips(self):
+        frame = encode_frame([tagged()])
+        assert frame["count"] == 1
+        assert "entity=" not in frame["lines"][0]
+        assert decode_frame(frame) == [tagged()]
+
+    def test_a_tag_that_differs_stays_on_each_line(self):
+        samples = [tagged(source="proxy-a"), tagged(t=1.0, seq=2),
+                   tagged(t=2.0, seq=3, source="proxy-b")]
+        frame = encode_frame(samples)
+        assert frame["tags"] == {"entity": "bld-0001", "protocol": "zigbee"}
+        assert [line.split(" ")[0].split(",")[2:]
+                for line in frame["lines"]] == \
+            [["source=proxy-a"], ["source=proxy-a"], ["source=proxy-b"]]
+        assert decode_frame(frame) == samples
+
+    def test_a_header_value_that_needs_escapes_round_trips(self):
+        # header values are JSON strings: they travel unescaped, while
+        # the same value on a line is escaped
+        awkward = "bld 1,a=b\\c"
+        samples = [tagged(entity=awkward), tagged(t=1.0, seq=2,
+                                                  entity=awkward)]
+        frame = encode_frame(samples)
+        assert frame["tags"]["entity"] == awkward
+        assert decode_frame(frame) == samples
+        line = encode_line(samples[0])
+        assert "entity=bld\\ 1\\,a\\=b\\\\c" in line
+        assert decode_line(line) == samples[0]
+
+    def test_a_line_overrides_a_header_tag(self):
+        frame = {"record": "measurement_batch", "count": 2,
+                 "tags": {"entity": "bld-0001", "source": "proxy-a"},
+                 "lines": ["power,device=d1 value=1.0,seq=1 5.0",
+                           "power,device=d2,entity=bld-0002 value=2.0 6.0"]}
+        first, second = decode_frame(frame)
+        assert (first.entity_id, first.source) == ("bld-0001", "proxy-a")
+        assert (second.entity_id, second.source) == ("bld-0002", "proxy-a")
+
+    @pytest.mark.parametrize("tags, line", [
+        ({"entity": "bld-0001"}, "power,entity=bld-0002 value=1.0 5.0"),
+        ({"source": "proxy-a"}, "power,device=d1 value=1.0 5.0"),
+        ({}, "power,device=d1 value=1.0 5.0"),
+        ({"entity": 7}, "power,device=d1 value=1.0 5.0"),
+    ])
+    def test_frame_without_device_or_entity_is_rejected(self, tags, line):
+        # a tag missing from both the line and the header, or a header
+        # value that is not a string, makes the frame poison
+        with pytest.raises(SerializationError):
+            decode_frame({"record": "measurement_batch", "count": 1,
+                          "tags": tags, "lines": [line]})
 
     @pytest.mark.parametrize("line", [
         "", "no-sections", "q,device=d value=1.0",      # wrong arity
@@ -252,6 +321,33 @@ class TestFrameIdempotency:
         batch_records = [r for r in mdb.wal.records()
                          if is_batch(r)]
         assert [len(r["lines"]) for r in batch_records] == [5, 3]
+
+    def test_header_tags_survive_wal_replay(self, net, tmp_path):
+        # the WAL record keeps the frame's header tags beside its fresh
+        # lines, so a replay decodes the very samples that were acked
+        Broker(net.add_host("broker"))
+        mdb = MeasurementDatabase(
+            net.add_host("mdb"), "broker", DISTRICT,
+            durability=DurabilityConfig(wal_path=str(tmp_path / "mdb.wal")))
+        peer = MiddlewarePeer(net.add_host("pub"), "broker",
+                              publish_buffer=64)
+        topic = join("district", DISTRICT, "batch", "pub")
+        samples = [tagged(t=float(i), seq=i + 1, entity="bld 1")
+                   for i in range(4)]
+        frame = encode_frame(samples)
+        peer.publish(topic, frame)
+        net.scheduler.run_for(1.0)
+        [record] = [r for r in mdb.wal.records() if is_batch(r)]
+        assert record["tags"] == frame["tags"]
+        assert decode_frame(record) == samples
+        stored = mdb.store.series("dev-0001", "temperature").to_pairs()
+        owners = dict(mdb._entity_for_device)
+        mdb.reset()
+        assert mdb.store.sample_count() == 0
+        assert mdb.recover() == 4
+        assert mdb.store.series("dev-0001", "temperature").to_pairs() \
+            == stored
+        assert mdb._entity_for_device == owners == {"dev-0001": "bld 1"}
 
     def test_poison_frame_rejected_not_wedged(self, net, tmp_path):
         Broker(net.add_host("broker"))
