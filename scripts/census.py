@@ -124,7 +124,6 @@ ALLOW: Dict[str, str] = {
              "(ROADMAP standing rider)",
              *(f"route: {path} (GET, repro.{module}; tests only)"
                for path, module in (
-                   ("/measurements", "storage.measurementdb"),
                    ("/entity/{entity_id}", "baselines.centralized"),
                    ("/measurements", "baselines.centralized"),
                    ("/spaces", "proxies.database_proxy"),

@@ -102,8 +102,8 @@ class ScenarioConfig:
     #: :class:`~repro.middleware.broker.BrokerOverloadConfig`).  None
     #: disables shedding entirely.
     broker_overload: Optional[BrokerOverloadConfig] = None
-    #: tuning of the measurement DB's columnar engine (block size,
-    #: rollup resolutions, compaction, retention, see
+    #: block geometry of the measurement DB's columnar engine (block
+    #: size, compaction target and period, see
     #: :class:`~repro.storage.blocks.TsdbConfig`).  None means the
     #: ``TsdbConfig()`` defaults.
     mdb_tsdb: Optional[TsdbConfig] = None

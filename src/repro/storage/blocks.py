@@ -12,15 +12,16 @@ district deployment implies.  This module is the one storage engine of
   ``v_min``/``v_max``, ``count``) so range scans skip blocks whose time
   envelope misses the query window without touching the arrays;
 * **pre-computed rollups** — every insert also folds the sample into
-  downsampled buckets at each configured resolution (1 m / 15 m / 1 h
-  by default).  A bucket keeps ``(count, sum, min, max, first, last)``,
-  enough to answer every aggregation in
+  downsampled buckets at the two fixed :data:`ROLLUP_RESOLUTIONS`
+  (15 m and 1 h).  A bucket keeps ``(count, sum, min, max, first,
+  last)``, enough to answer every aggregation in
   :data:`~repro.storage.timeseries.AGGREGATIONS` without re-reading raw
   samples;
-* **compaction + retention** — a periodic pass (driven by the
-  measurement DB on the simulated clock) merges undersized sealed
-  blocks, restores time order across overlapping blocks, drops blocks
-  and rollup buckets that aged past ``retention``;
+* **compaction** — a periodic pass (driven by the measurement DB on
+  the simulated clock) merges undersized sealed blocks and restores
+  time order across overlapping blocks.  The store is the district's
+  global history and never drops a sample; the retention horizon
+  belongs to the device proxies' local databases;
 * **rollup-backed range queries** — :meth:`BlockStore.query_range`
   answers ``(t0, t1, step, agg)`` dashboard queries from the coarsest
   rollup resolution that divides *step*, falling back to a raw block
@@ -58,6 +59,11 @@ _COUNT, _SUM, _MIN, _MAX, _FIRST_T, _FIRST_V, _LAST_T, _LAST_V = range(8)
 
 _FORMAT_VERSION = 1
 
+#: the pre-computed downsample resolutions, simulated seconds.  Every
+#: catalog device samples every 60–300 s, so a finer bucket would hold
+#: about one sample: a copy of the raw data at its own spacing.
+ROLLUP_RESOLUTIONS = (900.0, 3600.0)
+
 
 @dataclass
 class TsdbConfig:
@@ -72,15 +78,8 @@ class TsdbConfig:
     block_size: int = 512
     #: merge sealed blocks up to this many samples during compaction
     compaction_target: int = 4096
-    #: period of the background compaction pass, simulated seconds;
-    #: None disables automatic compaction (manual :meth:`BlockStore.
-    #: compact` still works)
-    compaction_period: Optional[float] = 900.0
-    #: drop data older than this horizon (simulated seconds, enforced
-    #: at compaction time); None keeps everything
-    retention: Optional[float] = None
-    #: pre-computed downsample resolutions, simulated seconds
-    rollup_resolutions: Tuple[float, ...] = (60.0, 900.0, 3600.0)
+    #: period of the background compaction pass, simulated seconds
+    compaction_period: float = 900.0
 
     def __post_init__(self) -> None:
         """Validate the knob envelope."""
@@ -90,18 +89,8 @@ class TsdbConfig:
             raise ConfigurationError(
                 "compaction target must be >= block size"
             )
-        if self.compaction_period is not None \
-                and self.compaction_period <= 0:
+        if self.compaction_period <= 0:
             raise ConfigurationError("compaction period must be positive")
-        if self.retention is not None and self.retention <= 0:
-            raise ConfigurationError("retention must be positive")
-        resolutions = tuple(float(r) for r in self.rollup_resolutions)
-        if any(r <= 0 for r in resolutions):
-            raise ConfigurationError("rollup resolutions must be positive")
-        if len(set(resolutions)) != len(resolutions):
-            raise ConfigurationError("duplicate rollup resolution")
-        object.__setattr__(self, "rollup_resolutions",
-                           tuple(sorted(resolutions)))
 
     def to_dict(self) -> Dict[str, Any]:
         """Serialise the config (rides inside store snapshots)."""
@@ -109,21 +98,16 @@ class TsdbConfig:
             "block_size": self.block_size,
             "compaction_target": self.compaction_target,
             "compaction_period": self.compaction_period,
-            "retention": self.retention,
-            "rollup_resolutions": list(self.rollup_resolutions),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TsdbConfig":
-        """Rebuild a config from its snapshot form."""
+        """Rebuild a config from its snapshot form; other keys (older
+        snapshots carried more knobs) are ignored."""
         return cls(
             block_size=int(data["block_size"]),
             compaction_target=int(data["compaction_target"]),
-            compaction_period=data.get("compaction_period"),
-            retention=data.get("retention"),
-            rollup_resolutions=tuple(
-                float(r) for r in data.get("rollup_resolutions", ())
-            ),
+            compaction_period=float(data["compaction_period"]),
         )
 
 
@@ -230,12 +214,12 @@ class _Series:
 
     __slots__ = ("sealed", "active", "rollups")
 
-    def __init__(self, resolutions: Tuple[float, ...]):
+    def __init__(self):
         self.sealed: List[SealedBlock] = []
         self.active = _ActiveBlock()
         #: resolution -> bucket_start -> 8-slot aggregate list
         self.rollups: Dict[float, Dict[float, List[float]]] = {
-            resolution: {} for resolution in resolutions
+            resolution: {} for resolution in ROLLUP_RESOLUTIONS
         }
 
     def sample_count(self) -> int:
@@ -314,9 +298,6 @@ class BlockStore:
         self.blocks_sealed = 0
         self.compactions = 0
         self.blocks_merged = 0
-        self.blocks_retired = 0
-        self.samples_retired = 0
-        self.rollup_buckets_pruned = 0
         self.rollup_queries = 0
         self.raw_queries = 0
         #: where the most recent query_range was answered from
@@ -332,9 +313,7 @@ class BlockStore:
         key = (measurement.device_id, measurement.quantity)
         series = self._series.get(key)
         if series is None:
-            series = self._series[key] = _Series(
-                self.config.rollup_resolutions
-            )
+            series = self._series[key] = _Series()
         t = float(measurement.timestamp)
         value = float(measurement.value)
         series.active.append(t, value)
@@ -443,9 +422,7 @@ class BlockStore:
         if step <= 0:
             raise QueryError("step width must be positive")
         self._get(device_id, quantity)  # raise SeriesNotFound early
-        resolution = choose_resolution(
-            step, self.config.rollup_resolutions
-        )
+        resolution = choose_resolution(step, ROLLUP_RESOLUTIONS)
         if prefer == "rollup" and resolution is None:
             raise QueryError(
                 f"no rollup resolution divides step={step}"
@@ -485,11 +462,7 @@ class BlockStore:
     def _scan(self, device_id: str, quantity: str, start: float,
               end: float) -> Tuple[np.ndarray, np.ndarray]:
         """Merged raw samples of one series inside ``[start, end)``."""
-        return self._scan_series(self._get(device_id, quantity),
-                                 start, end)
-
-    def _scan_series(self, data: "_Series", start: float, end: float
-                     ) -> Tuple[np.ndarray, np.ndarray]:
+        data = self._get(device_id, quantity)
         chunks_t: List[np.ndarray] = []
         chunks_v: List[np.ndarray] = []
         sorted_so_far = True
@@ -528,92 +501,21 @@ class BlockStore:
                 f"no samples for {device_id}/{quantity}"
             ) from None
 
-    # -- compaction and retention -----------------------------------------
+    # -- compaction -------------------------------------------------------
 
-    def compact(self, now: Optional[float] = None) -> Dict[str, int]:
-        """One compaction pass: retention, then block merging.
+    def compact(self) -> Dict[str, int]:
+        """One compaction pass: merge adjacent sealed blocks.
 
-        With *now* and a configured retention horizon, sealed blocks
-        whose entire time envelope is older than ``now - retention``
-        are dropped and rollup buckets past the horizon pruned.
-        Adjacent sealed blocks are then merged (re-sorting, so
+        Runs of undersized sealed blocks are merged (re-sorting, so
         out-of-order overlap between blocks is repaired) into blocks of
-        up to ``compaction_target`` samples.  Returns the pass's
-        counters.
+        up to ``compaction_target`` samples.  No sample is dropped.
+        Returns the pass's counters.
         """
-        merged = retired = samples_retired = pruned = 0
-        cutoff = None
-        if now is not None and self.config.retention is not None:
-            cutoff = now - self.config.retention
-        for key in list(self._series):
-            series = self._series[key]
-            if cutoff is not None:
-                kept: List[SealedBlock] = []
-                for block in series.sealed:
-                    if block.t_max < cutoff:
-                        retired += 1
-                        samples_retired += len(block)
-                    else:
-                        kept.append(block)
-                series.sealed = kept
-                # retention is block-granular, so raw data may survive
-                # below the cutoff (a straddling block, the unsealed
-                # head).  Keep rollup answers equal to raw answers
-                # everywhere raw data still exists: prune buckets only
-                # below the oldest REMAINING raw sample and rebuild the
-                # buckets that straddle the horizon (they aggregated
-                # now-dropped samples) from the surviving raw data.
-                oldest = min(
-                    [b.t_min for b in series.sealed]
-                    + (series.active.times[:1] or []),
-                    default=float("inf"),
-                )
-                horizon = min(cutoff, oldest)
-                for resolution, buckets in series.rollups.items():
-                    stale = []
-                    for start in list(buckets):
-                        if start + resolution <= horizon:
-                            stale.append(start)
-                        elif start < cutoff:
-                            rebuilt = self._rebuild_bucket(
-                                series, start, resolution
-                            )
-                            if rebuilt is None:
-                                stale.append(start)
-                            else:
-                                buckets[start] = rebuilt
-                    for start in stale:
-                        del buckets[start]
-                    pruned += len(stale)
-                if not series.sealed and not len(series.active) \
-                        and not any(series.rollups.values()):
-                    del self._series[key]
-                    continue
-            merged += self._merge_blocks(series)
+        merged = sum(self._merge_blocks(series)
+                     for series in self._series.values())
         self.compactions += 1
         self.blocks_merged += merged
-        self.blocks_retired += retired
-        self.samples_retired += samples_retired
-        self.rollup_buckets_pruned += pruned
-        return {"blocks_merged": merged, "blocks_retired": retired,
-                "samples_retired": samples_retired,
-                "rollup_buckets_pruned": pruned}
-
-    def _rebuild_bucket(self, series: _Series, start: float,
-                        resolution: float) -> Optional[List[float]]:
-        """Recompute one rollup bucket from surviving raw samples.
-
-        Returns ``None`` when no raw sample remains in the bucket's
-        time range (the bucket should be dropped).
-        """
-        times, values = self._scan_series(series, start,
-                                          start + resolution)
-        if not len(times):
-            return None
-        bucket = _new_bucket(float(times[0]), float(values[0]))
-        for t, value in zip(times[1:], values[1:]):
-            _fold(bucket, float(t), float(value))
-        return bucket
+        return {"blocks_merged": merged}
 
     def _merge_blocks(self, series: _Series) -> int:
         """Merge undersized sealed block runs; returns blocks absorbed."""
@@ -681,7 +583,7 @@ class BlockStore:
         store = cls(TsdbConfig.from_dict(data["config"]))
         for record in data.get("series", []):
             key = (record["device_id"], record["quantity"])
-            series = _Series(store.config.rollup_resolutions)
+            series = _Series()
             series.sealed = [SealedBlock.from_dict(b)
                              for b in record.get("blocks", [])]
             active = record.get("active", {})
@@ -690,13 +592,13 @@ class BlockStore:
             series.active.values = [float(v)
                                     for v in active.get("values", [])]
             for res_text, buckets in record.get("rollups", {}).items():
+                # an older snapshot may carry other resolutions (60 s)
                 resolution = float(res_text)
-                if resolution not in series.rollups:
-                    series.rollups[resolution] = {}
-                series.rollups[resolution] = {
-                    float(start): list(bucket)
-                    for start, bucket in buckets.items()
-                }
+                if resolution in series.rollups:
+                    series.rollups[resolution] = {
+                        float(start): list(bucket)
+                        for start, bucket in buckets.items()
+                    }
             store._series[key] = series
         return store
 
@@ -719,9 +621,6 @@ class BlockStore:
             "blocks_sealed_total": self.blocks_sealed,
             "compactions": self.compactions,
             "blocks_merged": self.blocks_merged,
-            "blocks_retired": self.blocks_retired,
-            "samples_retired": self.samples_retired,
-            "rollup_buckets_pruned": self.rollup_buckets_pruned,
             "rollup_queries": self.rollup_queries,
             "raw_queries": self.raw_queries,
         }

@@ -126,12 +126,9 @@ class MeasurementDatabase(StateMachine, Registrant):
         #: the journal's WAL (None when not durable), aliased so the
         #: per-delivery ingest path pays one attribute read
         self.wal = self.journal.wal
-        self._compaction_task = None
-        compaction_period = self.store.config.compaction_period
-        if compaction_period is not None:
-            self._compaction_task = host.network.scheduler.every(
-                compaction_period, self._compact
-            )
+        self._compaction_task = host.network.scheduler.every(
+            self.store.config.compaction_period, self._compact
+        )
         # rolling window of recent publish->delivery latencies; a rolling
         # percentile (unlike a cumulative histogram) recovers once an
         # outage's flushed backlog ages out of the window
@@ -142,7 +139,6 @@ class MeasurementDatabase(StateMachine, Registrant):
         self.peer.subscribe(district_filter(district_id), self._on_event,
                             ack=durability.ack_deliveries)
         self.service = WebService(host)
-        self.service.add_route(GET, "/measurements", self._query_route)
         self.service.add_route(GET, "/query_range", self._query_range_route)
         self.service.add_route(GET, "/metrics", self._metrics_route)
 
@@ -472,7 +468,7 @@ class MeasurementDatabase(StateMachine, Registrant):
 
     def _compact(self) -> None:
         """One block-store compaction pass on the simulated clock."""
-        self.store.compact(self.host.network.scheduler.now)
+        self.store.compact()
 
     # -- direct (in-process) query API ------------------------------------
 
@@ -556,16 +552,6 @@ class MeasurementDatabase(StateMachine, Registrant):
         return max(now - last for last in self._freshness.values())
 
     # -- web-service routes -------------------------------------------------
-
-    def _query_route(self, request: Request) -> Response:
-        try:
-            query = RangeQuery.from_params(request.params)
-            samples = self.store.query(query)
-        except QueryError as exc:
-            return error(400, str(exc))
-        except SeriesNotFoundError as exc:
-            return error(404, str(exc))
-        return ok({"samples": [[t, v] for t, v in samples]})
 
     def _query_range_route(self, request: Request) -> Response:
         try:

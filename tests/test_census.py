@@ -15,6 +15,7 @@ import pytest
 
 from repro.observability.collector import FleetMonitorConfig
 from repro.simulation.scenario import ScenarioConfig
+from repro.storage.blocks import TsdbConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
@@ -40,9 +41,12 @@ SECOND_HOLDERS = ("RESOLVE_CACHE_MAX", "resolve_cache_max",
 #: routes that repeated another route of the same node and two
 #: test-only unit helpers; the next three are the reference scheduler
 #: loop's switch, the radio-loss option only one test set and the
-#: profiled second copy of the dispatch loop; the last four are the
+#: profiled second copy of the dispatch loop; the next four are the
 #: switch that deployed devices unstarted, the per-device energy meter
-#: with its attach hook, and a measurement-DB query only tests made)
+#: with its attach hook, and a measurement-DB query only tests made;
+#: then the GIS proxy's two spatial routes; the last six are the TSDB's
+#: rollup-resolution knob and its engine retention: the horizon, the
+#: rollup-bucket rebuild and the three counters that path fed)
 REMOVED = SECOND_HOLDERS + (
     "ScenarioConfig.net_base_latency", "ScenarioConfig.radio_latency",
     "ScenarioConfig.lease_factor", "ScenarioConfig.host_prefix",
@@ -81,6 +85,9 @@ REMOVED = SECOND_HOLDERS + (
     "ScenarioConfig.start_devices", "DeviceEnergyModel",
     "attach_energy_model", "/freshness/{device_id}",
     "/features", "/locate",
+    "TsdbConfig.retention", "TsdbConfig.rollup_resolutions",
+    "_rebuild_bucket", "blocks_retired", "samples_retired",
+    "rollup_buckets_pruned",
 )
 
 
@@ -111,6 +118,7 @@ class TestThisRepository:
                     if name.startswith("ScenarioConfig.")
                     and name.split(".")[1] in fields]
         assert len(dataclasses.fields(FleetMonitorConfig)) <= 1
+        assert len(dataclasses.fields(TsdbConfig)) <= 3
         assert not [path for path in (ROOT / "src").rglob("*.py")
                     if "os.environ" in path.read_text()]
 

@@ -111,7 +111,7 @@ class TestEverythingOn:
         for device, quantity in stored_series(mdb):
             for agg in ("mean", "sum", "count", "min", "max"):
                 query = dict(target=device, quantity=quantity, start=0.0,
-                             end=end, step=60.0, agg=agg)
+                             end=end, step=900.0, agg=agg)
                 rollup = mdb.query_range(RollupQuery(prefer="rollup",
                                                      **query))
                 raw = mdb.query_range(RollupQuery(prefer="raw", **query))

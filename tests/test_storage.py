@@ -12,7 +12,6 @@ from repro.middleware.peer import connect
 from repro.middleware.topics import measurement_topic
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
-from repro.network.webservice import HttpClient
 from repro.storage.localdb import LocalDatabase
 from repro.storage.measurementdb import MeasurementDatabase
 from repro.storage.query import RangeQuery, RollupQuery
@@ -343,26 +342,17 @@ class TestMeasurementDatabase:
         net, mdb, publisher = district_net
         for i in range(3):
             self.publish(net, publisher, meas(value=float(i), t=i * 60.0))
-        client = HttpClient(net.add_host("user"))
         query = RangeQuery("dev-0001", "power", start=0.0, end=1000.0)
-        resp = client.get("svc://mdb/measurements", params=query.to_params())
-        assert resp.body["samples"] == [[0.0, 0.0], [60.0, 1.0],
-                                        [120.0, 2.0]]
+        assert mdb.query(query) == [(0.0, 0.0), (60.0, 1.0), (120.0, 2.0)]
 
     def test_web_service_404_for_unknown_series(self, district_net):
         net, mdb, publisher = district_net
-        client = HttpClient(net.add_host("user"))
-        query = RangeQuery("dev-0404", "power")
-        resp = client.call("svc://mdb/measurements",
-                           params=query.to_params(), check=False)
-        assert resp.status == 404
+        with pytest.raises(SeriesNotFoundError):
+            mdb.query(RangeQuery("dev-0404", "power"))
 
     def test_web_service_400_for_bad_query(self, district_net):
-        net, mdb, publisher = district_net
-        client = HttpClient(net.add_host("user"))
-        resp = client.call("svc://mdb/measurements",
-                           params={"device_id": "d"}, check=False)
-        assert resp.status == 400
+        with pytest.raises(QueryError):
+            RangeQuery.from_params({"device_id": "d"})
 
     def test_devices_route(self, district_net):
         net, mdb, publisher = district_net

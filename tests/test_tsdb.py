@@ -3,7 +3,7 @@
 Covers the line-protocol batch frame codec, device-proxy batch flush
 boundaries (size and age), frame-idempotent ingest under broker
 redelivery, the columnar block store (sealing, rollup-vs-raw
-agreement, compaction correctness, retention), rollup-backed
+agreement, compaction correctness, the fixed rollup set), rollup-backed
 ``query_range`` at the measurement DB (device and entity targets, the
 HTTP route), and crash-restart recovery of sealed blocks + rollup
 state through the v2 snapshot format and batch WAL records.
@@ -438,13 +438,13 @@ class TestBlockStore:
     def test_rollup_vs_raw_agreement_all_aggs(self):
         store = BlockStore(TsdbConfig(block_size=16,
                                       compaction_target=64))
-        fill(store, n=500, value_of=lambda i: ((i * 37) % 101) / 7.0)
+        fill(store, n=5000, value_of=lambda i: ((i * 37) % 101) / 7.0)
         for agg in AGGREGATIONS:
             rollup = store.query_range("dev-0001", "temperature",
-                                       0.0, 900.0, 60.0, agg)
-            assert store.last_query_source == "rollup:60"
+                                       0.0, 9000.0, 900.0, agg)
+            assert store.last_query_source == "rollup:900"
             raw = store.query_range("dev-0001", "temperature",
-                                    0.0, 900.0, 60.0, agg, prefer="raw")
+                                    0.0, 9000.0, 900.0, agg, prefer="raw")
             assert store.last_query_source == "raw"
             assert len(rollup) == len(raw)
             for (t_r, v_r), (t_s, v_s) in zip(rollup, raw):
@@ -497,22 +497,41 @@ class TestBlockStore:
                                  0.0, 1000.0, 60.0) == before_rollup
         assert store.sample_count() == 400
 
-    def test_retention_drops_old_blocks_and_rollups(self):
-        store = BlockStore(TsdbConfig(block_size=8, compaction_target=32,
-                                      retention=100.0))
-        fill(store, n=500)
-        result = store.compact(now=1000.0)
-        assert result["blocks_retired"] > 0
-        assert result["rollup_buckets_pruned"] > 0
-        assert store.sample_count() < 500
-        # rollup and raw still agree on what survives
-        for agg in ("count", "mean", "min", "max"):
-            rollup = store.query_range("dev-0001", "temperature",
-                                       0.0, 2000.0, 60.0, agg)
-            raw = store.query_range("dev-0001", "temperature",
-                                    0.0, 2000.0, 60.0, agg,
-                                    prefer="raw")
-            assert rollup == pytest.approx(raw)
+    def test_a_60s_series_holds_two_rollups_only(self):
+        # 6 h at the densest catalog cadence: 24 quarter-hour buckets
+        # plus 6 hourly ones, no bucket per sample
+        store = BlockStore()
+        fill(store, n=6 * 60, dt=60.0)
+        assert store.sample_count() == 360
+        assert store.stats()["rollup_buckets"] == 6 * 4 + 6
+
+    def test_restore_from_a_snapshot_with_a_60s_rollup(self):
+        # the earlier format: the resolution and retention knobs in the
+        # config, and a 60-s rollup next to the 15-min and 1-h ones
+        source = BlockStore(TsdbConfig(block_size=8, compaction_target=32))
+        fill(source, n=2 * 60, dt=60.0,
+             value_of=lambda i: ((i * 37) % 101) / 7.0)
+        data = source.to_dict()
+        data["config"].update(retention=None,
+                              rollup_resolutions=[60.0, 900.0, 3600.0])
+        record = data["series"][0]
+        times = [float(t) for block in record["blocks"]
+                 for t in block["times"]] + record["active"]["times"]
+        values = [float(v) for block in record["blocks"]
+                  for v in block["values"]] + record["active"]["values"]
+        record["rollups"]["60.0"] = {
+            repr(t): [1, v, v, v, t, v, t, v]
+            for t, v in zip(times, values)}
+        restored = BlockStore.from_dict(data)
+        assert restored.config == source.config
+        assert restored.stats()["rollup_buckets"] == 2 * 4 + 2
+        for step in (900.0, 3600.0):
+            for agg in AGGREGATIONS:
+                answer = restored.query_range("dev-0001", "temperature",
+                                              0.0, 7200.0, step, agg)
+                assert restored.last_query_source == f"rollup:{step:g}"
+                assert answer == source.query_range(
+                    "dev-0001", "temperature", 0.0, 7200.0, step, agg)
 
     def test_snapshot_round_trip(self):
         store = BlockStore(TsdbConfig(block_size=8, compaction_target=32))
@@ -530,10 +549,6 @@ class TestBlockStore:
             TsdbConfig(block_size=1)
         with pytest.raises(ConfigurationError):
             TsdbConfig(block_size=64, compaction_target=32)
-        with pytest.raises(ConfigurationError):
-            TsdbConfig(retention=-1.0)
-        with pytest.raises(ConfigurationError):
-            TsdbConfig(rollup_resolutions=(60.0, 60.0))
 
 
 class TestMeasurementDbQueryRange:
@@ -591,12 +606,12 @@ class TestMeasurementDbQueryRange:
         mdb = self._fed_mdb(net, tmp_path)
         client = HttpClient(net.add_host("user"))
         query = RollupQuery(target="dev-0001", quantity="temperature",
-                            start=0.0, end=300.0, step=60.0)
+                            start=0.0, end=300.0, step=900.0)
         response = client.get(mdb.uri + "query_range",
                               params=query.to_params())
         assert response.status == 200
-        assert len(response.body["samples"]) == 5
-        assert response.body["source"].startswith("rollup")
+        assert response.body["samples"] == [[0.0, 10.0]]
+        assert response.body["source"] == "rollup:900"
         bad = client.get(mdb.uri + "query_range",
                          params={"target": "dev-0001"}, check=False)
         assert bad.status == 400
@@ -641,11 +656,11 @@ class TestMeasurementDbQueryRange:
         device = mdb.store.devices()[0]
         query = RollupQuery(target=device,
                             quantity=mdb.store.quantities(device)[0],
-                            start=0.0, end=300.0, step=60.0)
+                            start=0.0, end=300.0, step=900.0)
         response = deployment.client("user", with_broker=False).http.get(
             mdb.uri + "query_range", params=query.to_params())
         assert response.body["samples"]
-        assert response.body["source"] == "rollup:60"
+        assert response.body["source"] == "rollup:900"
 
     def test_query_validation(self):
         with pytest.raises(QueryError):
