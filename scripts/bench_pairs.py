@@ -6,6 +6,8 @@
     python scripts/bench_pairs.py <parent-checkout-or-recording> \
         <change-checkout> --exact [--seed 17 --seed 29] [--workload W]
     python scripts/bench_pairs.py --record <recording.json> <checkout>
+    python scripts/bench_pairs.py <parent-checkout> <change-checkout> \
+        --calls --workload W [--seed 17]
 
 Each run is the checkout's own ``benchmarks/district/run.py --workload W
 --seed S --trace T`` in a fresh interpreter, run from a copy of the
@@ -25,6 +27,14 @@ at a time, then every value that differs apart from the host-clock ones
 be a recording ``--record`` wrote (those runs of one checkout at
 ``--scale smoke``, host clock left out), which sets the scale and seeds.
 CI checks ``benchmarks/baselines/districtbench_counters.json`` this way.
+
+``--calls`` counts work instead of timing it: each side's ``run.py
+--scale smoke --trace 0`` runs once under a ``sys.setprofile`` counter
+that is on only during the measured window (:data:`CALLS_CHILD` wraps
+``run.py``'s ``timed_window``; ``run.py`` itself is not changed), and
+the Python and C calls per op of each package are printed for both
+sides (:func:`calls_table`).  A C call is filed under the package of
+the Python code that made it.  It reports; nothing is recorded or gated.
 """
 
 import argparse
@@ -50,6 +60,58 @@ EXACT_SEEDS = [17, 29]
 RECORD_SCALE = "smoke"
 #: how a recording names a run: ``workload/seed/trace``
 RUN_KEY = re.compile(r"\w+/\d+/[01]")
+
+#: run in a checkout by ``--calls``: ``run.py --workload argv[1] --seed
+#: argv[2] --scale smoke --trace 0`` with a call counter on during the
+#: window; its only line on stdout is ``{"ops", "calls": {package:
+#: {"py", "c"}}}`` (``run.py``'s own report goes to stderr)
+CALLS_CHILD = """
+import collections, contextlib, importlib.util, json, sys
+from pathlib import Path
+sys.path.insert(0, "benchmarks/district")
+spec = importlib.util.spec_from_file_location(
+    "districtbench", "benchmarks/district/run.py")
+run = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run)
+counts = collections.defaultdict(lambda: {"py": 0, "c": 0})
+packages = {}
+
+def package_of(filename):
+    parts = Path(filename).parts
+    for at in range(len(parts) - 1, 0, -1):
+        if parts[at - 1:at + 1] == ("src", "repro"):
+            return ".".join(parts[at:min(at + 2, len(parts) - 1)])
+    if "site-packages" in parts:
+        return parts[parts.index("site-packages") + 1]
+    if parts[-2:-1] == ("district",):
+        return "districtbench"
+    return "python"
+
+def profile(frame, event, arg):
+    if event == "call" or event == "c_call":
+        filename = frame.f_code.co_filename
+        package = packages.get(filename)
+        if package is None:
+            package = packages[filename] = package_of(filename)
+        counts[package]["py" if event == "call" else "c"] += 1
+
+window = run.timed_window
+
+def counted(*args, **kwargs):
+    sys.setprofile(profile)
+    try:
+        return window(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+
+run.timed_window = counted
+measure, records = run.measure, []
+run.measure = lambda *args: records.append(measure(*args)) or records[-1]
+with contextlib.redirect_stdout(sys.stderr):
+    run.main(["--workload", sys.argv[1], "--seed", sys.argv[2],
+              "--scale", "smoke", "--trace", "0"])
+print(json.dumps({"ops": records[0]["attempted"], "calls": counts}))
+"""
 
 #: a run's ``(workload, seed, trace)``, and one deferred run per key
 Key = Tuple[str, int, int]
@@ -131,6 +193,42 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int = 0,
     if not result["correct"] or result["failed"]:
         sys.exit(f"{checkout}: run failed its own checks: {result}")
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def count_calls(checkout: Path, workload: str, seed: int) -> Dict:
+    """One smoke run of *checkout* under :data:`CALLS_CHILD`'s counter:
+    ``{"ops": n, "calls": {package: {"py": n, "c": n}}}``."""
+    done = subprocess.run(
+        [sys.executable, "-c", CALLS_CHILD, workload, str(seed)],
+        cwd=checkout, capture_output=True, text=True)
+    if done.returncode:
+        sys.exit(f"{checkout}: the counted run failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def calls_table(sides: Dict[str, Dict]) -> List[str]:
+    """Python and C calls per op of each package, one column pair per
+    side, the busiest package first, then the total."""
+    names = list(sides)
+    per_op = {name: {package: {kind: count / max(side["ops"], 1)
+                               for kind, count in calls.items()}
+                     for package, calls in side["calls"].items()}
+              for name, side in sides.items()}
+    packages = sorted({package for side in per_op.values()
+                       for package in side},
+                      key=lambda package: (-sum(
+                          sum(side.get(package, {}).values())
+                          for side in per_op.values()), package))
+    rows = [(package, [per_op[name].get(package, {}).get(kind, 0.0)
+                       for name in names for kind in ("py", "c")])
+            for package in packages]
+    rows.append(("total", [sum(values[i] for _, values in rows)
+                           for i in range(2 * len(names))]))
+    header = f"{'package':<24}" + "".join(
+        f"{name + ' ' + kind:>14}" for name in names
+        for kind in ("py", "C"))
+    return [header] + [f"{package:<24}" + "".join(
+        f"{value:>14.1f}" for value in values) for package, values in rows]
 
 
 def run_keys(workloads: Sequence[str], seeds: Sequence[int]) -> List[Key]:
@@ -246,6 +344,9 @@ def main(argv=None) -> int:
                         help="prove every non-host-clock value equal")
     parser.add_argument("--record", action="store_true",
                         help="write the change side's runs to the parent")
+    parser.add_argument("--calls", action="store_true",
+                        help="Python and C calls per op by package, one "
+                             "smoke run per side")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
         args.change = snapshot(args.change, Path(scratch) / "change")
@@ -283,6 +384,14 @@ def measure(parser: argparse.ArgumentParser, args: argparse.Namespace
     if not args.workload:
         parser.error("--workload is required without --exact")
     sides = {"parent": args.parent, "change": args.change}
+    if args.calls:
+        for seed in args.seed or [17]:
+            print(f"{args.workload}, seed {seed}: calls per op in the "
+                  f"measured window ({RECORD_SCALE} scale)")
+            print("\n".join(calls_table({
+                side: count_calls(checkout, args.workload, seed)
+                for side, checkout in sides.items()})))
+        return 0
     for seed in args.seed or [17]:
         pairs(sides, args.workload, seed, args.pairs, spec)
     return 0

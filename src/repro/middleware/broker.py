@@ -43,11 +43,12 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.errors import ConfigurationError, NotPrimaryError
 from repro.middleware.broker_state import BrokerState, _PendingDelivery, _Sub
 from repro.middleware.topics import (
-    topic_matches,
+    levels_match,
     validate_filter,
     validate_topic,
 )
-from repro.network.transport import Host, Message, estimate_size
+from repro.network.transport import (Host, Message, estimate_size,
+                                     estimate_size_from)
 from repro.network.webservice import (
     GET,
     POST,
@@ -373,6 +374,8 @@ class Broker(StateMachine):
         self.overload = overload
         self._shedding = False
         self.shed_by_topic: Dict[str, int] = {}
+        #: topic -> (retained event, the wire size its publish computed)
+        self._retained_sizes: Dict[str, tuple] = {}
         self.settlement = DeliverySettlement(
             host, self.state, self.stats, self._commit,
             delivery_ack_timeout, max_delivery_attempts)
@@ -509,6 +512,7 @@ class Broker(StateMachine):
         unacked publications, consumer-side dedup).
         """
         self.state.clear()
+        self._retained_sizes.clear()
         self._shedding = False
         self.journal.crash()
 
@@ -630,11 +634,17 @@ class Broker(StateMachine):
         # topic's last value at once.  Fire-and-forget even on acked
         # subscriptions: a lost replay only delays the last value until
         # the next live publication
+        sizes = self._retained_sizes
+        delta = len(str(sub_id)) + 30  # ', "sub_id": N, "retained": true'
         for topic, retained in state.retained.items():
-            if topic_matches(sub.pattern, topic):
+            if levels_match(sub.levels, topic.split("/")):
+                held = sizes.get(topic)
+                if held is None or held[0] is not retained:  # recovered
+                    held = sizes[topic] = (retained, estimate_size(retained))
                 self.stats.fanout_deliveries += 1
                 send(sub.subscriber, sub.port,
-                     dict(retained, sub_id=sub_id, retained=True))
+                     dict(retained, sub_id=sub_id, retained=True),
+                     size=held[1] + delta)
 
     def _unsubscribe(self, message: Message) -> None:
         self._drop_sub(message.payload.get("sub_id"))
@@ -698,12 +708,19 @@ class Broker(StateMachine):
             "payload": payload.get("payload"),
             "published_at": payload.get("published_at", 0.0),
         }
+        # the fan-out envelopes differ from `event` only by the small
+        # ASCII keys added below, so their wire size is the base size
+        # plus an exact per-key delta; the base size is the publish
+        # frame's, so the payload is not walked again here
+        base_size = retained_size = estimate_size_from(
+            message.size, payload, event)
         span = None
         tracer = network.tracer
         if tracer is not None:
             span = _fanout_span(tracer, self.host, payload, topic)
             if span is not None:
                 event["trace"] = [span.trace_id, span.span_id]
+                base_size += 11 + estimate_size(event["trace"])
         if payload.get("retain"):
             # the span header is request-scoped: replayed with the
             # retained copy at subscribe time it would parent a delivery
@@ -714,16 +731,12 @@ class Broker(StateMachine):
             # streamed to standbys) before any ack below can be sent
             self._commit({"op": "retain", "topic": topic,
                           "event": retained})
+            self._retained_sizes[topic] = (retained, retained_size)
         pub_key = None
         if payload.get("pub_id") is not None and payload.get("ack_port"):
             pub_key = (publisher, payload["ack_port"], payload["pub_id"])
         dead: List[int] = []
         deliveries = 0
-        # the fan-out envelopes differ from `event` only by the small
-        # ASCII keys added below, so their wire size is the base size
-        # plus an exact per-key delta — estimated once per publish, not
-        # once per subscriber
-        base_size = estimate_size(event)
         send = self.host.send
         for sub_id, sub_id_delta, sub in state.subs.match(topic):
             if not network.has_host(sub.subscriber):

@@ -23,9 +23,10 @@ from __future__ import annotations
 import sys
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.middleware.topics import topic_matches
+from repro.middleware.topics import MULTI, SINGLE, levels_match
 
 #: distinct concrete topics whose match sets the table caches
 _MATCH_CACHE_CAP = 1024
@@ -47,6 +48,11 @@ class _Sub:
     token: Optional[int] = None
     #: deliveries to this subscription must be acknowledged
     ack: bool = False
+
+    @cached_property
+    def levels(self) -> Tuple[str, ...]:
+        """The filter's levels, split once: matching compares levels."""
+        return tuple(self.pattern.split("/"))
 
     @classmethod
     def from_record(cls, record: Dict) -> "_Sub":
@@ -130,18 +136,21 @@ class SubscriptionTable:
 
     Publish fan-out must not re-match wildcards per event, so
     :meth:`match` caches, per concrete topic, the matching
-    subscriptions in subscription order.  Every mutator invalidates the
-    cache itself — there is no other place that has to remember to —
-    and the cache is bounded so a topic-cardinality explosion cannot
-    leak memory.
+    subscriptions in subscription order.  Every mutator keeps the cache
+    current itself, replacing each set it changes (an iterating caller
+    never sees one move), and the cache is bounded so a
+    topic-cardinality explosion cannot leak memory.
     """
 
     def __init__(self) -> None:
         #: sub_id -> subscription, in subscription order; read it
         #: freely, change it only through the three mutators below
         self.by_id: Dict[int, _Sub] = {}
-        #: topic -> [(sub_id, wire bytes its ``sub_id`` key adds to a
-        #: fan-out envelope, subscription)]
+        #: sub_id -> its match-set entry (sub_id, wire bytes its
+        #: ``sub_id`` key adds to a fan-out envelope, subscription), in
+        #: subscription order; one per subscription, shared by the sets
+        self._entries: Dict[int, Tuple[int, int, _Sub]] = {}
+        #: topic -> the entries of the subscriptions that match it
         self.cache: Dict[str, List[Tuple[int, int, _Sub]]] = {}
 
     def find(self, subscriber: str, port: str, token) -> Optional[int]:
@@ -154,26 +163,44 @@ class SubscriptionTable:
 
     def add(self, sub_id: int, sub: _Sub) -> None:
         """Insert, or replace in place, subscription *sub_id*."""
+        if sub_id in self.by_id:
+            self.cache.clear()  # the new filter may match other topics
         self.by_id[sub_id] = sub
-        self.cache.clear()
+        # ', "sub_id": N' — precomputed so fan-out sizes an envelope
+        # once per publish, not once per subscriber
+        entry = self._entries[sub_id] = (sub_id, len(str(sub_id)) + 12, sub)
+        # a new id is last in subscription order, so last in each set
+        for topic in self._cached_topics(sub):
+            self.cache[topic] = self.cache[topic] + [entry]
 
     def remove(self, sub_id) -> None:
-        if self.by_id.pop(sub_id, None) is not None:
-            self.cache.clear()
+        sub = self.by_id.pop(sub_id, None)
+        self._entries.pop(sub_id, None)
+        for topic in self._cached_topics(sub) if sub is not None else ():
+            self.cache[topic] = [entry for entry in self.cache[topic]
+                                 if entry[0] != sub_id]
 
     def replace_all(self, subs: Iterable[Tuple[int, _Sub]]) -> None:
-        self.by_id = dict(subs)
+        self.by_id, self._entries = {}, {}
         self.cache.clear()
+        for sub_id, sub in subs:
+            self.add(sub_id, sub)
+
+    def _cached_topics(self, sub: _Sub) -> List[str]:
+        """The topics in the cache that *sub*'s filter matches."""
+        levels = sub.levels
+        if SINGLE in levels or MULTI in levels:
+            return [topic for topic in self.cache
+                    if levels_match(levels, topic.split("/"))]
+        return [sub.pattern] if sub.pattern in self.cache else []
 
     def match(self, topic: str) -> List[Tuple[int, int, _Sub]]:
         """Subscriptions whose pattern matches concrete *topic*."""
         matched = self.cache.get(topic)
         if matched is None:
-            # ', "sub_id": N' — precomputed so fan-out sizes an envelope
-            # once per publish, not once per subscriber
-            matched = [(sub_id, len(str(sub_id)) + 12, sub)
-                       for sub_id, sub in self.by_id.items()
-                       if topic_matches(sub.pattern, topic)]
+            levels = topic.split("/")
+            matched = [entry for entry in self._entries.values()
+                       if levels_match(entry[2].levels, levels)]
             if len(self.cache) >= _MATCH_CACHE_CAP:
                 self.cache.clear()
             self.cache[topic] = matched

@@ -4,12 +4,13 @@ Topics are ``/``-separated hierarchies mirroring the district ontology,
 e.g. ``district/dst-0001/building/bld-0007/device/dev-00a3/power``.
 Subscription filters may use ``+`` to match exactly one level and a
 trailing ``#`` to match any remainder (MQTT semantics, which the
-SEEMPubS middleware the paper builds on also adopted).
+SEEMPubS middleware the paper builds on also adopted).  Matching is one
+rule, :func:`levels_match`, on levels the broker splits only once.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -50,9 +51,12 @@ def _split(text: str) -> List[str]:
 
 def topic_matches(pattern: str, topic: str) -> bool:
     """True if concrete *topic* matches subscription *pattern*."""
-    filter_levels = validate_filter(pattern)
-    topic_levels = validate_topic(topic)
-    i = 0
+    return levels_match(validate_filter(pattern), validate_topic(topic))
+
+
+def levels_match(filter_levels: Sequence[str],
+                 topic_levels: Sequence[str]) -> bool:
+    """:func:`topic_matches` on a validated filter and topic, split."""
     for i, flevel in enumerate(filter_levels):
         if flevel == MULTI:
             return True

@@ -21,9 +21,9 @@ Hot-path design (the PR 10 fast path):
   arbitrary objects).  The computed length is **value-exact** against
   the seed implementation because size feeds bandwidth latency, and
   latency feeds event ordering.
-* Callers that already know the wire size (the broker's publish fan-out
-  computes one base size per event plus an exact per-subscriber delta)
-  pass it via ``send(..., size=...)`` and skip estimation entirely.
+* Callers that already know the wire size (the broker's fan-out: the
+  publish frame's size, :func:`estimate_size_from`, plus exact per-key
+  deltas) pass it via ``send(..., size=...)`` and skip estimation.
 * :meth:`Network.send` takes fast exits: the partition / drop
   probability / flaky machinery is only consulted when actually
   configured, and jitter draws are batched (stream-identical to the
@@ -66,8 +66,12 @@ _INF = float("inf")
 #: string -> its quoted JSON-encoded length.  Envelope keys, topics,
 #: host names and device ids repeat endlessly, so the escape scan runs
 #: once per distinct string; bounded against id-cardinality explosions.
+#: A string with a space is text (a line-protocol line), never cached.
 _STR_LEN_CACHE: Dict[str, int] = {}
 _STR_LEN_CACHE_CAP = 8192
+#: what :func:`estimate_size` charges a payload ``json`` cannot encode
+_OPAQUE_SIZE = 256
+_ABSENT = object()
 
 
 def _json_str_len(value: str) -> int:
@@ -77,6 +81,8 @@ def _json_str_len(value: str) -> int:
         if _NEEDS_ESCAPE(value):
             raise _Exotic
         length = len(value) + 2
+        if " " in value:
+            return length
         if len(cache) >= _STR_LEN_CACHE_CAP:
             cache.clear()
         cache[value] = length
@@ -161,7 +167,30 @@ def estimate_size(payload: Any) -> int:
     try:
         return len(json.dumps(payload, default=str).encode("utf-8"))
     except (TypeError, ValueError):
-        return 256  # opaque object: charge a flat envelope size
+        return _OPAQUE_SIZE  # opaque object: charge a flat envelope size
+
+
+def estimate_size_from(size: int, sent: dict, built: dict) -> int:
+    """Exact :func:`estimate_size` of dict *built* from dict *sent*, a
+    payload charged *size* and not changed since: an item both hold
+    (one key, one value object) is not walked, so a payload *built*
+    carries on is not walked twice.  A full walk stands in where the
+    items' lengths do not add up to the whole."""
+    if sent and built and size != _OPAQUE_SIZE:
+        try:
+            # an item is its key, ': ', its value and 2 bytes of the
+            # braces and ', ' separators
+            for sign, value, other in ((-1, sent, built), (1, built, sent)):
+                for key, item in value.items():
+                    if other.get(key, _ABSENT) is item:
+                        continue
+                    if type(key) is not str:
+                        raise _Exotic
+                    size += sign * (_json_str_len(key) + 4 + _json_len(item))
+            return size
+        except _Exotic:
+            pass
+    return estimate_size(built)
 
 
 @dataclass

@@ -5,7 +5,8 @@ starts a benchmark.  The rule is the ``choosing-metrics`` guide's: a gain
 needs nine tenths of all pairs won (ties count for neither side) *and* a
 median gap wider than the distance between the parent's quartiles.
 ``--exact`` is checked the same way: its filter, and its exit status on
-canned runs standing in for the benchmark.
+canned runs standing in for the benchmark; ``--calls`` by its table of
+canned counts.
 """
 
 import importlib.util
@@ -178,3 +179,30 @@ def test_runs_use_a_copy_taken_at_start(tmp_path):
     assert (copy / "BENCHMARK.json").is_file()
     assert not (copy / "benchmarks/district/out").exists()
     assert not (copy / "benchmarks/bench_other.py").exists()
+
+
+# -- --calls: calls per op by package ----------------------------------------
+
+
+def test_calls_table_divides_by_each_sides_ops_busiest_package_first():
+    sides = {
+        "parent": {"ops": 100, "calls": {
+            "repro.middleware": {"py": 1810, "c": 2330},
+            "python": {"py": 810, "c": 60}}},
+        "change": {"ops": 50, "calls": {
+            "repro.middleware": {"py": 830, "c": 1125},
+            "repro.network": {"py": 2235, "c": 3015}}},
+    }
+    header, *rows = bench_pairs.calls_table(sides)
+    assert header.split() == ["package", "parent", "py", "parent", "C",
+                              "change", "py", "change", "C"]
+    table = {row.split()[0]: [float(value) for value in row.split()[1:]]
+             for row in rows}
+    # by calls per op over both sides: 105.0, 80.5, 8.7
+    assert [row.split()[0] for row in rows] == [
+        "repro.network", "repro.middleware", "python", "total"]
+    assert table["repro.middleware"] == [18.1, 23.3, 16.6, 22.5]
+    # a package one side never called reads 0 there
+    assert table["repro.network"] == [0.0, 0.0, 44.7, 60.3]
+    assert table["python"] == [8.1, 0.6, 0.0, 0.0]
+    assert table["total"] == [26.2, 23.9, 61.3, 82.8]

@@ -3,7 +3,7 @@
 * :class:`BrokerState` with no network: every record kind, the
   snapshot round trip, the ``op_seq`` absorption rule.
 * :class:`SubscriptionTable`: ``match()`` against brute force under any
-  interleaving of its mutators (the cache invalidates itself).
+  interleaving of its mutators (the cache keeps itself current).
 * **live ≡ replay**: whatever frames a durable broker was fed, a fresh
   broker recovering from its WAL (+ snapshot) reaches the same state —
   the property that holds by construction once every live mutation
@@ -175,11 +175,15 @@ class TestBrokerStateRecords:
 
 # -- SubscriptionTable ---------------------------------------------------------
 
-PATTERNS = ["a/#", "a/+", "a/b", "+/b", "#", "b/+/c", "a/b/c"]
+PATTERNS = ["a/#", "a/+", "a/b", "+/b", "#", "b/+/c", "a/b/c", "a/c", "b",
+            "c/b"]
 TOPICS = ["a/b", "a/c", "a/b/c", "b/x/c", "b", "c/b"]
 
 table_ops = st.lists(st.one_of(
     st.tuples(st.just("add"), st.integers(1, 8), st.sampled_from(PATTERNS)),
+    # a held id under another filter: a replace-in-place
+    st.tuples(st.just("replace"), st.integers(0, 7),
+              st.sampled_from(PATTERNS)),
     st.tuples(st.just("remove"), st.integers(1, 8)),
     st.tuples(st.just("replace_all"), st.lists(
         st.tuples(st.integers(1, 8), st.sampled_from(PATTERNS)),
@@ -197,13 +201,24 @@ class TestSubscriptionTable:
             broker_state._MATCH_CACHE_CAP, cap
         try:
             for op, *args in ops:
+                # match sets handed out before the mutation, and a copy
+                held = [(got, list(got)) for got in table.cache.values()]
                 if op == "add":
                     table.add(args[0], _Sub(args[1], "c", "inbox"))
+                elif op == "replace" and table.by_id:
+                    ids = sorted(table.by_id)
+                    sub_id = ids[args[0] % len(ids)]
+                    pattern = args[1]
+                    if pattern == table.by_id[sub_id].pattern:
+                        pattern = "+/+" if pattern != "+/+" else "#"
+                    table.add(sub_id, _Sub(pattern, "c", "inbox"))
                 elif op == "remove":
                     table.remove(args[0])
                 elif op == "replace_all":
                     table.replace_all((sub_id, _Sub(pattern, "c", "inbox"))
                                       for sub_id, pattern in args[0])
+                # a caller iterating a set it was given never sees it move
+                assert all(got == copy for got, copy in held)
                 for topic in ([args[0]] if op == "match" else TOPICS):
                     expected = [(sub_id, sub)
                                 for sub_id, sub in table.by_id.items()
@@ -217,6 +232,31 @@ class TestSubscriptionTable:
                     assert len(table.cache) <= cap
         finally:
             broker_state._MATCH_CACHE_CAP = saved
+
+    def test_exact_subscription_keeps_other_topics_cached(self):
+        table = SubscriptionTable()
+        table.add(1, _Sub("district/#", "dashboard", "inbox"))
+        cached = table.match("district/d1/power")
+        table.add(2, _Sub("actuation/x", "proxy", "inbox"))
+        assert table.match("actuation/x")[0][0] == 2
+        table.remove(2)
+        # the one-shot subscription came and went without touching
+        # another topic's match set
+        assert table.cache["district/d1/power"] is cached
+        assert table.match("actuation/x") == []
+
+    def test_a_wildcard_joins_and_leaves_the_sets_it_matches(self):
+        table = SubscriptionTable()
+        table.add(1, _Sub("a/b", "c", "inbox"))
+        table.match("a/b")
+        table.match("c/d")
+        unrelated = table.cache["c/d"]
+        table.add(2, _Sub("a/+", "c", "inbox"))
+        assert [sub_id for sub_id, _, _ in table.cache["a/b"]] == [1, 2]
+        assert table.cache["c/d"] is unrelated
+        table.remove(1)
+        assert [sub_id for sub_id, _, _ in table.cache["a/b"]] == [2]
+        assert table.cache["c/d"] is unrelated
 
     def test_find_is_by_subscriber_port_and_token(self):
         table = SubscriptionTable()

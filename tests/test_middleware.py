@@ -451,6 +451,60 @@ class TestFanoutWireSize:
                              "acked": sorted(plain + ["delivery_id"])}
 
 
+class TestBrokerSendSizes:
+    """A size the broker hands to ``send`` skips the transport's own walk
+    of the payload, so it must equal that walk exactly: size feeds
+    latency, and latency feeds event order."""
+
+    #: plain, non-ASCII and infinite (both need the real encoder), and
+    #: non-dict payloads.  One json cannot encode is charged a flat size
+    #: that no per-key delta can match, so it is not among them.
+    PAYLOADS = [{"value": 21.5, "unit": "C"}, {"v": "café"},
+                {"v": float("inf")}, None, [1, "two"], "some text"]
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_every_sized_send_equals_a_full_estimate(self, net, broker,
+                                                     traced):
+        from repro.network.transport import estimate_size
+        from repro.observability import install
+
+        if traced:
+            install(net)
+        publisher = make_peer(net, "pub")
+        make_peer(net, "plain").subscribe("t/#", lambda e: None)
+        make_peer(net, "acked").subscribe("t/#", lambda e: None, ack=True)
+        net.scheduler.run_until_idle()
+        sized = []
+        send = net.send
+
+        def spy(sender, recipient, port, payload, size=None):
+            if sender == "broker" and size is not None:
+                sized.append((payload, size))
+            send(sender, recipient, port, payload, size=size)
+
+        net.send = spy
+        for i, payload in enumerate(self.PAYLOADS):
+            for topic in (f"t/{i}/reading", f"t/{i}/café"):
+                publisher.publish(topic, payload, retain=True)
+        net.scheduler.run_until_idle()
+        make_peer(net, "late").subscribe("t/#", lambda e: None)
+        net.scheduler.run_until_idle()
+        # a restored state holds copies: their sizes are walked afresh
+        broker.restore(broker.snapshot())
+        make_peer(net, "later").subscribe("t/#", lambda e: None)
+        net.scheduler.run_until_idle()
+        events = 2 * len(self.PAYLOADS)
+        assert len(sized) == 2 * events + 2 * events  # fan-out, replays
+        assert sum("delivery_id" in payload for payload, _ in sized) \
+            == events
+        assert sum(payload.get("retained", False) for payload, _ in sized) \
+            == 2 * events
+        assert all("trace" in payload for payload, _ in sized
+                   if not payload.get("retained")) is traced
+        for payload, size in sized:
+            assert size == estimate_size(payload), payload
+
+
 class TestAckedDeliveries:
     """What the peer does with a broker-tracked delivery once the
     callback returns — or raises, or takes custody of it."""

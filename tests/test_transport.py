@@ -4,7 +4,13 @@ import pytest
 
 from repro.errors import ConfigurationError, UnknownHostError
 from repro.network.scheduler import Scheduler
-from repro.network.transport import LatencyModel, Network, estimate_size
+from repro.network import transport
+from repro.network.transport import (
+    LatencyModel,
+    Network,
+    estimate_size,
+    estimate_size_from,
+)
 
 
 @pytest.fixture
@@ -306,6 +312,62 @@ class TestPresizedEstimate:
         estimate_size(envelope)
         assert envelope == {"body": {"x": [1, 2, 3]}, "k": "v"}
         assert envelope["body"] is body
+
+
+class TestEstimateSizeFrom:
+    """A dict sized from another one it shares items with equals a full
+    estimate of it, whatever the items — including where their lengths
+    do not add up to the whole and a full walk stands in."""
+
+    @pytest.mark.parametrize("payload", [
+        {"value": 21.5, "unit": "C"}, None, [1, "two", {"x": [3.0]}],
+        "plain text", {"v": "café ☃"}, {"v": float("inf")},
+        {("not", "a str"): 1}, object(),
+    ])
+    @pytest.mark.parametrize("topic", ["t/reading", "t/café"])
+    def test_equals_a_full_estimate(self, payload, topic):
+        sent = {"verb": "publish", "topic": topic, "payload": payload,
+                "published_at": 1.25, "retain": True, "trace": [3, 4]}
+        built = {"kind": "event", "topic": topic, "payload": payload,
+                 "published_at": sent["published_at"]}
+        assert estimate_size_from(estimate_size(sent), sent, built) == \
+            estimate_size(built)
+
+    def test_items_that_differ_or_one_side_lacks_are_walked(self):
+        sent = {"verb": "publish", "topic": "t/1", "retain": False}
+        for built in ({"kind": "event", "topic": "t/1", "payload": None},
+                      {"topic": "t/2"}, {"topic": "t/1"}, {},
+                      {"verb": "publish", "topic": "t/1", "retain": False}):
+            assert estimate_size_from(estimate_size(sent), sent, built) \
+                == estimate_size(built), built
+        assert estimate_size_from(2, {}, sent) == estimate_size(sent)
+
+    def test_a_non_str_key_is_walked_by_the_encoder(self):
+        sent = {"verb": "publish", 7: "seven"}
+        built = {"kind": "event", 7: "seven", 8: "eight"}
+        assert estimate_size_from(estimate_size(sent), sent, built) == \
+            estimate_size(built)
+
+
+class TestStringLengthCache:
+    def test_batch_frame_lines_never_enter_the_cache(self):
+        # a small batched district past the cache's capacity in distinct
+        # line-protocol lines: each is walked once, so none is cached,
+        # and the names the cache is for are never flushed with them
+        from repro.proxies.device_proxy import BatchConfig
+        from repro.simulation.scenario import ScenarioConfig, deploy
+
+        district = deploy(ScenarioConfig(seed=3, n_buildings=2,
+                                         proxy_batching=BatchConfig()))
+        cache = transport._STR_LEN_CACHE
+        cache.clear()
+        cache["sentinel"] = 10  # gone if the cache is ever cleared
+        district.run(16 * 3600.0)
+        lines = sum(proxy.batch_samples_published
+                    for proxy in district.device_proxies.values())
+        assert lines > transport._STR_LEN_CACHE_CAP
+        assert [key for key in cache if " " in key] == []
+        assert cache["sentinel"] == 10
 
 
 class TestOfflineSenderStats:
