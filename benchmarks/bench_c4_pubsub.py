@@ -12,6 +12,9 @@ broker serialises sends), throughput scales with fan-out, and wildcard
 matching stays within a small constant factor of literal matching.
 """
 
+import statistics
+import time
+
 import pytest
 
 from repro.middleware.broker import Broker
@@ -24,6 +27,7 @@ from repro.observability import MetricsRegistry
 EXPERIMENT = "C4"
 SUBSCRIBER_COUNTS = (1, 4, 16, 64, 256)
 EVENTS = 50
+MATCHES = 1000
 
 
 @pytest.mark.parametrize("subscribers", SUBSCRIBER_COUNTS)
@@ -48,11 +52,14 @@ def test_fanout_latency(subscribers, benchmark, report):
 
     topic = measurement_topic("dst-0001", "bld-0001", "dev-0001", "power")
 
+    rounds = []
+
     def publish_burst():
-        start = arrivals["n"]
+        start, wall0 = arrivals["n"], time.perf_counter()
         for k in range(EVENTS):
             publisher.publish(topic, {"v": k})
         net.scheduler.run_until_idle()
+        rounds.append(time.perf_counter() - wall0)
         return arrivals["n"] - start
 
     with report.measure(EXPERIMENT, net):
@@ -60,8 +67,7 @@ def test_fanout_latency(subscribers, benchmark, report):
                                        iterations=1)
     assert delivered == EVENTS * subscribers
     summary = metrics.summary("delivery")
-    wall_mean = benchmark.stats.stats.mean
-    throughput = delivered / wall_mean
+    throughput = delivered / statistics.mean(rounds)
     report.header(EXPERIMENT,
                   "pub/sub middleware: fan-out latency and throughput")
     report.record(EXPERIMENT, delivery_p99_ms=summary.p99 * 1e3)
@@ -82,6 +88,9 @@ def test_topic_matching_cost(pattern, label, benchmark, report):
     topic = measurement_topic("dst-0001", "bld-0001", "dev-0001", "power")
     assert topic_matches(pattern, topic)
     benchmark(topic_matches, pattern, topic)
-    mean_us = benchmark.stats.stats.mean * 1e6
+    wall0 = time.perf_counter()
+    for _ in range(MATCHES):
+        topic_matches(pattern, topic)
+    mean_us = (time.perf_counter() - wall0) / MATCHES * 1e6
     report.add(EXPERIMENT,
                f"topic match {label:<15s} {mean_us:7.2f} us/match")

@@ -14,6 +14,7 @@ Run with:  python examples/demand_response.py
 """
 
 from repro.common.simtime import duration
+from repro.middleware import decode_event
 from repro.ontology import AreaQuery
 from repro.simulation import ScenarioConfig, deploy
 
@@ -49,8 +50,9 @@ class DemandResponseController:
         return sum(self.latest_power.values())
 
     def on_measurement(self, event) -> None:
-        payload = event.payload
-        self.latest_power[payload["device_id"]] = payload["value"]
+        # the topic names the device; the event carries only the value
+        measurement = decode_event(event.topic, event.payload)
+        self.latest_power[measurement.device_id] = measurement.value
         if not self.triggered and self.district_load() > self.threshold:
             self.triggered = True
             self.shed_load()

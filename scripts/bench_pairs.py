@@ -15,9 +15,10 @@ checkout taken once at start (:func:`snapshot`), so an edit made to the
 checkout while the runs go on cannot mix two versions under one verdict.
 The pair protocol runs ``--trace 0``, one run at a time, and alternates
 which side goes first; it prints every run, each side's quartiles per
-end-to-end metric, pairs won / lost / tied, whether every ``sim_*``
-metric is exactly equal, and the gain / unresolved / worse verdict of
-:func:`compare`.
+end-to-end metric, pairs won / lost / tied, each ``sim_*`` metric as
+exactly equal or as ``parent → change (±x.x %)`` (:func:`sim_line`), and
+the gain / unresolved / worse verdict of :func:`compare` (a gain or
+worse closer than a metric's :data:`NOISE_FLOOR` adds "re-run").
 
 ``--exact`` is the "nothing moved" proof: for every ``BENCHMARK.json``
 workload (or the one given) and every ``--seed`` (default 17 and 29),
@@ -54,6 +55,10 @@ from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 #: values that time this machine rather than count the program's work
 HOST_CLOCK = ("setup_s", "ops_per_s", "peak_rss_mb", "attributed_share",
               "tracing_overhead_x")
+#: a metric's relative median gap below which a gain or worse verdict
+#: asks for a re-run: ``peak_rss_mb``'s level moves ~0.5 MiB (~1 %)
+#: between invocations of one tree, however tight each series is
+NOISE_FLOOR = {"peak_rss_mb": 0.01}
 #: the seeds of ``--exact`` and ``--record`` when no ``--seed`` is given
 EXACT_SEEDS = [17, 29]
 #: the scale ``--record`` runs at (~20x less work than ``full``)
@@ -126,12 +131,15 @@ def quartiles(runs: Sequence[float]) -> List[float]:
 
 
 def compare(parent: Sequence[float], change: Sequence[float],
-            better: str = "higher") -> Dict:
+            better: str = "higher", noise: float = 0.0) -> Dict:
     """Section 8 on two lists of paired runs (``parent[i]`` ran with
     ``change[i]``): *gain* only on ten pairs or more, when the change
     wins at least nine tenths of them, ties counting for neither, and
     the medians differ by more than the distance between the parent's
-    quartiles; *worse* is the mirror image, anything else *unresolved*."""
+    quartiles; *worse* is the mirror image, anything else *unresolved*.
+    A gain or worse whose medians are less than *noise* of the parent's
+    median apart keeps its word and says so: ``worse (< 1 % apart:
+    re-run)``."""
     sign = 1.0 if better == "higher" else -1.0
     won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     lost = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
@@ -141,6 +149,8 @@ def compare(parent: Sequence[float], change: Sequence[float],
     need = 0.9 * len(parent) if len(parent) >= 10 else float("inf")
     verdict = "gain" if won >= need and gap > spread \
         else "worse" if lost >= need and -gap > spread else "unresolved"
+    if verdict != "unresolved" and abs(gap) < noise * abs(p_q[1]):
+        verdict += f" (< {noise * 100:g} % apart: re-run)"
     return {"won": won, "lost": lost, "tied": len(parent) - won - lost,
             "parent": p_q, "change": c_q, "verdict": verdict}
 
@@ -300,6 +310,20 @@ def record(path: Path, runs: Runs) -> int:
     return 0
 
 
+def sim_line(name: str, parent: Sequence[float], change: Sequence[float]
+             ) -> str:
+    """A ``sim_*`` metric over the pairs: ``exactly equal [v]``, or
+    ``DIFFERS parent → change (±x.x %)`` (each side's distinct values
+    when a side is not one value)."""
+    before, after = sorted(set(parent)), sorted(set(change))
+    if before == after and len(before) == 1:
+        return f"{name}: exactly equal {before}"
+    if len(before) == len(after) == 1 and before[0]:
+        p, c = before[0], after[0]
+        return f"{name}: DIFFERS {p} → {c} ({(c - p) / p * 100:+.1f} %)"
+    return f"{name}: DIFFERS {before} → {after}"
+
+
 def pairs(sides: Dict[str, Path], workload: str, seed: int, count: int,
           spec: Dict) -> None:
     """The alternating pair protocol on one workload and seed."""
@@ -316,11 +340,10 @@ def pairs(sides: Dict[str, Path], workload: str, seed: int, count: int,
         name = metric["name"]
         parent, change = ([run[name] for run in runs[side]] for side in sides)
         if name.startswith("sim_"):
-            seen = sorted(set(parent + change))
-            print(f"{name}: "
-                  f"{'exactly equal' if len(seen) == 1 else 'DIFFERS'} {seen}")
+            print(sim_line(name, parent, change))
             continue
-        c = compare(parent, change, metric["better"])
+        c = compare(parent, change, metric["better"],
+                    NOISE_FLOOR.get(name, 0.0))
         print(f"{name} [{metric['unit']}, {metric['better']} is better]: "
               + "  ".join(f"{side} " + " / ".join(f"{q:.4g}" for q in c[side])
                           for side in sides)

@@ -46,6 +46,10 @@ class Measurement:
     ``value`` is always expressed in ``canonical_unit(quantity)``; the
     proxy's dedicated layer performs the unit conversion when decoding
     the native protocol frame.
+
+    On the bus a lone sample is ``to_event()`` on its measurement topic,
+    which names device, entity and quantity (hence the unit);
+    :func:`repro.middleware.topics.decode_event` rebuilds the record.
     """
 
     device_id: str
@@ -77,6 +81,11 @@ class Measurement:
             "source": self.source,
             "metadata": dict(self.metadata),
         }
+
+    def to_event(self) -> Dict[str, Any]:
+        """The pub/sub event body: what the measurement topic does not say."""
+        return {"value": self.value, "timestamp": self.timestamp,
+                "source": self.source, "metadata": dict(self.metadata)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Measurement":
@@ -338,7 +347,8 @@ class ActuationCommand:
 
 @dataclass(frozen=True)
 class ActuationResult:
-    """Outcome of an actuation command, reported back through the proxy."""
+    """Outcome of an actuation command, reported back through the proxy
+    as ``to_event()`` on the actuation topic, which names the device."""
 
     device_id: str
     command: str
@@ -355,6 +365,11 @@ class ActuationResult:
             "detail": self.detail,
             "completed_at": self.completed_at,
         }
+
+    def to_event(self) -> Dict[str, Any]:
+        """The pub/sub event body: what the actuation topic does not say."""
+        return {"command": self.command, "accepted": self.accepted,
+                "detail": self.detail, "completed_at": self.completed_at}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ActuationResult":

@@ -33,10 +33,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.common import serialization
 from repro.common.cdf import ActuationResult, EntityModel
 from repro.common.serialization import JSON_FORMAT
-from repro.errors import IntegrationError, QueryError, ServiceError
+from repro.errors import IntegrationError, QueryError, ReproError, ServiceError
 from repro.middleware.broker import Event
 from repro.middleware.peer import MiddlewarePeer, Subscription
-from repro.middleware.topics import actuation_topic, measurement_filter
+from repro.middleware.topics import (
+    actuation_topic, decode_event, measurement_filter,
+)
 from repro.network.resilience import FailoverSet, ResiliencePolicy
 from repro.network.transport import Host
 from repro.network.webservice import HttpClient, Response
@@ -386,14 +388,18 @@ class DistrictClient:
             subscription: List[Subscription] = []
 
             def deliver(event: Event) -> None:
-                if isinstance(event.payload, dict) and \
-                        event.payload.get("record") == "actuation_result":
-                    on_result(ActuationResult.from_dict(event.payload))
-                    # one-shot: drop the subscription once the matching
-                    # result arrived, so repeated actuate() calls do not
-                    # accumulate live subscriptions on the broker
-                    if subscription:
-                        subscription.pop().unsubscribe()
+                # exact on actuation/<device>, but any peer may publish
+                # there: wait on past a body that is not a result
+                try:
+                    result = decode_event(event.topic, event.payload)
+                except (KeyError, TypeError, ValueError, ReproError):
+                    return
+                on_result(result)
+                # one-shot: drop the subscription once the result arrived,
+                # so repeated actuate() calls do not accumulate live
+                # subscriptions on the broker
+                if subscription:
+                    subscription.pop().unsubscribe()
 
             subscription.append(
                 self.peer.subscribe(actuation_topic(device.device_id),

@@ -11,6 +11,7 @@ from repro.middleware.broker import Broker, BrokerStats, Event
 from repro.middleware.peer import MiddlewarePeer, Subscription, connect
 from repro.middleware.topics import (
     actuation_topic,
+    decode_event,
     district_filter,
     join,
     measurement_filter,
@@ -27,6 +28,7 @@ __all__ = [
     "Subscription",
     "actuation_topic",
     "connect",
+    "decode_event",
     "district_filter",
     "join",
     "measurement_filter",

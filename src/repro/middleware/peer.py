@@ -85,6 +85,8 @@ from repro.observability.tracing import (
 EventCallback = Callable[[Event], None]
 #: handle to one broker-tracked delivery: (origin broker, delivery id)
 Delivery = Tuple[str, int]
+#: most event frames a peer holds for outstanding sub-acks
+_EARLY_LIMIT = 4096
 
 
 class Subscription:
@@ -159,6 +161,10 @@ class MiddlewarePeer:
         self._token_ids = itertools.count(1)
         self._by_token: Dict[int, Subscription] = {}
         self._by_sub_id: Dict[int, Subscription] = {}
+        #: tokens whose first sub-ack has not arrived, and the event
+        #: frames that overtook theirs
+        self._unacked: Set[int] = set()
+        self._early: List[Message] = []
         self._pub_ids = itertools.count(1)
         self._pending_pubs: Dict[int, dict] = {}
         #: pub_ids the broker sent a pub-receipt for (custody taken,
@@ -429,9 +435,11 @@ class MiddlewarePeer:
                   ack: bool = False) -> Subscription:
         """Subscribe *callback* to events matching *pattern*.
 
-        The subscription becomes live once the broker's ack arrives (a
-        network round-trip later); events published before that are not
-        delivered, matching real broker semantics.
+        The subscription becomes live once the broker has it (half a
+        round-trip later); events published before that are not
+        delivered, matching real broker semantics.  The broker's sub-ack
+        names the subscription's id; a retained replay or live event
+        that overtakes it is held until it lands.
 
         With *ack*, every delivery is acknowledged back to the broker
         after the callback returns (at-least-once) unless the callback
@@ -444,6 +452,7 @@ class MiddlewarePeer:
         token = next(self._token_ids)
         subscription = Subscription(self, token, pattern, callback, ack=ack)
         self._by_token[token] = subscription
+        self._unacked.add(token)
         self._send_subscribe(subscription)
         if len(self._brokers) > 1:
             # a lost sub-ack is a subscriber-only peer's first (and
@@ -540,7 +549,14 @@ class MiddlewarePeer:
             # tags it with the subscription id, so dispatch is exact even
             # when several local filters overlap
             sub = self._by_sub_id.get(payload.get("sub_id"))
-            if sub is None or not sub.active:
+            if sub is None:
+                # it overtook the sub-ack naming its sub_id (sent first):
+                # held while a first sub-ack is outstanding, else it is
+                # a cancelled subscription's and dropped
+                if self._unacked and len(self._early) < _EARLY_LIMIT:
+                    self._early.append(message)
+                return
+            if not sub.active:
                 return
             sub.events_received += 1
             network = self.host.network
@@ -586,12 +602,21 @@ class MiddlewarePeer:
             return
         if kind == "sub-ack":
             sub = self._by_token.get(payload.get("token"))
+            self._unacked.discard(payload.get("token"))
+            early = self._early
+            if early:
+                self._early = [m for m in early if m.payload.get("sub_id")
+                               != payload.get("sub_id")] \
+                    if self._unacked else []
             if sub is not None and sub.active:
                 if sub.sub_id is not None and sub.sub_id != payload["sub_id"]:
                     # broker restarted and assigned a fresh id
                     self._by_sub_id.pop(sub.sub_id, None)
                 sub.sub_id = payload["sub_id"]
                 self._by_sub_id[sub.sub_id] = sub
+                for held in early:
+                    if held.payload.get("sub_id") == sub.sub_id:
+                        self._handle_frame(held, held.payload, "event")
             elif payload.get("sub_id") is not None:
                 # cancelled before this ack landed, or cancelled and
                 # forgotten while a resubscribe was in flight

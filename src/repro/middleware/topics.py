@@ -10,9 +10,11 @@ rule, :func:`levels_match`, on levels the broker splits only once.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from sys import intern
+from typing import Any, List, Sequence, Union
 
-from repro.errors import ConfigurationError
+from repro.common.cdf import ActuationResult, Measurement
+from repro.errors import ConfigurationError, SerializationError
 
 SINGLE = "+"
 MULTI = "#"
@@ -81,7 +83,8 @@ def join(*levels: str) -> str:
 
 def measurement_topic(district_id: str, entity_id: str, device_id: str,
                       quantity: str) -> str:
-    """Topic on which a device-proxy publishes one device quantity."""
+    """Topic on which a device-proxy publishes one device quantity: it
+    names them, so the event is only ``Measurement.to_event()``."""
     return join("district", district_id, "entity", entity_id,
                 "device", device_id, quantity)
 
@@ -108,3 +111,20 @@ def actuation_topic(device_id: str) -> str:
     """Topic carrying actuation results for a device."""
     return join("actuation", device_id)
 
+
+def decode_event(topic: str, payload: Any
+                 ) -> Union[Measurement, ActuationResult]:
+    """The CDF record a device event carries: its topic names the device
+    (and a measurement's entity and quantity), its payload the rest.
+    The names are interned: split afresh per event, they would give
+    every record a caller keeps its own copy of the same id."""
+    levels = topic.split("/")
+    if len(levels) == 7 and levels[0] == "district" and \
+            levels[2] == "entity" and levels[4] == "device":
+        return Measurement.from_dict(dict(
+            payload, entity_id=intern(levels[3]),
+            device_id=intern(levels[5]), quantity=intern(levels[6])))
+    if len(levels) == 2 and levels[0] == "actuation":
+        return ActuationResult.from_dict(
+            dict(payload, device_id=intern(levels[1])))
+    raise SerializationError(f"{topic!r} is not a device event topic")

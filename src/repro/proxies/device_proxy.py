@@ -230,7 +230,7 @@ class DeviceProxy(Proxy):
             measurement.device_id, measurement.quantity,
         )
         # retained, so late-joining monitors immediately see last values
-        self.peer.publish(topic, measurement.to_dict(), retain=True)
+        self.peer.publish(topic, measurement.to_event(), retain=True)
         self.measurements_published += 1
 
     # -- batched publication ---------------------------------------------------
@@ -315,7 +315,7 @@ class DeviceProxy(Proxy):
                 detail=f"confirmed by {measurement.quantity} report",
                 completed_at=self.host.network.scheduler.now,
             )
-            self.peer.publish(actuation_topic(device_id), result.to_dict())
+            self.peer.publish(actuation_topic(device_id), result.to_event())
         self._pending = [p for p in self._pending if not p.resolved]
 
     def _expire_actuation(self, pending: _PendingActuation) -> None:
@@ -331,7 +331,7 @@ class DeviceProxy(Proxy):
             completed_at=self.host.network.scheduler.now,
         )
         self.peer.publish(actuation_topic(pending.device_id),
-                          result.to_dict())
+                          result.to_event())
 
     # -- registration ------------------------------------------------------------
 

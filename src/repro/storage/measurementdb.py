@@ -53,12 +53,11 @@ from repro.errors import (
     PoisonPayloadError,
     QueryError,
     ReproError,
-    SerializationError,
     SeriesNotFoundError,
 )
 from repro.middleware.broker import Event
 from repro.middleware.peer import Delivery, MiddlewarePeer
-from repro.middleware.topics import district_filter
+from repro.middleware.topics import decode_event, district_filter
 from repro.network.transport import Host
 from repro.network.webservice import (
     GET,
@@ -173,31 +172,34 @@ class MeasurementDatabase(StateMachine, Registrant):
             evicted = self._dedup_order.popleft()
             self._dedup_keys.discard(evicted)
 
-    def _decode(self, payload) -> Optional[Tuple[List, List[Measurement]]]:
+    def _decode(self, payload, topic: str = ""
+                ) -> Optional[Tuple[List, List[Measurement]]]:
         """Parse a delivered payload or a replayed WAL record.
 
         Returns ``(parts, measurements)``, aligned: part *i* is what
         the WAL keeps of sample *i* — its line of a batch frame (the
-        record keeps the frame's ``tags`` too), or the whole envelope
-        of a lone sample (a frame of one).  A poison payload is counted
-        and yields None.
+        record keeps the frame's ``tags`` too), or the self-contained
+        record of a lone sample (a frame of one), whether it arrived as
+        one or as a topic-named event on a measurement *topic*.  A
+        poison payload is counted and yields None.
         """
         try:
             if is_batch(payload):
                 return payload["lines"], decode_frame(
                     payload, tracer=self.host.network.tracer,
                     host=self.host.name)
-            if not isinstance(payload, dict) or \
-                    payload.get("record") != "measurement":
-                raise SerializationError("not a measurement record")
-            return [payload], [Measurement.from_dict(payload)]
+            if isinstance(payload, dict) and \
+                    payload.get("record") == "measurement":
+                return [payload], [Measurement.from_dict(payload)]
+            measurement = decode_event(topic, payload)
+            return [measurement.to_dict()], [measurement]
         except (KeyError, TypeError, ValueError, ReproError):
             self.rejected += 1
             self.poison_rejected += 1
             return None
 
     def _on_event(self, event: Event) -> None:
-        decoded = self._decode(event.payload)
+        decoded = self._decode(event.payload, event.topic)
         if decoded is None:
             if self.durability.ack_deliveries:
                 # the peer turns this into a poison nack; repeated

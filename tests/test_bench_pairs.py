@@ -206,3 +206,59 @@ def test_calls_table_divides_by_each_sides_ops_busiest_package_first():
     assert table["repro.network"] == [0.0, 0.0, 44.7, 60.3]
     assert table["python"] == [8.1, 0.6, 0.0, 0.0]
     assert table["total"] == [26.2, 23.9, 61.3, 82.8]
+
+
+# -- pairs: what a verdict and a sim_* line say ------------------------------
+
+#: ``actuation_waves`` seed 17, ``peak_rss_mb`` over ten alternating
+#: pairs, with a decoder that gave each kept record its own copy of the
+#: ids: a real +0.95 % regression, lost 10 of 10
+RSS_PARENT = [66.4727, 66.3906, 66.3359, 66.3281, 66.4453,
+              66.5, 66.2148, 66.2773, 66.3047, 66.4414]
+RSS_CHANGE = [66.9297, 67.043, 66.8906, 67.1055, 67.0273,
+              66.8906, 66.9609, 67.0352, 67.082, 66.9453]
+
+
+def test_rss_regression_below_the_noise_floor_is_still_flagged():
+    floor = bench_pairs.NOISE_FLOOR["peak_rss_mb"]
+    assert floor == 0.01
+    result = compare(RSS_PARENT, RSS_CHANGE, "lower", floor)
+    assert result["lost"] == 10
+    assert result["verdict"] == "worse (< 1 % apart: re-run)"
+    assert result["verdict"].startswith(
+        compare(RSS_PARENT, RSS_CHANGE, "lower")["verdict"])
+    # the mirror image is a gain that asks for a re-run too
+    assert compare(RSS_CHANGE, RSS_PARENT, "lower", floor)["verdict"] == \
+        "gain (< 1 % apart: re-run)"
+    # one percent or more apart is a plain verdict, in both directions
+    assert compare(RSS_PARENT, [r * 1.02 for r in RSS_PARENT], "lower",
+                   floor)["verdict"] == "worse"
+    assert compare(RSS_PARENT, [r * 0.98 for r in RSS_PARENT], "lower",
+                   floor)["verdict"] == "gain"
+
+
+def test_noise_floor_never_resolves_an_unresolved_pair_series():
+    floor = bench_pairs.NOISE_FLOOR["peak_rss_mb"]
+    mixed = RSS_CHANGE[:5] + RSS_PARENT[5:]
+    assert compare(RSS_PARENT, mixed, "lower", floor)["verdict"] == \
+        "unresolved"
+
+
+def test_other_metrics_have_no_noise_floor():
+    assert set(bench_pairs.NOISE_FLOOR) == {"peak_rss_mb"}
+    # a +1.2 % ops_per_s gap outside the parent's spread still resolves
+    steady = [1000.0 + i * 0.1 for i in range(10)]
+    assert compare(steady, [s * 1.012 for s in steady])["verdict"] == "gain"
+
+
+def test_sim_line_states_parent_change_and_the_relative_move():
+    line = bench_pairs.sim_line("sim_bytes_per_op", [1242.29] * 10,
+                                [905.61] * 10)
+    assert line == "sim_bytes_per_op: DIFFERS 1242.29 → 905.61 (-27.1 %)"
+    assert bench_pairs.sim_line("sim_op_latency_p50_ms", [4.0] * 3,
+                                [4.1] * 3).endswith("(+2.5 %)")
+    assert bench_pairs.sim_line("sim_x", [8.5] * 4, [8.5] * 4) == \
+        "sim_x: exactly equal [8.5]"
+    # a side that is not one value is listed, not summarised
+    assert bench_pairs.sim_line("sim_x", [1.0, 2.0], [3.0, 3.0]) == \
+        "sim_x: DIFFERS [1.0, 2.0] → [3.0]"

@@ -21,7 +21,7 @@ from repro.errors import (
 )
 from repro.middleware.broker import BROKER_PORT, Broker, BrokerOverloadConfig
 from repro.middleware.peer import MiddlewarePeer
-from repro.middleware.topics import measurement_topic
+from repro.middleware.topics import join, measurement_topic
 from repro.network.resilience import ResiliencePolicy, RetryPolicy
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
@@ -440,6 +440,73 @@ class TestDurableIngest:
         # immediate resend plus one per ack-timeout period, not two
         assert broker.stats.redeliveries == len(received) - 1
         assert broker.stats.redeliveries <= 4
+
+
+class TestLoneSampleWire:
+    """A lone sample travels as a topic-named event; the measurement DB
+    still accepts the self-contained record and keeps writing it to the
+    WAL, so the WAL shape does not change and an old WAL replays."""
+
+    #: a lone-sample WAL record as written before events were
+    #: topic-named: the self-contained CDF record, spelled out literally
+    OLD_RECORD = {"record": "measurement", "device_id": "dev-0001",
+                  "entity_id": "bld-0001", "quantity": "temperature",
+                  "value": 20.0, "unit": "degC", "timestamp": 1.0,
+                  "source": "test", "metadata": {"seq": 1}}
+
+    def rig(self, net, tmp_path):
+        broker = Broker(net.add_host("broker"))
+        mdb = make_mdb(net, tmp_path)
+        peer = MiddlewarePeer(net.add_host("pub"), "broker")
+        net.scheduler.run_for(1.0)
+        return broker, mdb, peer
+
+    def test_topic_named_event_ingests_and_logs_the_full_record(
+            self, net, tmp_path):
+        _broker, mdb, peer = self.rig(net, tmp_path)
+        peer.publish(topic_for(), sample().to_event())
+        net.scheduler.run_for(1.0)
+        assert mdb.ingested == 1 and mdb.poison_rejected == 0
+        assert mdb.wal.records() == [self.OLD_RECORD]
+        assert mdb.query(RangeQuery("dev-0001", "temperature")) == \
+            [(1.0, 20.0)]
+
+    def test_self_contained_record_on_a_measurement_topic_ingests(
+            self, net, tmp_path):
+        _broker, mdb, peer = self.rig(net, tmp_path)
+        peer.publish(topic_for(), dict(self.OLD_RECORD))
+        net.scheduler.run_for(1.0)
+        assert mdb.ingested == 1 and mdb.poison_rejected == 0
+        assert mdb.wal.records() == [self.OLD_RECORD]
+
+    def test_short_payload_off_a_measurement_topic_is_poison(
+            self, net, tmp_path):
+        broker, mdb, peer = self.rig(net, tmp_path)
+        for topic in (join("district", DISTRICT, "batch", "pub"),
+                      join("district", DISTRICT, "entity", "bld-0001")):
+            peer.publish(topic, sample().to_event())
+        net.scheduler.run_for(30.0)   # past every redelivery round
+        # acked: each is nacked as poison until it dead-letters
+        assert [d["reason"] for d in broker.dead_letters] == ["poison"] * 2
+        assert mdb.poison_rejected == broker.stats.poison_nacks
+        assert mdb.poison_rejected >= 2 and mdb.ingested == 0
+        assert mdb.wal.records() == []
+
+    def test_old_wal_lone_record_replays_to_the_same_series(
+            self, net, tmp_path):
+        WriteAheadLog(str(tmp_path / "mdb.wal")).append(self.OLD_RECORD)
+        _broker, mdb, peer = self.rig(net, tmp_path)
+        assert mdb.recover() == 1
+        replayed = mdb.query(RangeQuery("dev-0001", "temperature"))
+        live = MeasurementDatabase(net.add_host("live"), "broker", DISTRICT)
+        net.scheduler.run_for(1.0)
+        peer.publish(topic_for(), sample().to_event())
+        net.scheduler.run_for(1.0)
+        assert replayed == [(1.0, 20.0)] == \
+            live.query(RangeQuery("dev-0001", "temperature"))
+        # the same sample arriving live now is a duplicate, not a second
+        assert mdb.ingest_duplicates == 1
+        assert mdb.query(RangeQuery("dev-0001", "temperature")) == replayed
 
 
 class TestBackpressure:

@@ -1,9 +1,13 @@
 """End-to-end tests: the full Figure 1(a) workflow on a deployed district."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.common.cdf import ActuationResult
 from repro.datasources.geometry import BoundingBox
+from repro.middleware.topics import decode_event
 from repro.ontology.queries import AreaQuery
 from repro.simulation.scenario import ScenarioConfig, deploy
 
@@ -184,6 +188,35 @@ class TestActuationEndToEnd:
         assert (len(peer._by_token), len(peer._by_sub_id)) == before
 
 
+    def test_a_body_that_is_not_a_result_is_waited_past(self):
+        # any peer may publish on actuation/<device>; the one-shot
+        # callback ignores what does not decode and keeps listening.
+        # Its own district: the junk is retained, so the broker replays
+        # it to the result's subscription ahead of the result
+        district = deploy(ScenarioConfig(
+            seed=42, n_buildings=1, devices_per_building=5, n_networks=1,
+            net_jitter=0.0,
+        ))
+        district.run(60.0)
+        client = district.client("patient-user")
+        resolved = client.resolve(AreaQuery(district.district_id))
+        target = next(d for e in resolved.entities for d in e.devices
+                      if d.is_actuator and "setpoint" in d.quantities)
+        topic = f"actuation/{target.device_id}"
+        vandal = district.client("vandal").peer
+        vandal.publish(topic, {"command": "setpoint"}, retain=True)
+        district.run(1.0)
+        seen = []
+        client.peer.subscribe(topic, seen.append)
+        results = []
+        client.actuate(target, "setpoint", 20.0, on_result=results.append)
+        district.run(10.0)
+        assert [e.payload for e in seen] == [{"command": "setpoint"}] + \
+            [results[0].to_event()]
+        assert len(results) == 1 and results[0].accepted
+        assert results[0].device_id == target.device_id
+
+
 class TestLiveSubscription:
     def test_client_receives_live_measurements(self, district):
         client = district.client("live-user")
@@ -193,4 +226,36 @@ class TestLiveSubscription:
                                       quantity="power")
         district.run(120.0)
         assert events
-        assert all(e.payload["quantity"] == "power" for e in events)
+        samples = [decode_event(e.topic, e.payload) for e in events]
+        assert {m.quantity for m in samples} == {"power"}
+        assert all(m.unit == "W" for m in samples)
+
+
+class TestDemandResponseExample:
+    """``examples/demand_response.py`` reads live events the way any
+    application must: through the topic-aware decoder."""
+
+    def test_controller_records_power_and_actuates(self):
+        # its own district: the controller actuates every HVAC
+        district = deploy(ScenarioConfig(
+            seed=42, n_buildings=2, devices_per_building=5, n_networks=1,
+        ))
+        district.run(600.0)
+        path = Path(__file__).resolve().parents[1] / "examples" / \
+            "demand_response.py"
+        spec = importlib.util.spec_from_file_location("demand_response", path)
+        example = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(example)
+        controller = example.DemandResponseController(district,
+                                                      threshold_watts=1000.0)
+        meters = {device_id for device_id, device in district.devices.items()
+                  if "power" in device.quantities}
+        # a late-joining monitor learns every meter's last value at once
+        district.run(1.0)
+        assert set(controller.latest_power) == meters
+        assert all(isinstance(watts, float)
+                   for watts in controller.latest_power.values())
+        district.run(300.0)
+        assert controller.triggered and controller.hvacs
+        assert controller.actions == [d.device_id for d in controller.hvacs]
+        assert len(controller.results) == len(controller.actions)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.common import serialization
-from repro.common.cdf import ActuationResult
 from repro.datasources.bim import build_office_bim
 from repro.datasources.generators import synthesize_district
 from repro.devices.catalog import power_meter, smart_plug
@@ -13,7 +12,7 @@ from repro.devices.profiles import ConstantProfile
 from repro.errors import ConfigurationError
 from repro.middleware.broker import Broker
 from repro.middleware.peer import connect
-from repro.middleware.topics import actuation_topic
+from repro.middleware.topics import actuation_topic, decode_event
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
 from repro.network.webservice import HttpClient
@@ -78,13 +77,16 @@ class TestDeviceProxyLayers:
         attach_meter(net, proxy)
         net.scheduler.run_until(61.0)
         assert len(events) == 1
-        payload = events[0].payload
-        assert payload["record"] == "measurement"
-        assert payload["device_id"] == "dev-0001"
-        assert payload["source"] == proxy.name
         assert events[0].topic == (
             "district/dst-0001/entity/bld-0001/device/dev-0001/power"
         )
+        measurement = decode_event(events[0].topic, events[0].payload)
+        assert (measurement.device_id, measurement.entity_id) == \
+            ("dev-0001", "bld-0001")
+        assert measurement.source == proxy.name
+        assert (measurement.timestamp, measurement.value) == \
+            proxy.database.latest("dev-0001", "power")
+        assert measurement.metadata == {"protocol": "zigbee", "seq": 1}
 
     def test_wrong_protocol_device_rejected(self, net, broker):
         proxy = make_device_proxy(net, broker, protocol="enocean")
@@ -237,12 +239,34 @@ class TestActuationFlow:
         subscriber = connect(net.add_host(f"results-{device_id}"), "broker")
         subscriber.subscribe(
             actuation_topic(device_id),
-            lambda e: results.append(ActuationResult.from_dict(e.payload)),
+            lambda e: results.append(decode_event(e.topic, e.payload)),
         )
         # the attached firmware samples periodically, so the queue never
         # drains -- run just long enough for the subscription to land
         net.scheduler.run_for(1.0)
         return results
+
+    def test_device_event_keys_are_pinned(self, net, broker):
+        # each fact once: the topic names the device (and a sample's
+        # entity and quantity, hence its unit), so the event says only
+        # the rest -- no record tag, no unit
+        proxy = make_device_proxy(net, broker)
+        self.attach_plug(net, proxy)
+        keys = {}
+        spy = connect(net.add_host("spy"), "broker")
+        for pattern in ("district/#", "actuation/#"):
+            spy.subscribe(pattern, lambda e: keys.setdefault(
+                e.topic.split("/")[0], sorted(e.payload)))
+        net.scheduler.run_for(1.0)
+        HttpClient(net.add_host("user")).post(
+            proxy.uri.rstrip("/") + "/actuate/dev-0002",
+            body={"command": "switch", "value": 0.0},
+        )
+        net.scheduler.run_for(3.0)
+        assert keys == {
+            "district": ["metadata", "source", "timestamp", "value"],
+            "actuation": ["accepted", "command", "completed_at", "detail"],
+        }
 
     def test_successful_actuation_publishes_result(self, net, broker):
         proxy = make_device_proxy(net, broker)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.middleware.broker import Broker
 from repro.middleware.peer import connect
+from repro.middleware.topics import decode_event
 from repro.observability import install
 from repro.network.scheduler import Scheduler
 from repro.network.transport import LatencyModel, Network
@@ -94,6 +95,38 @@ class TestRetainedMessages:
         net.scheduler.run_until_idle()
         assert sorted(e.payload for e in events) == [0, 1, 2, 3, 4]
 
+    def test_every_replay_survives_racing_its_sub_ack(self):
+        # the broker sends the sub-ack and then every replay at once;
+        # with jitter most replays land before the ack names their
+        # sub_id, and the peer holds them for it instead of dropping
+        net = Network(Scheduler(), latency=LatencyModel(jitter=0.5))
+        Broker(net.add_host("broker"))
+        publisher = connect(net.add_host("pub"), "broker")
+        for i in range(40):
+            publisher.publish(f"metrics/m{i}", i, retain=True)
+        net.scheduler.run_until_idle()
+        events = []
+        late = connect(net.add_host("late"), "broker")
+        late.subscribe("metrics/#", events.append)
+        net.scheduler.run_until_idle()
+        assert sorted(e.payload for e in events) == list(range(40))
+        assert all(e.retained for e in events)
+        assert late._early == []
+
+    def test_replays_of_a_subscription_cancelled_before_its_ack_drop(self):
+        net = Network(Scheduler(), latency=LatencyModel(jitter=0.5))
+        Broker(net.add_host("broker"))
+        publisher = connect(net.add_host("pub"), "broker")
+        for i in range(40):
+            publisher.publish(f"metrics/m{i}", i, retain=True)
+        net.scheduler.run_until_idle()
+        events = []
+        late = connect(net.add_host("late"), "broker")
+        late.subscribe("metrics/#", events.append).unsubscribe()
+        net.scheduler.run_until_idle()
+        assert events == []
+        assert late._early == [] and late._unacked == set()
+
     def test_device_proxy_measurements_are_retained(self, net):
         from repro.devices.catalog import power_meter
         from repro.devices.firmware import DeviceFirmware, RadioLink
@@ -118,5 +151,5 @@ class TestRetainedMessages:
         # the firmware keeps sampling periodically, so the queue never
         # drains -- run just long enough for the retained replay to land
         net.scheduler.run_for(1.0)
-        assert any(e.retained and e.payload["quantity"] == "power"
-                   for e in events)
+        assert any(e.retained and decode_event(e.topic, e.payload).quantity
+                   == "power" for e in events)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.common.cdf import ActuationResult, Measurement
+from repro.errors import ConfigurationError, SerializationError, UnitError
 from repro.middleware import topics
 
 
@@ -107,3 +108,45 @@ class TestCanonicalTopics:
         assert topics.topic_matches(pattern, topic)
         other = topics.measurement_topic("dst-2", "bld-2", "dev-3", "energy")
         assert not topics.topic_matches(pattern, other)
+
+
+class TestDecodeEvent:
+    """``decode_event`` is the inverse of publishing ``to_event()`` on
+    ``measurement_topic`` / ``actuation_topic``."""
+
+    SAMPLE = Measurement("dev-3", "bld-2", "power", 40.0, 60.03,
+                         "proxy-a", {"protocol": "coap", "seq": 7})
+    RESULT = ActuationResult("dev-3", "setpoint", True,
+                             "confirmed by setpoint report", 61.2)
+
+    def test_round_trips(self):
+        topic = topics.measurement_topic("dst-1", "bld-2", "dev-3", "power")
+        assert topics.decode_event(topic, self.SAMPLE.to_event()) == \
+            self.SAMPLE
+        assert topics.decode_event(topics.actuation_topic("dev-3"),
+                                   self.RESULT.to_event()) == self.RESULT
+
+    @pytest.mark.parametrize("topic", [
+        "district/dst-1/batch/proxy-a", "registry/dst-1",
+        "district/dst-1/entity/bld-2/device/dev-3",
+        "district/dst-1/entity/bld-2/sensor/dev-3/power", "actuation"])
+    def test_a_topic_that_names_no_device_is_refused(self, topic):
+        with pytest.raises(SerializationError):
+            topics.decode_event(topic, self.SAMPLE.to_event())
+
+    def test_a_short_or_unknown_body_is_refused(self):
+        topic = topics.measurement_topic("dst-1", "bld-2", "dev-3", "power")
+        with pytest.raises(SerializationError):
+            topics.decode_event(topic, {"timestamp": 1.0})
+        with pytest.raises(UnitError):
+            topics.decode_event(topic.replace("power", "flux"),
+                                self.SAMPLE.to_event())
+
+    def test_records_of_one_device_share_its_names(self):
+        # a caller keeping thousands of results keeps one copy of each id
+        topic = "actuation/dev-{}"      # each event's topic built afresh
+        first, second = (topics.decode_event(topic.format(3),
+                                             self.RESULT.to_event())
+                         for _ in range(2))
+        assert first.device_id == "dev-3"
+        assert first.device_id is second.device_id
