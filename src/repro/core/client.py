@@ -203,15 +203,18 @@ class DistrictClient:
     @staticmethod
     def _model_calls(entity: ResolvedEntity, gis_uris: Tuple[str, ...],
                      fmt: str = JSON_FORMAT) -> List[Tuple[str, Dict]]:
-        """One entity's model requests: BIM/SIM, then its GIS feature."""
+        """One entity's model requests: BIM/SIM, then its GIS feature.
+        A proxy answers JSON unless asked otherwise, so only another
+        *fmt* is sent."""
+        params = {} if fmt == JSON_FORMAT else {"format": fmt}
         calls = [{"uri": entity.proxy_uris[source_kind].rstrip("/") + "/model",
-                  "params": {"format": fmt}}
+                  "params": params}
                  for source_kind in sorted(entity.proxy_uris)]
         if entity.gis_feature_id and gis_uris:
             calls.append({
                 "uri": gis_uris[0].rstrip("/")
                 + f"/feature/{entity.gis_feature_id}",
-                "params": {"format": fmt, "entity_id": entity.entity_id},
+                "params": {**params, "entity_id": entity.entity_id},
             })
         return [(entity.entity_id, call) for call in calls]
 

@@ -280,6 +280,9 @@ class Host:
         #: port -> service time charged on each delivery (:meth:`serve`)
         self._service: Dict[str, float] = {}
         self.online = True
+        #: the ``http-reply`` port and request table every web-service
+        #: client on this host shares, made by the first one
+        self.http_replies = None
 
     def bind(self, port: str, handler: Handler) -> None:
         """Attach *handler* to *port*; rebinding an open port is an error."""
@@ -438,9 +441,10 @@ class Network:
     def allocate_port(self, prefix: str) -> str:
         """A fresh ``<prefix>-<n>`` port name, n counting from 1 per prefix.
 
-        Port names travel in messages (reply and ack ports), so they
-        are numbered per network, not per process: a deployment's wire
-        sizes do not depend on what ran in the interpreter before it.
+        A middleware peer's port (``pubsub-peer-<n>``) travels in its
+        frames, so port names are numbered per network, not per
+        process: a deployment's wire sizes do not depend on what ran in
+        the interpreter before it.
         """
         return f"{prefix}-{next(self._port_ids[prefix])}"
 

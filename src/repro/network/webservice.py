@@ -32,10 +32,12 @@ from repro.errors import (
 from repro.network.futures import Future
 from repro.network.resilience import FailoverSet, ResiliencePolicy
 from repro.network.scheduler import EventHandle
-from repro.network.transport import Host, Message
+from repro.network.transport import Host, Message, _Exotic, _json_len
 from repro.observability.tracing import CLIENT, SERVER, decode_header, emit
 
 _SERVER_PORT = "http"
+#: every HttpClient on a host takes its replies on this one port
+_REPLY_PORT = "http-reply"
 _PARAM_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 GET = "GET"
@@ -87,11 +89,11 @@ def conditional(request: Request, token: str,
     A caller whose ``if_none_match`` equals *token* already holds the
     current answer and gets a bodyless 304 (*on_not_modified* runs,
     *answer* does not).  Any other caller gets ``answer(params)``, where
-    *params* are the request's params without the validator; a 2xx body
-    gets ``"token"`` written into it, in place, so the caller can
-    revalidate.
+    *params* are the request's params without the validator (popped
+    from ``request.params``, the server's own copy); a 2xx body gets
+    ``"token"`` written into it, in place, so the caller can revalidate.
     """
-    params = dict(request.params)
+    params = request.params
     if params.pop("if_none_match", None) == token:
         on_not_modified()
         return Response(304)
@@ -230,9 +232,11 @@ class WebService:
         processing window ends now."""
         payload = message.payload
         request = Request(
-            method=payload["method"],
+            method=payload.get("method", GET),
             path=payload["path"],
-            params=dict(payload.get("params", {})),
+            # the server's own copy: a handler, or conditional()'s pop of
+            # the validator, never touches the sender's dict
+            params=dict(payload.get("params", ())),
             body=payload.get("body"),
             sender=message.sender,
         )
@@ -280,16 +284,85 @@ class WebService:
             self.requests_served += 1
         else:
             self.requests_failed += 1
-        reply = {
-            "request_id": payload["request_id"],
-            "status": response.status,
-            "reason": response.reason,
-        }
+        # an empty reason and a None body are not sent: the client
+        # reads a missing one as that default
+        reply = {"request_id": payload["request_id"],
+                 "status": response.status}
+        if response.reason:
+            reply["reason"] = response.reason
         if response.body is not None:
-            # an error or a 304 sends no "body" key at all; the client
-            # reads a missing one as None
             reply["body"] = response.body
-        self.host.send(message.sender, payload["reply_port"], reply)
+        self.host.send(message.sender, _REPLY_PORT, reply,
+                       size=_envelope_size(reply))
+
+
+#: what each key of a request or reply envelope costs on the wire
+#: besides its value: its quoted name, ``": "`` and 2 bytes of the braces
+#: and ``", "`` separators, so an envelope is the sum of its items
+_KEY_BYTES = {"path": 10, "request_id": 16, "status": 12, "method": 12,
+              "params": 12, "body": 10, "reason": 12}
+
+
+def _envelope_size(payload: Dict[str, Any]) -> Optional[int]:
+    """The exact :func:`~repro.network.transport.estimate_size` of a
+    request or reply envelope, counted rather than walked where its
+    shape is known: an int is its digits and the ``"trace"`` header 15
+    bytes plus its ids' digits; only the path, params, body and reason
+    are walked.  None when one of them needs the real encoder (the
+    transport then estimates the payload whole)."""
+    size = 0
+    try:
+        for key, value in payload.items():
+            if value.__class__ is int:
+                size += _KEY_BYTES[key] + len(str(value))
+            elif key == "trace":
+                size += 15 + len(str(value[0])) + len(str(value[1]))
+            else:
+                size += _KEY_BYTES[key] + _json_len(value)
+    except _Exotic:
+        return None
+    return size
+
+
+class _Replies:
+    """A host's one ``http-reply`` port, shared by every
+    :class:`HttpClient` on it: one request-id counter and one table,
+    request id -> (future, expiry timer, open client span or None).  An
+    entry leaves on its reply or its expiry; a reply with none is late
+    and dropped."""
+
+    __slots__ = ("host", "ids", "pending")
+
+    def __init__(self, host: Host):
+        self.host = host
+        self.ids = itertools.count(1)
+        self.pending: Dict[int, Tuple[Future, EventHandle, Any]] = {}
+        host.bind(_REPLY_PORT, self.deliver)
+
+    def deliver(self, message: Message) -> None:
+        payload = message.payload
+        pending = self.pending.pop(payload["request_id"], None)
+        if pending is None:
+            return
+        future, expiry, span = pending
+        expiry.cancel()
+        status = payload["status"]
+        tracer = self.host.network.tracer
+        if span is not None and tracer is not None:
+            span.attributes["status"] = status
+            tracer.finish(span, status="ok" if 200 <= status < 400
+                          else "error")
+        future.set_result(Response(status, payload.get("body"),
+                                   payload.get("reason", "")))
+
+    def expire(self, request_id: int, target: ServiceUri) -> None:
+        future, _expiry, span = self.pending.pop(request_id)
+        tracer = self.host.network.tracer
+        if span is not None and tracer is not None:
+            span.attributes["error"] = "RequestTimeoutError"
+            tracer.finish(span, status="error")
+        future.set_exception(RequestTimeoutError(
+            f"request to {target} timed out"))
 
 
 class _Round:
@@ -326,12 +399,9 @@ class HttpClient:
         self.timeout = timeout
         self.policy = policy
         self.requests_sent = 0
-        self._reply_port = host.network.allocate_port("http-reply")
-        # request_id -> (future, expiry timer, open client span or
-        # None), dropped on reply or expiry
-        self._pending: Dict[int, Tuple[Future, EventHandle, Any]] = {}
-        self._req_counter = itertools.count(1)
-        host.bind(self._reply_port, self._on_reply)
+        if host.http_replies is None:
+            host.http_replies = _Replies(host)
+        self._replies: _Replies = host.http_replies
 
     def request(
         self,
@@ -377,24 +447,27 @@ class HttpClient:
             future.add_done_callback(
                 lambda fut: self._observe(target.host, fut)
             )
-        request_id = next(self._req_counter)
+        replies = self._replies
+        request_id = next(replies.ids)
         self.requests_sent += 1
-        payload = {
-            "method": method,
-            "path": target.path,
-            "params": dict(params or {}),
-            "body": body,
-            "reply_port": self._reply_port,
-            "request_id": request_id,
-        }
+        # only what a default does not say: the server reads a missing
+        # method as GET, missing params as none and a missing body as None
+        payload = {"path": target.path, "request_id": request_id}
+        if method != GET:
+            payload["method"] = method
+        if params:
+            payload["params"] = dict(params)
+        if body is not None:
+            payload["body"] = body
         if span is not None:
             payload["trace"] = [span.trace_id, span.span_id]
-        self.host.send(target.host, _SERVER_PORT, payload)
+        self.host.send(target.host, _SERVER_PORT, payload,
+                       size=_envelope_size(payload))
         deadline = timeout if timeout is not None else self.timeout
-        self._pending[request_id] = (
+        replies.pending[request_id] = (
             future,
             self.host.network.scheduler.schedule(
-                deadline, self._expire, request_id, target
+                deadline, replies.expire, request_id, target
             ),
             span,
         )
@@ -566,36 +639,3 @@ class HttpClient:
     def post(self, uri, body: Any = None, **kw) -> Response:
         """Synchronous POST."""
         return self.call(uri, POST, body=body, **kw)
-
-    def _on_reply(self, message: Message) -> None:
-        payload = message.payload
-        pending = self._pending.pop(payload["request_id"], None)
-        if pending is None:
-            return  # response arrived after its timeout fired
-        future, expiry, span = pending
-        expiry.cancel()
-        status = payload["status"]
-        tracer = self.host.network.tracer
-        if span is not None and tracer is not None:
-            span.attributes["status"] = status
-            tracer.finish(
-                span,
-                status="ok" if 200 <= status < 400 else "error",
-            )
-        future.set_result(
-            Response(
-                status=status,
-                body=payload.get("body"),
-                reason=payload.get("reason", ""),
-            )
-        )
-
-    def _expire(self, request_id: int, target: ServiceUri) -> None:
-        future, _expiry, span = self._pending.pop(request_id)
-        tracer = self.host.network.tracer
-        if span is not None and tracer is not None:
-            span.attributes["error"] = "RequestTimeoutError"
-            tracer.finish(span, status="error")
-        future.set_exception(
-            RequestTimeoutError(f"request to {target} timed out")
-        )

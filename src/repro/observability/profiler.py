@@ -50,10 +50,11 @@ _DIGITS = "0123456789"
 def port_family(port: str) -> str:
     """Collapse per-instance numbered ports into one bucket name.
 
-    Reply ports carry a client-unique suffix (``http-reply-17``); keying
-    buckets on the raw port would grow one bucket per client.  Stripping
-    the numeric tail maps them all onto ``http-reply`` while leaving
-    unnumbered ports (``http``, ``pubsub``) untouched.
+    A middleware peer's port carries a peer-unique suffix
+    (``pubsub-peer-17``); keying buckets on the raw port would grow one
+    bucket per peer.  Stripping the numeric tail maps them all onto
+    ``pubsub-peer`` while leaving unnumbered ports (``http``,
+    ``http-reply``, ``pubsub``) untouched.
     """
     stripped = port.rstrip(_DIGITS)
     if stripped is not port and stripped.endswith("-"):

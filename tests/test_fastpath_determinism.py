@@ -45,24 +45,28 @@ _TWIN = dict(
 #: when resolve answers named each Device-proxy once per run of devices
 #: and 304 / error replies lost their ``"body": null`` and 304 reason;
 #: and again (-> 94 865) when batch frames carried their shared tags
-#: once, in a header, and fan-out deliveries stopped naming the publisher.
+#: once, in a header, and fan-out deliveries stopped naming the publisher;
+#: and again (-> 88 443) when web-service requests and replies stopped
+#: sending defaults (``"method": "GET"``, ``"params": {}``, ``"body":
+#: null``, ``"reason": ""``) and a per-client ``"reply_port"``.
 #: ``events_processed`` was re-recorded (673 -> 592, 224 -> 209) when a
 #: web request's processing delay moved onto its delivery: one event
 #: fewer per served request, every other value unchanged
 _TWIN_GOLDEN = {
     "events_processed": 592,
     "messages_total": 344,
-    "bytes_sent": 94865,
+    "bytes_sent": 88443,
     "samples_ingested": 57,
     "resolves": 5,
     "churn_events_received": 69,
 }
 #: ``bytes_sent`` was re-recorded (30 364 -> 29 204) with the batch frame
-#: header and the publisher-free fan-out envelope
+#: header and the publisher-free fan-out envelope, and again (-> 28 320)
+#: with the default-free web-service envelope
 _DURABLE_GOLDEN = {
     "events_processed": 209,
     "messages_delivered": 84,
-    "bytes_sent": 29204,
+    "bytes_sent": 28320,
     "ingested": 36,
     "stored": 36,
     "wal_appends": 24,
@@ -81,12 +85,21 @@ _DURABLE_GOLDEN = {
 #: again (-> 192 460) when ``/data`` answers did: five cold bodies, 75 bytes;
 #: and again (-> 192 249) with the run-grouped resolve answer and the
 #: bodyless 304; and again (-> 177 848) with the batch frame header and
-#: the publisher-free fan-out envelope
+#: the publisher-free fan-out envelope; and again (-> 175 915) with the
+#: default-free web-service envelope and model requests that no longer
+#: send ``format=json``.  ``answers`` was re-recorded with it: deploy()
+#: registers the hub and database proxies with synchronous round trips
+#: before it starts the device firmwares, and those round trips got
+#: shorter, so dev-0102 powers on at 0.027269024 s, not 0.027546203 s,
+#: and samples 277 us earlier all run (first sample 60.027269 s).  Its
+#: bucketed ``power`` answer keeps every bucket time and count; the
+#: means differ by at most 8.1e-14 relative.  Every other series is
+#: equal.
 _READ_GOLDEN = {
-    "answers": "d9c596dbfd6bd1ce3ede71b81d366d59"
-               "a78d34a24dea81f2b6f337734f2e0f38",
+    "answers": "9b9f833d872ad1ee8ff0c16fcb978977"
+               "a3a350ad72e579970e0f41ca1d9825e4",
     "sources": ["raw", "rollup:900"],
-    "bytes_sent": 177848,
+    "bytes_sent": 175915,
 }
 
 
@@ -147,9 +160,10 @@ class TestSchedulerTwin:
         assert _fingerprint(first) == _fingerprint(second)
 
     def test_repeat_after_a_differently_sized_run_is_identical(self):
-        # port names (``pubsub-peer-<n>``, ``http-reply-<n>``) travel in
-        # messages; numbered per process, a later deployment got longer
-        # names, so other wire sizes and eventually another event order
+        # a middleware peer's port name (``pubsub-peer-<n>``) travels in
+        # its frames; numbered per process, a later deployment got
+        # longer names, so other wire sizes and eventually another event
+        # order (every web-service client replies on one ``http-reply``)
         def wire(result):
             stats = result.deployment.network.stats
             return (stats.bytes_sent, stats.messages_delivered,

@@ -516,3 +516,25 @@ class TestWhatA304CannotDo:
         assert client.not_modified == 1
         assert client.models_fetched == 2
         assert sources.proxies["bim"].translations == 1
+
+
+class TestModelFormat:
+    """A proxy answers JSON unless asked otherwise, so a client sends
+    ``format`` only for another format."""
+
+    @pytest.mark.parametrize("source", ["bim", "gis"])
+    def test_an_xml_model_fetch_sends_its_format_and_decodes(self, source):
+        sources = Sources()
+        sent = []
+        send = sources.net.send
+
+        def spy(sender, recipient, port, payload, size=None):
+            if sender == "user" and port == "http":
+                sent.append(payload.get("params", {}))
+            send(sender, recipient, port, payload, size=size)
+
+        sources.net.send = spy
+        from_xml, = sources.fetch(source, fmt="xml")
+        from_json, = sources.fetch(source)
+        assert from_xml == from_json == sources.fresh(source)
+        assert [params.get("format") for params in sent] == ["xml", None]

@@ -10,12 +10,14 @@ from repro.network.webservice import (
     POST,
     HttpClient,
     Request,
+    Response,
     Router,
     WebService,
     conditional,
     error,
     ok,
 )
+from repro.observability import install
 
 
 @pytest.fixture
@@ -225,6 +227,28 @@ class TestTimeouts:
         # ... and no dead timer fires afterwards
         assert net.scheduler.events_processed - before == 50
 
+    def test_timed_out_requests_leave_the_reply_table_empty(self, net,
+                                                           client):
+        """An entry leaves the host's reply table on its expiry; a reply
+        that lands after it finds no entry and is dropped."""
+        host = net.add_host("slow")
+        WebService(host, processing_delay=2.0).add_route(
+            GET, "/x", lambda r: ok("late"))
+        replies = client.host.http_replies
+        futures = [client.request("svc://slow/x", timeout=0.5),
+                   client.request("svc://server/ping", timeout=0.5)]
+        assert len(replies.pending) == 2
+        net.set_host_online("server", False)
+        net.scheduler.run_until(1.0)
+        assert replies.pending == {}
+        delivered = net.stats.messages_delivered
+        net.scheduler.run_until_idle()  # the slow reply lands at ~2 s
+        assert net.stats.messages_delivered == delivered + 2
+        assert replies.pending == {}
+        for future in futures:
+            with pytest.raises(RequestTimeoutError):
+                future.result()
+
     def test_late_reply_after_expiry_resolves_nothing(self, net, client):
         host = net.add_host("slow")
         svc = WebService(host, processing_delay=2.0)
@@ -257,6 +281,23 @@ class TestAsyncRequests:
         net.scheduler.run_until_idle()
         assert f1.result().body == {"item": "one"}
         assert f2.result().body == {"item": "two"}
+
+    def test_two_clients_on_one_host_get_only_their_own_replies(
+            self, net, service):
+        host = net.add_host("shared")
+        c1, c2 = HttpClient(host), HttpClient(host)
+        assert c1.host.http_replies is c2.host.http_replies
+        f1 = [c1.request(f"svc://server/items/one-{i}") for i in range(3)]
+        f2 = [c2.request(f"svc://server/items/two-{i}") for i in range(3)]
+        # one counter per host: no two requests share an id
+        assert sorted(host.http_replies.pending) == list(range(1, 7))
+        net.scheduler.run_until_idle()
+        assert [f.result().body for f in f1] == \
+            [{"item": f"one-{i}"} for i in range(3)]
+        assert [f.result().body for f in f2] == \
+            [{"item": f"two-{i}"} for i in range(3)]
+        assert c1.requests_sent == c2.requests_sent == 3
+        assert host.http_replies.pending == {}
 
     def test_base_uri(self, service):
         assert service.base_uri == "svc://server/"
@@ -387,3 +428,94 @@ class TestBodylessReplies:
         assert refused.reason == "conflict"
         assert [("body" in reply) for reply in replies] == \
             [True, False, False]
+
+
+class TestWireEnvelope:
+    """A request is ``{"path", "request_id"}`` plus only what differs
+    from a default, a reply ``{"request_id", "status"}`` plus a reason
+    and a body when it has them; the size each sender passes to
+    ``send`` must equal the transport's own walk of the payload: size
+    feeds latency, and latency feeds event order."""
+
+    @staticmethod
+    def sends(net):
+        sent = []
+        send = net.send
+
+        def spy(sender, recipient, port, payload, size=None):
+            if port.startswith("http"):
+                sent.append((port, payload, size))
+            send(sender, recipient, port, payload, size=size)
+
+        net.send = spy
+        return sent
+
+    @staticmethod
+    def serve(service):
+        service.add_route(GET, "/thing", lambda r: conditional(
+            r, "t1", lambda params: ok({"v": 1, "params": params})))
+        service.add_route(GET, "/busy", lambda r: Response(
+            429, {"retry_after": 0.5}, "slow down"))
+
+    def test_only_what_a_default_does_not_say_travels(self, net, service,
+                                                      client):
+        self.serve(service)
+        sent = self.sends(net)
+        full = client.get("svc://server/thing")
+        client.get("svc://server/thing", check=False,
+                   params={"if_none_match": full.body["token"]})
+        client.get("svc://server/nowhere", check=False)
+        keys = [(port, set(payload)) for port, payload, _ in sent]
+        assert keys == [
+            ("http", {"path", "request_id"}),
+            ("http-reply", {"request_id", "status", "body"}),
+            ("http", {"path", "request_id", "params"}),
+            ("http-reply", {"request_id", "status"}),
+            ("http", {"path", "request_id"}),
+            ("http-reply", {"request_id", "status", "reason"}),
+        ]
+        assert sent[-1][1]["status"] == 404
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_every_sized_send_equals_a_full_estimate(self, net, service,
+                                                     client, traced):
+        from repro.network.transport import estimate_size
+
+        if traced:
+            install(net)
+        self.serve(service)
+        sent = self.sends(net)
+        token = client.get("svc://server/thing").body["token"]
+        calls = [
+            {"uri": "svc://server/ping"},
+            {"uri": "svc://server/ping", "params": {}},
+            {"uri": "svc://server/thing", "params": {"q": "1"}},
+            {"uri": "svc://server/thing",
+             "params": {"if_none_match": token}},                # 304
+            {"uri": "svc://server/nowhere"},                      # 404
+            {"uri": "svc://server/busy"},                         # 429
+            {"uri": "svc://server/crash"},                        # 500
+            {"uri": "svc://server/fail"},                         # 503
+            {"uri": "svc://server/items/a", "method": POST},
+            {"uri": "svc://server/items/a", "method": POST,
+             "body": {"v": [1, 2.5, None, True]}},
+            {"uri": "svc://server/items/a", "method": POST,
+             "body": [1, "two"]},
+            {"uri": "svc://server/items/a", "method": POST,
+             "body": "some text"},
+            # non-ASCII: both need the real encoder
+            {"uri": "svc://server/items/café"},
+            {"uri": "svc://server/thing", "params": {"q": "naïve"}},
+        ]
+        outcomes = client.gather(calls)
+        assert [o.status for o in outcomes] == \
+            [200, 200, 200, 304, 404, 429, 500, 503] + [200] * 4 + [200, 200]
+        assert len(sent) == 2 * (1 + len(calls))
+        assert all(("trace" in payload) is traced
+                   for port, payload, _ in sent if port == "http")
+        unsized = [payload for _, payload, size in sent if size is None]
+        assert [payload.get("path") for payload in unsized] == \
+            ["/items/café", "/thing", None, None]
+        for _port, payload, size in sent:
+            if size is not None:
+                assert size == estimate_size(payload), payload
