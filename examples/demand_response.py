@@ -51,7 +51,8 @@ class DemandResponseController:
 
     def on_measurement(self, event) -> None:
         # the topic names the device; the event carries only the value
-        measurement = decode_event(event.topic, event.payload)
+        measurement = decode_event(event.topic, event.payload,
+                                   event.published_at)
         self.latest_power[measurement.device_id] = measurement.value
         if not self.triggered and self.district_load() > self.threshold:
             self.triggered = True

@@ -34,8 +34,10 @@ CI checks ``benchmarks/baselines/districtbench_counters.json`` this way.
 that is on only during the measured window (:data:`CALLS_CHILD` wraps
 ``run.py``'s ``timed_window``; ``run.py`` itself is not changed), and
 the Python and C calls per op of each package are printed for both
-sides (:func:`calls_table`).  A C call is filed under the package of
-the Python code that made it.  It reports; nothing is recorded or gated.
+sides (:func:`calls_table`).  A Python call is filed under the package
+of the code called, a C call under the module of the C function
+(``builtins``, ``json``, ``_heapq``, ...; :class:`CallCounter`).  It
+reports; nothing is recorded or gated.
 """
 
 import argparse
@@ -47,6 +49,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -67,43 +70,26 @@ RECORD_SCALE = "smoke"
 RUN_KEY = re.compile(r"\w+/\d+/[01]")
 
 #: run in a checkout by ``--calls``: ``run.py --workload argv[1] --seed
-#: argv[2] --scale smoke --trace 0`` with a call counter on during the
-#: window; its only line on stdout is ``{"ops", "calls": {package:
-#: {"py", "c"}}}`` (``run.py``'s own report goes to stderr)
+#: argv[2] --scale smoke --trace 0`` with argv[3]'s (this file's)
+#: :class:`CallCounter` on during the window; its only line on stdout is
+#: ``{"ops", "calls": {package: {"py", "c"}}}`` (``run.py``'s own report
+#: goes to stderr)
 CALLS_CHILD = """
-import collections, contextlib, importlib.util, json, sys
-from pathlib import Path
+import contextlib, importlib.util, json, sys
 sys.path.insert(0, "benchmarks/district")
-spec = importlib.util.spec_from_file_location(
-    "districtbench", "benchmarks/district/run.py")
-run = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(run)
-counts = collections.defaultdict(lambda: {"py": 0, "c": 0})
-packages = {}
 
-def package_of(filename):
-    parts = Path(filename).parts
-    for at in range(len(parts) - 1, 0, -1):
-        if parts[at - 1:at + 1] == ("src", "repro"):
-            return ".".join(parts[at:min(at + 2, len(parts) - 1)])
-    if "site-packages" in parts:
-        return parts[parts.index("site-packages") + 1]
-    if parts[-2:-1] == ("district",):
-        return "districtbench"
-    return "python"
+def load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-def profile(frame, event, arg):
-    if event == "call" or event == "c_call":
-        filename = frame.f_code.co_filename
-        package = packages.get(filename)
-        if package is None:
-            package = packages[filename] = package_of(filename)
-        counts[package]["py" if event == "call" else "c"] += 1
-
+run = load("districtbench", "benchmarks/district/run.py")
+counter = load("bench_pairs", sys.argv[3]).CallCounter()
 window = run.timed_window
 
 def counted(*args, **kwargs):
-    sys.setprofile(profile)
+    sys.setprofile(counter)
     try:
         return window(*args, **kwargs)
     finally:
@@ -115,8 +101,55 @@ run.measure = lambda *args: records.append(measure(*args)) or records[-1]
 with contextlib.redirect_stdout(sys.stderr):
     run.main(["--workload", sys.argv[1], "--seed", sys.argv[2],
               "--scale", "smoke", "--trace", "0"])
-print(json.dumps({"ops": records[0]["attempted"], "calls": counts}))
+print(json.dumps({"ops": records[0]["attempted"], "calls": counter.counts}))
 """
+
+
+def package_of(filename: str) -> str:
+    """The package a Python file belongs to: ``repro.<subpackage>``, a
+    site-packages distribution, ``districtbench`` or ``python``."""
+    parts = Path(filename).parts
+    for at in range(len(parts) - 1, 0, -1):
+        if parts[at - 1:at + 1] == ("src", "repro"):
+            return ".".join(parts[at:min(at + 2, len(parts) - 1)])
+    if "site-packages" in parts:
+        return parts[parts.index("site-packages") + 1]
+    if parts[-2:-1] == ("district",):
+        return "districtbench"
+    return "python"
+
+
+def c_module(function: Any) -> str:
+    """The top-level module of a C function: its own (``len`` is
+    ``builtins``, ``heapq.heappush`` ``_heapq``), or for a method of an
+    object, its type's (``{}.get`` is ``builtins``)."""
+    module = getattr(function, "__module__", None)
+    if module is None:
+        module = type(getattr(function, "__self__", None)).__module__
+    return module.split(".")[0]
+
+
+class CallCounter:
+    """A ``sys.setprofile`` hook: each Python call counted under the
+    package of the code called (:func:`package_of`), each C call under
+    the module of the C function (:func:`c_module`), in
+    ``counts[name]["py"]`` / ``["c"]``."""
+
+    def __init__(self) -> None:
+        self.counts: Dict[str, Dict[str, int]] = defaultdict(
+            lambda: {"py": 0, "c": 0})
+        self._packages: Dict[str, str] = {}
+
+    def __call__(self, frame, event: str, arg: Any) -> None:
+        if event == "call":
+            filename = frame.f_code.co_filename
+            package = self._packages.get(filename)
+            if package is None:
+                package = self._packages[filename] = package_of(filename)
+            self.counts[package]["py"] += 1
+        elif event == "c_call":
+            self.counts[c_module(arg)]["c"] += 1
+
 
 #: a run's ``(workload, seed, trace)``, and one deferred run per key
 Key = Tuple[str, int, int]
@@ -209,7 +242,8 @@ def count_calls(checkout: Path, workload: str, seed: int) -> Dict:
     """One smoke run of *checkout* under :data:`CALLS_CHILD`'s counter:
     ``{"ops": n, "calls": {package: {"py": n, "c": n}}}``."""
     done = subprocess.run(
-        [sys.executable, "-c", CALLS_CHILD, workload, str(seed)],
+        [sys.executable, "-c", CALLS_CHILD, workload, str(seed),
+         str(Path(__file__).resolve())],
         cwd=checkout, capture_output=True, text=True)
     if done.returncode:
         sys.exit(f"{checkout}: the counted run failed:\n{done.stderr}")

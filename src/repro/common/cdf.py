@@ -367,9 +367,11 @@ class ActuationResult:
         }
 
     def to_event(self) -> Dict[str, Any]:
-        """The pub/sub event body: what the actuation topic does not say."""
+        """The pub/sub event body: what neither the actuation topic (the
+        device) nor the envelope says (``completed_at`` is the result's
+        ``published_at``: it is published when it completes)."""
         return {"command": self.command, "accepted": self.accepted,
-                "detail": self.detail, "completed_at": self.completed_at}
+                "detail": self.detail}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ActuationResult":

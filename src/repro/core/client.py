@@ -373,12 +373,14 @@ class DistrictClient:
     def actuate(self, device: ResolvedDevice, command: str,
                 value: Optional[float] = None,
                 on_result: Optional[Callable[[ActuationResult], None]] = None
-                ) -> Dict:
+                ) -> None:
         """Send a command to an actuator through its Device-proxy.
 
-        Returns the dispatch acknowledgement; the eventual
-        :class:`ActuationResult` arrives on the middleware and is passed
-        to *on_result* if given (requires a broker connection).
+        Returns None once the proxy has dispatched the command (its 202
+        has no body); the eventual :class:`ActuationResult` is published
+        on ``actuation/<device>`` and passed to *on_result* if given
+        (requires a broker connection).  A refused command raises
+        :class:`~repro.errors.ServiceError`.
         """
         if not device.is_actuator:
             raise QueryError(f"device {device.device_id} is not an actuator")
@@ -394,7 +396,8 @@ class DistrictClient:
                 # exact on actuation/<device>, but any peer may publish
                 # there: wait on past a body that is not a result
                 try:
-                    result = decode_event(event.topic, event.payload)
+                    result = decode_event(event.topic, event.payload,
+                                          event.published_at)
                 except (KeyError, TypeError, ValueError, ReproError):
                     return
                 on_result(result)
@@ -408,11 +411,10 @@ class DistrictClient:
                 self.peer.subscribe(actuation_topic(device.device_id),
                                     deliver)
             )
-        response = self.http.post(
+        self.http.post(
             device.proxy_uri.rstrip("/") + f"/actuate/{device.device_id}",
             body={"command": command, "value": value},
         )
-        return response.body
 
     def subscribe_measurements(self, callback: Callable[[Event], None],
                                district_id: str = "+",

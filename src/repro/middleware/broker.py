@@ -48,7 +48,7 @@ from repro.middleware.topics import (
     validate_topic,
 )
 from repro.network.transport import (Host, Message, estimate_size,
-                                     estimate_size_from)
+                                     estimate_size_from, frame_size)
 from repro.network.webservice import (
     GET,
     POST,
@@ -298,8 +298,9 @@ class DeliverySettlement:
                    pub_id=done.pub_id)
         else:
             self.stats.publish_acks_sent += 1
-            self.host.send(done.publisher, done.ack_port,
-                           {"kind": "pub-ack", "pub_id": done.pub_id})
+            ack = {"kind": "pub-ack", "pub_id": done.pub_id}
+            self.host.send(done.publisher, done.ack_port, ack,
+                           size=frame_size(ack))
 
     def _redeliver(self, delivery: _PendingDelivery) -> None:
         if not self.host.network.has_host(delivery.subscriber):
@@ -597,16 +598,16 @@ class Broker(StateMachine):
         for key in ("pub_id", "token"):
             if payload.get(key) is not None:
                 reply[key] = payload[key]
-        self.host.send(message.sender, port, reply)
+        self.host.send(message.sender, port, reply, size=frame_size(reply))
 
     # -- control plane -----------------------------------------------------
 
     def _ping(self, message: Message) -> None:
         """Liveness probe (the MQTT PINGREQ/PINGRESP handshake)."""
         self.stats.pings_answered += 1
-        self.host.send(message.sender, message.payload["port"],
-                       {"kind": "pong",
-                        "nonce": message.payload.get("nonce")})
+        pong = {"kind": "pong", "nonce": message.payload.get("nonce")}
+        self.host.send(message.sender, message.payload["port"], pong,
+                       size=frame_size(pong))
 
     def _subscribe(self, message: Message) -> None:
         state = self.state
@@ -626,8 +627,8 @@ class Broker(StateMachine):
         if fresh or state.subs.by_id[sub_id] != sub:
             self._commit({"op": "sub", **sub.to_record(sub_id)})
         send = self.host.send
-        send(sub.subscriber, sub.port,
-             {"kind": "sub-ack", "sub_id": sub_id, "token": sub.token})
+        ack = {"kind": "sub-ack", "sub_id": sub_id, "token": sub.token}
+        send(sub.subscriber, sub.port, ack, size=frame_size(ack))
         if not fresh:
             return
         # late-join state transfer: a new subscriber learns each matching
@@ -688,9 +689,10 @@ class Broker(StateMachine):
             # the pub/sub analogue of HTTP 429 + Retry-After: tell the
             # publisher to back off; an unreliable publication has no
             # channel to say no on and is shed outright
-            host.send(publisher, payload["ack_port"], {
-                "kind": "pub-reject", "pub_id": payload["pub_id"],
-                "status": 429, "retry_after": config.retry_after})
+            reject = {"kind": "pub-reject", "pub_id": payload["pub_id"],
+                      "status": 429, "retry_after": config.retry_after}
+            host.send(publisher, payload["ack_port"], reject,
+                      size=frame_size(reject))
         return True
 
     def _publish(self, message: Message) -> None:
@@ -773,7 +775,8 @@ class Broker(StateMachine):
             if pub_key not in state.pending_pubs:
                 self.stats.publish_acks_sent += 1
                 kind = "pub-ack"
-            send(publisher, pub_key[1], {"kind": kind, "pub_id": pub_key[2]})
+            ack = {"kind": kind, "pub_id": pub_key[2]}
+            send(publisher, pub_key[1], ack, size=frame_size(ack))
         if span is not None:
             span.attributes["deliveries"] = deliveries
             tracer.finish(span)

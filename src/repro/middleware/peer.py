@@ -74,7 +74,7 @@ from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, \
 from repro.errors import BackpressureError, ConfigurationError
 from repro.middleware.broker import BROKER_PORT, Event
 from repro.middleware.topics import validate_filter, validate_topic
-from repro.network.transport import Host, Message
+from repro.network.transport import Host, Message, frame_size
 from repro.observability.tracing import (
     CONSUMER,
     PRODUCER,
@@ -270,6 +270,10 @@ class MiddlewarePeer:
             self._probe_task.stop()
             self._probe_task = None
 
+    def _send(self, broker: str, frame: dict) -> None:
+        """Send *frame* to *broker*, its size counted, not walked."""
+        self.host.send(broker, BROKER_PORT, frame, size=frame_size(frame))
+
     # -- publication ------------------------------------------------------
 
     def publish(self, topic: str, payload: Any, retain: bool = False
@@ -286,8 +290,10 @@ class MiddlewarePeer:
             "topic": topic,
             "payload": payload,
             "published_at": self.host.network.scheduler.now,
-            "retain": retain,
         }
+        if retain:
+            # the broker reads a missing "retain" as false
+            envelope["retain"] = True
         tracer = self.host.network.tracer
         if tracer is not None:
             # producer span: the local hand-off to the broker.  Its
@@ -298,7 +304,7 @@ class MiddlewarePeer:
             envelope["trace"] = [span.trace_id, span.span_id]
             tracer.finish(span)
         if self.publish_buffer is None:
-            self.host.send(self.broker_host, BROKER_PORT, envelope)
+            self._send(self.broker_host, envelope)
             return
         if self._broker_suspect or self.paused:
             self._enqueue(envelope)
@@ -311,7 +317,7 @@ class MiddlewarePeer:
         tracked = dict(envelope)
         tracked["pub_id"] = pub_id
         tracked["ack_port"] = self._port
-        self.host.send(self.broker_host, BROKER_PORT, tracked)
+        self._send(self.broker_host, tracked)
         self.host.network.scheduler.schedule(
             self.ack_timeout, self._pub_timeout, pub_id
         )
@@ -367,7 +373,7 @@ class MiddlewarePeer:
         self._probes_unanswered += 1
         if self._probes_unanswered >= 3 and len(self._brokers) > 1:
             self.rotate_broker()
-        self.host.send(self.broker_host, BROKER_PORT, {
+        self._send(self.broker_host, {
             "verb": "ping",
             "port": self._port,
             "nonce": next(self._ping_ids),
@@ -473,17 +479,16 @@ class MiddlewarePeer:
         self._mark_suspect()
 
     def _send_subscribe(self, subscription: Subscription) -> None:
-        self.host.send(
-            self.broker_host,
-            BROKER_PORT,
-            {
-                "verb": "subscribe",
-                "pattern": subscription.pattern,
-                "port": self._port,
-                "token": subscription.token,
-                "ack": subscription.ack,
-            },
-        )
+        frame = {
+            "verb": "subscribe",
+            "pattern": subscription.pattern,
+            "port": self._port,
+            "token": subscription.token,
+        }
+        if subscription.ack:
+            # the broker reads a missing "ack" as false
+            frame["ack"] = True
+        self._send(self.broker_host, frame)
 
     def resubscribe_all(self) -> int:
         """Re-issue every active subscription (broker dedupes by token).
@@ -511,8 +516,8 @@ class MiddlewarePeer:
             self._by_token.pop(subscription.token, None)
             if self._by_sub_id.get(sub_id) is subscription:
                 del self._by_sub_id[sub_id]
-            self.host.send(self.broker_host, BROKER_PORT,
-                           {"verb": "unsubscribe", "sub_id": sub_id})
+            self._send(self.broker_host,
+                       {"verb": "unsubscribe", "sub_id": sub_id})
 
     # -- inbound ----------------------------------------------------------
 
@@ -621,7 +626,7 @@ class MiddlewarePeer:
                 # cancelled before this ack landed, or cancelled and
                 # forgotten while a resubscribe was in flight
                 self._by_token.pop(payload.get("token"), None)
-                self.host.send(self.broker_host, BROKER_PORT, {
+                self._send(self.broker_host, {
                     "verb": "unsubscribe", "sub_id": payload["sub_id"]})
             return
         if kind == "pub-ack":
@@ -684,7 +689,7 @@ class MiddlewarePeer:
         else:
             if self._dispatching is not None:
                 self.deliveries_acked += 1
-                self.host.send(origin, BROKER_PORT, {
+                self._send(origin, {
                     "verb": "delivery_ack", "delivery_id": delivery_id,
                 })
         finally:
@@ -692,7 +697,7 @@ class MiddlewarePeer:
 
     def _nack(self, origin: str, delivery_id: int, poison: bool) -> None:
         self.deliveries_nacked += 1
-        self.host.send(origin, BROKER_PORT, {
+        self._send(origin, {
             "verb": "delivery_nack", "delivery_id": delivery_id,
             "poison": poison,
         })
@@ -719,7 +724,7 @@ class MiddlewarePeer:
             by_origin.setdefault(origin, []).append(delivery_id)
         for origin, delivery_ids in by_origin.items():
             self.deliveries_acked += len(delivery_ids)
-            self.host.send(origin, BROKER_PORT, {
+            self._send(origin, {
                 "verb": "delivery_ack", "delivery_ids": delivery_ids,
             })
 

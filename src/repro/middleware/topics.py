@@ -112,10 +112,12 @@ def actuation_topic(device_id: str) -> str:
     return join("actuation", device_id)
 
 
-def decode_event(topic: str, payload: Any
+def decode_event(topic: str, payload: Any, published_at: float
                  ) -> Union[Measurement, ActuationResult]:
     """The CDF record a device event carries: its topic names the device
-    (and a measurement's entity and quantity), its payload the rest.
+    (and a measurement's entity and quantity), its envelope's
+    *published_at* an actuation result's ``completed_at`` (unless the
+    payload spells it), its payload the rest.
     The names are interned: split afresh per event, they would give
     every record a caller keeps its own copy of the same id."""
     levels = topic.split("/")
@@ -126,5 +128,6 @@ def decode_event(topic: str, payload: Any
             device_id=intern(levels[5]), quantity=intern(levels[6])))
     if len(levels) == 2 and levels[0] == "actuation":
         return ActuationResult.from_dict(
-            dict(payload, device_id=intern(levels[1])))
+            {"completed_at": published_at, **payload,
+             "device_id": intern(levels[1])})
     raise SerializationError(f"{topic!r} is not a device event topic")

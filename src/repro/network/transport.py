@@ -23,7 +23,8 @@ Hot-path design (the PR 10 fast path):
   latency feeds event ordering.
 * Callers that already know the wire size (the broker's fan-out: the
   publish frame's size, :func:`estimate_size_from`, plus exact per-key
-  deltas) pass it via ``send(..., size=...)`` and skip estimation.
+  deltas; every fixed-shape frame: :func:`frame_size`) pass it via
+  ``send(..., size=...)`` and skip estimation.
 * :meth:`Network.send` takes fast exits: the partition / drop
   probability / flaky machinery is only consulted when actually
   configured, and jitter draws are batched (stream-identical to the
@@ -191,6 +192,47 @@ def estimate_size_from(size: int, sent: dict, built: dict) -> int:
         except _Exotic:
             pass
     return estimate_size(built)
+
+
+#: what each key of a frame costs on the wire besides its value: its
+#: quoted name, ``": "`` and 2 bytes of the braces and ``", "``
+#: separators, so a frame is the sum of its items
+_KEY_BYTES = {key: len(key) + 6 for key in (
+    # web-service request and reply envelopes
+    "path", "request_id", "status", "method", "params", "body", "reason",
+    # pub/sub frames, both ways
+    "verb", "kind", "pattern", "port", "token", "ack", "sub_id", "topic",
+    "payload", "published_at", "retain", "pub_id", "ack_port", "nonce",
+    "delivery_id", "delivery_ids", "poison", "retry_after", "primary",
+    "epoch")}
+
+
+def frame_size(payload: Dict[str, Any]) -> Optional[int]:
+    """The exact :func:`estimate_size` of a web-service envelope or a
+    pub/sub frame (a non-empty dict), counted rather than walked where
+    its shape is known: a key is its :data:`_KEY_BYTES`, an int its
+    digits, a string its cached length and the ``"trace"`` header 15
+    bytes plus its ids' digits; any other value (a params dict, a body,
+    a payload) is walked.  None when a value needs the real encoder or
+    a key is not in the table: the sender then lets :meth:`Network.send`
+    estimate the frame whole."""
+    size = 0
+    cached = _STR_LEN_CACHE.get
+    try:
+        for key, value in payload.items():
+            kind = value.__class__
+            if kind is int:
+                size += _KEY_BYTES[key] + len(str(value))
+            elif kind is str:
+                size += _KEY_BYTES[key] + (cached(value)
+                                           or _json_str_len(value))
+            elif key == "trace":
+                size += 15 + len(f"{value[0]}{value[1]}")
+            else:
+                size += _KEY_BYTES[key] + _json_len(value)
+    except (_Exotic, KeyError):
+        return None
+    return size
 
 
 @dataclass

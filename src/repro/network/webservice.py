@@ -32,7 +32,7 @@ from repro.errors import (
 from repro.network.futures import Future
 from repro.network.resilience import FailoverSet, ResiliencePolicy
 from repro.network.scheduler import EventHandle
-from repro.network.transport import Host, Message, _Exotic, _json_len
+from repro.network.transport import Host, Message, frame_size
 from repro.observability.tracing import CLIENT, SERVER, decode_header, emit
 
 _SERVER_PORT = "http"
@@ -154,7 +154,9 @@ class Router:
                  ) -> Response:
         """Route a request; 404 if no template matches.
 
-        With a *profiler*, the matched handler runs inside a
+        A template's path parameters are written into the request's own
+        ``path_params``, so a templated request is built once.  With a
+        *profiler*, the matched handler runs inside a
         ``(node, "http", "METHOD /template")`` frame — the route
         template, not the concrete path, so profile buckets stay
         low-cardinality.
@@ -164,14 +166,7 @@ class Router:
             for route in self._routes:
                 params = route.match(request.method, request.path)
                 if params is not None:
-                    request = Request(
-                        method=request.method,
-                        path=request.path,
-                        params=request.params,
-                        body=request.body,
-                        path_params=params,
-                        sender=request.sender,
-                    )
+                    request.path_params.update(params)
                     break
             else:
                 return error(404,
@@ -293,35 +288,7 @@ class WebService:
         if response.body is not None:
             reply["body"] = response.body
         self.host.send(message.sender, _REPLY_PORT, reply,
-                       size=_envelope_size(reply))
-
-
-#: what each key of a request or reply envelope costs on the wire
-#: besides its value: its quoted name, ``": "`` and 2 bytes of the braces
-#: and ``", "`` separators, so an envelope is the sum of its items
-_KEY_BYTES = {"path": 10, "request_id": 16, "status": 12, "method": 12,
-              "params": 12, "body": 10, "reason": 12}
-
-
-def _envelope_size(payload: Dict[str, Any]) -> Optional[int]:
-    """The exact :func:`~repro.network.transport.estimate_size` of a
-    request or reply envelope, counted rather than walked where its
-    shape is known: an int is its digits and the ``"trace"`` header 15
-    bytes plus its ids' digits; only the path, params, body and reason
-    are walked.  None when one of them needs the real encoder (the
-    transport then estimates the payload whole)."""
-    size = 0
-    try:
-        for key, value in payload.items():
-            if value.__class__ is int:
-                size += _KEY_BYTES[key] + len(str(value))
-            elif key == "trace":
-                size += 15 + len(str(value[0])) + len(str(value[1]))
-            else:
-                size += _KEY_BYTES[key] + _json_len(value)
-    except _Exotic:
-        return None
-    return size
+                       size=frame_size(reply))
 
 
 class _Replies:
@@ -462,7 +429,7 @@ class HttpClient:
         if span is not None:
             payload["trace"] = [span.trace_id, span.span_id]
         self.host.send(target.host, _SERVER_PORT, payload,
-                       size=_envelope_size(payload))
+                       size=frame_size(payload))
         deadline = timeout if timeout is not None else self.timeout
         replies.pending[request_id] = (
             future,

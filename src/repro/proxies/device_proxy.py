@@ -11,7 +11,9 @@
   database) via publish/subscribe.
 
 Actuation follows real gateway semantics: ``POST /actuate/{device}``
-dispatches the command frame and returns 202 immediately; the device's
+dispatches the command frame and returns a bodyless 202 at once (the
+request already names the device and command, and the result's topic
+follows from the device); the device's
 post-command attribute report confirms execution, upon which the proxy
 publishes an :class:`~repro.common.cdf.ActuationResult` on the
 ``actuation/<device>`` topic.  A silent device (offline, rejected
@@ -442,9 +444,4 @@ class DeviceProxy(Proxy):
             # float() cannot read (an integer beyond a double raises
             # OverflowError); anything else is a handler bug -> 500
             return error(400, f"cannot encode command: {exc}")
-        return Response(202, {
-            "status": "dispatched",
-            "device_id": device_id,
-            "command": command,
-            "result_topic": actuation_topic(device_id),
-        })
+        return Response(202)

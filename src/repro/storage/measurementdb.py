@@ -172,7 +172,7 @@ class MeasurementDatabase(StateMachine, Registrant):
             evicted = self._dedup_order.popleft()
             self._dedup_keys.discard(evicted)
 
-    def _decode(self, payload, topic: str = ""
+    def _decode(self, payload, topic: str = "", published_at: float = 0.0
                 ) -> Optional[Tuple[List, List[Measurement]]]:
         """Parse a delivered payload or a replayed WAL record.
 
@@ -180,8 +180,9 @@ class MeasurementDatabase(StateMachine, Registrant):
         the WAL keeps of sample *i* — its line of a batch frame (the
         record keeps the frame's ``tags`` too), or the self-contained
         record of a lone sample (a frame of one), whether it arrived as
-        one or as a topic-named event on a measurement *topic*.  A
-        poison payload is counted and yields None.
+        one or as a topic-named event on a measurement *topic*,
+        published at *published_at*.  A poison payload is counted and
+        yields None.
         """
         try:
             if is_batch(payload):
@@ -191,7 +192,7 @@ class MeasurementDatabase(StateMachine, Registrant):
             if isinstance(payload, dict) and \
                     payload.get("record") == "measurement":
                 return [payload], [Measurement.from_dict(payload)]
-            measurement = decode_event(topic, payload)
+            measurement = decode_event(topic, payload, published_at)
             return [measurement.to_dict()], [measurement]
         except (KeyError, TypeError, ValueError, ReproError):
             self.rejected += 1
@@ -199,7 +200,8 @@ class MeasurementDatabase(StateMachine, Registrant):
             return None
 
     def _on_event(self, event: Event) -> None:
-        decoded = self._decode(event.payload, event.topic)
+        decoded = self._decode(event.payload, event.topic,
+                               event.published_at)
         if decoded is None:
             if self.durability.ack_deliveries:
                 # the peer turns this into a poison nack; repeated

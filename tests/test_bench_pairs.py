@@ -6,7 +6,7 @@ needs nine tenths of all pairs won (ties count for neither side) *and* a
 median gap wider than the distance between the parent's quartiles.
 ``--exact`` is checked the same way: its filter, and its exit status on
 canned runs standing in for the benchmark; ``--calls`` by its table of
-canned counts.
+canned counts and its counter on canned calls.
 """
 
 import importlib.util
@@ -206,6 +206,35 @@ def test_calls_table_divides_by_each_sides_ops_busiest_package_first():
     assert table["repro.network"] == [0.0, 0.0, 44.7, 60.3]
     assert table["python"] == [8.1, 0.6, 0.0, 0.0]
     assert table["total"] == [26.2, 23.9, 61.3, 82.8]
+
+
+def test_call_counter_files_a_c_call_under_its_own_module():
+    import heapq
+    import json.encoder
+    from types import SimpleNamespace
+
+    def frame(filename):
+        return SimpleNamespace(f_code=SimpleNamespace(co_filename=filename))
+
+    network = frame("/co/src/repro/network/transport.py")
+    bench = frame("/co/benchmarks/district/run.py")
+    counter = bench_pairs.CallCounter()
+    for event, at, arg in [
+            ("call", network, None), ("call", network, None),
+            ("call", bench, None),
+            # made from repro.network, filed under the C function's module
+            ("c_call", network, len), ("c_call", network, {}.get),
+            ("c_call", bench, heapq.heappush),
+            ("c_call", bench, json.encoder.encode_basestring_ascii),
+            ("return", network, None), ("c_return", network, len)]:
+        counter(at, event, arg)
+    assert counter.counts == {
+        "repro.network": {"py": 2, "c": 0},
+        "districtbench": {"py": 1, "c": 0},
+        "builtins": {"py": 0, "c": 2},
+        "_heapq": {"py": 0, "c": 1},
+        "_json": {"py": 0, "c": 1},
+    }
 
 
 # -- pairs: what a verdict and a sim_* line say ------------------------------

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from repro.common.cdf import ActuationResult
+from repro.common.identifiers import ServiceUri
 from repro.datasources.geometry import BoundingBox
 from repro.middleware.topics import decode_event
+from repro.network.transport import estimate_size
 from repro.ontology.queries import AreaQuery
 from repro.simulation.scenario import ScenarioConfig, deploy
 
@@ -217,6 +219,66 @@ class TestActuationEndToEnd:
         assert results[0].device_id == target.device_id
 
 
+    def test_one_actuation_wire_is_pinned(self):
+        # each frame says only what neither a default nor the request
+        # says: no "ack": false on the subscribe, no "retain": false on
+        # the publish, no 202 body, no completed_at beside the
+        # envelope's published_at; and each is sized where it is built
+        district = deploy(ScenarioConfig(
+            seed=42, n_buildings=1, devices_per_building=5, n_networks=1,
+            net_jitter=0.0, publish_buffer=256,
+        ))
+        district.run(60.0)
+        client = district.client("wire-user")
+        resolved = client.resolve(AreaQuery(district.district_id))
+        target = next(d for e in resolved.entities for d in e.devices
+                      if d.is_actuator and "setpoint" in d.quantities)
+        proxy = ServiceUri.parse(target.proxy_uri).host
+        topic = f"actuation/{target.device_id}"
+        network = district.network
+        frames = []
+        send = network.send
+
+        def spy(sender, recipient, port, payload, size=None):
+            frames.append((sender, recipient, payload, size))
+            send(sender, recipient, port, payload, size=size)
+
+        network.send = spy
+        results = []
+        client.actuate(target, "setpoint", 20.0, on_result=results.append)
+        district.run(10.0)
+        publish, = [payload for _, _, payload, _ in frames
+                    if payload.get("verb") == "publish"
+                    and payload["topic"] == topic]
+        pub_ack = {"kind": "pub-ack", "pub_id": publish["pub_id"]}
+        wire = [(sender, recipient, payload, size)
+                for sender, recipient, payload, size in frames
+                if "wire-user" in (sender, recipient) or payload is publish
+                or (recipient == proxy and payload == pub_ack)]
+        assert [(sender, recipient, sorted(payload))
+                for sender, recipient, payload, _ in wire] == [
+            ("wire-user", "broker", ["pattern", "port", "token", "verb"]),
+            ("wire-user", proxy, ["body", "method", "path", "request_id"]),
+            ("broker", "wire-user", ["kind", "sub_id", "token"]),
+            (proxy, "wire-user", ["request_id", "status"]),
+            (proxy, "broker", ["ack_port", "payload", "pub_id",
+                               "published_at", "topic", "verb"]),
+            ("broker", "wire-user", ["kind", "payload", "published_at",
+                                     "sub_id", "topic"]),
+            ("broker", proxy, ["kind", "pub_id"]),
+            ("wire-user", "broker", ["sub_id", "verb"]),
+        ]
+        assert sorted(publish["payload"]) == ["accepted", "command",
+                                              "detail"]
+        assert [size for *_, size in wire] == [
+            estimate_size(payload) for _, _, payload, _ in wire]
+        # 949 B with "ack": false, "retain": false, the 202's echo body
+        # and completed_at (twice): 14 + 17 + 120 + 2 * 28 B more
+        assert sum(size for *_, size in wire) == 742
+        assert len(results) == 1 and results[0].accepted
+        assert results[0].completed_at == publish["published_at"]
+
+
 class TestLiveSubscription:
     def test_client_receives_live_measurements(self, district):
         client = district.client("live-user")
@@ -226,7 +288,8 @@ class TestLiveSubscription:
                                       quantity="power")
         district.run(120.0)
         assert events
-        samples = [decode_event(e.topic, e.payload) for e in events]
+        samples = [decode_event(e.topic, e.payload, e.published_at)
+                   for e in events]
         assert {m.quantity for m in samples} == {"power"}
         assert all(m.unit == "W" for m in samples)
 

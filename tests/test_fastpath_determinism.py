@@ -48,25 +48,28 @@ _TWIN = dict(
 #: once, in a header, and fan-out deliveries stopped naming the publisher;
 #: and again (-> 88 443) when web-service requests and replies stopped
 #: sending defaults (``"method": "GET"``, ``"params": {}``, ``"body":
-#: null``, ``"reason": ""``) and a per-client ``"reply_port"``.
+#: null``, ``"reason": ""``) and a per-client ``"reply_port"``; and
+#: again (-> 87 770) when pub/sub frames stopped sending ``"ack": false``
+#: and ``"retain": false`` and actuation results their ``completed_at``.
 #: ``events_processed`` was re-recorded (673 -> 592, 224 -> 209) when a
 #: web request's processing delay moved onto its delivery: one event
 #: fewer per served request, every other value unchanged
 _TWIN_GOLDEN = {
     "events_processed": 592,
     "messages_total": 344,
-    "bytes_sent": 88443,
+    "bytes_sent": 87770,
     "samples_ingested": 57,
     "resolves": 5,
     "churn_events_received": 69,
 }
 #: ``bytes_sent`` was re-recorded (30 364 -> 29 204) with the batch frame
 #: header and the publisher-free fan-out envelope, and again (-> 28 320)
-#: with the default-free web-service envelope
+#: with the default-free web-service envelope, and again (-> 27 912) with
+#: the default-free pub/sub frames
 _DURABLE_GOLDEN = {
     "events_processed": 209,
     "messages_delivered": 84,
-    "bytes_sent": 28320,
+    "bytes_sent": 27912,
     "ingested": 36,
     "stored": 36,
     "wal_appends": 24,
@@ -94,12 +97,14 @@ _DURABLE_GOLDEN = {
 #: and samples 277 us earlier all run (first sample 60.027269 s).  Its
 #: bucketed ``power`` answer keeps every bucket time and count; the
 #: means differ by at most 8.1e-14 relative.  Every other series is
-#: equal.
+#: equal.  ``bytes_sent`` was re-recorded again (-> 172 688) with the
+#: default-free pub/sub frames (no ``"ack": false``, no ``"retain":
+#: false``); ``answers`` did not move.
 _READ_GOLDEN = {
     "answers": "9b9f833d872ad1ee8ff0c16fcb978977"
                "a3a350ad72e579970e0f41ca1d9825e4",
     "sources": ["raw", "rollup:900"],
-    "bytes_sent": 175915,
+    "bytes_sent": 172688,
 }
 
 

@@ -494,15 +494,146 @@ class TestBrokerSendSizes:
         make_peer(net, "later").subscribe("t/#", lambda e: None)
         net.scheduler.run_until_idle()
         events = 2 * len(self.PAYLOADS)
-        assert len(sized) == 2 * events + 2 * events  # fan-out, replays
-        assert sum("delivery_id" in payload for payload, _ in sized) \
+        # the control frames (sub-acks) are sized too: TestFrameSizes
+        delivered = [(payload, size) for payload, size in sized
+                     if payload["kind"] == "event"]
+        assert len(delivered) == 2 * events + 2 * events  # fan-out, replays
+        assert sum("delivery_id" in payload for payload, _ in delivered) \
             == events
-        assert sum(payload.get("retained", False) for payload, _ in sized) \
-            == 2 * events
-        assert all("trace" in payload for payload, _ in sized
+        assert sum(payload.get("retained", False)
+                   for payload, _ in delivered) == 2 * events
+        assert all("trace" in payload for payload, _ in delivered
                    if not payload.get("retained")) is traced
         for payload, size in sized:
             assert size == estimate_size(payload), payload
+
+
+class TestFrameSizes:
+    """Every control frame a peer or the broker builds carries ``size=``
+    counted where it is built (``frame_size``), so the transport does
+    not walk it; it must equal that walk exactly.  A frame whose topic
+    or pattern needs the real encoder passes none: the walk sizes it."""
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_every_control_frame_is_sized_exactly(self, net, traced):
+        from repro.middleware.broker import BrokerOverloadConfig
+        from repro.middleware.peer import MiddlewarePeer
+        from repro.network.transport import estimate_size
+        from repro.observability import install
+
+        if traced:
+            install(net)
+        # a publisher may hold one pending delivery: its second is
+        # refused with a pub-reject, parked and flushed after retry_after
+        Broker(net.add_host("broker"), overload=BrokerOverloadConfig(
+            high_watermark=64, low_watermark=32, publisher_quota=1,
+            retry_after=0.5))
+        sent = []
+        send = net.send
+
+        def spy(sender, recipient, port, payload, size=None):
+            sent.append((payload, size))
+            send(sender, recipient, port, payload, size=size)
+
+        net.send = spy
+        publisher = MiddlewarePeer(net.add_host("pub"), "broker",
+                                   publish_buffer=8)
+        consumer = make_peer(net, "cons")
+        held = []
+        consumer.subscribe("t/held/#",
+                           lambda event: held.append(consumer.defer()),
+                           ack=True)
+
+        def poison(event):
+            raise ValueError("unreadable")
+
+        consumer.subscribe("t/poison", poison, ack=True)
+        plain = make_peer(net, "plain").subscribe("t/#", lambda e: None)
+        make_peer(net, "intl").subscribe("t/café/#", lambda e: None)
+        net.scheduler.run_for(0.1)
+        publisher.publish("t/held/1", 1)            # custody: pub-receipt
+        publisher.publish("t/held/2", {"v": 2}, retain=True)  # pub-reject
+        make_peer(net, "pub2").publish("t/poison", 0)   # nacks, unreliable
+        net.scheduler.run_for(0.1)
+        consumer.settle(held)                       # one frame: pub-ack
+        held.clear()
+        net.scheduler.run_for(1.0)                  # the flush
+        consumer.settle(held)
+        plain.unsubscribe()
+        publisher.publish("t/café/x", 3)
+        net.scheduler.run_for(0.1)
+        # an outage: the publish is lost, parked, probed, then flushed
+        net.set_host_online("broker", False)
+        publisher.publish("t/down", 4)
+        net.scheduler.run_for(4.5)
+        net.set_host_online("broker", True)
+        net.scheduler.run_for(4.0)
+        assert publisher.publications_flushed == 2
+        assert publisher.publications_acked == 4
+        frames = [(payload, size) for payload, size in sent
+                  if payload.get("kind") != "event"]
+        assert {payload.get("verb") or payload["kind"]
+                for payload, _ in frames} == {
+            "subscribe", "unsubscribe", "publish", "ping", "delivery_ack",
+            "delivery_nack", "sub-ack", "pub-ack", "pub-receipt",
+            "pub-reject", "pong"}
+        verbs = [payload for payload, _ in frames if "verb" in payload]
+        # a default is not spelled out: a missing ack / retain is false
+        assert {payload.get("ack") for payload in verbs
+                if payload["verb"] == "subscribe"} == {None, True}
+        assert {payload.get("retain") for payload in verbs
+                if payload["verb"] == "publish"} == {None, True}
+        assert any("delivery_ids" in payload for payload in verbs)
+        assert all(("trace" in payload) is traced for payload in verbs
+                   if payload["verb"] == "publish")
+        for payload, size in frames:
+            if "café" in str(payload):
+                assert size is None, payload
+            else:
+                assert size == estimate_size(payload), payload
+
+
+class TestDefaultKeysStillRead:
+    """A peer leaves ``"ack": false`` and ``"retain": false`` off the
+    wire; a frame or a WAL record that still spells them is read
+    exactly as before."""
+
+    def test_a_frame_spelling_the_defaults_is_read_as_before(self, net,
+                                                               broker):
+        host = net.add_host("old")
+        frames = []
+        host.bind("old-port", lambda message: frames.append(message.payload))
+        net.send("old", "broker", "pubsub", {
+            "verb": "subscribe", "pattern": "t/#", "port": "old-port",
+            "token": 1, "ack": False})
+        net.scheduler.run_until_idle()
+        net.send("old", "broker", "pubsub", {
+            "verb": "publish", "topic": "t/1", "payload": 1,
+            "published_at": 0.5, "retain": False})
+        net.scheduler.run_until_idle()
+        assert [sub.ack for sub in broker.state.subs.by_id.values()] == \
+            [False]
+        assert broker.state.retained == {}
+        assert frames == [
+            {"kind": "sub-ack", "sub_id": 1, "token": 1},
+            {"kind": "event", "topic": "t/1", "payload": 1,
+             "published_at": 0.5, "sub_id": 1}]
+
+    def test_a_wal_sub_record_spelling_ack_false_is_read_as_before(self):
+        from repro.middleware.broker_state import BrokerState, _Sub
+
+        record = {"op": "sub", "seq": 1, "sub_id": 1, "pattern": "t/#",
+                  "subscriber": "cons", "port": "p", "token": 3,
+                  "ack": False}
+        bare = {key: value for key, value in record.items()
+                if key != "ack"}
+        assert _Sub.from_record(record) == _Sub.from_record(bare)
+        spelled, omitted = BrokerState(8), BrokerState(8)
+        spelled.apply(record)
+        omitted.apply(bare)
+        assert spelled.snapshot() == omitted.snapshot()
+        # the WAL shape is unchanged: a record still spells its ack
+        assert _Sub.from_record(record).to_record(1)["ack"] is False
 
 
 class TestAckedDeliveries:

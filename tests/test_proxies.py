@@ -80,7 +80,8 @@ class TestDeviceProxyLayers:
         assert events[0].topic == (
             "district/dst-0001/entity/bld-0001/device/dev-0001/power"
         )
-        measurement = decode_event(events[0].topic, events[0].payload)
+        measurement = decode_event(events[0].topic, events[0].payload,
+                                   events[0].published_at)
         assert (measurement.device_id, measurement.entity_id) == \
             ("dev-0001", "bld-0001")
         assert measurement.source == proxy.name
@@ -239,7 +240,8 @@ class TestActuationFlow:
         subscriber = connect(net.add_host(f"results-{device_id}"), "broker")
         subscriber.subscribe(
             actuation_topic(device_id),
-            lambda e: results.append(decode_event(e.topic, e.payload)),
+            lambda e: results.append(
+                decode_event(e.topic, e.payload, e.published_at)),
         )
         # the attached firmware samples periodically, so the queue never
         # drains -- run just long enough for the subscription to land
@@ -248,8 +250,10 @@ class TestActuationFlow:
 
     def test_device_event_keys_are_pinned(self, net, broker):
         # each fact once: the topic names the device (and a sample's
-        # entity and quantity, hence its unit), so the event says only
-        # the rest -- no record tag, no unit
+        # entity and quantity, hence its unit) and the envelope's
+        # published_at a result's completion, so the event says only
+        # the rest -- no record tag, no unit, no completed_at; the 202
+        # has no body, as the request already names device and command
         proxy = make_device_proxy(net, broker)
         self.attach_plug(net, proxy)
         keys = {}
@@ -258,14 +262,15 @@ class TestActuationFlow:
             spy.subscribe(pattern, lambda e: keys.setdefault(
                 e.topic.split("/")[0], sorted(e.payload)))
         net.scheduler.run_for(1.0)
-        HttpClient(net.add_host("user")).post(
+        response = HttpClient(net.add_host("user")).post(
             proxy.uri.rstrip("/") + "/actuate/dev-0002",
             body={"command": "switch", "value": 0.0},
         )
+        assert (response.status, response.body) == (202, None)
         net.scheduler.run_for(3.0)
         assert keys == {
             "district": ["metadata", "source", "timestamp", "value"],
-            "actuation": ["accepted", "command", "completed_at", "detail"],
+            "actuation": ["accepted", "command", "detail"],
         }
 
     def test_successful_actuation_publishes_result(self, net, broker):

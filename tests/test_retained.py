@@ -151,5 +151,6 @@ class TestRetainedMessages:
         # the firmware keeps sampling periodically, so the queue never
         # drains -- run just long enough for the retained replay to land
         net.scheduler.run_for(1.0)
-        assert any(e.retained and decode_event(e.topic, e.payload).quantity
-                   == "power" for e in events)
+        assert any(e.retained and decode_event(
+            e.topic, e.payload, e.published_at).quantity == "power"
+            for e in events)

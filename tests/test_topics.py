@@ -112,7 +112,7 @@ class TestCanonicalTopics:
 
 class TestDecodeEvent:
     """``decode_event`` is the inverse of publishing ``to_event()`` on
-    ``measurement_topic`` / ``actuation_topic``."""
+    ``measurement_topic`` / ``actuation_topic`` at ``published_at``."""
 
     SAMPLE = Measurement("dev-3", "bld-2", "power", 40.0, 60.03,
                          "proxy-a", {"protocol": "coap", "seq": 7})
@@ -121,10 +121,18 @@ class TestDecodeEvent:
 
     def test_round_trips(self):
         topic = topics.measurement_topic("dst-1", "bld-2", "dev-3", "power")
-        assert topics.decode_event(topic, self.SAMPLE.to_event()) == \
-            self.SAMPLE
-        assert topics.decode_event(topics.actuation_topic("dev-3"),
-                                   self.RESULT.to_event()) == self.RESULT
+        assert topics.decode_event(topic, self.SAMPLE.to_event(), 60.04) \
+            == self.SAMPLE
+        # a result completes when it is published: the envelope's
+        # published_at is its completed_at, which the body leaves out
+        event = self.RESULT.to_event()
+        assert sorted(event) == ["accepted", "command", "detail"]
+        assert topics.decode_event(topics.actuation_topic("dev-3"), event,
+                                   61.2) == self.RESULT
+        # a body that still spells completed_at is read as it says
+        assert topics.decode_event(
+            "actuation/dev-3", dict(event, completed_at=61.2), 99.0) == \
+            self.RESULT
 
     @pytest.mark.parametrize("topic", [
         "district/dst-1/batch/proxy-a", "registry/dst-1",
@@ -132,21 +140,21 @@ class TestDecodeEvent:
         "district/dst-1/entity/bld-2/sensor/dev-3/power", "actuation"])
     def test_a_topic_that_names_no_device_is_refused(self, topic):
         with pytest.raises(SerializationError):
-            topics.decode_event(topic, self.SAMPLE.to_event())
+            topics.decode_event(topic, self.SAMPLE.to_event(), 0.0)
 
     def test_a_short_or_unknown_body_is_refused(self):
         topic = topics.measurement_topic("dst-1", "bld-2", "dev-3", "power")
         with pytest.raises(SerializationError):
-            topics.decode_event(topic, {"timestamp": 1.0})
+            topics.decode_event(topic, {"timestamp": 1.0}, 1.0)
         with pytest.raises(UnitError):
             topics.decode_event(topic.replace("power", "flux"),
-                                self.SAMPLE.to_event())
+                                self.SAMPLE.to_event(), 0.0)
 
     def test_records_of_one_device_share_its_names(self):
         # a caller keeping thousands of results keeps one copy of each id
         topic = "actuation/dev-{}"      # each event's topic built afresh
         first, second = (topics.decode_event(topic.format(3),
-                                             self.RESULT.to_event())
+                                             self.RESULT.to_event(), 61.2)
                          for _ in range(2))
         assert first.device_id == "dev-3"
         assert first.device_id is second.device_id

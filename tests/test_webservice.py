@@ -372,6 +372,19 @@ class TestExactDispatchTable:
         assert seen[0].sender == "c1"
         assert seen[0].path_params == {}
 
+    def test_templated_route_fills_the_request_it_was_given(self):
+        # a templated request is built once: its path params are
+        # written into it, not into a second Request
+        router = Router()
+        seen = []
+        router.add(POST, "/actuate/{device_id}",
+                   lambda r: (seen.append(r), ok(None))[1])
+        request = Request(POST, "/actuate/dev-7", body={"command": "on"},
+                          sender="c1")
+        router.dispatch(request)
+        assert seen == [request] and seen[0] is request
+        assert request.path_params == {"device_id": "dev-7"}
+
 
 class TestBodySizeHint:
     """A reply is charged exactly the estimate of its envelope — sizes
