@@ -10,10 +10,10 @@ Sweeps district size and measures, at each size:
 * simulated end-to-end integration latency for a *fixed-size* area
   query (one building) — the paper's scalability story: clients pay
   for what they query, not for the district size;
-* simulated integration latency for the whole district (grows with the
-  returned data, as it must — but the fetch stage is one concurrent
-  round, so it stays within a small multiple of a cold resolve
-  instead of growing with the number of proxies).
+* simulated integration latency for the whole district, the median of
+  five (grows with the returned data, as it must — but the fetch stage
+  is one concurrent round, so it stays within a small multiple of a
+  cold resolve instead of growing with the number of proxies).
 
 The pytest-benchmark table (grouped by size) tracks the wall-clock cost
 of the fixed-size workflow, which should stay flat.
@@ -65,11 +65,15 @@ def test_scalability(n_buildings, benchmark, report):
                                district.scheduler):
             client.build_area_model(single, with_data=True,
                                     data_bucket=300.0)
-    with metrics.simulated("whole-district integrate",
-                           district.scheduler):
-        model = client.build_area_model(whole, with_data=True,
-                                        data_bucket=300.0)
-    assert len(model.buildings) == n_buildings
+    # a whole-district integrate is the slowest of many concurrent
+    # requests, so one draw swings with one jitter factor: report the
+    # median of five
+    for _ in range(5):
+        with metrics.simulated("whole-district integrate",
+                               district.scheduler):
+            model = client.build_area_model(whole, with_data=True,
+                                            data_bucket=300.0)
+        assert len(model.buildings) == n_buildings
 
     def fixed_size_workflow():
         return client.build_area_model(single, with_data=True,

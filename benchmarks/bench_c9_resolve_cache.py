@@ -335,17 +335,18 @@ def test_unchanged_device_data_is_revalidated_not_reaggregated(report):
     client = district.client("c9-data", with_broker=False)
     whole = AreaQuery(district_id=district.district_id)
     data_200s = []  # Device-proxy URI of every /data answered with a body
-    gather = client.http.gather
+    wait = client.http.wait
 
-    def spy(calls):
-        outcomes = gather(calls)
+    def spy(pending, indices):
+        outcomes = wait(pending, indices)
+        calls = [pending.calls[index] for index in indices]
         data_200s.extend(call["uri"][:-len("/data")]
                          for call, outcome in zip(calls, outcomes)
                          if call["uri"].endswith("/data")
                          and getattr(outcome, "status", None) == 200)
         return outcomes
 
-    client.http.gather = spy
+    client.http.wait = spy
 
     def inserts():
         return {proxy.uri.rstrip("/"): proxy.database.inserts

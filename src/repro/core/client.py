@@ -13,6 +13,8 @@
 Steps 2 and 3 are one concurrent round: the proxies are independent
 hosts, so every model request and one data request per Device-proxy go
 out together and the client waits for the slowest, not for the sum.
+For a held resolve steps 1-3 overlap: the held answer's fetches go out
+with its revalidation, and a changed answer keeps only what it names.
 Resolves, models and device data are conditional GETs: the client holds
 every answer with its token in one LRU table, sends the token back as
 ``if_none_match`` and reuses the held answer on a 304.  A Device-proxy's
@@ -41,7 +43,7 @@ from repro.middleware.topics import (
 )
 from repro.network.resilience import FailoverSet, ResiliencePolicy
 from repro.network.transport import Host
-from repro.network.webservice import HttpClient, Response
+from repro.network.webservice import HttpClient, Response, Round
 from repro.observability.tracing import INTERNAL, emit
 from repro.core.integration import IntegratedModel, integrate
 from repro.ontology.queries import (
@@ -129,6 +131,13 @@ class DistrictClient:
         served from memory; ``use_cache=False`` forces a full fetch for
         one call.
         """
+        return self._resolve(query, use_cache)[0]
+
+    def _resolve(self, query: AreaQuery, use_cache: bool,
+                 plan: Callable = lambda area: ((), (), {})) -> Tuple:
+        """:meth:`resolve`, sending in its round the calls *plan* makes of
+        the held area; returns the answer, its plan and :meth:`_fetch`'s
+        *sent*.  A 304 hands back the held area, whose plan is exact."""
         params = query.to_params()
         key = ("/resolve", tuple(sorted(params.items())))
         held = self._held.get(key) if use_cache else None
@@ -139,14 +148,26 @@ class DistrictClient:
             self.held_hits += 1
             emit(self.host.network, "held_answer_hit", host=self.host.name,
                  token=held[0], client=self.host.name)
-            return held[1]
+            return held[1], plan(held[1]), None
         self._trim_held()
+        early = plan(held[1]) if use_cache and key in self._held \
+            else ((), (), {})  # nothing held (or trimmed): nothing early
         if use_cache:
             params = self._conditional(key, params)
-        response = self.http.failover(self.masters, "/resolve",
-                                      params=params)
-        return self._held_answer(key, response, True,
-                                 ResolvedArea.from_dict)
+        sent = self.http.issue(
+            [{"uri": self.masters.current + "/resolve", "params": params}]
+            + [{"uri": call["uri"], "params": self._conditional(
+                call_key, call["params"])} for call_key, call in early[1]])
+        try:
+            area = self._held_answer(key, self.http.failover(
+                self.masters, "/resolve", params=params, sent=sent),
+                True, ResolvedArea.from_dict)
+        except ReproError:
+            sent.dropped.update(range(len(sent.calls)))  # nobody waits
+            raise
+        return area, early if held and area is held[1] else plan(area), \
+            (sent, {call_key: index
+                    for index, (call_key, _) in enumerate(early[1], 1)})
 
     # -- conditional GET: one held-answer table ------------------------------
 
@@ -175,9 +196,13 @@ class DistrictClient:
             token, answer, _ = held
         else:
             if revalidated:
-                # ahead of _answered, which takes only a 2xx for an answer
                 outcome = ServiceError(304, "this client does not hold it")
-            if not self._answered(outcome, strict):
+            elif isinstance(outcome, Response) and not outcome.ok:
+                outcome = ServiceError(outcome.status, outcome.reason)
+            if isinstance(outcome, Exception):  # a failed fetch
+                if strict:
+                    raise outcome
+                self.fetch_failures += 1
                 return None
             token, answer = outcome.body["token"], decode(outcome.body)
         self._held[key] = (token, answer, self.host.network.scheduler.now)
@@ -219,22 +244,30 @@ class DistrictClient:
         return [(entity.entity_id, call) for call in calls]
 
     @staticmethod
-    def _data_calls(by_proxy: Dict[str, List[Tuple[str, RangeQuery]]]
-                    ) -> List[Dict]:
-        """ONE ``/data`` request per Device-proxy, carrying all its series."""
-        return [{"uri": proxy_uri.rstrip("/") + "/data",
-                 "params": RangeQuery.to_series_params(
-                     [query for _, query in members])}
-                for proxy_uri, members in by_proxy.items()]
+    def _plan(model_calls: List[Tuple[str, Dict]],
+              series: Sequence[Tuple[str, str, RangeQuery]]) -> Tuple:
+        """*model_calls*; every call of the round, models then ONE ``/data``
+        per Device-proxy, under its held-answer key; series by proxy."""
+        by_proxy: Dict[str, List[Tuple[str, RangeQuery]]] = {}
+        for entity_id, proxy_uri, query in series:
+            by_proxy.setdefault(proxy_uri, []).append((entity_id, query))
+        calls = [call for _, call in model_calls] + [
+            {"uri": proxy_uri.rstrip("/") + "/data",
+             "params": RangeQuery.to_series_params(
+                 [query for _, query in members])}
+            for proxy_uri, members in by_proxy.items()]
+        return model_calls, [
+            ((call["uri"], tuple(sorted(call["params"].items()))), call)
+            for call in calls], by_proxy
 
-    def _fetch(self, model_calls: List[Tuple[str, Dict]],
-               series: Sequence[Tuple[str, str, RangeQuery]], strict: bool
+    def _fetch(self, planned: Tuple, strict: bool,
+               sent: Optional[Tuple[Round, Dict[Tuple, int]]] = None
                ) -> Tuple[Dict[str, List[EntityModel]], Dict[str, Dict]]:
         """Fetch models and device data in one concurrent round.
 
-        Every ``(entity_id, call)`` of *model_calls* and ONE ``/data``
+        Every model call of the :meth:`_plan` *planned* and ONE ``/data``
         call per Device-proxy — carrying all the ``(entity_id,
-        proxy_uri, query)`` *series* that proxy serves, which share one
+        proxy_uri, query)`` series that proxy serves, which share one
         window — are issued at once: the proxies are independent hosts,
         so the round costs its slowest request, not the sum.  Returns
         the decoded models and the ``(device, quantity)`` sample lists,
@@ -242,27 +275,32 @@ class DistrictClient:
         answer this client already holds is asked for with its token,
         and a 304 hands back the held one.
 
+        A call *sent* already, (round, {key: index}), is waited for
+        there; one this round does not name is dropped.
+
         With *strict* the first failed call, in call order (models, then
         data), raises; otherwise it is counted in
         :attr:`fetch_failures` and its model is missing / its series
         are empty.
         """
-        by_proxy: Dict[str, List[Tuple[str, RangeQuery]]] = {}
-        for entity_id, proxy_uri, query in series:
-            by_proxy.setdefault(proxy_uri, []).append((entity_id, query))
+        model_calls, plan, by_proxy = planned
         self.data_requests += len(by_proxy)
-        calls = [call for _, call in model_calls] + self._data_calls(by_proxy)
-        keys = [(call["uri"], tuple(sorted(call["params"].items())))
-                for call in calls]
+        pending, named = sent or (Round(()), {})
+        early = [named[key] if key in named else None for key, _ in plan]
+        pending.dropped.update(set(named.values()).difference(early))
         self._trim_held()
-        outcomes = self.http.gather([
+        late = iter(self.http.gather([
             {"uri": call["uri"],
              "params": self._conditional(key, call["params"])}
-            for key, call in zip(keys, calls)])
+            for (key, call), index in zip(plan, early) if index is None]))
+        self.http.wait(pending, [i for i in early if i is not None])
+        outcomes = [next(late) if index is None else pending.outcomes[index]
+                    for index in early]
         decoders = [self._decode_model] * len(model_calls) \
             + [itemgetter("series")] * len(by_proxy)
         answers = [self._held_answer(key, outcome, strict, decode)
-                   for key, outcome, decode in zip(keys, outcomes, decoders)]
+                   for (key, _), outcome, decode
+                   in zip(plan, outcomes, decoders)]
         models: Dict[str, List[EntityModel]] = {}
         for (entity_id, _), model in zip(model_calls, answers):
             if model is not None:
@@ -278,18 +316,6 @@ class DistrictClient:
                 ] = [(t, v) for t, v in answer]
         return models, measurements
 
-    def _answered(self, outcome: Union[Response, Exception], strict: bool
-                  ) -> bool:
-        """Whether a gathered fetch succeeded; raises or counts if not."""
-        if isinstance(outcome, Response):
-            if outcome.ok:
-                return True
-            outcome = ServiceError(outcome.status, outcome.reason)
-        if strict:
-            raise outcome
-        self.fetch_failures += 1
-        return False
-
     def fetch_entity_models(self, entity: ResolvedEntity,
                             gis_uris: Tuple[str, ...] = (),
                             fmt: str = JSON_FORMAT,
@@ -301,8 +327,8 @@ class DistrictClient:
         the behaviour a resilient dashboard wants during partial
         outages.  Failures are counted in :attr:`fetch_failures`.
         """
-        models, _ = self._fetch(self._model_calls(entity, gis_uris, fmt),
-                                (), strict)
+        models, _ = self._fetch(self._plan(
+            self._model_calls(entity, gis_uris, fmt), ()), strict)
         return models.get(entity.entity_id, [])
 
     def fetch_device_data(self, device: ResolvedDevice, quantity: str,
@@ -325,7 +351,8 @@ class DistrictClient:
             )
         query = RangeQuery(device.device_id, quantity, start=start, end=end,
                            bucket=bucket, agg=agg)
-        _, data = self._fetch([], [("", device.proxy_uri, query)], strict)
+        _, data = self._fetch(
+            self._plan([], [("", device.proxy_uri, query)]), strict)
         return data[""][(device.device_id, quantity)]
 
     # -- step 4: integration ---------------------------------------------------
@@ -353,19 +380,21 @@ class DistrictClient:
                            attributes={"strict": strict,
                                        "with_data": with_data}) \
             if tracer is not None else nullcontext()
-        with span:
-            resolved = self.resolve(query)
-            models, measurements = self._fetch(
-                [call for entity in resolved.entities
-                 for call in self._model_calls(entity, resolved.gis_uris)],
+
+        def plan(area: ResolvedArea) -> Tuple:
+            return self._plan(
+                [call for entity in area.entities
+                 for call in self._model_calls(entity, area.gis_uris)],
                 [(entity.entity_id, device.proxy_uri,
                   RangeQuery(device.device_id, quantity, start=data_start,
                              end=data_end, bucket=data_bucket))
-                 for entity in resolved.entities if with_data
+                 for entity in area.entities if with_data
                  for device in entity.devices
-                 for quantity in device.quantities],
-                strict,
-            )
+                 for quantity in device.quantities])
+
+        with span:
+            resolved, planned, sent = self._resolve(query, True, plan)
+            models, measurements = self._fetch(planned, strict, sent)
             return integrate(resolved, models, measurements)
 
     # -- control and live data --------------------------------------------------

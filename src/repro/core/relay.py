@@ -14,7 +14,7 @@ production deployment never relays.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.common import serialization
 from repro.errors import QueryError, UnknownEntityError
@@ -49,22 +49,17 @@ class RelayingMaster(MasterNode):
             "models": [],
             "samples": {},
         } for entity in resolved.entities}
-        # the client's own call list (see DistrictClient._fetch): every
-        # model request and one multi-series /data per Device-proxy, at once
+        # the client's own round (DistrictClient._plan), all at once
         model_calls = [call for entity in resolved.entities for call
                        in DistrictClient._model_calls(entity,
                                                       resolved.gis_uris)]
-        by_proxy: Dict[str, List[Tuple[str, RangeQuery]]] = {}
-        if request.params.get("with_data") == "1":
-            for entity in resolved.entities:
-                for device in entity.devices:
-                    by_proxy.setdefault(device.proxy_uri, []).extend(
-                        (entity.entity_id,
-                         RangeQuery(device.device_id, quantity))
-                        for quantity in device.quantities)
-        outcomes = self._relay_client.gather(
-            [call for _, call in model_calls]
-            + DistrictClient._data_calls(by_proxy))
+        _, plan, by_proxy = DistrictClient._plan(model_calls, [
+            (entity.entity_id, device.proxy_uri,
+             RangeQuery(device.device_id, quantity))
+            for entity in resolved.entities
+            if request.params.get("with_data") == "1"
+            for device in entity.devices for quantity in device.quantities])
+        outcomes = self._relay_client.gather([call for _, call in plan])
         # a dark proxy degrades the answer (its outcome is an exception
         # or a non-2xx), it does not 500 the relay
         for (entity_id, _), outcome in zip(model_calls, outcomes):

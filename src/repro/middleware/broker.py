@@ -315,8 +315,9 @@ class DeliverySettlement:
         self.stats.redeliveries += 1
         _trace(self.host, "delivery_redelivered", topic=delivery.topic,
                subscriber=delivery.subscriber, attempt=delivery.attempts)
+        delivery.size = delivery.size or estimate_size(delivery.event)
         self.host.send(delivery.subscriber, delivery.port,
-                       dict(delivery.event))
+                       dict(delivery.event), size=delivery.size)
         self.arm(delivery.delivery_id, delivery.generation)
 
     def _dead_letter(self, delivery: _PendingDelivery, reason: str) -> None:
@@ -347,10 +348,12 @@ class DeliverySettlement:
         topic = f"{DEAD_LETTER_PREFIX}/{delivery.topic}"
         event = {"kind": "event", "topic": topic, "payload": dict(entry),
                  "published_at": now}
-        for sub_id, _delta, sub in self.state.subs.match(topic):
+        size = estimate_size(event)
+        for sub_id, sub_id_delta, sub in self.state.subs.match(topic):
             if host.network.has_host(sub.subscriber):
                 self.stats.fanout_deliveries += 1
-                host.send(sub.subscriber, sub.port, dict(event, sub_id=sub_id))
+                host.send(sub.subscriber, sub.port, dict(event, sub_id=sub_id),
+                          size=size + sub_id_delta)
 
 
 class Broker(StateMachine):
@@ -759,6 +762,7 @@ class Broker(StateMachine):
                     "publisher": publisher, "topic": topic,
                     "pub_key": list(pub_key) if pub_key else None,
                 })
+                state.deliveries[delivery_id].size = size
                 self.settlement.arm(delivery_id)
             send(sub.subscriber, sub.port, fanout, size=size)
         self.stats.fanout_deliveries += deliveries

@@ -91,6 +91,9 @@ class _PendingDelivery:
     #: bumped on every redelivery; a pending redelivery timer from an
     #: earlier send is stale and must not redeliver again
     generation: int = 0
+    #: the event's wire size as first sent; volatile, so a restored
+    #: delivery is walked once, at its first redelivery
+    size: Optional[int] = field(default=None, compare=False)
 
     @classmethod
     def from_record(cls, record: Dict) -> "_PendingDelivery":

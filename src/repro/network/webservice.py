@@ -332,15 +332,16 @@ class _Replies:
             f"request to {target} timed out"))
 
 
-class _Round:
-    """One :meth:`HttpClient.gather`: calls in, outcomes out."""
+class Round:
+    """Calls issued at once: ``outcomes[i]`` is None while call *i* is
+    in flight; a call in ``dropped`` has no waiter and is not retried."""
 
-    __slots__ = ("calls", "outcomes", "unresolved")
+    __slots__ = ("calls", "outcomes", "dropped")
 
     def __init__(self, calls: Sequence[Dict[str, Any]]):
         self.calls = calls
         self.outcomes: List[Any] = [None] * len(calls)
-        self.unresolved = len(calls)
+        self.dropped = set()
 
 
 class HttpClient:
@@ -440,6 +441,26 @@ class HttpClient:
         )
         return future
 
+    def issue(self, calls: Sequence[Dict[str, Any]]) -> Round:
+        """Issue every call (:meth:`request` keyword arguments) at once."""
+        pending = Round(calls)
+        for index in range(len(calls)):
+            self._attempt(pending, index, 1)
+        return pending
+
+    def wait(self, pending: Round, indices: Sequence[int]
+             ) -> List[Union[Response, Exception]]:
+        """Step the scheduler until the calls at *indices* of *pending*
+        have their outcomes; returns those, in that order."""
+        outcomes = pending.outcomes
+        step = self.host.network.scheduler.step
+        for index in indices:
+            while outcomes[index] is None:
+                if not step():
+                    raise ConfigurationError(
+                        "scheduler drained with request still pending")
+        return [outcomes[index] for index in indices]
+
     def gather(self, calls: Sequence[Dict[str, Any]]
                ) -> List[Union[Response, Exception]]:
         """Issue every call at once; drive the scheduler until all resolve.
@@ -457,23 +478,14 @@ class HttpClient:
         simulated clock that re-issues the request, so the other calls
         of the round keep progressing while one backs off.
         """
-        pending = _Round(calls)
-        for index in range(len(calls)):
-            self._attempt(pending, index, 1)
-        step = self.host.network.scheduler.step
-        while pending.unresolved:
-            if not step():
-                raise ConfigurationError(
-                    "scheduler drained with request still pending"
-                )
-        return pending.outcomes
+        return self.wait(self.issue(calls), range(len(calls)))
 
-    def _attempt(self, pending: "_Round", index: int, number: int) -> None:
+    def _attempt(self, pending: Round, index: int, number: int) -> None:
         """Issue attempt *number* of one call of a round."""
         self.request(**pending.calls[index]).add_done_callback(
             lambda future: self._settle(pending, index, number, future))
 
-    def _settle(self, pending: "_Round", index: int, number: int,
+    def _settle(self, pending: Round, index: int, number: int,
                 future: Future) -> None:
         """One attempt resolved: schedule a retry or record the outcome."""
         policy = self.policy
@@ -489,7 +501,8 @@ class HttpClient:
             status = outcome.status
             cause = "http 429 backpressure" if status == 429 \
                 else f"http {status}" if status >= 500 else None
-        if cause is not None and retry is not None:
+        if cause is not None and retry is not None \
+                and index not in pending.dropped:
             uri = pending.calls[index]["uri"]
             if number < retry.max_attempts:
                 policy.retries += 1
@@ -508,7 +521,6 @@ class HttpClient:
                 policy.exhausted += 1
                 self._retry_event(uri, number, cause, exhausted=True)
         pending.outcomes[index] = outcome
-        pending.unresolved -= 1
 
     def call(
         self,
@@ -537,28 +549,30 @@ class HttpClient:
         return outcome
 
     def failover(self, replicas: FailoverSet, path: str, method: str = GET,
-                 params: Optional[Dict[str, str]] = None, body: Any = None
-                 ) -> Response:
+                 params: Optional[Dict[str, str]] = None, body: Any = None,
+                 sent: Optional[Round] = None) -> Response:
         """Call *path* on each replica at most once, from the one that
         last worked, until one answers 2xx or 3xx (a 304 is an answer).
 
         Timeouts, open circuits and 5xx (a standby's 503) rotate to the
         next replica; a 4xx raises :class:`ServiceError` at once.  When
-        every replica failed the last error is raised.
+        every replica failed the last error is raised.  The first call
+        of a round *sent* to ``replicas.current`` is the first attempt.
         """
         last_error: Optional[NetworkError] = None
         for _ in range(len(replicas)):
             uri = replicas.current
-            try:
-                response = self.call(uri + path, method, params=params,
-                                     body=body, check=False)
-            except (RequestTimeoutError, CircuitOpenError) as exc:
-                last_error = exc
+            outcome, = self.wait(sent or self.issue([{
+                "uri": uri + path, "method": method, "params": params,
+                "body": body}]), [0])
+            sent = None
+            if isinstance(outcome, NetworkError):
+                last_error = outcome
+            elif outcome.status < 400:
+                return outcome
             else:
-                if response.status < 400:
-                    return response
-                last_error = ServiceError(response.status, response.reason)
-                if response.status < 500:
+                last_error = ServiceError(outcome.status, outcome.reason)
+                if outcome.status < 500:
                     raise last_error
             emit(self.host.network, "failover", host=self.host.name,
                  failed=uri, next=replicas.advance(), client=self.host.name)

@@ -43,6 +43,7 @@ from repro.protocols import make_adapter
 from repro.proxies.device_proxy import DeviceProxy
 from repro.simulation.faults import FaultInjector
 from repro.simulation.scenario import ScenarioConfig, deploy
+from repro.storage.durability import HubConfig
 
 HISTORY_S = 1200.0
 
@@ -150,6 +151,121 @@ class TestRoundCostsItsSlowestRequest:
         # the sequential client paid one round trip per request: with
         # this many requests it could not have met the bound above
         assert len(fetches) + n_models - 1 > 3
+
+
+def issued_rounds(client):
+    """Every round *client* issues from now on, as its list of calls."""
+    rounds = []
+    issue = client.http.issue
+
+    def spy(calls):
+        rounds.append(list(calls))
+        return issue(calls)
+
+    client.http.issue = spy
+    return rounds
+
+
+class TestWarmRoundOverlapsTheResolve:
+    """A client that holds the area sends the fetches of the held answer
+    in the resolve's round; the fresh answer decides which it keeps."""
+
+    def test_a_warm_build_is_one_round_of_the_same_requests(self, district):
+        query = AreaQuery(district_id=district.district_id)
+        client = district.client("warm-user", with_broker=False)
+        cold, cold_s, cold_messages = timed(district, lambda: (
+            client.build_area_model(query, with_data=True)))
+        rounds = issued_rounds(client)
+        warm, warm_s, warm_messages = timed(district, lambda: (
+            client.build_area_model(query, with_data=True)))
+        assert warm == cold
+        early, late = rounds
+        assert late == []  # a 304 resolve: every fetch was already sent
+        assert early[0]["uri"].endswith("/resolve")
+        assert warm_messages == cold_messages == 2 * len(early)
+        # one round trip where the cold build paid two
+        assert warm_s < 0.75 * cold_s
+
+    def test_an_evicted_dark_device_proxy_is_not_waited_for(self, district):
+        spec = district.dataset.buildings[0].devices[0]
+        proxy = district.device_proxies[(spec.entity_id, spec.protocol)]
+        query = AreaQuery(district_id=district.district_id,
+                          entity_ids=(spec.entity_id,))
+        client = district.client("evicted-user", with_broker=False,
+                                 policy=ResiliencePolicy(
+                                     retry=RetryPolicy(seed=1)))
+        client.build_area_model(query, with_data=True)
+        district.master._evict_uri(proxy.uri)
+        FaultInjector(district).kill_device_proxy(spec.entity_id,
+                                                  spec.protocol)
+        rounds = issued_rounds(client)
+        model, elapsed, _ = timed(district, lambda: (
+            client.build_area_model(query, with_data=True)))
+        # its /data went out beside the resolve, which no longer names it
+        assert proxy.uri.rstrip("/") + "/data" in \
+            [call["uri"] for call in rounds[0]]
+        assert elapsed < 0.1 * client.http.timeout
+        assert client.fetch_failures == 0
+        entity, = model.entities.values()
+        assert proxy.uri not in {device.proxy_uri
+                                 for device in entity.devices}
+        # the dropped request times out unheeded: no retry, no failure
+        district.run(2 * client.http.timeout)
+        assert client.http.policy.retries == 0
+        assert client.fetch_failures == 0
+
+    def test_a_changed_resolve_sends_only_what_it_newly_names(
+            self, district):
+        spec = district.dataset.buildings[0].devices[0]
+        proxy = district.device_proxies[(spec.entity_id, spec.protocol)]
+        query = AreaQuery(district_id=district.district_id)
+        client = district.client("changed-user", with_broker=False)
+        district.master._evict_uri(proxy.uri)
+        client.build_area_model(query, with_data=True)
+        district.master.register(proxy._registration(None, full=True))
+        rounds = issued_rounds(client)
+        not_modified = client.not_modified
+        model = client.build_area_model(query, with_data=True)
+        early, late = rounds
+        assert [call["uri"] for call in late] == \
+            [proxy.uri.rstrip("/") + "/data"]
+        # the resolve answered 200, every fetch sent beside it a 304
+        assert client.not_modified - not_modified == len(early) - 1
+        assert client.fetch_failures == 0
+        fresh = district.client("fresh-user", with_broker=False)
+        assert model == fresh.build_area_model(query, with_data=True)
+
+    def test_a_master_timeout_on_the_early_resolve_rotates(self):
+        district = quiet_district(master=HubConfig(standbys=1),
+                                  observability=True)
+        query = AreaQuery(district_id=district.district_id)
+        warm = district.client("warm-user", with_broker=False)
+        plain = district.client("plain-user", with_broker=False)
+        warm.build_area_model(query, with_data=True)
+        plain.resolve(query)
+        primary, standby = (uri.rstrip("/") for uri in district.master_uris)
+        FaultInjector(district).take_offline(district.master.host.name)
+        district.tracer.clear()
+        resolved, plain_s, _ = timed(district, lambda: plain.resolve(query))
+        rounds = issued_rounds(warm)
+        model, warm_s, _ = timed(district, lambda: (
+            warm.build_area_model(query, with_data=True)))
+        failovers = [event.attributes for event
+                     in district.tracer.events("failover")]
+        assert [(event["client"], event["failed"], event["next"])
+                for event in failovers] == [
+            ("plain-user", primary, standby),
+            ("warm-user", primary, standby)]
+        assert warm.master_failovers == plain.master_failovers == 1
+        assert warm.masters.current == plain.masters.current == standby
+        # the early round, the second attempt, nothing left to send
+        early, second, late = rounds
+        assert early[0]["uri"] == primary + "/resolve"
+        assert [call["uri"] for call in second] == [standby + "/resolve"]
+        assert late == []
+        assert plain_s <= warm_s < plain_s + 0.1 * warm.http.timeout
+        assert model.entities.keys() == {entity.entity_id
+                                         for entity in resolved.entities}
 
 
 class TestStrictAndLenient:

@@ -593,6 +593,71 @@ class TestFrameSizes:
                 assert size == estimate_size(payload), payload
 
 
+class TestRedeliverySizes:
+    """A redelivery re-sends the size its first fan-out computed (a
+    restored delivery is sized once, at its first redelivery), and a
+    dead-letter event is sized once for all its subscribers."""
+
+    @staticmethod
+    def spy(net):
+        sent = []
+        send = net.send
+
+        def spy(sender, recipient, port, payload, size=None):
+            if payload.get("kind") == "event":
+                sent.append((payload, size))
+            send(sender, recipient, port, payload, size=size)
+
+        net.send = spy
+        return sent
+
+    def test_every_send_of_a_poisoned_delivery_is_sized_exactly(self, net,
+                                                                 broker):
+        from repro.network.transport import estimate_size
+
+        sent = self.spy(net)
+        consumer = make_peer(net, "cons")
+
+        def poison(event):
+            raise ValueError("unreadable")
+
+        consumer.subscribe("t/poison", poison, ack=True)
+        make_peer(net, "ops").subscribe("deadletter/#", lambda e: None)
+        net.scheduler.run_for(0.1)
+        make_peer(net, "pub").publish("t/poison", {"v": [1, 2.5, "x"]})
+        net.scheduler.run_for(1.0)
+        attempts = broker.settlement.max_attempts
+        assert broker.stats.redeliveries == attempts - 1
+        assert broker.stats.dead_lettered == 1
+        # the first send, every redelivery, the one dead-letter event
+        assert len(sent) == attempts + 1
+        assert [size for _, size in sent] == \
+            [estimate_size(payload) for payload, _ in sent]
+
+    def test_a_restored_delivery_is_sized_at_its_redelivery(self, net,
+                                                             tmp_path):
+        from repro.network.transport import estimate_size
+        from repro.storage.durability import HubConfig
+
+        broker = Broker(net.add_host("broker"), delivery_ack_timeout=1.0,
+                        durability=HubConfig(
+                            wal_path=str(tmp_path / "broker.wal")))
+        consumer = make_peer(net, "cons")
+        consumer.subscribe("t/held", lambda event: consumer.defer(),
+                           ack=True)
+        net.scheduler.run_for(0.1)
+        make_peer(net, "pub").publish("t/held", {"v": 1})
+        net.scheduler.run_for(0.1)
+        broker.reset()
+        broker.recover()
+        delivery, = broker.state.deliveries.values()
+        assert delivery.size is None  # not in the WAL record
+        sent = self.spy(net)
+        net.scheduler.run_for(1.5)
+        (payload, size), = sent
+        assert size == delivery.size == estimate_size(payload)
+
+
 class TestDefaultKeysStillRead:
     """A peer leaves ``"ack": false`` and ``"retain": false`` off the
     wire; a frame or a WAL record that still spells them is read

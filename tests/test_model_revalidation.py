@@ -156,16 +156,27 @@ class RevalidationMachine(RuleBasedStateMachine):
         self.sources = Sources()
         self.reader = HttpClient(self.sources.net.add_host("reader"))
         self.names = iter(range(10**6))
-        #: every request the client sent, with its outcome
+        #: every request the client waited for, with its outcome
         self.wire = []
-        gather = self.sources.client.http.gather
+        #: (round, index) of every request sent and not yet waited for
+        self.unwaited = {}
+        http = self.sources.client.http
+        issue, self.wait = http.issue, http.wait
 
-        def spy(calls):
-            outcomes = gather(calls)
-            self.wire.extend(zip(calls, outcomes))
+        def spy_issue(calls):
+            pending = issue(calls)
+            self.unwaited.update(dict.fromkeys(
+                (pending, index) for index in range(len(calls))))
+            return pending
+
+        def spy_wait(pending, indices):
+            outcomes = self.wait(pending, indices)
+            for index, outcome in zip(indices, outcomes):
+                del self.unwaited[pending, index]
+                self.wire.append((pending.calls[index], outcome))
             return outcomes
 
-        self.sources.client.http.gather = spy
+        http.issue, http.wait = spy_issue, spy_wait
         #: key -> source, for keys the client fetched since their
         #: source's last mutation
         self.unchanged = {}
@@ -284,9 +295,8 @@ class RevalidationMachine(RuleBasedStateMachine):
         """Check one conditional GET: a bodyless 304 exactly when the
         client fetched this key since its source last changed.  Returns
         the key and the token its answer is held under."""
-        params = dict(call["params"])
-        claimed = params.pop("if_none_match", None)
-        key = (call["uri"], tuple(sorted(params.items())))
+        claimed = call["params"].get("if_none_match")
+        key = self.key_of(call)
         if key in self.unchanged:
             assert claimed is not None and outcome.status == 304
             assert outcome.body is None
@@ -296,6 +306,13 @@ class RevalidationMachine(RuleBasedStateMachine):
             token = outcome.body["token"]
         self.unchanged[key] = source
         return key, token
+
+    @staticmethod
+    def key_of(call):
+        """The client's held-answer key of a request."""
+        return (call["uri"], tuple(sorted(
+            (name, value) for name, value in call["params"].items()
+            if name != "if_none_match")))
 
     def held(self, key, token, answer):
         """Equal (key, token) => equal answer."""
@@ -326,13 +343,13 @@ class RevalidationMachine(RuleBasedStateMachine):
     def cold_fetch_data(self, series, window):
         """A reader holding nothing: always a 200 with the fresh
         aggregate, and the answer any earlier 200 under that token had."""
-        call, = DistrictClient._data_calls({self.sources.device_proxy.uri: [
-            ("bld-0001", RangeQuery(*series, **window))]})
+        _, ((key, call),), _ = DistrictClient._plan([], [(
+            "bld-0001", self.sources.device_proxy.uri,
+            RangeQuery(*series, **window))])
         response = self.reader.get(call["uri"], params=call["params"])
         samples = [tuple(sample) for sample in response.body["series"][0]]
         assert samples == self.sources.fresh_samples(*series, window)
-        self.held((call["uri"], tuple(sorted(call["params"].items()))),
-                  response.body["token"], [samples])
+        self.held(key, response.body["token"], [samples])
 
     @rule(series=st.sampled_from(SERIES), window=windows)
     def outage(self, series, window):
@@ -349,11 +366,27 @@ class RevalidationMachine(RuleBasedStateMachine):
         self.wire.clear()
         self.fetch_data(series, window)
 
+    def source_of(self, call):
+        """The registrant a request went to."""
+        source, = [name for name, proxy in self.sources.registrants.items()
+                   if call["uri"].startswith(proxy.uri.rstrip("/"))]
+        return source
+
+    def dropped(self):
+        """Every request the client sent and never waited for, each with
+        its outcome once it has landed (the client holds none of them)."""
+        dropped = [(pending.calls[index], self.wait(pending, [index])[0])
+                   for pending, index in self.unwaited]
+        self.unwaited.clear()
+        return dropped
+
     @rule(window=windows)
     def build_with_data(self, window):
         """The whole workflow for the first building: every model and
-        the one ``/data`` request revalidate as the single fetches do,
-        and every series is what a fresh aggregate gives."""
+        the one ``/data`` request the model used revalidate as the
+        single fetches do, and every series is what a fresh aggregate
+        gives.  A request sent from the held resolve that the fresh one
+        no longer names adds nothing to the model."""
         sources = self.sources
         try:
             model = sources.client.build_area_model(
@@ -362,14 +395,32 @@ class RevalidationMachine(RuleBasedStateMachine):
                 data_end=window["end"], data_bucket=window["bucket"])
         except ServiceError as exc:
             assert exc.status == 404  # every registration was evicted
+            model = None
+        for call, outcome in self.dropped():
+            source = self.source_of(call)
+            if source != "dev" and outcome.status == 200:
+                # a body the client dropped still cost a translation
+                entity_id = call["params"].get("entity_id", "bld-0001")
+                self.record(self.key_of(call), outcome.body,
+                            serialization.encode(
+                    sources.fresh(source, entity_id), "json"))
+            entity = model and model.entities.get("bld-0001")
+            if entity is None:
+                continue  # no model, or nothing in it to add to
+            if source == "dev":
+                assert not {tuple(name.split("/")) for name
+                            in call["params"]["series"].split(",")} \
+                    & set(entity.measurements)
+            else:
+                assert source not in entity.sources
+        if model is None:
             self.wire.clear()
             return
         _resolve, *fetches = self.wire
         self.wire.clear()
         fresh = {**window, "agg": "mean"}
         for call, outcome in fetches:
-            source, = [name for name, proxy in sources.registrants.items()
-                       if call["uri"].startswith(proxy.uri.rstrip("/"))]
+            source = self.source_of(call)
             key, token = self.revalidated(call, outcome, source)
             if source != "dev":
                 if outcome.status == 200:
@@ -497,6 +548,31 @@ class TestWhatA304CannotDo:
         assert client.fetch_failures == 0
         # trimmed before each round: over the bound by one round at most
         assert len(client._held) == models + 1
+
+    @pytest.mark.parametrize("slack", [0, 1])
+    def test_a_full_table_keeps_what_goes_out_beside_a_changed_resolve(
+            self, monkeypatch, slack):
+        # the table at its bound (or one over): the fetches of the held
+        # area go out with the resolve's token, the resolve answers 200
+        # and takes its slot again, and every 304 still finds its answer
+        sources = Sources()
+        client = sources.client
+        query = AreaQuery(sources.district_id)
+        first = client.build_area_model(query, with_data=True)
+        bound = len(client._held) - slack
+        monkeypatch.setattr("repro.core.client.HELD_ANSWERS_MAX", bound)
+        dev = sources.device_proxy
+        sources.master._evict_uri(dev.uri)  # the forest moves, no source
+        sources.master.register(dev._registration(None, full=True))
+        before = client.not_modified
+        again = client.build_area_model(query, with_data=True)
+        assert client.fetch_failures == 0
+        assert again == first
+        # at the bound every fetch is a 304; one over, the trim drops the
+        # held resolve (nothing goes out early) and, once the resolve is
+        # held again, the oldest answer: one fetch fewer, and a 200
+        assert client.not_modified - before == bound - 1
+        assert len(client._held) <= bound + slack
 
     def test_a_dark_proxy_is_missing_not_served_from_the_held_copy(self):
         sources = Sources()
