@@ -13,7 +13,10 @@ Sweeps district size and measures, at each size:
 * simulated integration latency for the whole district, the median of
   five (grows with the returned data, as it must — but the fetch stage
   is one concurrent round, so it stays within a small multiple of a
-  cold resolve instead of growing with the number of proxies).
+  cold resolve instead of growing with the number of proxies); the
+  repeats revalidate what the first integrate fetched, so five more,
+  each by a fresh client, time the cold fetch round under the same
+  bound.
 
 The pytest-benchmark table (grouped by size) tracks the wall-clock cost
 of the fixed-size workflow, which should stay flat.
@@ -74,6 +77,15 @@ def test_scalability(n_buildings, benchmark, report):
             model = client.build_area_model(whole, with_data=True,
                                             data_bucket=300.0)
         assert len(model.buildings) == n_buildings
+    # the median above revalidates what the first one fetched; a fresh
+    # client holds nothing, so these time the cold fetch round itself
+    for attempt in range(5):
+        cold_client = district.client(f"c1-cold-{n_buildings}-{attempt}")
+        with metrics.simulated("cold whole-district integrate",
+                               district.scheduler):
+            model = cold_client.build_area_model(whole, with_data=True,
+                                                 data_bucket=300.0)
+        assert len(model.buildings) == n_buildings
 
     def fixed_size_workflow():
         return client.build_area_model(single, with_data=True,
@@ -86,6 +98,7 @@ def test_scalability(n_buildings, benchmark, report):
     warm = metrics.summary("warm resolve")
     one = metrics.summary("single-building integrate")
     all_b = metrics.summary("whole-district integrate")
+    cold = metrics.summary("cold whole-district integrate")
     _single_building_p50[n_buildings] = one.p50
     # deterministic shape of the concurrent fetch round: after the
     # resolve, the whole district costs its slowest proxy answer, not
@@ -94,6 +107,12 @@ def test_scalability(n_buildings, benchmark, report):
         f"whole-district integrate {all_b.p50 * 1e3:.1f} ms is not within "
         f"3x the cold whole-district resolve {resolve.p50 * 1e3:.1f} ms: "
         f"the fetch stage is paying per-proxy round trips again"
+    )
+    assert cold.p50 < 3 * resolve.p50, (
+        f"cold whole-district integrate {cold.p50 * 1e3:.1f} ms is not "
+        f"within 3x the cold whole-district resolve "
+        f"{resolve.p50 * 1e3:.1f} ms: the cold fetch round is paying "
+        f"per-proxy round trips again"
     )
     # and of the resolve path: nothing changed between the two calls,
     # so the repeat is a 304 that ships no redirect table — one bare
@@ -120,7 +139,9 @@ def test_scalability(n_buildings, benchmark, report):
                f" resolve p50 cold={resolve.p50 * 1e3:7.2f}ms"
                f" warm={warm.p50 * 1e3:5.2f}ms"
                f"  1-building integrate p50={one.p50 * 1e3:8.2f}ms"
-               f"  whole-district integrate={all_b.p50 * 1e3:9.2f}ms")
+               f"  whole-district integrate={all_b.p50 * 1e3:9.2f}ms"
+               f" cold={cold.p50 * 1e3:9.2f}ms"
+               f" ({cold.p50 / resolve.p50:.2f}x resolve)")
 
     if n_buildings == SIZES[-1] and SIZES[0] in _single_building_p50:
         # the headline shape: a fixed-size query does not pay for

@@ -38,6 +38,7 @@ from repro.errors import (
     NotPrimaryError,
     QueryError,
     RegistrationError,
+    SerializationError,
     UnknownEntityError,
     UnknownRegistrationError,
 )
@@ -562,7 +563,7 @@ class MasterNode(StateMachine):
             return error(503, str(exc))
         except UnknownRegistrationError as exc:
             return error(exc.status, str(exc))
-        except RegistrationError as exc:
+        except (RegistrationError, SerializationError) as exc:
             return error(400, str(exc))
         return ok(body)
 

@@ -19,14 +19,18 @@ it, so a write to any node is seen by the next resolve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.identifiers import entity_kind
+from repro.common.records import (
+    BOOL, DICT, LIST, TUPLE, codec, nested, wire,
+)
 from repro.datasources.geometry import BoundingBox
 from repro.errors import OntologyError, UnknownEntityError
 
 
+@codec("device-node")
 @dataclass
 class DeviceNode:
     """Leaf node: one device, served by a Device-proxy."""
@@ -34,32 +38,12 @@ class DeviceNode:
     device_id: str
     proxy_uri: str
     protocol: str
-    quantities: Tuple[str, ...] = ()
-    is_actuator: bool = False
-    properties: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict:
-        return {
-            "device_id": self.device_id,
-            "proxy_uri": self.proxy_uri,
-            "protocol": self.protocol,
-            "quantities": list(self.quantities),
-            "is_actuator": self.is_actuator,
-            "properties": dict(self.properties),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "DeviceNode":
-        return cls(
-            device_id=data["device_id"],
-            proxy_uri=data["proxy_uri"],
-            protocol=data["protocol"],
-            quantities=tuple(data.get("quantities", [])),
-            is_actuator=bool(data.get("is_actuator", False)),
-            properties=dict(data.get("properties", {})),
-        )
+    quantities: Tuple[str, ...] = wire((), codec=TUPLE)
+    is_actuator: bool = wire(False, codec=BOOL)
+    properties: Dict[str, object] = wire(factory=dict, codec=DICT)
 
 
+@codec("entity-node")
 @dataclass
 class EntityNode:
     """Intermediate node: a building or distribution network."""
@@ -68,13 +52,18 @@ class EntityNode:
     entity_type: str  # building | network
     name: str = ""
     #: source kind (bim/sim/measurement) -> Database-proxy WS URI
-    proxy_uris: Dict[str, str] = field(default_factory=dict)
+    proxy_uris: Dict[str, str] = wire(factory=dict, codec=DICT)
     #: the entity's mapping into the GIS databases
     gis_feature_id: str = ""
     #: cached footprint bounds, for master-side area resolution
-    bounds: Optional[BoundingBox] = None
-    properties: Dict[str, object] = field(default_factory=dict)
-    devices: Dict[str, DeviceNode] = field(default_factory=dict)
+    bounds: Optional[BoundingBox] = wire(None, codec=(
+        "{0}.to_list() if {0} else None",
+        "BoundingBox.from_list({0}) if {0} else None"))
+    properties: Dict[str, object] = wire(factory=dict, codec=DICT)
+    #: travels as a list; decoding adds each through :meth:`add_device`
+    devices: Dict[str, DeviceNode] = wire(
+        factory=dict, adder="add_device",
+        codec=nested("DeviceNode", keyed=True))
 
     def add_device(self, node: DeviceNode) -> None:
         if node.device_id in self.devices:
@@ -83,35 +72,8 @@ class EntityNode:
             )
         self.devices[node.device_id] = node
 
-    def to_dict(self) -> Dict:
-        return {
-            "entity_id": self.entity_id,
-            "entity_type": self.entity_type,
-            "name": self.name,
-            "proxy_uris": dict(self.proxy_uris),
-            "gis_feature_id": self.gis_feature_id,
-            "bounds": self.bounds.to_list() if self.bounds else None,
-            "properties": dict(self.properties),
-            "devices": [d.to_dict() for d in self.devices.values()],
-        }
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "EntityNode":
-        bounds = data.get("bounds")
-        node = cls(
-            entity_id=data["entity_id"],
-            entity_type=data["entity_type"],
-            name=data.get("name", ""),
-            proxy_uris=dict(data.get("proxy_uris", {})),
-            gis_feature_id=data.get("gis_feature_id", ""),
-            bounds=BoundingBox.from_list(bounds) if bounds else None,
-            properties=dict(data.get("properties", {})),
-        )
-        for device_data in data.get("devices", []):
-            node.add_device(DeviceNode.from_dict(device_data))
-        return node
-
-
+@codec("district-node")
 @dataclass
 class DistrictNode:
     """Root node: one district's global properties and entities."""
@@ -119,11 +81,14 @@ class DistrictNode:
     district_id: str
     name: str = ""
     #: URIs of the district's GIS Database-proxy Web Services
-    gis_uris: List[str] = field(default_factory=list)
+    gis_uris: List[str] = wire(factory=list, codec=LIST)
     #: URIs of the district's global measurement databases
-    measurement_uris: List[str] = field(default_factory=list)
-    properties: Dict[str, object] = field(default_factory=dict)
-    entities: Dict[str, EntityNode] = field(default_factory=dict)
+    measurement_uris: List[str] = wire(factory=list, codec=LIST)
+    properties: Dict[str, object] = wire(factory=dict, codec=DICT)
+    #: travels as a list; decoding adds each through :meth:`add_entity`
+    entities: Dict[str, EntityNode] = wire(
+        factory=dict, adder="add_entity",
+        codec=nested("EntityNode", keyed=True))
 
     def add_entity(self, node: EntityNode) -> None:
         if node.entity_id in self.entities:
@@ -139,29 +104,6 @@ class DistrictNode:
             raise UnknownEntityError(
                 f"no entity {entity_id!r} in district {self.district_id}"
             ) from None
-
-    def to_dict(self) -> Dict:
-        return {
-            "district_id": self.district_id,
-            "name": self.name,
-            "gis_uris": list(self.gis_uris),
-            "measurement_uris": list(self.measurement_uris),
-            "properties": dict(self.properties),
-            "entities": [e.to_dict() for e in self.entities.values()],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "DistrictNode":
-        node = cls(
-            district_id=data["district_id"],
-            name=data.get("name", ""),
-            gis_uris=list(data.get("gis_uris", [])),
-            measurement_uris=list(data.get("measurement_uris", [])),
-            properties=dict(data.get("properties", {})),
-        )
-        for entity_data in data.get("entities", []):
-            node.add_entity(EntityNode.from_dict(entity_data))
-        return node
 
 
 class DistrictOntology:

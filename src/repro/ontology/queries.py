@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.common.records import DICT, TUPLE, codec, nested, wire
 from repro.datasources.geometry import BoundingBox
 from repro.errors import QueryError
 from repro.ontology.model import DistrictOntology, EntityNode
@@ -91,6 +93,31 @@ class ResolvedDevice:
     is_actuator: bool
 
 
+def _runs(devices: Sequence[ResolvedDevice]) -> List[Dict]:
+    """A resolved entity's devices as its wire ``device_proxies``."""
+    runs = []
+    for (uri, protocol), group in groupby(
+            devices, attrgetter("proxy_uri", "protocol")):
+        run = list(group)
+        runs.append({
+            "uri": uri,
+            "protocol": protocol,
+            "devices": {d.device_id: list(d.quantities) for d in run},
+            "actuators": [d.device_id for d in run if d.is_actuator],
+        })
+    return runs
+
+
+def _devices(runs: Sequence[Dict]) -> Tuple[ResolvedDevice, ...]:
+    """The devices of the wire ``device_proxies`` *runs*."""
+    return tuple([
+        ResolvedDevice(device_id, run["uri"], run["protocol"],
+                       tuple(quantities), device_id in run["actuators"])
+        for run in runs for device_id, quantities in run["devices"].items()
+    ])
+
+
+@codec("resolved-entity")
 @dataclass(frozen=True)
 class ResolvedEntity:
     """One matched entity with the URIs a client needs to fetch its data.
@@ -106,58 +133,24 @@ class ResolvedEntity:
 
     entity_id: str
     entity_type: str
-    name: str
-    proxy_uris: Dict[str, str]
-    gis_feature_id: str
-    devices: Tuple[ResolvedDevice, ...]
-
-    def to_dict(self) -> Dict:
-        runs = []
-        for (uri, protocol), group in groupby(
-                self.devices, lambda d: (d.proxy_uri, d.protocol)):
-            run = list(group)
-            runs.append({
-                "uri": uri,
-                "protocol": protocol,
-                "devices": {d.device_id: list(d.quantities) for d in run},
-                "actuators": [d.device_id for d in run if d.is_actuator],
-            })
-        return {
-            "entity_id": self.entity_id,
-            "entity_type": self.entity_type,
-            "name": self.name,
-            "proxy_uris": dict(self.proxy_uris),
-            "gis_feature_id": self.gis_feature_id,
-            "device_proxies": runs,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ResolvedEntity":
-        return cls(
-            entity_id=data["entity_id"],
-            entity_type=data["entity_type"],
-            name=data.get("name", ""),
-            proxy_uris=dict(data.get("proxy_uris", {})),
-            gis_feature_id=data.get("gis_feature_id", ""),
-            devices=tuple(
-                ResolvedDevice(device_id, run["uri"], run["protocol"],
-                               tuple(quantities),
-                               device_id in run["actuators"])
-                for run in data.get("device_proxies", [])
-                for device_id, quantities in run["devices"].items()
-            ),
-        )
+    name: str = ""
+    proxy_uris: Dict[str, str] = wire(factory=dict, codec=DICT)
+    gis_feature_id: str = ""
+    devices: Tuple[ResolvedDevice, ...] = wire(
+        (), key="device_proxies", codec=(_runs, _devices))
 
 
+@codec("resolved-area")
 @dataclass(frozen=True)
 class ResolvedArea:
     """The master's answer: redirections, not data."""
 
     district_id: str
-    district_name: str
-    gis_uris: Tuple[str, ...]
-    measurement_uris: Tuple[str, ...]
-    entities: Tuple[ResolvedEntity, ...]
+    district_name: str = ""
+    gis_uris: Tuple[str, ...] = wire((), codec=TUPLE)
+    measurement_uris: Tuple[str, ...] = wire((), codec=TUPLE)
+    entities: Tuple[ResolvedEntity, ...] = wire(
+        (), codec=nested("ResolvedEntity"))
 
     @property
     def entity_ids(self) -> List[str]:
@@ -166,27 +159,6 @@ class ResolvedArea:
     @property
     def device_count(self) -> int:
         return sum(len(e.devices) for e in self.entities)
-
-    def to_dict(self) -> Dict:
-        return {
-            "district_id": self.district_id,
-            "district_name": self.district_name,
-            "gis_uris": list(self.gis_uris),
-            "measurement_uris": list(self.measurement_uris),
-            "entities": [e.to_dict() for e in self.entities],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ResolvedArea":
-        return cls(
-            district_id=data["district_id"],
-            district_name=data.get("district_name", ""),
-            gis_uris=tuple(data.get("gis_uris", [])),
-            measurement_uris=tuple(data.get("measurement_uris", [])),
-            entities=tuple(
-                ResolvedEntity.from_dict(e) for e in data.get("entities", [])
-            ),
-        )
 
 
 def _matches(entity: EntityNode, query: AreaQuery) -> bool:

@@ -49,6 +49,7 @@ from typing import (
 import numpy as np
 
 from repro.common.cdf import Measurement
+from repro.common.records import FLOAT, INT, codec, wire
 from repro.errors import ConfigurationError, QueryError, SeriesNotFoundError
 from repro.storage.query import RangeQuery, choose_resolution
 from repro.storage.timeseries import TimeSeries, bucket_aggregate
@@ -65,21 +66,24 @@ _FORMAT_VERSION = 1
 ROLLUP_RESOLUTIONS = (900.0, 3600.0)
 
 
+@codec("tsdb-config")
 @dataclass
 class TsdbConfig:
     """Knobs of the columnar time-series engine.
 
     Defaults suit the simulated district scale; every field is
     validated at construction so a misconfigured store fails at deploy
-    time, not mid-ingest.
+    time, not mid-ingest.  Its dict rides inside store snapshots: an
+    absent knob decodes to its default, and other keys (older snapshots
+    carried more knobs) are ignored.
     """
 
     #: samples per sealed block (the active block seals when full)
-    block_size: int = 512
+    block_size: int = wire(512, codec=INT)
     #: merge sealed blocks up to this many samples during compaction
-    compaction_target: int = 4096
+    compaction_target: int = wire(4096, codec=INT)
     #: period of the background compaction pass, simulated seconds
-    compaction_period: float = 900.0
+    compaction_period: float = wire(900.0, codec=FLOAT)
 
     def __post_init__(self) -> None:
         """Validate the knob envelope."""
@@ -91,24 +95,6 @@ class TsdbConfig:
             )
         if self.compaction_period <= 0:
             raise ConfigurationError("compaction period must be positive")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialise the config (rides inside store snapshots)."""
-        return {
-            "block_size": self.block_size,
-            "compaction_target": self.compaction_target,
-            "compaction_period": self.compaction_period,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TsdbConfig":
-        """Rebuild a config from its snapshot form; other keys (older
-        snapshots carried more knobs) are ignored."""
-        return cls(
-            block_size=int(data["block_size"]),
-            compaction_target=int(data["compaction_target"]),
-            compaction_period=float(data["compaction_period"]),
-        )
 
 
 class SealedBlock:

@@ -185,6 +185,32 @@ class TestResolveRoutes:
                           method="POST", body={}, check=False)
         assert bad.status == 400
 
+    @pytest.mark.parametrize("field, value, reason", [
+        ("protocol", None, "device record missing field 'protocol'"),
+        ("sensors", [{"quantity": "power", "sample_period": "x"}],
+         "sensor-capability record field 'sample_period'"),
+    ])
+    def test_malformed_device_record_is_a_400(self, net, master, field,
+                                              value, reason):
+        client = HttpClient(net.add_host("proxy"))
+        base = master.uri.rstrip("/")
+        client.post(base + "/register", body=gis_payload())
+        errors = client.get(base + "/metrics").body["component"][
+            "handler_errors"]
+        payload = device_payload()
+        device = payload["devices"][0]
+        if value is None:
+            del device[field]
+        else:
+            device[field] = value
+        bad = client.call(base + "/register", method="POST", body=payload,
+                          check=False)
+        assert bad.status == 400
+        assert reason in bad.reason
+        assert client.get(base + "/metrics").body["component"][
+            "handler_errors"] \
+            == errors
+
     def test_ontology_route(self, net, master):
         self.populate(master)
         client = HttpClient(net.add_host("user"))

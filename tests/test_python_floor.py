@@ -1,9 +1,12 @@
 """The declared Python floor (``requires-python`` in pyproject.toml) can
 import every module of ``src/``.
 
-Two checks per file: it parses with the floor's grammar, and no
-``dataclass(...)`` decorator passes ``slots=`` (a 3.10 keyword that
-parses everywhere but fails at import on 3.9).
+Checks per file: it parses with the floor's grammar; no
+``dataclass(...)`` passes ``slots=`` or ``kw_only=`` and no ``field(...)``
+``kw_only=`` (3.10 keywords that parse everywhere but fail at import on
+3.9); and no annotation is an ``X | Y`` union (3.10 syntax that
+``from __future__ import annotations`` lets parse, until something
+evaluates the annotation).
 """
 
 import ast
@@ -20,18 +23,45 @@ def declared_floor():
     return int(major), int(minor)
 
 
+#: (callee, keyword) pairs that parse everywhere but fail at import
+#: below 3.10
+KEYWORDS_3_10 = {("dataclass", "slots"), ("dataclass", "kw_only"),
+                 ("field", "kw_only")}
+
+
+def _annotations(node):
+    """The annotations *node* carries, a string one parsed."""
+    found = [getattr(node, "annotation", None), getattr(node, "returns", None)]
+    for annotation in filter(None, found):
+        if isinstance(annotation, ast.Constant) and \
+                isinstance(annotation.value, str):
+            annotation = ast.parse(annotation.value, mode="eval")
+        yield annotation
+
+
 def floor_violations(source, floor):
-    """What in *source* the interpreter at *floor* cannot import."""
+    """What in *source* the interpreter at *floor* cannot import.
+
+    Beside the grammar: ``slots=`` / ``kw_only=`` keywords of 3.10, and
+    an ``X | Y`` annotation, which fails on 3.9 wherever annotations are
+    evaluated (``typing.get_type_hints``)."""
     try:
         tree = ast.parse(source, feature_version=floor)
     except SyntaxError as exc:
         return [f"line {exc.lineno}: {exc.msg}"]
-    return [f"line {node.lineno}: dataclass(slots=...)"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and getattr(node.func, "id",
-                        getattr(node.func, "attr", None)) == "dataclass"
-            and any(kw.arg == "slots" for kw in node.keywords)]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            found += [f"line {node.lineno}: {name}({kw.arg}=...)"
+                      for kw in node.keywords
+                      if (name, kw.arg) in KEYWORDS_3_10]
+        found += [f"line {node.lineno}: X | Y annotation"
+                  for annotation in _annotations(node)
+                  if any(isinstance(part, ast.BinOp) and
+                         isinstance(part.op, ast.BitOr)
+                         for part in ast.walk(annotation))]
+    return found
 
 
 def test_every_source_file_imports_at_the_floor():
@@ -59,4 +89,20 @@ def test_a_planted_violation_of_each_kind_is_found():
     assert floor_violations(dotted, floor) == [
         "line 2: dataclass(slots=...)"]
     assert len(floor_violations(match, floor)) == 1
+    kw_only = slots.replace("(slots=True)", "(kw_only=True)")
+    assert floor_violations(kw_only, floor) == [
+        "line 2: dataclass(kw_only=...)"]
+    field_kw_only = ("from dataclasses import dataclass, field\n"
+                     "@dataclass\n"
+                     "class Message:\n"
+                     "    size: int = field(default=0, kw_only=True)\n")
+    assert floor_violations(field_kw_only, floor) == [
+        "line 4: field(kw_only=...)"]
+    union = ("from __future__ import annotations\n"
+             "def size(message: bytes | None) -> int:\n"
+             "    return 0\n")
+    assert floor_violations(union, floor) == ["line 2: X | Y annotation"]
+    assert floor_violations(union.replace("bytes | None", "'bytes | None'"),
+                            floor) == ["line 2: X | Y annotation"]
+    assert floor_violations(union.replace(" | None", ""), floor) == []
     assert floor_violations(slots.replace("(slots=True)", ""), floor) == []
